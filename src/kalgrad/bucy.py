@@ -204,60 +204,48 @@ def integrate(
     n_steps = int(round(cfg.horizon / cfg.dt))
     times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)
 
+    # The packed state z is (s, matrix entries), and cngd appends eta.
     if kind == BUCY:
         mat0 = symmetrize(np.asarray(init.cov, dtype=float))
+        label, tail = "covariance", []
 
         def deriv(t: float, z: np.ndarray) -> np.ndarray:
-            s = z[:n]
-            cov = z[n:].reshape(n, n)
-            ds, dcov = bucy_deriv(BucyState(s, cov, t), y_path, model, cfg.alpha_at(t))
+            ds, dcov = bucy_deriv(
+                BucyState(z[:n], z[n:].reshape(n, n), t), y_path, model, cfg.alpha_at(t)
+            )
             return np.concatenate([ds, dcov.ravel()])
 
-        z = np.concatenate([np.asarray(init.s, dtype=float), mat0.ravel()])
-        states = np.zeros((n_steps + 1, n))
-        covs = np.zeros((n_steps + 1, n, n))
-        states[0], covs[0] = z[:n], mat0
-        _check_positive(mat0, "covariance", 0.0)
-        for i in range(n_steps):
-            z = rk4_step(deriv, z, times[i], cfg.dt)
-            mat = symmetrize(z[n:].reshape(n, n))
-            z[n:] = mat.ravel()
-            _check_positive(mat, "covariance", times[i + 1])
-            states[i + 1], covs[i + 1] = z[:n], mat
-        return ContinuousTrace(kind=BUCY, times=times, states=states, covs=covs)
-
-    if kind == CNGD:
+    elif kind == CNGD:
         mat0 = symmetrize(np.asarray(init.metric, dtype=float))
         if not init.eta > 0:
             raise ValueError("initial eta must be > 0")
+        label, tail = "metric", [float(init.eta)]
 
         def deriv(t: float, z: np.ndarray) -> np.ndarray:
-            s = z[:n]
-            metric = z[n:-1].reshape(n, n)
             eta = z[-1]
             gamma = eta if cfg.couple_gamma else cfg.gamma_fn(t)
             ds, dmetric = cngd_deriv(
-                CngdState(s, metric, eta, t), y_path, model, gamma
+                CngdState(z[:n], z[n:-1].reshape(n, n), eta, t), y_path, model, gamma
             )
-            deta = eta_ode(eta, cfg.alpha_at(t))
-            return np.concatenate([ds, dmetric.ravel(), [deta]])
+            return np.concatenate([ds, dmetric.ravel(), [eta_ode(eta, cfg.alpha_at(t))]])
 
-        z = np.concatenate(
-            [np.asarray(init.s, dtype=float), mat0.ravel(), [float(init.eta)]]
-        )
-        states = np.zeros((n_steps + 1, n))
-        metrics = np.zeros((n_steps + 1, n, n))
-        etas = np.zeros(n_steps + 1)
-        states[0], metrics[0], etas[0] = z[:n], mat0, init.eta
-        _check_positive(mat0, "metric", 0.0)
-        for i in range(n_steps):
-            z = rk4_step(deriv, z, times[i], cfg.dt)
-            mat = symmetrize(z[n:-1].reshape(n, n))
-            z[n:-1] = mat.ravel()
-            _check_positive(mat, "metric", times[i + 1])
-            states[i + 1], metrics[i + 1], etas[i + 1] = z[:n], mat, z[-1]
-        return ContinuousTrace(
-            kind=CNGD, times=times, states=states, metrics=metrics, etas=etas
-        )
+    else:
+        raise ValueError(f"unknown integration kind {kind!r}")
 
-    raise ValueError(f"unknown integration kind {kind!r}")
+    z = np.concatenate([np.asarray(init.s, dtype=float), mat0.ravel(), tail])
+    end = n + n * n
+    packed = np.zeros((n_steps + 1, z.size))
+    packed[0] = z
+    _check_positive(mat0, label, 0.0)
+    for i in range(n_steps):
+        z = rk4_step(deriv, z, times[i], cfg.dt)
+        mat = symmetrize(z[n:end].reshape(n, n))
+        z[n:end] = mat.ravel()
+        _check_positive(mat, label, times[i + 1])
+        packed[i + 1] = z
+    states, mats = packed[:, :n], packed[:, n:end].reshape(-1, n, n)
+    if kind == BUCY:
+        return ContinuousTrace(kind=BUCY, times=times, states=states, covs=mats)
+    return ContinuousTrace(
+        kind=CNGD, times=times, states=states, metrics=mats, etas=packed[:, end]
+    )

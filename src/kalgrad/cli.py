@@ -58,6 +58,28 @@ def _parse_floats(value: str) -> list[float]:
     return [float(part) for part in value.split(",") if part.strip()]
 
 
+# Config key -> (RunConfig field, parser).  ``scenario`` and the alpha[t]
+# overrides are read separately; fisher_mode = mc(n) also sets mc_samples.
+_FIELDS = {
+    "family": ("family", str),
+    "obs_cov": ("obs_cov", _parse_floats),
+    "classes": ("classes", int),
+    "T": ("horizon", float),
+    "dt": ("dt", float),
+    "dt_list": ("dt_list", _parse_floats),
+    "seed": ("seed", int),
+    "s0": ("s0", _parse_floats),
+    "p0_scale": ("p0_scale", float),
+    "p0": ("p0_diag", _parse_floats),
+    "alpha": ("alpha_spec", str),
+    "eta0": ("eta0", float),
+    "fisher_mode": ("fisher_mode", str),
+    "tol": ("tol", float),
+    "out": ("out", str),
+    "mutate": ("mutate", str),
+}
+
+
 def parse_config(path: str | Path) -> RunConfig:
     """Read a flat key = value file with # comments and alpha[t] overrides."""
     path = Path(path)
@@ -83,48 +105,16 @@ def parse_config(path: str | Path) -> RunConfig:
 
     cfg = RunConfig(scenario=raw.pop("scenario"), alpha_overrides=overrides)
     try:
-        if "family" in raw:
-            cfg.family = raw.pop("family")
-        if "obs_cov" in raw:
-            cfg.obs_cov = _parse_floats(raw.pop("obs_cov"))
-        if "classes" in raw:
-            cfg.classes = int(raw.pop("classes"))
-        if "T" in raw:
-            cfg.horizon = float(raw.pop("T"))
-        if "dt" in raw:
-            cfg.dt = float(raw.pop("dt"))
-        if "dt_list" in raw:
-            cfg.dt_list = _parse_floats(raw.pop("dt_list"))
-        if "seed" in raw:
-            cfg.seed = int(raw.pop("seed"))
-        if "s0" in raw:
-            cfg.s0 = _parse_floats(raw.pop("s0"))
-        if "p0_scale" in raw:
-            cfg.p0_scale = float(raw.pop("p0_scale"))
-        if "p0" in raw:
-            cfg.p0_diag = _parse_floats(raw.pop("p0"))
-        if "alpha" in raw:
-            cfg.alpha_spec = raw.pop("alpha")
-        if "eta0" in raw:
-            cfg.eta0 = float(raw.pop("eta0"))
-        if "fisher_mode" in raw:
-            mode = raw.pop("fisher_mode")
-            m = re.match(r"^mc\((\d+)\)$", mode)
-            if m:
-                cfg.fisher_mode = "mc"
-                cfg.mc_samples = int(m.group(1))
-            else:
-                cfg.fisher_mode = mode
-        if "tol" in raw:
-            cfg.tol = float(raw.pop("tol"))
-        if "out" in raw:
-            cfg.out = raw.pop("out")
-        if "mutate" in raw:
-            cfg.mutate = raw.pop("mutate")
+        for key, (name, parse) in _FIELDS.items():
+            if key in raw:
+                setattr(cfg, name, parse(raw.pop(key)))
     except ValueError as exc:
         raise ConfigError(f"invalid field value: {exc}") from exc
     if raw:
         raise ConfigError(f"unknown field: {sorted(raw)[0]}")
+    m = re.match(r"^mc\((\d+)\)$", cfg.fisher_mode)
+    if m:
+        cfg.fisher_mode, cfg.mc_samples = "mc", int(m.group(1))
     return cfg
 
 
@@ -222,38 +212,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _require_discrete(model, name: str):
-    if not isinstance(model, model_mod.DynamicalModel):
-        raise ConfigError(f"invalid field scenario: {name!r} is not a discrete model")
-
-
-def _require_continuous(model, name: str):
-    if not isinstance(model, model_mod.ContinuousModel):
-        raise ConfigError(f"invalid field scenario: {name!r} is not a continuous model")
-
-
-def _obs_columns(scenario: model_mod.Scenario) -> tuple[list[str], np.ndarray]:
-    """Observation columns: raw vectors for gaussian, one label column else."""
-    fam = scenario.family
-    horizon = scenario.horizon
-    if fam.kind == expfam.GAUSSIAN:
-        width = fam.mean_dim
-        block = np.zeros((horizon + 1, width))
-        for t in range(1, horizon + 1):
-            block[t] = np.asarray(scenario.obs(t), dtype=float)
-    else:
-        width = 1
-        block = np.zeros((horizon + 1, 1))
-        for t in range(1, horizon + 1):
-            block[t, 0] = float(scenario.obs(t))
-    names = [f"y_{i}" for i in range(width)]
-    return names, block
-
-
-def cmd_run(config_path: str, mode: str, out_dir: str | None = None) -> int:
-    """Run one filter or flow and write trace.csv / summary.txt."""
-    if mode not in RUN_MODES:
-        raise ConfigError(f"unknown run mode {mode!r}; choose from {RUN_MODES}")
+def _load(config_path: str, out_dir: str | None):
+    """Parse the config, look up its model and create the output directory."""
     cfg = parse_config(config_path)
     out = Path(out_dir or cfg.out or ".")
     try:
@@ -262,86 +222,109 @@ def cmd_run(config_path: str, mode: str, out_dir: str | None = None) -> int:
         raise ConfigError(str(exc)) from exc
     if cfg.horizon is None:
         raise ConfigError("missing required field: T")
-
     out.mkdir(parents=True, exist_ok=True)
+    return cfg, system, out
+
+
+def _discrete_inputs(cfg: RunConfig, system):
+    """Scenario, prior mean, prior covariance and alpha_1..alpha_T of a
+    discrete run."""
+    if not isinstance(system, model_mod.DynamicalModel):
+        raise ConfigError(f"invalid field scenario: {cfg.scenario!r} is not a discrete model")
+    horizon = int(cfg.horizon)
+    family = _build_family(cfg, system)
+    scenario = model_mod.generate_scenario(system, family, horizon, cfg.seed)
+    s0 = _init_state(cfg, system)
+    p0 = _init_cov(cfg, system.dim_state)
+    return scenario, s0, p0, _alpha_schedule(cfg, horizon)
+
+
+def _continuous_inputs(cfg: RunConfig, system):
+    """Horizon, alpha(t), prior mean and prior covariance of a continuous run."""
+    if not isinstance(system, model_mod.ContinuousModel):
+        raise ConfigError(f"invalid field scenario: {cfg.scenario!r} is not a continuous model")
+    horizon = float(cfg.horizon)
+    alpha = _alpha_fn(cfg, horizon)
+    return horizon, alpha, _init_state(cfg, system), _init_cov(cfg, system.dim_state)
+
+
+def _scenario_columns(scenario: model_mod.Scenario) -> tuple[list[str], np.ndarray]:
+    """Leading columns of a discrete trace: t, the true state, and the
+    observation (raw vector for gaussian, one label column else; zero at
+    t = 0, where there is none)."""
+    fam = scenario.family
+    horizon = scenario.horizon
+    width = fam.mean_dim if fam.kind == expfam.GAUSSIAN else 1
+    y_block = np.zeros((horizon + 1, width))
+    for t in range(1, horizon + 1):
+        y_block[t] = np.asarray(scenario.obs(t), dtype=float)
+    names = (
+        ["t"]
+        + [f"s_true_{i}" for i in range(scenario.model.dim_state)]
+        + [f"y_{i}" for i in range(width)]
+    )
+    times = np.arange(horizon + 1, dtype=float)
+    return names, np.column_stack([times, scenario.true_states, y_block])
+
+
+def cmd_run(config_path: str, mode: str, out_dir: str | None = None) -> int:
+    """Run one filter or flow and write trace.csv / summary.txt."""
+    if mode not in RUN_MODES:
+        raise ConfigError(f"unknown run mode {mode!r}; choose from {RUN_MODES}")
+    cfg, system, out = _load(config_path, out_dir)
     summary: list[str] = [f"mode = {mode}", f"scenario = {cfg.scenario}"]
 
     if mode in ("ekf", "natgrad"):
-        _require_discrete(system, cfg.scenario)
-        horizon = int(cfg.horizon)
-        family = _build_family(cfg, system)
-        scenario = model_mod.generate_scenario(system, family, horizon, cfg.seed)
-        s0 = _init_state(cfg, system)
-        p0 = _init_cov(cfg, system.dim_state)
-        alpha = _alpha_schedule(cfg, horizon)
+        scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
         if mode == "ekf":
             trace = ekf_mod.run(
                 scenario, ekf_mod.EkfConfig(noise_mode=ekf_mod.FADING, alpha=alpha), s0, p0
             )
             estimates = trace.means()
         else:
-            hyper = eq_mod.map_alpha_to_eta(alpha, cfg.eta0, horizon)
-            metric0 = cfg.eta0 * np.linalg.inv(p0)
+            hyper = eq_mod.map_alpha_to_eta(alpha, cfg.eta0, scenario.horizon)
             grad_cfg = ngd_mod.NatGradConfig(
-                eta=hyper.eta[1:] if horizon else 1.0,
-                gamma=hyper.gamma if horizon else 1.0,
+                eta=hyper.eta[1:],
+                gamma=hyper.gamma,
                 fisher_mode=cfg.fisher_mode,
                 mc_samples=cfg.mc_samples,
             )
-            trace = ngd_mod.run(scenario, grad_cfg, s0, metric0)
-            estimates = trace.states()
-        y_names, y_block = _obs_columns(scenario)
-        header = (
-            ["t"]
-            + [f"s_true_{i}" for i in range(system.dim_state)]
-            + y_names
-            + [f"s_est_{i}" for i in range(system.dim_state)]
-        )
-        rows = [
-            [float(t), *scenario.true_states[t], *y_block[t], *estimates[t]]
-            for t in range(horizon + 1)
-        ]
-        summary.append(f"T = {horizon}")
+            metric0 = eq_mod.initial_metric(p0, cfg.eta0)
+            estimates = ngd_mod.run(scenario, grad_cfg, s0, metric0).states()
+        header, block = _scenario_columns(scenario)
+        header += [f"s_est_{i}" for i in range(system.dim_state)]
+        rows = np.column_stack([block, estimates])
+        summary.append(f"T = {scenario.horizon}")
         summary.append(f"seed = {cfg.seed}")
         summary.append("note = y columns at t = 0 are zero placeholders (no observation)")
     else:
-        _require_continuous(system, cfg.scenario)
+        horizon, alpha, s0, p0 = _continuous_inputs(cfg, system)
         if cfg.dt is None:
             raise ConfigError("missing required field: dt")
-        horizon = float(cfg.horizon)
-        alpha = _alpha_fn(cfg, horizon)
         icfg = bucy_mod.IntegratorConfig(dt=cfg.dt, horizon=horizon, alpha=alpha)
-        s0 = _init_state(cfg, system)
-        p0 = _init_cov(cfg, system.dim_state)
         dim = system.dim_state
         if mode == "bucy":
             trace = bucy_mod.integrate(
                 bucy_mod.BUCY, bucy_mod.BucyState(s0, p0), system, icfg
             )
-            mat_names = [f"p_{i}_{j}" for i in range(dim) for j in range(dim)]
-            mats = trace.covs
-            extra = None
+            prefix, mats, extra = "p", trace.covs, []
         else:
-            metric0 = cfg.eta0 * np.linalg.inv(p0)
+            metric0 = eq_mod.initial_metric(p0, cfg.eta0)
             trace = bucy_mod.integrate(
                 bucy_mod.CNGD, bucy_mod.CngdState(s0, metric0, cfg.eta0), system, icfg
             )
-            mat_names = [f"j_{i}_{j}" for i in range(dim) for j in range(dim)]
-            mats = trace.metrics
-            extra = trace.etas
+            prefix, mats, extra = "j", trace.metrics, [trace.etas]
         header = (
             ["t"]
             + [f"y_{i}" for i in range(system.dim_obs)]
             + [f"s_{i}" for i in range(dim)]
-            + mat_names
-            + (["eta"] if extra is not None else [])
+            + [f"{prefix}_{i}_{j}" for i in range(dim) for j in range(dim)]
+            + ["eta"] * len(extra)
         )
-        rows = []
-        for i, t in enumerate(trace.times):
-            row = [t, *system.obs_path(t), *trace.states[i], *mats[i].ravel()]
-            if extra is not None:
-                row.append(extra[i])
-            rows.append(row)
+        obs = np.array([system.obs_path(t) for t in trace.times])
+        rows = np.column_stack(
+            [trace.times, obs, trace.states, mats.reshape(len(mats), -1), *extra]
+        )
         summary.append(f"T = {horizon}")
         summary.append(f"dt = {cfg.dt}")
 
@@ -361,26 +344,12 @@ def cmd_compare(
     """Run the matched filter/gradient pair and report deviations."""
     if mode not in COMPARE_MODES:
         raise ConfigError(f"unknown compare mode {mode!r}; choose from {COMPARE_MODES}")
-    cfg = parse_config(config_path)
-    out = Path(out_dir or cfg.out or ".")
+    cfg, system, out = _load(config_path, out_dir)
     mutate = mutate if mutate is not None else cfg.mutate
-    try:
-        system = model_mod.builtin(cfg.scenario)
-    except UnknownModelError as exc:
-        raise ConfigError(str(exc)) from exc
-    if cfg.horizon is None:
-        raise ConfigError("missing required field: T")
-    out.mkdir(parents=True, exist_ok=True)
     summary: list[str] = [f"mode = {mode}", f"scenario = {cfg.scenario}"]
 
     if mode == "discrete":
-        _require_discrete(system, cfg.scenario)
-        horizon = int(cfg.horizon)
-        family = _build_family(cfg, system)
-        scenario = model_mod.generate_scenario(system, family, horizon, cfg.seed)
-        s0 = _init_state(cfg, system)
-        p0 = _init_cov(cfg, system.dim_state)
-        alpha = _alpha_schedule(cfg, horizon)
+        scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
         use_tol = tol if tol is not None else (cfg.tol if cfg.tol is not None else 1e-8)
         if mutate is not None and mutate not in eq_mod.MUTATIONS:
             raise ConfigError(
@@ -389,28 +358,16 @@ def cmd_compare(
         report = eq_mod.check_discrete(
             scenario, s0, p0, alpha, tol=use_tol, eta0=cfg.eta0, mutate=mutate
         )
-        y_names, y_block = _obs_columns(scenario)
+        header, block = _scenario_columns(scenario)
         dim = system.dim_state
-        header = (
-            ["t"]
-            + [f"s_true_{i}" for i in range(dim)]
-            + y_names
-            + [f"s_ekf_{i}" for i in range(dim)]
+        header += (
+            [f"s_ekf_{i}" for i in range(dim)]
             + [f"s_ngd_{i}" for i in range(dim)]
             + ["state_dev", "metric_dev"]
         )
-        rows = [
-            [
-                float(t),
-                *scenario.true_states[t],
-                *y_block[t],
-                *report.filter_states[t],
-                *report.grad_states[t],
-                report.state_devs[t],
-                report.metric_devs[t],
-            ]
-            for t in range(horizon + 1)
-        ]
+        rows = np.column_stack(
+            [block, report.filter_states, report.grad_states, report.state_devs, report.metric_devs]
+        )
         _write_csv(out / "deviations.csv", header, rows)
         summary += [
             f"max_state_dev = {_fmt(report.max_state_dev)}",
@@ -421,15 +378,11 @@ def cmd_compare(
         ]
         passed = report.passed
     else:
-        _require_continuous(system, cfg.scenario)
+        horizon, alpha, s0, p0 = _continuous_inputs(cfg, system)
         dts = cfg.dt_list or ([cfg.dt] if cfg.dt else None)
         if not dts:
             raise ConfigError("missing required field: dt_list (or dt)")
         use_tol = tol if tol is not None else (cfg.tol if cfg.tol is not None else 1e-6)
-        s0 = _init_state(cfg, system)
-        p0 = _init_cov(cfg, system.dim_state)
-        horizon = float(cfg.horizon)
-        alpha = _alpha_fn(cfg, horizon)
         result = eq_mod.check_continuous(
             system, s0, p0, alpha, dts, horizon, tol=use_tol, eta0=cfg.eta0
         )

@@ -41,7 +41,7 @@ import numpy as np
 from . import expfam
 from .errors import NonFiniteError
 from .model import DynamicalModel, Scenario
-from .numerics import solve_psd, symmetrize
+from .numerics import as_schedule, check_schedule, solve_psd, symmetrize
 
 GAIN = "gain"
 INFORMATION = "information"
@@ -67,8 +67,9 @@ class GaussianBelief:
 class EkfConfig:
     """Noise model and observation-update form for one filter run.
 
-    ``alpha`` is the fading-memory schedule indexed by step (alpha[t-1] is
-    used at time t); ``process_noise`` is either one PSD matrix reused at
+    ``alpha`` is the fading-memory schedule, stored as a 1-D float array
+    indexed by step (alpha[t-1] is used at time t; a single entry applies
+    at every step); ``process_noise`` is either one PSD matrix reused at
     every step or a sequence indexed the same way.
     """
 
@@ -82,16 +83,14 @@ class EkfConfig:
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
         if self.update_form not in (GAIN, INFORMATION, GRADIENT):
             raise ValueError(f"unknown update form {self.update_form!r}")
-        if self.noise_mode == FADING:
-            alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-            if np.any(alpha < 0):
-                raise ValueError("fading-memory weights must be >= 0")
-        elif self.process_noise is None:
+        object.__setattr__(self, "alpha", as_schedule(self.alpha))
+        if self.noise_mode == FADING and np.any(self.alpha < 0):
+            raise ValueError("fading-memory weights must be >= 0")
+        if self.noise_mode == GENERAL and self.process_noise is None:
             raise ValueError("general noise mode requires process_noise")
 
     def alpha_at(self, t: int) -> float:
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        return float(alpha[0]) if alpha.size == 1 else float(alpha[t - 1])
+        return float(self.alpha[0] if self.alpha.size == 1 else self.alpha[t - 1])
 
     def noise_at(self, t: int, dim: int) -> np.ndarray:
         q = self.process_noise
@@ -276,6 +275,7 @@ def run(
     init_cov,
 ) -> FilterTrace:
     """Filter the scenario's observations from the given Gaussian prior."""
+    check_schedule(config.alpha, scenario.horizon, "alpha")
     belief = GaussianBelief(init_mean, init_cov)
     observe = _OBSERVERS[config.update_form]
     steps = []

@@ -128,6 +128,13 @@ def map_eta_to_alpha(eta: Sequence[float]) -> np.ndarray:
     return eta[1:] / ((1.0 - eta[1:]) * eta[:-1]) - 1.0
 
 
+def initial_metric(init_cov, eta0: float) -> np.ndarray:
+    """The gradient side's prior metric J_0 = eta_0 P_0^-1, matched to the
+    filter's prior covariance P_0."""
+    init_cov = symmetrize(np.asarray(init_cov, dtype=float))
+    return symmetrize(eta0 * solve_psd(init_cov, np.eye(init_cov.shape[0])))
+
+
 def _state_devs(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(states_a).max(initial=0.0)))
     return np.abs(states_a - states_b).max(axis=1) / scale
@@ -139,6 +146,24 @@ def _metric_devs(covs: np.ndarray, metrics: np.ndarray, etas: np.ndarray) -> np.
         implied = eta * solve_psd(metric, np.eye(metric.shape[0]))
         devs[i] = np.linalg.norm(cov - implied) / np.linalg.norm(cov)
     return devs
+
+
+def _compare(states, grad_states, covs, metrics, etas, tol: float, /, **extra) -> ComparisonReport:
+    """Per-step deviations of a gradient run (grad_states, metrics, etas)
+    from a filter run (states, covs), with the verdict at ``tol``."""
+    state_devs = _state_devs(states, grad_states)
+    metric_devs = _metric_devs(covs, metrics, etas)
+    max_state = float(state_devs.max(initial=0.0))
+    max_metric = float(metric_devs.max(initial=0.0))
+    return ComparisonReport(
+        max_state_dev=max_state,
+        max_metric_dev=max_metric,
+        state_devs=state_devs,
+        metric_devs=metric_devs,
+        tol=tol,
+        passed=bool(max_state <= tol and max_metric <= tol),
+        **extra,
+    )
 
 
 def run_pair(
@@ -158,8 +183,6 @@ def run_pair(
     the hyperparameter identification on one side only.
     """
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
-    init_metric = symmetrize(hyper.eta[0] * solve_psd(init_cov, np.eye(init_cov.shape[0])))
-
     filt_cfg = ekf_mod.EkfConfig(
         noise_mode=ekf_mod.FADING,
         alpha=hyper.alpha if ekf_alpha is None else ekf_alpha,
@@ -167,28 +190,19 @@ def run_pair(
     filt = ekf_mod.run(scenario, filt_cfg, init_state, init_cov)
 
     grad_cfg = ngd_mod.NatGradConfig(
-        eta=hyper.eta[1:] if scenario.horizon else 1.0,
-        gamma=(hyper.gamma if gamma is None else gamma) if scenario.horizon else 1.0,
+        eta=hyper.eta[1:],
+        gamma=hyper.gamma if gamma is None else gamma,
         fisher_mode=ngd_mod.EXACT,
         skip_metric_transport=skip_metric_transport,
     )
-    grad = ngd_mod.run(scenario, grad_cfg, init_state, init_metric)
+    grad = ngd_mod.run(
+        scenario, grad_cfg, init_state, initial_metric(init_cov, hyper.eta[0])
+    )
 
-    filter_states = filt.means()
-    grad_states = grad.states()
-    state_devs = _state_devs(filter_states, grad_states)
-    metric_devs = _metric_devs(filt.covs(), grad.metrics(), hyper.eta)
-    max_state = float(state_devs.max(initial=0.0))
-    max_metric = float(metric_devs.max(initial=0.0))
-    return ComparisonReport(
-        max_state_dev=max_state,
-        max_metric_dev=max_metric,
-        state_devs=state_devs,
-        metric_devs=metric_devs,
-        tol=tol,
-        passed=bool(max_state <= tol and max_metric <= tol),
-        filter_states=filter_states,
-        grad_states=grad_states,
+    filter_states, grad_states = filt.means(), grad.states()
+    return _compare(
+        filter_states, grad_states, filt.covs(), grad.metrics(), hyper.eta, tol,
+        filter_states=filter_states, grad_states=grad_states,
     )
 
 
@@ -243,7 +257,7 @@ def check_continuous(
     ``min_order``.
     """
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
-    init_metric = symmetrize(eta0 * solve_psd(init_cov, np.eye(init_cov.shape[0])))
+    init_metric = initial_metric(init_cov, eta0)
     dts = sorted(float(d) for d in dts)[::-1]  # coarse to fine
     reports = []
     for dt in dts:
@@ -258,19 +272,10 @@ def check_continuous(
             cfg,
             y_path,
         )
-        state_devs = _state_devs(trace_b.states, trace_c.states)
-        metric_devs = _metric_devs(trace_b.covs, trace_c.metrics, trace_c.etas)
-        max_state = float(state_devs.max())
-        max_metric = float(metric_devs.max())
         reports.append(
-            ComparisonReport(
-                max_state_dev=max_state,
-                max_metric_dev=max_metric,
-                state_devs=state_devs,
-                metric_devs=metric_devs,
-                tol=tol,
-                passed=bool(max_state <= tol and max_metric <= tol),
-                dt=dt,
+            _compare(
+                trace_b.states, trace_c.states, trace_b.covs, trace_c.metrics, trace_c.etas,
+                tol, dt=dt,
             )
         )
     if len(reports) >= 2:

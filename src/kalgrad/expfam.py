@@ -43,11 +43,6 @@ GAUSSIAN = "gaussian"
 BERNOULLI = "bernoulli"
 CATEGORICAL = "categorical"
 
-# Mean parameters within _BOUNDARY_TOL of the probability boundary count as
-# boundary points: the covariance would be numerically singular there.
-_BOUNDARY_TOL = 0.0
-
-
 @dataclass(frozen=True)
 class ObservationFamily:
     """One exponential family, identified by kind plus fixed parameters.
@@ -106,7 +101,7 @@ def check_mean(family: ObservationFamily, yhat) -> np.ndarray:
         if not np.all(np.isfinite(yhat)):
             raise DomainError("gaussian mean must be finite")
         return yhat
-    if np.any(yhat <= _BOUNDARY_TOL) or np.any(yhat >= 1.0):
+    if np.any(yhat <= 0.0) or np.any(yhat >= 1.0):
         raise DomainError(f"{family.kind} mean must lie strictly inside (0, 1)")
     if family.kind == CATEGORICAL and yhat.sum() >= 1.0:
         raise DomainError("categorical mean components must sum to less than 1")
@@ -267,17 +262,28 @@ def sample(family: ObservationFamily, yhat, rng: np.random.Generator, size: int 
     With ``size=None`` returns a single observation in the family's native
     representation (vector for gaussian, integer label otherwise); with
     ``size=n`` returns a batch (n x dim array, or length-n integer array).
+
+    Unlike the covariance, score and Fisher, sampling is defined on the
+    closed domain: bernoulli and categorical means may sit on the boundary
+    (entries in [0, 1] summing to at most 1), where some outcomes are sure.
+    A sum a few ulps above 1, as rounding leaves it in a saturated softmax,
+    gives the dropped class probability 0.
     """
-    yhat = check_mean(family, yhat)
     n = 1 if size is None else int(size)
     if family.kind == GAUSSIAN:
+        yhat = check_mean(family, yhat)
         chol = np.linalg.cholesky(family.obs_cov)
         draws = yhat + rng.standard_normal((n, family.mean_dim)) @ chol.T
         return draws[0] if size is None else draws
+    yhat = _as_mean(family, yhat)
+    total = yhat.sum()
+    in_range = np.all(yhat >= 0.0) and np.all(yhat <= 1.0)
+    if not (in_range and total <= 1.0 + yhat.size * np.finfo(float).eps):
+        raise DomainError(f"{family.kind} mean must lie in [0, 1] and sum to at most 1")
     if family.kind == BERNOULLI:
         draws = (rng.random(n) < yhat[0]).astype(np.int64)
     else:
-        probs = np.append(yhat, 1.0 - yhat.sum())
+        probs = np.append(yhat, max(1.0 - total, 0.0))
         draws = rng.choice(family.num_classes, size=n, p=probs)
     return int(draws[0]) if size is None else draws
 
@@ -293,32 +299,3 @@ def _suffstats_batch(family: ObservationFamily, draws) -> np.ndarray:
     kept = labels < family.num_classes - 1
     t[np.nonzero(kept)[0], labels[kept]] = 1.0
     return t
-
-
-def natgrad_of_expectation(
-    family: ObservationFamily,
-    yhat,
-    fn,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Monte Carlo natural gradient of E[fn(y)] with respect to yhat.
-
-    For exponential families in mean parameterization this equals
-    Cov(fn(y), T(y)), estimated here by the unbiased empirical covariance
-    over n draws.  With n = 1 the covariance is identically zero.
-    """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    yhat = check_mean(family, yhat)
-    draws = sample(family, yhat, rng, size=n)
-    stats = _suffstats_batch(family, draws)
-    if family.kind == GAUSSIAN:
-        values = np.array([float(fn(row)) for row in draws])
-    else:
-        values = np.array([float(fn(int(label))) for label in draws])
-    if n == 1:
-        return np.zeros(family.mean_dim)
-    dv = values - values.mean()
-    dt = stats - stats.mean(axis=0)
-    return dv @ dt / (n - 1)

@@ -22,7 +22,6 @@ a pure function of (model, family, horizon, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -34,6 +33,14 @@ from .numerics import ANALYTIC, JacobianSpec, fd_jacobian
 
 Array = np.ndarray
 Map = Callable[[Array, Array], Array]
+
+
+def _jacobian(analytic: Map | None, fn: Map, s: Array, u: Array, spec: JacobianSpec) -> Array:
+    """Jacobian of fn in s: the analytic one if given and selected by
+    ``spec``, central differences otherwise."""
+    if analytic is not None and spec.mode == ANALYTIC:
+        return np.asarray(analytic(s, u), dtype=float)
+    return fd_jacobian(lambda v: fn(v, u), s, spec.step)
 
 
 @dataclass(frozen=True)
@@ -65,19 +72,13 @@ class DynamicalModel:
         return self.predictor is not None and family.kind == self.link_family
 
     def jac_predictor(self, s: Array, u: Array) -> Array:
-        if self.jacobian_predictor is not None and self.jac_spec.mode == ANALYTIC:
-            return np.asarray(self.jacobian_predictor(s, u), dtype=float)
-        return fd_jacobian(lambda v: self.predictor(v, u), s, self.jac_spec.step)
+        return _jacobian(self.jacobian_predictor, self.predictor, s, u, self.jac_spec)
 
     def jac_f(self, s: Array, u: Array) -> Array:
-        if self.jacobian_f is not None and self.jac_spec.mode == ANALYTIC:
-            return np.asarray(self.jacobian_f(s, u), dtype=float)
-        return fd_jacobian(lambda v: self.f(v, u), s, self.jac_spec.step)
+        return _jacobian(self.jacobian_f, self.f, s, u, self.jac_spec)
 
     def jac_h(self, s: Array, u: Array) -> Array:
-        if self.jacobian_h is not None and self.jac_spec.mode == ANALYTIC:
-            return np.asarray(self.jacobian_h(s, u), dtype=float)
-        return fd_jacobian(lambda v: self.h(v, u), s, self.jac_spec.step)
+        return _jacobian(self.jacobian_h, self.h, s, u, self.jac_spec)
 
 
 @dataclass(frozen=True)
@@ -106,14 +107,10 @@ class ContinuousModel:
         return np.asarray(self.input_fn(t), dtype=float).reshape(self.dim_input)
 
     def jac_f(self, s: Array, u: Array) -> Array:
-        if self.jacobian_f is not None and self.jac_spec.mode == ANALYTIC:
-            return np.asarray(self.jacobian_f(s, u), dtype=float)
-        return fd_jacobian(lambda v: self.f(v, u), s, self.jac_spec.step)
+        return _jacobian(self.jacobian_f, self.f, s, u, self.jac_spec)
 
     def jac_h(self, s: Array, u: Array) -> Array:
-        if self.jacobian_h is not None and self.jac_spec.mode == ANALYTIC:
-            return np.asarray(self.jacobian_h(s, u), dtype=float)
-        return fd_jacobian(lambda v: self.h(v, u), s, self.jac_spec.step)
+        return _jacobian(self.jacobian_h, self.h, s, u, self.jac_spec)
 
 
 @dataclass(frozen=True)
@@ -165,53 +162,6 @@ def generate_scenario(
         states[t] = step_dynamics(model, states[t - 1], t)
         yhat = np.asarray(model.h(states[t], model.input_at(t)), dtype=float)
         observations.append(expfam.sample(family, yhat, rng))
-    return Scenario(
-        model=model,
-        family=family,
-        true_states=states,
-        observations=observations,
-        seed=seed,
-    )
-
-
-def scenario_to_csv(scenario: Scenario, path) -> None:
-    """Write the ground truth and observations as a regression fixture.
-
-    Values are printed with 17 significant digits, so a written scenario
-    reloads bit-identically.
-    """
-    fam = scenario.family
-    obs_width = fam.mean_dim if fam.kind == expfam.GAUSSIAN else 1
-    header = ["t"] + [f"s_true_{i}" for i in range(scenario.model.dim_state)]
-    header += [f"y_{i}" for i in range(obs_width)]
-    lines = [",".join(header)]
-    for t in range(scenario.horizon + 1):
-        row = [float(t), *scenario.true_states[t]]
-        if t == 0:
-            row += [0.0] * obs_width  # placeholder; no observation at t = 0
-        elif fam.kind == expfam.GAUSSIAN:
-            row += list(np.asarray(scenario.obs(t), dtype=float))
-        else:
-            row += [float(scenario.obs(t))]
-        lines.append(",".join(format(v, ".17g") for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def scenario_from_csv(path, model: DynamicalModel, family: expfam.ObservationFamily, seed: int = 0) -> Scenario:
-    """Reload a scenario fixture written by :func:`scenario_to_csv`."""
-    lines = Path(path).read_text().splitlines()
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    horizon = len(rows) - 1
-    states = np.array([row[1 : 1 + model.dim_state] for row in rows])
-    observations = []
-    for row in rows[1:]:
-        obs_vals = row[1 + model.dim_state :]
-        if family.kind == expfam.GAUSSIAN:
-            observations.append(np.asarray(obs_vals))
-        else:
-            observations.append(int(obs_vals[0]))
-    if len(observations) != horizon:
-        raise ValueError("malformed scenario fixture")
     return Scenario(
         model=model,
         family=family,

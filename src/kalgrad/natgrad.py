@@ -34,7 +34,7 @@ import numpy as np
 from . import expfam
 from .errors import NonFiniteError, SingularMatrixError
 from .model import DynamicalModel, Scenario
-from .numerics import fd_jacobian, solve_psd, symmetrize
+from .numerics import as_schedule, check_schedule, fd_jacobian, solve_psd, symmetrize
 
 EXACT = "exact"
 OUTER = "outer"
@@ -61,10 +61,10 @@ class NatGradState:
 class NatGradConfig:
     """Schedules and Fisher estimation mode.
 
-    ``eta`` and ``gamma`` are indexed by step (entry t-1 applies at time
-    t); scalars are broadcast.  ``skip_metric_transport`` disables the
-    chart transport of the metric and exists only as a negative control
-    for the equivalence checks.
+    ``eta`` and ``gamma`` are stored as 1-D float arrays indexed by step
+    (entry t-1 applies at time t); a single entry is broadcast.
+    ``skip_metric_transport`` disables the chart transport of the metric
+    and exists only as a negative control for the equivalence checks.
     """
 
     eta: np.ndarray | float
@@ -74,26 +74,29 @@ class NatGradConfig:
     skip_metric_transport: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "eta", as_schedule(self.eta))
+        object.__setattr__(self, "gamma", as_schedule(self.gamma))
         # eta = 0 (a frozen parameter with the metric still averaging) is
         # allowed; gamma = 0 would stop the metric from ever updating.
-        eta = np.atleast_1d(np.asarray(self.eta, dtype=float))
-        if np.any(eta < 0.0) or np.any(eta > 1.0):
+        if np.any(self.eta < 0.0) or np.any(self.eta > 1.0):
             raise ValueError("eta schedule must lie in [0, 1]")
-        gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        if np.any(gamma <= 0.0) or np.any(gamma > 1.0):
+        if np.any(self.gamma <= 0.0) or np.any(self.gamma > 1.0):
             raise ValueError("gamma schedule must lie in (0, 1]")
         if self.fisher_mode not in (EXACT, OUTER, MONTE_CARLO):
             raise ValueError(f"unknown fisher mode {self.fisher_mode!r}")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
 
+    def check_horizon(self, horizon: int) -> None:
+        """Reject eta or gamma schedules with neither 1 nor ``horizon`` entries."""
+        check_schedule(self.eta, horizon, "eta")
+        check_schedule(self.gamma, horizon, "gamma")
+
     def eta_at(self, t: int) -> float:
-        arr = np.atleast_1d(np.asarray(self.eta, dtype=float))
-        return float(arr[0]) if arr.size == 1 else float(arr[t - 1])
+        return float(self.eta[0] if self.eta.size == 1 else self.eta[t - 1])
 
     def gamma_at(self, t: int) -> float:
-        arr = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        return float(arr[0]) if arr.size == 1 else float(arr[t - 1])
+        return float(self.gamma[0] if self.gamma.size == 1 else self.gamma[t - 1])
 
 
 @dataclass(frozen=True)
@@ -173,44 +176,34 @@ def fisher_term(
 
     With ``predictor``, the linear predictor x of a canonical-link model,
     ``h_jac`` is its Jacobian G and cov(T)^-1 cancels: exact is G^T V(x) G
-    and the scores are (T(y) - yhat) G.  The mc draws still need yhat
-    strictly inside its domain.
+    and the scores are (T(y) - yhat) G.  The two paths differ only in the
+    Fisher in observation coordinates and the score of given sufficient
+    statistics; the mc draws come from the mean either way.
     """
-    if predictor is not None:
-        return _canonical_fisher_term(predictor, h_jac, family, mode, y, rng, mc_samples)
+    if predictor is None:
+        fisher = expfam.fisher_wrt_mean(family, yhat)
+
+        def score(stats: np.ndarray) -> np.ndarray:
+            return (stats - yhat) @ fisher
+    else:
+        fisher = expfam.canonical_variance(family, predictor)
+
+        def score(stats: np.ndarray) -> np.ndarray:
+            return expfam.canonical_residual(family, stats, predictor)
+
     if mode == EXACT:
-        return symmetrize(h_jac.T @ expfam.fisher_wrt_mean(family, yhat) @ h_jac)
+        return symmetrize(h_jac.T @ fisher @ h_jac)
     if mode == OUTER:
         if y is None:
             raise ValueError("outer-product mode needs the observed y")
-        score = expfam.grad_logp_wrt_mean(family, y, yhat) @ h_jac
-        return symmetrize(np.outer(score, score))
+        observed = score(expfam.sufficient_stats(family, y)) @ h_jac
+        return symmetrize(np.outer(observed, observed))
     if mode == MONTE_CARLO:
         if rng is None:
             raise ValueError("monte-carlo mode needs an rng")
-        draws = expfam.sample(family, yhat, rng, size=mc_samples)
-        stats = expfam._suffstats_batch(family, draws)
-        prec = expfam.fisher_wrt_mean(family, yhat)
-        scores = (stats - yhat) @ prec @ h_jac  # one score row per draw
-        return symmetrize(scores.T @ scores / mc_samples)
-    raise ValueError(f"unknown fisher mode {mode!r}")
-
-
-def _canonical_fisher_term(x, g_jac, family, mode, y, rng, mc_samples) -> np.ndarray:
-    if mode == EXACT:
-        return symmetrize(g_jac.T @ expfam.canonical_variance(family, x) @ g_jac)
-    if mode == OUTER:
-        if y is None:
-            raise ValueError("outer-product mode needs the observed y")
-        stats = expfam.sufficient_stats(family, y)
-        score = expfam.canonical_residual(family, stats, x) @ g_jac
-        return symmetrize(np.outer(score, score))
-    if mode == MONTE_CARLO:
-        if rng is None:
-            raise ValueError("monte-carlo mode needs an rng")
-        draws = expfam.sample(family, expfam.canonical_mean(family, x), rng, size=mc_samples)
-        stats = expfam._suffstats_batch(family, draws)
-        scores = expfam.canonical_residual(family, stats, x) @ g_jac
+        mean = yhat if predictor is None else expfam.canonical_mean(family, predictor)
+        draws = expfam.sample(family, mean, rng, size=mc_samples)
+        scores = score(expfam._suffstats_batch(family, draws)) @ h_jac  # one row per draw
         return symmetrize(scores.T @ scores / mc_samples)
     raise ValueError(f"unknown fisher mode {mode!r}")
 
@@ -261,6 +254,7 @@ def run(
     ``rng`` feeds the Monte Carlo Fisher mode only; by default it is a
     Philox stream split off the scenario seed.
     """
+    config.check_horizon(scenario.horizon)
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=scenario.seed).jumped())
     state = NatGradState(init_state, init_metric)
@@ -310,6 +304,7 @@ def plain_online_natgrad(
     """
     if len(inputs) != len(observations):
         raise ValueError("inputs and observations must have equal length")
+    config.check_horizon(len(inputs))
     theta = np.asarray(init_param, dtype=float)
     metric = np.asarray(init_metric, dtype=float)
     prior = NatGradState(theta, metric)

@@ -51,20 +51,34 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def as_schedule(values) -> np.ndarray:
+    """A per-step schedule as a 1-D float array; a scalar becomes one entry."""
+    return np.atleast_1d(np.asarray(values, dtype=float))
+
+
+def check_schedule(schedule: np.ndarray, horizon: int, name: str) -> None:
+    """Reject a schedule that has neither one entry nor one per step."""
+    if schedule.size not in (1, horizon):
+        raise ValueError(
+            f"{name} schedule has {schedule.size} entries; need 1 or {horizon}"
+        )
+
+
 def _chol_small(a: np.ndarray, n: int):
-    """Lower Cholesky factor of a 1x1 or 2x2 matrix, or None if not PD."""
+    """Lower Cholesky factor of a 1x1 or 2x2 matrix, or None if not PD or
+    a pivot is not finite."""
     if n == 1:
         d = a[0, 0]
-        if not d > 0:
+        if not 0 < d < np.inf:
             return None
         return (np.sqrt(d),)
     l00_sq = a[0, 0]
-    if not l00_sq > 0:
+    if not 0 < l00_sq < np.inf:
         return None
     l00 = np.sqrt(l00_sq)
     l10 = a[1, 0] / l00
     d = a[1, 1] - l10 * l10
-    if not d > 0:
+    if not 0 < d < np.inf:
         return None
     return (l00, l10, np.sqrt(d))
 
@@ -95,6 +109,9 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    NonFiniteError
+        If the matrix or the right-hand side holds an inf or nan (checked
+        once the factorization or the solve has failed).
     SingularMatrixError
         If positive definiteness cannot be restored within the jitter
         budget, or the relative residual stays above 1e-10.
@@ -104,33 +121,29 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("solve_psd expects a square matrix")
-    small = n <= 2
 
-    factor = None
     a_used = a
-    for attempt in range(1 + len(_JITTER_SCALES)):
-        a_used = a if attempt == 0 else a + (_JITTER_SCALES[attempt - 1] * np.trace(a) / n) * np.eye(n)
-        if small:
-            factor = _chol_small(a_used, n)
+    factor = _factor(a)
+    if factor is None:
+        _check_finite(a, b)  # no jitter rescues an inf or nan
+        for delta in _JITTER_SCALES:
+            a_used = a + (delta * np.trace(a) / n) * np.eye(n)
+            factor = _factor(a_used)
             if factor is not None:
                 break
         else:
-            try:
-                factor = scipy.linalg.cho_factor(a_used, lower=True)
-                break
-            except scipy.linalg.LinAlgError:
-                factor = None
-    if factor is None:
-        raise SingularMatrixError(
-            "matrix is not positive definite within the jitter budget"
-        )
+            raise SingularMatrixError("matrix is not positive definite within the jitter budget")
 
-    if small:
+    if n <= 2:
         x = _chol_solve_small(factor, b, n)
         resid = b - a_used @ x
         x = x + _chol_solve_small(factor, resid, n)
     else:
-        x = scipy.linalg.cho_solve(factor, b)
+        try:
+            x = scipy.linalg.cho_solve(factor, b)
+        except ValueError:
+            _check_finite(a, b)
+            raise
         # One refinement pass keeps the residual near machine precision.
         resid = b - a_used @ x
         x = x + scipy.linalg.cho_solve(factor, resid)
@@ -138,10 +151,29 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale = max(float(np.sqrt((b * b).sum())), _TINY)
     rel = float(np.sqrt((final * final).sum())) / scale
     if not rel <= 1e-10:
+        _check_finite(a, b)
         raise SingularMatrixError(
             f"SPD solve residual {rel:.3e} exceeds 1e-10; matrix too ill-conditioned"
         )
     return x
+
+
+def _factor(a: np.ndarray):
+    """Cholesky factor of A, or None if A is not numerically PD or not finite."""
+    if a.shape[0] <= 2:
+        return _chol_small(a, a.shape[0])
+    try:
+        return scipy.linalg.cho_factor(a, lower=True)
+    except ValueError:  # LinAlgError, or scipy's check for inf/nan entries
+        return None
+
+
+def _check_finite(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise NonFiniteError naming the operand of a failed solve that holds
+    an inf or nan; called on failure paths only."""
+    for label, arr in (("matrix", a), ("right-hand side", b)):
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError(f"SPD solve {label} has non-finite entries")
 
 
 def fd_jacobian(

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from kalgrad.cli import main, parse_config
 from kalgrad.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 LINEAR2D_CFG = """\
 # discrete comparison config
@@ -221,6 +225,28 @@ class TestCmdCompare:
             ]
         )
         assert code == 3
+
+
+def _csv_columns(path):
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+class TestRunMatchesCompare:
+    # run --mode ekf/natgrad and compare share their setup and matched
+    # metric, so the estimates agree to the last printed digit.
+    @pytest.mark.parametrize("name", ["linear2d", "logistic_static", "tanhspring_ramp"])
+    def test_run_estimates_equal_compare_columns(self, name, tmp_path):
+        config = str(CONFIGS / f"{name}.cfg")
+        cmp_out = tmp_path / "compare"
+        assert main(["compare", "--config", config, "--mode", "discrete", "--out", str(cmp_out)]) == 0
+        compared = _csv_columns(cmp_out / "deviations.csv")
+        for mode, prefix in (("ekf", "s_ekf_"), ("natgrad", "s_ngd_")):
+            out = tmp_path / mode
+            assert main(["run", "--config", config, "--mode", mode, "--out", str(out)]) == 0
+            ran = _csv_columns(out / "trace.csv")
+            for i in range(2):
+                assert ran[f"s_est_{i}"] == compared[f"{prefix}{i}"]
 
 
 class TestCmdList:

@@ -263,7 +263,34 @@ class TestCanonicalLink:
             ekf.observe_gain(pred, 1, model.h(pred.mean, u), model, expfam.bernoulli(), 1)
 
 
+def counting_scenario(horizon):
+    """Scalar static scenario whose model records every call to f and h."""
+    calls = []
+    base = make_linear_model([[1.0]], name="counting")
+
+    def f(s, u):
+        calls.append("f")
+        return base.f(s, u)
+
+    def h(s, u):
+        calls.append("h")
+        return base.h(s, u)
+
+    model = dataclasses.replace(base, f=f, h=h)
+    scenario = make_scenario(model, expfam.gaussian(np.eye(1)), [np.ones(1)] * horizon)
+    calls.clear()
+    return scenario, calls
+
+
 class TestRun:
+    @pytest.mark.parametrize("length", [5, 15])
+    def test_wrong_length_alpha_fails_before_step_one(self, length):
+        scenario, calls = counting_scenario(10)
+        cfg = ekf.EkfConfig(alpha=np.full(length, 0.1))
+        with pytest.raises(ValueError, match="alpha schedule"):
+            ekf.run(scenario, cfg, np.zeros(1), np.eye(1))
+        assert calls == []
+
     def test_horizon_zero_prior_only(self):
         model = builtin("linear2d")
         family = expfam.gaussian(np.eye(2))

@@ -220,6 +220,29 @@ class TestSample:
         for k in range(3):
             assert abs((draws == k).mean() - 1 / 3) < 0.02
 
+    def test_boundary_means_draw_the_sure_outcome(self, rng):
+        assert np.all(expfam.sample(expfam.bernoulli(), [1.0], rng, size=50) == 1)
+        assert np.all(expfam.sample(expfam.bernoulli(), [0.0], rng, size=50) == 0)
+        cat = expfam.categorical(3)
+        assert np.all(expfam.sample(cat, [0.0, 1.0], rng, size=50) == 1)
+        assert np.all(expfam.sample(cat, [0.0, 0.0], rng, size=50) == 2)
+
+    def test_sum_rounded_above_one_never_draws_the_dropped_class(self, rng):
+        # Rounding leaves softmax means of saturated logits a few ulps
+        # above a sum of 1; the dropped class then has probability 0.
+        yhat = [0.5, np.nextafter(np.nextafter(0.5, 1.0), 1.0)]
+        assert sum(yhat) > 1.0
+        assert np.all(expfam.sample(expfam.categorical(3), yhat, rng, size=200) < 2)
+
+    @pytest.mark.parametrize(
+        "kind, yhat",
+        [("bernoulli", [1.5]), ("bernoulli", [-0.1]), ("bernoulli", [np.nan]),
+         ("categorical", [0.6, 0.5]), ("categorical", [-0.1, 0.5])],
+    )
+    def test_outside_closed_domain_rejected(self, kind, yhat, rng):
+        with pytest.raises(DomainError):
+            expfam.sample(make_family(kind), yhat, rng)
+
     def test_single_draw_types(self, rng):
         assert isinstance(expfam.sample(expfam.bernoulli(), [0.4], rng), int)
         assert isinstance(expfam.sample(expfam.categorical(4), [0.2, 0.2, 0.2], rng), int)
@@ -258,34 +281,6 @@ class TestScoreIdentities:
         emp = outers.mean(axis=0)
         se = outers.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(emp - prec) <= 3.0 * se + 1e-12)
-
-
-class TestNatgradOfExpectation:
-    def test_constant_function(self, rng):
-        fam = expfam.bernoulli()
-        out = expfam.natgrad_of_expectation(fam, [0.3], lambda y: 2.5, 500, rng)
-        np.testing.assert_allclose(out, 0.0, atol=1e-12)
-
-    def test_gaussian_identity_function(self):
-        # Oracle: Cov(y, y) = R = 1 for the scalar unit gaussian.
-        fam = expfam.gaussian(np.array([[1.0]]))
-        rng = np.random.default_rng(17)
-        n = 40_000
-        out = expfam.natgrad_of_expectation(fam, [0.0], lambda y: float(y[0]), n, rng)
-        assert abs(out[0] - 1.0) < 5.0 / np.sqrt(n)
-
-    def test_bernoulli_variance(self):
-        fam = expfam.bernoulli()
-        rng = np.random.default_rng(18)
-        n = 40_000
-        out = expfam.natgrad_of_expectation(fam, [0.5], lambda y: float(y), n, rng)
-        assert abs(out[0] - 0.25) < 5.0 / np.sqrt(n)
-
-    def test_single_sample_is_zero(self, rng):
-        out = expfam.natgrad_of_expectation(
-            expfam.bernoulli(), [0.5], lambda y: float(y), 1, rng
-        )
-        np.testing.assert_array_equal(out, [0.0])
 
 
 class TestCanonical:

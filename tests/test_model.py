@@ -9,8 +9,6 @@ from kalgrad.model import (
     builtin,
     builtin_names,
     generate_scenario,
-    scenario_from_csv,
-    scenario_to_csv,
     step_dynamics,
 )
 from kalgrad.numerics import fd_jacobian
@@ -231,25 +229,3 @@ class TestGenerateScenario:
         sc = generate_scenario(m, expfam.gaussian(np.eye(2)), 0, seed=0)
         assert sc.horizon == 0
         assert sc.true_states.shape == (1, 2)
-
-
-class TestScenarioCsvRoundTrip:
-    def test_gaussian_round_trip_exact(self, tmp_path):
-        m = builtin("linear2d")
-        fam = expfam.gaussian(0.1 * np.eye(2))
-        sc = generate_scenario(m, fam, 15, seed=9)
-        path = tmp_path / "fixture.csv"
-        scenario_to_csv(sc, path)
-        back = scenario_from_csv(path, m, fam, seed=9)
-        np.testing.assert_array_equal(back.true_states, sc.true_states)
-        for a, b in zip(back.observations, sc.observations):
-            np.testing.assert_array_equal(a, b)
-
-    def test_bernoulli_round_trip(self, tmp_path):
-        m = builtin("logistic-static")
-        fam = expfam.bernoulli()
-        sc = generate_scenario(m, fam, 10, seed=2)
-        path = tmp_path / "fixture.csv"
-        scenario_to_csv(sc, path)
-        back = scenario_from_csv(path, m, fam)
-        assert back.observations == sc.observations

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from kalgrad import ekf, expfam, natgrad
+from kalgrad.equivalence import map_alpha_to_eta
 from kalgrad.errors import SingularMatrixError
 from kalgrad.model import builtin, generate_scenario
 from kalgrad.numerics import symmetrize
 
 from conftest import random_spd
-from test_ekf import make_linear_model, make_scenario
+from test_ekf import counting_scenario, make_linear_model, make_scenario
 
 
 class TestPushforwardMetric:
@@ -163,6 +164,19 @@ class TestCanonicalLink:
             b = natgrad.update(state, y, yhat, mean_model, fam, cfg, 1)
             np.testing.assert_allclose(a.state, b.state, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(a.metric, b.metric, rtol=1e-12, atol=1e-14)
+
+    def test_monte_carlo_fisher_runs_through_saturated_means(self):
+        # alpha = 1 drives the predicted mean of seed 0 to exactly 1.0;
+        # drawing there is well defined, so mc runs all steps like exact.
+        model = builtin("logistic-static")
+        scenario = generate_scenario(model, expfam.bernoulli(), 50, seed=0)
+        hyper = map_alpha_to_eta(1.0, 0.5, 50)
+        cfg = natgrad.NatGradConfig(
+            eta=hyper.eta[1:], gamma=hyper.gamma, fisher_mode=natgrad.MONTE_CARLO, mc_samples=4
+        )
+        trace = natgrad.run(scenario, cfg, 0.5 * model.init_state, 0.5 * np.eye(2))
+        assert len(trace.steps) == 50
+        assert any(step.yhat[0] in (0.0, 1.0) for step in trace.steps)
 
     def test_saturated_update_keeps_only_the_transported_metric(self):
         # V = 0: the Fisher term vanishes, J = (1 - gamma) J_pred, and the
@@ -398,6 +412,29 @@ class TestPlainOnlineNatgrad:
             np.zeros(2), np.eye(2),
         )
         np.testing.assert_allclose(without.states(), with_jac.states(), atol=1e-9)
+
+
+class TestScheduleLength:
+    @pytest.mark.parametrize("length", [5, 15])
+    @pytest.mark.parametrize("which", ["eta", "gamma"])
+    def test_run_fails_before_step_one(self, length, which):
+        scenario, calls = counting_scenario(10)
+        cfg = natgrad.NatGradConfig(**{"eta": 0.3, "gamma": 0.3, which: np.full(length, 0.3)})
+        with pytest.raises(ValueError, match=f"{which} schedule"):
+            natgrad.run(scenario, cfg, np.zeros(1), np.eye(1))
+        assert calls == []
+
+    @pytest.mark.parametrize("length", [5, 15])
+    @pytest.mark.parametrize("which", ["eta", "gamma"])
+    def test_plain_online_natgrad_fails_before_step_one(self, length, which):
+        scenario, calls = counting_scenario(10)
+        cfg = natgrad.NatGradConfig(**{"eta": 0.3, "gamma": 0.3, which: np.full(length, 0.3)})
+        with pytest.raises(ValueError, match=f"{which} schedule"):
+            natgrad.plain_online_natgrad(
+                [np.zeros(0)] * 10, scenario.observations, scenario.model.h,
+                scenario.family, cfg, np.zeros(1), np.eye(1),
+            )
+        assert calls == []
 
 
 class TestNatGradConfig:

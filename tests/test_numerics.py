@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,29 @@ class TestSolvePsd:
     def test_indefinite_raises_3x3(self):
         with pytest.raises(SingularMatrixError):
             solve_psd(np.diag([1.0, 1.0, -0.5]), np.eye(3))
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_non_finite_matrix_raises_non_finite_error(self, dim, bad, entry):
+        a = 2.0 * np.eye(dim)
+        a[entry, entry] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="matrix"):
+                solve_psd(a, np.ones(dim))
+
+    # The n <= 2 path finds a non-finite right-hand side only once its
+    # residual check fails, after numpy may have warned about inf - inf.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rhs_raises_non_finite_error(self, dim, bad):
+        b = np.ones(dim)
+        b[0] = bad
+        with pytest.raises(NonFiniteError, match="right-hand side"):
+            solve_psd(2.0 * np.eye(dim), b)
 
 
 class TestSymmetrize:
