@@ -64,24 +64,18 @@ class CngdState:
 class IntegratorConfig:
     """Fixed-step RK4 settings and schedules for :func:`integrate`.
 
-    ``alpha`` may be a float or a callable of time.  ``couple_gamma``
-    ties gamma(t) to the co-integrated eta(t) (required for equivalence
-    runs); setting it False uses ``gamma_fn`` instead.
+    ``alpha`` may be a float or a callable of time.
     """
 
     dt: float
     horizon: float
     alpha: float | Callable[[float], float] = 0.0
-    couple_gamma: bool = True
-    gamma_fn: Callable[[float], float] | None = None
 
     def __post_init__(self) -> None:
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
         if not 0 < self.dt <= self.horizon:
             raise ValueError("need 0 < dt <= horizon")
-        if not self.couple_gamma and self.gamma_fn is None:
-            raise ValueError("uncoupled gamma requires gamma_fn")
 
     def alpha_at(self, t: float) -> float:
         return float(self.alpha(t)) if callable(self.alpha) else float(self.alpha)
@@ -194,7 +188,7 @@ def integrate(
     """Fixed-step RK4 integration of either continuous filter.
 
     For ``cngd`` runs the learning rate is co-integrated with the state
-    via :func:`eta_ode` and, by default, gamma(t) = eta(t).  The matrix
+    via :func:`eta_ode` and gamma(t) = eta(t).  The matrix
     part of the state is symmetrized after each step; positivity is
     checked and failure raises PositivityLostError.
     """
@@ -223,9 +217,8 @@ def integrate(
 
         def deriv(t: float, z: np.ndarray) -> np.ndarray:
             eta = z[-1]
-            gamma = eta if cfg.couple_gamma else cfg.gamma_fn(t)
             ds, dmetric = cngd_deriv(
-                CngdState(z[:n], z[n:-1].reshape(n, n), eta, t), y_path, model, gamma
+                CngdState(z[:n], z[n:-1].reshape(n, n), eta, t), y_path, model, eta
             )
             return np.concatenate([ds, dmetric.ravel(), [eta_ode(eta, cfg.alpha_at(t))]])
 

@@ -277,10 +277,7 @@ def cmd_run(config_path: str, mode: str, out_dir: str | None = None) -> int:
     if mode in ("ekf", "natgrad"):
         scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
         if mode == "ekf":
-            trace = ekf_mod.run(
-                scenario, ekf_mod.EkfConfig(noise_mode=ekf_mod.FADING, alpha=alpha), s0, p0
-            )
-            estimates = trace.means()
+            estimates = ekf_mod.run(scenario, ekf_mod.EkfConfig(alpha=alpha), s0, p0).means()
         else:
             hyper = eq_mod.map_alpha_to_eta(alpha, cfg.eta0, scenario.horizon)
             grad_cfg = ngd_mod.NatGradConfig(
@@ -351,10 +348,6 @@ def cmd_compare(
     if mode == "discrete":
         scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
         use_tol = tol if tol is not None else (cfg.tol if cfg.tol is not None else 1e-8)
-        if mutate is not None and mutate not in eq_mod.MUTATIONS:
-            raise ConfigError(
-                f"invalid field mutate: {mutate!r}; known: {eq_mod.MUTATIONS}"
-            )
         report = eq_mod.check_discrete(
             scenario, s0, p0, alpha, tol=use_tol, eta0=cfg.eta0, mutate=mutate
         )
@@ -445,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(args.config, args.mode, args.out, args.tol, args.mutate)
         return cmd_list()
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

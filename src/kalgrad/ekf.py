@@ -1,7 +1,7 @@
 """Discrete-time extended Kalman filter with exponential-family observations.
 
-The transition step supports an explicit process-noise sequence or the
-pure fading-memory choice Q_t = alpha_t F P F^T, under which
+The transition step uses the fading-memory process noise
+Q_t = alpha_t F P F^T, under which
 
     P_pred = (1 + alpha_t) F P F^T.
 
@@ -47,9 +47,6 @@ GAIN = "gain"
 INFORMATION = "information"
 GRADIENT = "gradient"
 
-FADING = "fading"
-GENERAL = "general"
-
 
 @dataclass(frozen=True)
 class GaussianBelief:
@@ -65,43 +62,24 @@ class GaussianBelief:
 
 @dataclass(frozen=True)
 class EkfConfig:
-    """Noise model and observation-update form for one filter run.
+    """Fading-memory schedule and observation-update form for one filter run.
 
-    ``alpha`` is the fading-memory schedule, stored as a 1-D float array
-    indexed by step (alpha[t-1] is used at time t; a single entry applies
-    at every step); ``process_noise`` is either one PSD matrix reused at
-    every step or a sequence indexed the same way.
+    ``alpha`` is stored as a 1-D float array indexed by step (alpha[t-1] is
+    used at time t; a single entry applies at every step).
     """
 
-    noise_mode: str = FADING
     alpha: np.ndarray | float = 0.0
-    process_noise: np.ndarray | list | None = None
     update_form: str = GAIN
 
     def __post_init__(self) -> None:
-        if self.noise_mode not in (FADING, GENERAL):
-            raise ValueError(f"unknown noise mode {self.noise_mode!r}")
         if self.update_form not in (GAIN, INFORMATION, GRADIENT):
             raise ValueError(f"unknown update form {self.update_form!r}")
         object.__setattr__(self, "alpha", as_schedule(self.alpha))
-        if self.noise_mode == FADING and np.any(self.alpha < 0):
+        if np.any(self.alpha < 0):
             raise ValueError("fading-memory weights must be >= 0")
-        if self.noise_mode == GENERAL and self.process_noise is None:
-            raise ValueError("general noise mode requires process_noise")
 
     def alpha_at(self, t: int) -> float:
         return float(self.alpha[0] if self.alpha.size == 1 else self.alpha[t - 1])
-
-    def noise_at(self, t: int, dim: int) -> np.ndarray:
-        q = self.process_noise
-        if isinstance(q, (list, tuple)):
-            q = q[t - 1]
-        q = symmetrize(np.asarray(q, dtype=float))
-        if q.shape != (dim, dim):
-            raise ValueError("process noise has wrong shape")
-        if np.linalg.eigvalsh(q).min() < -1e-12 * max(np.linalg.norm(q), 1.0):
-            raise ValueError("process noise must be positive semi-definite")
-        return q
 
 
 @dataclass(frozen=True)
@@ -135,22 +113,14 @@ def transition(
     t: int,
     config: EkfConfig,
 ) -> tuple[GaussianBelief, np.ndarray, np.ndarray]:
-    """Propagate the belief through the dynamics; returns (pred, yhat, F).
-
-    Fading mode: P_pred = (1 + alpha_t) F P F^T.
-    General mode: P_pred = F P F^T + Q_t.
-    """
+    """Propagate the belief through the dynamics; returns (pred, yhat, F),
+    with P_pred = (1 + alpha_t) F P F^T."""
     u = model.input_at(t)
     mean_pred = np.asarray(model.f(belief.mean, u), dtype=float)
     if not np.all(np.isfinite(mean_pred)):
         raise NonFiniteError(f"transition produced non-finite mean at t = {t}")
     f_jac = model.jac_f(belief.mean, u)
-    ppf = f_jac @ belief.cov @ f_jac.T
-    if config.noise_mode == FADING:
-        cov_pred = (1.0 + config.alpha_at(t)) * ppf
-    else:
-        cov_pred = ppf + config.noise_at(t, model.dim_state)
-    cov_pred = symmetrize(cov_pred)
+    cov_pred = symmetrize((1.0 + config.alpha_at(t)) * (f_jac @ belief.cov @ f_jac.T))
     yhat = np.asarray(model.h(mean_pred, u), dtype=float)
     if not np.all(np.isfinite(yhat)):
         raise NonFiniteError(f"observation map non-finite at t = {t}")

@@ -31,7 +31,7 @@ from . import ekf as ekf_mod
 from . import natgrad as ngd_mod
 from .errors import DomainError
 from .model import ContinuousModel, Scenario
-from .numerics import solve_psd, symmetrize
+from .numerics import as_schedule, check_schedule, solve_psd, symmetrize
 
 MUTATIONS = ("drop_fading_factor", "halve_gamma", "skip_metric_transport")
 
@@ -98,11 +98,9 @@ def map_alpha_to_eta(
     """
     if not 0 < eta0 <= 1:
         raise ValueError("eta_0 must lie in (0, 1]")
-    alpha_arr = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if alpha_arr.size == 1:
-        alpha_arr = np.full(horizon, float(alpha_arr[0]))
-    if alpha_arr.size != horizon:
-        raise ValueError(f"alpha schedule must have length {horizon}")
+    alpha_arr = as_schedule(alpha)
+    check_schedule(alpha_arr, horizon, "alpha")
+    alpha_arr = np.resize(alpha_arr, horizon)  # a single entry applies at every step
     eta = np.zeros(horizon + 1)
     eta[0] = eta0
     inv = 1.0 / eta0
@@ -183,10 +181,7 @@ def run_pair(
     the hyperparameter identification on one side only.
     """
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
-    filt_cfg = ekf_mod.EkfConfig(
-        noise_mode=ekf_mod.FADING,
-        alpha=hyper.alpha if ekf_alpha is None else ekf_alpha,
-    )
+    filt_cfg = ekf_mod.EkfConfig(alpha=hyper.alpha if ekf_alpha is None else ekf_alpha)
     filt = ekf_mod.run(scenario, filt_cfg, init_state, init_cov)
 
     grad_cfg = ngd_mod.NatGradConfig(

@@ -21,7 +21,7 @@ a pure function of (model, family, horizon, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,18 +29,18 @@ from scipy.special import expit
 
 from . import expfam
 from .errors import NonFiniteError, UnknownModelError
-from .numerics import ANALYTIC, JacobianSpec, fd_jacobian
+from .numerics import fd_jacobian
 
 Array = np.ndarray
 Map = Callable[[Array, Array], Array]
 
 
-def _jacobian(analytic: Map | None, fn: Map, s: Array, u: Array, spec: JacobianSpec) -> Array:
-    """Jacobian of fn in s: the analytic one if given and selected by
-    ``spec``, central differences otherwise."""
-    if analytic is not None and spec.mode == ANALYTIC:
+def _jacobian(analytic: Map | None, fn: Map, s: Array, u: Array) -> Array:
+    """Jacobian of fn in s: the analytic one if given, central differences
+    otherwise."""
+    if analytic is not None:
         return np.asarray(analytic(s, u), dtype=float)
-    return fd_jacobian(lambda v: fn(v, u), s, spec.step)
+    return fd_jacobian(lambda v: fn(v, u), s)
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ class DynamicalModel:
     init_state: Array
     jacobian_f: Map | None = None
     jacobian_h: Map | None = None
-    jac_spec: JacobianSpec = field(default_factory=JacobianSpec)
     # Canonical link: h(s, u) = expfam.canonical_mean(family, predictor(s, u))
     # for an observation family of kind ``link_family``.
     link_family: str | None = None
@@ -72,13 +71,13 @@ class DynamicalModel:
         return self.predictor is not None and family.kind == self.link_family
 
     def jac_predictor(self, s: Array, u: Array) -> Array:
-        return _jacobian(self.jacobian_predictor, self.predictor, s, u, self.jac_spec)
+        return _jacobian(self.jacobian_predictor, self.predictor, s, u)
 
     def jac_f(self, s: Array, u: Array) -> Array:
-        return _jacobian(self.jacobian_f, self.f, s, u, self.jac_spec)
+        return _jacobian(self.jacobian_f, self.f, s, u)
 
     def jac_h(self, s: Array, u: Array) -> Array:
-        return _jacobian(self.jacobian_h, self.h, s, u, self.jac_spec)
+        return _jacobian(self.jacobian_h, self.h, s, u)
 
 
 @dataclass(frozen=True)
@@ -101,16 +100,15 @@ class ContinuousModel:
     init_state: Array
     jacobian_f: Map | None = None
     jacobian_h: Map | None = None
-    jac_spec: JacobianSpec = field(default_factory=JacobianSpec)
 
     def input_at(self, t: float) -> Array:
         return np.asarray(self.input_fn(t), dtype=float).reshape(self.dim_input)
 
     def jac_f(self, s: Array, u: Array) -> Array:
-        return _jacobian(self.jacobian_f, self.f, s, u, self.jac_spec)
+        return _jacobian(self.jacobian_f, self.f, s, u)
 
     def jac_h(self, s: Array, u: Array) -> Array:
-        return _jacobian(self.jacobian_h, self.h, s, u, self.jac_spec)
+        return _jacobian(self.jacobian_h, self.h, s, u)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ and fixed-step integration are the right tools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Callable
 
 import numpy as np
@@ -20,27 +20,6 @@ from .errors import NonFiniteError, SingularMatrixError
 _JITTER_SCALES = (1e-12, 1e-10, 1e-8)
 
 _TINY = float(np.finfo(float).tiny)
-
-ANALYTIC = "analytic"
-FINITE_DIFFERENCE = "finite-difference"
-
-
-@dataclass(frozen=True)
-class JacobianSpec:
-    """How a model Jacobian is obtained: analytically or by central differences.
-
-    ``step`` applies to finite differences only; ``None`` selects the
-    per-coordinate default cbrt(eps) * (1 + |x_j|).
-    """
-
-    mode: str = ANALYTIC
-    step: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in (ANALYTIC, FINITE_DIFFERENCE):
-            raise ValueError(f"unknown jacobian mode: {self.mode!r}")
-        if self.step is not None and not self.step > 0:
-            raise ValueError("finite-difference step must be > 0")
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -148,14 +127,33 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         resid = b - a_used @ x
         x = x + scipy.linalg.cho_solve(factor, resid)
     final = b - a_used @ x
-    scale = max(float(np.sqrt((b * b).sum())), _TINY)
-    rel = float(np.sqrt((final * final).sum())) / scale
+    with np.errstate(over="ignore"):
+        rel = _norm(final) / max(_norm(b), _TINY)
     if not rel <= 1e-10:
         _check_finite(a, b)
         raise SingularMatrixError(
             f"SPD solve residual {rel:.3e} exceeds 1e-10; matrix too ill-conditioned"
         )
     return x
+
+
+def _norm(v: np.ndarray) -> float:
+    """Frobenius norm, to be called with numpy overflow warnings off.
+
+    Where sum(v * v) is neither inf nor below the normal range this is
+    its square root; elsewhere v is scaled by the power of two just above
+    max |v| before squaring, which is exact, so the result is the same
+    number without the range limit.
+    """
+    ss = float((v * v).sum())
+    if _TINY <= ss < math.inf or not np.count_nonzero(v):
+        return math.sqrt(ss)
+    peak = float(np.abs(v).max())
+    if not peak < math.inf:
+        return peak  # inf or nan
+    exp = np.frexp(peak)[1]
+    w = np.ldexp(v, -exp)
+    return float(np.ldexp(math.sqrt(float((w * w).sum())), exp))
 
 
 def _factor(a: np.ndarray):
@@ -176,16 +174,12 @@ def _check_finite(a: np.ndarray, b: np.ndarray) -> None:
             raise NonFiniteError(f"SPD solve {label} has non-finite entries")
 
 
-def fd_jacobian(
-    fn: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    step: float | None = None,
-) -> np.ndarray:
+def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a vector map at x.
 
     Column j is (fn(x + h_j e_j) - fn(x - h_j e_j)) / (2 h_j), with
-    h_j = step if given, else cbrt(eps) * (1 + |x_j|), the usual
-    central-difference balance of truncation against roundoff.
+    h_j = cbrt(eps) * (1 + |x_j|), the usual central-difference balance of
+    truncation against roundoff.
 
     Raises
     ------
@@ -193,15 +187,13 @@ def fd_jacobian(
         If the map returns a non-finite value at any probe point.
     """
     x = np.asarray(x, dtype=float)
-    if step is not None and not step > 0:
-        raise ValueError("step must be > 0")
     f0 = np.asarray(fn(x), dtype=float)
     if not np.all(np.isfinite(f0)):
         raise NonFiniteError("map is non-finite at the expansion point")
     n = x.size
     jac = np.zeros((f0.size, n))
     for j in range(n):
-        h = step if step is not None else np.cbrt(np.finfo(float).eps) * (1.0 + abs(x[j]))
+        h = np.cbrt(np.finfo(float).eps) * (1.0 + abs(x[j]))
         e = np.zeros(n)
         e[j] = h
         f_plus = np.asarray(fn(x + e), dtype=float)

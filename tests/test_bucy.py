@@ -274,9 +274,10 @@ class TestIntegrate:
         assert dev_coarse / dev_fine >= 8.0
 
     def test_frozen_tensor_under_linear_flow(self):
-        # With gamma = 0 and H = 0 the metric only feels the chart motion:
-        # dJ/dt = -F^T J - J F, whose closed form is
-        # J(t) = expm(-F^T t) J0 expm(-F t).
+        # With H = 0 and alpha = 0 the metric feels the chart motion and the
+        # decay at gamma = eta: dJ/dt = -F^T J - J F - eta J, with
+        # eta(t) = eta0 / (1 + eta0 t), whose closed form is
+        # J(t) = expm(-F^T t) J0 expm(-F t) / (1 + eta0 t).
         f_mat = np.array([[0.1, 0.6], [-0.4, -0.2]])
         model = make_ct(
             2, 1,
@@ -286,14 +287,12 @@ class TestIntegrate:
             jac_h=lambda s, u: np.zeros((1, 2)),
         )
         j0 = np.array([[2.0, 0.3], [0.3, 1.0]])
-        cfg = bucy.IntegratorConfig(
-            dt=1e-3, horizon=1.0, alpha=0.0, couple_gamma=False, gamma_fn=lambda t: 0.0
-        )
+        cfg = bucy.IntegratorConfig(dt=1e-3, horizon=1.0, alpha=0.0)
         trace = bucy.integrate(
             bucy.CNGD, bucy.CngdState(np.array([0.5, -0.5]), j0, eta=0.5), model, cfg
         )
         expm = scipy.linalg.expm
-        exact = expm(-f_mat.T) @ j0 @ expm(-f_mat)
+        exact = expm(-f_mat.T) @ j0 @ expm(-f_mat) / (1.0 + 0.5)
         assert np.linalg.norm(trace.metrics[-1] - exact) < 1e-8
 
     def test_eta_co_integration_logistic(self):
@@ -319,5 +318,3 @@ class TestIntegrate:
             bucy.IntegratorConfig(dt=0.0, horizon=1.0)
         with pytest.raises(ValueError):
             bucy.IntegratorConfig(dt=2.0, horizon=1.0)
-        with pytest.raises(ValueError):
-            bucy.IntegratorConfig(dt=0.1, horizon=1.0, couple_gamma=False)

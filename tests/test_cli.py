@@ -119,6 +119,23 @@ class TestCmdRun:
         path.write_text("scenario = lorenz\nfamily = gaussian\nobs_cov = 1\nT = 5\n")
         assert main(["run", "--config", str(path), "--mode", "ekf"]) == 1
 
+    # Values the config parser accepts but the library rejects with a
+    # ValueError: NatGradConfig's Fisher mode and IntegratorConfig's dt.
+    @pytest.mark.parametrize(
+        "mode, body",
+        [
+            ("natgrad", LINEAR2D_CFG + "fisher_mode = kfac\n"),
+            ("bucy", "scenario = pendulum-ct\nT = 1.0\ndt = 2.0\n"),
+        ],
+        ids=["fisher-mode-kfac", "dt-past-horizon"],
+    )
+    def test_library_value_error_exits_1(self, mode, body, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(body)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--mode", mode, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_singular_observation_covariance_exits_2(self, tmp_path, capsys):
         # A fading weight of 1e300 inflates the predicted covariance past
         # the float64 range at t = 2; the innovation covariance is then

@@ -59,8 +59,7 @@ class TestTransition:
     def test_scalar_doubling_variance(self):
         model = make_linear_model([[1.0]], f_scale=2.0)
         belief = ekf.GaussianBelief(np.array([1.0]), np.array([[1.0]]))
-        cfg = ekf.EkfConfig(noise_mode=ekf.GENERAL, process_noise=np.array([[0.0]]))
-        pred, _, _ = ekf.transition(belief, model, 1, cfg)
+        pred, _, _ = ekf.transition(belief, model, 1, ekf.EkfConfig(alpha=0.0))
         np.testing.assert_allclose(pred.cov, [[4.0]])
 
     def test_fading_doubles_identity(self):
@@ -68,19 +67,6 @@ class TestTransition:
         belief = ekf.GaussianBelief(np.zeros(2), np.eye(2))
         pred, _, _ = ekf.transition(belief, model, 1, ekf.EkfConfig(alpha=1.0))
         np.testing.assert_allclose(pred.cov, 2.0 * np.eye(2))
-
-    def test_fading_alpha_zero_equals_q_zero(self, rng):
-        model = builtin("linear2d")
-        belief = ekf.GaussianBelief(rng.standard_normal(2), random_spd(rng, 2))
-        fading, _, _ = ekf.transition(belief, model, 1, ekf.EkfConfig(alpha=0.0))
-        general, _, _ = ekf.transition(
-            belief,
-            model,
-            1,
-            ekf.EkfConfig(noise_mode=ekf.GENERAL, process_noise=np.zeros((2, 2))),
-        )
-        np.testing.assert_array_equal(fading.cov, general.cov)
-        np.testing.assert_array_equal(fading.mean, general.mean)
 
 
 class TestObserveGain:
@@ -344,15 +330,6 @@ class TestEkfConfig:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             ekf.EkfConfig(alpha=-0.1)
-
-    def test_general_mode_needs_noise(self):
-        with pytest.raises(ValueError):
-            ekf.EkfConfig(noise_mode=ekf.GENERAL)
-
-    def test_indefinite_noise_rejected(self):
-        cfg = ekf.EkfConfig(noise_mode=ekf.GENERAL, process_noise=np.diag([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            cfg.noise_at(1, 2)
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):

@@ -67,6 +67,10 @@ class TestMapAlphaToEta:
         with pytest.raises(ValueError):
             map_alpha_to_eta(0.1, eta0=0.0, horizon=5)
 
+    def test_wrong_length_schedule_rejected(self):
+        with pytest.raises(ValueError, match="alpha schedule has 5 entries; need 1 or 10"):
+            map_alpha_to_eta(np.full(5, 0.1), eta0=0.5, horizon=10)
+
 
 class TestMapEtaToAlpha:
     def test_harmonic_gives_zero(self):

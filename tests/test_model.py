@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from kalgrad import expfam
+from kalgrad import bucy, expfam
+from kalgrad.equivalence import check_continuous
 from kalgrad.errors import UnknownModelError
 from kalgrad.model import (
     ContinuousModel,
@@ -127,6 +130,36 @@ class TestFiniteDifferenceBackedModel:
                 bare.jac_f(s, u), reference.jac_f(s, u), rtol=1e-6, atol=1e-9
             )
             np.testing.assert_allclose(bare.jac_h(s, u), np.eye(2), atol=1e-9)
+
+    @staticmethod
+    def _bare_pendulum():
+        reference = builtin("pendulum-ct")
+        return reference, dataclasses.replace(
+            reference, name="pendulum-ct-fd", jacobian_f=None, jacobian_h=None
+        )
+
+    def test_continuous_traces_match_analytic(self):
+        reference, bare = self._bare_pendulum()
+        cfg = bucy.IntegratorConfig(dt=1e-2, horizon=1.0, alpha=0.2)
+        s0 = reference.init_state
+        for kind, init, fields in (
+            (bucy.BUCY, bucy.BucyState(s0, 0.5 * np.eye(2)), ("states", "covs")),
+            (bucy.CNGD, bucy.CngdState(s0, np.eye(2), 0.5), ("states", "metrics", "etas")),
+        ):
+            exact = bucy.integrate(kind, init, reference, cfg)
+            approx = bucy.integrate(kind, init, bare, cfg)
+            for name in fields:
+                np.testing.assert_allclose(
+                    getattr(approx, name), getattr(exact, name), rtol=0, atol=1e-6
+                )
+
+    def test_continuous_equivalence_passes(self):
+        reference, bare = self._bare_pendulum()
+        result = check_continuous(
+            bare, reference.init_state, 0.5 * np.eye(2), alpha=0.2,
+            dts=[1e-2, 1e-3], horizon=1.0, tol=1e-6,
+        )
+        assert result.passed
 
 
 class TestCanonicalLink:

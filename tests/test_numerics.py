@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kalgrad.errors import NonFiniteError, SingularMatrixError
 from kalgrad.model import builtin
-from kalgrad.numerics import JacobianSpec, fd_jacobian, rk4_step, solve_psd, symmetrize
+from kalgrad.numerics import fd_jacobian, rk4_step, solve_psd, symmetrize
 
 from conftest import random_spd
 
@@ -58,6 +58,35 @@ class TestSolvePsd:
         with pytest.raises(SingularMatrixError):
             solve_psd(np.diag([1.0, 1.0, -0.5]), np.eye(3))
 
+    # Scaling b by an exact power of two past sqrt(float max) scales every
+    # step of the solve exactly; only a residual norm that squares raw
+    # entries would overflow.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_huge_rhs_scales_exactly(self, dim, rng):
+        a = random_spd(rng, dim)
+        b = rng.standard_normal(dim)
+        np.testing.assert_array_equal(solve_psd(a, 2.0**660 * b), 2.0**660 * solve_psd(a, b))
+
+    # A 1x1 solve with finite entries always meets the residual bound, so
+    # the failing inputs start at n = 2.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[3.0, 1.0], [1.0, 1.0 / 3.0 + 1e-14]]),
+            np.array([[1.0, 1.0, 1.0], [1.0, 1.0 + 1e-14, 1.0], [1.0, 1.0, 1.0 + 2e-14]]),
+        ],
+    )
+    def test_huge_rhs_keeps_finite_residual_failure(self, a):
+        b = np.array([1.0, -1.0, 0.5])[: a.shape[0]]
+        messages = []
+        for scale in (1.0, 2.0**660):
+            with pytest.raises(SingularMatrixError, match="residual") as info:
+                solve_psd(a, scale * b)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "nan" not in messages[1] and "inf" not in messages[1]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -144,25 +173,7 @@ class TestFdJacobian:
                 return np.array([1.0 / x[0]])
 
         with pytest.raises(NonFiniteError):
-            fd_jacobian(bad, np.zeros(1), step=1e-6)
-
-    def test_explicit_step(self):
-        jac = fd_jacobian(lambda x: x**2, np.array([3.0]), step=1e-5)
-        np.testing.assert_allclose(jac, [[6.0]], rtol=1e-8)
-
-
-class TestJacobianSpec:
-    def test_defaults(self):
-        spec = JacobianSpec()
-        assert spec.mode == "analytic"
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            JacobianSpec(mode="symbolic")
-
-    def test_bad_step(self):
-        with pytest.raises(ValueError):
-            JacobianSpec(mode="finite-difference", step=0.0)
+            fd_jacobian(bad, np.zeros(1))
 
 
 class TestRk4:
