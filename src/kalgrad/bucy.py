@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PositivityLostError
-from .model import ContinuousModel
+from .model import ContinuousModel, Trace
 from .numerics import rk4_step, solve_psd, symmetrize
 
 BUCY = "bucy"
@@ -79,18 +79,6 @@ class IntegratorConfig:
 
     def alpha_at(self, t: float) -> float:
         return float(self.alpha(t)) if callable(self.alpha) else float(self.alpha)
-
-
-@dataclass(frozen=True)
-class ContinuousTrace:
-    """Samples of one continuous integration at every grid time."""
-
-    kind: str
-    times: np.ndarray
-    states: np.ndarray  # (m+1, dim)
-    covs: np.ndarray | None = None  # bucy: (m+1, dim, dim)
-    metrics: np.ndarray | None = None  # cngd: (m+1, dim, dim)
-    etas: np.ndarray | None = None  # cngd: (m+1,)
 
 
 def inst_loglik(y, s, u, obs_cov, h) -> float:
@@ -184,8 +172,10 @@ def integrate(
     model: ContinuousModel,
     cfg: IntegratorConfig,
     y_path: Callable[[float], np.ndarray] | None = None,
-) -> ContinuousTrace:
-    """Fixed-step RK4 integration of either continuous filter.
+) -> Trace:
+    """Fixed-step RK4 integration of either continuous filter; returns the
+    samples at every grid time, with ``covs`` for ``bucy`` and ``metrics``
+    and ``etas`` for ``cngd``.
 
     For ``cngd`` runs the learning rate is co-integrated with the state
     via :func:`eta_ode` and gamma(t) = eta(t).  The matrix
@@ -238,7 +228,5 @@ def integrate(
         packed[i + 1] = z
     states, mats = packed[:, :n], packed[:, n:end].reshape(-1, n, n)
     if kind == BUCY:
-        return ContinuousTrace(kind=BUCY, times=times, states=states, covs=mats)
-    return ContinuousTrace(
-        kind=CNGD, times=times, states=states, metrics=mats, etas=packed[:, end]
-    )
+        return Trace(states, covs=mats, times=times)
+    return Trace(states, metrics=mats, etas=packed[:, end], times=times)

@@ -277,20 +277,20 @@ def cmd_run(config_path: str, mode: str, out_dir: str | None = None) -> int:
     if mode in ("ekf", "natgrad"):
         scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
         if mode == "ekf":
-            estimates = ekf_mod.run(scenario, ekf_mod.EkfConfig(alpha=alpha), s0, p0).means()
+            trace = ekf_mod.run(scenario, ekf_mod.EkfConfig(alpha=alpha), s0, p0)
         else:
             hyper = eq_mod.map_alpha_to_eta(alpha, cfg.eta0, scenario.horizon)
             grad_cfg = ngd_mod.NatGradConfig(
                 eta=hyper.eta[1:],
-                gamma=hyper.gamma,
+                gamma=hyper.eta[1:],
                 fisher_mode=cfg.fisher_mode,
                 mc_samples=cfg.mc_samples,
             )
             metric0 = eq_mod.initial_metric(p0, cfg.eta0)
-            estimates = ngd_mod.run(scenario, grad_cfg, s0, metric0).states()
+            trace = ngd_mod.run(scenario, grad_cfg, s0, metric0)
         header, block = _scenario_columns(scenario)
         header += [f"s_est_{i}" for i in range(system.dim_state)]
-        rows = np.column_stack([block, estimates])
+        rows = np.column_stack([block, trace.states])
         summary.append(f"T = {scenario.horizon}")
         summary.append(f"seed = {cfg.seed}")
         summary.append("note = y columns at t = 0 are zero placeholders (no observation)")
@@ -371,6 +371,8 @@ def cmd_compare(
         ]
         passed = report.passed
     else:
+        if mutate is not None:
+            raise ConfigError("invalid field mutate: the negative controls are discrete-only")
         horizon, alpha, s0, p0 = _continuous_inputs(cfg, system)
         dts = cfg.dt_list or ([cfg.dt] if cfg.dt else None)
         if not dts:

@@ -34,13 +34,13 @@ the mean-parameter forms would need R^-1 of a singular R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expfam
 from .errors import NonFiniteError
-from .model import DynamicalModel, Scenario
+from .model import DynamicalModel, Scenario, Trace
 from .numerics import as_schedule, check_schedule, solve_psd, symmetrize
 
 GAIN = "gain"
@@ -82,31 +82,6 @@ class EkfConfig:
         return float(self.alpha[0] if self.alpha.size == 1 else self.alpha[t - 1])
 
 
-@dataclass(frozen=True)
-class FilterStep:
-    t: int
-    mean_pred: np.ndarray
-    cov_pred: np.ndarray
-    yhat: np.ndarray
-    mean_post: np.ndarray
-    cov_post: np.ndarray
-
-
-@dataclass(frozen=True)
-class FilterTrace:
-    prior: GaussianBelief
-    steps: list[FilterStep] = field(default_factory=list)
-
-    def means(self) -> np.ndarray:
-        """Posterior means stacked over t = 0..T (row 0 is the prior)."""
-        rows = [self.prior.mean] + [s.mean_post for s in self.steps]
-        return np.stack(rows)
-
-    def covs(self) -> np.ndarray:
-        rows = [self.prior.cov] + [s.cov_post for s in self.steps]
-        return np.stack(rows)
-
-
 def transition(
     belief: GaussianBelief,
     model: DynamicalModel,
@@ -120,7 +95,11 @@ def transition(
     if not np.all(np.isfinite(mean_pred)):
         raise NonFiniteError(f"transition produced non-finite mean at t = {t}")
     f_jac = model.jac_f(belief.mean, u)
-    cov_pred = symmetrize((1.0 + config.alpha_at(t)) * (f_jac @ belief.cov @ f_jac.T))
+    # An overflow here is reported below, as a failure of this step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov_pred = symmetrize((1.0 + config.alpha_at(t)) * (f_jac @ belief.cov @ f_jac.T))
+    if not np.all(np.isfinite(cov_pred)):
+        raise NonFiniteError(f"transition produced non-finite covariance at t = {t}")
     yhat = np.asarray(model.h(mean_pred, u), dtype=float)
     if not np.all(np.isfinite(yhat)):
         raise NonFiniteError(f"observation map non-finite at t = {t}")
@@ -243,24 +222,18 @@ def run(
     config: EkfConfig,
     init_mean,
     init_cov,
-) -> FilterTrace:
-    """Filter the scenario's observations from the given Gaussian prior."""
+) -> Trace:
+    """Filter the scenario's observations from the given Gaussian prior;
+    returns the posterior means and covariances, row 0 the prior."""
     check_schedule(config.alpha, scenario.horizon, "alpha")
     belief = GaussianBelief(init_mean, init_cov)
     observe = _OBSERVERS[config.update_form]
-    steps = []
-    prior = belief
-    for t in range(1, scenario.horizon + 1):
+    rows = scenario.horizon + 1
+    means = np.empty((rows,) + belief.mean.shape)
+    covs = np.empty((rows,) + belief.cov.shape)
+    means[0], covs[0] = belief.mean, belief.cov
+    for t in range(1, rows):
         predicted, yhat, _ = transition(belief, scenario.model, t, config)
         belief = observe(predicted, scenario.obs(t), yhat, scenario.model, scenario.family, t)
-        steps.append(
-            FilterStep(
-                t=t,
-                mean_pred=predicted.mean,
-                cov_pred=predicted.cov,
-                yhat=yhat,
-                mean_post=belief.mean,
-                cov_post=belief.cov,
-            )
-        )
-    return FilterTrace(prior=prior, steps=steps)
+        means[t], covs[t] = belief.mean, belief.cov
+    return Trace(means, covs=covs)

@@ -15,8 +15,10 @@ the natural-gradient flow when gamma = eta and deta/dt = alpha eta - eta^2;
 both sides are integrated on a shared RK4 grid and compared as the step
 size shrinks.
 
-State deviations are reported relative to max(1, sup-norm of the filter
-trajectory) so that near-zero states do not inflate relative errors.
+Every run returns a :class:`~kalgrad.model.Trace`, so both sides are
+compared row by row on the same stacked arrays.  State deviations are
+reported relative to max(1, sup-norm of the filter trajectory) so that
+near-zero states do not inflate relative errors.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import bucy as bucy_mod
 from . import ekf as ekf_mod
 from . import natgrad as ngd_mod
 from .errors import DomainError
-from .model import ContinuousModel, Scenario
+from .model import ContinuousModel, Scenario, Trace
 from .numerics import as_schedule, check_schedule, solve_psd, symmetrize
 
 MUTATIONS = ("drop_fading_factor", "halve_gamma", "skip_metric_transport")
@@ -38,12 +40,12 @@ MUTATIONS = ("drop_fading_factor", "halve_gamma", "skip_metric_transport")
 
 @dataclass(frozen=True)
 class HyperMap:
-    """Matched schedules: alpha_t on the filter side, (eta_t, gamma_t) on
-    the gradient side, with eta[0] the shared initialization rate."""
+    """Matched schedules: alpha_t on the filter side, eta_t on the gradient
+    side, with eta[0] the shared initialization rate.  The gradient side's
+    gamma_t is eta_t, so its schedule is ``eta[1:]``."""
 
     alpha: np.ndarray  # length T, entry t-1 applies at step t
     eta: np.ndarray  # length T+1, eta[0] = eta_0
-    gamma: np.ndarray  # length T, gamma[t-1] = eta[t]
 
     def __post_init__(self) -> None:
         if np.any(self.alpha < 0):
@@ -92,7 +94,7 @@ def map_alpha_to_eta(
     eta0: float,
     horizon: int,
 ) -> HyperMap:
-    """Expand the fading schedule into matched (eta_t, gamma_t) schedules.
+    """Expand the fading schedule into the matched eta_t schedule.
 
     The recursion is run on 1/eta so that integer-valued cases stay exact.
     """
@@ -107,7 +109,7 @@ def map_alpha_to_eta(
     for t in range(1, horizon + 1):
         inv = inv / (1.0 + alpha_arr[t - 1]) + 1.0
         eta[t] = 1.0 / inv
-    return HyperMap(alpha=alpha_arr, eta=eta, gamma=eta[1:].copy())
+    return HyperMap(alpha=alpha_arr, eta=eta)
 
 
 def map_eta_to_alpha(eta: Sequence[float]) -> np.ndarray:
@@ -146,11 +148,11 @@ def _metric_devs(covs: np.ndarray, metrics: np.ndarray, etas: np.ndarray) -> np.
     return devs
 
 
-def _compare(states, grad_states, covs, metrics, etas, tol: float, /, **extra) -> ComparisonReport:
-    """Per-step deviations of a gradient run (grad_states, metrics, etas)
-    from a filter run (states, covs), with the verdict at ``tol``."""
-    state_devs = _state_devs(states, grad_states)
-    metric_devs = _metric_devs(covs, metrics, etas)
+def _compare(filt: Trace, grad: Trace, etas: np.ndarray, tol: float, /, **extra) -> ComparisonReport:
+    """Per-step deviations of a gradient run, whose learning rate is
+    ``etas`` at each row, from a filter run, with the verdict at ``tol``."""
+    state_devs = _state_devs(filt.states, grad.states)
+    metric_devs = _metric_devs(filt.covs, grad.metrics, etas)
     max_state = float(state_devs.max(initial=0.0))
     max_metric = float(metric_devs.max(initial=0.0))
     return ComparisonReport(
@@ -186,18 +188,15 @@ def run_pair(
 
     grad_cfg = ngd_mod.NatGradConfig(
         eta=hyper.eta[1:],
-        gamma=hyper.gamma if gamma is None else gamma,
+        gamma=hyper.eta[1:] if gamma is None else gamma,
         fisher_mode=ngd_mod.EXACT,
         skip_metric_transport=skip_metric_transport,
     )
     grad = ngd_mod.run(
         scenario, grad_cfg, init_state, initial_metric(init_cov, hyper.eta[0])
     )
-
-    filter_states, grad_states = filt.means(), grad.states()
     return _compare(
-        filter_states, grad_states, filt.covs(), grad.metrics(), hyper.eta, tol,
-        filter_states=filter_states, grad_states=grad_states,
+        filt, grad, hyper.eta, tol, filter_states=filt.states, grad_states=grad.states
     )
 
 
@@ -227,7 +226,7 @@ def check_discrete(
             # mapped schedules.
             overrides["ekf_alpha"] = np.zeros(scenario.horizon)
         elif mutate == "halve_gamma":
-            overrides["gamma"] = hyper.gamma / 2.0
+            overrides["gamma"] = hyper.eta[1:] / 2.0
         else:
             overrides["skip_metric_transport"] = True
     return run_pair(scenario, init_state, init_cov, hyper, tol, **overrides)
@@ -267,12 +266,7 @@ def check_continuous(
             cfg,
             y_path,
         )
-        reports.append(
-            _compare(
-                trace_b.states, trace_c.states, trace_b.covs, trace_c.metrics, trace_c.etas,
-                tol, dt=dt,
-            )
-        )
+        reports.append(_compare(trace_b, trace_c, trace_c.etas, tol, dt=dt))
     if len(reports) >= 2:
         span = np.log(reports[0].dt / reports[-1].dt)
 

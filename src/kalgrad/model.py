@@ -130,6 +130,22 @@ class Scenario:
         return self.observations[t - 1]
 
 
+@dataclass(frozen=True)
+class Trace:
+    """Estimates of one run, stacked over its rows t = 0..T (row 0 is the
+    prior): the filter side fills ``covs``, the gradient side ``metrics``.
+
+    ``etas`` is the co-integrated learning rate of a continuous gradient
+    run, and ``times`` the grid times of a continuous run.
+    """
+
+    states: Array  # (T+1, dim_state)
+    covs: Array | None = None  # (T+1, dim_state, dim_state)
+    metrics: Array | None = None  # (T+1, dim_state, dim_state)
+    etas: Array | None = None  # (T+1,)
+    times: Array | None = None  # (T+1,)
+
+
 def step_dynamics(model: DynamicalModel, s: Array, t: int) -> Array:
     """Advance the noiseless dynamics one step: f(s, u_t)."""
     u = model.input_at(t)

@@ -27,13 +27,13 @@ to the ordinary online natural gradient, provided here as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expfam
 from .errors import NonFiniteError, SingularMatrixError
-from .model import DynamicalModel, Scenario
+from .model import DynamicalModel, Scenario, Trace
 from .numerics import as_schedule, check_schedule, fd_jacobian, solve_psd, symmetrize
 
 EXACT = "exact"
@@ -97,30 +97,6 @@ class NatGradConfig:
 
     def gamma_at(self, t: int) -> float:
         return float(self.gamma[0] if self.gamma.size == 1 else self.gamma[t - 1])
-
-
-@dataclass(frozen=True)
-class GradStep:
-    t: int
-    state_pred: np.ndarray
-    metric_pre: np.ndarray  # transported metric, before the Fisher blend
-    yhat: np.ndarray
-    state_post: np.ndarray
-    metric_post: np.ndarray
-
-
-@dataclass(frozen=True)
-class GradTrace:
-    prior: NatGradState
-    steps: list[GradStep] = field(default_factory=list)
-
-    def states(self) -> np.ndarray:
-        rows = [self.prior.state] + [s.state_post for s in self.steps]
-        return np.stack(rows)
-
-    def metrics(self) -> np.ndarray:
-        rows = [self.prior.metric] + [s.metric_post for s in self.steps]
-        return np.stack(rows)
 
 
 def pushforward_metric(metric: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -248,8 +224,9 @@ def run(
     init_state,
     init_metric,
     rng: np.random.Generator | None = None,
-) -> GradTrace:
-    """Run the chart-based online natural gradient over a scenario.
+) -> Trace:
+    """Run the chart-based online natural gradient over a scenario; returns
+    the states and metrics in the chart at each t, row 0 the prior.
 
     ``rng`` feeds the Monte Carlo Fisher mode only; by default it is a
     Philox stream split off the scenario seed.
@@ -258,10 +235,12 @@ def run(
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=scenario.seed).jumped())
     state = NatGradState(init_state, init_metric)
-    prior = state
     model = scenario.model
-    steps = []
-    for t in range(1, scenario.horizon + 1):
+    rows = scenario.horizon + 1
+    states = np.empty((rows,) + state.state.shape)
+    metrics = np.empty((rows,) + state.metric.shape)
+    states[0], metrics[0] = state.state, state.metric
+    for t in range(1, rows):
         if config.skip_metric_transport:
             u = model.input_at(t)
             value = np.asarray(model.f(state.state, u), dtype=float)
@@ -272,17 +251,8 @@ def run(
         state = update(
             transported, scenario.obs(t), yhat, model, scenario.family, config, t, rng
         )
-        steps.append(
-            GradStep(
-                t=t,
-                state_pred=transported.state,
-                metric_pre=transported.metric,
-                yhat=yhat,
-                state_post=state.state,
-                metric_post=state.metric,
-            )
-        )
-    return GradTrace(prior=prior, steps=steps)
+        states[t], metrics[t] = state.state, state.metric
+    return Trace(states, metrics=metrics)
 
 
 def plain_online_natgrad(
@@ -295,20 +265,23 @@ def plain_online_natgrad(
     init_metric,
     jacobian_h=None,
     rng: np.random.Generator | None = None,
-) -> GradTrace:
+) -> Trace:
     """Chartless online natural gradient for a static parameter.
 
     ``h(theta, u)`` maps the parameter and input to the observation mean;
     ``jacobian_h`` defaults to central differences.  This is the f = Id
-    reduction of :func:`run` and serves as its reference implementation.
+    reduction of :func:`run` and serves as its reference implementation;
+    it returns the same trace layout.
     """
     if len(inputs) != len(observations):
         raise ValueError("inputs and observations must have equal length")
     config.check_horizon(len(inputs))
     theta = np.asarray(init_param, dtype=float)
     metric = np.asarray(init_metric, dtype=float)
-    prior = NatGradState(theta, metric)
-    steps = []
+    rows = len(inputs) + 1
+    states = np.empty((rows,) + theta.shape)
+    metrics = np.empty((rows,) + metric.shape)
+    states[0], metrics[0] = theta, metric
     for t, (u, y) in enumerate(zip(inputs, observations), start=1):
         u = np.asarray(u, dtype=float)
         yhat = np.asarray(h(theta, u), dtype=float)
@@ -321,19 +294,8 @@ def plain_online_natgrad(
             yhat, h_jac, family,
             mode=config.fisher_mode, y=y, rng=rng, mc_samples=config.mc_samples,
         )
-        metric_pre = metric
         metric = symmetrize((1.0 - gamma) * metric + gamma * fisher)
         score = expfam.grad_logp_wrt_mean(family, y, yhat) @ h_jac
-        theta_new = theta + config.eta_at(t) * solve_psd(metric, score)
-        steps.append(
-            GradStep(
-                t=t,
-                state_pred=theta,
-                metric_pre=metric_pre,
-                yhat=yhat,
-                state_post=theta_new,
-                metric_post=metric,
-            )
-        )
-        theta = theta_new
-    return GradTrace(prior=prior, steps=steps)
+        theta = theta + config.eta_at(t) * solve_psd(metric, score)
+        states[t], metrics[t] = theta, metric
+    return Trace(states, metrics=metrics)

@@ -60,12 +60,12 @@ def _collected_pair(scenario, s0, p0, alpha):
     ftrace = ekf.run(scenario, ekf.EkfConfig(alpha=hyper.alpha), s0, p0)
     gtrace = natgrad.run(
         scenario,
-        natgrad.NatGradConfig(eta=hyper.eta[1:], gamma=hyper.gamma),
+        natgrad.NatGradConfig(eta=hyper.eta[1:], gamma=hyper.eta[1:]),
         s0,
         metric0,
     )
-    _COLLECTED.extend(ftrace.covs())
-    _COLLECTED.extend(gtrace.metrics())
+    _COLLECTED.extend(ftrace.covs)
+    _COLLECTED.extend(gtrace.metrics)
 
 
 def test_c01_discrete_equivalence():
@@ -135,7 +135,7 @@ def test_c03_linear_gaussian_exactness():
     s0 = np.array([0.3, -0.6])
     p0 = np.diag([0.8, 1.7])
     trace = ekf.run(scenario, ekf.EkfConfig(alpha=0.0), s0, p0)
-    _COLLECTED.extend(trace.covs())
+    _COLLECTED.extend(trace.covs)
 
     a_mat = 0.99 * np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
     r_inv = np.linalg.inv(r)
@@ -149,8 +149,8 @@ def test_c03_linear_gaussian_exactness():
     mean_t = a_pow @ np.linalg.solve(prec, info)
     cov_t = a_pow @ np.linalg.inv(prec) @ a_pow.T
 
-    mean_err = np.abs(trace.steps[-1].mean_post - mean_t).max()
-    cov_err = np.abs(trace.steps[-1].cov_post - cov_t).max()
+    mean_err = np.abs(trace.states[-1] - mean_t).max()
+    cov_err = np.abs(trace.covs[-1] - cov_t).max()
     print(f"  mean err {mean_err:.3e}, cov err {cov_err:.3e}")
     _report(3, "linear-gaussian filter equals batch posterior", mean_err <= 1e-10 and cov_err <= 1e-10)
 
@@ -246,7 +246,7 @@ def test_c07_static_reduction():
     horizon = 100
     scenario = generate_scenario(model, fam, horizon, seed=70)
     hyper = map_alpha_to_eta(0.2, eta0=0.5, horizon=horizon)
-    cfg = natgrad.NatGradConfig(eta=hyper.eta[1:], gamma=hyper.gamma)
+    cfg = natgrad.NatGradConfig(eta=hyper.eta[1:], gamma=hyper.eta[1:])
     s0 = np.array([0.0, 0.0])
     j0 = np.eye(2)
     chart = natgrad.run(scenario, cfg, s0, j0)
@@ -260,9 +260,9 @@ def test_c07_static_reduction():
         j0,
         jacobian_h=model.jacobian_h,
     )
-    state_gap = np.abs(chart.states() - plain.states()).max()
-    metric_gap = np.abs(chart.metrics() - plain.metrics()).max()
-    _COLLECTED.extend(chart.metrics())
+    state_gap = np.abs(chart.states - plain.states).max()
+    metric_gap = np.abs(chart.metrics - plain.metrics).max()
+    _COLLECTED.extend(chart.metrics)
     print(f"  state gap {state_gap:.3e}, metric gap {metric_gap:.3e}")
     _report(7, "static model reduces to the plain online natural gradient", state_gap <= 1e-12 and metric_gap <= 1e-12)
 

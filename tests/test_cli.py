@@ -138,8 +138,7 @@ class TestCmdRun:
 
     def test_singular_observation_covariance_exits_2(self, tmp_path, capsys):
         # A fading weight of 1e300 inflates the predicted covariance past
-        # the float64 range at t = 2; the innovation covariance is then
-        # inf/nan and its SPD solve fails, which is a numerical failure.
+        # the float64 range at t = 2, a numerical failure of the transition.
         path = tmp_path / "sing.cfg"
         path.write_text(
             "scenario = static\nfamily = gaussian\nobs_cov = 0.25\nT = 20\n"
@@ -207,6 +206,21 @@ class TestCmdCompare:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("name", ["halve_gamma", "nonsense"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_continuous_mutation_exit_1(self, pendulum_cfg, tmp_path, capsys, name, via):
+        # The negative controls exist on the discrete side only; a mutation
+        # that the continuous comparison would ignore must not pass.
+        argv = ["compare", "--config", str(pendulum_cfg), "--mode", "continuous"]
+        if via == "flag":
+            argv += ["--mutate", name]
+        else:
+            pendulum_cfg.write_text(pendulum_cfg.read_text() + f"mutate = {name}\n")
+        out = tmp_path / "cmp"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "discrete-only" in capsys.readouterr().err
+        assert not (out / "summary.txt").exists()
 
     def test_continuous_per_dt_rows(self, pendulum_cfg, tmp_path):
         out = tmp_path / "cmp"

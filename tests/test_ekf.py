@@ -56,6 +56,14 @@ class TestTransition:
         np.testing.assert_array_equal(f_jac, np.eye(2))
         np.testing.assert_allclose(yhat, model.h(belief.mean, model.input_at(1)))
 
+    def test_overflowing_covariance_fails_at_transition(self):
+        # (1 + alpha) F P F^T beyond the float64 range is a failure of the
+        # transition step, not of the observation update that follows.
+        model = builtin("static")
+        belief = ekf.GaussianBelief(np.zeros(2), 1e10 * np.eye(2))
+        with pytest.raises(NonFiniteError, match="covariance at t = 3"):
+            ekf.transition(belief, model, 3, ekf.EkfConfig(alpha=1e300))
+
     def test_scalar_doubling_variance(self):
         model = make_linear_model([[1.0]], f_scale=2.0)
         belief = ekf.GaussianBelief(np.array([1.0]), np.array([[1.0]]))
@@ -121,8 +129,8 @@ class TestObserveGain:
         mean_t = a_pow @ mean0
         cov_t = a_pow @ cov0 @ a_pow.T
 
-        np.testing.assert_allclose(trace.steps[-1].mean_post, mean_t, atol=1e-10)
-        np.testing.assert_allclose(trace.steps[-1].cov_post, cov_t, atol=1e-10)
+        np.testing.assert_allclose(trace.states[-1], mean_t, atol=1e-10)
+        np.testing.assert_allclose(trace.covs[-1], cov_t, atol=1e-10)
 
 
 class TestFormEquivalence:
@@ -282,8 +290,8 @@ class TestRun:
         family = expfam.gaussian(np.eye(2))
         scenario = generate_scenario(model, family, 0, seed=0)
         trace = ekf.run(scenario, ekf.EkfConfig(alpha=0.0), np.zeros(2), np.eye(2))
-        assert trace.steps == []
-        assert trace.means().shape == (1, 2)
+        assert trace.states.shape == (1, 2)
+        assert trace.covs.shape == (1, 2, 2)
 
     def test_replays_bit_identically(self):
         model = builtin("linear2d")
@@ -292,8 +300,8 @@ class TestRun:
         cfg = ekf.EkfConfig(alpha=0.3)
         t1 = ekf.run(scenario, cfg, np.zeros(2), np.eye(2))
         t2 = ekf.run(scenario, cfg, np.zeros(2), np.eye(2))
-        np.testing.assert_array_equal(t1.means(), t2.means())
-        np.testing.assert_array_equal(t1.covs(), t2.covs())
+        np.testing.assert_array_equal(t1.states, t2.states)
+        np.testing.assert_array_equal(t1.covs, t2.covs)
 
     def test_recursive_average_closed_form(self):
         # Oracle: with f = Id, h = s, P0 = R = 1, alpha = 0, and constant
@@ -308,8 +316,8 @@ class TestRun:
         trace = ekf.run(scenario, ekf.EkfConfig(alpha=0.0), s0, p0)
         for t in range(1, horizon + 1):
             expected = c + (s0[0] - c) / (t + 1)
-            assert abs(trace.steps[t - 1].mean_post[0] - expected) < 1e-12
-            assert abs(trace.steps[t - 1].cov_post[0, 0] - 1.0 / (t + 1)) < 1e-12
+            assert abs(trace.states[t, 0] - expected) < 1e-12
+            assert abs(trace.covs[t, 0, 0] - 1.0 / (t + 1)) < 1e-12
 
     def test_loewner_monotonicity(self):
         # P_post <= P_pred in the Loewner order at every step.
@@ -320,9 +328,12 @@ class TestRun:
         ]:
             model = builtin(name)
             scenario = generate_scenario(model, famfac(model), 30, seed=6)
-            trace = ekf.run(scenario, ekf.EkfConfig(alpha=0.2), model.init_state, np.eye(2))
-            for step in trace.steps:
-                gap = np.linalg.eigvalsh(step.cov_pred - step.cov_post).min()
+            cfg = ekf.EkfConfig(alpha=0.2)
+            trace = ekf.run(scenario, cfg, model.init_state, np.eye(2))
+            for t in range(1, scenario.horizon + 1):
+                prior = ekf.GaussianBelief(trace.states[t - 1], trace.covs[t - 1])
+                pred, _, _ = ekf.transition(prior, model, t, cfg)
+                gap = np.linalg.eigvalsh(pred.cov - trace.covs[t]).min()
                 assert gap >= -1e-10
 
 

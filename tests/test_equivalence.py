@@ -34,7 +34,6 @@ class TestMapAlphaToEta:
         hyper = map_alpha_to_eta(0.0, eta0=1.0, horizon=10)
         for t in range(11):
             assert hyper.eta[t] == 1.0 / (t + 1)
-        np.testing.assert_array_equal(hyper.gamma, hyper.eta[1:])
 
     def test_alpha_one_fixed_point(self):
         for eta0 in (0.1, 0.5, 1.0):
@@ -138,7 +137,7 @@ class TestCheckDiscrete:
         hyper = map_alpha_to_eta(0.1, eta0=0.5, horizon=50)
         eta = hyper.eta.copy()
         eta[25] += 1e-3
-        broken = HyperMap(alpha=hyper.alpha, eta=eta, gamma=eta[1:].copy())
+        broken = HyperMap(alpha=hyper.alpha, eta=eta)
         report = run_pair(scenario, np.zeros(2), np.eye(2), broken, tol=1e-8)
         assert not report.passed
         assert report.max_state_dev > 1e-8
@@ -302,4 +301,4 @@ class TestCheckContinuous:
 class TestHyperMap:
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
-            HyperMap(alpha=np.array([-0.1]), eta=np.array([0.5, 0.4]), gamma=np.array([0.4]))
+            HyperMap(alpha=np.array([-0.1]), eta=np.array([0.5, 0.4]))

@@ -172,11 +172,13 @@ class TestCanonicalLink:
         scenario = generate_scenario(model, expfam.bernoulli(), 50, seed=0)
         hyper = map_alpha_to_eta(1.0, 0.5, 50)
         cfg = natgrad.NatGradConfig(
-            eta=hyper.eta[1:], gamma=hyper.gamma, fisher_mode=natgrad.MONTE_CARLO, mc_samples=4
+            eta=hyper.eta[1:], gamma=hyper.eta[1:], fisher_mode=natgrad.MONTE_CARLO, mc_samples=4
         )
         trace = natgrad.run(scenario, cfg, 0.5 * model.init_state, 0.5 * np.eye(2))
-        assert len(trace.steps) == 50
-        assert any(step.yhat[0] in (0.0, 1.0) for step in trace.steps)
+        assert len(trace.states) == 51
+        # f = Id, so the predicted mean at t is h at row t-1.
+        yhats = [model.h(trace.states[t - 1], model.input_at(t)) for t in range(1, 51)]
+        assert any(yhat[0] in (0.0, 1.0) for yhat in yhats)
 
     def test_saturated_update_keeps_only_the_transported_metric(self):
         # V = 0: the Fisher term vanishes, J = (1 - gamma) J_pred, and the
@@ -251,13 +253,9 @@ class TestUpdate:
             np.array([0.1]),
             np.array([[p0]]),
         )
+        np.testing.assert_allclose(gtrace.states[1], ftrace.states[1], atol=1e-14)
         np.testing.assert_allclose(
-            gtrace.steps[0].state_post, ftrace.steps[0].mean_post, atol=1e-14
-        )
-        np.testing.assert_allclose(
-            eta1 / gtrace.steps[0].metric_post[0, 0],
-            ftrace.steps[0].cov_post[0, 0],
-            atol=1e-14,
+            eta1 / gtrace.metrics[1, 0, 0], ftrace.covs[1, 0, 0], atol=1e-14
         )
 
     def test_metric_blend_convex_hull(self, rng):
@@ -302,8 +300,8 @@ class TestRun:
             j0,
             jacobian_h=model.jacobian_h,
         )
-        np.testing.assert_allclose(chart.states(), plain.states(), atol=1e-12)
-        np.testing.assert_allclose(chart.metrics(), plain.metrics(), atol=1e-12)
+        np.testing.assert_allclose(chart.states, plain.states, atol=1e-12)
+        np.testing.assert_allclose(chart.metrics, plain.metrics, atol=1e-12)
 
     def test_horizon_zero(self):
         model = builtin("static")
@@ -311,7 +309,8 @@ class TestRun:
         trace = natgrad.run(
             scenario, natgrad.NatGradConfig(eta=0.5, gamma=0.5), np.zeros(2), np.eye(2)
         )
-        assert trace.steps == []
+        assert trace.states.shape == (1, 2)
+        assert trace.metrics.shape == (1, 2, 2)
 
     def test_tanhspring_metric_stays_spd(self):
         model = builtin("tanhspring")
@@ -319,8 +318,8 @@ class TestRun:
         scenario = generate_scenario(model, fam, 50, seed=12)
         cfg = natgrad.NatGradConfig(eta=0.3, gamma=0.3)
         trace = natgrad.run(scenario, cfg, model.init_state, np.eye(2))
-        for step in trace.steps:
-            assert np.linalg.eigvalsh(step.metric_post).min() > 0
+        for metric in trace.metrics[1:]:
+            assert np.linalg.eigvalsh(metric).min() > 0
 
     def test_deterministic_replay(self):
         model = builtin("linear2d")
@@ -329,7 +328,7 @@ class TestRun:
         cfg = natgrad.NatGradConfig(eta=0.4, gamma=0.4)
         a = natgrad.run(scenario, cfg, np.zeros(2), np.eye(2))
         b = natgrad.run(scenario, cfg, np.zeros(2), np.eye(2))
-        np.testing.assert_array_equal(a.states(), b.states())
+        np.testing.assert_array_equal(a.states, b.states)
 
     def test_monte_carlo_mode_deterministic_given_seed(self):
         model = builtin("linear2d")
@@ -338,7 +337,7 @@ class TestRun:
         cfg = natgrad.NatGradConfig(eta=0.4, gamma=0.4, fisher_mode=natgrad.MONTE_CARLO, mc_samples=8)
         a = natgrad.run(scenario, cfg, np.zeros(2), np.eye(2))
         b = natgrad.run(scenario, cfg, np.zeros(2), np.eye(2))
-        np.testing.assert_array_equal(a.states(), b.states())
+        np.testing.assert_array_equal(a.states, b.states)
 
 
 class TestPlainOnlineNatgrad:
@@ -351,9 +350,9 @@ class TestPlainOnlineNatgrad:
             inputs, obs, lambda th, u: np.array([th @ u]), fam, cfg,
             np.array([0.3, -0.4]), np.eye(2),
         )
-        for step in trace.steps:
-            np.testing.assert_array_equal(step.state_post, [0.3, -0.4])
-        assert not np.allclose(trace.steps[-1].metric_post, np.eye(2))
+        for state in trace.states[1:]:
+            np.testing.assert_array_equal(state, [0.3, -0.4])
+        assert not np.allclose(trace.metrics[-1], np.eye(2))
 
     def test_logistic_separable_loglik_improves(self):
         # Soft sanity check: on separable data the training log-likelihood
@@ -389,12 +388,11 @@ class TestPlainOnlineNatgrad:
             trace = natgrad.plain_online_natgrad(
                 inputs, labels, h, fam, cfg, theta, metric
             )
-            for step in trace.steps:
-                improvements.append(
-                    total_loglik(step.state_post) - total_loglik(step.state_pred)
-                )
-            theta = trace.steps[-1].state_post
-            metric = trace.steps[-1].metric_post
+            # f = Id: each step moves from row t-1 to row t.
+            for before, after in zip(trace.states[:-1], trace.states[1:]):
+                improvements.append(total_loglik(after) - total_loglik(before))
+            theta = trace.states[-1]
+            metric = trace.metrics[-1]
         frac = np.mean([d >= -1e-12 for d in improvements])
         assert frac >= 0.95
 
@@ -411,7 +409,7 @@ class TestPlainOnlineNatgrad:
             inputs, obs, lambda th, u: np.array([th @ u]), fam, cfg,
             np.zeros(2), np.eye(2),
         )
-        np.testing.assert_allclose(without.states(), with_jac.states(), atol=1e-9)
+        np.testing.assert_allclose(without.states, with_jac.states, atol=1e-9)
 
 
 class TestScheduleLength:
