@@ -7,49 +7,31 @@ Usage: python scripts/discrete_equivalence.py [--horizon 50] [--seeds 10]
 
 import argparse
 
-import numpy as np
-
-from kalgrad import expfam
-from kalgrad.equivalence import check_discrete
+from kalgrad.equivalence import (
+    SWEEP_HORIZON,
+    SWEEP_MODELS,
+    SWEEP_SEEDS,
+    check_discrete,
+    sweep_cell,
+    sweep_schedules,
+)
 from kalgrad.errors import NumericalError
-from kalgrad.model import builtin, generate_scenario
-
-MODELS = ("linear2d", "tanhspring", "static", "logistic-static")
-
-
-def family_for(model):
-    if model.name == "logistic-static":
-        return expfam.bernoulli()
-    if model.name == "linear2d":
-        return expfam.gaussian(0.1 * np.eye(2))
-    return expfam.gaussian(0.25 * np.eye(model.dim_obs))
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--horizon", type=int, default=50)
-    parser.add_argument("--seeds", type=int, default=10)
+    parser.add_argument("--horizon", type=int, default=SWEEP_HORIZON)
+    parser.add_argument("--seeds", type=int, default=SWEEP_SEEDS)
     parser.add_argument("--eta0", type=float, default=0.5)
     args = parser.parse_args()
 
-    schedules = {
-        "alpha=0": 0.0,
-        "alpha=0.1": 0.1,
-        "alpha=1": 1.0,
-        "ramp(0,0.5)": np.linspace(0.0, 0.5, args.horizon),
-    }
-
     print(f"{'model':<16} {'schedule':<12} {'worst state dev':>16} {'worst metric dev':>17}")
-    for name in MODELS:
-        model = builtin(name)
-        s0 = 0.5 * np.asarray(model.init_state)
-        p0 = np.eye(model.dim_state)
-        family = family_for(model)
-        for label, alpha in schedules.items():
+    for name in SWEEP_MODELS:
+        for label, alpha in sweep_schedules(args.horizon).items():
             worst_s = worst_m = 0.0
             aborted = 0
             for seed in range(args.seeds):
-                scenario = generate_scenario(model, family, args.horizon, seed)
+                scenario, s0, p0 = sweep_cell(name, args.horizon, seed)
                 try:
                     rep = check_discrete(scenario, s0, p0, alpha, eta0=args.eta0)
                 except NumericalError:

@@ -13,6 +13,11 @@ Natural gradient flow, with the metric J expressed in the moving chart
     ds/dt   = f(s, u_t) + eta J^-1 H^T R^-1 (y(t) - h(s, u_t))
     deta/dt = alpha(t) eta - eta^2          (with gamma = eta)
 
+Both fields read the observation from one Gaussian linearisation,
+:func:`gaussian_linearisation`: B = R^-1 H from a single solve,
+C = R and e = y(t) - h(s, u_t), so that P H^T R^-1 = P B^T,
+H^T R^-1 H = B^T C B and H^T R^-1 (y - h) = B^T e.
+
 Under P = eta J^-1 and the eta equation above, the two vector fields
 coincide; :func:`integrate` runs either side with fixed-step RK4 so the
 agreement can be measured as a function of the step size.
@@ -81,30 +86,22 @@ class IntegratorConfig:
         return float(self.alpha(t)) if callable(self.alpha) else float(self.alpha)
 
 
-def inst_loglik(y, s, u, obs_cov, h) -> float:
-    """Instantaneous log-likelihood of a smooth observation against h(s, u).
+def gaussian_linearisation(
+    model: ContinuousModel,
+    s: np.ndarray,
+    u: np.ndarray,
+    t: float,
+    y_path: Callable[[float], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The smooth observation at time t, linearised at state s: returns
+    (B, C, e) with B = R(t)^-1 H, C = R(t) and e = y(t) - h(s, u).
 
-    Equals y^T R^-1 h - h^T R^-1 h / 2; the quadratic term in y lives in
-    the reference measure and is dropped.
+    The score of the instantaneous log-likelihood in the state is e B and
+    its Fisher information is B^T C B.
     """
-    hv = np.atleast_1d(np.asarray(h(s, u), dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    rinv_h = solve_psd(np.atleast_2d(obs_cov), hv)
-    return float(y @ rinv_h - 0.5 * hv @ rinv_h)
-
-
-def inst_loglik_grad(y, s, u, obs_cov, h_jac, h) -> np.ndarray:
-    """Row gradient of :func:`inst_loglik` with respect to the state:
-    (y - h(s, u))^T R^-1 H."""
-    hv = np.atleast_1d(np.asarray(h(s, u), dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return solve_psd(np.atleast_2d(obs_cov), y - hv) @ np.atleast_2d(h_jac)
-
-
-def inst_fisher(h_jac, obs_cov) -> np.ndarray:
-    """Instantaneous Fisher matrix in the current-state chart: H^T R^-1 H."""
-    h_jac = np.atleast_2d(np.asarray(h_jac, dtype=float))
-    return symmetrize(h_jac.T @ solve_psd(np.atleast_2d(obs_cov), h_jac))
+    r = np.atleast_2d(model.obs_cov(t))
+    resid = np.atleast_1d(y_path(t)) - np.asarray(model.h(s, u), dtype=float)
+    return solve_psd(r, model.jac_h(s, u)), r, resid
 
 
 def bucy_deriv(
@@ -117,17 +114,11 @@ def bucy_deriv(
     u = model.input_at(state.t)
     s = np.asarray(state.s, dtype=float)
     cov = np.asarray(state.cov, dtype=float)
-    f_val = np.asarray(model.f(s, u), dtype=float)
-    h_val = np.asarray(model.h(s, u), dtype=float)
+    obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, state.t, y_path)
     f_jac = model.jac_f(s, u)
-    h_jac = model.jac_h(s, u)
-    r = np.atleast_2d(model.obs_cov(state.t))
-    resid = np.atleast_1d(y_path(state.t)) - h_val
-    gain = cov @ h_jac.T  # times R^-1 below
-    # One solve covers both R^-1 resid and R^-1 H.
-    rinv_both = solve_psd(r, np.column_stack([resid, h_jac]))
-    ds = f_val + gain @ rinv_both[:, 0]
-    dcov = f_jac @ cov + cov @ f_jac.T - gain @ rinv_both[:, 1:] @ cov + alpha * cov
+    gain = cov @ obs_jac.T  # P H^T R^-1
+    ds = np.asarray(model.f(s, u), dtype=float) + gain @ resid
+    dcov = f_jac @ cov + cov @ f_jac.T - gain @ obs_cov @ gain.T + alpha * cov
     return ds, symmetrize(dcov)
 
 
@@ -141,17 +132,11 @@ def cngd_deriv(
     u = model.input_at(state.t)
     s = np.asarray(state.s, dtype=float)
     metric = np.asarray(state.metric, dtype=float)
-    f_val = np.asarray(model.f(s, u), dtype=float)
-    h_val = np.asarray(model.h(s, u), dtype=float)
+    obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, state.t, y_path)
     f_jac = model.jac_f(s, u)
-    h_jac = model.jac_h(s, u)
-    r = np.atleast_2d(model.obs_cov(state.t))
-    resid = np.atleast_1d(y_path(state.t)) - h_val
-    # One solve covers both R^-1 resid and R^-1 H (the Fisher term).
-    rinv_both = solve_psd(r, np.column_stack([resid, h_jac]))
-    fisher = symmetrize(h_jac.T @ rinv_both[:, 1:])
+    fisher = symmetrize(obs_jac.T @ obs_cov @ obs_jac)
     dmetric = -f_jac.T @ metric - metric @ f_jac - gamma * metric + gamma * fisher
-    ds = f_val + state.eta * solve_psd(metric, h_jac.T @ rinv_both[:, 0])
+    ds = np.asarray(model.f(s, u), dtype=float) + state.eta * solve_psd(metric, obs_jac.T @ resid)
     return ds, symmetrize(dmetric)
 
 

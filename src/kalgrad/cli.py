@@ -140,21 +140,29 @@ def _alpha_schedule(cfg: RunConfig, horizon: int) -> np.ndarray:
         if not 1 <= t <= horizon:
             raise ConfigError(f"invalid field alpha[{t}]: t outside 1..{horizon}")
         alpha[t - 1] = value
-    if np.any(alpha < 0):
-        raise ConfigError("invalid field alpha: weights must be >= 0")
+    _check_weights(alpha)
     return alpha
+
+
+def _check_weights(values) -> None:
+    if np.any(np.asarray(values) < 0):
+        raise ConfigError("invalid field alpha: weights must be >= 0")
 
 
 def _alpha_fn(cfg: RunConfig, horizon: float):
     """Alpha as a function of continuous time."""
+    if cfg.alpha_overrides:
+        raise ConfigError("invalid field alpha[t]: per-step overrides are discrete-only")
     spec = cfg.alpha_spec.strip()
     m = _RAMP_RE.match(spec)
     if m:
         lo, hi = float(m.group(1)), float(m.group(2))
+        _check_weights([lo, hi])
         return lambda t: lo + (hi - lo) * t / horizon
     values = _parse_floats(spec)
     if len(values) != 1:
         raise ConfigError("invalid field alpha: continuous runs need a constant or ramp")
+    _check_weights(values)
     return float(values[0])
 
 
@@ -206,6 +214,9 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write one CSV file.  Its directory is made here, so that it appears
+    only once a run has validated its inputs and finished."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -213,7 +224,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _load(config_path: str, out_dir: str | None):
-    """Parse the config, look up its model and create the output directory."""
+    """Parse the config, look up its model and name the output directory."""
     cfg = parse_config(config_path)
     out = Path(out_dir or cfg.out or ".")
     try:
@@ -222,7 +233,6 @@ def _load(config_path: str, out_dir: str | None):
         raise ConfigError(str(exc)) from exc
     if cfg.horizon is None:
         raise ConfigError("missing required field: T")
-    out.mkdir(parents=True, exist_ok=True)
     return cfg, system, out
 
 

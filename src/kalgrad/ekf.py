@@ -5,31 +5,21 @@ Q_t = alpha_t F P F^T, under which
 
     P_pred = (1 + alpha_t) F P F^T.
 
-Three algebraically equivalent observation updates are provided:
+Every observation update reads the one linearisation of
+:func:`kalgrad.model.linearise`: B = d theta / d s in the family's natural
+parameter theta, C = cov(T) at the predicted mean, and the residual
+e = T(y) - E[T].  Three algebraically equivalent updates are provided:
 
-* gain form:        K = P_pred H^T (H P_pred H^T + R)^-1,
-                    P = (I - K H) P_pred,  s += K (T(y) - yhat)
-* information form: P^-1 = P_pred^-1 + H^T R^-1 H,  s += P H^T R^-1 (T(y) - yhat)
-* gradient form:    same P; the state moves along the score of the
-                    observation family preconditioned by P.
+* gain form:        K = P_pred B^T (I + C B P_pred B^T)^-1,
+                    P = P_pred - K C B P_pred,  s += K e
+* information form: P^-1 = P_pred^-1 + B^T C B,  s += P B^T e
+* gradient form:    the same update, read as the step along the score
+                    e B of the observation, preconditioned by P.
 
-On the general path yhat = h(s) is the mean parameter, H its Jacobian and
-R the covariance of the sufficient statistics at the predicted mean, so
-the generalized filter covers Bernoulli and categorical outputs with the
-same equations, as long as yhat stays inside its domain and R invertible.
-
-For a model with a canonical-link observation (``model.canonical_link``)
-the updates work with the linear predictor x instead, where H = V G with
-G the predictor Jacobian and V = R = cov(T) at x.  R^-1 then cancels:
-
-* gain form:        K = P_pred G^T (I + V G P_pred G^T)^-1,
-                    P = P_pred - K V G P_pred,  s += K (T(y) - yhat)
-* information form: P^-1 = P_pred^-1 + G^T V G,  s += P G^T (T(y) - yhat)
-* gradient form:    same P; the score with respect to the state is
-                    G^T (T(y) - yhat).
-
-These stay finite where yhat rounds to the boundary and V to zero, where
-the mean-parameter forms would need R^-1 of a singular R.
+With B = R^-1 H (R = C the observation covariance, H the Jacobian of h)
+the gain is the classical P H^T (H P H^T + R)^-1.  Under a canonical link
+B is the predictor Jacobian G, R^-1 never appears, and the updates stay
+finite where the mean rounds to the boundary of its domain and C to zero.
 """
 
 from __future__ import annotations
@@ -40,7 +30,7 @@ import numpy as np
 
 from . import expfam
 from .errors import NonFiniteError
-from .model import DynamicalModel, Scenario, Trace
+from .model import DynamicalModel, Scenario, Trace, linearise
 from .numerics import as_schedule, check_schedule, solve_psd, symmetrize
 
 GAIN = "gain"
@@ -87,9 +77,9 @@ def transition(
     model: DynamicalModel,
     t: int,
     config: EkfConfig,
-) -> tuple[GaussianBelief, np.ndarray, np.ndarray]:
-    """Propagate the belief through the dynamics; returns (pred, yhat, F),
-    with P_pred = (1 + alpha_t) F P F^T."""
+) -> tuple[GaussianBelief, np.ndarray]:
+    """Propagate the belief through the dynamics; returns (pred, F), with
+    P_pred = (1 + alpha_t) F P F^T."""
     u = model.input_at(t)
     mean_pred = np.asarray(model.f(belief.mean, u), dtype=float)
     if not np.all(np.isfinite(mean_pred)):
@@ -100,114 +90,49 @@ def transition(
         cov_pred = symmetrize((1.0 + config.alpha_at(t)) * (f_jac @ belief.cov @ f_jac.T))
     if not np.all(np.isfinite(cov_pred)):
         raise NonFiniteError(f"transition produced non-finite covariance at t = {t}")
-    yhat = np.asarray(model.h(mean_pred, u), dtype=float)
-    if not np.all(np.isfinite(yhat)):
-        raise NonFiniteError(f"observation map non-finite at t = {t}")
-    return GaussianBelief(mean_pred, cov_pred), yhat, f_jac
+    return GaussianBelief(mean_pred, cov_pred), f_jac
 
 
 def observe_gain(
     predicted: GaussianBelief,
     y,
-    yhat: np.ndarray,
     model: DynamicalModel,
     family: expfam.ObservationFamily,
     t: int,
 ) -> GaussianBelief:
-    """Classical gain-form update on the innovation T(y) - yhat."""
-    u = model.input_at(t)
-    if model.canonical_link(family):
-        g_jac, v, resid = _canonical_terms(predicted.mean, y, model, family, u)
-        gp = g_jac @ predicted.cov
-        # K^T = (I + G P G^T V)^-1 G P; the matrix is I plus a product of
-        # two PSD matrices, so it is never singular.
-        gain = np.linalg.solve(np.eye(v.shape[0]) + gp @ g_jac.T @ v, gp).T
-        cov = symmetrize(predicted.cov - gain @ v @ gp)
-        mean = predicted.mean + gain @ resid
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise NonFiniteError(f"observation update non-finite at t = {t}")
-        return GaussianBelief(mean, cov)
-    h_jac = model.jac_h(predicted.mean, u)
-    innov = expfam.sufficient_stats(family, y) - yhat
-    r = expfam.cov_suffstats(family, yhat)
-    s_mat = symmetrize(h_jac @ predicted.cov @ h_jac.T + r)
-    # K = P H^T S^-1, via the SPD solve on S.
-    gain = solve_psd(s_mat, h_jac @ predicted.cov).T
-    cov = symmetrize((np.eye(model.dim_state) - gain @ h_jac) @ predicted.cov)
-    return GaussianBelief(predicted.mean + gain @ innov, cov)
-
-
-def _canonical_terms(
-    mean: np.ndarray,
-    y,
-    model: DynamicalModel,
-    family: expfam.ObservationFamily,
-    u: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Predictor Jacobian G, variance V and residual T(y) - yhat at the
-    linear predictor of a canonical-link model."""
-    x = model.predictor(mean, u)
-    return (
-        model.jac_predictor(mean, u),
-        expfam.canonical_variance(family, x),
-        expfam.canonical_residual(family, expfam.sufficient_stats(family, y), x),
-    )
-
-
-def _information_cov(predicted: GaussianBelief, fisher: np.ndarray) -> np.ndarray:
-    """Posterior covariance from P^-1 = P_pred^-1 + F, with F the Fisher
-    term H^T R^-1 H (or G^T V G)."""
-    dim = predicted.cov.shape[0]
-    prec_pred = solve_psd(predicted.cov, np.eye(dim))
-    prec = symmetrize(prec_pred + fisher)
-    return symmetrize(solve_psd(prec, np.eye(dim)))
+    """Gain-form update: K = P B^T (I + C B P B^T)^-1, s += K e."""
+    lin = linearise(model, family, predicted.mean, t)
+    bp = lin.jac @ predicted.cov
+    # K^T = (I + B P B^T C)^-1 B P; the matrix is I plus a product of two
+    # PSD matrices, so it is never singular.
+    gain = np.linalg.solve(np.eye(lin.cov.shape[0]) + bp @ lin.jac.T @ lin.cov, bp).T
+    cov = symmetrize(predicted.cov - gain @ lin.cov @ bp)
+    mean = predicted.mean + gain @ lin.residual(expfam.sufficient_stats(family, y))
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise NonFiniteError(f"observation update non-finite at t = {t}")
+    return GaussianBelief(mean, cov)
 
 
 def observe_information(
     predicted: GaussianBelief,
     y,
-    yhat: np.ndarray,
     model: DynamicalModel,
     family: expfam.ObservationFamily,
     t: int,
 ) -> GaussianBelief:
-    """Inverse-covariance update; the state moves by P H^T R^-1 (T(y) - yhat)."""
-    u = model.input_at(t)
-    if model.canonical_link(family):
-        g_jac, v, resid = _canonical_terms(predicted.mean, y, model, family, u)
-        cov = _information_cov(predicted, g_jac.T @ v @ g_jac)
-        return GaussianBelief(predicted.mean + cov @ (g_jac.T @ resid), cov)
-    h_jac = model.jac_h(predicted.mean, u)
-    innov = expfam.sufficient_stats(family, y) - yhat
-    r = expfam.cov_suffstats(family, yhat)
-    cov = _information_cov(predicted, h_jac.T @ solve_psd(r, h_jac))
-    mean = predicted.mean + cov @ (h_jac.T @ solve_psd(r, innov))
-    return GaussianBelief(mean, cov)
+    """Inverse-covariance update: P^-1 = P_pred^-1 + B^T C B, s += P B^T e."""
+    lin = linearise(model, family, predicted.mean, t)
+    dim = predicted.cov.shape[0]
+    prec_pred = solve_psd(predicted.cov, np.eye(dim))
+    prec = symmetrize(prec_pred + lin.jac.T @ lin.cov @ lin.jac)
+    cov = symmetrize(solve_psd(prec, np.eye(dim)))
+    score = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
+    return GaussianBelief(predicted.mean + cov @ score, cov)
 
 
-def observe_gradient(
-    predicted: GaussianBelief,
-    y,
-    yhat: np.ndarray,
-    model: DynamicalModel,
-    family: expfam.ObservationFamily,
-    t: int,
-) -> GaussianBelief:
-    """Preconditioned-gradient update: s += P (d log p / d s)^T.
-
-    The score with respect to the state chains the family score through
-    the observation Jacobian.
-    """
-    u = model.input_at(t)
-    if model.canonical_link(family):
-        g_jac, v, resid = _canonical_terms(predicted.mean, y, model, family, u)
-        cov = _information_cov(predicted, g_jac.T @ v @ g_jac)
-        return GaussianBelief(predicted.mean + cov @ (resid @ g_jac), cov)
-    h_jac = model.jac_h(predicted.mean, u)
-    r = expfam.cov_suffstats(family, yhat)
-    cov = _information_cov(predicted, h_jac.T @ solve_psd(r, h_jac))
-    score_state = expfam.grad_logp_wrt_mean(family, y, yhat) @ h_jac
-    return GaussianBelief(predicted.mean + cov @ score_state, cov)
+# The state score read from the linearisation is e B, so the preconditioned
+# gradient step P (d log p / d s)^T is the information form's P B^T e.
+observe_gradient = observe_information
 
 
 _OBSERVERS = {
@@ -233,7 +158,7 @@ def run(
     covs = np.empty((rows,) + belief.cov.shape)
     means[0], covs[0] = belief.mean, belief.cov
     for t in range(1, rows):
-        predicted, yhat, _ = transition(belief, scenario.model, t, config)
-        belief = observe(predicted, scenario.obs(t), yhat, scenario.model, scenario.family, t)
+        predicted, _ = transition(belief, scenario.model, t, config)
+        belief = observe(predicted, scenario.obs(t), scenario.model, scenario.family, t)
         means[t], covs[t] = belief.mean, belief.cov
     return Trace(means, covs=covs)

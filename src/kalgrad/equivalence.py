@@ -30,12 +30,45 @@ import numpy as np
 
 from . import bucy as bucy_mod
 from . import ekf as ekf_mod
+from . import expfam
 from . import natgrad as ngd_mod
 from .errors import DomainError
-from .model import ContinuousModel, Scenario, Trace
+from .model import ContinuousModel, Scenario, Trace, builtin, generate_scenario
 from .numerics import as_schedule, check_schedule, solve_psd, symmetrize
 
 MUTATIONS = ("drop_fading_factor", "halve_gamma", "skip_metric_transport")
+
+# The discrete sweep grid (acceptance criterion 1 at horizon 50 with 10
+# seeds): every model under every fading schedule, one scenario per seed.
+SWEEP_MODELS = ("linear2d", "tanhspring", "static", "logistic-static")
+SWEEP_HORIZON = 50
+SWEEP_SEEDS = 10
+
+
+def sweep_schedules(horizon: int) -> dict[str, float | np.ndarray]:
+    """The sweep's fading schedules by label: three constants and a ramp
+    from 0 to 0.5 over the horizon."""
+    return {
+        "alpha=0": 0.0,
+        "alpha=0.1": 0.1,
+        "alpha=1": 1.0,
+        "ramp(0,0.5)": np.linspace(0.0, 0.5, horizon),
+    }
+
+
+def sweep_cell(name: str, horizon: int, seed: int) -> tuple[Scenario, np.ndarray, np.ndarray]:
+    """Scenario and prior of one sweep cell: bernoulli observations for
+    logistic-static and gaussian ones (covariance 0.1 I for linear2d,
+    0.25 I otherwise) for the rest, with s_0 = init_state / 2 and P_0 = I."""
+    model = builtin(name)
+    if name == "logistic-static":
+        family = expfam.bernoulli()
+    elif name == "linear2d":
+        family = expfam.gaussian(0.1 * np.eye(2))
+    else:
+        family = expfam.gaussian(0.25 * np.eye(model.dim_obs))
+    scenario = generate_scenario(model, family, horizon, seed)
+    return scenario, 0.5 * np.asarray(model.init_state, dtype=float), np.eye(model.dim_state)
 
 
 @dataclass(frozen=True)

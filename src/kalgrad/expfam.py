@@ -2,31 +2,26 @@
 
 Supported families: Gaussian with known covariance, Bernoulli, and
 categorical with the last class dropped.  The general interface is the
-mean parameter ``yhat`` (the expected sufficient statistics), so that
+mean parameter ``yhat`` (the expected sufficient statistics T), with
+``cov_suffstats(yhat)`` the covariance of T; it needs ``yhat`` strictly
+inside the mean domain.  Since d theta / d yhat = cov(T)^-1 in the natural
+parameter theta, an observation with mean yhat = h(s) and Jacobian H has
+d theta / d s = cov(T)^-1 H (:func:`natural_jacobian`);
+:func:`kalgrad.model.linearise` builds the score and Fisher of every
+update from it.
 
-* ``cov_suffstats(yhat)`` is the covariance of the sufficient statistics,
-  which doubles as the observation covariance in the generalized filter;
-* the Fisher matrix with respect to ``yhat`` is ``cov_suffstats(yhat)^-1``;
-* the score is ``(T(y) - yhat)^T cov_suffstats(yhat)^-1``.
-
-These need ``yhat`` strictly inside the mean domain.  Bernoulli and
-categorical also take the natural parameter ``x`` (the logits, the linear
-predictor of a model with the canonical link), where ``yhat = mean(x)``
-and ``d yhat / d x = V(x) = cov(T)``.  Chained through that Jacobian the
-covariance cancels: the Fisher with respect to ``x`` is ``V(x)`` and the
-score is ``T(y) - mean(x)``, both finite for every finite ``x``, even
-where ``mean(x)`` rounds to the boundary.  :func:`canonical_variance` and
-:func:`canonical_residual` compute them without forming ``1 - yhat`` by
-subtraction.
+Bernoulli and categorical also take the natural parameter ``x`` (the
+logits, the linear predictor of a model with the canonical link), where
+``yhat = mean(x)`` and ``d yhat / d x = V(x) = cov(T)``.  In ``x`` the
+Fisher is ``V(x)`` and the score ``T(y) - mean(x)``, both finite for
+every finite ``x``, even where ``mean(x)`` rounds to the boundary.
+:func:`canonical_variance` and :func:`canonical_residual` compute them
+without forming ``1 - yhat`` by subtraction.
 
 Categorical distributions keep K-1 free coordinates (probabilities of the
 first K-1 classes) so the covariance stays invertible; the full-simplex
 parameterization would be singular.  Their natural parameter is the K-1
 logits against the dropped class.
-
-Log-densities are defined up to an additive constant independent of
-``yhat``: only differences and gradients with respect to ``yhat`` enter
-any downstream update.
 """
 
 from __future__ import annotations
@@ -97,9 +92,9 @@ def _as_mean(family: ObservationFamily, yhat) -> np.ndarray:
 def check_mean(family: ObservationFamily, yhat) -> np.ndarray:
     """Validate that yhat lies strictly inside the family's mean domain."""
     yhat = _as_mean(family, yhat)
+    if not np.all(np.isfinite(yhat)):
+        raise DomainError(f"{family.kind} mean must be finite")
     if family.kind == GAUSSIAN:
-        if not np.all(np.isfinite(yhat)):
-            raise DomainError("gaussian mean must be finite")
         return yhat
     if np.any(yhat <= 0.0) or np.any(yhat >= 1.0):
         raise DomainError(f"{family.kind} mean must lie strictly inside (0, 1)")
@@ -166,35 +161,12 @@ def cov_suffstats(family: ObservationFamily, yhat) -> np.ndarray:
     return symmetrize(np.diag(yhat) - np.outer(yhat, yhat))
 
 
-def log_density(family: ObservationFamily, y, yhat) -> float:
-    """log p(y | yhat) up to an additive constant independent of yhat."""
-    yhat = check_mean(family, yhat)
-    if family.kind == GAUSSIAN:
-        err = sufficient_stats(family, y) - yhat
-        return -0.5 * float(err @ solve_psd(family.obs_cov, err))
-    label = _as_label(family, y)
-    if family.kind == BERNOULLI:
-        p = yhat[0]
-        return float(np.log(p) if label == 1 else np.log1p(-p))
-    if label < family.num_classes - 1:
-        return float(np.log(yhat[label]))
-    return float(np.log1p(-yhat.sum()))
-
-
-def grad_logp_wrt_mean(family: ObservationFamily, y, yhat) -> np.ndarray:
-    """Row gradient of log p(y | yhat) with respect to the mean parameter.
-
-    Equals (T(y) - yhat)^T cov_suffstats(yhat)^{-1}.
-    """
-    yhat = check_mean(family, yhat)
-    err = sufficient_stats(family, y) - yhat
-    return solve_psd(cov_suffstats(family, yhat), err)
-
-
-def fisher_wrt_mean(family: ObservationFamily, yhat) -> np.ndarray:
-    """Fisher information with respect to the mean parameter: cov(T)^{-1}."""
+def natural_jacobian(family: ObservationFamily, yhat, mean_jac) -> tuple[np.ndarray, np.ndarray]:
+    """cov(T) at mean parameter yhat, and the Jacobian of the natural
+    parameter cov(T)^-1 mean_jac, given the Jacobian mean_jac of yhat:
+    d theta / d yhat = cov(T)^-1."""
     cov = cov_suffstats(family, yhat)
-    return symmetrize(solve_psd(cov, np.eye(cov.shape[0])))
+    return cov, solve_psd(cov, mean_jac)
 
 
 def _as_natural(family: ObservationFamily, x) -> np.ndarray:

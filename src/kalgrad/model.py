@@ -1,16 +1,23 @@
-"""Dynamical-system definitions, built-in test systems, and scenario synthesis.
+"""Dynamical-system definitions, built-in test systems, scenario synthesis,
+and the one linearisation of an observation that every discrete update reads.
 
 A discrete model provides the transition ``f(s, u)``, the observation map
 ``h(s, u)`` returning the mean parameter of the observation family, their
 Jacobians (analytic, or central differences as a fallback), and a
 deterministic input path ``u_t`` indexed by t >= 1.
 
-A model whose ``h`` is the mean of a Bernoulli or categorical family at a
-linear predictor ``x = predictor(s, u)`` under the canonical link also
-declares that family kind and the predictor.  The filter and the natural
-gradient then work with ``x`` and its Jacobian ``G`` instead of ``yhat``
-and ``H = V(x) G``: the covariance ``V(x)`` cancels out of the updates, so
-they stay defined where ``yhat`` rounds to the boundary of its domain.
+:func:`linearise` linearises an observation in the natural parameter
+theta of its family.  It returns ``B = d theta / d s``, ``C = cov(T)`` at
+the predicted mean, that mean, and the residual ``e = T - E[T]`` of given
+sufficient statistics; the score in the state is ``e B`` and the Fisher
+information ``B^T C B``.  On the general path ``B = C^-1 H``, with ``H``
+the Jacobian of ``h`` (:func:`mean_linearisation`).  A model whose ``h``
+is the mean of a Bernoulli or categorical family at a linear predictor
+``x = predictor(s, u)`` under the canonical link declares that family kind
+and the predictor; there ``theta = x``, ``B`` is the predictor Jacobian
+``G`` and ``C = V(x)``, so the updates stay defined where the mean rounds
+to the boundary of its domain and ``C`` is singular.  This is the only
+place where that choice is made.
 
 Scenarios pair a model with an observation family: the ground-truth
 trajectory follows the noiseless dynamics exactly, and observations are
@@ -144,6 +151,63 @@ class Trace:
     metrics: Array | None = None  # (T+1, dim_state, dim_state)
     etas: Array | None = None  # (T+1,)
     times: Array | None = None  # (T+1,)
+
+
+@dataclass(frozen=True)
+class Linearisation:
+    """One observation linearised in the natural parameter theta of its
+    family, at a predicted state.
+
+    ``jac`` is B = d theta / d s and ``cov`` is C = cov(T) at the
+    predicted mean ``mean``.  ``residual(stats)`` is T - E[T] for
+    sufficient statistics T, one vector or one row per draw.  The score of
+    T in the state is ``residual(T) @ jac`` and the Fisher information is
+    ``jac.T @ cov @ jac``.
+    """
+
+    jac: Array
+    cov: Array
+    mean: Array
+    residual: Callable[[Array], Array]
+
+
+def mean_linearisation(
+    family: expfam.ObservationFamily, mean: Array, h_jac: Array
+) -> Linearisation:
+    """Linearisation through the mean parameter ``mean`` = h(s, u), whose
+    Jacobian in the state is ``h_jac`` = H: since d theta / d mean = C^-1,
+    B = C^-1 H.  Needs ``mean`` strictly inside the family's domain."""
+    cov, jac = expfam.natural_jacobian(family, mean, h_jac)
+    return Linearisation(jac, cov, mean, lambda stats: stats - mean)
+
+
+def _observed(fn: Map, s: Array, u: Array, t: int) -> Array:
+    value = np.asarray(fn(s, u), dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise NonFiniteError(f"observation map non-finite at t = {t}")
+    return value
+
+
+def linearise(
+    model: DynamicalModel, family: expfam.ObservationFamily, s: Array, t: int
+) -> Linearisation:
+    """Linearise the observation of ``family`` at state ``s`` and time t.
+
+    Under a declared canonical link, theta is the linear predictor x:
+    B = G, C = V(x), and residuals come from
+    :func:`expfam.canonical_residual`, so 1 - p is never formed by
+    subtraction.  Otherwise see :func:`mean_linearisation`.
+    """
+    u = model.input_at(t)
+    if model.canonical_link(family):
+        x = _observed(model.predictor, s, u, t)
+        return Linearisation(
+            model.jac_predictor(s, u),
+            expfam.canonical_variance(family, x),
+            expfam.canonical_mean(family, x),
+            lambda stats: expfam.canonical_residual(family, stats, x),
+        )
+    return mean_linearisation(family, _observed(model.h, s, u, t), model.jac_h(s, u))
 
 
 def step_dynamics(model: DynamicalModel, s: Array, t: int) -> Array:

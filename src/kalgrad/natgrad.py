@@ -7,18 +7,17 @@ tensor:
 
     s   <- f(s, u_t)
     J   <- (F^-1)^T J F^-1          (chart transport)
-    J_t <- (1 - gamma_t) J + gamma_t * Fisher(yhat_t)
-    s   <- s + eta_t J_t^-1 (d log p(y_t | yhat_t) / d s)^T
+    J_t <- (1 - gamma_t) J + gamma_t * Fisher_t
+    s   <- s + eta_t J_t^-1 (d log p(y_t | s) / d s)^T
 
-Three Fisher estimators are available: the exact per-observation Fisher
-H^T cov(T)^-1 H, the outer product of the observed score, and a Monte
-Carlo average of synthetic-score outer products.  Only the exact mode
-participates in equivalence checks against the fading-memory filter.
-For a model with a canonical-link observation (``model.canonical_link``)
-the score is G^T (T(y) - yhat) and the exact Fisher G^T V G, with G the
-Jacobian of the linear predictor x and V = cov(T) at x: cov(T)^-1
-cancels against H = V G, so both stay finite where yhat rounds to the
-boundary of its domain.
+The score and the Fisher come from the one linearisation of
+:func:`kalgrad.model.linearise` (B = d theta / d s, C = cov(T) at the
+predicted mean, e = T(y) - E[T]): the score in the state is e B.  Three
+Fisher estimators are available: the exact per-observation Fisher
+B^T C B, the outer product of the observed score, and a Monte Carlo
+average of the outer products of scores of draws at the predicted mean.
+Only the exact mode participates in equivalence checks against the
+fading-memory filter.
 
 For static dynamics (f = Id) the chart never moves and the scheme reduces
 to the ordinary online natural gradient, provided here as
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import expfam
 from .errors import NonFiniteError, SingularMatrixError
-from .model import DynamicalModel, Scenario, Trace
+from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise, mean_linearisation
 from .numerics import as_schedule, check_schedule, fd_jacobian, solve_psd, symmetrize
 
 EXACT = "exact"
@@ -135,51 +134,32 @@ def chart_transport(
 
 
 def fisher_term(
-    yhat: np.ndarray,
-    h_jac: np.ndarray,
+    lin: Linearisation,
     family: expfam.ObservationFamily,
     mode: str = EXACT,
     y=None,
     rng: np.random.Generator | None = None,
     mc_samples: int = 1,
-    predictor: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-observation Fisher contribution with respect to the state.
 
-    exact: H^T cov(T|yhat)^-1 H.
-    outer: outer product of the observed score (requires y).
-    mc:    average score outer product over mc_samples synthetic draws.
-
-    With ``predictor``, the linear predictor x of a canonical-link model,
-    ``h_jac`` is its Jacobian G and cov(T)^-1 cancels: exact is G^T V(x) G
-    and the scores are (T(y) - yhat) G.  The two paths differ only in the
-    Fisher in observation coordinates and the score of given sufficient
-    statistics; the mc draws come from the mean either way.
+    exact: B^T C B.
+    outer: outer product of the observed score e B (requires y).
+    mc:    average score outer product over mc_samples draws at the
+           predicted mean.
     """
-    if predictor is None:
-        fisher = expfam.fisher_wrt_mean(family, yhat)
-
-        def score(stats: np.ndarray) -> np.ndarray:
-            return (stats - yhat) @ fisher
-    else:
-        fisher = expfam.canonical_variance(family, predictor)
-
-        def score(stats: np.ndarray) -> np.ndarray:
-            return expfam.canonical_residual(family, stats, predictor)
-
     if mode == EXACT:
-        return symmetrize(h_jac.T @ fisher @ h_jac)
+        return symmetrize(lin.jac.T @ lin.cov @ lin.jac)
     if mode == OUTER:
         if y is None:
             raise ValueError("outer-product mode needs the observed y")
-        observed = score(expfam.sufficient_stats(family, y)) @ h_jac
+        observed = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
         return symmetrize(np.outer(observed, observed))
     if mode == MONTE_CARLO:
         if rng is None:
             raise ValueError("monte-carlo mode needs an rng")
-        mean = yhat if predictor is None else expfam.canonical_mean(family, predictor)
-        draws = expfam.sample(family, mean, rng, size=mc_samples)
-        scores = score(expfam._suffstats_batch(family, draws)) @ h_jac  # one row per draw
+        draws = expfam.sample(family, lin.mean, rng, size=mc_samples)
+        scores = lin.residual(expfam._suffstats_batch(family, draws)) @ lin.jac  # one row per draw
         return symmetrize(scores.T @ scores / mc_samples)
     raise ValueError(f"unknown fisher mode {mode!r}")
 
@@ -187,7 +167,6 @@ def fisher_term(
 def update(
     state: NatGradState,
     y,
-    yhat: np.ndarray,
     model: DynamicalModel,
     family: expfam.ObservationFamily,
     config: NatGradConfig,
@@ -198,20 +177,11 @@ def update(
 
     Expects ``state`` already transported to the chart at time t.
     """
-    u = model.input_at(t)
-    if model.canonical_link(family):
-        x = model.predictor(state.state, u)
-        jac = model.jac_predictor(state.state, u)
-        stats = expfam.sufficient_stats(family, y)
-        score_state = expfam.canonical_residual(family, stats, x) @ jac
-    else:
-        x = None
-        jac = model.jac_h(state.state, u)
-        score_state = expfam.grad_logp_wrt_mean(family, y, yhat) @ jac
+    lin = linearise(model, family, state.state, t)
+    score_state = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
     gamma = config.gamma_at(t)
     fisher = fisher_term(
-        yhat, jac, family,
-        mode=config.fisher_mode, y=y, rng=rng, mc_samples=config.mc_samples, predictor=x,
+        lin, family, mode=config.fisher_mode, y=y, rng=rng, mc_samples=config.mc_samples
     )
     metric = symmetrize((1.0 - gamma) * state.metric + gamma * fisher)
     value = state.state + config.eta_at(t) * solve_psd(metric, score_state)
@@ -247,10 +217,7 @@ def run(
             transported = NatGradState(value, state.metric)
         else:
             transported, _ = chart_transport(state, model, t)
-        yhat = np.asarray(model.h(transported.state, model.input_at(t)), dtype=float)
-        state = update(
-            transported, scenario.obs(t), yhat, model, scenario.family, config, t, rng
-        )
+        state = update(transported, scenario.obs(t), model, scenario.family, config, t, rng)
         states[t], metrics[t] = state.state, state.metric
     return Trace(states, metrics=metrics)
 
@@ -284,18 +251,17 @@ def plain_online_natgrad(
     states[0], metrics[0] = theta, metric
     for t, (u, y) in enumerate(zip(inputs, observations), start=1):
         u = np.asarray(u, dtype=float)
-        yhat = np.asarray(h(theta, u), dtype=float)
         if jacobian_h is not None:
             h_jac = np.asarray(jacobian_h(theta, u), dtype=float)
         else:
             h_jac = fd_jacobian(lambda v: h(v, u), theta)
+        lin = mean_linearisation(family, np.asarray(h(theta, u), dtype=float), h_jac)
         gamma = config.gamma_at(t)
         fisher = fisher_term(
-            yhat, h_jac, family,
-            mode=config.fisher_mode, y=y, rng=rng, mc_samples=config.mc_samples,
+            lin, family, mode=config.fisher_mode, y=y, rng=rng, mc_samples=config.mc_samples
         )
         metric = symmetrize((1.0 - gamma) * metric + gamma * fisher)
-        score = expfam.grad_logp_wrt_mean(family, y, yhat) @ h_jac
+        score = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
         theta = theta + config.eta_at(t) * solve_psd(metric, score)
         states[t], metrics[t] = theta, metric
     return Trace(states, metrics=metrics)

@@ -5,27 +5,30 @@ Covariance and metric matrices produced along the way are accumulated and
 audited at the end for symmetry and positive definiteness.
 """
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from kalgrad import bucy, ekf, equivalence, expfam, natgrad
-from kalgrad.equivalence import check_continuous, check_discrete, map_alpha_to_eta, map_eta_to_alpha
-from kalgrad.model import builtin, generate_scenario
+from kalgrad.equivalence import (
+    SWEEP_HORIZON as HORIZON,
+    SWEEP_MODELS,
+    SWEEP_SEEDS,
+    check_continuous,
+    check_discrete,
+    map_alpha_to_eta,
+    map_eta_to_alpha,
+    sweep_cell,
+    sweep_schedules,
+)
+from kalgrad.model import DynamicalModel, builtin, generate_scenario, linearise, mean_linearisation
 
 from conftest import random_spd
+from oracles import inst_loglik, log_density
 from test_ekf import make_linear_model
-
-MODELS = ("linear2d", "tanhspring", "static", "logistic-static")
-ALPHAS = {
-    "zero": 0.0,
-    "small": 0.1,
-    "one": 1.0,
-    "ramp": np.linspace(0.0, 0.5, 50),
-}
-SEEDS = tuple(range(10))
-HORIZON = 50
+from test_equivalence import softmax_model
 
 # Covariance/metric matrices collected by the criteria as they run, audited
 # in criterion 10.
@@ -35,22 +38,6 @@ _COLLECTED: list[np.ndarray] = []
 def _report(number, name, passed):
     print(f"ACCEPTANCE {number:02d} {name}: {'PASS' if passed else 'FAIL'}")
     assert passed, f"criterion {number} ({name}) failed"
-
-
-def scenario_for(name, horizon, seed):
-    model = builtin(name)
-    if name == "logistic-static":
-        family = expfam.bernoulli()
-    elif name == "linear2d":
-        family = expfam.gaussian(0.1 * np.eye(2))
-    else:
-        family = expfam.gaussian(0.25 * np.eye(model.dim_obs))
-    return generate_scenario(model, family, horizon, seed)
-
-
-def init_for(name):
-    model = builtin(name)
-    return np.asarray(model.init_state, dtype=float) * 0.5, np.eye(model.dim_state)
 
 
 def _collected_pair(scenario, s0, p0, alpha):
@@ -85,11 +72,10 @@ def test_c01_discrete_equivalence():
     aborted = []
     from kalgrad.errors import NumericalError
 
-    for name in MODELS:
-        s0, p0 = init_for(name)
-        for alpha_name, alpha in ALPHAS.items():
-            for seed in SEEDS:
-                scenario = scenario_for(name, HORIZON, seed)
+    for name in SWEEP_MODELS:
+        for alpha_name, alpha in sweep_schedules(HORIZON).items():
+            for seed in range(SWEEP_SEEDS):
+                scenario, s0, p0 = sweep_cell(name, HORIZON, seed)
                 try:
                     report = check_discrete(scenario, s0, p0, alpha, tol=1e-8)
                 except NumericalError as exc:
@@ -97,9 +83,9 @@ def test_c01_discrete_equivalence():
                     continue
                 worst_state = max(worst_state, report.max_state_dev)
                 worst_metric = max(worst_metric, report.max_metric_dev)
-        _collected_pair(scenario_for(name, HORIZON, 0), s0, p0, 0.1)
+        _collected_pair(*sweep_cell(name, HORIZON, 0), 0.1)
     elapsed = time.perf_counter() - start
-    total = len(MODELS) * len(ALPHAS) * len(SEEDS)
+    total = len(SWEEP_MODELS) * len(sweep_schedules(HORIZON)) * SWEEP_SEEDS
     print(
         f"  {total - len(aborted)}/{total} cells completed:"
         f" worst state dev {worst_state:.3e}, worst metric dev {worst_metric:.3e},"
@@ -115,8 +101,7 @@ def test_c01_discrete_equivalence():
 
 
 def test_c02_negative_controls():
-    scenario = scenario_for("linear2d", HORIZON, 0)
-    s0, p0 = init_for("linear2d")
+    scenario, s0, p0 = sweep_cell("linear2d", HORIZON, 0)
     all_fail = True
     for mutation in equivalence.MUTATIONS:
         report = check_discrete(scenario, s0, p0, 0.1, tol=1e-8, mutate=mutation)
@@ -164,11 +149,10 @@ def test_c04_observation_form_identities():
             model = make_linear_model(h_mat)
             family = expfam.gaussian(random_spd(rng, dim))
             pred = ekf.GaussianBelief(rng.standard_normal(dim), random_spd(rng, dim))
-            yhat = model.h(pred.mean, np.zeros(0))
-            y = yhat + rng.standard_normal(dim)
-            a = ekf.observe_gain(pred, y, yhat, model, family, 1)
-            b = ekf.observe_information(pred, y, yhat, model, family, 1)
-            c = ekf.observe_gradient(pred, y, yhat, model, family, 1)
+            y = model.h(pred.mean, np.zeros(0)) + rng.standard_normal(dim)
+            a = ekf.observe_gain(pred, y, model, family, 1)
+            b = ekf.observe_information(pred, y, model, family, 1)
+            c = ekf.observe_gradient(pred, y, model, family, 1)
             scale = max(1.0, float(np.abs(a.mean).max()))
             cov_scale = float(np.linalg.norm(a.cov))
             ok = ok and np.abs(a.mean - b.mean).max() <= 1e-10 * scale
@@ -189,10 +173,10 @@ def test_c05_fisher_identity_monte_carlo():
     r = 0.8
     h_jac = np.array([[0.7, -1.2]])
     fam = expfam.gaussian(np.array([[r]]))
-    yhat = np.array([0.4])
-    exact = natgrad.fisher_term(yhat, h_jac, fam, mode=natgrad.EXACT)
+    lin = mean_linearisation(fam, np.array([0.4]), h_jac)
+    exact = natgrad.fisher_term(lin, fam, mode=natgrad.EXACT)
     rng = np.random.Generator(np.random.Philox(key=501))
-    mc = natgrad.fisher_term(yhat, h_jac, fam, mode=natgrad.MONTE_CARLO, rng=rng, mc_samples=n)
+    mc = natgrad.fisher_term(lin, fam, mode=natgrad.MONTE_CARLO, rng=rng, mc_samples=n)
     se = np.sqrt(2.0) * np.abs(h_jac.T @ h_jac) / (r * np.sqrt(n))
     gauss_ok = np.all(np.abs(mc - exact) <= 3.0 * se)
     print(f"  gaussian max |mc - exact| / se = {(np.abs(mc - exact) / se).max():.2f}")
@@ -203,10 +187,10 @@ def test_c05_fisher_identity_monte_carlo():
     v = p * (1 - p)
     h_jac = np.array([[0.9, 0.4]])
     fam = expfam.bernoulli()
-    yhat = np.array([p])
-    exact = natgrad.fisher_term(yhat, h_jac, fam, mode=natgrad.EXACT)
+    lin = mean_linearisation(fam, np.array([p]), h_jac)
+    exact = natgrad.fisher_term(lin, fam, mode=natgrad.EXACT)
     rng = np.random.Generator(np.random.Philox(key=502))
-    mc = natgrad.fisher_term(yhat, h_jac, fam, mode=natgrad.MONTE_CARLO, rng=rng, mc_samples=n)
+    mc = natgrad.fisher_term(lin, fam, mode=natgrad.MONTE_CARLO, rng=rng, mc_samples=n)
     var_sq = v * ((1 - p) ** 3 + p**3) - v**2
     se = np.abs(h_jac.T @ h_jac) * np.sqrt(var_sq) / (v**2 * np.sqrt(n))
     bern_ok = np.all(np.abs(mc - exact) <= 3.0 * se)
@@ -333,44 +317,58 @@ def test_c09_riccati_oracle():
     _report(9, "scalar Riccati flow matches closed form", err <= 1e-8)
 
 
+def _score_models(rng):
+    """(family, model) pairs for the criterion-10 score check: a nonlinear
+    gaussian observation, and logistic and softmax observations both with
+    their canonical link and through the mean parameter."""
+    gaussian = DynamicalModel(
+        name="gaussian-nonlinear",
+        dim_state=2,
+        dim_input=2,
+        dim_obs=2,
+        f=lambda s, u: s,
+        h=lambda s, u: np.array([np.sin(s[0]) + u[0] * s[1], s[0] * s[1]]),
+        jacobian_h=lambda s, u: np.array([[np.cos(s[0]), u[0]], [s[1], s[0]]]),
+        inputs=lambda t: np.array([np.cos(0.9 * t), np.sin(0.4 * t)]),
+        init_state=np.zeros(2),
+    )
+    pairs = [(expfam.gaussian(random_spd(rng, 2, scale=0.5)), gaussian)]
+    for family, model in ((expfam.bernoulli(), builtin("logistic-static")),
+                          (expfam.categorical(3), softmax_model())):
+        assert model.canonical_link(family)
+        pairs += [(family, model), (family, dataclasses.replace(model, predictor=None))]
+    return pairs
+
+
 def test_c10_gradient_checks_and_matrix_hygiene():
     rng = np.random.default_rng(1000)
 
-    # Score of each family against central differences of the log-density.
+    # The state score e B that the updates read from the linearisation,
+    # against central differences of the log-density of h(s), for each
+    # family through the mean parameter and, for bernoulli and categorical,
+    # through the canonical link too.
     grads_ok = True
-    for kind in ("gaussian", "bernoulli", "categorical"):
-        if kind == "gaussian":
-            family = expfam.gaussian(random_spd(rng, 2, scale=0.5))
-        elif kind == "bernoulli":
-            family = expfam.bernoulli()
-        else:
-            family = expfam.categorical(3)
+    for family, model in _score_models(rng):
         for _ in range(100):
-            if kind == "gaussian":
-                yhat = rng.standard_normal(2)
-                y = rng.standard_normal(2)
-            elif kind == "bernoulli":
-                yhat = np.array([rng.uniform(0.05, 0.95)])
-                y = int(rng.integers(2))
-            else:
-                probs = rng.uniform(0.1, 1.0, 3)
-                probs /= probs.sum()
-                yhat = probs[:-1]
-                y = int(rng.integers(3))
-            grad = expfam.grad_logp_wrt_mean(family, y, yhat)
-            fd = np.zeros(family.mean_dim)
+            s = rng.standard_normal(model.dim_state)
+            t = int(rng.integers(1, 50))
+            y = expfam.sample(family, model.h(s, model.input_at(t)), rng)
+            lin = linearise(model, family, s, t)
+            grad = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
+            fd = np.zeros(model.dim_state)
             eps = 1e-6
-            for j in range(family.mean_dim):
-                e = np.zeros(family.mean_dim)
+            for j in range(model.dim_state):
+                e = np.zeros(model.dim_state)
                 e[j] = eps
                 fd[j] = (
-                    expfam.log_density(family, y, yhat + e)
-                    - expfam.log_density(family, y, yhat - e)
+                    log_density(family, y, model.h(s + e, model.input_at(t)))
+                    - log_density(family, y, model.h(s - e, model.input_at(t)))
                 ) / (2 * eps)
             scale = max(1.0, np.abs(fd).max())
             grads_ok = grads_ok and np.abs(grad - fd).max() <= 1e-6 * scale
 
-    # Instantaneous log-likelihood gradient against central differences.
+    # The continuous fields' score e B against central differences of the
+    # instantaneous log-likelihood.
     model = builtin("pendulum-ct")
     u = np.zeros(0)
     inst_ok = True
@@ -378,24 +376,26 @@ def test_c10_gradient_checks_and_matrix_hygiene():
         s = rng.standard_normal(2)
         y = rng.standard_normal(1)
         r = np.array([[rng.uniform(0.5, 2.0)]])
-        grad = bucy.inst_loglik_grad(y, s, u, r, model.jac_h(s, u), model.h)
+        obs_jac, _, resid = bucy.gaussian_linearisation(
+            dataclasses.replace(model, obs_cov=lambda t: r), s, u, 0.0, lambda t: y
+        )
+        grad = resid @ obs_jac
         fd = np.zeros(2)
         eps = 1e-6
         for j in range(2):
             e = np.zeros(2)
             e[j] = eps
             fd[j] = (
-                bucy.inst_loglik(y, s + e, u, r, model.h)
-                - bucy.inst_loglik(y, s - e, u, r, model.h)
+                inst_loglik(y, s + e, u, r, model.h)
+                - inst_loglik(y, s - e, u, r, model.h)
             ) / (2 * eps)
         scale = max(1.0, np.abs(fd).max())
         inst_ok = inst_ok and np.abs(grad - fd).max() <= 1e-6 * scale
 
     # Hygiene of every covariance/metric collected by the other criteria.
     if not _COLLECTED:  # standalone invocation: regenerate a representative set
-        for name in MODELS:
-            s0, p0 = init_for(name)
-            _collected_pair(scenario_for(name, HORIZON, 0), s0, p0, 0.1)
+        for name in SWEEP_MODELS:
+            _collected_pair(*sweep_cell(name, HORIZON, 0), 0.1)
     sym_ok = True
     pd_ok = True
     for mat in _COLLECTED:

@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from kalgrad import bucy, expfam, natgrad
 from kalgrad.errors import PositivityLostError
-from kalgrad.model import ContinuousModel, builtin
+from kalgrad.model import ContinuousModel, builtin, mean_linearisation
 from kalgrad.numerics import rk4_step
 
 from conftest import random_spd
+from oracles import inst_loglik
 
 
 def make_ct(dim_state, dim_obs, f, h, jac_f, jac_h, r=None, y_path=None, name="ct-test"):
@@ -41,14 +44,49 @@ def scalar_integrator_model():
     )
 
 
+def linearised(model, s, y, r=None):
+    """(B, C, e) of the continuous linearisation at t = 0 for the
+    observation y, with covariance r in place of the model's."""
+    if r is not None:
+        model = dataclasses.replace(model, obs_cov=lambda t: np.atleast_2d(r))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return bucy.gaussian_linearisation(model, np.asarray(s, dtype=float), np.zeros(0), 0.0, lambda t: y)
+
+
+def score(model, s, y, r=None):
+    """Row gradient of the instantaneous log-likelihood in the state: e B."""
+    obs_jac, _, resid = linearised(model, s, y, r)
+    return resid @ obs_jac
+
+
+def fisher(model, r=None):
+    """Instantaneous Fisher matrix in the current-state chart: B^T C B."""
+    obs_jac, obs_cov, _ = linearised(model, np.zeros(model.dim_state), np.zeros(model.dim_obs), r)
+    return obs_jac.T @ obs_cov @ obs_jac
+
+
+def linear_ct(h_mat, r):
+    """Static continuous model observed through y = H s with covariance r."""
+    h_mat = np.atleast_2d(h_mat)
+    dim_obs, dim_state = h_mat.shape
+    return make_ct(
+        dim_state, dim_obs,
+        f=lambda s, u: np.zeros(dim_state),
+        h=lambda s, u: h_mat @ s,
+        jac_f=lambda s, u: np.zeros((dim_state, dim_state)),
+        jac_h=lambda s, u: h_mat.copy(),
+        r=r,
+    )
+
+
 class TestInstLoglik:
     def test_zero_prediction(self):
         h = lambda s, u: np.zeros(1)
-        assert bucy.inst_loglik([3.0], np.zeros(1), np.zeros(0), np.eye(1), h) == 0.0
+        assert inst_loglik([3.0], np.zeros(1), np.zeros(0), np.eye(1), h) == 0.0
 
     def test_scalar_forced(self):
         h = lambda s, u: np.ones(1)
-        out = bucy.inst_loglik([1.0], np.zeros(1), np.zeros(0), np.eye(1), h)
+        out = inst_loglik([1.0], np.zeros(1), np.zeros(0), np.eye(1), h)
         assert abs(out - 0.5) < 1e-15
 
     def test_maximized_at_observation(self):
@@ -57,7 +95,7 @@ class TestInstLoglik:
         r = np.array([[2.0]])
 
         def loglik_of_h(val):
-            return bucy.inst_loglik(y, np.zeros(1), np.zeros(0), r, lambda s, u: np.array([val]))
+            return inst_loglik(y, np.zeros(1), np.zeros(0), r, lambda s, u: np.array([val]))
 
         eps = 1e-6
         grad_at_y = (loglik_of_h(0.7 + eps) - loglik_of_h(0.7 - eps)) / (2 * eps)
@@ -70,14 +108,11 @@ class TestInstLoglikGrad:
     def test_zero_error(self, rng):
         model = builtin("pendulum-ct")
         s = rng.standard_normal(2)
-        u = np.zeros(0)
-        y = model.h(s, u)
-        grad = bucy.inst_loglik_grad(y, s, u, np.eye(1), model.jac_h(s, u), model.h)
+        grad = score(model, s, model.h(s, np.zeros(0)))
         np.testing.assert_allclose(grad, np.zeros(2), atol=1e-15)
 
     def test_zero_jacobian(self):
-        h = lambda s, u: np.array([s[0] * 0.0])
-        grad = bucy.inst_loglik_grad([1.0], np.zeros(2), np.zeros(0), np.eye(1), np.zeros((1, 2)), h)
+        grad = score(linear_ct(np.zeros((1, 2)), np.eye(1)), np.zeros(2), [1.0])
         np.testing.assert_array_equal(grad, np.zeros(2))
 
     def test_matches_finite_differences(self, rng):
@@ -88,38 +123,38 @@ class TestInstLoglikGrad:
             s = rng.standard_normal(2)
             y = rng.standard_normal(1)
             r = np.array([[rng.uniform(0.5, 2.0)]])
-            grad = bucy.inst_loglik_grad(y, s, u, r, model.jac_h(s, u), model.h)
+            grad = score(model, s, y, r)
             fd = np.zeros(2)
             eps = 1e-6
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = eps
                 fd[j] = (
-                    bucy.inst_loglik(y, s + e, u, r, model.h)
-                    - bucy.inst_loglik(y, s - e, u, r, model.h)
+                    inst_loglik(y, s + e, u, r, model.h)
+                    - inst_loglik(y, s - e, u, r, model.h)
                 ) / (2 * eps)
             np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
 
 class TestInstFisher:
     def test_identity(self):
-        np.testing.assert_allclose(bucy.inst_fisher(np.eye(2), np.eye(2)), np.eye(2))
+        np.testing.assert_allclose(fisher(linear_ct(np.eye(2), np.eye(2))), np.eye(2))
 
     def test_scalar_forced(self):
-        np.testing.assert_allclose(
-            bucy.inst_fisher(np.array([[2.0]]), np.array([[4.0]])), [[1.0]]
-        )
+        np.testing.assert_allclose(fisher(linear_ct([[2.0]], [[4.0]])), [[1.0]])
 
     def test_matches_discrete_fisher_term(self, rng):
-        # Cross-module identity: same H and R must give the same matrix as
-        # the discrete exact-mode Fisher term for a gaussian family.
+        # Cross-module identity: same H and R must give H^T R^-1 H, and the
+        # same matrix as the discrete exact-mode Fisher term for a gaussian
+        # family.
         for _ in range(10):
             h_jac = rng.standard_normal((2, 3))
             r = random_spd(rng, 2)
-            cont = bucy.inst_fisher(h_jac, r)
+            cont = fisher(linear_ct(h_jac, r))
             fam = expfam.gaussian(r)
-            disc = natgrad.fisher_term(np.zeros(2), h_jac, fam, mode=natgrad.EXACT)
+            disc = natgrad.fisher_term(mean_linearisation(fam, np.zeros(2), h_jac), fam)
             np.testing.assert_allclose(cont, disc, atol=1e-12)
+            np.testing.assert_allclose(cont, h_jac.T @ np.linalg.inv(r) @ h_jac, atol=1e-12)
 
 
 class TestBucyDeriv:

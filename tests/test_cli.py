@@ -258,6 +258,45 @@ class TestCmdCompare:
         assert code == 3
 
 
+# One command per entry point: a run and a comparison of each kind.
+COMMANDS = {
+    "run": ["run", "--mode", "bucy"],
+    "compare": ["compare", "--mode", "continuous"],
+}
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_rejected_run_leaves_no_output_directory(self, command, linear_cfg, tmp_path, capsys):
+        # linear2d is a discrete model, so a continuous run rejects it.
+        out = tmp_path / "new" / "out"
+        argv = COMMANDS[command] + ["--config", str(linear_cfg), "--out", str(out)]
+        assert main(argv) == 1
+        assert "not a continuous model" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ("alpha[3] = 5.0", "discrete-only"),
+            ("alpha = -0.5", "weights must be >= 0"),
+            ("alpha = ramp(0.2, -0.1)", "weights must be >= 0"),
+            ("alpha = ramp(-0.1, 0.2)", "weights must be >= 0"),
+        ],
+        ids=["override", "negative-constant", "ramp-ending-below-0", "ramp-starting-below-0"],
+    )
+    def test_continuous_alpha_checked_like_discrete(
+        self, command, alpha, message, pendulum_cfg, tmp_path, capsys
+    ):
+        pendulum_cfg.write_text(pendulum_cfg.read_text() + alpha + "\n")
+        out = tmp_path / "out"
+        argv = COMMANDS[command] + ["--config", str(pendulum_cfg), "--out", str(out)]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _csv_columns(path):
     header, *rows = (line.split(",") for line in path.read_text().splitlines())
     return {name: [row[i] for row in rows] for i, name in enumerate(header)}

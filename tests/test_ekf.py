@@ -50,11 +50,10 @@ class TestTransition:
     def test_static_alpha_zero_unchanged(self):
         model = builtin("static")
         belief = ekf.GaussianBelief(np.array([0.4, -0.1]), np.diag([2.0, 3.0]))
-        pred, yhat, f_jac = ekf.transition(belief, model, 1, ekf.EkfConfig(alpha=0.0))
+        pred, f_jac = ekf.transition(belief, model, 1, ekf.EkfConfig(alpha=0.0))
         np.testing.assert_array_equal(pred.mean, belief.mean)
         np.testing.assert_array_equal(pred.cov, belief.cov)
         np.testing.assert_array_equal(f_jac, np.eye(2))
-        np.testing.assert_allclose(yhat, model.h(belief.mean, model.input_at(1)))
 
     def test_overflowing_covariance_fails_at_transition(self):
         # (1 + alpha) F P F^T beyond the float64 range is a failure of the
@@ -67,13 +66,13 @@ class TestTransition:
     def test_scalar_doubling_variance(self):
         model = make_linear_model([[1.0]], f_scale=2.0)
         belief = ekf.GaussianBelief(np.array([1.0]), np.array([[1.0]]))
-        pred, _, _ = ekf.transition(belief, model, 1, ekf.EkfConfig(alpha=0.0))
+        pred, _ = ekf.transition(belief, model, 1, ekf.EkfConfig(alpha=0.0))
         np.testing.assert_allclose(pred.cov, [[4.0]])
 
     def test_fading_doubles_identity(self):
         model = builtin("static")
         belief = ekf.GaussianBelief(np.zeros(2), np.eye(2))
-        pred, _, _ = ekf.transition(belief, model, 1, ekf.EkfConfig(alpha=1.0))
+        pred, _ = ekf.transition(belief, model, 1, ekf.EkfConfig(alpha=1.0))
         np.testing.assert_allclose(pred.cov, 2.0 * np.eye(2))
 
 
@@ -82,8 +81,7 @@ class TestObserveGain:
         model = make_linear_model([[1.0]])
         family = expfam.gaussian(np.array([[1.0]]))
         pred = ekf.GaussianBelief(np.array([0.3]), np.array([[1.0]]))
-        yhat = np.array([0.3])
-        post = ekf.observe_gain(pred, np.array([1.3]), yhat, model, family, 1)
+        post = ekf.observe_gain(pred, np.array([1.3]), model, family, 1)
         # K = 1/2, P = 1/2, s += (y - yhat)/2
         np.testing.assert_allclose(post.cov, [[0.5]])
         np.testing.assert_allclose(post.mean, [0.3 + 0.5])
@@ -93,7 +91,7 @@ class TestObserveGain:
         family = expfam.gaussian(random_spd(rng, 2))
         pred = ekf.GaussianBelief(rng.standard_normal(2), random_spd(rng, 2))
         yhat = model.h(pred.mean, np.zeros(0))
-        post = ekf.observe_gain(pred, yhat.copy(), yhat, model, family, 1)
+        post = ekf.observe_gain(pred, yhat.copy(), model, family, 1)
         np.testing.assert_allclose(post.mean, pred.mean, atol=1e-12)
         eigs = np.linalg.eigvalsh(pred.cov - post.cov)
         assert eigs.min() > 0  # information strictly increases
@@ -146,9 +144,9 @@ class TestFormEquivalence:
             pred = ekf.GaussianBelief(rng.standard_normal(dim), random_spd(rng, dim))
             yhat = model.h(pred.mean, np.zeros(0))
             y = yhat + rng.standard_normal(dim)
-            a = ekf.observe_gain(pred, y, yhat, model, family, 1)
-            b = ekf.observe_information(pred, y, yhat, model, family, 1)
-            c = ekf.observe_gradient(pred, y, yhat, model, family, 1)
+            a = ekf.observe_gain(pred, y, model, family, 1)
+            b = ekf.observe_information(pred, y, model, family, 1)
+            c = ekf.observe_gradient(pred, y, model, family, 1)
             scale = max(1.0, np.abs(a.mean).max())
             assert np.abs(a.mean - b.mean).max() <= 1e-10 * scale
             assert np.abs(a.mean - c.mean).max() <= 1e-10 * scale
@@ -170,10 +168,9 @@ class TestFormEquivalence:
         assert expfam.canonical_variance(family, model.predictor(saturated, u))[0, 0] == 0.0
         cases += [(ekf.GaussianBelief(saturated, random_spd(rng, 2)), y) for y in (0, 1)]
         for pred, y in cases:
-            yhat = model.h(pred.mean, u)
-            a = ekf.observe_gain(pred, y, yhat, model, family, 1)
-            b = ekf.observe_information(pred, y, yhat, model, family, 1)
-            c = ekf.observe_gradient(pred, y, yhat, model, family, 1)
+            a = ekf.observe_gain(pred, y, model, family, 1)
+            b = ekf.observe_information(pred, y, model, family, 1)
+            c = ekf.observe_gradient(pred, y, model, family, 1)
             np.testing.assert_allclose(b.mean, a.mean, atol=1e-10)
             np.testing.assert_allclose(c.mean, a.mean, atol=1e-10)
             np.testing.assert_allclose(b.cov, a.cov, atol=1e-10)
@@ -183,7 +180,7 @@ class TestFormEquivalence:
         model = make_linear_model([[1.0]])
         family = expfam.gaussian(np.array([[1.0]]))
         pred = ekf.GaussianBelief(np.array([0.0]), np.array([[1.0]]))
-        post = ekf.observe_information(pred, np.array([2.0]), np.array([0.0]), model, family, 1)
+        post = ekf.observe_information(pred, np.array([2.0]), model, family, 1)
         np.testing.assert_allclose(post.cov, [[0.5]])
         np.testing.assert_allclose(post.mean, [1.0])
 
@@ -191,7 +188,7 @@ class TestFormEquivalence:
         model = make_linear_model([[0.0, 0.0]])
         family = expfam.gaussian(np.array([[1.0]]))
         pred = ekf.GaussianBelief(np.array([0.2, -0.4]), np.diag([1.5, 2.5]))
-        post = ekf.observe_information(pred, np.array([3.0]), np.array([0.0]), model, family, 1)
+        post = ekf.observe_information(pred, np.array([3.0]), model, family, 1)
         np.testing.assert_allclose(post.mean, pred.mean, atol=1e-12)
         np.testing.assert_allclose(post.cov, pred.cov, atol=1e-12)
 
@@ -200,14 +197,14 @@ class TestFormEquivalence:
         family = expfam.gaussian(random_spd(rng, 2))
         pred = ekf.GaussianBelief(rng.standard_normal(2), random_spd(rng, 2))
         yhat = model.h(pred.mean, np.zeros(0))
-        post = ekf.observe_gradient(pred, yhat.copy(), yhat, model, family, 1)
+        post = ekf.observe_gradient(pred, yhat.copy(), model, family, 1)
         np.testing.assert_allclose(post.mean, pred.mean, atol=1e-13)
 
     def test_gradient_form_scalar(self):
         model = make_linear_model([[1.0]])
         family = expfam.gaussian(np.array([[1.0]]))
         pred = ekf.GaussianBelief(np.array([0.1]), np.array([[1.0]]))
-        post = ekf.observe_gradient(pred, np.array([0.7]), np.array([0.1]), model, family, 1)
+        post = ekf.observe_gradient(pred, np.array([0.7]), model, family, 1)
         np.testing.assert_allclose(post.cov, [[0.5]])
         np.testing.assert_allclose(post.mean, [0.1 + (0.7 - 0.1) / 2])
 
@@ -216,7 +213,7 @@ class TestFormEquivalence:
         bad_family = expfam.ObservationFamily(kind="gaussian", obs_cov=np.array([[-2.0]]))
         pred = ekf.GaussianBelief(np.array([0.0]), np.array([[1.0]]))
         with pytest.raises(SingularMatrixError):
-            ekf.observe_gain(pred, np.array([1.0]), np.array([0.0]), model, bad_family, 1)
+            ekf.observe_gain(pred, np.array([1.0]), model, bad_family, 1)
 
 
 class TestCanonicalLink:
@@ -227,10 +224,9 @@ class TestCanonicalLink:
         for _ in range(20):
             pred = ekf.GaussianBelief(rng.standard_normal(2), random_spd(rng, 2))
             y = int(rng.integers(2))
-            yhat = model.h(pred.mean, model.input_at(1))
             for observe in ekf._OBSERVERS.values():
-                a = observe(pred, y, yhat, model, family, 1)
-                b = observe(pred, y, yhat, mean_model, family, 1)
+                a = observe(pred, y, model, family, 1)
+                b = observe(pred, y, mean_model, family, 1)
                 np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12, atol=1e-14)
                 np.testing.assert_allclose(a.cov, b.cov, rtol=1e-12, atol=1e-14)
 
@@ -242,19 +238,17 @@ class TestCanonicalLink:
         u = model.input_at(1)
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
         pred = ekf.GaussianBelief(800.0 * u / (u @ u), cov)
-        yhat = model.h(pred.mean, u)
         with pytest.raises(DomainError):
-            ekf.observe_gain(pred, 0, yhat, dataclasses.replace(model, predictor=None), family, 1)
-        post = ekf.observe_gain(pred, 0, yhat, model, family, 1)
+            ekf.observe_gain(pred, 0, dataclasses.replace(model, predictor=None), family, 1)
+        post = ekf.observe_gain(pred, 0, model, family, 1)
         np.testing.assert_array_equal(post.cov, cov)
         np.testing.assert_allclose(post.mean, pred.mean - cov @ u, rtol=1e-15)
 
     def test_non_finite_update_raises(self):
         model = builtin("logistic-static")
-        u = model.input_at(1)
         pred = ekf.GaussianBelief(np.zeros(2), np.full((2, 2), np.inf))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-            ekf.observe_gain(pred, 1, model.h(pred.mean, u), model, expfam.bernoulli(), 1)
+            ekf.observe_gain(pred, 1, model, expfam.bernoulli(), 1)
 
 
 def counting_scenario(horizon):
@@ -332,7 +326,7 @@ class TestRun:
             trace = ekf.run(scenario, cfg, model.init_state, np.eye(2))
             for t in range(1, scenario.horizon + 1):
                 prior = ekf.GaussianBelief(trace.states[t - 1], trace.covs[t - 1])
-                pred, _, _ = ekf.transition(prior, model, t, cfg)
+                pred, _ = ekf.transition(prior, model, t, cfg)
                 gap = np.linalg.eigvalsh(pred.cov - trace.covs[t]).min()
                 assert gap >= -1e-10
 

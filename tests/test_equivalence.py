@@ -19,14 +19,40 @@ from kalgrad.model import DynamicalModel, builtin, generate_scenario
 
 
 def scenario_for(name, horizon, seed):
-    model = builtin(name)
-    if name == "logistic-static":
-        family = expfam.bernoulli()
-    elif name == "linear2d":
-        family = expfam.gaussian(0.1 * np.eye(2))
-    else:
-        family = expfam.gaussian(0.25 * np.eye(model.dim_obs))
-    return generate_scenario(model, family, horizon, seed)
+    return equivalence.sweep_cell(name, horizon, seed)[0]
+
+
+def softmax_model():
+    """Static model observed through 3 classes, declaring its two logits
+    x = (s.u, s.u[::-1]) as the canonical-link predictor."""
+    family = expfam.categorical(3)
+
+    def inputs(t):
+        return np.array([np.cos(0.8 * t + 0.2), np.sin(0.7 * t - 0.4)])
+
+    def predictor(theta, u):
+        return np.array([theta @ u, theta @ u[::-1]])
+
+    def jacobian_predictor(theta, u):
+        return np.stack([u, u[::-1]])
+
+    return DynamicalModel(
+        name="softmax-static",
+        dim_state=2,
+        dim_input=2,
+        dim_obs=2,
+        f=lambda s, u: s,
+        h=lambda s, u: expfam.canonical_mean(family, predictor(s, u)),
+        jacobian_f=lambda s, u: np.eye(2),
+        jacobian_h=lambda s, u: (
+            expfam.canonical_variance(family, predictor(s, u)) @ jacobian_predictor(s, u)
+        ),
+        inputs=inputs,
+        init_state=np.array([0.6, -0.4]),
+        link_family=expfam.CATEGORICAL,
+        predictor=predictor,
+        jacobian_predictor=jacobian_predictor,
+    )
 
 
 class TestMapAlphaToEta:
@@ -226,34 +252,8 @@ class TestCanonicalLinkEquivalence:
     def test_categorical_softmax_link(self):
         # A softmax model declaring its logits agrees with the same model
         # through the mean parameter, and both sides agree with each other.
-        def inputs(t):
-            return np.array([np.cos(0.8 * t + 0.2), np.sin(0.7 * t - 0.4)])
-
+        model = softmax_model()
         family = expfam.categorical(3)
-
-        def predictor(theta, u):
-            return np.array([theta @ u, theta @ u[::-1]])
-
-        def jacobian_predictor(theta, u):
-            return np.stack([u, u[::-1]])
-
-        model = DynamicalModel(
-            name="softmax-static",
-            dim_state=2,
-            dim_input=2,
-            dim_obs=2,
-            f=lambda s, u: s,
-            h=lambda s, u: expfam.canonical_mean(family, predictor(s, u)),
-            jacobian_f=lambda s, u: np.eye(2),
-            jacobian_h=lambda s, u: (
-                expfam.canonical_variance(family, predictor(s, u)) @ jacobian_predictor(s, u)
-            ),
-            inputs=inputs,
-            init_state=np.array([0.6, -0.4]),
-            link_family=expfam.CATEGORICAL,
-            predictor=predictor,
-            jacobian_predictor=jacobian_predictor,
-        )
         scenario = generate_scenario(model, family, 30, seed=5)
         report = check_discrete(scenario, np.zeros(2), np.eye(2), alpha=0.2, tol=1e-8)
         assert report.passed

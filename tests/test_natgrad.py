@@ -6,10 +6,11 @@ import pytest
 from kalgrad import ekf, expfam, natgrad
 from kalgrad.equivalence import map_alpha_to_eta
 from kalgrad.errors import SingularMatrixError
-from kalgrad.model import builtin, generate_scenario
+from kalgrad.model import builtin, generate_scenario, linearise, mean_linearisation
 from kalgrad.numerics import symmetrize
 
 from conftest import random_spd
+from oracles import log_density
 from test_ekf import counting_scenario, make_linear_model, make_scenario
 
 
@@ -88,7 +89,7 @@ class TestChartTransport:
 class TestFisherTerm:
     def test_scalar_exact(self):
         fam = expfam.gaussian(np.array([[2.0]]))
-        out = natgrad.fisher_term(np.array([0.0]), np.array([[1.0]]), fam)
+        out = natgrad.fisher_term(mean_linearisation(fam, np.array([0.0]), np.array([[1.0]])), fam)
         np.testing.assert_allclose(out, [[0.5]])
 
     def test_zero_jacobian_every_mode(self, rng):
@@ -100,7 +101,7 @@ class TestFisherTerm:
             (natgrad.OUTER, {"y": np.array([1.0])}),
             (natgrad.MONTE_CARLO, {"rng": rng, "mc_samples": 10}),
         ]:
-            out = natgrad.fisher_term(yhat, h0, fam, mode=mode, **kwargs)
+            out = natgrad.fisher_term(mean_linearisation(fam, yhat, h0), fam, mode=mode, **kwargs)
             np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
     def test_monte_carlo_matches_exact(self):
@@ -113,10 +114,9 @@ class TestFisherTerm:
         h_jac = np.array([[0.7, -1.2]])
         yhat = np.array([0.4])
         n = 100_000
-        exact = natgrad.fisher_term(yhat, h_jac, fam, mode=natgrad.EXACT)
-        mc = natgrad.fisher_term(
-            yhat, h_jac, fam, mode=natgrad.MONTE_CARLO, rng=rng, mc_samples=n
-        )
+        lin = mean_linearisation(fam, yhat, h_jac)
+        exact = natgrad.fisher_term(lin, fam, mode=natgrad.EXACT)
+        mc = natgrad.fisher_term(lin, fam, mode=natgrad.MONTE_CARLO, rng=rng, mc_samples=n)
         se = np.sqrt(2.0) * np.abs(h_jac.T @ h_jac) / (r * np.sqrt(n))
         assert np.all(np.abs(mc - exact) <= 3.0 * se)
 
@@ -124,31 +124,30 @@ class TestFisherTerm:
         fam = expfam.gaussian(np.array([[1.0]]))
         h_jac = np.array([[1.0, 0.0]])
         yhat = np.array([0.0])
-        out = natgrad.fisher_term(yhat, h_jac, fam, mode=natgrad.OUTER, y=np.array([2.0]))
+        lin = mean_linearisation(fam, yhat, h_jac)
+        out = natgrad.fisher_term(lin, fam, mode=natgrad.OUTER, y=np.array([2.0]))
         np.testing.assert_allclose(out, [[4.0, 0.0], [0.0, 0.0]])
 
 
 class TestCanonicalLink:
     def test_fisher_term_matches_mean_parameter_form(self, rng):
         model = builtin("logistic-static")
+        mean_model = dataclasses.replace(model, predictor=None)
         fam = expfam.bernoulli()
         for _ in range(20):
-            s, u = rng.standard_normal(2), model.input_at(int(rng.integers(1, 50)))
-            yhat = model.h(s, u)
+            s, t = rng.standard_normal(2), int(rng.integers(1, 50))
             y = int(rng.integers(2))
             for mode in (natgrad.EXACT, natgrad.OUTER, natgrad.MONTE_CARLO):
                 seed = int(rng.integers(2**31))  # the same mc draws on both paths
 
-                def fisher(jac, **predictor):
+                def fisher(m):
                     return natgrad.fisher_term(
-                        yhat, jac, fam, mode=mode, y=y,
-                        rng=np.random.default_rng(seed), mc_samples=5, **predictor,
+                        linearise(m, fam, s, t), fam, mode=mode, y=y,
+                        rng=np.random.default_rng(seed), mc_samples=5,
                     )
 
                 np.testing.assert_allclose(
-                    fisher(model.jac_predictor(s, u), predictor=model.predictor(s, u)),
-                    fisher(model.jac_h(s, u)),
-                    rtol=1e-12, atol=1e-15,
+                    fisher(model), fisher(mean_model), rtol=1e-12, atol=1e-15
                 )
 
     def test_update_matches_mean_parameter_path(self, rng):
@@ -158,10 +157,9 @@ class TestCanonicalLink:
         cfg = natgrad.NatGradConfig(eta=0.4, gamma=0.4)
         for _ in range(20):
             state = natgrad.NatGradState(rng.standard_normal(2), random_spd(rng, 2))
-            yhat = model.h(state.state, model.input_at(1))
             y = int(rng.integers(2))
-            a = natgrad.update(state, y, yhat, model, fam, cfg, 1)
-            b = natgrad.update(state, y, yhat, mean_model, fam, cfg, 1)
+            a = natgrad.update(state, y, model, fam, cfg, 1)
+            b = natgrad.update(state, y, mean_model, fam, cfg, 1)
             np.testing.assert_allclose(a.state, b.state, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(a.metric, b.metric, rtol=1e-12, atol=1e-14)
 
@@ -189,8 +187,7 @@ class TestCanonicalLink:
         u = model.input_at(1)
         metric = np.array([[2.0, 0.5], [0.5, 1.0]])
         state = natgrad.NatGradState(800.0 * u / (u @ u), metric)
-        yhat = model.h(state.state, u)
-        post = natgrad.update(state, 0, yhat, model, fam, cfg, 1)
+        post = natgrad.update(state, 0, model, fam, cfg, 1)
         np.testing.assert_allclose(post.metric, 0.6 * metric, rtol=1e-15)
         np.testing.assert_allclose(
             post.state, state.state - 0.4 * np.linalg.solve(0.6 * metric, u), rtol=1e-12
@@ -205,9 +202,7 @@ class TestUpdate:
         s = rng.standard_normal(2)
         j = random_spd(rng, 2)
         yhat = model.h(s, np.zeros(0))
-        state = natgrad.update(
-            natgrad.NatGradState(s, j), yhat.copy(), yhat, model, fam, cfg, 1
-        )
+        state = natgrad.update(natgrad.NatGradState(s, j), yhat.copy(), model, fam, cfg, 1)
         np.testing.assert_allclose(state.state, s, atol=1e-14)
         assert not np.allclose(state.metric, j)
 
@@ -220,14 +215,13 @@ class TestUpdate:
         state = natgrad.update(
             natgrad.NatGradState(s, random_spd(rng, 2)),
             yhat + 0.1,
-            yhat,
             model,
             fam,
             cfg,
             1,
         )
         h_jac = model.jac_h(s, np.zeros(0))
-        expected = h_jac.T @ expfam.fisher_wrt_mean(fam, yhat) @ h_jac
+        expected = h_jac.T @ np.linalg.inv(fam.obs_cov) @ h_jac
         np.testing.assert_allclose(state.metric, expected, atol=1e-12)
 
     def test_scalar_step_matches_kalman(self):
@@ -268,11 +262,8 @@ class TestUpdate:
             s = rng.standard_normal(2)
             j = random_spd(rng, 2)
             yhat = model.h(s, np.zeros(0))
-            h_jac = model.jac_h(s, np.zeros(0))
-            fisher = natgrad.fisher_term(yhat, h_jac, fam)
-            state = natgrad.update(
-                natgrad.NatGradState(s, j), yhat + 0.2, yhat, model, fam, cfg, 1
-            )
+            fisher = natgrad.fisher_term(linearise(model, fam, s, 1), fam)
+            state = natgrad.update(natgrad.NatGradState(s, j), yhat + 0.2, model, fam, cfg, 1)
             floor = min(np.linalg.eigvalsh(j).min(), np.linalg.eigvalsh(fisher).min())
             assert np.linalg.eigvalsh(state.metric).min() >= floor - 1e-10
 
@@ -376,7 +367,7 @@ class TestPlainOnlineNatgrad:
 
         def total_loglik(theta):
             return sum(
-                expfam.log_density(fam, y, h(theta, u))
+                log_density(fam, y, h(theta, u))
                 for u, y in zip(inputs, labels)
             )
 
