@@ -20,7 +20,10 @@ H^T R^-1 H = B^T C B and H^T R^-1 (y - h) = B^T e.
 
 Under P = eta J^-1 and the eta equation above, the two vector fields
 coincide; :func:`integrate` runs either side with fixed-step RK4 so the
-agreement can be measured as a function of the step size.
+agreement can be measured as a function of the step size.  The fields take
+the state as plain arrays (s and P, or s, J and eta) plus the time, and
+return the derivatives; :func:`integrate` packs them into one vector for
+RK4 and follows the model's own observation path.
 
 Observation paths y(t) are smooth callables; rough (white-noise) paths are
 out of scope.  P and J are symmetrized after every step and their
@@ -47,29 +50,12 @@ _POSITIVITY_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
-class BucyState:
-    """Kalman-Bucy state: mean, covariance, and current time."""
-
-    s: np.ndarray
-    cov: np.ndarray
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
-class CngdState:
-    """Natural-gradient flow state: chart value, metric, learning rate, time."""
-
-    s: np.ndarray
-    metric: np.ndarray
-    eta: float
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step RK4 settings and schedules for :func:`integrate`.
 
-    ``alpha`` may be a float or a callable of time.
+    ``alpha`` may be a float or a callable of time; a negative fading
+    weight is rejected when the config is built (a float) or when
+    :meth:`alpha_at` evaluates it (a callable).
     """
 
     dt: float
@@ -81,9 +67,16 @@ class IntegratorConfig:
             raise ValueError("dt must be > 0")
         if not 0 < self.dt <= self.horizon:
             raise ValueError("need 0 < dt <= horizon")
+        if not callable(self.alpha) and self.alpha < 0:
+            raise ValueError("fading-memory weights must be >= 0")
 
     def alpha_at(self, t: float) -> float:
-        return float(self.alpha(t)) if callable(self.alpha) else float(self.alpha)
+        if not callable(self.alpha):
+            return float(self.alpha)
+        alpha = float(self.alpha(t))
+        if alpha < 0:
+            raise ValueError("fading-memory weights must be >= 0")
+        return alpha
 
 
 def gaussian_linearisation(
@@ -105,16 +98,17 @@ def gaussian_linearisation(
 
 
 def bucy_deriv(
-    state: BucyState,
+    s: np.ndarray,
+    cov: np.ndarray,
+    t: float,
     y_path: Callable[[float], np.ndarray],
     model: ContinuousModel,
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector field of the fading-memory Kalman-Bucy filter at one state."""
-    u = model.input_at(state.t)
-    s = np.asarray(state.s, dtype=float)
-    cov = np.asarray(state.cov, dtype=float)
-    obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, state.t, y_path)
+    """Vector field (ds/dt, dP/dt) of the fading-memory Kalman-Bucy filter
+    at mean s, covariance P and time t."""
+    u = model.input_at(t)
+    obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, t, y_path)
     f_jac = model.jac_f(s, u)
     gain = cov @ obs_jac.T  # P H^T R^-1
     ds = np.asarray(model.f(s, u), dtype=float) + gain @ resid
@@ -123,20 +117,21 @@ def bucy_deriv(
 
 
 def cngd_deriv(
-    state: CngdState,
+    s: np.ndarray,
+    metric: np.ndarray,
+    eta: float,
+    t: float,
     y_path: Callable[[float], np.ndarray],
     model: ContinuousModel,
-    gamma: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector field of the continuous-time natural gradient at one state."""
-    u = model.input_at(state.t)
-    s = np.asarray(state.s, dtype=float)
-    metric = np.asarray(state.metric, dtype=float)
-    obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, state.t, y_path)
+    """Vector field (ds/dt, dJ/dt) of the continuous-time natural gradient
+    at chart value s, metric J, learning rate eta = gamma and time t."""
+    u = model.input_at(t)
+    obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, t, y_path)
     f_jac = model.jac_f(s, u)
     fisher = symmetrize(obs_jac.T @ obs_cov @ obs_jac)
-    dmetric = -f_jac.T @ metric - metric @ f_jac - gamma * metric + gamma * fisher
-    ds = np.asarray(model.f(s, u), dtype=float) + state.eta * solve_psd(metric, obs_jac.T @ resid)
+    dmetric = -f_jac.T @ metric - metric @ f_jac - eta * metric + eta * fisher
+    ds = np.asarray(model.f(s, u), dtype=float) + eta * solve_psd(metric, obs_jac.T @ resid)
     return ds, symmetrize(dmetric)
 
 
@@ -153,54 +148,53 @@ def _check_positive(mat: np.ndarray, label: str, t: float) -> None:
 
 def integrate(
     kind: str,
-    init: BucyState | CngdState,
+    init_state,
+    init_matrix,
     model: ContinuousModel,
     cfg: IntegratorConfig,
-    y_path: Callable[[float], np.ndarray] | None = None,
+    eta0: float | None = None,
 ) -> Trace:
-    """Fixed-step RK4 integration of either continuous filter; returns the
-    samples at every grid time, with ``covs`` for ``bucy`` and ``metrics``
-    and ``etas`` for ``cngd``.
+    """Fixed-step RK4 integration of either continuous filter against the
+    model's observation path, from t = 0; returns the samples at every grid
+    time, with ``covs`` for ``bucy`` and ``metrics`` and ``etas`` for
+    ``cngd``.
 
-    For ``cngd`` runs the learning rate is co-integrated with the state
-    via :func:`eta_ode` and gamma(t) = eta(t).  The matrix
-    part of the state is symmetrized after each step; positivity is
-    checked and failure raises PositivityLostError.
+    ``init_matrix`` is the prior covariance P_0 for ``bucy`` and the prior
+    metric J_0 for ``cngd``, whose runs also need the initial learning rate
+    ``eta0``; it is co-integrated with the state via :func:`eta_ode` and
+    gamma(t) = eta(t).  The matrix part of the state is symmetrized after
+    each step; positivity is checked and failure raises PositivityLostError.
     """
-    if y_path is None:
-        y_path = model.obs_path
+    y_path = model.obs_path
     n = model.dim_state
     n_steps = int(round(cfg.horizon / cfg.dt))
     times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)
 
     # The packed state z is (s, matrix entries), and cngd appends eta.
+    mat0 = symmetrize(np.asarray(init_matrix, dtype=float))
     if kind == BUCY:
-        mat0 = symmetrize(np.asarray(init.cov, dtype=float))
         label, tail = "covariance", []
 
         def deriv(t: float, z: np.ndarray) -> np.ndarray:
             ds, dcov = bucy_deriv(
-                BucyState(z[:n], z[n:].reshape(n, n), t), y_path, model, cfg.alpha_at(t)
+                z[:n], z[n:].reshape(n, n), t, y_path, model, cfg.alpha_at(t)
             )
             return np.concatenate([ds, dcov.ravel()])
 
     elif kind == CNGD:
-        mat0 = symmetrize(np.asarray(init.metric, dtype=float))
-        if not init.eta > 0:
+        if eta0 is None or not eta0 > 0:
             raise ValueError("initial eta must be > 0")
-        label, tail = "metric", [float(init.eta)]
+        label, tail = "metric", [float(eta0)]
 
         def deriv(t: float, z: np.ndarray) -> np.ndarray:
             eta = z[-1]
-            ds, dmetric = cngd_deriv(
-                CngdState(z[:n], z[n:-1].reshape(n, n), eta, t), y_path, model, eta
-            )
+            ds, dmetric = cngd_deriv(z[:n], z[n:-1].reshape(n, n), eta, t, y_path, model)
             return np.concatenate([ds, dmetric.ravel(), [eta_ode(eta, cfg.alpha_at(t))]])
 
     else:
         raise ValueError(f"unknown integration kind {kind!r}")
 
-    z = np.concatenate([np.asarray(init.s, dtype=float), mat0.ravel(), tail])
+    z = np.concatenate([np.asarray(init_state, dtype=float), mat0.ravel(), tail])
     end = n + n * n
     packed = np.zeros((n_steps + 1, z.size))
     packed[0] = z

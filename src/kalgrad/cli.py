@@ -311,15 +311,11 @@ def cmd_run(config_path: str, mode: str, out_dir: str | None = None) -> int:
         icfg = bucy_mod.IntegratorConfig(dt=cfg.dt, horizon=horizon, alpha=alpha)
         dim = system.dim_state
         if mode == "bucy":
-            trace = bucy_mod.integrate(
-                bucy_mod.BUCY, bucy_mod.BucyState(s0, p0), system, icfg
-            )
+            trace = bucy_mod.integrate(bucy_mod.BUCY, s0, p0, system, icfg)
             prefix, mats, extra = "p", trace.covs, []
         else:
             metric0 = eq_mod.initial_metric(p0, cfg.eta0)
-            trace = bucy_mod.integrate(
-                bucy_mod.CNGD, bucy_mod.CngdState(s0, metric0, cfg.eta0), system, icfg
-            )
+            trace = bucy_mod.integrate(bucy_mod.CNGD, s0, metric0, system, icfg, cfg.eta0)
             prefix, mats, extra = "j", trace.metrics, [trace.etas]
         header = (
             ["t"]

@@ -20,6 +20,9 @@ With B = R^-1 H (R = C the observation covariance, H the Jacobian of h)
 the gain is the classical P H^T (H P H^T + R)^-1.  Under a canonical link
 B is the predictor Jacobian G, R^-1 never appears, and the updates stay
 finite where the mean rounds to the boundary of its domain and C to zero.
+
+The belief is the pair of plain arrays (mean, cov): the transition and
+every update take it and return the new pair.
 """
 
 from __future__ import annotations
@@ -36,18 +39,6 @@ from .numerics import as_schedule, check_schedule, solve_psd, symmetrize
 GAIN = "gain"
 INFORMATION = "information"
 GRADIENT = "gradient"
-
-
-@dataclass(frozen=True)
-class GaussianBelief:
-    """Gaussian posterior approximation: mean state and covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -73,61 +64,66 @@ class EkfConfig:
 
 
 def transition(
-    belief: GaussianBelief,
+    mean: np.ndarray,
+    cov: np.ndarray,
     model: DynamicalModel,
     t: int,
     config: EkfConfig,
-) -> tuple[GaussianBelief, np.ndarray]:
-    """Propagate the belief through the dynamics; returns (pred, F), with
-    P_pred = (1 + alpha_t) F P F^T."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate the Gaussian belief (mean, cov) through the dynamics;
+    returns (mean_pred, P_pred) with P_pred = (1 + alpha_t) F P F^T."""
     u = model.input_at(t)
-    mean_pred = np.asarray(model.f(belief.mean, u), dtype=float)
+    mean_pred = np.asarray(model.f(mean, u), dtype=float)
     if not np.all(np.isfinite(mean_pred)):
         raise NonFiniteError(f"transition produced non-finite mean at t = {t}")
-    f_jac = model.jac_f(belief.mean, u)
+    f_jac = model.jac_f(mean, u)
     # An overflow here is reported below, as a failure of this step.
     with np.errstate(over="ignore", invalid="ignore"):
-        cov_pred = symmetrize((1.0 + config.alpha_at(t)) * (f_jac @ belief.cov @ f_jac.T))
+        cov_pred = symmetrize((1.0 + config.alpha_at(t)) * (f_jac @ cov @ f_jac.T))
     if not np.all(np.isfinite(cov_pred)):
         raise NonFiniteError(f"transition produced non-finite covariance at t = {t}")
-    return GaussianBelief(mean_pred, cov_pred), f_jac
+    return mean_pred, cov_pred
 
 
 def observe_gain(
-    predicted: GaussianBelief,
+    mean: np.ndarray,
+    cov: np.ndarray,
     y,
     model: DynamicalModel,
     family: expfam.ObservationFamily,
     t: int,
-) -> GaussianBelief:
-    """Gain-form update: K = P B^T (I + C B P B^T)^-1, s += K e."""
-    lin = linearise(model, family, predicted.mean, t)
-    bp = lin.jac @ predicted.cov
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gain-form update of the predicted (mean, cov): K = P B^T
+    (I + C B P B^T)^-1, s += K e; returns the posterior (mean, cov)."""
+    lin = linearise(model, family, mean, t)
+    bp = lin.jac @ cov
     # K^T = (I + B P B^T C)^-1 B P; the matrix is I plus a product of two
     # PSD matrices, so it is never singular.
     gain = np.linalg.solve(np.eye(lin.cov.shape[0]) + bp @ lin.jac.T @ lin.cov, bp).T
-    cov = symmetrize(predicted.cov - gain @ lin.cov @ bp)
-    mean = predicted.mean + gain @ lin.residual(expfam.sufficient_stats(family, y))
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+    cov_post = symmetrize(cov - gain @ lin.cov @ bp)
+    mean_post = mean + gain @ lin.residual(expfam.sufficient_stats(family, y))
+    if not (np.all(np.isfinite(mean_post)) and np.all(np.isfinite(cov_post))):
         raise NonFiniteError(f"observation update non-finite at t = {t}")
-    return GaussianBelief(mean, cov)
+    return mean_post, cov_post
 
 
 def observe_information(
-    predicted: GaussianBelief,
+    mean: np.ndarray,
+    cov: np.ndarray,
     y,
     model: DynamicalModel,
     family: expfam.ObservationFamily,
     t: int,
-) -> GaussianBelief:
-    """Inverse-covariance update: P^-1 = P_pred^-1 + B^T C B, s += P B^T e."""
-    lin = linearise(model, family, predicted.mean, t)
-    dim = predicted.cov.shape[0]
-    prec_pred = solve_psd(predicted.cov, np.eye(dim))
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-covariance update of the predicted (mean, cov):
+    P^-1 = P_pred^-1 + B^T C B, s += P B^T e; returns the posterior."""
+    lin = linearise(model, family, mean, t)
+    dim = cov.shape[0]
+    prec_pred = solve_psd(cov, np.eye(dim))
     prec = symmetrize(prec_pred + lin.jac.T @ lin.cov @ lin.jac)
-    cov = symmetrize(solve_psd(prec, np.eye(dim)))
+    cov_post = symmetrize(solve_psd(prec, np.eye(dim)))
     score = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
-    return GaussianBelief(predicted.mean + cov @ score, cov)
+    return mean + cov_post @ score, cov_post
 
 
 # The state score read from the linearisation is e B, so the preconditioned
@@ -151,14 +147,15 @@ def run(
     """Filter the scenario's observations from the given Gaussian prior;
     returns the posterior means and covariances, row 0 the prior."""
     check_schedule(config.alpha, scenario.horizon, "alpha")
-    belief = GaussianBelief(init_mean, init_cov)
+    mean = np.asarray(init_mean, dtype=float)
+    cov = np.asarray(init_cov, dtype=float)
     observe = _OBSERVERS[config.update_form]
     rows = scenario.horizon + 1
-    means = np.empty((rows,) + belief.mean.shape)
-    covs = np.empty((rows,) + belief.cov.shape)
-    means[0], covs[0] = belief.mean, belief.cov
+    means = np.empty((rows,) + mean.shape)
+    covs = np.empty((rows,) + cov.shape)
+    means[0], covs[0] = mean, cov
     for t in range(1, rows):
-        predicted, _ = transition(belief, scenario.model, t, config)
-        belief = observe(predicted, scenario.obs(t), scenario.model, scenario.family, t)
-        means[t], covs[t] = belief.mean, belief.cov
+        mean, cov = transition(mean, cov, scenario.model, t, config)
+        mean, cov = observe(mean, cov, scenario.obs(t), scenario.model, scenario.family, t)
+        means[t], covs[t] = mean, cov
     return Trace(means, covs=covs)

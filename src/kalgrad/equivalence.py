@@ -19,11 +19,16 @@ Every run returns a :class:`~kalgrad.model.Trace`, so both sides are
 compared row by row on the same stacked arrays.  State deviations are
 reported relative to max(1, sup-norm of the filter trajectory) so that
 near-zero states do not inflate relative errors.
+
+Negative controls live here only: :func:`run_pair` applies one of
+:data:`MUTATIONS` to the inputs of one side (alpha = 0 for the filter,
+gamma = eta / 2 or a model with F = I for the gradient side), and a sound
+comparison must then fail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -205,26 +210,32 @@ def run_pair(
     init_cov,
     hyper: HyperMap,
     tol: float,
-    ekf_alpha: np.ndarray | None = None,
-    gamma: np.ndarray | None = None,
-    skip_metric_transport: bool = False,
+    mutate: str | None = None,
 ) -> ComparisonReport:
     """Run the matched filter/gradient pair and compare their traces.
 
-    The optional overrides (``ekf_alpha``, ``gamma``,
-    ``skip_metric_transport``) exist for negative controls: they break
-    the hyperparameter identification on one side only.
-    """
-    init_cov = symmetrize(np.asarray(init_cov, dtype=float))
-    filt_cfg = ekf_mod.EkfConfig(alpha=hyper.alpha if ekf_alpha is None else ekf_alpha)
-    filt = ekf_mod.run(scenario, filt_cfg, init_state, init_cov)
+    ``mutate`` names a negative control, one of :data:`MUTATIONS`, which
+    breaks the hyperparameter identification by changing one side's
+    inputs only:
 
-    grad_cfg = ngd_mod.NatGradConfig(
-        eta=hyper.eta[1:],
-        gamma=hyper.eta[1:] if gamma is None else gamma,
-        fisher_mode=ngd_mod.EXACT,
-        skip_metric_transport=skip_metric_transport,
-    )
+    * ``drop_fading_factor``: the filter runs with alpha = 0, i.e. without
+      the (1 + alpha) covariance inflation;
+    * ``halve_gamma``: the gradient side runs with gamma = eta / 2;
+    * ``skip_metric_transport``: the gradient side runs on the model with
+      F = I, so its metric is never transported between charts.
+    """
+    if mutate is not None and mutate not in MUTATIONS:
+        raise ValueError(f"unknown mutation {mutate!r}; known: {MUTATIONS}")
+    init_cov = symmetrize(np.asarray(init_cov, dtype=float))
+    alpha = 0.0 if mutate == "drop_fading_factor" else hyper.alpha
+    filt = ekf_mod.run(scenario, ekf_mod.EkfConfig(alpha=alpha), init_state, init_cov)
+
+    eta = hyper.eta[1:]
+    gamma = eta / 2.0 if mutate == "halve_gamma" else eta
+    grad_cfg = ngd_mod.NatGradConfig(eta=eta, gamma=gamma, fisher_mode=ngd_mod.EXACT)
+    if mutate == "skip_metric_transport":
+        identity = replace(scenario.model, jacobian_f=lambda s, u: np.eye(s.size))
+        scenario = replace(scenario, model=identity)
     grad = ngd_mod.run(
         scenario, grad_cfg, init_state, initial_metric(init_cov, hyper.eta[0])
     )
@@ -244,25 +255,11 @@ def check_discrete(
 ) -> ComparisonReport:
     """Certify the discrete filter/gradient agreement on one scenario.
 
-    ``mutate`` selects a deliberate inconsistency (one of
-    ``drop_fading_factor``, ``halve_gamma``, ``skip_metric_transport``)
+    ``mutate`` selects a deliberate inconsistency (see :func:`run_pair`)
     used as a negative control; a healthy implementation must then fail.
     """
     hyper = map_alpha_to_eta(alpha, eta0, scenario.horizon)
-    overrides: dict = {}
-    if mutate is not None:
-        if mutate not in MUTATIONS:
-            raise ValueError(f"unknown mutation {mutate!r}; known: {MUTATIONS}")
-        if mutate == "drop_fading_factor":
-            # Omitting the (1 + alpha) covariance inflation is the same as
-            # filtering with alpha = 0 while the gradient side keeps the
-            # mapped schedules.
-            overrides["ekf_alpha"] = np.zeros(scenario.horizon)
-        elif mutate == "halve_gamma":
-            overrides["gamma"] = hyper.eta[1:] / 2.0
-        else:
-            overrides["skip_metric_transport"] = True
-    return run_pair(scenario, init_state, init_cov, hyper, tol, **overrides)
+    return run_pair(scenario, init_state, init_cov, hyper, tol, mutate)
 
 
 def check_continuous(
@@ -275,7 +272,6 @@ def check_continuous(
     tol: float = 1e-6,
     eta0: float = 0.5,
     min_order: float = 1.0,
-    y_path: Callable[[float], np.ndarray] | None = None,
 ) -> ContinuousReport:
     """Integrate both continuous filters per step size and compare.
 
@@ -289,16 +285,8 @@ def check_continuous(
     reports = []
     for dt in dts:
         cfg = bucy_mod.IntegratorConfig(dt=dt, horizon=horizon, alpha=alpha)
-        trace_b = bucy_mod.integrate(
-            bucy_mod.BUCY, bucy_mod.BucyState(init_state, init_cov), model, cfg, y_path
-        )
-        trace_c = bucy_mod.integrate(
-            bucy_mod.CNGD,
-            bucy_mod.CngdState(init_state, init_metric, eta0),
-            model,
-            cfg,
-            y_path,
-        )
+        trace_b = bucy_mod.integrate(bucy_mod.BUCY, init_state, init_cov, model, cfg)
+        trace_c = bucy_mod.integrate(bucy_mod.CNGD, init_state, init_metric, model, cfg, eta0)
         reports.append(_compare(trace_b, trace_c, trace_c.etas, tol, dt=dt))
     if len(reports) >= 2:
         span = np.log(reports[0].dt / reports[-1].dt)

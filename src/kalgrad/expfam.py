@@ -26,6 +26,7 @@ logits against the dropped class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +134,7 @@ def _as_label(family: ObservationFamily, y) -> int:
     if y_arr.size != 1:
         raise OutOfSupportError(f"{family.kind} observation must be a single label")
     val = float(y_arr.reshape(()))
-    if val != int(val):
+    if not (math.isfinite(val) and val == int(val)):
         raise OutOfSupportError(f"{family.kind} observation must be an integer label")
     label = int(val)
     limit = 2 if family.kind == BERNOULLI else family.num_classes

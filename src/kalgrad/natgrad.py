@@ -19,9 +19,12 @@ average of the outer products of scores of draws at the predicted mean.
 Only the exact mode participates in equivalence checks against the
 fading-memory filter.
 
+Every step function takes and returns plain arrays: the state s in the
+current chart and the metric J there.
+
 For static dynamics (f = Id) the chart never moves and the scheme reduces
-to the ordinary online natural gradient, provided here as
-:func:`plain_online_natgrad` for cross-checking.
+to the ordinary online natural gradient; the tests keep a chartless
+implementation of it as the reference for that reduction.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import numpy as np
 
 from . import expfam
 from .errors import NonFiniteError, SingularMatrixError
-from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise, mean_linearisation
-from .numerics import as_schedule, check_schedule, fd_jacobian, solve_psd, symmetrize
+from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise
+from .numerics import as_schedule, check_schedule, solve_psd, symmetrize
 
 EXACT = "exact"
 OUTER = "outer"
@@ -45,32 +48,17 @@ _COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
-class NatGradState:
-    """Trajectory expressed in the current chart, plus the metric there."""
-
-    state: np.ndarray
-    metric: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "state", np.asarray(self.state, dtype=float))
-        object.__setattr__(self, "metric", np.asarray(self.metric, dtype=float))
-
-
-@dataclass(frozen=True)
 class NatGradConfig:
     """Schedules and Fisher estimation mode.
 
     ``eta`` and ``gamma`` are stored as 1-D float arrays indexed by step
     (entry t-1 applies at time t); a single entry is broadcast.
-    ``skip_metric_transport`` disables the chart transport of the metric
-    and exists only as a negative control for the equivalence checks.
     """
 
     eta: np.ndarray | float
     gamma: np.ndarray | float
     fisher_mode: str = EXACT
     mc_samples: int = 1
-    skip_metric_transport: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eta", as_schedule(self.eta))
@@ -119,18 +107,18 @@ def pushforward_metric(metric: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def chart_transport(
-    state: NatGradState,
+    state: np.ndarray,
+    metric: np.ndarray,
     model: DynamicalModel,
     t: int,
-) -> tuple[NatGradState, np.ndarray]:
-    """Move from the chart at t-1 to the chart at t; returns (state, F)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Move the state and metric from the chart at t-1 to the chart at t;
+    returns (f(s, u_t), (F^-1)^T J F^-1)."""
     u = model.input_at(t)
-    value = np.asarray(model.f(state.state, u), dtype=float)
+    value = np.asarray(model.f(state, u), dtype=float)
     if not np.all(np.isfinite(value)):
         raise NonFiniteError(f"transition produced non-finite state at t = {t}")
-    f_jac = model.jac_f(state.state, u)
-    metric = pushforward_metric(state.metric, f_jac)
-    return NatGradState(value, metric), f_jac
+    return value, pushforward_metric(metric, model.jac_f(state, u))
 
 
 def fisher_term(
@@ -165,27 +153,29 @@ def fisher_term(
 
 
 def update(
-    state: NatGradState,
+    state: np.ndarray,
+    metric: np.ndarray,
     y,
     model: DynamicalModel,
     family: expfam.ObservationFamily,
     config: NatGradConfig,
     t: int,
     rng: np.random.Generator | None = None,
-) -> NatGradState:
-    """Blend the Fisher term into the metric and take one natural step.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blend the Fisher term into the metric and take one natural step;
+    returns the new (state, metric).
 
-    Expects ``state`` already transported to the chart at time t.
+    Expects ``state`` and ``metric`` already transported to the chart at
+    time t.
     """
-    lin = linearise(model, family, state.state, t)
+    lin = linearise(model, family, state, t)
     score_state = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
     gamma = config.gamma_at(t)
     fisher = fisher_term(
         lin, family, mode=config.fisher_mode, y=y, rng=rng, mc_samples=config.mc_samples
     )
-    metric = symmetrize((1.0 - gamma) * state.metric + gamma * fisher)
-    value = state.state + config.eta_at(t) * solve_psd(metric, score_state)
-    return NatGradState(value, metric)
+    metric = symmetrize((1.0 - gamma) * metric + gamma * fisher)
+    return state + config.eta_at(t) * solve_psd(metric, score_state), metric
 
 
 def run(
@@ -204,64 +194,17 @@ def run(
     config.check_horizon(scenario.horizon)
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=scenario.seed).jumped())
-    state = NatGradState(init_state, init_metric)
+    state = np.asarray(init_state, dtype=float)
+    metric = np.asarray(init_metric, dtype=float)
     model = scenario.model
     rows = scenario.horizon + 1
-    states = np.empty((rows,) + state.state.shape)
-    metrics = np.empty((rows,) + state.metric.shape)
-    states[0], metrics[0] = state.state, state.metric
-    for t in range(1, rows):
-        if config.skip_metric_transport:
-            u = model.input_at(t)
-            value = np.asarray(model.f(state.state, u), dtype=float)
-            transported = NatGradState(value, state.metric)
-        else:
-            transported, _ = chart_transport(state, model, t)
-        state = update(transported, scenario.obs(t), model, scenario.family, config, t, rng)
-        states[t], metrics[t] = state.state, state.metric
-    return Trace(states, metrics=metrics)
-
-
-def plain_online_natgrad(
-    inputs: list,
-    observations: list,
-    h,
-    family: expfam.ObservationFamily,
-    config: NatGradConfig,
-    init_param,
-    init_metric,
-    jacobian_h=None,
-    rng: np.random.Generator | None = None,
-) -> Trace:
-    """Chartless online natural gradient for a static parameter.
-
-    ``h(theta, u)`` maps the parameter and input to the observation mean;
-    ``jacobian_h`` defaults to central differences.  This is the f = Id
-    reduction of :func:`run` and serves as its reference implementation;
-    it returns the same trace layout.
-    """
-    if len(inputs) != len(observations):
-        raise ValueError("inputs and observations must have equal length")
-    config.check_horizon(len(inputs))
-    theta = np.asarray(init_param, dtype=float)
-    metric = np.asarray(init_metric, dtype=float)
-    rows = len(inputs) + 1
-    states = np.empty((rows,) + theta.shape)
+    states = np.empty((rows,) + state.shape)
     metrics = np.empty((rows,) + metric.shape)
-    states[0], metrics[0] = theta, metric
-    for t, (u, y) in enumerate(zip(inputs, observations), start=1):
-        u = np.asarray(u, dtype=float)
-        if jacobian_h is not None:
-            h_jac = np.asarray(jacobian_h(theta, u), dtype=float)
-        else:
-            h_jac = fd_jacobian(lambda v: h(v, u), theta)
-        lin = mean_linearisation(family, np.asarray(h(theta, u), dtype=float), h_jac)
-        gamma = config.gamma_at(t)
-        fisher = fisher_term(
-            lin, family, mode=config.fisher_mode, y=y, rng=rng, mc_samples=config.mc_samples
+    states[0], metrics[0] = state, metric
+    for t in range(1, rows):
+        state, metric = chart_transport(state, metric, model, t)
+        state, metric = update(
+            state, metric, scenario.obs(t), model, scenario.family, config, t, rng
         )
-        metric = symmetrize((1.0 - gamma) * metric + gamma * fisher)
-        score = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
-        theta = theta + config.eta_at(t) * solve_psd(metric, score)
-        states[t], metrics[t] = theta, metric
+        states[t], metrics[t] = state, metric
     return Trace(states, metrics=metrics)

@@ -1,10 +1,15 @@
-"""Log-likelihoods that the tests differentiate numerically, as oracles for
-the scores the library reads from its linearisations."""
+"""Reference implementations the tests compare the library against:
+log-likelihoods that the tests differentiate numerically, as oracles for
+the scores the library reads from its linearisations, and the chartless
+online natural gradient that chart-based runs on static dynamics must
+reproduce."""
 
 import numpy as np
 
 from kalgrad import expfam
-from kalgrad.numerics import solve_psd
+from kalgrad.model import Trace, mean_linearisation
+from kalgrad.natgrad import NatGradConfig, fisher_term
+from kalgrad.numerics import fd_jacobian, solve_psd, symmetrize
 
 
 def log_density(family: expfam.ObservationFamily, y, yhat) -> float:
@@ -32,3 +37,48 @@ def inst_loglik(y, s, u, obs_cov, h) -> float:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     rinv_h = solve_psd(np.atleast_2d(obs_cov), hv)
     return float(y @ rinv_h - 0.5 * hv @ rinv_h)
+
+
+def plain_online_natgrad(
+    inputs: list,
+    observations: list,
+    h,
+    family: expfam.ObservationFamily,
+    config: NatGradConfig,
+    init_param,
+    init_metric,
+    jacobian_h=None,
+    rng: np.random.Generator | None = None,
+) -> Trace:
+    """Chartless online natural gradient for a static parameter.
+
+    ``h(theta, u)`` maps the parameter and input to the observation mean;
+    ``jacobian_h`` defaults to central differences.  This is the f = Id
+    reduction of :func:`kalgrad.natgrad.run` and serves as its reference
+    implementation; it returns the same trace layout.
+    """
+    if len(inputs) != len(observations):
+        raise ValueError("inputs and observations must have equal length")
+    config.check_horizon(len(inputs))
+    theta = np.asarray(init_param, dtype=float)
+    metric = np.asarray(init_metric, dtype=float)
+    rows = len(inputs) + 1
+    states = np.empty((rows,) + theta.shape)
+    metrics = np.empty((rows,) + metric.shape)
+    states[0], metrics[0] = theta, metric
+    for t, (u, y) in enumerate(zip(inputs, observations), start=1):
+        u = np.asarray(u, dtype=float)
+        if jacobian_h is not None:
+            h_jac = np.asarray(jacobian_h(theta, u), dtype=float)
+        else:
+            h_jac = fd_jacobian(lambda v: h(v, u), theta)
+        lin = mean_linearisation(family, np.asarray(h(theta, u), dtype=float), h_jac)
+        gamma = config.gamma_at(t)
+        fisher = fisher_term(
+            lin, family, mode=config.fisher_mode, y=y, rng=rng, mc_samples=config.mc_samples
+        )
+        metric = symmetrize((1.0 - gamma) * metric + gamma * fisher)
+        score = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
+        theta = theta + config.eta_at(t) * solve_psd(metric, score)
+        states[t], metrics[t] = theta, metric
+    return Trace(states, metrics=metrics)

@@ -26,7 +26,7 @@ from kalgrad.equivalence import (
 from kalgrad.model import DynamicalModel, builtin, generate_scenario, linearise, mean_linearisation
 
 from conftest import random_spd
-from oracles import inst_loglik, log_density
+from oracles import inst_loglik, log_density, plain_online_natgrad
 from test_ekf import make_linear_model
 from test_equivalence import softmax_model
 
@@ -148,18 +148,18 @@ def test_c04_observation_form_identities():
             h_mat = rng.standard_normal((dim, dim))
             model = make_linear_model(h_mat)
             family = expfam.gaussian(random_spd(rng, dim))
-            pred = ekf.GaussianBelief(rng.standard_normal(dim), random_spd(rng, dim))
-            y = model.h(pred.mean, np.zeros(0)) + rng.standard_normal(dim)
-            a = ekf.observe_gain(pred, y, model, family, 1)
-            b = ekf.observe_information(pred, y, model, family, 1)
-            c = ekf.observe_gradient(pred, y, model, family, 1)
-            scale = max(1.0, float(np.abs(a.mean).max()))
-            cov_scale = float(np.linalg.norm(a.cov))
-            ok = ok and np.abs(a.mean - b.mean).max() <= 1e-10 * scale
-            ok = ok and np.abs(a.mean - c.mean).max() <= 1e-10 * scale
-            ok = ok and np.linalg.norm(a.cov - b.cov) <= 1e-10 * cov_scale
-            ok = ok and np.linalg.norm(a.cov - c.cov) <= 1e-10 * cov_scale
-        _COLLECTED.extend([a.cov, b.cov, c.cov])
+            pred = (rng.standard_normal(dim), random_spd(rng, dim))
+            y = model.h(pred[0], np.zeros(0)) + rng.standard_normal(dim)
+            a_mean, a_cov = ekf.observe_gain(*pred, y, model, family, 1)
+            b_mean, b_cov = ekf.observe_information(*pred, y, model, family, 1)
+            c_mean, c_cov = ekf.observe_gradient(*pred, y, model, family, 1)
+            scale = max(1.0, float(np.abs(a_mean).max()))
+            cov_scale = float(np.linalg.norm(a_cov))
+            ok = ok and np.abs(a_mean - b_mean).max() <= 1e-10 * scale
+            ok = ok and np.abs(a_mean - c_mean).max() <= 1e-10 * scale
+            ok = ok and np.linalg.norm(a_cov - b_cov) <= 1e-10 * cov_scale
+            ok = ok and np.linalg.norm(a_cov - c_cov) <= 1e-10 * cov_scale
+        _COLLECTED.extend([a_cov, b_cov, c_cov])
     _report(4, "gain/information/gradient updates agree (dims 1, 2, 5)", ok)
 
 
@@ -234,7 +234,7 @@ def test_c07_static_reduction():
     s0 = np.array([0.0, 0.0])
     j0 = np.eye(2)
     chart = natgrad.run(scenario, cfg, s0, j0)
-    plain = natgrad.plain_online_natgrad(
+    plain = plain_online_natgrad(
         [model.input_at(t) for t in range(1, horizon + 1)],
         scenario.observations,
         model.h,
@@ -275,8 +275,8 @@ def test_c08_continuous_equivalence():
 
     # Stash matrices from a representative grid for the criterion-10 audit.
     cfg = bucy.IntegratorConfig(dt=1e-3, horizon=1.0, alpha=0.2)
-    tb = bucy.integrate(bucy.BUCY, bucy.BucyState(model.init_state, 0.5 * np.eye(2)), model, cfg)
-    tc = bucy.integrate(bucy.CNGD, bucy.CngdState(model.init_state, np.eye(2), 0.5), model, cfg)
+    tb = bucy.integrate(bucy.BUCY, model.init_state, 0.5 * np.eye(2), model, cfg)
+    tc = bucy.integrate(bucy.CNGD, model.init_state, np.eye(2), model, cfg, eta0=0.5)
     _COLLECTED.extend(tb.covs)
     _COLLECTED.extend(tc.metrics)
 
@@ -310,7 +310,7 @@ def test_c09_riccati_oracle():
     )
     p0 = 2.0
     cfg = bucy.IntegratorConfig(dt=1e-4, horizon=1.0, alpha=0.0)
-    trace = bucy.integrate(bucy.BUCY, bucy.BucyState(np.zeros(1), np.array([[p0]])), model, cfg)
+    trace = bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[p0]]), model, cfg)
     _COLLECTED.extend(trace.covs[:: len(trace.covs) // 100])
     err = abs(trace.covs[-1, 0, 0] - p0 / (1.0 + p0 * 1.0))
     print(f"  |P(1) - closed form| = {err:.3e}")

@@ -166,23 +166,25 @@ class TestBucyDeriv:
             jac_f=lambda s, u: np.zeros((2, 2)),
             jac_h=lambda s, u: np.zeros((1, 2)),
         )
-        state = bucy.BucyState(np.array([0.4, -0.2]), np.eye(2), 0.0)
-        ds, dcov = bucy.bucy_deriv(state, lambda t: np.zeros(1), model, alpha=0.0)
+        ds, dcov = bucy.bucy_deriv(
+            np.array([0.4, -0.2]), np.eye(2), 0.0, lambda t: np.zeros(1), model, alpha=0.0
+        )
         np.testing.assert_array_equal(ds, np.zeros(2))
         np.testing.assert_array_equal(dcov, np.zeros((2, 2)))
 
     def test_scalar_riccati_field(self):
         model = scalar_integrator_model()
-        state = bucy.BucyState(np.zeros(1), np.array([[1.5]]), 0.0)
-        _, dcov = bucy.bucy_deriv(state, lambda t: np.zeros(1), model, alpha=0.0)
+        _, dcov = bucy.bucy_deriv(
+            np.zeros(1), np.array([[1.5]]), 0.0, lambda t: np.zeros(1), model, alpha=0.0
+        )
         np.testing.assert_allclose(dcov, [[-(1.5**2)]])
 
     def test_alpha_adds_linearly(self, rng):
         model = builtin("pendulum-ct")
         cov = random_spd(rng, 2)
-        state = bucy.BucyState(rng.standard_normal(2), cov, 0.3)
-        _, d0 = bucy.bucy_deriv(state, model.obs_path, model, alpha=0.0)
-        _, d1 = bucy.bucy_deriv(state, model.obs_path, model, alpha=0.7)
+        s = rng.standard_normal(2)
+        _, d0 = bucy.bucy_deriv(s, cov, 0.3, model.obs_path, model, alpha=0.0)
+        _, d1 = bucy.bucy_deriv(s, cov, 0.3, model.obs_path, model, alpha=0.7)
         np.testing.assert_allclose(d1 - d0, 0.7 * cov, atol=1e-12)
 
 
@@ -195,16 +197,17 @@ class TestCngdDeriv:
             jac_f=lambda s, u: np.zeros((2, 2)),
             jac_h=lambda s, u: np.array([[1.0, 0.0]]),
         )
-        state = bucy.CngdState(np.zeros(2), np.eye(2), eta=0.5, t=0.0)
-        _, dmetric = bucy.cngd_deriv(state, lambda t: np.ones(1), model, gamma=0.0)
+        # gamma = eta = 0 and F = 0: nothing moves the metric.
+        _, dmetric = bucy.cngd_deriv(
+            np.zeros(2), np.eye(2), 0.0, 0.0, lambda t: np.ones(1), model
+        )
         np.testing.assert_array_equal(dmetric, np.zeros((2, 2)))
 
     def test_zero_innovation_follows_dynamics(self, rng):
         model = builtin("pendulum-ct")
         s = rng.standard_normal(2)
-        state = bucy.CngdState(s, random_spd(rng, 2), eta=0.4, t=0.2)
         y_path = lambda t: model.h(s, np.zeros(0))
-        ds, _ = bucy.cngd_deriv(state, y_path, model, gamma=0.4)
+        ds, _ = bucy.cngd_deriv(s, random_spd(rng, 2), 0.4, 0.2, y_path, model)
         np.testing.assert_allclose(ds, model.f(s, np.zeros(0)), atol=1e-14)
 
     def test_pointwise_identity_with_bucy(self, rng):
@@ -220,12 +223,8 @@ class TestCngdDeriv:
             t = rng.uniform(0.0, 1.0)
             cov = eta * np.linalg.inv(metric)
 
-            ds_b, dcov_b = bucy.bucy_deriv(
-                bucy.BucyState(s, cov, t), model.obs_path, model, alpha
-            )
-            ds_c, dmetric = bucy.cngd_deriv(
-                bucy.CngdState(s, metric, eta, t), model.obs_path, model, gamma=eta
-            )
+            ds_b, dcov_b = bucy.bucy_deriv(s, cov, t, model.obs_path, model, alpha)
+            ds_c, dmetric = bucy.cngd_deriv(s, metric, eta, t, model.obs_path, model)
             deta = bucy.eta_ode(eta, alpha)
             metric_inv = np.linalg.inv(metric)
             dcov_induced = deta * metric_inv - eta * metric_inv @ dmetric @ metric_inv
@@ -276,8 +275,7 @@ class TestIntegrate:
             jac_h=lambda s, u: np.zeros((1, 2)),
         )
         cfg = bucy.IntegratorConfig(dt=0.01, horizon=1.0, alpha=0.0)
-        init = bucy.BucyState(np.array([0.3, -0.8]), np.eye(2))
-        trace = bucy.integrate(bucy.BUCY, init, model, cfg)
+        trace = bucy.integrate(bucy.BUCY, np.array([0.3, -0.8]), np.eye(2), model, cfg)
         np.testing.assert_allclose(trace.states[-1], [0.3, -0.8], atol=1e-14)
         np.testing.assert_allclose(trace.covs[-1], np.eye(2), atol=1e-14)
 
@@ -286,20 +284,17 @@ class TestIntegrate:
         model = scalar_integrator_model()
         cfg = bucy.IntegratorConfig(dt=1e-3, horizon=1.0, alpha=0.0)
         p0 = 2.0
-        trace = bucy.integrate(
-            bucy.BUCY, bucy.BucyState(np.zeros(1), np.array([[p0]])), model, cfg
-        )
+        trace = bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[p0]]), model, cfg)
         assert abs(trace.covs[-1, 0, 0] - p0 / (1.0 + p0)) < 1e-8
 
     def test_pendulum_self_convergence(self):
         # Halving dt must shrink the deviation from a finer reference by
         # at least 8x (order 3 or better for this fourth-order scheme).
         model = builtin("pendulum-ct")
-        init = bucy.BucyState(model.init_state, 0.5 * np.eye(2))
 
         def states_at(dt):
             cfg = bucy.IntegratorConfig(dt=dt, horizon=1.0, alpha=0.2)
-            return bucy.integrate(bucy.BUCY, init, model, cfg).states
+            return bucy.integrate(bucy.BUCY, model.init_state, 0.5 * np.eye(2), model, cfg).states
 
         ref = states_at(0.0025)
         coarse = states_at(0.02)
@@ -323,9 +318,7 @@ class TestIntegrate:
         )
         j0 = np.array([[2.0, 0.3], [0.3, 1.0]])
         cfg = bucy.IntegratorConfig(dt=1e-3, horizon=1.0, alpha=0.0)
-        trace = bucy.integrate(
-            bucy.CNGD, bucy.CngdState(np.array([0.5, -0.5]), j0, eta=0.5), model, cfg
-        )
+        trace = bucy.integrate(bucy.CNGD, np.array([0.5, -0.5]), j0, model, cfg, eta0=0.5)
         expm = scipy.linalg.expm
         exact = expm(-f_mat.T) @ j0 @ expm(-f_mat) / (1.0 + 0.5)
         assert np.linalg.norm(trace.metrics[-1] - exact) < 1e-8
@@ -333,9 +326,7 @@ class TestIntegrate:
     def test_eta_co_integration_logistic(self):
         model = scalar_integrator_model()
         cfg = bucy.IntegratorConfig(dt=1e-3, horizon=1.0, alpha=0.5)
-        trace = bucy.integrate(
-            bucy.CNGD, bucy.CngdState(np.zeros(1), np.eye(1), eta=0.1), model, cfg
-        )
+        trace = bucy.integrate(bucy.CNGD, np.zeros(1), np.eye(1), model, cfg, eta0=0.1)
         exact = 0.5 / (1.0 + (0.5 / 0.1 - 1.0) * np.exp(-0.5))
         assert abs(trace.etas[-1] - exact) < 1e-10
 
@@ -344,12 +335,22 @@ class TestIntegrate:
         model = scalar_integrator_model()
         cfg = bucy.IntegratorConfig(dt=3.0, horizon=3.0, alpha=0.0)
         with pytest.raises(PositivityLostError):
-            bucy.integrate(
-                bucy.BUCY, bucy.BucyState(np.zeros(1), np.array([[1.0]])), model, cfg
-            )
+            bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[1.0]]), model, cfg)
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
             bucy.IntegratorConfig(dt=0.0, horizon=1.0)
         with pytest.raises(ValueError):
             bucy.IntegratorConfig(dt=2.0, horizon=1.0)
+
+    def test_negative_fading_weight_rejected(self):
+        # As for ekf.EkfConfig: a constant when the config is built, a
+        # callable when it is evaluated.
+        with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
+            bucy.IntegratorConfig(dt=0.1, horizon=1.0, alpha=-0.5)
+        cfg = bucy.IntegratorConfig(dt=0.1, horizon=1.0, alpha=lambda t: 0.5 - t)
+        assert cfg.alpha_at(0.5) == 0.0
+        with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
+            cfg.alpha_at(0.6)
+        with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
+            bucy.integrate(bucy.BUCY, np.zeros(1), np.eye(1), scalar_integrator_model(), cfg)

@@ -49,51 +49,51 @@ def make_scenario(model, family, observations, horizon=None):
 class TestTransition:
     def test_static_alpha_zero_unchanged(self):
         model = builtin("static")
-        belief = ekf.GaussianBelief(np.array([0.4, -0.1]), np.diag([2.0, 3.0]))
-        pred, f_jac = ekf.transition(belief, model, 1, ekf.EkfConfig(alpha=0.0))
-        np.testing.assert_array_equal(pred.mean, belief.mean)
-        np.testing.assert_array_equal(pred.cov, belief.cov)
-        np.testing.assert_array_equal(f_jac, np.eye(2))
+        mean, cov = np.array([0.4, -0.1]), np.diag([2.0, 3.0])
+        pred_mean, pred_cov = ekf.transition(mean, cov, model, 1, ekf.EkfConfig(alpha=0.0))
+        np.testing.assert_array_equal(pred_mean, mean)
+        np.testing.assert_array_equal(pred_cov, cov)
+        np.testing.assert_array_equal(model.jac_f(mean, model.input_at(1)), np.eye(2))
 
     def test_overflowing_covariance_fails_at_transition(self):
         # (1 + alpha) F P F^T beyond the float64 range is a failure of the
         # transition step, not of the observation update that follows.
         model = builtin("static")
-        belief = ekf.GaussianBelief(np.zeros(2), 1e10 * np.eye(2))
         with pytest.raises(NonFiniteError, match="covariance at t = 3"):
-            ekf.transition(belief, model, 3, ekf.EkfConfig(alpha=1e300))
+            ekf.transition(np.zeros(2), 1e10 * np.eye(2), model, 3, ekf.EkfConfig(alpha=1e300))
 
     def test_scalar_doubling_variance(self):
         model = make_linear_model([[1.0]], f_scale=2.0)
-        belief = ekf.GaussianBelief(np.array([1.0]), np.array([[1.0]]))
-        pred, _ = ekf.transition(belief, model, 1, ekf.EkfConfig(alpha=0.0))
-        np.testing.assert_allclose(pred.cov, [[4.0]])
+        _, pred_cov = ekf.transition(
+            np.array([1.0]), np.array([[1.0]]), model, 1, ekf.EkfConfig(alpha=0.0)
+        )
+        np.testing.assert_allclose(pred_cov, [[4.0]])
 
     def test_fading_doubles_identity(self):
         model = builtin("static")
-        belief = ekf.GaussianBelief(np.zeros(2), np.eye(2))
-        pred, _ = ekf.transition(belief, model, 1, ekf.EkfConfig(alpha=1.0))
-        np.testing.assert_allclose(pred.cov, 2.0 * np.eye(2))
+        _, pred_cov = ekf.transition(np.zeros(2), np.eye(2), model, 1, ekf.EkfConfig(alpha=1.0))
+        np.testing.assert_allclose(pred_cov, 2.0 * np.eye(2))
 
 
 class TestObserveGain:
     def test_scalar_forced_values(self):
         model = make_linear_model([[1.0]])
         family = expfam.gaussian(np.array([[1.0]]))
-        pred = ekf.GaussianBelief(np.array([0.3]), np.array([[1.0]]))
-        post = ekf.observe_gain(pred, np.array([1.3]), model, family, 1)
+        mean, cov = ekf.observe_gain(
+            np.array([0.3]), np.array([[1.0]]), np.array([1.3]), model, family, 1
+        )
         # K = 1/2, P = 1/2, s += (y - yhat)/2
-        np.testing.assert_allclose(post.cov, [[0.5]])
-        np.testing.assert_allclose(post.mean, [0.3 + 0.5])
+        np.testing.assert_allclose(cov, [[0.5]])
+        np.testing.assert_allclose(mean, [0.3 + 0.5])
 
     def test_zero_innovation_keeps_mean_shrinks_cov(self, rng):
         model = make_linear_model(rng.standard_normal((2, 2)))
         family = expfam.gaussian(random_spd(rng, 2))
-        pred = ekf.GaussianBelief(rng.standard_normal(2), random_spd(rng, 2))
-        yhat = model.h(pred.mean, np.zeros(0))
-        post = ekf.observe_gain(pred, yhat.copy(), model, family, 1)
-        np.testing.assert_allclose(post.mean, pred.mean, atol=1e-12)
-        eigs = np.linalg.eigvalsh(pred.cov - post.cov)
+        pred_mean, pred_cov = rng.standard_normal(2), random_spd(rng, 2)
+        yhat = model.h(pred_mean, np.zeros(0))
+        mean, cov = ekf.observe_gain(pred_mean, pred_cov, yhat.copy(), model, family, 1)
+        np.testing.assert_allclose(mean, pred_mean, atol=1e-12)
+        eigs = np.linalg.eigvalsh(pred_cov - cov)
         assert eigs.min() > 0  # information strictly increases
 
     def test_batch_posterior_linear2d(self):
@@ -141,79 +141,82 @@ class TestFormEquivalence:
             key = h_mat.tobytes()
             model = model_cache.setdefault(key, make_linear_model(h_mat))
             family = expfam.gaussian(random_spd(rng, dim))
-            pred = ekf.GaussianBelief(rng.standard_normal(dim), random_spd(rng, dim))
-            yhat = model.h(pred.mean, np.zeros(0))
+            pred = (rng.standard_normal(dim), random_spd(rng, dim))
+            yhat = model.h(pred[0], np.zeros(0))
             y = yhat + rng.standard_normal(dim)
-            a = ekf.observe_gain(pred, y, model, family, 1)
-            b = ekf.observe_information(pred, y, model, family, 1)
-            c = ekf.observe_gradient(pred, y, model, family, 1)
-            scale = max(1.0, np.abs(a.mean).max())
-            assert np.abs(a.mean - b.mean).max() <= 1e-10 * scale
-            assert np.abs(a.mean - c.mean).max() <= 1e-10 * scale
-            cov_scale = np.linalg.norm(a.cov)
-            assert np.linalg.norm(a.cov - b.cov) <= 1e-10 * cov_scale
-            assert np.linalg.norm(a.cov - c.cov) <= 1e-10 * cov_scale
+            a_mean, a_cov = ekf.observe_gain(*pred, y, model, family, 1)
+            b_mean, b_cov = ekf.observe_information(*pred, y, model, family, 1)
+            c_mean, c_cov = ekf.observe_gradient(*pred, y, model, family, 1)
+            scale = max(1.0, np.abs(a_mean).max())
+            assert np.abs(a_mean - b_mean).max() <= 1e-10 * scale
+            assert np.abs(a_mean - c_mean).max() <= 1e-10 * scale
+            cov_scale = np.linalg.norm(a_cov)
+            assert np.linalg.norm(a_cov - b_cov) <= 1e-10 * cov_scale
+            assert np.linalg.norm(a_cov - c_cov) <= 1e-10 * cov_scale
 
     def test_forms_agree_with_bernoulli(self, rng):
         model = builtin("logistic-static")
         family = expfam.bernoulli()
         cases = []
         for _ in range(50):
-            pred = ekf.GaussianBelief(rng.standard_normal(2), random_spd(rng, 2))
+            pred = (rng.standard_normal(2), random_spd(rng, 2))
             cases.append((pred, int(rng.integers(2))))
         # Saturated inputs: at a linear predictor of 800 the mean rounds to
         # 1 and the bernoulli variance underflows to 0.
         u = model.input_at(1)
         saturated = 800.0 * u / (u @ u)
         assert expfam.canonical_variance(family, model.predictor(saturated, u))[0, 0] == 0.0
-        cases += [(ekf.GaussianBelief(saturated, random_spd(rng, 2)), y) for y in (0, 1)]
+        cases += [((saturated, random_spd(rng, 2)), y) for y in (0, 1)]
         for pred, y in cases:
-            a = ekf.observe_gain(pred, y, model, family, 1)
-            b = ekf.observe_information(pred, y, model, family, 1)
-            c = ekf.observe_gradient(pred, y, model, family, 1)
-            np.testing.assert_allclose(b.mean, a.mean, atol=1e-10)
-            np.testing.assert_allclose(c.mean, a.mean, atol=1e-10)
-            np.testing.assert_allclose(b.cov, a.cov, atol=1e-10)
+            a_mean, a_cov = ekf.observe_gain(*pred, y, model, family, 1)
+            b_mean, b_cov = ekf.observe_information(*pred, y, model, family, 1)
+            c_mean, _ = ekf.observe_gradient(*pred, y, model, family, 1)
+            np.testing.assert_allclose(b_mean, a_mean, atol=1e-10)
+            np.testing.assert_allclose(c_mean, a_mean, atol=1e-10)
+            np.testing.assert_allclose(b_cov, a_cov, atol=1e-10)
 
     def test_scalar_information_form(self):
         # 1/P = 1/1 + 1 = 2.
         model = make_linear_model([[1.0]])
         family = expfam.gaussian(np.array([[1.0]]))
-        pred = ekf.GaussianBelief(np.array([0.0]), np.array([[1.0]]))
-        post = ekf.observe_information(pred, np.array([2.0]), model, family, 1)
-        np.testing.assert_allclose(post.cov, [[0.5]])
-        np.testing.assert_allclose(post.mean, [1.0])
+        mean, cov = ekf.observe_information(
+            np.array([0.0]), np.array([[1.0]]), np.array([2.0]), model, family, 1
+        )
+        np.testing.assert_allclose(cov, [[0.5]])
+        np.testing.assert_allclose(mean, [1.0])
 
     def test_uninformative_observation(self):
         model = make_linear_model([[0.0, 0.0]])
         family = expfam.gaussian(np.array([[1.0]]))
-        pred = ekf.GaussianBelief(np.array([0.2, -0.4]), np.diag([1.5, 2.5]))
-        post = ekf.observe_information(pred, np.array([3.0]), model, family, 1)
-        np.testing.assert_allclose(post.mean, pred.mean, atol=1e-12)
-        np.testing.assert_allclose(post.cov, pred.cov, atol=1e-12)
+        pred_mean, pred_cov = np.array([0.2, -0.4]), np.diag([1.5, 2.5])
+        mean, cov = ekf.observe_information(pred_mean, pred_cov, np.array([3.0]), model, family, 1)
+        np.testing.assert_allclose(mean, pred_mean, atol=1e-12)
+        np.testing.assert_allclose(cov, pred_cov, atol=1e-12)
 
     def test_gradient_form_zero_score_freezes_mean(self, rng):
         model = make_linear_model(rng.standard_normal((2, 2)))
         family = expfam.gaussian(random_spd(rng, 2))
-        pred = ekf.GaussianBelief(rng.standard_normal(2), random_spd(rng, 2))
-        yhat = model.h(pred.mean, np.zeros(0))
-        post = ekf.observe_gradient(pred, yhat.copy(), model, family, 1)
-        np.testing.assert_allclose(post.mean, pred.mean, atol=1e-13)
+        pred_mean, pred_cov = rng.standard_normal(2), random_spd(rng, 2)
+        yhat = model.h(pred_mean, np.zeros(0))
+        mean, _ = ekf.observe_gradient(pred_mean, pred_cov, yhat.copy(), model, family, 1)
+        np.testing.assert_allclose(mean, pred_mean, atol=1e-13)
 
     def test_gradient_form_scalar(self):
         model = make_linear_model([[1.0]])
         family = expfam.gaussian(np.array([[1.0]]))
-        pred = ekf.GaussianBelief(np.array([0.1]), np.array([[1.0]]))
-        post = ekf.observe_gradient(pred, np.array([0.7]), model, family, 1)
-        np.testing.assert_allclose(post.cov, [[0.5]])
-        np.testing.assert_allclose(post.mean, [0.1 + (0.7 - 0.1) / 2])
+        mean, cov = ekf.observe_gradient(
+            np.array([0.1]), np.array([[1.0]]), np.array([0.7]), model, family, 1
+        )
+        np.testing.assert_allclose(cov, [[0.5]])
+        np.testing.assert_allclose(mean, [0.1 + (0.7 - 0.1) / 2])
 
     def test_singular_innovation_raises(self):
         model = make_linear_model([[1.0]])
         bad_family = expfam.ObservationFamily(kind="gaussian", obs_cov=np.array([[-2.0]]))
-        pred = ekf.GaussianBelief(np.array([0.0]), np.array([[1.0]]))
         with pytest.raises(SingularMatrixError):
-            ekf.observe_gain(pred, np.array([1.0]), model, bad_family, 1)
+            ekf.observe_gain(
+                np.array([0.0]), np.array([[1.0]]), np.array([1.0]), model, bad_family, 1
+            )
 
 
 class TestCanonicalLink:
@@ -222,13 +225,13 @@ class TestCanonicalLink:
         mean_model = dataclasses.replace(model, predictor=None)
         family = expfam.bernoulli()
         for _ in range(20):
-            pred = ekf.GaussianBelief(rng.standard_normal(2), random_spd(rng, 2))
+            pred = (rng.standard_normal(2), random_spd(rng, 2))
             y = int(rng.integers(2))
             for observe in ekf._OBSERVERS.values():
-                a = observe(pred, y, model, family, 1)
-                b = observe(pred, y, mean_model, family, 1)
-                np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12, atol=1e-14)
-                np.testing.assert_allclose(a.cov, b.cov, rtol=1e-12, atol=1e-14)
+                a_mean, a_cov = observe(*pred, y, model, family, 1)
+                b_mean, b_cov = observe(*pred, y, mean_model, family, 1)
+                np.testing.assert_allclose(a_mean, b_mean, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(a_cov, b_cov, rtol=1e-12, atol=1e-14)
 
     def test_saturated_gain_update(self):
         # V = 0: the covariance is unchanged and, for y = 0, the state
@@ -237,18 +240,18 @@ class TestCanonicalLink:
         family = expfam.bernoulli()
         u = model.input_at(1)
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        pred = ekf.GaussianBelief(800.0 * u / (u @ u), cov)
+        pred_mean = 800.0 * u / (u @ u)
+        mean_model = dataclasses.replace(model, predictor=None)
         with pytest.raises(DomainError):
-            ekf.observe_gain(pred, 0, dataclasses.replace(model, predictor=None), family, 1)
-        post = ekf.observe_gain(pred, 0, model, family, 1)
-        np.testing.assert_array_equal(post.cov, cov)
-        np.testing.assert_allclose(post.mean, pred.mean - cov @ u, rtol=1e-15)
+            ekf.observe_gain(pred_mean, cov, 0, mean_model, family, 1)
+        mean, post_cov = ekf.observe_gain(pred_mean, cov, 0, model, family, 1)
+        np.testing.assert_array_equal(post_cov, cov)
+        np.testing.assert_allclose(mean, pred_mean - cov @ u, rtol=1e-15)
 
     def test_non_finite_update_raises(self):
         model = builtin("logistic-static")
-        pred = ekf.GaussianBelief(np.zeros(2), np.full((2, 2), np.inf))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-            ekf.observe_gain(pred, 1, model, expfam.bernoulli(), 1)
+            ekf.observe_gain(np.zeros(2), np.full((2, 2), np.inf), 1, model, expfam.bernoulli(), 1)
 
 
 def counting_scenario(horizon):
@@ -325,9 +328,8 @@ class TestRun:
             cfg = ekf.EkfConfig(alpha=0.2)
             trace = ekf.run(scenario, cfg, model.init_state, np.eye(2))
             for t in range(1, scenario.horizon + 1):
-                prior = ekf.GaussianBelief(trace.states[t - 1], trace.covs[t - 1])
-                pred, _ = ekf.transition(prior, model, t, cfg)
-                gap = np.linalg.eigvalsh(pred.cov - trace.covs[t]).min()
+                _, pred_cov = ekf.transition(trace.states[t - 1], trace.covs[t - 1], model, t, cfg)
+                gap = np.linalg.eigvalsh(pred_cov - trace.covs[t]).min()
                 assert gap >= -1e-10
 
 

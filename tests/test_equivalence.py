@@ -288,13 +288,19 @@ class TestCheckContinuous:
         assert result.passed
         assert result.order_state >= 1.0
 
+    def test_negative_fading_weight_rejected(self):
+        model = builtin("pendulum-ct")
+        with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
+            check_continuous(
+                model, model.init_state, 0.5 * np.eye(2), alpha=-0.5,
+                dts=[1e-2], horizon=1.0,
+            )
+
     def test_eta_alpha_zero_closed_form(self):
         # eta(1) = 1/2 when alpha = 0 and eta0 = 1.
         model = builtin("linear-ct")
         cfg = bucy.IntegratorConfig(dt=1e-3, horizon=1.0, alpha=0.0)
-        trace = bucy.integrate(
-            bucy.CNGD, bucy.CngdState(model.init_state, np.eye(1), eta=1.0), model, cfg
-        )
+        trace = bucy.integrate(bucy.CNGD, model.init_state, np.eye(1), model, cfg, eta0=1.0)
         assert abs(trace.etas[-1] - 0.5) < 1e-8
 
 

@@ -64,6 +64,14 @@ class TestSufficientStats:
         with pytest.raises(OutOfSupportError):
             expfam.sufficient_stats(expfam.bernoulli(), 0.5)
 
+    @pytest.mark.parametrize(
+        "family", [expfam.bernoulli(), expfam.categorical(3)], ids=["bernoulli", "categorical"]
+    )
+    @pytest.mark.parametrize("label", [np.nan, np.inf, -np.inf])
+    def test_non_finite_label_out_of_support(self, family, label):
+        with pytest.raises(OutOfSupportError):
+            expfam.sufficient_stats(family, label)
+
 
 class TestCovSuffstats:
     def test_gaussian_fixed(self):

@@ -142,12 +142,12 @@ class TestFiniteDifferenceBackedModel:
         reference, bare = self._bare_pendulum()
         cfg = bucy.IntegratorConfig(dt=1e-2, horizon=1.0, alpha=0.2)
         s0 = reference.init_state
-        for kind, init, fields in (
-            (bucy.BUCY, bucy.BucyState(s0, 0.5 * np.eye(2)), ("states", "covs")),
-            (bucy.CNGD, bucy.CngdState(s0, np.eye(2), 0.5), ("states", "metrics", "etas")),
+        for kind, mat0, fields in (
+            (bucy.BUCY, 0.5 * np.eye(2), ("states", "covs")),
+            (bucy.CNGD, np.eye(2), ("states", "metrics", "etas")),
         ):
-            exact = bucy.integrate(kind, init, reference, cfg)
-            approx = bucy.integrate(kind, init, bare, cfg)
+            exact = bucy.integrate(kind, s0, mat0, reference, cfg, eta0=0.5)
+            approx = bucy.integrate(kind, s0, mat0, bare, cfg, eta0=0.5)
             for name in fields:
                 np.testing.assert_allclose(
                     getattr(approx, name), getattr(exact, name), rtol=0, atol=1e-6

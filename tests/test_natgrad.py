@@ -10,7 +10,7 @@ from kalgrad.model import builtin, generate_scenario, linearise, mean_linearisat
 from kalgrad.numerics import symmetrize
 
 from conftest import random_spd
-from oracles import log_density
+from oracles import log_density, plain_online_natgrad
 from test_ekf import counting_scenario, make_linear_model, make_scenario
 
 
@@ -50,27 +50,26 @@ class TestPushforwardMetric:
 class TestChartTransport:
     def test_static_leaves_everything(self, rng):
         model = builtin("static")
-        state = natgrad.NatGradState(rng.standard_normal(2), random_spd(rng, 2))
-        moved, f_jac = natgrad.chart_transport(state, model, 1)
-        np.testing.assert_array_equal(moved.state, state.state)
-        np.testing.assert_allclose(moved.metric, state.metric)
-        np.testing.assert_array_equal(f_jac, np.eye(2))
+        s, j = rng.standard_normal(2), random_spd(rng, 2)
+        moved_s, moved_j = natgrad.chart_transport(s, j, model, 1)
+        np.testing.assert_array_equal(moved_s, s)
+        np.testing.assert_allclose(moved_j, j)
+        np.testing.assert_array_equal(model.jac_f(s, model.input_at(1)), np.eye(2))
 
     def test_scalar_doubling(self):
         model = make_linear_model([[1.0]], f_scale=2.0)
-        state = natgrad.NatGradState(np.array([1.0]), np.array([[1.0]]))
-        moved, _ = natgrad.chart_transport(state, model, 1)
-        np.testing.assert_allclose(moved.metric, [[0.25]])
-        np.testing.assert_allclose(moved.state, [2.0])
+        moved_s, moved_j = natgrad.chart_transport(np.array([1.0]), np.array([[1.0]]), model, 1)
+        np.testing.assert_allclose(moved_j, [[0.25]])
+        np.testing.assert_allclose(moved_s, [2.0])
 
     def test_linear2d_vs_explicit_inverse(self, rng):
         model = builtin("linear2d")
         for _ in range(10):
             j = random_spd(rng, 2)
             s = rng.standard_normal(2)
-            moved, f_jac = natgrad.chart_transport(natgrad.NatGradState(s, j), model, 1)
-            f_inv = np.linalg.inv(f_jac)
-            np.testing.assert_allclose(moved.metric, f_inv.T @ j @ f_inv, atol=1e-12)
+            _, moved_j = natgrad.chart_transport(s, j, model, 1)
+            f_inv = np.linalg.inv(model.jac_f(s, model.input_at(1)))
+            np.testing.assert_allclose(moved_j, f_inv.T @ j @ f_inv, atol=1e-12)
 
     def test_transport_residual_identity(self, rng):
         # F^T J' F must reconstruct J to 1e-10 relative after transport.
@@ -79,10 +78,9 @@ class TestChartTransport:
             for _ in range(10):
                 j = random_spd(rng, 2)
                 s = rng.standard_normal(2)
-                moved, f_jac = natgrad.chart_transport(
-                    natgrad.NatGradState(s, j), model, 1
-                )
-                resid = np.linalg.norm(f_jac.T @ moved.metric @ f_jac - j)
+                _, moved_j = natgrad.chart_transport(s, j, model, 1)
+                f_jac = model.jac_f(s, model.input_at(1))
+                resid = np.linalg.norm(f_jac.T @ moved_j @ f_jac - j)
                 assert resid <= 1e-10 * np.linalg.norm(j)
 
 
@@ -156,12 +154,12 @@ class TestCanonicalLink:
         fam = expfam.bernoulli()
         cfg = natgrad.NatGradConfig(eta=0.4, gamma=0.4)
         for _ in range(20):
-            state = natgrad.NatGradState(rng.standard_normal(2), random_spd(rng, 2))
+            s, j = rng.standard_normal(2), random_spd(rng, 2)
             y = int(rng.integers(2))
-            a = natgrad.update(state, y, model, fam, cfg, 1)
-            b = natgrad.update(state, y, mean_model, fam, cfg, 1)
-            np.testing.assert_allclose(a.state, b.state, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(a.metric, b.metric, rtol=1e-12, atol=1e-14)
+            a_s, a_j = natgrad.update(s, j, y, model, fam, cfg, 1)
+            b_s, b_j = natgrad.update(s, j, y, mean_model, fam, cfg, 1)
+            np.testing.assert_allclose(a_s, b_s, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(a_j, b_j, rtol=1e-12, atol=1e-14)
 
     def test_monte_carlo_fisher_runs_through_saturated_means(self):
         # alpha = 1 drives the predicted mean of seed 0 to exactly 1.0;
@@ -186,11 +184,11 @@ class TestCanonicalLink:
         cfg = natgrad.NatGradConfig(eta=0.4, gamma=0.4)
         u = model.input_at(1)
         metric = np.array([[2.0, 0.5], [0.5, 1.0]])
-        state = natgrad.NatGradState(800.0 * u / (u @ u), metric)
-        post = natgrad.update(state, 0, model, fam, cfg, 1)
-        np.testing.assert_allclose(post.metric, 0.6 * metric, rtol=1e-15)
+        s = 800.0 * u / (u @ u)
+        post_s, post_j = natgrad.update(s, metric, 0, model, fam, cfg, 1)
+        np.testing.assert_allclose(post_j, 0.6 * metric, rtol=1e-15)
         np.testing.assert_allclose(
-            post.state, state.state - 0.4 * np.linalg.solve(0.6 * metric, u), rtol=1e-12
+            post_s, s - 0.4 * np.linalg.solve(0.6 * metric, u), rtol=1e-12
         )
 
 
@@ -202,9 +200,9 @@ class TestUpdate:
         s = rng.standard_normal(2)
         j = random_spd(rng, 2)
         yhat = model.h(s, np.zeros(0))
-        state = natgrad.update(natgrad.NatGradState(s, j), yhat.copy(), model, fam, cfg, 1)
-        np.testing.assert_allclose(state.state, s, atol=1e-14)
-        assert not np.allclose(state.metric, j)
+        post_s, post_j = natgrad.update(s, j, yhat.copy(), model, fam, cfg, 1)
+        np.testing.assert_allclose(post_s, s, atol=1e-14)
+        assert not np.allclose(post_j, j)
 
     def test_gamma_one_full_replacement(self, rng):
         model = builtin("linear2d")
@@ -212,17 +210,10 @@ class TestUpdate:
         cfg = natgrad.NatGradConfig(eta=0.5, gamma=1.0)
         s = rng.standard_normal(2)
         yhat = model.h(s, np.zeros(0))
-        state = natgrad.update(
-            natgrad.NatGradState(s, random_spd(rng, 2)),
-            yhat + 0.1,
-            model,
-            fam,
-            cfg,
-            1,
-        )
+        _, metric = natgrad.update(s, random_spd(rng, 2), yhat + 0.1, model, fam, cfg, 1)
         h_jac = model.jac_h(s, np.zeros(0))
         expected = h_jac.T @ np.linalg.inv(fam.obs_cov) @ h_jac
-        np.testing.assert_allclose(state.metric, expected, atol=1e-12)
+        np.testing.assert_allclose(metric, expected, atol=1e-12)
 
     def test_scalar_step_matches_kalman(self):
         # Oracle: the scalar fading-memory filter step from the ekf module,
@@ -263,9 +254,9 @@ class TestUpdate:
             j = random_spd(rng, 2)
             yhat = model.h(s, np.zeros(0))
             fisher = natgrad.fisher_term(linearise(model, fam, s, 1), fam)
-            state = natgrad.update(natgrad.NatGradState(s, j), yhat + 0.2, model, fam, cfg, 1)
+            _, metric = natgrad.update(s, j, yhat + 0.2, model, fam, cfg, 1)
             floor = min(np.linalg.eigvalsh(j).min(), np.linalg.eigvalsh(fisher).min())
-            assert np.linalg.eigvalsh(state.metric).min() >= floor - 1e-10
+            assert np.linalg.eigvalsh(metric).min() >= floor - 1e-10
 
 
 class TestRun:
@@ -281,7 +272,7 @@ class TestRun:
         j0 = np.eye(2)
 
         chart = natgrad.run(scenario, cfg, s0, j0)
-        plain = natgrad.plain_online_natgrad(
+        plain = plain_online_natgrad(
             [model.input_at(t) for t in range(1, horizon + 1)],
             scenario.observations,
             model.h,
@@ -337,7 +328,7 @@ class TestPlainOnlineNatgrad:
         inputs = [rng.standard_normal(2) for _ in range(10)]
         obs = [np.array([float(rng.standard_normal())]) for _ in range(10)]
         cfg = natgrad.NatGradConfig(eta=0.0, gamma=0.5)
-        trace = natgrad.plain_online_natgrad(
+        trace = plain_online_natgrad(
             inputs, obs, lambda th, u: np.array([th @ u]), fam, cfg,
             np.array([0.3, -0.4]), np.eye(2),
         )
@@ -376,7 +367,7 @@ class TestPlainOnlineNatgrad:
         metric = np.eye(2)
         improvements = []
         for _ in range(3):  # epochs over the same data
-            trace = natgrad.plain_online_natgrad(
+            trace = plain_online_natgrad(
                 inputs, labels, h, fam, cfg, theta, metric
             )
             # f = Id: each step moves from row t-1 to row t.
@@ -392,11 +383,11 @@ class TestPlainOnlineNatgrad:
         inputs = [rng.standard_normal(2) for _ in range(5)]
         obs = [np.array([float(rng.standard_normal())]) for _ in range(5)]
         cfg = natgrad.NatGradConfig(eta=0.2, gamma=0.2)
-        with_jac = natgrad.plain_online_natgrad(
+        with_jac = plain_online_natgrad(
             inputs, obs, lambda th, u: np.array([th @ u]), fam, cfg,
             np.zeros(2), np.eye(2), jacobian_h=lambda th, u: u[None, :],
         )
-        without = natgrad.plain_online_natgrad(
+        without = plain_online_natgrad(
             inputs, obs, lambda th, u: np.array([th @ u]), fam, cfg,
             np.zeros(2), np.eye(2),
         )
@@ -419,7 +410,7 @@ class TestScheduleLength:
         scenario, calls = counting_scenario(10)
         cfg = natgrad.NatGradConfig(**{"eta": 0.3, "gamma": 0.3, which: np.full(length, 0.3)})
         with pytest.raises(ValueError, match=f"{which} schedule"):
-            natgrad.plain_online_natgrad(
+            plain_online_natgrad(
                 [np.zeros(0)] * 10, scenario.observations, scenario.model.h,
                 scenario.family, cfg, np.zeros(1), np.eye(1),
             )
