@@ -21,9 +21,9 @@ H^T R^-1 H = B^T C B and H^T R^-1 (y - h) = B^T e.
 Under P = eta J^-1 and the eta equation above, the two vector fields
 coincide; :func:`integrate` runs either side with fixed-step RK4 so the
 agreement can be measured as a function of the step size.  The fields take
-the state as plain arrays (s and P, or s, J and eta) plus the time, and
-return the derivatives; :func:`integrate` packs them into one vector for
-RK4 and follows the model's own observation path.
+the state as plain arrays (s and P, or s, J and eta) plus the time and the
+model, whose own observation path they read, and return the derivatives;
+:func:`integrate` packs them into one vector for RK4.
 
 Observation paths y(t) are smooth callables; rough (white-noise) paths are
 out of scope.  P and J are symmetrized after every step and their
@@ -84,16 +84,15 @@ def gaussian_linearisation(
     s: np.ndarray,
     u: np.ndarray,
     t: float,
-    y_path: Callable[[float], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The smooth observation at time t, linearised at state s: returns
-    (B, C, e) with B = R(t)^-1 H, C = R(t) and e = y(t) - h(s, u).
+    """The model's observation path at time t, linearised at state s:
+    returns (B, C, e) with B = R(t)^-1 H, C = R(t) and e = y(t) - h(s, u).
 
     The score of the instantaneous log-likelihood in the state is e B and
     its Fisher information is B^T C B.
     """
     r = np.atleast_2d(model.obs_cov(t))
-    resid = np.atleast_1d(y_path(t)) - np.asarray(model.h(s, u), dtype=float)
+    resid = np.atleast_1d(model.obs_path(t)) - np.asarray(model.h(s, u), dtype=float)
     return solve_psd(r, model.jac_h(s, u)), r, resid
 
 
@@ -101,14 +100,13 @@ def bucy_deriv(
     s: np.ndarray,
     cov: np.ndarray,
     t: float,
-    y_path: Callable[[float], np.ndarray],
     model: ContinuousModel,
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vector field (ds/dt, dP/dt) of the fading-memory Kalman-Bucy filter
     at mean s, covariance P and time t."""
     u = model.input_at(t)
-    obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, t, y_path)
+    obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, t)
     f_jac = model.jac_f(s, u)
     gain = cov @ obs_jac.T  # P H^T R^-1
     ds = np.asarray(model.f(s, u), dtype=float) + gain @ resid
@@ -121,13 +119,12 @@ def cngd_deriv(
     metric: np.ndarray,
     eta: float,
     t: float,
-    y_path: Callable[[float], np.ndarray],
     model: ContinuousModel,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vector field (ds/dt, dJ/dt) of the continuous-time natural gradient
     at chart value s, metric J, learning rate eta = gamma and time t."""
     u = model.input_at(t)
-    obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, t, y_path)
+    obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, t)
     f_jac = model.jac_f(s, u)
     fisher = symmetrize(obs_jac.T @ obs_cov @ obs_jac)
     dmetric = -f_jac.T @ metric - metric @ f_jac - eta * metric + eta * fisher
@@ -165,7 +162,6 @@ def integrate(
     gamma(t) = eta(t).  The matrix part of the state is symmetrized after
     each step; positivity is checked and failure raises PositivityLostError.
     """
-    y_path = model.obs_path
     n = model.dim_state
     n_steps = int(round(cfg.horizon / cfg.dt))
     times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)
@@ -176,9 +172,7 @@ def integrate(
         label, tail = "covariance", []
 
         def deriv(t: float, z: np.ndarray) -> np.ndarray:
-            ds, dcov = bucy_deriv(
-                z[:n], z[n:].reshape(n, n), t, y_path, model, cfg.alpha_at(t)
-            )
+            ds, dcov = bucy_deriv(z[:n], z[n:].reshape(n, n), t, model, cfg.alpha_at(t))
             return np.concatenate([ds, dcov.ravel()])
 
     elif kind == CNGD:
@@ -188,7 +182,7 @@ def integrate(
 
         def deriv(t: float, z: np.ndarray) -> np.ndarray:
             eta = z[-1]
-            ds, dmetric = cngd_deriv(z[:n], z[n:-1].reshape(n, n), eta, t, y_path, model)
+            ds, dmetric = cngd_deriv(z[:n], z[n:-1].reshape(n, n), eta, t, model)
             return np.concatenate([ds, dmetric.ravel(), [eta_ode(eta, cfg.alpha_at(t))]])
 
     else:

@@ -36,22 +36,18 @@ class RunConfig:
     scenario: str
     family: str | None = None
     obs_cov: list[float] | None = None
-    classes: int | None = None
     horizon: float | None = None
     dt: float | None = None
     dt_list: list[float] | None = None
     seed: int = 0
     s0: list[float] | None = None
     p0_scale: float = 1.0
-    p0_diag: list[float] | None = None
     alpha_spec: str = "0.0"
     alpha_overrides: dict[int, float] = field(default_factory=dict)
     eta0: float = 0.5
     fisher_mode: str = "exact"
     mc_samples: int = 1
     tol: float | None = None
-    out: str | None = None
-    mutate: str | None = None
 
 
 def _parse_floats(value: str) -> list[float]:
@@ -63,20 +59,16 @@ def _parse_floats(value: str) -> list[float]:
 _FIELDS = {
     "family": ("family", str),
     "obs_cov": ("obs_cov", _parse_floats),
-    "classes": ("classes", int),
     "T": ("horizon", float),
     "dt": ("dt", float),
     "dt_list": ("dt_list", _parse_floats),
     "seed": ("seed", int),
     "s0": ("s0", _parse_floats),
     "p0_scale": ("p0_scale", float),
-    "p0": ("p0_diag", _parse_floats),
     "alpha": ("alpha_spec", str),
     "eta0": ("eta0", float),
     "fisher_mode": ("fisher_mode", str),
     "tol": ("tol", float),
-    "out": ("out", str),
-    "mutate": ("mutate", str),
 }
 
 
@@ -181,11 +173,12 @@ def _build_family(cfg: RunConfig, model: model_mod.DynamicalModel) -> expfam.Obs
             )
         return expfam.gaussian(np.diag(diag))
     if cfg.family == "bernoulli":
+        if model.dim_obs != 1:
+            raise ConfigError(
+                f"invalid field family: bernoulli observations have dimension 1,"
+                f" {cfg.scenario} observes dimension {model.dim_obs}"
+            )
         return expfam.bernoulli()
-    if cfg.family == "categorical":
-        if cfg.classes is None:
-            raise ConfigError("missing required field: classes (categorical family)")
-        return expfam.categorical(cfg.classes)
     raise ConfigError(f"invalid field family: {cfg.family!r}")
 
 
@@ -198,12 +191,6 @@ def _init_state(cfg: RunConfig, model) -> np.ndarray:
 
 
 def _init_cov(cfg: RunConfig, dim: int) -> np.ndarray:
-    if cfg.p0_diag is not None:
-        if len(cfg.p0_diag) != dim:
-            raise ConfigError(f"invalid field p0: need {dim} entries")
-        if any(v <= 0 for v in cfg.p0_diag):
-            raise ConfigError("invalid field p0: diagonal must be positive")
-        return np.diag(cfg.p0_diag)
     if cfg.p0_scale <= 0:
         raise ConfigError("invalid field p0_scale: must be positive")
     return cfg.p0_scale * np.eye(dim)
@@ -223,17 +210,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load(config_path: str, out_dir: str | None):
-    """Parse the config, look up its model and name the output directory."""
+def _load(config_path: str):
+    """Parse the config and look up its model."""
     cfg = parse_config(config_path)
-    out = Path(out_dir or cfg.out or ".")
     try:
         system = model_mod.builtin(cfg.scenario)
     except UnknownModelError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.horizon is None:
         raise ConfigError("missing required field: T")
-    return cfg, system, out
+    return cfg, system
 
 
 def _discrete_inputs(cfg: RunConfig, system):
@@ -253,6 +239,12 @@ def _continuous_inputs(cfg: RunConfig, system):
     """Horizon, alpha(t), prior mean and prior covariance of a continuous run."""
     if not isinstance(system, model_mod.ContinuousModel):
         raise ConfigError(f"invalid field scenario: {cfg.scenario!r} is not a continuous model")
+    for key, value in (("family", cfg.family), ("obs_cov", cfg.obs_cov)):
+        if value is not None:
+            raise ConfigError(
+                f"invalid field {key}: a continuous model fixes its own observation"
+                " path and covariance"
+            )
     horizon = float(cfg.horizon)
     alpha = _alpha_fn(cfg, horizon)
     return horizon, alpha, _init_state(cfg, system), _init_cov(cfg, system.dim_state)
@@ -260,11 +252,10 @@ def _continuous_inputs(cfg: RunConfig, system):
 
 def _scenario_columns(scenario: model_mod.Scenario) -> tuple[list[str], np.ndarray]:
     """Leading columns of a discrete trace: t, the true state, and the
-    observation (raw vector for gaussian, one label column else; zero at
+    observation (the gaussian vector or the bernoulli label; zero at
     t = 0, where there is none)."""
-    fam = scenario.family
     horizon = scenario.horizon
-    width = fam.mean_dim if fam.kind == expfam.GAUSSIAN else 1
+    width = scenario.family.mean_dim
     y_block = np.zeros((horizon + 1, width))
     for t in range(1, horizon + 1):
         y_block[t] = np.asarray(scenario.obs(t), dtype=float)
@@ -277,11 +268,11 @@ def _scenario_columns(scenario: model_mod.Scenario) -> tuple[list[str], np.ndarr
     return names, np.column_stack([times, scenario.true_states, y_block])
 
 
-def cmd_run(config_path: str, mode: str, out_dir: str | None = None) -> int:
+def cmd_run(config_path: str, mode: str, out: Path = Path(".")) -> int:
     """Run one filter or flow and write trace.csv / summary.txt."""
     if mode not in RUN_MODES:
         raise ConfigError(f"unknown run mode {mode!r}; choose from {RUN_MODES}")
-    cfg, system, out = _load(config_path, out_dir)
+    cfg, system = _load(config_path)
     summary: list[str] = [f"mode = {mode}", f"scenario = {cfg.scenario}"]
 
     if mode in ("ekf", "natgrad"):
@@ -340,15 +331,14 @@ def cmd_run(config_path: str, mode: str, out_dir: str | None = None) -> int:
 def cmd_compare(
     config_path: str,
     mode: str,
-    out_dir: str | None = None,
+    out: Path = Path("."),
     tol: float | None = None,
     mutate: str | None = None,
 ) -> int:
     """Run the matched filter/gradient pair and report deviations."""
     if mode not in COMPARE_MODES:
         raise ConfigError(f"unknown compare mode {mode!r}; choose from {COMPARE_MODES}")
-    cfg, system, out = _load(config_path, out_dir)
-    mutate = mutate if mutate is not None else cfg.mutate
+    cfg, system = _load(config_path)
     summary: list[str] = [f"mode = {mode}", f"scenario = {cfg.scenario}"]
 
     if mode == "discrete":
@@ -380,12 +370,11 @@ def cmd_compare(
         if mutate is not None:
             raise ConfigError("invalid field mutate: the negative controls are discrete-only")
         horizon, alpha, s0, p0 = _continuous_inputs(cfg, system)
-        dts = cfg.dt_list or ([cfg.dt] if cfg.dt else None)
-        if not dts:
-            raise ConfigError("missing required field: dt_list (or dt)")
+        if not cfg.dt_list:
+            raise ConfigError("missing required field: dt_list")
         use_tol = tol if tol is not None else (cfg.tol if cfg.tol is not None else 1e-6)
         result = eq_mod.check_continuous(
-            system, s0, p0, alpha, dts, horizon, tol=use_tol, eta0=cfg.eta0
+            system, s0, p0, alpha, cfg.dt_list, horizon, tol=use_tol, eta0=cfg.eta0
         )
         rows = []
         for rep in result.reports:
@@ -428,12 +417,12 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run one filter and write its trace")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--mode", required=True, choices=RUN_MODES)
-    p_run.add_argument("--out", default=None)
+    p_run.add_argument("--out", type=Path, default=Path("."))
 
     p_cmp = sub.add_parser("compare", help="run a matched pair and compare traces")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--mode", required=True, choices=COMPARE_MODES)
-    p_cmp.add_argument("--out", default=None)
+    p_cmp.add_argument("--out", type=Path, default=Path("."))
     p_cmp.add_argument("--tol", type=float, default=None)
     p_cmp.add_argument("--mutate", default=None)
 

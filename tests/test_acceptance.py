@@ -377,7 +377,7 @@ def test_c10_gradient_checks_and_matrix_hygiene():
         y = rng.standard_normal(1)
         r = np.array([[rng.uniform(0.5, 2.0)]])
         obs_jac, _, resid = bucy.gaussian_linearisation(
-            dataclasses.replace(model, obs_cov=lambda t: r), s, u, 0.0, lambda t: y
+            dataclasses.replace(model, obs_cov=lambda t: r, obs_path=lambda t: y), s, u, 0.0
         )
         grad = resid @ obs_jac
         fd = np.zeros(2)

@@ -50,7 +50,8 @@ def linearised(model, s, y, r=None):
     if r is not None:
         model = dataclasses.replace(model, obs_cov=lambda t: np.atleast_2d(r))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return bucy.gaussian_linearisation(model, np.asarray(s, dtype=float), np.zeros(0), 0.0, lambda t: y)
+    model = dataclasses.replace(model, obs_path=lambda t: y)
+    return bucy.gaussian_linearisation(model, np.asarray(s, dtype=float), np.zeros(0), 0.0)
 
 
 def score(model, s, y, r=None):
@@ -166,25 +167,21 @@ class TestBucyDeriv:
             jac_f=lambda s, u: np.zeros((2, 2)),
             jac_h=lambda s, u: np.zeros((1, 2)),
         )
-        ds, dcov = bucy.bucy_deriv(
-            np.array([0.4, -0.2]), np.eye(2), 0.0, lambda t: np.zeros(1), model, alpha=0.0
-        )
+        ds, dcov = bucy.bucy_deriv(np.array([0.4, -0.2]), np.eye(2), 0.0, model, alpha=0.0)
         np.testing.assert_array_equal(ds, np.zeros(2))
         np.testing.assert_array_equal(dcov, np.zeros((2, 2)))
 
     def test_scalar_riccati_field(self):
         model = scalar_integrator_model()
-        _, dcov = bucy.bucy_deriv(
-            np.zeros(1), np.array([[1.5]]), 0.0, lambda t: np.zeros(1), model, alpha=0.0
-        )
+        _, dcov = bucy.bucy_deriv(np.zeros(1), np.array([[1.5]]), 0.0, model, alpha=0.0)
         np.testing.assert_allclose(dcov, [[-(1.5**2)]])
 
     def test_alpha_adds_linearly(self, rng):
         model = builtin("pendulum-ct")
         cov = random_spd(rng, 2)
         s = rng.standard_normal(2)
-        _, d0 = bucy.bucy_deriv(s, cov, 0.3, model.obs_path, model, alpha=0.0)
-        _, d1 = bucy.bucy_deriv(s, cov, 0.3, model.obs_path, model, alpha=0.7)
+        _, d0 = bucy.bucy_deriv(s, cov, 0.3, model, alpha=0.0)
+        _, d1 = bucy.bucy_deriv(s, cov, 0.3, model, alpha=0.7)
         np.testing.assert_allclose(d1 - d0, 0.7 * cov, atol=1e-12)
 
 
@@ -196,18 +193,17 @@ class TestCngdDeriv:
             h=lambda s, u: np.array([s[0]]),
             jac_f=lambda s, u: np.zeros((2, 2)),
             jac_h=lambda s, u: np.array([[1.0, 0.0]]),
+            y_path=lambda t: np.ones(1),
         )
         # gamma = eta = 0 and F = 0: nothing moves the metric.
-        _, dmetric = bucy.cngd_deriv(
-            np.zeros(2), np.eye(2), 0.0, 0.0, lambda t: np.ones(1), model
-        )
+        _, dmetric = bucy.cngd_deriv(np.zeros(2), np.eye(2), 0.0, 0.0, model)
         np.testing.assert_array_equal(dmetric, np.zeros((2, 2)))
 
     def test_zero_innovation_follows_dynamics(self, rng):
-        model = builtin("pendulum-ct")
+        base = builtin("pendulum-ct")
         s = rng.standard_normal(2)
-        y_path = lambda t: model.h(s, np.zeros(0))
-        ds, _ = bucy.cngd_deriv(s, random_spd(rng, 2), 0.4, 0.2, y_path, model)
+        model = dataclasses.replace(base, obs_path=lambda t: base.h(s, np.zeros(0)))
+        ds, _ = bucy.cngd_deriv(s, random_spd(rng, 2), 0.4, 0.2, model)
         np.testing.assert_allclose(ds, model.f(s, np.zeros(0)), atol=1e-14)
 
     def test_pointwise_identity_with_bucy(self, rng):
@@ -223,8 +219,8 @@ class TestCngdDeriv:
             t = rng.uniform(0.0, 1.0)
             cov = eta * np.linalg.inv(metric)
 
-            ds_b, dcov_b = bucy.bucy_deriv(s, cov, t, model.obs_path, model, alpha)
-            ds_c, dmetric = bucy.cngd_deriv(s, metric, eta, t, model.obs_path, model)
+            ds_b, dcov_b = bucy.bucy_deriv(s, cov, t, model, alpha)
+            ds_c, dmetric = bucy.cngd_deriv(s, metric, eta, t, model)
             deta = bucy.eta_ode(eta, alpha)
             metric_inv = np.linalg.inv(metric)
             dcov_induced = deta * metric_inv - eta * metric_inv @ dmetric @ metric_inv

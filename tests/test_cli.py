@@ -73,6 +73,20 @@ class TestParseConfig:
         cfg = parse_config(path)
         assert cfg.alpha_overrides == {3: 0.9}
 
+    # Inputs the config does not take: a class count (no categorical
+    # family), a prior diagonal (p0_scale sets P0), and the output
+    # directory and negative control, which are the flags --out and --mutate.
+    @pytest.mark.parametrize(
+        "line",
+        ["classes = 3", "p0 = 1, 1", "out = results", "mutate = halve_gamma"],
+        ids=["classes", "p0", "out", "mutate"],
+    )
+    def test_removed_keys_rejected(self, line, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text(LINEAR2D_CFG + line + "\n")
+        with pytest.raises(ConfigError, match="unknown field: " + line.split()[0]):
+            parse_config(path)
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# header\n\nscenario = static  # trailing\n")
@@ -207,18 +221,15 @@ class TestCmdCompare:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("name", ["halve_gamma", "nonsense"])
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_continuous_mutation_exit_1(self, pendulum_cfg, tmp_path, capsys, name, via):
+    @pytest.mark.parametrize(
+        "name", ["halve_gamma", "nonsense"], ids=["flag-halve_gamma", "flag-nonsense"]
+    )
+    def test_continuous_mutation_exit_1(self, pendulum_cfg, tmp_path, capsys, name):
         # The negative controls exist on the discrete side only; a mutation
         # that the continuous comparison would ignore must not pass.
-        argv = ["compare", "--config", str(pendulum_cfg), "--mode", "continuous"]
-        if via == "flag":
-            argv += ["--mutate", name]
-        else:
-            pendulum_cfg.write_text(pendulum_cfg.read_text() + f"mutate = {name}\n")
         out = tmp_path / "cmp"
-        assert main(argv + ["--out", str(out)]) == 1
+        argv = ["compare", "--config", str(pendulum_cfg), "--mode", "continuous"]
+        assert main(argv + ["--mutate", name, "--out", str(out)]) == 1
         assert "discrete-only" in capsys.readouterr().err
         assert not (out / "summary.txt").exists()
 
@@ -274,6 +285,36 @@ class TestRejectedInputs:
         assert main(argv) == 1
         assert "not a continuous model" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "line", ["family = gaussian", "obs_cov = 100"], ids=["family", "obs_cov"]
+    )
+    def test_continuous_rejects_observation_fields(
+        self, command, line, pendulum_cfg, tmp_path, capsys
+    ):
+        # A continuous model fixes its own observation path and covariance,
+        # so a value given here could only be ignored.
+        pendulum_cfg.write_text(pendulum_cfg.read_text() + line + "\n")
+        out = tmp_path / "out"
+        argv = COMMANDS[command] + ["--config", str(pendulum_cfg), "--out", str(out)]
+        assert main(argv) == 1
+        assert f"invalid field {line.split()[0]}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_family_dimension_mismatch_names_field(self, command, tmp_path, capsys):
+        # linear2d observes two dimensions; a bernoulli label has one.
+        path = tmp_path / "bern.cfg"
+        path.write_text(LINEAR2D_CFG.replace("family = gaussian", "family = bernoulli"))
+        out = tmp_path / "out"
+        mode = "ekf" if command == "run" else "discrete"
+        argv = [command, "--mode", mode, "--config", str(path), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid field family:")
+        assert "dimension 1" in err and "dimension 2" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize(

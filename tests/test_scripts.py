@@ -1,25 +1,31 @@
-"""Smoke tests of the two study scripts, run as a user runs them."""
+"""Smoke tests of the study front-ends, run as a user runs them: the
+discrete sweep script, and `kalgrad compare` on every example config."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from kalgrad.cli import parse_config
 from kalgrad.equivalence import SWEEP_MODELS, sweep_schedules
+from kalgrad.model import ContinuousModel, builtin
 
 ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.cfg"))
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=300,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300,
     )
 
 
 def test_discrete_equivalence_script():
-    proc = run_script("discrete_equivalence.py", "--horizon", "10", "--seeds", "1")
+    script = ROOT / "scripts" / "discrete_equivalence.py"
+    proc = run_python(str(script), "--horizon", "10", "--seeds", "1")
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
     for name in SWEEP_MODELS:
@@ -28,7 +34,14 @@ def test_discrete_equivalence_script():
     assert "aborted" not in proc.stdout
 
 
-def test_continuous_equivalence_script():
-    proc = run_script("continuous_equivalence.py", "--dts", "1e-2", "1e-3")
+@pytest.mark.parametrize("config", CONFIGS, ids=[path.stem for path in CONFIGS])
+def test_example_config_compare_passes(config, tmp_path):
+    # Each config is compared in its own time domain; the continuous ones
+    # carry the step-size study in their dt_list.
+    continuous = isinstance(builtin(parse_config(config).scenario), ContinuousModel)
+    mode = "continuous" if continuous else "discrete"
+    proc = run_python(
+        "-m", "kalgrad", "compare", "--config", str(config), "--mode", mode, "--out", str(tmp_path)
+    )
     assert proc.returncode == 0, proc.stderr
-    assert "pass: True" in proc.stdout.splitlines()
+    assert "pass = True" in (tmp_path / "summary.txt").read_text().splitlines()
