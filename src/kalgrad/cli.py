@@ -45,8 +45,6 @@ class RunConfig:
     alpha_spec: str = "0.0"
     alpha_overrides: dict[int, float] = field(default_factory=dict)
     eta0: float = 0.5
-    fisher_mode: str = "exact"
-    mc_samples: int = 1
     tol: float | None = None
 
 
@@ -55,7 +53,7 @@ def _parse_floats(value: str) -> list[float]:
 
 
 # Config key -> (RunConfig field, parser).  ``scenario`` and the alpha[t]
-# overrides are read separately; fisher_mode = mc(n) also sets mc_samples.
+# overrides are read separately.
 _FIELDS = {
     "family": ("family", str),
     "obs_cov": ("obs_cov", _parse_floats),
@@ -67,7 +65,6 @@ _FIELDS = {
     "p0_scale": ("p0_scale", float),
     "alpha": ("alpha_spec", str),
     "eta0": ("eta0", float),
-    "fisher_mode": ("fisher_mode", str),
     "tol": ("tol", float),
 }
 
@@ -104,9 +101,6 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"invalid field value: {exc}") from exc
     if raw:
         raise ConfigError(f"unknown field: {sorted(raw)[0]}")
-    m = re.match(r"^mc\((\d+)\)$", cfg.fisher_mode)
-    if m:
-        cfg.fisher_mode, cfg.mc_samples = "mc", int(m.group(1))
     return cfg
 
 
@@ -115,9 +109,7 @@ def _alpha_schedule(cfg: RunConfig, horizon: int) -> np.ndarray:
     spec = cfg.alpha_spec.strip()
     m = _RAMP_RE.match(spec)
     if m:
-        lo, hi = float(m.group(1)), float(m.group(2))
-        steps = np.arange(horizon, dtype=float)
-        alpha = lo + (hi - lo) * steps / max(horizon - 1, 1)
+        alpha = np.linspace(float(m.group(1)), float(m.group(2)), horizon)
     else:
         values = _parse_floats(spec)
         if len(values) == 1:
@@ -281,12 +273,7 @@ def cmd_run(config_path: str, mode: str, out: Path = Path(".")) -> int:
             trace = ekf_mod.run(scenario, ekf_mod.EkfConfig(alpha=alpha), s0, p0)
         else:
             hyper = eq_mod.map_alpha_to_eta(alpha, cfg.eta0, scenario.horizon)
-            grad_cfg = ngd_mod.NatGradConfig(
-                eta=hyper.eta[1:],
-                gamma=hyper.eta[1:],
-                fisher_mode=cfg.fisher_mode,
-                mc_samples=cfg.mc_samples,
-            )
+            grad_cfg = ngd_mod.NatGradConfig(eta=hyper.eta[1:], gamma=hyper.eta[1:])
             metric0 = eq_mod.initial_metric(p0, cfg.eta0)
             trace = ngd_mod.run(scenario, grad_cfg, s0, metric0)
         header, block = _scenario_columns(scenario)

@@ -260,15 +260,3 @@ def sample(family: ObservationFamily, yhat, rng: np.random.Generator, size: int 
         draws = rng.choice(family.num_classes, size=n, p=probs)
     return int(draws[0]) if size is None else draws
 
-
-def _suffstats_batch(family: ObservationFamily, draws) -> np.ndarray:
-    """Sufficient statistics for a batch of draws, one row per draw."""
-    if family.kind == GAUSSIAN:
-        return np.asarray(draws, dtype=float)
-    labels = np.asarray(draws, dtype=np.int64)
-    if family.kind == BERNOULLI:
-        return labels[:, None].astype(float)
-    t = np.zeros((labels.size, family.num_classes - 1))
-    kept = labels < family.num_classes - 1
-    t[np.nonzero(kept)[0], labels[kept]] = 1.0
-    return t

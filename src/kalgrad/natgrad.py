@@ -12,12 +12,10 @@ tensor:
 
 The score and the Fisher come from the one linearisation of
 :func:`kalgrad.model.linearise` (B = d theta / d s, C = cov(T) at the
-predicted mean, e = T(y) - E[T]): the score in the state is e B.  Three
-Fisher estimators are available: the exact per-observation Fisher
-B^T C B, the outer product of the observed score, and a Monte Carlo
-average of the outer products of scores of draws at the predicted mean.
-Only the exact mode participates in equivalence checks against the
-fading-memory filter.
+predicted mean, e = T(y) - E[T]): the score in the state is e B and the
+Fisher the exact per-observation Fisher B^T C B, the one under which the
+scheme matches the fading-memory filter.  The tests check it against a
+Monte Carlo average of score outer products.
 
 Every step function takes and returns plain arrays: the state s in the
 current chart and the metric J there.
@@ -38,10 +36,6 @@ from .errors import NonFiniteError, SingularMatrixError
 from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise
 from .numerics import as_schedule, check_schedule, solve_psd, symmetrize
 
-EXACT = "exact"
-OUTER = "outer"
-MONTE_CARLO = "mc"
-
 # Chart changes with condition numbers beyond this are treated as singular:
 # the trajectory chart is no longer well-defined.
 _COND_LIMIT = 1e12
@@ -49,7 +43,7 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class NatGradConfig:
-    """Schedules and Fisher estimation mode.
+    """Learning-rate and metric-averaging schedules.
 
     ``eta`` and ``gamma`` are stored as 1-D float arrays indexed by step
     (entry t-1 applies at time t); a single entry is broadcast.
@@ -57,8 +51,6 @@ class NatGradConfig:
 
     eta: np.ndarray | float
     gamma: np.ndarray | float
-    fisher_mode: str = EXACT
-    mc_samples: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eta", as_schedule(self.eta))
@@ -69,10 +61,6 @@ class NatGradConfig:
             raise ValueError("eta schedule must lie in [0, 1]")
         if np.any(self.gamma <= 0.0) or np.any(self.gamma > 1.0):
             raise ValueError("gamma schedule must lie in (0, 1]")
-        if self.fisher_mode not in (EXACT, OUTER, MONTE_CARLO):
-            raise ValueError(f"unknown fisher mode {self.fisher_mode!r}")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
 
     def check_horizon(self, horizon: int) -> None:
         """Reject eta or gamma schedules with neither 1 nor ``horizon`` entries."""
@@ -121,35 +109,9 @@ def chart_transport(
     return value, pushforward_metric(metric, model.jac_f(state, u))
 
 
-def fisher_term(
-    lin: Linearisation,
-    family: expfam.ObservationFamily,
-    mode: str = EXACT,
-    y=None,
-    rng: np.random.Generator | None = None,
-    mc_samples: int = 1,
-) -> np.ndarray:
-    """Per-observation Fisher contribution with respect to the state.
-
-    exact: B^T C B.
-    outer: outer product of the observed score e B (requires y).
-    mc:    average score outer product over mc_samples draws at the
-           predicted mean.
-    """
-    if mode == EXACT:
-        return symmetrize(lin.jac.T @ lin.cov @ lin.jac)
-    if mode == OUTER:
-        if y is None:
-            raise ValueError("outer-product mode needs the observed y")
-        observed = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
-        return symmetrize(np.outer(observed, observed))
-    if mode == MONTE_CARLO:
-        if rng is None:
-            raise ValueError("monte-carlo mode needs an rng")
-        draws = expfam.sample(family, lin.mean, rng, size=mc_samples)
-        scores = lin.residual(expfam._suffstats_batch(family, draws)) @ lin.jac  # one row per draw
-        return symmetrize(scores.T @ scores / mc_samples)
-    raise ValueError(f"unknown fisher mode {mode!r}")
+def fisher_term(lin: Linearisation) -> np.ndarray:
+    """Per-observation Fisher information with respect to the state: B^T C B."""
+    return symmetrize(lin.jac.T @ lin.cov @ lin.jac)
 
 
 def update(
@@ -160,7 +122,6 @@ def update(
     family: expfam.ObservationFamily,
     config: NatGradConfig,
     t: int,
-    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Blend the Fisher term into the metric and take one natural step;
     returns the new (state, metric).
@@ -171,10 +132,7 @@ def update(
     lin = linearise(model, family, state, t)
     score_state = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
     gamma = config.gamma_at(t)
-    fisher = fisher_term(
-        lin, family, mode=config.fisher_mode, y=y, rng=rng, mc_samples=config.mc_samples
-    )
-    metric = symmetrize((1.0 - gamma) * metric + gamma * fisher)
+    metric = symmetrize((1.0 - gamma) * metric + gamma * fisher_term(lin))
     return state + config.eta_at(t) * solve_psd(metric, score_state), metric
 
 
@@ -183,17 +141,10 @@ def run(
     config: NatGradConfig,
     init_state,
     init_metric,
-    rng: np.random.Generator | None = None,
 ) -> Trace:
     """Run the chart-based online natural gradient over a scenario; returns
-    the states and metrics in the chart at each t, row 0 the prior.
-
-    ``rng`` feeds the Monte Carlo Fisher mode only; by default it is a
-    Philox stream split off the scenario seed.
-    """
+    the states and metrics in the chart at each t, row 0 the prior."""
     config.check_horizon(scenario.horizon)
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=scenario.seed).jumped())
     state = np.asarray(init_state, dtype=float)
     metric = np.asarray(init_metric, dtype=float)
     model = scenario.model
@@ -203,8 +154,6 @@ def run(
     states[0], metrics[0] = state, metric
     for t in range(1, rows):
         state, metric = chart_transport(state, metric, model, t)
-        state, metric = update(
-            state, metric, scenario.obs(t), model, scenario.family, config, t, rng
-        )
+        state, metric = update(state, metric, scenario.obs(t), model, scenario.family, config, t)
         states[t], metrics[t] = state, metric
     return Trace(states, metrics=metrics)

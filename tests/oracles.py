@@ -1,13 +1,14 @@
 """Reference implementations the tests compare the library against:
 log-likelihoods that the tests differentiate numerically, as oracles for
-the scores the library reads from its linearisations, and the chartless
-online natural gradient that chart-based runs on static dynamics must
-reproduce."""
+the scores the library reads from its linearisations, a Monte Carlo
+Fisher estimate, as the oracle for the exact Fisher the library blends in,
+and the chartless online natural gradient that chart-based runs on static
+dynamics must reproduce."""
 
 import numpy as np
 
 from kalgrad import expfam
-from kalgrad.model import Trace, mean_linearisation
+from kalgrad.model import Linearisation, Trace, mean_linearisation
 from kalgrad.natgrad import NatGradConfig, fisher_term
 from kalgrad.numerics import fd_jacobian, solve_psd, symmetrize
 
@@ -39,6 +40,29 @@ def inst_loglik(y, s, u, obs_cov, h) -> float:
     return float(y @ rinv_h - 0.5 * hv @ rinv_h)
 
 
+def suffstats_batch(family: expfam.ObservationFamily, draws) -> np.ndarray:
+    """Sufficient statistics for a batch of draws, one row per draw."""
+    if family.kind == expfam.GAUSSIAN:
+        return np.asarray(draws, dtype=float)
+    labels = np.asarray(draws, dtype=np.int64)
+    if family.kind == expfam.BERNOULLI:
+        return labels[:, None].astype(float)
+    t = np.zeros((labels.size, family.num_classes - 1))
+    kept = labels < family.num_classes - 1
+    t[np.nonzero(kept)[0], labels[kept]] = 1.0
+    return t
+
+
+def mc_fisher(
+    lin: Linearisation, family: expfam.ObservationFamily, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """Monte Carlo Fisher: the average outer product of the state scores of
+    ``n`` draws at the linearisation's predicted mean."""
+    draws = expfam.sample(family, lin.mean, rng, size=n)
+    scores = lin.residual(suffstats_batch(family, draws)) @ lin.jac  # one row per draw
+    return symmetrize(scores.T @ scores / n)
+
+
 def plain_online_natgrad(
     inputs: list,
     observations: list,
@@ -48,7 +72,6 @@ def plain_online_natgrad(
     init_param,
     init_metric,
     jacobian_h=None,
-    rng: np.random.Generator | None = None,
 ) -> Trace:
     """Chartless online natural gradient for a static parameter.
 
@@ -74,10 +97,7 @@ def plain_online_natgrad(
             h_jac = fd_jacobian(lambda v: h(v, u), theta)
         lin = mean_linearisation(family, np.asarray(h(theta, u), dtype=float), h_jac)
         gamma = config.gamma_at(t)
-        fisher = fisher_term(
-            lin, family, mode=config.fisher_mode, y=y, rng=rng, mc_samples=config.mc_samples
-        )
-        metric = symmetrize((1.0 - gamma) * metric + gamma * fisher)
+        metric = symmetrize((1.0 - gamma) * metric + gamma * fisher_term(lin))
         score = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
         theta = theta + config.eta_at(t) * solve_psd(metric, score)
         states[t], metrics[t] = theta, metric

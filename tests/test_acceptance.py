@@ -26,7 +26,7 @@ from kalgrad.equivalence import (
 from kalgrad.model import DynamicalModel, builtin, generate_scenario, linearise, mean_linearisation
 
 from conftest import random_spd
-from oracles import inst_loglik, log_density, plain_online_natgrad
+from oracles import inst_loglik, log_density, mc_fisher, plain_online_natgrad
 from test_ekf import make_linear_model
 from test_equivalence import softmax_model
 
@@ -174,9 +174,8 @@ def test_c05_fisher_identity_monte_carlo():
     h_jac = np.array([[0.7, -1.2]])
     fam = expfam.gaussian(np.array([[r]]))
     lin = mean_linearisation(fam, np.array([0.4]), h_jac)
-    exact = natgrad.fisher_term(lin, fam, mode=natgrad.EXACT)
-    rng = np.random.Generator(np.random.Philox(key=501))
-    mc = natgrad.fisher_term(lin, fam, mode=natgrad.MONTE_CARLO, rng=rng, mc_samples=n)
+    exact = natgrad.fisher_term(lin)
+    mc = mc_fisher(lin, fam, np.random.Generator(np.random.Philox(key=501)), n)
     se = np.sqrt(2.0) * np.abs(h_jac.T @ h_jac) / (r * np.sqrt(n))
     gauss_ok = np.all(np.abs(mc - exact) <= 3.0 * se)
     print(f"  gaussian max |mc - exact| / se = {(np.abs(mc - exact) / se).max():.2f}")
@@ -188,9 +187,8 @@ def test_c05_fisher_identity_monte_carlo():
     h_jac = np.array([[0.9, 0.4]])
     fam = expfam.bernoulli()
     lin = mean_linearisation(fam, np.array([p]), h_jac)
-    exact = natgrad.fisher_term(lin, fam, mode=natgrad.EXACT)
-    rng = np.random.Generator(np.random.Philox(key=502))
-    mc = natgrad.fisher_term(lin, fam, mode=natgrad.MONTE_CARLO, rng=rng, mc_samples=n)
+    exact = natgrad.fisher_term(lin)
+    mc = mc_fisher(lin, fam, np.random.Generator(np.random.Philox(key=502)), n)
     var_sq = v * ((1 - p) ** 3 + p**3) - v**2
     se = np.abs(h_jac.T @ h_jac) * np.sqrt(var_sq) / (v**2 * np.sqrt(n))
     bern_ok = np.all(np.abs(mc - exact) <= 3.0 * se)

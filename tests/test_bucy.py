@@ -146,14 +146,13 @@ class TestInstFisher:
 
     def test_matches_discrete_fisher_term(self, rng):
         # Cross-module identity: same H and R must give H^T R^-1 H, and the
-        # same matrix as the discrete exact-mode Fisher term for a gaussian
-        # family.
+        # same matrix as the discrete Fisher term for a gaussian family.
         for _ in range(10):
             h_jac = rng.standard_normal((2, 3))
             r = random_spd(rng, 2)
             cont = fisher(linear_ct(h_jac, r))
             fam = expfam.gaussian(r)
-            disc = natgrad.fisher_term(mean_linearisation(fam, np.zeros(2), h_jac), fam)
+            disc = natgrad.fisher_term(mean_linearisation(fam, np.zeros(2), h_jac))
             np.testing.assert_allclose(cont, disc, atol=1e-12)
             np.testing.assert_allclose(cont, h_jac.T @ np.linalg.inv(r) @ h_jac, atol=1e-12)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kalgrad.cli import main, parse_config
+from kalgrad.equivalence import SWEEP_HORIZON, check_discrete, sweep_cell, sweep_schedules
 from kalgrad.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -74,12 +75,13 @@ class TestParseConfig:
         assert cfg.alpha_overrides == {3: 0.9}
 
     # Inputs the config does not take: a class count (no categorical
-    # family), a prior diagonal (p0_scale sets P0), and the output
-    # directory and negative control, which are the flags --out and --mutate.
+    # family), a prior diagonal (p0_scale sets P0), the output directory
+    # and negative control, which are the flags --out and --mutate, and a
+    # Fisher estimator (the natural gradient uses the exact Fisher).
     @pytest.mark.parametrize(
         "line",
-        ["classes = 3", "p0 = 1, 1", "out = results", "mutate = halve_gamma"],
-        ids=["classes", "p0", "out", "mutate"],
+        ["classes = 3", "p0 = 1, 1", "out = results", "mutate = halve_gamma", "fisher_mode = kfac"],
+        ids=["classes", "p0", "out", "mutate", "fisher_mode"],
     )
     def test_removed_keys_rejected(self, line, tmp_path):
         path = tmp_path / "old.cfg"
@@ -133,15 +135,12 @@ class TestCmdRun:
         path.write_text("scenario = lorenz\nfamily = gaussian\nobs_cov = 1\nT = 5\n")
         assert main(["run", "--config", str(path), "--mode", "ekf"]) == 1
 
-    # Values the config parser accepts but the library rejects with a
-    # ValueError: NatGradConfig's Fisher mode and IntegratorConfig's dt.
+    # A value the config parser accepts but the library rejects with a
+    # ValueError: IntegratorConfig's dt.
     @pytest.mark.parametrize(
         "mode, body",
-        [
-            ("natgrad", LINEAR2D_CFG + "fisher_mode = kfac\n"),
-            ("bucy", "scenario = pendulum-ct\nT = 1.0\ndt = 2.0\n"),
-        ],
-        ids=["fisher-mode-kfac", "dt-past-horizon"],
+        [("bucy", "scenario = pendulum-ct\nT = 1.0\ndt = 2.0\n")],
+        ids=["dt-past-horizon"],
     )
     def test_library_value_error_exits_1(self, mode, body, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -232,6 +231,38 @@ class TestCmdCompare:
         assert main(argv + ["--mutate", name, "--out", str(out)]) == 1
         assert "discrete-only" in capsys.readouterr().err
         assert not (out / "summary.txt").exists()
+
+    def test_transport_control_on_static_model_exits_1(self, tmp_path, capsys):
+        # logistic-static already has F = I, so skip_metric_transport could
+        # not fail on it and is refused.
+        out = tmp_path / "cmp"
+        argv = ["compare", "--config", str(CONFIGS / "logistic_static.cfg"), "--mode", "discrete"]
+        assert main(argv + ["--mutate", "skip_metric_transport", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'logistic-static'" in err
+        assert not out.exists()
+
+    def test_ramp_matches_the_sweep_cell(self, tmp_path):
+        # A config that spells out one criterion-1 cell reproduces the
+        # library's run of that cell bit for bit, ramp schedule included.
+        scenario, s0, p0 = sweep_cell("tanhspring", SWEEP_HORIZON, 0)
+        path = tmp_path / "cell.cfg"
+        path.write_text(
+            f"scenario = tanhspring\nfamily = gaussian\nobs_cov = 0.25\nT = {SWEEP_HORIZON}\n"
+            f"seed = 0\ns0 = {float(s0[0])!r}, {float(s0[1])!r}\nalpha = ramp(0, 0.5)\n"
+        )
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(path), "--mode", "discrete", "--out", str(out)]) == 0
+        report = check_discrete(scenario, s0, p0, sweep_schedules(SWEEP_HORIZON)["ramp(0,0.5)"])
+        columns = {
+            name: np.array(values, dtype=float)
+            for name, values in _csv_columns(out / "deviations.csv").items()
+        }
+        for i in range(2):
+            np.testing.assert_array_equal(columns[f"s_ekf_{i}"], report.filter_states[:, i])
+            np.testing.assert_array_equal(columns[f"s_ngd_{i}"], report.grad_states[:, i])
+        np.testing.assert_array_equal(columns["state_dev"], report.state_devs)
+        np.testing.assert_array_equal(columns["metric_dev"], report.metric_devs)
 
     def test_continuous_per_dt_rows(self, pendulum_cfg, tmp_path):
         out = tmp_path / "cmp"

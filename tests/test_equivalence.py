@@ -177,6 +177,13 @@ class TestCheckDiscrete:
         assert not report.passed
         assert report.max_state_dev > 1e-3
 
+    @pytest.mark.parametrize("name", ["static", "logistic-static"])
+    def test_transport_control_rejected_where_f_is_identity(self, name):
+        # F = I already, so skip_metric_transport would change nothing.
+        scenario, s0, p0 = equivalence.sweep_cell(name, 50, 0)
+        with pytest.raises(ValueError, match=f"'skip_metric_transport'.*'{name}'"):
+            check_discrete(scenario, s0, p0, alpha=0.1, mutate="skip_metric_transport")
+
     def test_unknown_mutation_rejected(self):
         scenario = scenario_for("linear2d", 5, seed=0)
         with pytest.raises(ValueError):
@@ -277,6 +284,18 @@ class TestCheckContinuous:
         coarse, fine = result.reports
         assert coarse.dt == 1e-3 and fine.dt == 1e-4
         assert coarse.max_state_dev >= 5.0 * fine.max_state_dev
+        assert result.passed
+
+    def test_vanished_deviation_has_no_order(self):
+        # Over T = 0.1 the dt = 1e-3 state deviation is exactly 0: no order
+        # can be measured, and the run still counts as converged.
+        model = builtin("linear-ct")
+        result = check_continuous(
+            model, model.init_state, 0.5 * np.eye(1), alpha=0.2,
+            dts=[1e-2, 1e-3], horizon=0.1, tol=1e-6,
+        )
+        assert result.reports[-1].max_state_dev == 0.0
+        assert np.isnan(result.order_state)
         assert result.passed
 
     def test_pendulum_passes_at_fine_dt(self):

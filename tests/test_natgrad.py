@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from kalgrad import ekf, expfam, natgrad
-from kalgrad.equivalence import map_alpha_to_eta
 from kalgrad.errors import SingularMatrixError
 from kalgrad.model import builtin, generate_scenario, linearise, mean_linearisation
 from kalgrad.numerics import symmetrize
 
 from conftest import random_spd
-from oracles import log_density, plain_online_natgrad
+from oracles import log_density, mc_fisher, plain_online_natgrad
 from test_ekf import counting_scenario, make_linear_model, make_scenario
 
 
@@ -87,44 +86,17 @@ class TestChartTransport:
 class TestFisherTerm:
     def test_scalar_exact(self):
         fam = expfam.gaussian(np.array([[2.0]]))
-        out = natgrad.fisher_term(mean_linearisation(fam, np.array([0.0]), np.array([[1.0]])), fam)
+        out = natgrad.fisher_term(mean_linearisation(fam, np.array([0.0]), np.array([[1.0]])))
         np.testing.assert_allclose(out, [[0.5]])
 
     def test_zero_jacobian_every_mode(self, rng):
+        # The exact Fisher and its Monte Carlo oracle both vanish.
         fam = expfam.gaussian(np.array([[1.0]]))
         h0 = np.zeros((1, 2))
         yhat = np.array([0.3])
-        for mode, kwargs in [
-            (natgrad.EXACT, {}),
-            (natgrad.OUTER, {"y": np.array([1.0])}),
-            (natgrad.MONTE_CARLO, {"rng": rng, "mc_samples": 10}),
-        ]:
-            out = natgrad.fisher_term(mean_linearisation(fam, yhat, h0), fam, mode=mode, **kwargs)
+        lin = mean_linearisation(fam, yhat, h0)
+        for out in (natgrad.fisher_term(lin), mc_fisher(lin, fam, rng, 10)):
             np.testing.assert_array_equal(out, np.zeros((2, 2)))
-
-    def test_monte_carlo_matches_exact(self):
-        # Oracle: for the scalar-observation gaussian the score outer
-        # product is H_i H_j z^2 / R^2 with z ~ N(0, R), whose entrywise
-        # standard error is sqrt(2) |H_i H_j| / (R sqrt(n)).
-        rng = np.random.default_rng(55)
-        r = 0.8
-        fam = expfam.gaussian(np.array([[r]]))
-        h_jac = np.array([[0.7, -1.2]])
-        yhat = np.array([0.4])
-        n = 100_000
-        lin = mean_linearisation(fam, yhat, h_jac)
-        exact = natgrad.fisher_term(lin, fam, mode=natgrad.EXACT)
-        mc = natgrad.fisher_term(lin, fam, mode=natgrad.MONTE_CARLO, rng=rng, mc_samples=n)
-        se = np.sqrt(2.0) * np.abs(h_jac.T @ h_jac) / (r * np.sqrt(n))
-        assert np.all(np.abs(mc - exact) <= 3.0 * se)
-
-    def test_outer_product_uses_observed_score(self):
-        fam = expfam.gaussian(np.array([[1.0]]))
-        h_jac = np.array([[1.0, 0.0]])
-        yhat = np.array([0.0])
-        lin = mean_linearisation(fam, yhat, h_jac)
-        out = natgrad.fisher_term(lin, fam, mode=natgrad.OUTER, y=np.array([2.0]))
-        np.testing.assert_allclose(out, [[4.0, 0.0], [0.0, 0.0]])
 
 
 class TestCanonicalLink:
@@ -134,19 +106,12 @@ class TestCanonicalLink:
         fam = expfam.bernoulli()
         for _ in range(20):
             s, t = rng.standard_normal(2), int(rng.integers(1, 50))
-            y = int(rng.integers(2))
-            for mode in (natgrad.EXACT, natgrad.OUTER, natgrad.MONTE_CARLO):
-                seed = int(rng.integers(2**31))  # the same mc draws on both paths
-
-                def fisher(m):
-                    return natgrad.fisher_term(
-                        linearise(m, fam, s, t), fam, mode=mode, y=y,
-                        rng=np.random.default_rng(seed), mc_samples=5,
-                    )
-
-                np.testing.assert_allclose(
-                    fisher(model), fisher(mean_model), rtol=1e-12, atol=1e-15
-                )
+            np.testing.assert_allclose(
+                natgrad.fisher_term(linearise(model, fam, s, t)),
+                natgrad.fisher_term(linearise(mean_model, fam, s, t)),
+                rtol=1e-12,
+                atol=1e-15,
+            )
 
     def test_update_matches_mean_parameter_path(self, rng):
         model = builtin("logistic-static")
@@ -160,21 +125,6 @@ class TestCanonicalLink:
             b_s, b_j = natgrad.update(s, j, y, mean_model, fam, cfg, 1)
             np.testing.assert_allclose(a_s, b_s, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(a_j, b_j, rtol=1e-12, atol=1e-14)
-
-    def test_monte_carlo_fisher_runs_through_saturated_means(self):
-        # alpha = 1 drives the predicted mean of seed 0 to exactly 1.0;
-        # drawing there is well defined, so mc runs all steps like exact.
-        model = builtin("logistic-static")
-        scenario = generate_scenario(model, expfam.bernoulli(), 50, seed=0)
-        hyper = map_alpha_to_eta(1.0, 0.5, 50)
-        cfg = natgrad.NatGradConfig(
-            eta=hyper.eta[1:], gamma=hyper.eta[1:], fisher_mode=natgrad.MONTE_CARLO, mc_samples=4
-        )
-        trace = natgrad.run(scenario, cfg, 0.5 * model.init_state, 0.5 * np.eye(2))
-        assert len(trace.states) == 51
-        # f = Id, so the predicted mean at t is h at row t-1.
-        yhats = [model.h(trace.states[t - 1], model.input_at(t)) for t in range(1, 51)]
-        assert any(yhat[0] in (0.0, 1.0) for yhat in yhats)
 
     def test_saturated_update_keeps_only_the_transported_metric(self):
         # V = 0: the Fisher term vanishes, J = (1 - gamma) J_pred, and the
@@ -253,7 +203,7 @@ class TestUpdate:
             s = rng.standard_normal(2)
             j = random_spd(rng, 2)
             yhat = model.h(s, np.zeros(0))
-            fisher = natgrad.fisher_term(linearise(model, fam, s, 1), fam)
+            fisher = natgrad.fisher_term(linearise(model, fam, s, 1))
             _, metric = natgrad.update(s, j, yhat + 0.2, model, fam, cfg, 1)
             floor = min(np.linalg.eigvalsh(j).min(), np.linalg.eigvalsh(fisher).min())
             assert np.linalg.eigvalsh(metric).min() >= floor - 1e-10
@@ -311,16 +261,6 @@ class TestRun:
         a = natgrad.run(scenario, cfg, np.zeros(2), np.eye(2))
         b = natgrad.run(scenario, cfg, np.zeros(2), np.eye(2))
         np.testing.assert_array_equal(a.states, b.states)
-
-    def test_monte_carlo_mode_deterministic_given_seed(self):
-        model = builtin("linear2d")
-        fam = expfam.gaussian(0.1 * np.eye(2))
-        scenario = generate_scenario(model, fam, 10, seed=3)
-        cfg = natgrad.NatGradConfig(eta=0.4, gamma=0.4, fisher_mode=natgrad.MONTE_CARLO, mc_samples=8)
-        a = natgrad.run(scenario, cfg, np.zeros(2), np.eye(2))
-        b = natgrad.run(scenario, cfg, np.zeros(2), np.eye(2))
-        np.testing.assert_array_equal(a.states, b.states)
-
 
 class TestPlainOnlineNatgrad:
     def test_zero_learning_rate_freezes_parameter(self, rng):
@@ -426,6 +366,3 @@ class TestNatGradConfig:
         with pytest.raises(ValueError):
             natgrad.NatGradConfig(eta=0.5, gamma=0.0)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            natgrad.NatGradConfig(eta=0.5, gamma=0.5, fisher_mode="kfac")

@@ -1,6 +1,8 @@
 """Smoke tests of the study front-ends, run as a user runs them: the
-discrete sweep script, and `kalgrad compare` on every example config."""
+discrete sweep script, `kalgrad compare` on every example config, and the
+library names that the benchmark in ``certbench/`` looks up."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import kalgrad
+from kalgrad import ekf
 from kalgrad.cli import parse_config
 from kalgrad.equivalence import SWEEP_MODELS, sweep_schedules
 from kalgrad.model import ContinuousModel, builtin
@@ -45,3 +49,23 @@ def test_example_config_compare_passes(config, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "pass = True" in (tmp_path / "summary.txt").read_text().splitlines()
+
+
+def test_benchmark_lookups_resolve(monkeypatch):
+    # certbench traces the library by name; a renamed span or dispatch
+    # entry would break its traced runs, so check the names it reads.
+    monkeypatch.syspath_prepend(str(ROOT / "certbench"))
+    try:
+        report = importlib.import_module("report")
+        tracer = importlib.import_module("tracer").Tracer(kalgrad)
+    finally:
+        for name in ("report", "tracer", "workloads"):
+            sys.modules.pop(name, None)
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    read = {*report.CALLS_PER_STEP, *report.US_PER_CALL, "model.generate_scenario"}
+    read.update(*report.STEP_MARKERS.values())
+    assert read - set(tracer.names) == set()
+    assert ekf._OBSERVERS[ekf.GAIN] is ekf.observe_gain
