@@ -62,7 +62,10 @@ class ObservationFamily:
 
 def gaussian(obs_cov: np.ndarray) -> ObservationFamily:
     """Gaussian observations with fixed, known covariance."""
-    r = symmetrize(np.atleast_2d(np.asarray(obs_cov, dtype=float)))
+    r = np.atleast_2d(np.asarray(obs_cov, dtype=float))
+    if not np.all(np.isfinite(r)):
+        raise ValueError("gaussian observation covariance has non-finite entries")
+    r = symmetrize(r)
     eigs = np.linalg.eigvalsh(r)
     if eigs.min() <= 0:
         raise ValueError("gaussian observation covariance must be positive definite")

@@ -159,7 +159,7 @@ class Linearisation:
     family, at a predicted state.
 
     ``jac`` is B = d theta / d s and ``cov`` is C = cov(T) at the
-    predicted mean ``mean``.  ``residual(stats)`` is T - E[T] for
+    predicted mean.  ``residual(stats)`` is T - E[T] for
     sufficient statistics T, one vector or one row per draw.  The score of
     T in the state is ``residual(T) @ jac`` and the Fisher information is
     ``jac.T @ cov @ jac``.
@@ -167,7 +167,6 @@ class Linearisation:
 
     jac: Array
     cov: Array
-    mean: Array
     residual: Callable[[Array], Array]
 
 
@@ -178,7 +177,7 @@ def mean_linearisation(
     Jacobian in the state is ``h_jac`` = H: since d theta / d mean = C^-1,
     B = C^-1 H.  Needs ``mean`` strictly inside the family's domain."""
     cov, jac = expfam.natural_jacobian(family, mean, h_jac)
-    return Linearisation(jac, cov, mean, lambda stats: stats - mean)
+    return Linearisation(jac, cov, lambda stats: stats - mean)
 
 
 def _observed(fn: Map, s: Array, u: Array, t: int) -> Array:
@@ -204,7 +203,6 @@ def linearise(
         return Linearisation(
             model.jac_predictor(s, u),
             expfam.canonical_variance(family, x),
-            expfam.canonical_mean(family, x),
             lambda stats: expfam.canonical_residual(family, stats, x),
         )
     return mean_linearisation(family, _observed(model.h, s, u, t), model.jac_h(s, u))

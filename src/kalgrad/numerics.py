@@ -11,7 +11,7 @@ import math
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NonFiniteError, SingularMatrixError
 
@@ -43,63 +43,37 @@ def check_schedule(schedule: np.ndarray, horizon: int, name: str) -> None:
         )
 
 
-def _chol_small(a: np.ndarray, n: int):
-    """Lower Cholesky factor of a 1x1 or 2x2 matrix, or None if not PD or
-    a pivot is not finite."""
-    if n == 1:
-        d = a[0, 0]
-        if not 0 < d < np.inf:
-            return None
-        return (np.sqrt(d),)
-    l00_sq = a[0, 0]
-    if not 0 < l00_sq < np.inf:
-        return None
-    l00 = np.sqrt(l00_sq)
-    l10 = a[1, 0] / l00
-    d = a[1, 1] - l10 * l10
-    if not 0 < d < np.inf:
-        return None
-    return (l00, l10, np.sqrt(d))
-
-
-def _chol_solve_small(factor, b: np.ndarray, n: int) -> np.ndarray:
-    if n == 1:
-        return b / (factor[0] * factor[0])
-    l00, l10, l11 = factor
-    y0 = b[0] / l00
-    y1 = (b[1] - l10 * y0) / l11
-    x1 = y1 / l11
-    x0 = (y0 - l10 * x1) / l00
-    if b.ndim == 1:
-        return np.array((x0, x1))
-    return np.stack([x0, x1])
-
-
 def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B for symmetric positive definite A without forming A^{-1}.
 
-    Uses a Cholesky factorization plus one step of iterative refinement.
-    If the factorization fails, diagonal jitter delta * trace(A)/dim is
-    added for delta in {1e-12, 1e-10, 1e-8} before giving up; the residual
-    is then measured against the jittered matrix actually solved.
-
-    Dimensions 1 and 2 take a closed-form path; the semantics match the
-    general factorization route.
+    Uses LAPACK's Cholesky factorization (``dpotrf``, lower triangle) and
+    solve (``dpotrs``) at every dimension, plus one step of iterative
+    refinement.  If the factorization fails, diagonal jitter
+    delta * trace(A)/dim is added for delta in {1e-12, 1e-10, 1e-8} before
+    giving up; the residual is then measured against the jittered matrix
+    actually solved.
 
     Raises
     ------
+    ValueError
+        If A is not a non-empty square matrix, or B is not a vector or
+        matrix with one row per row of A.
     NonFiniteError
         If the matrix or the right-hand side holds an inf or nan (checked
-        once the factorization or the solve has failed).
+        once the factorization or the residual check has failed).
     SingularMatrixError
         If positive definiteness cannot be restored within the jitter
         budget, or the relative residual stays above 1e-10.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("solve_psd expects a square matrix")
+    n = a.shape[0] if a.ndim == 2 else 0
+    if n == 0 or a.shape != (n, n):
+        raise ValueError(f"solve_psd expects a non-empty square matrix, got shape {a.shape}")
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(
+            f"solve_psd right-hand side of shape {b.shape} does not match matrix of shape {a.shape}"
+        )
 
     a_used = a
     factor = _factor(a)
@@ -113,22 +87,14 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         else:
             raise SingularMatrixError("matrix is not positive definite within the jitter budget")
 
-    if n <= 2:
-        x = _chol_solve_small(factor, b, n)
-        resid = b - a_used @ x
-        x = x + _chol_solve_small(factor, resid, n)
-    else:
-        try:
-            x = scipy.linalg.cho_solve(factor, b)
-        except ValueError:
-            _check_finite(a, b)
-            raise
+    # An inf the factorization lets through (an inf pivot, or one in the
+    # upper triangle it never reads) leaves a nan or inf residual, which
+    # fails the bound below and is then named by _check_finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = dpotrs(factor, b, lower=1)[0]
         # One refinement pass keeps the residual near machine precision.
-        resid = b - a_used @ x
-        x = x + scipy.linalg.cho_solve(factor, resid)
-    final = b - a_used @ x
-    with np.errstate(over="ignore"):
-        rel = _norm(final) / max(_norm(b), _TINY)
+        x = x + dpotrs(factor, b - a_used @ x, lower=1)[0]
+        rel = _norm(b - a_used @ x) / max(_norm(b), _TINY)
     if not rel <= 1e-10:
         _check_finite(a, b)
         raise SingularMatrixError(
@@ -157,13 +123,10 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _factor(a: np.ndarray):
-    """Cholesky factor of A, or None if A is not numerically PD or not finite."""
-    if a.shape[0] <= 2:
-        return _chol_small(a, a.shape[0])
-    try:
-        return scipy.linalg.cho_factor(a, lower=True)
-    except ValueError:  # LinAlgError, or scipy's check for inf/nan entries
-        return None
+    """Lower Cholesky factor of A, or None if a pivot is not positive
+    (A not numerically PD, or a nan reached the pivot)."""
+    factor, info = dpotrf(a, lower=1, clean=0)
+    return factor if info == 0 else None
 
 
 def _check_finite(a: np.ndarray, b: np.ndarray) -> None:

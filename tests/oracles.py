@@ -2,10 +2,12 @@
 log-likelihoods that the tests differentiate numerically, as oracles for
 the scores the library reads from its linearisations, a Monte Carlo
 Fisher estimate, as the oracle for the exact Fisher the library blends in,
-and the chartless online natural gradient that chart-based runs on static
-dynamics must reproduce."""
+scipy's Cholesky solve with one refinement pass, as the oracle for the SPD
+solve, and the chartless online natural gradient that chart-based runs on
+static dynamics must reproduce."""
 
 import numpy as np
+import scipy.linalg
 
 from kalgrad import expfam
 from kalgrad.model import Linearisation, Trace, mean_linearisation
@@ -40,6 +42,14 @@ def inst_loglik(y, s, u, obs_cov, h) -> float:
     return float(y @ rinv_h - 0.5 * hv @ rinv_h)
 
 
+def cho_solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b through scipy's Cholesky wrappers (lower factor), plus one
+    pass of iterative refinement."""
+    factor = scipy.linalg.cho_factor(a, lower=True)
+    x = scipy.linalg.cho_solve(factor, b)
+    return x + scipy.linalg.cho_solve(factor, b - a @ x)
+
+
 def suffstats_batch(family: expfam.ObservationFamily, draws) -> np.ndarray:
     """Sufficient statistics for a batch of draws, one row per draw."""
     if family.kind == expfam.GAUSSIAN:
@@ -54,11 +64,15 @@ def suffstats_batch(family: expfam.ObservationFamily, draws) -> np.ndarray:
 
 
 def mc_fisher(
-    lin: Linearisation, family: expfam.ObservationFamily, rng: np.random.Generator, n: int
+    lin: Linearisation,
+    family: expfam.ObservationFamily,
+    mean,
+    rng: np.random.Generator,
+    n: int,
 ) -> np.ndarray:
     """Monte Carlo Fisher: the average outer product of the state scores of
-    ``n`` draws at the linearisation's predicted mean."""
-    draws = expfam.sample(family, lin.mean, rng, size=n)
+    ``n`` draws at ``mean``, the predicted mean ``lin`` was taken at."""
+    draws = expfam.sample(family, mean, rng, size=n)
     scores = lin.residual(suffstats_batch(family, draws)) @ lin.jac  # one row per draw
     return symmetrize(scores.T @ scores / n)
 

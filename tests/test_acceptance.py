@@ -173,9 +173,10 @@ def test_c05_fisher_identity_monte_carlo():
     r = 0.8
     h_jac = np.array([[0.7, -1.2]])
     fam = expfam.gaussian(np.array([[r]]))
-    lin = mean_linearisation(fam, np.array([0.4]), h_jac)
+    mean = np.array([0.4])
+    lin = mean_linearisation(fam, mean, h_jac)
     exact = natgrad.fisher_term(lin)
-    mc = mc_fisher(lin, fam, np.random.Generator(np.random.Philox(key=501)), n)
+    mc = mc_fisher(lin, fam, mean, np.random.Generator(np.random.Philox(key=501)), n)
     se = np.sqrt(2.0) * np.abs(h_jac.T @ h_jac) / (r * np.sqrt(n))
     gauss_ok = np.all(np.abs(mc - exact) <= 3.0 * se)
     print(f"  gaussian max |mc - exact| / se = {(np.abs(mc - exact) / se).max():.2f}")
@@ -186,9 +187,10 @@ def test_c05_fisher_identity_monte_carlo():
     v = p * (1 - p)
     h_jac = np.array([[0.9, 0.4]])
     fam = expfam.bernoulli()
-    lin = mean_linearisation(fam, np.array([p]), h_jac)
+    mean = np.array([p])
+    lin = mean_linearisation(fam, mean, h_jac)
     exact = natgrad.fisher_term(lin)
-    mc = mc_fisher(lin, fam, np.random.Generator(np.random.Philox(key=502)), n)
+    mc = mc_fisher(lin, fam, mean, np.random.Generator(np.random.Philox(key=502)), n)
     var_sq = v * ((1 - p) ** 3 + p**3) - v**2
     se = np.abs(h_jac.T @ h_jac) * np.sqrt(var_sq) / (v**2 * np.sqrt(n))
     bern_ok = np.all(np.abs(mc - exact) <= 3.0 * se)

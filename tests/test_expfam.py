@@ -405,6 +405,14 @@ class TestConstructors:
         with pytest.raises(ValueError):
             expfam.gaussian(np.array([[0.0]]))
 
+    @pytest.mark.parametrize(
+        "cov",
+        [[[np.nan]], [[np.inf]], [[1.0, np.inf], [-np.inf, 1.0]], [[1.0, 0.0], [np.nan, 1.0]]],
+    )
+    def test_gaussian_rejects_non_finite_covariance(self, cov):
+        with pytest.raises(ValueError, match="non-finite"):
+            expfam.gaussian(np.array(cov))
+
     def test_categorical_requires_two_classes(self):
         with pytest.raises(ValueError):
             expfam.categorical(1)

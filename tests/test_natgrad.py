@@ -95,7 +95,7 @@ class TestFisherTerm:
         h0 = np.zeros((1, 2))
         yhat = np.array([0.3])
         lin = mean_linearisation(fam, yhat, h0)
-        for out in (natgrad.fisher_term(lin), mc_fisher(lin, fam, rng, 10)):
+        for out in (natgrad.fisher_term(lin), mc_fisher(lin, fam, yhat, rng, 10)):
             np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
 from kalgrad.errors import NonFiniteError, SingularMatrixError
 from kalgrad.model import builtin
 from kalgrad.numerics import fd_jacobian, rk4_step, solve_psd, symmetrize
 
 from conftest import random_spd
+from oracles import cho_solve_refined
 
 
 class TestSolvePsd:
@@ -37,7 +39,6 @@ class TestSolvePsd:
             assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_matrix_rhs_small_dims(self, rng):
-        # The closed-form 1x1/2x2 path must handle matrix right-hand sides.
         for dim in (1, 2):
             a = random_spd(rng, dim)
             x0 = rng.standard_normal((dim, 4))
@@ -49,6 +50,47 @@ class TestSolvePsd:
         a = np.diag([1.0, 0.0])
         x = solve_psd(a, np.array([1.0, 0.0]))
         assert np.isfinite(x).all()
+
+    # A rank-one matrix of ones has an exact zero second pivot, so the
+    # unjittered factorization fails and the ladder rescues it.  x is then
+    # determined only up to the null space, but A x = b still holds.
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_jitter_rescues_rank_one(self, dim):
+        a = np.ones((dim, dim))
+        b = np.ones(dim)
+        assert dpotrf(a, lower=1)[1] > 0
+        x = solve_psd(a, b)
+        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    # The ladder scales with trace(A), so it cannot make a non-positive 1x1
+    # matrix positive.
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_jitter_cannot_rescue_1x1(self, value):
+        with pytest.raises(SingularMatrixError, match="jitter"):
+            solve_psd(np.array([[value]]), np.ones(1))
+
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    def test_empty_rhs(self, dim, rng):
+        x = solve_psd(random_spd(rng, dim), np.zeros((dim, 0)))
+        assert x.shape == (dim, 0)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_matches_scipy_cholesky_oracle_bit_for_bit(self, dim, cols, rng):
+        for _ in range(5):
+            a = random_spd(rng, dim)
+            b = rng.standard_normal(dim if cols is None else (dim, cols))
+            np.testing.assert_array_equal(solve_psd(a, b), cho_solve_refined(a, b))
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [((0, 0), (0,)), ((2, 3), (2,)), ((3,), (3,)), ((2, 2, 2), (2,)),
+         ((3, 3), (2,)), ((3, 3), (4, 2)), ((3, 3), ()), ((3, 3), (3, 1, 1))],
+    )
+    def test_shape_errors_name_the_shapes(self, a_shape, b_shape):
+        with pytest.raises(ValueError, match=r"shape \(") as info:
+            solve_psd(np.ones(a_shape), np.ones(b_shape))
+        assert str(a_shape) in str(info.value)
 
     def test_indefinite_raises(self):
         with pytest.raises(SingularMatrixError):
@@ -99,9 +141,7 @@ class TestSolvePsd:
             with pytest.raises(NonFiniteError, match="matrix"):
                 solve_psd(a, np.ones(dim))
 
-    # The n <= 2 path finds a non-finite right-hand side only once its
-    # residual check fails, after numpy may have warned about inf - inf.
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_rhs_raises_non_finite_error(self, dim, bad):
@@ -109,6 +149,27 @@ class TestSolvePsd:
         b[0] = bad
         with pytest.raises(NonFiniteError, match="right-hand side"):
             solve_psd(2.0 * np.eye(dim), b)
+
+    # The factorization reads only the lower triangle, and an inf pivot can
+    # pass it; either way the non-finite entry must be named, without a
+    # numpy warning on the way.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    @pytest.mark.parametrize("cols", [None, 2])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_every_non_finite_entry_is_named(self, dim, cols, bad, rng):
+        a0 = random_spd(rng, dim)
+        b0 = rng.standard_normal(dim if cols is None else (dim, cols))
+        for index in np.ndindex(a0.shape):
+            a = a0.copy()
+            a[index] = bad
+            with pytest.raises(NonFiniteError, match="matrix"):
+                solve_psd(a, b0)
+        for index in np.ndindex(b0.shape):
+            b = b0.copy()
+            b[index] = bad
+            with pytest.raises(NonFiniteError, match="right-hand side"):
+                solve_psd(a0, b)
 
 
 class TestSymmetrize:
