@@ -27,25 +27,30 @@ model, whose own observation path they read, and return the derivatives;
 
 Observation paths y(t) are smooth callables; rough (white-noise) paths are
 out of scope.  P and J are symmetrized after every step and their
-positivity is monitored, never enforced.
+positivity is monitored, never enforced: after each step a Cholesky
+factorization of the matrix shifted down by 1e-13 times its Frobenius norm
+must succeed.  An error inside a step names the side and the step's grid
+time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
-from .errors import PositivityLostError
+from .errors import NumericalError, PositivityLostError
 from .model import ContinuousModel, Trace
 from .numerics import rk4_step, solve_psd, symmetrize
 
 BUCY = "bucy"
 CNGD = "cngd"
 
-# Relative floor below which the smallest eigenvalue of P or J counts as a
-# loss of positivity.
+# Relative floor, times the Frobenius norm, below which the smallest
+# eigenvalue of P or J counts as a loss of positivity.
 _POSITIVITY_FLOOR = 1e-13
 
 
@@ -92,7 +97,7 @@ def gaussian_linearisation(
     its Fisher information is B^T C B.
     """
     r = np.atleast_2d(model.obs_cov(t))
-    resid = np.atleast_1d(model.obs_path(t)) - np.asarray(model.h(s, u), dtype=float)
+    resid = np.atleast_1d(model.obs_path(t)) - model.h(s, u)
     return solve_psd(r, model.jac_h(s, u)), r, resid
 
 
@@ -104,13 +109,15 @@ def bucy_deriv(
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vector field (ds/dt, dP/dt) of the fading-memory Kalman-Bucy filter
-    at mean s, covariance P and time t."""
+    at mean s, covariance P (exactly symmetric) and time t."""
     u = model.input_at(t)
     obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, t)
     f_jac = model.jac_f(s, u)
     gain = cov @ obs_jac.T  # P H^T R^-1
-    ds = np.asarray(model.f(s, u), dtype=float) + gain @ resid
-    dcov = f_jac @ cov + cov @ f_jac.T - gain @ obs_cov @ gain.T + alpha * cov
+    ds = model.f(s, u) + gain @ resid
+    # P F^T = (F P)^T exactly, since P is exactly symmetric.
+    fp = f_jac @ cov
+    dcov = fp + fp.T - gain @ obs_cov @ gain.T + alpha * cov
     return ds, symmetrize(dcov)
 
 
@@ -122,13 +129,16 @@ def cngd_deriv(
     model: ContinuousModel,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vector field (ds/dt, dJ/dt) of the continuous-time natural gradient
-    at chart value s, metric J, learning rate eta = gamma and time t."""
+    at chart value s, metric J (exactly symmetric), learning rate
+    eta = gamma and time t."""
     u = model.input_at(t)
     obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, t)
     f_jac = model.jac_f(s, u)
     fisher = symmetrize(obs_jac.T @ obs_cov @ obs_jac)
-    dmetric = -f_jac.T @ metric - metric @ f_jac - eta * metric + eta * fisher
-    ds = np.asarray(model.f(s, u), dtype=float) + eta * solve_psd(metric, obs_jac.T @ resid)
+    # F^T J = (J F)^T exactly, since J is exactly symmetric.
+    jf = metric @ f_jac
+    dmetric = -jf.T - jf - eta * metric + eta * fisher
+    ds = model.f(s, u) + eta * solve_psd(metric, obs_jac.T @ resid)
     return ds, symmetrize(dmetric)
 
 
@@ -138,8 +148,13 @@ def eta_ode(eta: float, alpha: float) -> float:
 
 
 def _check_positive(mat: np.ndarray, label: str, t: float) -> None:
+    """Raise PositivityLostError unless mat - floor * I, with floor the
+    positivity floor times the Frobenius norm of the symmetric mat, has a
+    Cholesky factor: its smallest eigenvalue must exceed the floor.  A
+    floor that is not finite (an inf or nan entry, or a norm beyond the
+    float range) fails too."""
     floor = _POSITIVITY_FLOOR * float(np.linalg.norm(mat))
-    if np.linalg.eigvalsh(mat).min() < floor:
+    if not floor < math.inf or dpotrf(mat - floor * np.eye(len(mat)), lower=1, clean=0)[1]:
         raise PositivityLostError(f"{label} lost positive definiteness at t = {t:.6g}")
 
 
@@ -161,6 +176,8 @@ def integrate(
     ``eta0``; it is co-integrated with the state via :func:`eta_ode` and
     gamma(t) = eta(t).  The matrix part of the state is symmetrized after
     each step; positivity is checked and failure raises PositivityLostError.
+    A numerical error raised inside a step gets the side (``bucy`` or
+    ``cngd``) and the step's grid time prepended to its message.
     """
     n = model.dim_state
     n_steps = int(round(cfg.horizon / cfg.dt))
@@ -194,7 +211,12 @@ def integrate(
     packed[0] = z
     _check_positive(mat0, label, 0.0)
     for i in range(n_steps):
-        z = rk4_step(deriv, z, times[i], cfg.dt)
+        try:
+            z = rk4_step(deriv, z, times[i], cfg.dt)
+        except NumericalError as exc:
+            # The same object is re-raised, so its callers see one error.
+            exc.args = (f"{kind} step from t = {times[i]:.6g}: {exc}",)
+            raise
         mat = symmetrize(z[n:end].reshape(n, n))
         z[n:end] = mat.ravel()
         _check_positive(mat, label, times[i + 1])

@@ -183,8 +183,9 @@ def _state_devs(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
 
 def _metric_devs(covs: np.ndarray, metrics: np.ndarray, etas: np.ndarray) -> np.ndarray:
     devs = np.zeros(len(covs))
+    eye = np.eye(metrics.shape[1])
     for i, (cov, metric, eta) in enumerate(zip(covs, metrics, etas)):
-        implied = eta * solve_psd(metric, np.eye(metric.shape[0]))
+        implied = eta * solve_psd(metric, eye)
         devs[i] = np.linalg.norm(cov - implied) / np.linalg.norm(cov)
     return devs
 

@@ -48,10 +48,12 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Uses LAPACK's Cholesky factorization (``dpotrf``, lower triangle) and
     solve (``dpotrs``) at every dimension, plus one step of iterative
-    refinement.  If the factorization fails, diagonal jitter
-    delta * trace(A)/dim is added for delta in {1e-12, 1e-10, 1e-8} before
-    giving up; the residual is then measured against the jittered matrix
-    actually solved.
+    refinement, applied in place.  If the factorization fails, diagonal
+    jitter delta * trace(A)/dim is added for delta in {1e-12, 1e-10, 1e-8}
+    before giving up; the residual is then measured against the jittered
+    matrix actually solved.  A matrix whose trace is not positive has no
+    positive shift on that ladder, so it fails after its first
+    factorization.
 
     Raises
     ------
@@ -76,15 +78,18 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
 
     a_used = a
-    factor = _factor(a)
-    if factor is None:
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info:
+        # A non-positive pivot, or a nan that reached one.
         _check_finite(a, b)  # no jitter rescues an inf or nan
-        for delta in _JITTER_SCALES:
-            a_used = a + (delta * np.trace(a) / n) * np.eye(n)
-            factor = _factor(a_used)
-            if factor is not None:
-                break
-        else:
+        trace = np.trace(a)
+        if trace > 0:  # otherwise no rung of the ladder shifts A up
+            for delta in _JITTER_SCALES:
+                a_used = a + (delta * trace / n) * np.eye(n)
+                factor, info = dpotrf(a_used, lower=1, clean=0)
+                if not info:
+                    break
+        if info:
             raise SingularMatrixError("matrix is not positive definite within the jitter budget")
 
     # An inf the factorization lets through (an inf pivot, or one in the
@@ -93,7 +98,7 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         x = dpotrs(factor, b, lower=1)[0]
         # One refinement pass keeps the residual near machine precision.
-        x = x + dpotrs(factor, b - a_used @ x, lower=1)[0]
+        x += dpotrs(factor, b - a_used @ x, lower=1, overwrite_b=1)[0]
         rel = _norm(b - a_used @ x) / max(_norm(b), _TINY)
     if not rel <= 1e-10:
         _check_finite(a, b)
@@ -106,12 +111,13 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _norm(v: np.ndarray) -> float:
     """Frobenius norm, to be called with numpy overflow warnings off.
 
-    Where sum(v * v) is neither inf nor below the normal range this is
-    its square root; elsewhere v is scaled by the power of two just above
-    max |v| before squaring, which is exact, so the result is the same
-    number without the range limit.
+    Where the dot product of the raveled v with itself is neither inf nor
+    below the normal range this is its square root; elsewhere v is scaled
+    by the power of two just above max |v| before the same dot product,
+    which is exact, so the result is the same number without the range
+    limit.
     """
-    ss = float((v * v).sum())
+    ss = float(np.vdot(v, v))
     if _TINY <= ss < math.inf or not np.count_nonzero(v):
         return math.sqrt(ss)
     peak = float(np.abs(v).max())
@@ -119,14 +125,7 @@ def _norm(v: np.ndarray) -> float:
         return peak  # inf or nan
     exp = np.frexp(peak)[1]
     w = np.ldexp(v, -exp)
-    return float(np.ldexp(math.sqrt(float((w * w).sum())), exp))
-
-
-def _factor(a: np.ndarray):
-    """Lower Cholesky factor of A, or None if a pivot is not positive
-    (A not numerically PD, or a nan reached the pivot)."""
-    factor, info = dpotrf(a, lower=1, clean=0)
-    return factor if info == 0 else None
+    return float(np.ldexp(math.sqrt(float(np.vdot(w, w))), exp))
 
 
 def _check_finite(a: np.ndarray, b: np.ndarray) -> None:
@@ -186,7 +185,7 @@ def rk4_step(
 
     def stage(tau: float, y: np.ndarray) -> np.ndarray:
         k = np.asarray(deriv(tau, y), dtype=float)
-        if not np.all(np.isfinite(k)):
+        if not np.isfinite(k).all():
             raise NonFiniteError(f"derivative non-finite at t = {tau}")
         return k
 

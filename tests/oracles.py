@@ -3,8 +3,9 @@ log-likelihoods that the tests differentiate numerically, as oracles for
 the scores the library reads from its linearisations, a Monte Carlo
 Fisher estimate, as the oracle for the exact Fisher the library blends in,
 scipy's Cholesky solve with one refinement pass, as the oracle for the SPD
-solve, and the chartless online natural gradient that chart-based runs on
-static dynamics must reproduce."""
+solve, the chartless online natural gradient that chart-based runs on
+static dynamics must reproduce, and the textbook continuous fields under a
+plain RK4 loop, for the continuous pair."""
 
 import numpy as np
 import scipy.linalg
@@ -116,3 +117,42 @@ def plain_online_natgrad(
         theta = theta + config.eta_at(t) * solve_psd(metric, score)
         states[t], metrics[t] = theta, metric
     return Trace(states, metrics=metrics)
+
+
+def continuous_rk4(kind: str, model, init_state, init_matrix, dt: float, horizon: float,
+                   alpha: float, eta0: float = 0.0):
+    """Kalman-Bucy (``kind`` "bucy", matrix P) or the natural-gradient flow
+    ("cngd", matrix J and learning rate eta), written as in the textbook with
+    np.linalg.solve and integrated by plain RK4 on the grid t = i dt, with
+    the matrix symmetrized after each step; returns (states, matrices, etas)."""
+    n = model.dim_state
+
+    def deriv(t, z):
+        s, mat, eta = z[:n], z[n:-1].reshape(n, n), z[-1]
+        u = model.input_at(t)
+        r, h_jac, f_jac = np.atleast_2d(model.obs_cov(t)), model.jac_h(s, u), model.jac_f(s, u)
+        innov = np.atleast_1d(model.obs_path(t)) - model.h(s, u)
+        if kind == "bucy":
+            gain = np.linalg.solve(r, h_jac @ mat).T  # P H^T R^-1
+            ds = model.f(s, u) + gain @ innov
+            dmat = f_jac @ mat + mat @ f_jac.T - gain @ h_jac @ mat + alpha * mat
+        else:
+            fisher = h_jac.T @ np.linalg.solve(r, h_jac)
+            ds = model.f(s, u) + eta * np.linalg.solve(mat, h_jac.T @ np.linalg.solve(r, innov))
+            dmat = -f_jac.T @ mat - mat @ f_jac - eta * mat + eta * fisher
+        return np.concatenate([ds, dmat.ravel(), [alpha * eta - eta * eta]])
+
+    z = np.concatenate([np.asarray(init_state, dtype=float), np.ravel(init_matrix), [eta0]])
+    rows = [z]
+    for i in range(int(round(horizon / dt))):
+        t = i * dt
+        k1 = deriv(t, z)
+        k2 = deriv(t + dt / 2, z + dt / 2 * k1)
+        k3 = deriv(t + dt / 2, z + dt / 2 * k2)
+        k4 = deriv(t + dt, z + dt * k3)
+        z = z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        mat = z[n:-1].reshape(n, n)
+        z[n:-1] = (0.5 * (mat + mat.T)).ravel()
+        rows.append(z)
+    rows = np.array(rows)
+    return rows[:, :n], rows[:, n:-1].reshape(-1, n, n), rows[:, -1]

@@ -5,12 +5,12 @@ import pytest
 import scipy.linalg
 
 from kalgrad import bucy, expfam, natgrad
-from kalgrad.errors import PositivityLostError
+from kalgrad.errors import PositivityLostError, SingularMatrixError
 from kalgrad.model import ContinuousModel, builtin, mean_linearisation
 from kalgrad.numerics import rk4_step
 
 from conftest import random_spd
-from oracles import inst_loglik
+from oracles import continuous_rk4, inst_loglik
 
 
 def make_ct(dim_state, dim_obs, f, h, jac_f, jac_h, r=None, y_path=None, name="ct-test"):
@@ -260,6 +260,54 @@ class TestEtaOde:
         assert abs(eta - exact) < 1e-8
 
 
+class TestCheckPositive:
+    # Pins the verdict of the per-step positivity check to the smallest
+    # eigenvalue against the floor 1e-13 ||M||_F, with that eigenvalue at
+    # `ratio` times the floor and the rest of the spectrum in [0.5, 2].  A
+    # 1x1 matrix cannot hold an eigenvalue at a multiple of its own floor, so
+    # there the ratio is the entry itself, and only its sign matters (the
+    # zero matrix has a test of its own).
+    @pytest.mark.parametrize(
+        "dim, ratio",
+        [(dim, ratio) for dim in (1, 2, 3, 8) for ratio in (-1.0, 0.0, 0.5, 0.9, 1.1, 2.0)
+         if dim > 1 or ratio != 0.0],
+    )
+    def test_verdict_is_smallest_eigenvalue_against_floor(self, dim, ratio, rng):
+        if dim == 1:
+            mat = np.array([[ratio]])
+        else:
+            rest = rng.uniform(0.5, 2.0, dim - 1)
+            spectrum = np.concatenate([[ratio * 1e-13 * np.linalg.norm(rest)], rest])
+            basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            mat = basis @ np.diag(spectrum) @ basis.T
+            mat = 0.5 * (mat + mat.T)
+        lost = np.linalg.eigvalsh(mat).min() < 1e-13 * np.linalg.norm(mat)
+        assert lost == (ratio < 1.0 if dim > 1 else ratio < 0.0)
+        if lost:
+            with pytest.raises(PositivityLostError, match="at t = 0.25"):
+                bucy._check_positive(mat, "covariance", 0.25)
+        else:
+            bucy._check_positive(mat, "covariance", 0.25)
+
+    # Every eigenvalue of the zero matrix sits on its floor of 0, so it has
+    # no Cholesky factor and counts as lost, as diag(1, 0) does.
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_matrix_has_lost_positivity(self, dim):
+        with pytest.raises(PositivityLostError):
+            bucy._check_positive(np.zeros((dim, dim)), "metric", 0.0)
+
+    # A matrix with an inf or nan entry has no finite floor; it must fail,
+    # without a numpy warning on the way.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)])
+    def test_non_finite_matrix_has_lost_positivity(self, bad, entry):
+        mat = np.eye(2)
+        mat[entry] = mat[entry[::-1]] = bad
+        with pytest.raises(PositivityLostError, match="at t = 0.5"):
+            bucy._check_positive(mat, "covariance", 0.5)
+
+
 class TestIntegrate:
     def test_constant_state_zero_field(self):
         model = make_ct(
@@ -331,6 +379,41 @@ class TestIntegrate:
         cfg = bucy.IntegratorConfig(dt=3.0, horizon=3.0, alpha=0.0)
         with pytest.raises(PositivityLostError):
             bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[1.0]]), model, cfg)
+
+    # The library against the textbook fields under plain RK4; P and J must
+    # stay exactly symmetric, since the fields form P F^T as (F P)^T and
+    # F^T J as (J F)^T.
+    @pytest.mark.parametrize("name", ["pendulum-ct", "linear-ct"])
+    def test_matches_textbook_reference(self, name):
+        model = builtin(name)
+        n = model.dim_state
+        p0, eta0, alpha = 0.5 * np.eye(n), 0.5, 0.2
+        j0 = eta0 * np.linalg.inv(p0)
+        cfg = bucy.IntegratorConfig(dt=0.01, horizon=1.0, alpha=alpha)
+        tb = bucy.integrate(bucy.BUCY, model.init_state, p0, model, cfg)
+        tc = bucy.integrate(bucy.CNGD, model.init_state, j0, model, cfg, eta0=eta0)
+        ref_b = continuous_rk4("bucy", model, model.init_state, p0, 0.01, 1.0, alpha)
+        ref_c = continuous_rk4("cngd", model, model.init_state, j0, 0.01, 1.0, alpha, eta0)
+        pairs = [(tb.states, ref_b[0]), (tb.covs, ref_b[1]),
+                 (tc.states, ref_c[0]), (tc.metrics, ref_c[1]), (tc.etas, ref_c[2])]
+        for got, ref in pairs:
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        for mats in (tb.covs, tc.metrics):
+            np.testing.assert_array_equal(mats, mats.transpose(0, 2, 1))
+
+    # R(t) = 0.5 - t reaches 0 at the last stage of the step from t = 0.4.
+    @pytest.mark.parametrize("kind", [bucy.BUCY, bucy.CNGD])
+    def test_error_in_a_step_names_side_and_time(self, kind):
+        model = dataclasses.replace(
+            scalar_integrator_model(), obs_cov=lambda t: np.array([[0.5 - t]])
+        )
+        cfg = bucy.IntegratorConfig(dt=0.1, horizon=1.0, alpha=0.0)
+        with pytest.raises(SingularMatrixError) as info:
+            bucy.integrate(kind, np.zeros(1), np.eye(1), model, cfg, eta0=0.5)
+        assert str(info.value) == (
+            f"{kind} step from t = 0.4: matrix is not positive definite within the jitter budget"
+        )
 
     def test_bad_config(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 
+from kalgrad import numerics
 from kalgrad.errors import NonFiniteError, SingularMatrixError
 from kalgrad.model import builtin
 from kalgrad.numerics import fd_jacobian, rk4_step, solve_psd, symmetrize
@@ -68,6 +69,21 @@ class TestSolvePsd:
     def test_jitter_cannot_rescue_1x1(self, value):
         with pytest.raises(SingularMatrixError, match="jitter"):
             solve_psd(np.array([[value]]), np.ones(1))
+
+    # Without a positive trace the ladder has no positive shift to add, so
+    # the matrix is factored once, not once per rung.
+    @pytest.mark.parametrize("a", [[[0.0]], [[-1.0]], [[1.0, 0.0], [0.0, -2.0]]])
+    def test_non_positive_trace_is_factored_once(self, a, monkeypatch):
+        calls = []
+
+        def counting_dpotrf(*args, **kwargs):
+            calls.append(args)
+            return dpotrf(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "dpotrf", counting_dpotrf)
+        with pytest.raises(SingularMatrixError, match="jitter budget"):
+            solve_psd(np.array(a), np.ones(len(a)))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("dim", [1, 2, 8])
     def test_empty_rhs(self, dim, rng):
