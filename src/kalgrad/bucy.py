@@ -210,17 +210,20 @@ def integrate(
     packed = np.zeros((n_steps + 1, z.size))
     packed[0] = z
     _check_positive(mat0, label, 0.0)
-    for i in range(n_steps):
-        try:
-            z = rk4_step(deriv, z, times[i], cfg.dt)
-        except NumericalError as exc:
-            # The same object is re-raised, so its callers see one error.
-            exc.args = (f"{kind} step from t = {times[i]:.6g}: {exc}",)
-            raise
-        mat = symmetrize(z[n:end].reshape(n, n))
-        z[n:end] = mat.ravel()
-        _check_positive(mat, label, times[i + 1])
-        packed[i + 1] = z
+    # An overflow inside a field is reported by rk4_step's finiteness check,
+    # as a failure of its step, so numpy's warnings are off for the loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            try:
+                z = rk4_step(deriv, z, times[i], cfg.dt)
+            except NumericalError as exc:
+                # The same object is re-raised, so its callers see one error.
+                exc.args = (f"{kind} step from t = {times[i]:.6g}: {exc}",)
+                raise
+            mat = symmetrize(z[n:end].reshape(n, n))
+            z[n:end] = mat.ravel()
+            _check_positive(mat, label, times[i + 1])
+            packed[i + 1] = z
     states, mats = packed[:, :n], packed[:, n:end].reshape(-1, n, n)
     if kind == BUCY:
         return Trace(states, covs=mats, times=times)

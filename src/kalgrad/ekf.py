@@ -30,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from . import expfam
-from .errors import NonFiniteError
+from .errors import NonFiniteError, SingularMatrixError
 from .model import DynamicalModel, Scenario, Trace, linearise
 from .numerics import as_schedule, check_schedule, solve_psd, symmetrize
 
@@ -74,13 +75,13 @@ def transition(
     returns (mean_pred, P_pred) with P_pred = (1 + alpha_t) F P F^T."""
     u = model.input_at(t)
     mean_pred = np.asarray(model.f(mean, u), dtype=float)
-    if not np.all(np.isfinite(mean_pred)):
+    if not np.isfinite(mean_pred).all():
         raise NonFiniteError(f"transition produced non-finite mean at t = {t}")
     f_jac = model.jac_f(mean, u)
     # An overflow here is reported below, as a failure of this step.
     with np.errstate(over="ignore", invalid="ignore"):
         cov_pred = symmetrize((1.0 + config.alpha_at(t)) * (f_jac @ cov @ f_jac.T))
-    if not np.all(np.isfinite(cov_pred)):
+    if not np.isfinite(cov_pred).all():
         raise NonFiniteError(f"transition produced non-finite covariance at t = {t}")
     return mean_pred, cov_pred
 
@@ -98,11 +99,16 @@ def observe_gain(
     lin = linearise(model, family, mean, t)
     bp = lin.jac @ cov
     # K^T = (I + B P B^T C)^-1 B P; the matrix is I plus a product of two
-    # PSD matrices, so it is never singular.
-    gain = np.linalg.solve(np.eye(lin.cov.shape[0]) + bp @ lin.jac.T @ lin.cov, bp).T
+    # PSD matrices, so it is singular only in floating point.
+    innov = bp @ lin.jac.T @ lin.cov
+    innov.flat[:: innov.shape[0] + 1] += 1.0
+    gain_t, info = dgesv(innov, bp, overwrite_a=1)[2:]
+    if info:
+        raise SingularMatrixError(f"gain-form innovation matrix singular at t = {t}")
+    gain = gain_t.T
     cov_post = symmetrize(cov - gain @ lin.cov @ bp)
     mean_post = mean + gain @ lin.residual(expfam.sufficient_stats(family, y))
-    if not (np.all(np.isfinite(mean_post)) and np.all(np.isfinite(cov_post))):
+    if not (np.isfinite(mean_post).all() and np.isfinite(cov_post).all()):
         raise NonFiniteError(f"observation update non-finite at t = {t}")
     return mean_post, cov_post
 

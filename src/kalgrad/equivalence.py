@@ -28,6 +28,7 @@ comparison must then fail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -185,8 +186,10 @@ def _metric_devs(covs: np.ndarray, metrics: np.ndarray, etas: np.ndarray) -> np.
     devs = np.zeros(len(covs))
     eye = np.eye(metrics.shape[1])
     for i, (cov, metric, eta) in enumerate(zip(covs, metrics, etas)):
-        implied = eta * solve_psd(metric, eye)
-        devs[i] = np.linalg.norm(cov - implied) / np.linalg.norm(cov)
+        diff = (cov - eta * solve_psd(metric, eye)).ravel()
+        scale = cov.ravel()
+        # Frobenius norms, formed exactly as np.linalg.norm forms them.
+        devs[i] = math.sqrt(diff.dot(diff)) / math.sqrt(scale.dot(scale))
     return devs
 
 

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DomainError, OutOfSupportError
-from .numerics import solve_psd, symmetrize
+from .numerics import _factor_psd, _solve_factored, solve_psd, symmetrize
 
 GAUSSIAN = "gaussian"
 BERNOULLI = "bernoulli"
@@ -59,11 +60,19 @@ class ObservationFamily:
             return 1
         return self.num_classes - 1
 
+    @cached_property
+    def _obs_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """A gaussian family's covariance as factored for its solves, and
+        its Cholesky factor: computed on first use and kept, since the
+        covariance is fixed.  A factorization that fails is not kept, so
+        it fails again at every use."""
+        return _factor_psd(self.obs_cov)
+
 
 def gaussian(obs_cov: np.ndarray) -> ObservationFamily:
     """Gaussian observations with fixed, known covariance."""
     r = np.atleast_2d(np.asarray(obs_cov, dtype=float))
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("gaussian observation covariance has non-finite entries")
     r = symmetrize(r)
     eigs = np.linalg.eigvalsh(r)
@@ -96,7 +105,7 @@ def _as_mean(family: ObservationFamily, yhat) -> np.ndarray:
 def check_mean(family: ObservationFamily, yhat) -> np.ndarray:
     """Validate that yhat lies strictly inside the family's mean domain."""
     yhat = _as_mean(family, yhat)
-    if not np.all(np.isfinite(yhat)):
+    if not np.isfinite(yhat).all():
         raise DomainError(f"{family.kind} mean must be finite")
     if family.kind == GAUSSIAN:
         return yhat
@@ -120,7 +129,7 @@ def sufficient_stats(family: ObservationFamily, y) -> np.ndarray:
             raise OutOfSupportError(
                 f"gaussian observation must have dimension {family.mean_dim}"
             )
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise OutOfSupportError("gaussian observation must be finite")
         return t
     label = _as_label(family, y)
@@ -168,8 +177,14 @@ def cov_suffstats(family: ObservationFamily, yhat) -> np.ndarray:
 def natural_jacobian(family: ObservationFamily, yhat, mean_jac) -> tuple[np.ndarray, np.ndarray]:
     """cov(T) at mean parameter yhat, and the Jacobian of the natural
     parameter cov(T)^-1 mean_jac, given the Jacobian mean_jac of yhat:
-    d theta / d yhat = cov(T)^-1."""
+    d theta / d yhat = cov(T)^-1.
+
+    A gaussian family factors its fixed covariance once and runs only the
+    solve half of :func:`kalgrad.numerics.solve_psd` here, with its
+    refinement pass and residual check, at every call."""
     cov = cov_suffstats(family, yhat)
+    if family.kind == GAUSSIAN:
+        return cov, _solve_factored(*family._obs_factor, mean_jac)
     return cov, solve_psd(cov, mean_jac)
 
 
@@ -181,7 +196,7 @@ def _as_natural(family: ObservationFamily, x) -> np.ndarray:
         raise ValueError(
             f"natural parameter must have shape ({family.mean_dim},), got {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError(f"{family.kind} natural parameter must be finite")
     return x
 

@@ -182,7 +182,7 @@ def mean_linearisation(
 
 def _observed(fn: Map, s: Array, u: Array, t: int) -> Array:
     value = np.asarray(fn(s, u), dtype=float)
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NonFiniteError(f"observation map non-finite at t = {t}")
     return value
 
@@ -212,7 +212,7 @@ def step_dynamics(model: DynamicalModel, s: Array, t: int) -> Array:
     """Advance the noiseless dynamics one step: f(s, u_t)."""
     u = model.input_at(t)
     out = np.asarray(model.f(np.asarray(s, dtype=float), u), dtype=float)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteError(f"transition produced non-finite state at t = {t}")
     return out
 

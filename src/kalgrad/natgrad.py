@@ -27,9 +27,11 @@ implementation of it as the reference for that reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import expfam
 from .errors import NonFiniteError, SingularMatrixError
@@ -77,21 +79,39 @@ class NatGradConfig:
 def pushforward_metric(metric: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Transform a (0,2) tensor under the chart change with Jacobian psi.
 
-    Returns (psi^-1)^T J psi^-1 computed with linear solves, symmetrized.
+    Returns (psi^-1)^T J psi^-1, symmetrized.  One singular-value
+    decomposition of psi gives its 2-norm condition number s_max / s_min
+    (the value ``np.linalg.cond`` returns) for the singularity check; one
+    LU factorization of psi^T then serves both linear solves with psi^T:
+    first for (psi^-1)^T J, then for its transpose.
 
     Raises
     ------
+    NonFiniteError
+        If psi holds an inf or nan.
     SingularMatrixError
         If psi is numerically singular (condition estimate above 1e12).
     """
     psi = np.asarray(psi, dtype=float)
-    cond = np.linalg.cond(psi)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    if not np.isfinite(psi).all():
+        raise NonFiniteError("chart-change Jacobian has non-finite entries")
+    cond = _condition(psi)
+    if not cond <= _COND_LIMIT:
         raise SingularMatrixError(
             f"chart-change Jacobian condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}"
         )
-    half = np.linalg.solve(psi.T, np.asarray(metric, dtype=float))  # (psi^-1)^T J
-    return symmetrize(np.linalg.solve(psi.T, half.T).T)  # ... psi^-1
+    lu, piv, info = dgetrf(psi.T)
+    if info:
+        raise SingularMatrixError("chart-change Jacobian has an exactly singular LU factor")
+    half = dgetrs(lu, piv, metric)[0]  # (psi^-1)^T J
+    return symmetrize(dgetrs(lu, piv, half.T)[0].T)  # ... psi^-1
+
+
+def _condition(psi: np.ndarray) -> float:
+    """2-norm condition number s_max / s_min of a finite square psi from
+    one SVD, as np.linalg.cond computes it; inf where s_min is 0."""
+    s = np.linalg.svd(psi, compute_uv=False)
+    return float(s[0]) / float(s[-1]) if s[-1] else math.inf
 
 
 def chart_transport(
@@ -104,9 +124,14 @@ def chart_transport(
     returns (f(s, u_t), (F^-1)^T J F^-1)."""
     u = model.input_at(t)
     value = np.asarray(model.f(state, u), dtype=float)
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NonFiniteError(f"transition produced non-finite state at t = {t}")
-    return value, pushforward_metric(metric, model.jac_f(state, u))
+    try:
+        return value, pushforward_metric(metric, model.jac_f(state, u))
+    except NonFiniteError as exc:
+        # The same object is re-raised, now naming the step.
+        exc.args = (f"{exc} at t = {t}",)
+        raise
 
 
 def fisher_term(lin: Linearisation) -> np.ndarray:

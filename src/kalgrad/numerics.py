@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import NonFiniteError, SingularMatrixError
+from .errors import NonFiniteError, NumericalError, SingularMatrixError
 
 # Diagonal jitter ladder used to rescue marginally non-PD solves, scaled
 # by trace(A)/dim.  Exhausting the ladder is a hard failure.
@@ -55,6 +55,11 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     positive shift on that ladder, so it fails after its first
     factorization.
 
+    This is :func:`_factor_psd` followed by :func:`_solve_factored`; a
+    caller that solves against one fixed matrix many times keeps the
+    factor half's result and runs only the solve half, whose refinement
+    and residual check still run at every solve.
+
     Raises
     ------
     ValueError
@@ -68,20 +73,33 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         budget, or the relative residual stays above 1e-10.
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     n = a.shape[0] if a.ndim == 2 else 0
     if n == 0 or a.shape != (n, n):
         raise ValueError(f"solve_psd expects a non-empty square matrix, got shape {a.shape}")
-    if b.ndim not in (1, 2) or b.shape[0] != n:
-        raise ValueError(
-            f"solve_psd right-hand side of shape {b.shape} does not match matrix of shape {a.shape}"
-        )
+    try:
+        a_used, factor = _factor_psd(a)
+    except NumericalError:
+        # A malformed, then a non-finite, operand is named first.
+        _check_finite(a, _as_rhs(a, b))
+        raise
+    return _solve_factored(a_used, factor, b)
 
+
+def _factor_psd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factor half of :func:`solve_psd`, for a validated square float A:
+    returns the matrix actually factored (A, or A plus the first rung of
+    diagonal jitter that makes it factor) and its lower Cholesky factor.
+
+    Raises NonFiniteError if A holds an inf or nan that fails the
+    factorization, and SingularMatrixError if the jitter ladder does not
+    restore positive definiteness.
+    """
     a_used = a
     factor, info = dpotrf(a, lower=1, clean=0)
     if info:
         # A non-positive pivot, or a nan that reached one.
-        _check_finite(a, b)  # no jitter rescues an inf or nan
+        _check_finite(a)  # no jitter rescues an inf or nan
+        n = a.shape[0]
         trace = np.trace(a)
         if trace > 0:  # otherwise no rung of the ladder shifts A up
             for delta in _JITTER_SCALES:
@@ -91,21 +109,43 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     break
         if info:
             raise SingularMatrixError("matrix is not positive definite within the jitter budget")
+    return a_used, factor
 
+
+def _solve_factored(a: np.ndarray, factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solve half of :func:`solve_psd`: solves A X = B given A and its
+    factor as returned by :func:`_factor_psd`, with one refinement pass
+    and the relative residual checked against A.
+
+    Raises ValueError if B does not have one row per row of A, and
+    SingularMatrixError if the residual stays above 1e-10 (NonFiniteError
+    if A or B holds an inf or nan).
+    """
+    b = _as_rhs(a, b)
     # An inf the factorization lets through (an inf pivot, or one in the
     # upper triangle it never reads) leaves a nan or inf residual, which
     # fails the bound below and is then named by _check_finite.
     with np.errstate(over="ignore", invalid="ignore"):
         x = dpotrs(factor, b, lower=1)[0]
         # One refinement pass keeps the residual near machine precision.
-        x += dpotrs(factor, b - a_used @ x, lower=1, overwrite_b=1)[0]
-        rel = _norm(b - a_used @ x) / max(_norm(b), _TINY)
+        x += dpotrs(factor, b - a @ x, lower=1, overwrite_b=1)[0]
+        rel = _norm(b - a @ x) / max(_norm(b), _TINY)
     if not rel <= 1e-10:
         _check_finite(a, b)
         raise SingularMatrixError(
             f"SPD solve residual {rel:.3e} exceeds 1e-10; matrix too ill-conditioned"
         )
     return x
+
+
+def _as_rhs(a: np.ndarray, b) -> np.ndarray:
+    """B as a float vector or matrix with one row per row of the square A."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+        raise ValueError(
+            f"solve_psd right-hand side of shape {b.shape} does not match matrix of shape {a.shape}"
+        )
+    return b
 
 
 def _norm(v: np.ndarray) -> float:
@@ -128,11 +168,11 @@ def _norm(v: np.ndarray) -> float:
     return float(np.ldexp(math.sqrt(float(np.vdot(w, w))), exp))
 
 
-def _check_finite(a: np.ndarray, b: np.ndarray) -> None:
+def _check_finite(a: np.ndarray, b: np.ndarray | None = None) -> None:
     """Raise NonFiniteError naming the operand of a failed solve that holds
     an inf or nan; called on failure paths only."""
     for label, arr in (("matrix", a), ("right-hand side", b)):
-        if not np.all(np.isfinite(arr)):
+        if arr is not None and not np.isfinite(arr).all():
             raise NonFiniteError(f"SPD solve {label} has non-finite entries")
 
 

@@ -162,6 +162,21 @@ class TestCmdRun:
         assert code == 2
         assert "failure" in capsys.readouterr().err
 
+    # alpha = 1e300 overflows both continuous fields in the first step; the
+    # failure is named once, with no numpy warning before it.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["bucy", "cngd"])
+    def test_overflowing_continuous_run_exits_2_without_warnings(self, mode, tmp_path, capsys):
+        body = (CONFIGS / "pendulum_ct.cfg").read_text()
+        body = body.replace("alpha = 0.2", "alpha = 1e300").replace("dt = 1e-3", "dt = 0.1")
+        path = tmp_path / "overflow.cfg"
+        path.write_text(body)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--mode", mode, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{mode} step from t = 0: derivative non-finite at t = 0.05" in err
+        assert "Warning" not in err
+
     def test_saturated_bernoulli_mean_runs(self, tmp_path):
         # s0 = (-1000, -1000) rounds the predicted bernoulli mean to 0; the
         # canonical-link path of logistic-static keeps the filter defined.

@@ -130,6 +130,18 @@ class TestObserveGain:
         np.testing.assert_allclose(trace.states[-1], mean_t, atol=1e-10)
         np.testing.assert_allclose(trace.covs[-1], cov_t, atol=1e-10)
 
+    def test_singular_gain_solve_names_the_step(self, monkeypatch):
+        # I + B P B^T C is singular only in floating point; LAPACK's
+        # report of a zero pivot must stop the update.
+        def singular_dgesv(a, b, overwrite_a=0):
+            return a, np.arange(1, len(a) + 1, dtype=np.int32), b, 1
+
+        monkeypatch.setattr(ekf, "dgesv", singular_dgesv)
+        model = make_linear_model([[1.0]])
+        family = expfam.gaussian(np.array([[1.0]]))
+        with pytest.raises(SingularMatrixError, match="innovation matrix singular at t = 4"):
+            ekf.observe_gain(np.array([0.0]), np.array([[1.0]]), np.array([1.0]), model, family, 4)
+
 
 class TestFormEquivalence:
     @pytest.mark.parametrize("dim", [1, 2, 5])

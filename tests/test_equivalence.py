@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kalgrad import bucy, equivalence, expfam
+from kalgrad import bucy, ekf, equivalence, expfam, natgrad, numerics
 from kalgrad.equivalence import (
     HyperMap,
     check_continuous,
@@ -14,7 +14,7 @@ from kalgrad.equivalence import (
     map_eta_to_alpha,
     run_pair,
 )
-from kalgrad.errors import DomainError
+from kalgrad.errors import DomainError, SingularMatrixError
 from kalgrad.model import DynamicalModel, builtin, generate_scenario
 
 
@@ -226,6 +226,50 @@ class TestCheckDiscrete:
         )
         assert report.passed
         assert report.max_state_dev <= 1e-10
+
+
+class TestGaussianObservationFactor:
+    """Structure guard: a gaussian family's fixed R is factored once, and
+    every linearisation still runs the refined, residual-checked solve."""
+
+    def test_r_is_factored_once_per_family(self, monkeypatch):
+        horizon = 50
+        scenario, s0, p0 = equivalence.sweep_cell("linear2d", horizon, 0)
+        r = scenario.family.obs_cov
+        factored = []  # one entry per dpotrf call: was it R?
+        dpotrf = numerics.dpotrf
+
+        def counting_dpotrf(a, *args, **kwargs):
+            factored.append(np.array_equal(a, r))
+            return dpotrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "dpotrf", counting_dpotrf)
+        assert check_discrete(scenario, s0, p0, alpha=0.1).passed
+        assert sum(factored) == 1  # not once per linearisation on each side
+        # The rest: the prior metric, the natural step at each t, and the
+        # implied covariance at each row of the metric deviations.
+        assert len(factored) - 1 == 1 + horizon + (horizon + 1)
+
+    def test_ill_conditioned_r_fails_at_the_first_linearisation(self, monkeypatch):
+        # cond(R) ~ 1e15: the family accepts R (its eigenvalues are
+        # positive), but no solve with it meets the residual bound.
+        c, s = np.cos(0.3), np.sin(0.3)
+        q = np.array([[c, -s], [s, c]])
+        family = expfam.gaussian(q @ np.diag([1.0, 1e-15]) @ q.T)
+        model = builtin("linear2d")
+        scenario = generate_scenario(model, family, 20, seed=0)
+        seen = []
+        for module in (ekf, natgrad):
+            def recording(m, fam, state, t, _name=module.__name__, _inner=module.linearise):
+                seen.append((_name, t))
+                return _inner(m, fam, state, t)
+
+            monkeypatch.setattr(module, "linearise", recording)
+        for _ in range(2):  # the second run uses the factor the family kept
+            seen.clear()
+            with pytest.raises(SingularMatrixError, match=r"SPD solve residual .* exceeds 1e-10"):
+                check_discrete(scenario, 0.5 * model.init_state, np.eye(2), alpha=0.1)
+            assert seen == [("kalgrad.ekf", 1)]
 
 
 class TestCanonicalLinkEquivalence:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kalgrad import ekf, expfam, natgrad
-from kalgrad.errors import SingularMatrixError
+from kalgrad.errors import NonFiniteError, SingularMatrixError
 from kalgrad.model import builtin, generate_scenario, linearise, mean_linearisation
 from kalgrad.numerics import symmetrize
 
@@ -34,6 +34,43 @@ class TestPushforwardMetric:
     def test_singular_chart_raises(self):
         with pytest.raises(SingularMatrixError):
             natgrad.pushforward_metric(np.eye(2), np.diag([1.0, 0.0]))
+
+    def test_singular_chart_message(self):
+        with pytest.raises(SingularMatrixError) as info:
+            natgrad.pushforward_metric(np.eye(2), np.zeros((2, 2)))
+        assert str(info.value) == "chart-change Jacobian condition estimate inf exceeds 1e+12"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_non_finite_chart_raises_non_finite_error(self, bad, index):
+        psi = np.eye(2)
+        psi[index] = bad
+        with pytest.raises(NonFiniteError, match="chart-change Jacobian has non-finite entries"):
+            natgrad.pushforward_metric(np.eye(2), psi)
+
+    # The check reads s_max / s_min from one SVD; it must be the number
+    # np.linalg.cond gives, including inf for an exactly singular psi.
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_condition_is_numpy_cond_bit_for_bit(self, n, rng):
+        cases = [rng.standard_normal((n, n)) for _ in range(5)]
+        for scale in (1e-6, 1e-12, 1e-15):
+            rank_one = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+            cases.append(rank_one + scale * rng.standard_normal((n, n)))
+        zero_row = rng.standard_normal((n, n))
+        zero_row[-1] = 0.0
+        cases += [zero_row, np.zeros((n, n)), np.diag(np.arange(n, dtype=float))]
+        for psi in cases:
+            assert natgrad._condition(psi) == np.linalg.cond(psi)
+
+    def test_singular_lu_factor_raises(self, monkeypatch):
+        # A psi that passes the condition check but whose LU factor has a
+        # zero pivot must not reach the solves.
+        monkeypatch.setattr(
+            natgrad, "dgetrf", lambda a: (a, np.arange(1, len(a) + 1, dtype=np.int32), 2)
+        )
+        with pytest.raises(SingularMatrixError, match="exactly singular LU factor"):
+            natgrad.pushforward_metric(np.eye(2), np.eye(2))
 
     def test_matches_explicit_inverse(self, rng):
         # Oracle: reference implementation with an explicit matrix inverse.
@@ -81,6 +118,16 @@ class TestChartTransport:
                 f_jac = model.jac_f(s, model.input_at(1))
                 resid = np.linalg.norm(f_jac.T @ moved_j @ f_jac - j)
                 assert resid <= 1e-10 * np.linalg.norm(j)
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_jacobian_names_the_step(self, bad):
+        psi = np.array([[1.0, 0.0], [0.0, bad]])
+        model = dataclasses.replace(builtin("linear2d"), jacobian_f=lambda s, u: psi.copy())
+        with pytest.raises(NonFiniteError) as info:
+            natgrad.chart_transport(np.ones(2), np.eye(2), model, 3)
+        assert str(info.value) == "chart-change Jacobian has non-finite entries at t = 3"
 
 
 class TestFisherTerm:
