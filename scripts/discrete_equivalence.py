@@ -22,7 +22,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--horizon", type=int, default=SWEEP_HORIZON)
     parser.add_argument("--seeds", type=int, default=SWEEP_SEEDS)
-    parser.add_argument("--eta0", type=float, default=0.5)
     args = parser.parse_args()
 
     print(f"{'model':<16} {'schedule':<12} {'worst state dev':>16} {'worst metric dev':>17}")
@@ -33,7 +32,7 @@ def main() -> None:
             for seed in range(args.seeds):
                 scenario, s0, p0 = sweep_cell(name, args.horizon, seed)
                 try:
-                    rep = check_discrete(scenario, s0, p0, alpha, eta0=args.eta0)
+                    rep = check_discrete(scenario, s0, p0, alpha)
                 except NumericalError:
                     aborted += 1
                     continue

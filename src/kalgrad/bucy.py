@@ -72,14 +72,14 @@ class IntegratorConfig:
             raise ValueError("dt must be > 0")
         if not 0 < self.dt <= self.horizon:
             raise ValueError("need 0 < dt <= horizon")
-        if not callable(self.alpha) and self.alpha < 0:
+        if not callable(self.alpha) and not self.alpha >= 0:
             raise ValueError("fading-memory weights must be >= 0")
 
     def alpha_at(self, t: float) -> float:
         if not callable(self.alpha):
             return float(self.alpha)
         alpha = float(self.alpha(t))
-        if alpha < 0:
+        if not alpha >= 0:
             raise ValueError("fading-memory weights must be >= 0")
         return alpha
 

@@ -45,7 +45,6 @@ class RunConfig:
     alpha_spec: str = "0.0"
     alpha_overrides: dict[int, float] = field(default_factory=dict)
     eta0: float = 0.5
-    tol: float | None = None
 
 
 def _parse_floats(value: str) -> list[float]:
@@ -65,7 +64,6 @@ _FIELDS = {
     "p0_scale": ("p0_scale", float),
     "alpha": ("alpha_spec", str),
     "eta0": ("eta0", float),
-    "tol": ("tol", float),
 }
 
 
@@ -129,7 +127,7 @@ def _alpha_schedule(cfg: RunConfig, horizon: int) -> np.ndarray:
 
 
 def _check_weights(values) -> None:
-    if np.any(np.asarray(values) < 0):
+    if not np.all(np.asarray(values) >= 0):
         raise ConfigError("invalid field alpha: weights must be >= 0")
 
 
@@ -272,8 +270,8 @@ def cmd_run(config_path: str, mode: str, out: Path = Path(".")) -> int:
         if mode == "ekf":
             trace = ekf_mod.run(scenario, ekf_mod.EkfConfig(alpha=alpha), s0, p0)
         else:
-            hyper = eq_mod.map_alpha_to_eta(alpha, cfg.eta0, scenario.horizon)
-            grad_cfg = ngd_mod.NatGradConfig(eta=hyper.eta[1:], gamma=hyper.eta[1:])
+            eta = eq_mod.map_alpha_to_eta(alpha, cfg.eta0, scenario.horizon)[1:]
+            grad_cfg = ngd_mod.NatGradConfig(eta=eta, gamma=eta)
             metric0 = eq_mod.initial_metric(p0, cfg.eta0)
             trace = ngd_mod.run(scenario, grad_cfg, s0, metric0)
         header, block = _scenario_columns(scenario)
@@ -319,7 +317,6 @@ def cmd_compare(
     config_path: str,
     mode: str,
     out: Path = Path("."),
-    tol: float | None = None,
     mutate: str | None = None,
 ) -> int:
     """Run the matched filter/gradient pair and report deviations."""
@@ -330,10 +327,7 @@ def cmd_compare(
 
     if mode == "discrete":
         scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
-        use_tol = tol if tol is not None else (cfg.tol if cfg.tol is not None else 1e-8)
-        report = eq_mod.check_discrete(
-            scenario, s0, p0, alpha, tol=use_tol, eta0=cfg.eta0, mutate=mutate
-        )
+        report = eq_mod.check_discrete(scenario, s0, p0, alpha, eta0=cfg.eta0, mutate=mutate)
         header, block = _scenario_columns(scenario)
         dim = system.dim_state
         header += (
@@ -348,7 +342,7 @@ def cmd_compare(
         summary += [
             f"max_state_dev = {_fmt(report.max_state_dev)}",
             f"max_metric_dev = {_fmt(report.max_metric_dev)}",
-            f"tol = {_fmt(use_tol)}",
+            f"tol = {_fmt(report.tol)}",
             f"mutate = {mutate or 'none'}",
             f"pass = {report.passed}",
         ]
@@ -359,9 +353,8 @@ def cmd_compare(
         horizon, alpha, s0, p0 = _continuous_inputs(cfg, system)
         if not cfg.dt_list:
             raise ConfigError("missing required field: dt_list")
-        use_tol = tol if tol is not None else (cfg.tol if cfg.tol is not None else 1e-6)
         result = eq_mod.check_continuous(
-            system, s0, p0, alpha, cfg.dt_list, horizon, tol=use_tol, eta0=cfg.eta0
+            system, s0, p0, alpha, cfg.dt_list, horizon, eta0=cfg.eta0
         )
         rows = []
         for rep in result.reports:
@@ -378,7 +371,7 @@ def cmd_compare(
         summary += [
             f"order_state = {_fmt(result.order_state)}",
             f"order_metric = {_fmt(result.order_metric)}",
-            f"tol = {_fmt(use_tol)}",
+            f"tol = {_fmt(result.reports[-1].tol)}",
             f"pass = {result.passed}",
         ]
         passed = result.passed
@@ -410,7 +403,6 @@ def main(argv: list[str] | None = None) -> int:
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--mode", required=True, choices=COMPARE_MODES)
     p_cmp.add_argument("--out", type=Path, default=Path("."))
-    p_cmp.add_argument("--tol", type=float, default=None)
     p_cmp.add_argument("--mutate", default=None)
 
     sub.add_parser("list", help="list built-in scenario names")
@@ -420,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(args.config, args.mode, args.out)
         if args.command == "compare":
-            return cmd_compare(args.config, args.mode, args.out, args.tol, args.mutate)
+            return cmd_compare(args.config, args.mode, args.out, args.mutate)
         return cmd_list()
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

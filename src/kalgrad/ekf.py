@@ -57,7 +57,7 @@ class EkfConfig:
         if self.update_form not in (GAIN, INFORMATION, GRADIENT):
             raise ValueError(f"unknown update form {self.update_form!r}")
         object.__setattr__(self, "alpha", as_schedule(self.alpha))
-        if np.any(self.alpha < 0):
+        if not np.all(self.alpha >= 0):
             raise ValueError("fading-memory weights must be >= 0")
 
     def alpha_at(self, t: int) -> float:

@@ -20,7 +20,7 @@ compared row by row on the same stacked arrays.  State deviations are
 reported relative to max(1, sup-norm of the filter trajectory) so that
 near-zero states do not inflate relative errors.
 
-Negative controls live here only: :func:`run_pair` applies one of
+Negative controls live here only: :func:`check_discrete` applies one of
 :data:`MUTATIONS` to the inputs of one side (alpha = 0 for the filter,
 gamma = eta / 2 or a model with F = I for the gradient side), and a sound
 comparison must then fail.
@@ -78,22 +78,6 @@ def sweep_cell(name: str, horizon: int, seed: int) -> tuple[Scenario, np.ndarray
 
 
 @dataclass(frozen=True)
-class HyperMap:
-    """Matched schedules: alpha_t on the filter side, eta_t on the gradient
-    side, with eta[0] the shared initialization rate.  The gradient side's
-    gamma_t is eta_t, so its schedule is ``eta[1:]``."""
-
-    alpha: np.ndarray  # length T, entry t-1 applies at step t
-    eta: np.ndarray  # length T+1, eta[0] = eta_0
-
-    def __post_init__(self) -> None:
-        if np.any(self.alpha < 0):
-            raise ValueError("alpha schedule must be >= 0")
-        if not 0 < self.eta[0] <= 1:
-            raise ValueError("eta_0 must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     """Per-step deviations between matched filter and gradient runs.
 
@@ -135,15 +119,19 @@ def map_alpha_to_eta(
     alpha: Sequence[float] | float,
     eta0: float,
     horizon: int,
-) -> HyperMap:
-    """Expand the fading schedule into the matched eta_t schedule.
+) -> np.ndarray:
+    """Expand the fading schedule into the matched rates eta_0..eta_T.
 
-    The recursion is run on 1/eta so that integer-valued cases stay exact.
+    eta[0] = eta0 is the shared initialization rate; the gradient side's
+    schedule, and its gamma_t, is ``eta[1:]``.  The recursion is run on
+    1/eta so that integer-valued cases stay exact.
     """
     if not 0 < eta0 <= 1:
         raise ValueError("eta_0 must lie in (0, 1]")
     alpha_arr = as_schedule(alpha)
     check_schedule(alpha_arr, horizon, "alpha")
+    if not np.all(alpha_arr >= 0):
+        raise ValueError("alpha schedule must be >= 0")
     alpha_arr = np.resize(alpha_arr, horizon)  # a single entry applies at every step
     eta = np.zeros(horizon + 1)
     eta[0] = eta0
@@ -151,7 +139,7 @@ def map_alpha_to_eta(
     for t in range(1, horizon + 1):
         inv = inv / (1.0 + alpha_arr[t - 1]) + 1.0
         eta[t] = 1.0 / inv
-    return HyperMap(alpha=alpha_arr, eta=eta)
+    return eta
 
 
 def map_eta_to_alpha(eta: Sequence[float]) -> np.ndarray:
@@ -211,56 +199,6 @@ def _compare(filt: Trace, grad: Trace, etas: np.ndarray, tol: float, /, **extra)
     )
 
 
-def run_pair(
-    scenario: Scenario,
-    init_state,
-    init_cov,
-    hyper: HyperMap,
-    tol: float,
-    mutate: str | None = None,
-) -> ComparisonReport:
-    """Run the matched filter/gradient pair and compare their traces.
-
-    ``mutate`` names a negative control, one of :data:`MUTATIONS`, which
-    breaks the hyperparameter identification by changing one side's
-    inputs only:
-
-    * ``drop_fading_factor``: the filter runs with alpha = 0, i.e. without
-      the (1 + alpha) covariance inflation;
-    * ``halve_gamma``: the gradient side runs with gamma = eta / 2;
-    * ``skip_metric_transport``: the gradient side runs on the model with
-      F = I, so its metric is never transported between charts.  A model
-      whose F at the prior mean and t = 1 is already exactly I is
-      rejected, since the control could not fail on it.
-    """
-    if mutate is not None and mutate not in MUTATIONS:
-        raise ValueError(f"unknown mutation {mutate!r}; known: {MUTATIONS}")
-    model = scenario.model
-    if mutate == "skip_metric_transport":
-        f_jac = model.jac_f(np.asarray(init_state, dtype=float), model.input_at(1))
-        if np.array_equal(f_jac, np.eye(model.dim_state)):
-            raise ValueError(
-                f"mutation {mutate!r} cannot fail on model {model.name!r}:"
-                " its transition Jacobian is already the identity"
-            )
-    init_cov = symmetrize(np.asarray(init_cov, dtype=float))
-    alpha = 0.0 if mutate == "drop_fading_factor" else hyper.alpha
-    filt = ekf_mod.run(scenario, ekf_mod.EkfConfig(alpha=alpha), init_state, init_cov)
-
-    eta = hyper.eta[1:]
-    gamma = eta / 2.0 if mutate == "halve_gamma" else eta
-    grad_cfg = ngd_mod.NatGradConfig(eta=eta, gamma=gamma)
-    if mutate == "skip_metric_transport":
-        identity = replace(model, jacobian_f=lambda s, u: np.eye(s.size))
-        scenario = replace(scenario, model=identity)
-    grad = ngd_mod.run(
-        scenario, grad_cfg, init_state, initial_metric(init_cov, hyper.eta[0])
-    )
-    return _compare(
-        filt, grad, hyper.eta, tol, filter_states=filt.states, grad_states=grad.states
-    )
-
-
 def check_discrete(
     scenario: Scenario,
     init_state,
@@ -272,11 +210,47 @@ def check_discrete(
 ) -> ComparisonReport:
     """Certify the discrete filter/gradient agreement on one scenario.
 
-    ``mutate`` selects a deliberate inconsistency (see :func:`run_pair`)
-    used as a negative control; a healthy implementation must then fail.
+    Runs the fading filter under ``alpha`` and the natural gradient under
+    the matched rates of :func:`map_alpha_to_eta`, from P_0 = ``init_cov``
+    and J_0 = eta_0 P_0^-1, and compares their traces at ``tol``.
+
+    ``mutate`` names a negative control, one of :data:`MUTATIONS`, which
+    breaks the hyperparameter identification by changing one side's
+    inputs only; a healthy implementation must then fail:
+
+    * ``drop_fading_factor``: the filter runs with alpha = 0, i.e. without
+      the (1 + alpha) covariance inflation;
+    * ``halve_gamma``: the gradient side runs with gamma = eta / 2;
+    * ``skip_metric_transport``: the gradient side runs on the model with
+      F = I, so its metric is never transported between charts.  A model
+      whose F at the prior mean and t = 1 is already exactly I is
+      rejected, since the control could not fail on it.
     """
-    hyper = map_alpha_to_eta(alpha, eta0, scenario.horizon)
-    return run_pair(scenario, init_state, init_cov, hyper, tol, mutate)
+    if mutate is not None and mutate not in MUTATIONS:
+        raise ValueError(f"unknown mutation {mutate!r}; known: {MUTATIONS}")
+    etas = map_alpha_to_eta(alpha, eta0, scenario.horizon)
+    model = scenario.model
+    if mutate == "skip_metric_transport":
+        f_jac = model.jac_f(np.asarray(init_state, dtype=float), model.input_at(1))
+        if np.array_equal(f_jac, np.eye(model.dim_state)):
+            raise ValueError(
+                f"mutation {mutate!r} cannot fail on model {model.name!r}:"
+                " its transition Jacobian is already the identity"
+            )
+    init_cov = symmetrize(np.asarray(init_cov, dtype=float))
+    filt_alpha = 0.0 if mutate == "drop_fading_factor" else alpha
+    filt = ekf_mod.run(scenario, ekf_mod.EkfConfig(alpha=filt_alpha), init_state, init_cov)
+
+    eta = etas[1:]
+    gamma = eta / 2.0 if mutate == "halve_gamma" else eta
+    grad_cfg = ngd_mod.NatGradConfig(eta=eta, gamma=gamma)
+    if mutate == "skip_metric_transport":
+        identity = replace(model, jacobian_f=lambda s, u: np.eye(s.size))
+        scenario = replace(scenario, model=identity)
+    grad = ngd_mod.run(scenario, grad_cfg, init_state, initial_metric(init_cov, eta0))
+    return _compare(
+        filt, grad, etas, tol, filter_states=filt.states, grad_states=grad.states
+    )
 
 
 def check_continuous(

@@ -59,9 +59,9 @@ class NatGradConfig:
         object.__setattr__(self, "gamma", as_schedule(self.gamma))
         # eta = 0 (a frozen parameter with the metric still averaging) is
         # allowed; gamma = 0 would stop the metric from ever updating.
-        if np.any(self.eta < 0.0) or np.any(self.eta > 1.0):
+        if not np.all((0.0 <= self.eta) & (self.eta <= 1.0)):
             raise ValueError("eta schedule must lie in [0, 1]")
-        if np.any(self.gamma <= 0.0) or np.any(self.gamma > 1.0):
+        if not np.all((0.0 < self.gamma) & (self.gamma <= 1.0)):
             raise ValueError("gamma schedule must lie in (0, 1]")
 
     def check_horizon(self, horizon: int) -> None:

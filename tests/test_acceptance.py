@@ -42,12 +42,12 @@ def _report(number, name, passed):
 
 def _collected_pair(scenario, s0, p0, alpha):
     """Run both sides of the discrete comparison, stashing their matrices."""
-    hyper = map_alpha_to_eta(alpha, 0.5, scenario.horizon)
-    metric0 = hyper.eta[0] * np.linalg.inv(p0)
-    ftrace = ekf.run(scenario, ekf.EkfConfig(alpha=hyper.alpha), s0, p0)
+    eta = map_alpha_to_eta(alpha, 0.5, scenario.horizon)
+    metric0 = eta[0] * np.linalg.inv(p0)
+    ftrace = ekf.run(scenario, ekf.EkfConfig(alpha=alpha), s0, p0)
     gtrace = natgrad.run(
         scenario,
-        natgrad.NatGradConfig(eta=hyper.eta[1:], gamma=hyper.eta[1:]),
+        natgrad.NatGradConfig(eta=eta[1:], gamma=eta[1:]),
         s0,
         metric0,
     )
@@ -201,20 +201,20 @@ def test_c05_fisher_identity_monte_carlo():
 
 
 def test_c06_hyperparameter_map():
-    hyper = map_alpha_to_eta(0.0, eta0=1.0, horizon=300)
-    harmonic_exact = all(hyper.eta[t] == 1.0 / (t + 1) for t in range(301))
+    eta = map_alpha_to_eta(0.0, eta0=1.0, horizon=300)
+    harmonic_exact = all(eta[t] == 1.0 / (t + 1) for t in range(301))
 
     fixed_point_ok = True
     for alpha in (0.1, 1.0, 10.0):
-        h = map_alpha_to_eta(alpha, eta0=0.5, horizon=200)
-        gap = abs(h.eta[200] - alpha / (1.0 + alpha))
+        eta = map_alpha_to_eta(alpha, eta0=0.5, horizon=200)
+        gap = abs(eta[200] - alpha / (1.0 + alpha))
         print(f"  alpha = {alpha}: |eta_200 - fixed point| = {gap:.2e}")
         fixed_point_ok = fixed_point_ok and gap <= 1e-6
 
     rng = np.random.default_rng(600)
     alpha = rng.uniform(0.0, 2.0, 100)
-    h = map_alpha_to_eta(alpha, eta0=0.7, horizon=100)
-    round_trip = np.abs(map_eta_to_alpha(h.eta) - alpha).max()
+    eta = map_alpha_to_eta(alpha, eta0=0.7, horizon=100)
+    round_trip = np.abs(map_eta_to_alpha(eta) - alpha).max()
     print(f"  round-trip error = {round_trip:.2e}")
 
     _report(
@@ -229,8 +229,8 @@ def test_c07_static_reduction():
     fam = expfam.gaussian(np.array([[0.5]]))
     horizon = 100
     scenario = generate_scenario(model, fam, horizon, seed=70)
-    hyper = map_alpha_to_eta(0.2, eta0=0.5, horizon=horizon)
-    cfg = natgrad.NatGradConfig(eta=hyper.eta[1:], gamma=hyper.eta[1:])
+    eta = map_alpha_to_eta(0.2, eta0=0.5, horizon=horizon)[1:]
+    cfg = natgrad.NatGradConfig(eta=eta, gamma=eta)
     s0 = np.array([0.0, 0.0])
     j0 = np.eye(2)
     chart = natgrad.run(scenario, cfg, s0, j0)

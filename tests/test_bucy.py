@@ -421,6 +421,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             bucy.IntegratorConfig(dt=2.0, horizon=1.0)
 
+    def test_nan_fading_weight_rejected(self):
+        # A constant when the config is built, a callable when it is evaluated.
+        with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
+            bucy.IntegratorConfig(dt=0.1, horizon=1.0, alpha=float("nan"))
+        cfg = bucy.IntegratorConfig(dt=0.1, horizon=1.0, alpha=lambda t: float("nan"))
+        with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
+            cfg.alpha_at(0.0)
+
     def test_negative_fading_weight_rejected(self):
         # As for ekf.EkfConfig: a constant when the config is built, a
         # callable when it is evaluated.

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ T = 50
 seed = 42
 alpha = 0.1
 eta0 = 0.5
-tol = 1e-8
 """
 
 PENDULUM_CFG = """\
@@ -29,7 +29,6 @@ dt_list = 1e-2, 1e-3
 alpha = 0.2
 eta0 = 0.5
 p0_scale = 0.5
-tol = 1e-6
 """
 
 
@@ -54,7 +53,6 @@ class TestParseConfig:
         assert cfg.family == "gaussian"
         assert cfg.horizon == 50
         assert cfg.seed == 42
-        assert cfg.tol == 1e-8
 
     def test_missing_scenario_names_field(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -76,12 +74,16 @@ class TestParseConfig:
 
     # Inputs the config does not take: a class count (no categorical
     # family), a prior diagonal (p0_scale sets P0), the output directory
-    # and negative control, which are the flags --out and --mutate, and a
-    # Fisher estimator (the natural gradient uses the exact Fisher).
+    # and negative control, which are the flags --out and --mutate, a
+    # Fisher estimator (the natural gradient uses the exact Fisher) and a
+    # tolerance (each certificate has its own).
     @pytest.mark.parametrize(
         "line",
-        ["classes = 3", "p0 = 1, 1", "out = results", "mutate = halve_gamma", "fisher_mode = kfac"],
-        ids=["classes", "p0", "out", "mutate", "fisher_mode"],
+        [
+            "classes = 3", "p0 = 1, 1", "out = results", "mutate = halve_gamma",
+            "fisher_mode = kfac", "tol = 1e-8",
+        ],
+        ids=["classes", "p0", "out", "mutate", "fisher_mode", "tol"],
     )
     def test_removed_keys_rejected(self, line, tmp_path):
         path = tmp_path / "old.cfg"
@@ -297,22 +299,12 @@ class TestCmdCompare:
         path = tmp_path / "ovr.cfg"
         path.write_text(
             "scenario = linear2d\nfamily = gaussian\nobs_cov = 0.1\n"
-            "T = 20\nseed = 5\nalpha = 0.1\nalpha[7] = 0.9\ntol = 1e-8\n"
+            "T = 20\nseed = 5\nalpha = 0.1\nalpha[7] = 0.9\n"
         )
         code = main(
             ["compare", "--config", str(path), "--mode", "discrete", "--out", str(tmp_path / "o")]
         )
         assert code == 0
-
-    def test_tol_flag_overrides(self, linear_cfg, tmp_path):
-        # An absurdly tight tolerance flips the verdict.
-        code = main(
-            [
-                "compare", "--config", str(linear_cfg), "--mode", "discrete",
-                "--out", str(tmp_path / "t"), "--tol", "1e-30",
-            ]
-        )
-        assert code == 3
 
 
 # One command per entry point: a run and a comparison of each kind.
@@ -381,6 +373,24 @@ class TestRejectedInputs:
         argv = COMMANDS[command] + ["--config", str(pendulum_cfg), "--out", str(out)]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    # A nan weight is not >= 0.  Unchecked, it reached the filter or the
+    # flow and failed there, as a numerical error (exit 2).
+    @pytest.mark.parametrize(
+        "command, mode",
+        [
+            ("run", "ekf"), ("run", "natgrad"), ("compare", "discrete"),
+            ("run", "bucy"), ("run", "cngd"), ("compare", "continuous"),
+        ],
+    )
+    def test_nan_alpha_exits_1(self, command, mode, linear_cfg, pendulum_cfg, tmp_path, capsys):
+        path = linear_cfg if mode in ("ekf", "natgrad", "discrete") else pendulum_cfg
+        path.write_text(re.sub(r"^alpha = .*$", "alpha = nan", path.read_text(), flags=re.M))
+        out = tmp_path / "out"
+        argv = [command, "--mode", mode, "--config", str(path), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: invalid field alpha: weights must be >= 0")
         assert not out.exists()
 
 

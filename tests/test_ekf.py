@@ -350,6 +350,10 @@ class TestEkfConfig:
         with pytest.raises(ValueError):
             ekf.EkfConfig(alpha=-0.1)
 
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
+            ekf.EkfConfig(alpha=np.array([0.1, np.nan]))
+
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
             ekf.EkfConfig(update_form="joseph")

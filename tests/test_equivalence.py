@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from kalgrad import bucy, ekf, equivalence, expfam, natgrad, numerics
 from kalgrad.equivalence import (
-    HyperMap,
     check_continuous,
     check_discrete,
     map_alpha_to_eta,
     map_eta_to_alpha,
-    run_pair,
 )
 from kalgrad.errors import DomainError, SingularMatrixError
 from kalgrad.model import DynamicalModel, builtin, generate_scenario
@@ -57,40 +55,46 @@ def softmax_model():
 
 class TestMapAlphaToEta:
     def test_alpha_zero_harmonic(self):
-        hyper = map_alpha_to_eta(0.0, eta0=1.0, horizon=10)
+        eta = map_alpha_to_eta(0.0, eta0=1.0, horizon=10)
         for t in range(11):
-            assert hyper.eta[t] == 1.0 / (t + 1)
+            assert eta[t] == 1.0 / (t + 1)
 
     def test_alpha_one_fixed_point(self):
         for eta0 in (0.1, 0.5, 1.0):
-            hyper = map_alpha_to_eta(1.0, eta0=eta0, horizon=100)
-            assert abs(hyper.eta[-1] - 0.5) < 1e-9
+            eta = map_alpha_to_eta(1.0, eta0=eta0, horizon=100)
+            assert abs(eta[-1] - 0.5) < 1e-9
 
     def test_constant_alpha_converges(self):
         # Oracle: iterate the recursion; the fixed point is a/(1+a).
-        hyper = map_alpha_to_eta(0.1, eta0=0.5, horizon=200)
-        assert abs(hyper.eta[200] - 0.1 / 1.1) <= 1e-6
+        eta = map_alpha_to_eta(0.1, eta0=0.5, horizon=200)
+        assert abs(eta[200] - 0.1 / 1.1) <= 1e-6
 
     def test_time_varying_schedule(self):
         alpha = np.linspace(0.0, 0.5, 7)
-        hyper = map_alpha_to_eta(alpha, eta0=0.8, horizon=7)
+        eta = map_alpha_to_eta(alpha, eta0=0.8, horizon=7)
         inv = 1.0 / 0.8
         for t in range(1, 8):
             inv = inv / (1.0 + alpha[t - 1]) + 1.0
-            assert abs(hyper.eta[t] - 1.0 / inv) < 1e-15
+            assert abs(eta[t] - 1.0 / inv) < 1e-15
 
     def test_eta_stays_in_unit_interval(self):
         rng = np.random.default_rng(5)
         alpha = rng.uniform(0.0, 5.0, 50)
-        hyper = map_alpha_to_eta(alpha, eta0=1.0, horizon=50)
-        assert np.all(hyper.eta[1:] > 0.0)
-        assert np.all(hyper.eta[1:] < 1.0)
+        eta = map_alpha_to_eta(alpha, eta0=1.0, horizon=50)
+        assert np.all(eta[1:] > 0.0)
+        assert np.all(eta[1:] < 1.0)
 
     def test_bad_eta0(self):
         with pytest.raises(ValueError):
             map_alpha_to_eta(0.1, eta0=1.5, horizon=5)
         with pytest.raises(ValueError):
             map_alpha_to_eta(0.1, eta0=0.0, horizon=5)
+
+    def test_rejects_negative_alpha(self):
+        # nan included: it is no weight >= 0 either.
+        for bad in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="alpha schedule must be >= 0"):
+                map_alpha_to_eta(np.array([0.1, bad]), eta0=0.5, horizon=2)
 
     def test_wrong_length_schedule_rejected(self):
         with pytest.raises(ValueError, match="alpha schedule has 5 entries; need 1 or 10"):
@@ -108,8 +112,8 @@ class TestMapEtaToAlpha:
     def test_round_trip(self):
         rng = np.random.default_rng(6)
         alpha = rng.uniform(0.0, 2.0, 30)
-        hyper = map_alpha_to_eta(alpha, eta0=0.7, horizon=30)
-        recovered = map_eta_to_alpha(hyper.eta)
+        eta = map_alpha_to_eta(alpha, eta0=0.7, horizon=30)
+        recovered = map_eta_to_alpha(eta)
         np.testing.assert_allclose(recovered, alpha, atol=1e-12)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -119,8 +123,8 @@ class TestMapEtaToAlpha:
         horizon = int(rng.integers(1, 40))
         alpha = rng.uniform(0.0, 3.0, horizon)
         eta0 = rng.uniform(0.05, 1.0)
-        hyper = map_alpha_to_eta(alpha, eta0, horizon)
-        np.testing.assert_allclose(map_eta_to_alpha(hyper.eta), alpha, atol=1e-11)
+        eta = map_alpha_to_eta(alpha, eta0, horizon)
+        np.testing.assert_allclose(map_eta_to_alpha(eta), alpha, atol=1e-11)
 
     def test_eta_one_raises(self):
         with pytest.raises(DomainError):
@@ -156,15 +160,17 @@ class TestCheckDiscrete:
         assert report.metric_devs.shape == (51,)
         assert np.all(report.metric_devs <= 1e-8)
 
-    def test_sabotage_eta_perturbation_fails(self):
+    def test_sabotage_eta_perturbation_fails(self, monkeypatch):
         # Mutation check guarding against a vacuous comparison: nudging a
         # single learning rate must break the identification.
+        def nudged(alpha, eta0, horizon):
+            eta = map_alpha_to_eta(alpha, eta0, horizon)
+            eta[25] += 1e-3
+            return eta
+
+        monkeypatch.setattr(equivalence, "map_alpha_to_eta", nudged)
         scenario = scenario_for("linear2d", 50, seed=0)
-        hyper = map_alpha_to_eta(0.1, eta0=0.5, horizon=50)
-        eta = hyper.eta.copy()
-        eta[25] += 1e-3
-        broken = HyperMap(alpha=hyper.alpha, eta=eta)
-        report = run_pair(scenario, np.zeros(2), np.eye(2), broken, tol=1e-8)
+        report = check_discrete(scenario, np.zeros(2), np.eye(2), alpha=0.1, tol=1e-8)
         assert not report.passed
         assert report.max_state_dev > 1e-8
 
@@ -183,6 +189,14 @@ class TestCheckDiscrete:
         scenario, s0, p0 = equivalence.sweep_cell(name, 50, 0)
         with pytest.raises(ValueError, match=f"'skip_metric_transport'.*'{name}'"):
             check_discrete(scenario, s0, p0, alpha=0.1, mutate="skip_metric_transport")
+
+    @pytest.mark.filterwarnings("error")
+    def test_negative_alpha_rejected_before_the_recursion(self):
+        # alpha = -1 would divide by 1 + alpha = 0 in the rate recursion;
+        # the schedule is refused first, with no numpy warning.
+        scenario = scenario_for("linear2d", 5, seed=0)
+        with pytest.raises(ValueError, match="alpha schedule must be >= 0"):
+            check_discrete(scenario, np.zeros(2), np.eye(2), alpha=-1.0)
 
     def test_unknown_mutation_rejected(self):
         scenario = scenario_for("linear2d", 5, seed=0)
@@ -365,9 +379,3 @@ class TestCheckContinuous:
         cfg = bucy.IntegratorConfig(dt=1e-3, horizon=1.0, alpha=0.0)
         trace = bucy.integrate(bucy.CNGD, model.init_state, np.eye(1), model, cfg, eta0=1.0)
         assert abs(trace.etas[-1] - 0.5) < 1e-8
-
-
-class TestHyperMap:
-    def test_rejects_negative_alpha(self):
-        with pytest.raises(ValueError):
-            HyperMap(alpha=np.array([-0.1]), eta=np.array([0.5, 0.4]))

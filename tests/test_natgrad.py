@@ -413,3 +413,10 @@ class TestNatGradConfig:
         with pytest.raises(ValueError):
             natgrad.NatGradConfig(eta=0.5, gamma=0.0)
 
+    def test_nan_eta_rejected(self):
+        with pytest.raises(ValueError, match=r"eta schedule must lie in \[0, 1\]"):
+            natgrad.NatGradConfig(eta=np.array([0.5, np.nan]), gamma=0.5)
+
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(ValueError, match=r"gamma schedule must lie in \(0, 1\]"):
+            natgrad.NatGradConfig(eta=0.5, gamma=np.array([0.5, np.nan]))

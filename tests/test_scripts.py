@@ -53,19 +53,32 @@ def test_example_config_compare_passes(config, tmp_path):
 
 def test_benchmark_lookups_resolve(monkeypatch):
     # certbench traces the library by name; a renamed span or dispatch
-    # entry would break its traced runs, so check the names it reads.
+    # entry would break its traced runs, so check the names it reads.  A
+    # traced discrete-sweep cell must enter through check_discrete alone
+    # and run both sides' step markers, from which aborted cells count
+    # their steps.
     monkeypatch.syspath_prepend(str(ROOT / "certbench"))
     try:
         report = importlib.import_module("report")
-        tracer = importlib.import_module("tracer").Tracer(kalgrad)
+        tracer_mod = importlib.import_module("tracer")
+        workloads = importlib.import_module("workloads")
     finally:
         for name in ("report", "tracer", "workloads"):
             sys.modules.pop(name, None)
+    cell = workloads.discrete_sweep(0)[0]
+    tracer = tracer_mod.Tracer(kalgrad)
+    tracer.install()
     try:
-        tracer.install()
+        tracer.cell = 0
+        workloads.call(cell)
     finally:
         tracer.uninstall()
     read = {*report.CALLS_PER_STEP, *report.US_PER_CALL, "model.generate_scenario"}
     read.update(*report.STEP_MARKERS.values())
     assert read - set(tracer.names) == set()
+    spans = tracer.spans()
+    roots = {tracer.names[i] for i in spans[spans[:, 4] == tracer_mod.NO_PARENT, 1]}
+    assert roots == {"equivalence.check_discrete"}
+    ran = {tracer.names[i] for i in spans[:, 1]}
+    assert set(report.STEP_MARKERS[workloads.DISCRETE]) <= ran
     assert ekf._OBSERVERS[ekf.GAIN] is ekf.observe_gain
