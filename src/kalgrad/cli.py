@@ -51,6 +51,14 @@ def _parse_floats(value: str) -> list[float]:
     return [float(part) for part in value.split(",") if part.strip()]
 
 
+def _parse_seed(value: str) -> int:
+    """A scenario seed: a whole number that keys the Philox stream."""
+    seed = int(value)
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"must lie in 0 .. 2**128 - 1, got {seed}")
+    return seed
+
+
 # Config key -> (RunConfig field, parser).  ``scenario`` and the alpha[t]
 # overrides are read separately.
 _FIELDS = {
@@ -59,7 +67,7 @@ _FIELDS = {
     "T": ("horizon", float),
     "dt": ("dt", float),
     "dt_list": ("dt_list", _parse_floats),
-    "seed": ("seed", int),
+    "seed": ("seed", _parse_seed),
     "s0": ("s0", _parse_floats),
     "p0_scale": ("p0_scale", float),
     "alpha": ("alpha_spec", str),
@@ -91,12 +99,12 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError("missing required field: scenario")
 
     cfg = RunConfig(scenario=raw.pop("scenario"), alpha_overrides=overrides)
-    try:
-        for key, (name, parse) in _FIELDS.items():
-            if key in raw:
+    for key, (name, parse) in _FIELDS.items():
+        if key in raw:
+            try:
                 setattr(cfg, name, parse(raw.pop(key)))
-    except ValueError as exc:
-        raise ConfigError(f"invalid field value: {exc}") from exc
+            except ValueError as exc:
+                raise ConfigError(f"invalid field {key}: {exc}") from exc
     if raw:
         raise ConfigError(f"unknown field: {sorted(raw)[0]}")
     return cfg
@@ -177,12 +185,15 @@ def _init_state(cfg: RunConfig, model) -> np.ndarray:
         return np.asarray(model.init_state, dtype=float)
     if len(cfg.s0) != model.dim_state:
         raise ConfigError(f"invalid field s0: need {model.dim_state} entries")
-    return np.asarray(cfg.s0, dtype=float)
+    s0 = np.asarray(cfg.s0, dtype=float)
+    if not np.isfinite(s0).all():
+        raise ConfigError("invalid field s0: entries must be finite")
+    return s0
 
 
 def _init_cov(cfg: RunConfig, dim: int) -> np.ndarray:
-    if cfg.p0_scale <= 0:
-        raise ConfigError("invalid field p0_scale: must be positive")
+    if not 0 < cfg.p0_scale < np.inf:
+        raise ConfigError("invalid field p0_scale: must be positive and finite")
     return cfg.p0_scale * np.eye(dim)
 
 
@@ -217,6 +228,8 @@ def _discrete_inputs(cfg: RunConfig, system):
     discrete run."""
     if not isinstance(system, model_mod.DynamicalModel):
         raise ConfigError(f"invalid field scenario: {cfg.scenario!r} is not a discrete model")
+    if not (cfg.horizon >= 0 and cfg.horizon.is_integer()):
+        raise ConfigError(f"invalid field T: need a whole number of steps >= 0, got {cfg.horizon:g}")
     horizon = int(cfg.horizon)
     family = _build_family(cfg, system)
     scenario = model_mod.generate_scenario(system, family, horizon, cfg.seed)
@@ -268,12 +281,11 @@ def cmd_run(config_path: str, mode: str, out: Path = Path(".")) -> int:
     if mode in ("ekf", "natgrad"):
         scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
         if mode == "ekf":
-            trace = ekf_mod.run(scenario, ekf_mod.EkfConfig(alpha=alpha), s0, p0)
+            trace = ekf_mod.run(scenario, alpha, s0, p0)
         else:
             eta = eq_mod.map_alpha_to_eta(alpha, cfg.eta0, scenario.horizon)[1:]
-            grad_cfg = ngd_mod.NatGradConfig(eta=eta, gamma=eta)
             metric0 = eq_mod.initial_metric(p0, cfg.eta0)
-            trace = ngd_mod.run(scenario, grad_cfg, s0, metric0)
+            trace = ngd_mod.run(scenario, eta, eta, s0, metric0)
         header, block = _scenario_columns(scenario)
         header += [f"s_est_{i}" for i in range(system.dim_state)]
         rows = np.column_stack([block, trace.states])

@@ -8,7 +8,9 @@ Q_t = alpha_t F P F^T, under which
 Every observation update reads the one linearisation of
 :func:`kalgrad.model.linearise`: B = d theta / d s in the family's natural
 parameter theta, C = cov(T) at the predicted mean, and the residual
-e = T(y) - E[T].  Three algebraically equivalent updates are provided:
+e = T(y) - E[T].  Three algebraically equivalent updates are written
+here; :func:`run` uses the gain form, and the tests hold the other two to
+it:
 
 * gain form:        K = P_pred B^T (I + C B P_pred B^T)^-1,
                     P = P_pred - K C B P_pred,  s += K e
@@ -22,12 +24,12 @@ B is the predictor Jacobian G, R^-1 never appears, and the updates stay
 finite where the mean rounds to the boundary of its domain and C to zero.
 
 The belief is the pair of plain arrays (mean, cov): the transition and
-every update take it and return the new pair.
+every update take it and return the new pair.  The fading schedule is a
+plain array too: :func:`run` normalises it once and hands each
+transition its float alpha_t.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
@@ -35,33 +37,11 @@ from scipy.linalg.lapack import dgesv
 from . import expfam
 from .errors import NonFiniteError, SingularMatrixError
 from .model import DynamicalModel, Scenario, Trace, linearise
-from .numerics import as_schedule, check_schedule, solve_psd, symmetrize
+from .numerics import schedule, solve_psd, symmetrize
 
 GAIN = "gain"
 INFORMATION = "information"
 GRADIENT = "gradient"
-
-
-@dataclass(frozen=True)
-class EkfConfig:
-    """Fading-memory schedule and observation-update form for one filter run.
-
-    ``alpha`` is stored as a 1-D float array indexed by step (alpha[t-1] is
-    used at time t; a single entry applies at every step).
-    """
-
-    alpha: np.ndarray | float = 0.0
-    update_form: str = GAIN
-
-    def __post_init__(self) -> None:
-        if self.update_form not in (GAIN, INFORMATION, GRADIENT):
-            raise ValueError(f"unknown update form {self.update_form!r}")
-        object.__setattr__(self, "alpha", as_schedule(self.alpha))
-        if not np.all(self.alpha >= 0):
-            raise ValueError("fading-memory weights must be >= 0")
-
-    def alpha_at(self, t: int) -> float:
-        return float(self.alpha[0] if self.alpha.size == 1 else self.alpha[t - 1])
 
 
 def transition(
@@ -69,10 +49,11 @@ def transition(
     cov: np.ndarray,
     model: DynamicalModel,
     t: int,
-    config: EkfConfig,
+    alpha_t: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate the Gaussian belief (mean, cov) through the dynamics;
-    returns (mean_pred, P_pred) with P_pred = (1 + alpha_t) F P F^T."""
+    """Propagate the Gaussian belief (mean, cov) through the dynamics under
+    the fading weight alpha_t; returns (mean_pred, P_pred) with
+    P_pred = (1 + alpha_t) F P F^T."""
     u = model.input_at(t)
     mean_pred = np.asarray(model.f(mean, u), dtype=float)
     if not np.isfinite(mean_pred).all():
@@ -80,7 +61,7 @@ def transition(
     f_jac = model.jac_f(mean, u)
     # An overflow here is reported below, as a failure of this step.
     with np.errstate(over="ignore", invalid="ignore"):
-        cov_pred = symmetrize((1.0 + config.alpha_at(t)) * (f_jac @ cov @ f_jac.T))
+        cov_pred = symmetrize((1.0 + alpha_t) * (f_jac @ cov @ f_jac.T))
     if not np.isfinite(cov_pred).all():
         raise NonFiniteError(f"transition produced non-finite covariance at t = {t}")
     return mean_pred, cov_pred
@@ -137,6 +118,7 @@ def observe_information(
 observe_gradient = observe_information
 
 
+# Not read by run; kept while the benchmark's tests look up _OBSERVERS[GAIN].
 _OBSERVERS = {
     GAIN: observe_gain,
     INFORMATION: observe_information,
@@ -146,22 +128,23 @@ _OBSERVERS = {
 
 def run(
     scenario: Scenario,
-    config: EkfConfig,
+    alpha,
     init_mean,
     init_cov,
 ) -> Trace:
-    """Filter the scenario's observations from the given Gaussian prior;
-    returns the posterior means and covariances, row 0 the prior."""
-    check_schedule(config.alpha, scenario.horizon, "alpha")
+    """Filter the scenario's observations from the given Gaussian prior
+    under the fading schedule ``alpha`` (a scalar, or one entry or one per
+    step; see :func:`kalgrad.numerics.schedule`), with the gain-form
+    update; returns the posterior means and covariances, row 0 the prior."""
+    alpha = schedule("alpha", alpha, scenario.horizon)
     mean = np.asarray(init_mean, dtype=float)
     cov = np.asarray(init_cov, dtype=float)
-    observe = _OBSERVERS[config.update_form]
     rows = scenario.horizon + 1
     means = np.empty((rows,) + mean.shape)
     covs = np.empty((rows,) + cov.shape)
     means[0], covs[0] = mean, cov
-    for t in range(1, rows):
-        mean, cov = transition(mean, cov, scenario.model, t, config)
-        mean, cov = observe(mean, cov, scenario.obs(t), scenario.model, scenario.family, t)
+    for t, alpha_t in enumerate(alpha.tolist(), start=1):
+        mean, cov = transition(mean, cov, scenario.model, t, alpha_t)
+        mean, cov = observe_gain(mean, cov, scenario.obs(t), scenario.model, scenario.family, t)
         means[t], covs[t] = mean, cov
     return Trace(means, covs=covs)

@@ -40,7 +40,7 @@ from . import expfam
 from . import natgrad as ngd_mod
 from .errors import DomainError
 from .model import ContinuousModel, Scenario, Trace, builtin, generate_scenario
-from .numerics import as_schedule, check_schedule, solve_psd, symmetrize
+from .numerics import schedule, solve_psd, symmetrize
 
 MUTATIONS = ("drop_fading_factor", "halve_gamma", "skip_metric_transport")
 
@@ -122,22 +122,20 @@ def map_alpha_to_eta(
 ) -> np.ndarray:
     """Expand the fading schedule into the matched rates eta_0..eta_T.
 
-    eta[0] = eta0 is the shared initialization rate; the gradient side's
-    schedule, and its gamma_t, is ``eta[1:]``.  The recursion is run on
-    1/eta so that integer-valued cases stay exact.
+    ``alpha`` is normalised by :func:`kalgrad.numerics.schedule` before
+    the recursion divides by 1 + alpha_t.  eta[0] = eta0 is the shared
+    initialization rate; the gradient side's schedule, and its gamma_t, is
+    ``eta[1:]``.  The recursion is run on 1/eta so that integer-valued
+    cases stay exact.
     """
     if not 0 < eta0 <= 1:
         raise ValueError("eta_0 must lie in (0, 1]")
-    alpha_arr = as_schedule(alpha)
-    check_schedule(alpha_arr, horizon, "alpha")
-    if not np.all(alpha_arr >= 0):
-        raise ValueError("alpha schedule must be >= 0")
-    alpha_arr = np.resize(alpha_arr, horizon)  # a single entry applies at every step
+    alpha = schedule("alpha", alpha, horizon)
     eta = np.zeros(horizon + 1)
     eta[0] = eta0
     inv = 1.0 / eta0
     for t in range(1, horizon + 1):
-        inv = inv / (1.0 + alpha_arr[t - 1]) + 1.0
+        inv = inv / (1.0 + alpha[t - 1]) + 1.0
         eta[t] = 1.0 / inv
     return eta
 
@@ -146,15 +144,16 @@ def map_eta_to_alpha(eta: Sequence[float]) -> np.ndarray:
     """Invert the schedule map: the unique alpha_t reproducing eta.
 
     ``eta`` is the full sequence eta_0..eta_T.  Raises DomainError when
-    some eta_t = 1 for t >= 1, which would require infinite fading.
+    some eta_t = 1 for t >= 1, which would require infinite fading, or
+    when an entry is not positive (nan included).
     """
     eta = np.asarray(eta, dtype=float)
     if eta.ndim != 1 or eta.size < 2:
         raise ValueError("need eta_0..eta_T with T >= 1")
     if np.any(eta[1:] >= 1.0):
         raise DomainError("eta_t = 1 for t >= 1 has no finite fading weight")
-    if np.any(eta <= 0.0):
-        raise DomainError("eta schedule must be positive")
+    if not np.all(eta > 0.0):
+        raise DomainError("eta schedule must be positive, and not nan")
     return eta[1:] / ((1.0 - eta[1:]) * eta[:-1]) - 1.0
 
 
@@ -239,15 +238,14 @@ def check_discrete(
             )
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
     filt_alpha = 0.0 if mutate == "drop_fading_factor" else alpha
-    filt = ekf_mod.run(scenario, ekf_mod.EkfConfig(alpha=filt_alpha), init_state, init_cov)
+    filt = ekf_mod.run(scenario, filt_alpha, init_state, init_cov)
 
     eta = etas[1:]
     gamma = eta / 2.0 if mutate == "halve_gamma" else eta
-    grad_cfg = ngd_mod.NatGradConfig(eta=eta, gamma=gamma)
     if mutate == "skip_metric_transport":
         identity = replace(model, jacobian_f=lambda s, u: np.eye(s.size))
         scenario = replace(scenario, model=identity)
-    grad = ngd_mod.run(scenario, grad_cfg, init_state, initial_metric(init_cov, eta0))
+    grad = ngd_mod.run(scenario, eta, gamma, init_state, initial_metric(init_cov, eta0))
     return _compare(
         filt, grad, etas, tol, filter_states=filt.states, grad_states=grad.states
     )

@@ -18,7 +18,9 @@ scheme matches the fading-memory filter.  The tests check it against a
 Monte Carlo average of score outer products.
 
 Every step function takes and returns plain arrays: the state s in the
-current chart and the metric J there.
+current chart and the metric J there.  The eta and gamma schedules are
+plain arrays too: :func:`run` normalises them once and hands each update
+its floats eta_t and gamma_t.
 
 For static dynamics (f = Id) the chart never moves and the scheme reduces
 to the ordinary online natural gradient; the tests keep a chartless
@@ -28,7 +30,6 @@ implementation of it as the reference for that reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -36,44 +37,11 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from . import expfam
 from .errors import NonFiniteError, SingularMatrixError
 from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise
-from .numerics import as_schedule, check_schedule, solve_psd, symmetrize
+from .numerics import schedule, solve_psd, symmetrize
 
 # Chart changes with condition numbers beyond this are treated as singular:
 # the trajectory chart is no longer well-defined.
 _COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class NatGradConfig:
-    """Learning-rate and metric-averaging schedules.
-
-    ``eta`` and ``gamma`` are stored as 1-D float arrays indexed by step
-    (entry t-1 applies at time t); a single entry is broadcast.
-    """
-
-    eta: np.ndarray | float
-    gamma: np.ndarray | float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eta", as_schedule(self.eta))
-        object.__setattr__(self, "gamma", as_schedule(self.gamma))
-        # eta = 0 (a frozen parameter with the metric still averaging) is
-        # allowed; gamma = 0 would stop the metric from ever updating.
-        if not np.all((0.0 <= self.eta) & (self.eta <= 1.0)):
-            raise ValueError("eta schedule must lie in [0, 1]")
-        if not np.all((0.0 < self.gamma) & (self.gamma <= 1.0)):
-            raise ValueError("gamma schedule must lie in (0, 1]")
-
-    def check_horizon(self, horizon: int) -> None:
-        """Reject eta or gamma schedules with neither 1 nor ``horizon`` entries."""
-        check_schedule(self.eta, horizon, "eta")
-        check_schedule(self.gamma, horizon, "gamma")
-
-    def eta_at(self, t: int) -> float:
-        return float(self.eta[0] if self.eta.size == 1 else self.eta[t - 1])
-
-    def gamma_at(self, t: int) -> float:
-        return float(self.gamma[0] if self.gamma.size == 1 else self.gamma[t - 1])
 
 
 def pushforward_metric(metric: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -145,40 +113,45 @@ def update(
     y,
     model: DynamicalModel,
     family: expfam.ObservationFamily,
-    config: NatGradConfig,
+    eta_t: float,
+    gamma_t: float,
     t: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Blend the Fisher term into the metric and take one natural step;
-    returns the new (state, metric).
+    """Blend the Fisher term into the metric with weight gamma_t and take
+    one natural step of rate eta_t; returns the new (state, metric).
 
     Expects ``state`` and ``metric`` already transported to the chart at
     time t.
     """
     lin = linearise(model, family, state, t)
     score_state = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
-    gamma = config.gamma_at(t)
-    metric = symmetrize((1.0 - gamma) * metric + gamma * fisher_term(lin))
-    return state + config.eta_at(t) * solve_psd(metric, score_state), metric
+    metric = symmetrize((1.0 - gamma_t) * metric + gamma_t * fisher_term(lin))
+    return state + eta_t * solve_psd(metric, score_state), metric
 
 
 def run(
     scenario: Scenario,
-    config: NatGradConfig,
+    eta,
+    gamma,
     init_state,
     init_metric,
 ) -> Trace:
-    """Run the chart-based online natural gradient over a scenario; returns
-    the states and metrics in the chart at each t, row 0 the prior."""
-    config.check_horizon(scenario.horizon)
+    """Run the chart-based online natural gradient over a scenario under
+    the rate schedule ``eta`` and the metric-averaging schedule ``gamma``
+    (each a scalar, or one entry or one per step; see
+    :func:`kalgrad.numerics.schedule`); returns the states and metrics in
+    the chart at each t, row 0 the prior."""
+    eta = schedule("eta", eta, scenario.horizon)
+    gamma = schedule("gamma", gamma, scenario.horizon)
     state = np.asarray(init_state, dtype=float)
     metric = np.asarray(init_metric, dtype=float)
-    model = scenario.model
+    model, family = scenario.model, scenario.family
     rows = scenario.horizon + 1
     states = np.empty((rows,) + state.shape)
     metrics = np.empty((rows,) + metric.shape)
     states[0], metrics[0] = state, metric
-    for t in range(1, rows):
+    for t, (eta_t, gamma_t) in enumerate(zip(eta.tolist(), gamma.tolist()), start=1):
         state, metric = chart_transport(state, metric, model, t)
-        state, metric = update(state, metric, scenario.obs(t), model, scenario.family, config, t)
+        state, metric = update(state, metric, scenario.obs(t), model, family, eta_t, gamma_t, t)
         states[t], metrics[t] = state, metric
     return Trace(states, metrics=metrics)

@@ -30,17 +30,39 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def as_schedule(values) -> np.ndarray:
-    """A per-step schedule as a 1-D float array; a scalar becomes one entry."""
-    return np.atleast_1d(np.asarray(values, dtype=float))
+# The domain of each discrete schedule: the test an entry must pass, and
+# how the refusal states it.  eta = 0 (a frozen parameter with the metric
+# still averaging) is allowed; gamma = 0 would stop the metric from ever
+# updating.  Comparisons with nan are false, so nan fails every test.
+_SCHEDULE_DOMAINS = {
+    "alpha": (lambda v: v >= 0.0, "be >= 0"),
+    "eta": (lambda v: (0.0 <= v) & (v <= 1.0), "lie in [0, 1]"),
+    "gamma": (lambda v: (0.0 < v) & (v <= 1.0), "lie in (0, 1]"),
+}
 
 
-def check_schedule(schedule: np.ndarray, horizon: int, name: str) -> None:
-    """Reject a schedule that has neither one entry nor one per step."""
-    if schedule.size not in (1, horizon):
-        raise ValueError(
-            f"{name} schedule has {schedule.size} entries; need 1 or {horizon}"
-        )
+def schedule(name: str, values, horizon: int) -> np.ndarray:
+    """The discrete schedule ``name`` (alpha, eta or gamma) as the float
+    array values_1..values_T, entry t-1 applying at step t.
+
+    ``values`` is a scalar, a one-entry 1-D input that applies at every
+    step, or a 1-D input with one entry per step.
+
+    Raises
+    ------
+    ValueError
+        If ``values`` has another shape, or an entry outside the
+        schedule's domain (nan included).
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim > 1:
+        raise ValueError(f"{name} schedule has shape {arr.shape}; need a scalar or a 1-D array")
+    if arr.size not in (1, horizon):
+        raise ValueError(f"{name} schedule has {arr.size} entries; need 1 or {horizon}")
+    test, rule = _SCHEDULE_DOMAINS[name]
+    if not np.all(test(arr)):
+        raise ValueError(f"{name} schedule must {rule}")
+    return np.resize(arr, horizon)  # a new array, a single entry repeated
 
 
 def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

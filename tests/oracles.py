@@ -12,8 +12,8 @@ import scipy.linalg
 
 from kalgrad import expfam
 from kalgrad.model import Linearisation, Trace, mean_linearisation
-from kalgrad.natgrad import NatGradConfig, fisher_term
-from kalgrad.numerics import fd_jacobian, solve_psd, symmetrize
+from kalgrad.natgrad import fisher_term
+from kalgrad.numerics import fd_jacobian, schedule, solve_psd, symmetrize
 
 
 def log_density(family: expfam.ObservationFamily, y, yhat) -> float:
@@ -83,7 +83,8 @@ def plain_online_natgrad(
     observations: list,
     h,
     family: expfam.ObservationFamily,
-    config: NatGradConfig,
+    eta,
+    gamma,
     init_param,
     init_metric,
     jacobian_h=None,
@@ -91,13 +92,15 @@ def plain_online_natgrad(
     """Chartless online natural gradient for a static parameter.
 
     ``h(theta, u)`` maps the parameter and input to the observation mean;
-    ``jacobian_h`` defaults to central differences.  This is the f = Id
+    ``eta`` and ``gamma`` are schedules as :func:`kalgrad.natgrad.run`
+    takes them; ``jacobian_h`` defaults to central differences.  This is the f = Id
     reduction of :func:`kalgrad.natgrad.run` and serves as its reference
     implementation; it returns the same trace layout.
     """
     if len(inputs) != len(observations):
         raise ValueError("inputs and observations must have equal length")
-    config.check_horizon(len(inputs))
+    eta = schedule("eta", eta, len(inputs))
+    gamma = schedule("gamma", gamma, len(inputs))
     theta = np.asarray(init_param, dtype=float)
     metric = np.asarray(init_metric, dtype=float)
     rows = len(inputs) + 1
@@ -105,16 +108,16 @@ def plain_online_natgrad(
     metrics = np.empty((rows,) + metric.shape)
     states[0], metrics[0] = theta, metric
     for t, (u, y) in enumerate(zip(inputs, observations), start=1):
+        eta_t, gamma_t = eta[t - 1], gamma[t - 1]
         u = np.asarray(u, dtype=float)
         if jacobian_h is not None:
             h_jac = np.asarray(jacobian_h(theta, u), dtype=float)
         else:
             h_jac = fd_jacobian(lambda v: h(v, u), theta)
         lin = mean_linearisation(family, np.asarray(h(theta, u), dtype=float), h_jac)
-        gamma = config.gamma_at(t)
-        metric = symmetrize((1.0 - gamma) * metric + gamma * fisher_term(lin))
+        metric = symmetrize((1.0 - gamma_t) * metric + gamma_t * fisher_term(lin))
         score = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
-        theta = theta + config.eta_at(t) * solve_psd(metric, score)
+        theta = theta + eta_t * solve_psd(metric, score)
         states[t], metrics[t] = theta, metric
     return Trace(states, metrics=metrics)
 

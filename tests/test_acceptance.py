@@ -44,13 +44,8 @@ def _collected_pair(scenario, s0, p0, alpha):
     """Run both sides of the discrete comparison, stashing their matrices."""
     eta = map_alpha_to_eta(alpha, 0.5, scenario.horizon)
     metric0 = eta[0] * np.linalg.inv(p0)
-    ftrace = ekf.run(scenario, ekf.EkfConfig(alpha=alpha), s0, p0)
-    gtrace = natgrad.run(
-        scenario,
-        natgrad.NatGradConfig(eta=eta[1:], gamma=eta[1:]),
-        s0,
-        metric0,
-    )
+    ftrace = ekf.run(scenario, alpha, s0, p0)
+    gtrace = natgrad.run(scenario, eta[1:], eta[1:], s0, metric0)
     _COLLECTED.extend(ftrace.covs)
     _COLLECTED.extend(gtrace.metrics)
 
@@ -119,7 +114,7 @@ def test_c03_linear_gaussian_exactness():
     scenario = generate_scenario(model, expfam.gaussian(r), horizon, seed=14)
     s0 = np.array([0.3, -0.6])
     p0 = np.diag([0.8, 1.7])
-    trace = ekf.run(scenario, ekf.EkfConfig(alpha=0.0), s0, p0)
+    trace = ekf.run(scenario, 0.0, s0, p0)
     _COLLECTED.extend(trace.covs)
 
     a_mat = 0.99 * np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
@@ -230,16 +225,16 @@ def test_c07_static_reduction():
     horizon = 100
     scenario = generate_scenario(model, fam, horizon, seed=70)
     eta = map_alpha_to_eta(0.2, eta0=0.5, horizon=horizon)[1:]
-    cfg = natgrad.NatGradConfig(eta=eta, gamma=eta)
     s0 = np.array([0.0, 0.0])
     j0 = np.eye(2)
-    chart = natgrad.run(scenario, cfg, s0, j0)
+    chart = natgrad.run(scenario, eta, eta, s0, j0)
     plain = plain_online_natgrad(
         [model.input_at(t) for t in range(1, horizon + 1)],
         scenario.observations,
         model.h,
         fam,
-        cfg,
+        eta,
+        eta,
         s0,
         j0,
         jacobian_h=model.jacobian_h,

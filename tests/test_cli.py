@@ -313,6 +313,20 @@ COMMANDS = {
     "compare": ["compare", "--mode", "continuous"],
 }
 
+# Every (command, mode) pair, discrete ones first.
+ALL_MODES = [
+    ("run", "ekf"), ("run", "natgrad"), ("compare", "discrete"),
+    ("run", "bucy"), ("run", "cngd"), ("compare", "continuous"),
+]
+DISCRETE_MODES = ("ekf", "natgrad", "discrete")
+
+
+def _set_field(path, line):
+    """Set one key = value line in a config file, replacing the key's line."""
+    key = line.split("=")[0].strip()
+    text = re.sub(rf"^{re.escape(key)} = .*\n", "", path.read_text(), flags=re.M)
+    path.write_text(text + line + "\n")
+
 
 class TestRejectedInputs:
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -377,20 +391,53 @@ class TestRejectedInputs:
 
     # A nan weight is not >= 0.  Unchecked, it reached the filter or the
     # flow and failed there, as a numerical error (exit 2).
-    @pytest.mark.parametrize(
-        "command, mode",
-        [
-            ("run", "ekf"), ("run", "natgrad"), ("compare", "discrete"),
-            ("run", "bucy"), ("run", "cngd"), ("compare", "continuous"),
-        ],
-    )
+    @pytest.mark.parametrize("command, mode", ALL_MODES)
     def test_nan_alpha_exits_1(self, command, mode, linear_cfg, pendulum_cfg, tmp_path, capsys):
-        path = linear_cfg if mode in ("ekf", "natgrad", "discrete") else pendulum_cfg
+        path = linear_cfg if mode in DISCRETE_MODES else pendulum_cfg
         path.write_text(re.sub(r"^alpha = .*$", "alpha = nan", path.read_text(), flags=re.M))
         out = tmp_path / "out"
         argv = [command, "--mode", mode, "--config", str(path), "--out", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: invalid field alpha: weights must be >= 0")
+        assert not out.exists()
+
+    # A non-finite prior is a config error named by its field, caught
+    # before it can fail inside the filter or the flow as a numerical one.
+    @pytest.mark.parametrize("command, mode", ALL_MODES)
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("p0_scale = nan", "invalid field p0_scale: must be positive and finite"),
+            ("p0_scale = inf", "invalid field p0_scale: must be positive and finite"),
+            ("s0 = nan, 0", "invalid field s0: entries must be finite"),
+        ],
+        ids=["p0_scale-nan", "p0_scale-inf", "s0-nan"],
+    )
+    def test_non_finite_prior_exits_1(
+        self, command, mode, line, message, linear_cfg, pendulum_cfg, tmp_path, capsys
+    ):
+        path = linear_cfg if mode in DISCRETE_MODES else pendulum_cfg
+        _set_field(path, line)
+        out = tmp_path / "out"
+        argv = [command, "--mode", mode, "--config", str(path), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    # A discrete T counts steps and a seed keys the Philox stream: a value
+    # that is neither is a config error named by its field, never a
+    # truncated run or a message from numpy.
+    @pytest.mark.parametrize("command, mode", ALL_MODES[:3])
+    @pytest.mark.parametrize(
+        "line", ["T = 10.9", "T = nan", "seed = -1"], ids=["T-fraction", "T-nan", "seed-negative"]
+    )
+    def test_whole_number_fields_exit_1(self, command, mode, line, linear_cfg, tmp_path, capsys):
+        _set_field(linear_cfg, line)
+        out = tmp_path / "out"
+        argv = [command, "--mode", mode, "--config", str(linear_cfg), "--out", str(out)]
+        assert main(argv) == 1
+        key = line.split()[0]
+        assert capsys.readouterr().err.startswith(f"error: invalid field {key}: ")
         assert not out.exists()
 
 

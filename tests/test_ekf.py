@@ -50,7 +50,7 @@ class TestTransition:
     def test_static_alpha_zero_unchanged(self):
         model = builtin("static")
         mean, cov = np.array([0.4, -0.1]), np.diag([2.0, 3.0])
-        pred_mean, pred_cov = ekf.transition(mean, cov, model, 1, ekf.EkfConfig(alpha=0.0))
+        pred_mean, pred_cov = ekf.transition(mean, cov, model, 1, 0.0)
         np.testing.assert_array_equal(pred_mean, mean)
         np.testing.assert_array_equal(pred_cov, cov)
         np.testing.assert_array_equal(model.jac_f(mean, model.input_at(1)), np.eye(2))
@@ -60,18 +60,18 @@ class TestTransition:
         # transition step, not of the observation update that follows.
         model = builtin("static")
         with pytest.raises(NonFiniteError, match="covariance at t = 3"):
-            ekf.transition(np.zeros(2), 1e10 * np.eye(2), model, 3, ekf.EkfConfig(alpha=1e300))
+            ekf.transition(np.zeros(2), 1e10 * np.eye(2), model, 3, 1e300)
 
     def test_scalar_doubling_variance(self):
         model = make_linear_model([[1.0]], f_scale=2.0)
         _, pred_cov = ekf.transition(
-            np.array([1.0]), np.array([[1.0]]), model, 1, ekf.EkfConfig(alpha=0.0)
+            np.array([1.0]), np.array([[1.0]]), model, 1, 0.0
         )
         np.testing.assert_allclose(pred_cov, [[4.0]])
 
     def test_fading_doubles_identity(self):
         model = builtin("static")
-        _, pred_cov = ekf.transition(np.zeros(2), np.eye(2), model, 1, ekf.EkfConfig(alpha=1.0))
+        _, pred_cov = ekf.transition(np.zeros(2), np.eye(2), model, 1, 1.0)
         np.testing.assert_allclose(pred_cov, 2.0 * np.eye(2))
 
 
@@ -109,7 +109,7 @@ class TestObserveGain:
         s0 = np.array([0.3, -0.6])
         p0 = np.diag([0.8, 1.7])
 
-        trace = ekf.run(scenario, ekf.EkfConfig(alpha=0.0), s0, p0)
+        trace = ekf.run(scenario, 0.0, s0, p0)
 
         a_mat = 0.99 * np.array(
             [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
@@ -289,16 +289,15 @@ class TestRun:
     @pytest.mark.parametrize("length", [5, 15])
     def test_wrong_length_alpha_fails_before_step_one(self, length):
         scenario, calls = counting_scenario(10)
-        cfg = ekf.EkfConfig(alpha=np.full(length, 0.1))
         with pytest.raises(ValueError, match="alpha schedule"):
-            ekf.run(scenario, cfg, np.zeros(1), np.eye(1))
+            ekf.run(scenario, np.full(length, 0.1), np.zeros(1), np.eye(1))
         assert calls == []
 
     def test_horizon_zero_prior_only(self):
         model = builtin("linear2d")
         family = expfam.gaussian(np.eye(2))
         scenario = generate_scenario(model, family, 0, seed=0)
-        trace = ekf.run(scenario, ekf.EkfConfig(alpha=0.0), np.zeros(2), np.eye(2))
+        trace = ekf.run(scenario, 0.0, np.zeros(2), np.eye(2))
         assert trace.states.shape == (1, 2)
         assert trace.covs.shape == (1, 2, 2)
 
@@ -306,9 +305,8 @@ class TestRun:
         model = builtin("linear2d")
         family = expfam.gaussian(0.1 * np.eye(2))
         scenario = generate_scenario(model, family, 50, seed=8)
-        cfg = ekf.EkfConfig(alpha=0.3)
-        t1 = ekf.run(scenario, cfg, np.zeros(2), np.eye(2))
-        t2 = ekf.run(scenario, cfg, np.zeros(2), np.eye(2))
+        t1 = ekf.run(scenario, 0.3, np.zeros(2), np.eye(2))
+        t2 = ekf.run(scenario, 0.3, np.zeros(2), np.eye(2))
         np.testing.assert_array_equal(t1.states, t2.states)
         np.testing.assert_array_equal(t1.covs, t2.covs)
 
@@ -322,7 +320,7 @@ class TestRun:
         horizon = 40
         scenario = make_scenario(model, family, [np.array([c])] * horizon)
         s0, p0 = np.array([0.2]), np.array([[1.0]])
-        trace = ekf.run(scenario, ekf.EkfConfig(alpha=0.0), s0, p0)
+        trace = ekf.run(scenario, 0.0, s0, p0)
         for t in range(1, horizon + 1):
             expected = c + (s0[0] - c) / (t + 1)
             assert abs(trace.states[t, 0] - expected) < 1e-12
@@ -337,23 +335,9 @@ class TestRun:
         ]:
             model = builtin(name)
             scenario = generate_scenario(model, famfac(model), 30, seed=6)
-            cfg = ekf.EkfConfig(alpha=0.2)
-            trace = ekf.run(scenario, cfg, model.init_state, np.eye(2))
+            trace = ekf.run(scenario, 0.2, model.init_state, np.eye(2))
             for t in range(1, scenario.horizon + 1):
-                _, pred_cov = ekf.transition(trace.states[t - 1], trace.covs[t - 1], model, t, cfg)
+                _, pred_cov = ekf.transition(trace.states[t - 1], trace.covs[t - 1], model, t, 0.2)
                 gap = np.linalg.eigvalsh(pred_cov - trace.covs[t]).min()
                 assert gap >= -1e-10
 
-
-class TestEkfConfig:
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            ekf.EkfConfig(alpha=-0.1)
-
-    def test_nan_alpha_rejected(self):
-        with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
-            ekf.EkfConfig(alpha=np.array([0.1, np.nan]))
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            ekf.EkfConfig(update_form="joseph")

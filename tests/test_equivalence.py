@@ -130,6 +130,12 @@ class TestMapEtaToAlpha:
         with pytest.raises(DomainError):
             map_eta_to_alpha([0.5, 1.0])
 
+    # A nan rate has no fading weight, wherever it sits.
+    @pytest.mark.parametrize("eta", [[0.5, np.nan, 0.4], [np.nan, 0.5, 0.4]], ids=["eta_1", "eta_0"])
+    def test_nan_raises(self, eta):
+        with pytest.raises(DomainError, match="eta schedule must be positive, and not nan"):
+            map_eta_to_alpha(eta)
+
 
 class TestCheckDiscrete:
     def test_linear2d_passes(self):

@@ -164,12 +164,12 @@ class TestCanonicalLink:
         model = builtin("logistic-static")
         mean_model = dataclasses.replace(model, predictor=None)
         fam = expfam.bernoulli()
-        cfg = natgrad.NatGradConfig(eta=0.4, gamma=0.4)
+        eta = gamma = 0.4
         for _ in range(20):
             s, j = rng.standard_normal(2), random_spd(rng, 2)
             y = int(rng.integers(2))
-            a_s, a_j = natgrad.update(s, j, y, model, fam, cfg, 1)
-            b_s, b_j = natgrad.update(s, j, y, mean_model, fam, cfg, 1)
+            a_s, a_j = natgrad.update(s, j, y, model, fam, eta, gamma, 1)
+            b_s, b_j = natgrad.update(s, j, y, mean_model, fam, eta, gamma, 1)
             np.testing.assert_allclose(a_s, b_s, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(a_j, b_j, rtol=1e-12, atol=1e-14)
 
@@ -178,11 +178,11 @@ class TestCanonicalLink:
         # step is eta J^-1 G^T (y - 1).
         model = builtin("logistic-static")
         fam = expfam.bernoulli()
-        cfg = natgrad.NatGradConfig(eta=0.4, gamma=0.4)
+        eta = gamma = 0.4
         u = model.input_at(1)
         metric = np.array([[2.0, 0.5], [0.5, 1.0]])
         s = 800.0 * u / (u @ u)
-        post_s, post_j = natgrad.update(s, metric, 0, model, fam, cfg, 1)
+        post_s, post_j = natgrad.update(s, metric, 0, model, fam, eta, gamma, 1)
         np.testing.assert_allclose(post_j, 0.6 * metric, rtol=1e-15)
         np.testing.assert_allclose(
             post_s, s - 0.4 * np.linalg.solve(0.6 * metric, u), rtol=1e-12
@@ -193,21 +193,21 @@ class TestUpdate:
     def test_zero_innovation_freezes_state(self, rng):
         model = builtin("linear2d")
         fam = expfam.gaussian(0.1 * np.eye(2))
-        cfg = natgrad.NatGradConfig(eta=0.5, gamma=0.5)
+        eta = gamma = 0.5
         s = rng.standard_normal(2)
         j = random_spd(rng, 2)
         yhat = model.h(s, np.zeros(0))
-        post_s, post_j = natgrad.update(s, j, yhat.copy(), model, fam, cfg, 1)
+        post_s, post_j = natgrad.update(s, j, yhat.copy(), model, fam, eta, gamma, 1)
         np.testing.assert_allclose(post_s, s, atol=1e-14)
         assert not np.allclose(post_j, j)
 
     def test_gamma_one_full_replacement(self, rng):
         model = builtin("linear2d")
         fam = expfam.gaussian(0.1 * np.eye(2))
-        cfg = natgrad.NatGradConfig(eta=0.5, gamma=1.0)
+        eta, gamma = 0.5, 1.0
         s = rng.standard_normal(2)
         yhat = model.h(s, np.zeros(0))
-        _, metric = natgrad.update(s, random_spd(rng, 2), yhat + 0.1, model, fam, cfg, 1)
+        _, metric = natgrad.update(s, random_spd(rng, 2), yhat + 0.1, model, fam, eta, gamma, 1)
         h_jac = model.jac_h(s, np.zeros(0))
         expected = h_jac.T @ np.linalg.inv(fam.obs_cov) @ h_jac
         np.testing.assert_allclose(metric, expected, atol=1e-12)
@@ -226,15 +226,10 @@ class TestUpdate:
         y = np.array([0.9])
         scenario = make_scenario(model, fam, [y])
 
-        grad_cfg = natgrad.NatGradConfig(eta=np.array([eta1]), gamma=np.array([eta1]))
-        gtrace = natgrad.run(scenario, grad_cfg, np.array([0.1]), np.array([[j0]]))
-
-        ftrace = ekf.run(
-            scenario,
-            ekf.EkfConfig(alpha=np.array([alpha1])),
-            np.array([0.1]),
-            np.array([[p0]]),
+        gtrace = natgrad.run(
+            scenario, np.array([eta1]), np.array([eta1]), np.array([0.1]), np.array([[j0]])
         )
+        ftrace = ekf.run(scenario, np.array([alpha1]), np.array([0.1]), np.array([[p0]]))
         np.testing.assert_allclose(gtrace.states[1], ftrace.states[1], atol=1e-14)
         np.testing.assert_allclose(
             eta1 / gtrace.metrics[1, 0, 0], ftrace.covs[1, 0, 0], atol=1e-14
@@ -245,13 +240,13 @@ class TestUpdate:
         # the two ingredients' min-eigs.
         model = builtin("linear2d")
         fam = expfam.gaussian(0.1 * np.eye(2))
-        cfg = natgrad.NatGradConfig(eta=0.3, gamma=0.4)
+        eta, gamma = 0.3, 0.4
         for _ in range(20):
             s = rng.standard_normal(2)
             j = random_spd(rng, 2)
             yhat = model.h(s, np.zeros(0))
             fisher = natgrad.fisher_term(linearise(model, fam, s, 1))
-            _, metric = natgrad.update(s, j, yhat + 0.2, model, fam, cfg, 1)
+            _, metric = natgrad.update(s, j, yhat + 0.2, model, fam, eta, gamma, 1)
             floor = min(np.linalg.eigvalsh(j).min(), np.linalg.eigvalsh(fisher).min())
             assert np.linalg.eigvalsh(metric).min() >= floor - 1e-10
 
@@ -264,17 +259,17 @@ class TestRun:
         fam = expfam.gaussian(np.array([[0.5]]))
         horizon = 100
         scenario = generate_scenario(model, fam, horizon, seed=23)
-        cfg = natgrad.NatGradConfig(eta=0.2, gamma=0.2)
+        eta = gamma = 0.2
         s0 = np.array([0.0, 0.0])
         j0 = np.eye(2)
 
-        chart = natgrad.run(scenario, cfg, s0, j0)
+        chart = natgrad.run(scenario, eta, gamma, s0, j0)
         plain = plain_online_natgrad(
             [model.input_at(t) for t in range(1, horizon + 1)],
             scenario.observations,
             model.h,
             fam,
-            cfg,
+            eta, gamma,
             s0,
             j0,
             jacobian_h=model.jacobian_h,
@@ -285,9 +280,7 @@ class TestRun:
     def test_horizon_zero(self):
         model = builtin("static")
         scenario = generate_scenario(model, expfam.gaussian(np.eye(1)), 0, seed=0)
-        trace = natgrad.run(
-            scenario, natgrad.NatGradConfig(eta=0.5, gamma=0.5), np.zeros(2), np.eye(2)
-        )
+        trace = natgrad.run(scenario, 0.5, 0.5, np.zeros(2), np.eye(2))
         assert trace.states.shape == (1, 2)
         assert trace.metrics.shape == (1, 2, 2)
 
@@ -295,8 +288,8 @@ class TestRun:
         model = builtin("tanhspring")
         fam = expfam.gaussian(0.25 * np.eye(2))
         scenario = generate_scenario(model, fam, 50, seed=12)
-        cfg = natgrad.NatGradConfig(eta=0.3, gamma=0.3)
-        trace = natgrad.run(scenario, cfg, model.init_state, np.eye(2))
+        eta = gamma = 0.3
+        trace = natgrad.run(scenario, eta, gamma, model.init_state, np.eye(2))
         for metric in trace.metrics[1:]:
             assert np.linalg.eigvalsh(metric).min() > 0
 
@@ -304,9 +297,9 @@ class TestRun:
         model = builtin("linear2d")
         fam = expfam.gaussian(0.1 * np.eye(2))
         scenario = generate_scenario(model, fam, 30, seed=3)
-        cfg = natgrad.NatGradConfig(eta=0.4, gamma=0.4)
-        a = natgrad.run(scenario, cfg, np.zeros(2), np.eye(2))
-        b = natgrad.run(scenario, cfg, np.zeros(2), np.eye(2))
+        eta = gamma = 0.4
+        a = natgrad.run(scenario, eta, gamma, np.zeros(2), np.eye(2))
+        b = natgrad.run(scenario, eta, gamma, np.zeros(2), np.eye(2))
         np.testing.assert_array_equal(a.states, b.states)
 
 class TestPlainOnlineNatgrad:
@@ -314,9 +307,9 @@ class TestPlainOnlineNatgrad:
         fam = expfam.gaussian(np.array([[1.0]]))
         inputs = [rng.standard_normal(2) for _ in range(10)]
         obs = [np.array([float(rng.standard_normal())]) for _ in range(10)]
-        cfg = natgrad.NatGradConfig(eta=0.0, gamma=0.5)
+        eta, gamma = 0.0, 0.5
         trace = plain_online_natgrad(
-            inputs, obs, lambda th, u: np.array([th @ u]), fam, cfg,
+            inputs, obs, lambda th, u: np.array([th @ u]), fam, eta, gamma,
             np.array([0.3, -0.4]), np.eye(2),
         )
         for state in trace.states[1:]:
@@ -349,13 +342,13 @@ class TestPlainOnlineNatgrad:
                 for u, y in zip(inputs, labels)
             )
 
-        cfg = natgrad.NatGradConfig(eta=0.1, gamma=0.1)
+        eta = gamma = 0.1
         theta = np.zeros(2)
         metric = np.eye(2)
         improvements = []
         for _ in range(3):  # epochs over the same data
             trace = plain_online_natgrad(
-                inputs, labels, h, fam, cfg, theta, metric
+                inputs, labels, h, fam, eta, gamma, theta, metric
             )
             # f = Id: each step moves from row t-1 to row t.
             for before, after in zip(trace.states[:-1], trace.states[1:]):
@@ -369,13 +362,13 @@ class TestPlainOnlineNatgrad:
         fam = expfam.gaussian(np.array([[1.0]]))
         inputs = [rng.standard_normal(2) for _ in range(5)]
         obs = [np.array([float(rng.standard_normal())]) for _ in range(5)]
-        cfg = natgrad.NatGradConfig(eta=0.2, gamma=0.2)
+        eta = gamma = 0.2
         with_jac = plain_online_natgrad(
-            inputs, obs, lambda th, u: np.array([th @ u]), fam, cfg,
+            inputs, obs, lambda th, u: np.array([th @ u]), fam, eta, gamma,
             np.zeros(2), np.eye(2), jacobian_h=lambda th, u: u[None, :],
         )
         without = plain_online_natgrad(
-            inputs, obs, lambda th, u: np.array([th @ u]), fam, cfg,
+            inputs, obs, lambda th, u: np.array([th @ u]), fam, eta, gamma,
             np.zeros(2), np.eye(2),
         )
         np.testing.assert_allclose(without.states, with_jac.states, atol=1e-9)
@@ -386,37 +379,20 @@ class TestScheduleLength:
     @pytest.mark.parametrize("which", ["eta", "gamma"])
     def test_run_fails_before_step_one(self, length, which):
         scenario, calls = counting_scenario(10)
-        cfg = natgrad.NatGradConfig(**{"eta": 0.3, "gamma": 0.3, which: np.full(length, 0.3)})
+        schedules = {"eta": 0.3, "gamma": 0.3, which: np.full(length, 0.3)}
         with pytest.raises(ValueError, match=f"{which} schedule"):
-            natgrad.run(scenario, cfg, np.zeros(1), np.eye(1))
+            natgrad.run(scenario, init_state=np.zeros(1), init_metric=np.eye(1), **schedules)
         assert calls == []
 
     @pytest.mark.parametrize("length", [5, 15])
     @pytest.mark.parametrize("which", ["eta", "gamma"])
     def test_plain_online_natgrad_fails_before_step_one(self, length, which):
         scenario, calls = counting_scenario(10)
-        cfg = natgrad.NatGradConfig(**{"eta": 0.3, "gamma": 0.3, which: np.full(length, 0.3)})
+        schedules = {"eta": 0.3, "gamma": 0.3, which: np.full(length, 0.3)}
         with pytest.raises(ValueError, match=f"{which} schedule"):
             plain_online_natgrad(
                 [np.zeros(0)] * 10, scenario.observations, scenario.model.h,
-                scenario.family, cfg, np.zeros(1), np.eye(1),
+                scenario.family, init_param=np.zeros(1), init_metric=np.eye(1), **schedules,
             )
         assert calls == []
 
-
-class TestNatGradConfig:
-    def test_eta_above_one_rejected(self):
-        with pytest.raises(ValueError):
-            natgrad.NatGradConfig(eta=1.5, gamma=0.5)
-
-    def test_gamma_zero_rejected(self):
-        with pytest.raises(ValueError):
-            natgrad.NatGradConfig(eta=0.5, gamma=0.0)
-
-    def test_nan_eta_rejected(self):
-        with pytest.raises(ValueError, match=r"eta schedule must lie in \[0, 1\]"):
-            natgrad.NatGradConfig(eta=np.array([0.5, np.nan]), gamma=0.5)
-
-    def test_nan_gamma_rejected(self):
-        with pytest.raises(ValueError, match=r"gamma schedule must lie in \(0, 1\]"):
-            natgrad.NatGradConfig(eta=0.5, gamma=np.array([0.5, np.nan]))

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 
-from kalgrad import numerics
+from kalgrad import ekf, expfam, natgrad, numerics
+from kalgrad.equivalence import map_alpha_to_eta
 from kalgrad.errors import NonFiniteError, SingularMatrixError
-from kalgrad.model import builtin
+from kalgrad.model import builtin, generate_scenario
 from kalgrad.numerics import fd_jacobian, rk4_step, solve_psd, symmetrize
 
 from conftest import random_spd
@@ -186,6 +187,68 @@ class TestSolvePsd:
             b[index] = bad
             with pytest.raises(NonFiniteError, match="right-hand side"):
                 solve_psd(a0, b)
+
+
+_SCHEDULE_HORIZON = 4
+_SCHEDULE_SCENARIO = generate_scenario(
+    builtin("linear2d"), expfam.gaussian(0.1 * np.eye(2)), _SCHEDULE_HORIZON, seed=0
+)
+
+# Each schedule entry point: the schedule it takes, and a call that passes
+# the given schedule there and valid values everywhere else.
+_SCHEDULE_ENTRY_POINTS = {
+    "ekf.run": ("alpha", lambda v: ekf.run(_SCHEDULE_SCENARIO, v, np.zeros(2), np.eye(2))),
+    "natgrad.run-eta": (
+        "eta", lambda v: natgrad.run(_SCHEDULE_SCENARIO, v, 0.5, np.zeros(2), np.eye(2))
+    ),
+    "natgrad.run-gamma": (
+        "gamma", lambda v: natgrad.run(_SCHEDULE_SCENARIO, 0.5, v, np.zeros(2), np.eye(2))
+    ),
+    "map_alpha_to_eta": ("alpha", lambda v: map_alpha_to_eta(v, 0.5, _SCHEDULE_HORIZON)),
+}
+
+_DOMAIN_MESSAGES = {
+    "alpha": "alpha schedule must be >= 0",
+    "eta": r"eta schedule must lie in \[0, 1\]",
+    "gamma": r"gamma schedule must lie in \(0, 1\]",
+}
+
+# Values just outside each domain; alpha has no upper bound.
+_BELOW = {"alpha": -0.1, "eta": -0.1, "gamma": 0.0}
+_ABOVE = {"eta": 1.5, "gamma": 1.5}
+
+
+def _refused_schedules():
+    for entry, (name, _) in _SCHEDULE_ENTRY_POINTS.items():
+        cases = {
+            "wrong-length": (np.full(3, 0.1), f"{name} schedule has 3 entries; need 1 or 4"),
+            # Four entries, the horizon, but not in a 1-D array.
+            "2d": (np.full((2, 2), 0.1), rf"{name} schedule has shape \(2, 2\)"),
+            "nan": (np.array([0.1, np.nan, 0.1, 0.1]), _DOMAIN_MESSAGES[name]),
+            "below": (_BELOW[name], _DOMAIN_MESSAGES[name]),
+        }
+        if name in _ABOVE:
+            cases["above"] = (_ABOVE[name], _DOMAIN_MESSAGES[name])
+        for case, (values, message) in cases.items():
+            yield pytest.param(entry, values, message, id=f"{entry}-{case}")
+
+
+class TestSchedule:
+    def test_normalises_to_one_float_per_step(self):
+        expected = np.full(3, 0.25)
+        for values in (0.25, [0.25], np.array([0.25])):
+            np.testing.assert_array_equal(numerics.schedule("alpha", values, 3), expected)
+        ramp = np.array([0.0, 1, 2])
+        out = numerics.schedule("alpha", ramp, 3)
+        np.testing.assert_array_equal(out, ramp)
+        assert out.dtype == np.float64 and out is not ramp
+        assert numerics.schedule("gamma", 1.0, 0).shape == (0,)
+
+    @pytest.mark.parametrize("entry, values, message", _refused_schedules())
+    def test_entry_point_refuses(self, entry, values, message):
+        _, call = _SCHEDULE_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=message):
+            call(values)
 
 
 class TestSymmetrize:

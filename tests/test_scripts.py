@@ -21,9 +21,12 @@ CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.cfg"))
 
 
 def run_python(*args):
+    """Run a Python subprocess on the repo's sources, with a RuntimeWarning
+    an error there as it is in this suite."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300,
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        capture_output=True, text=True, env=env, timeout=300,
     )
 
 
