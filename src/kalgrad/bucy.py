@@ -58,9 +58,9 @@ _POSITIVITY_FLOOR = 1e-13
 class IntegratorConfig:
     """Fixed-step RK4 settings and schedules for :func:`integrate`.
 
-    ``alpha`` may be a float or a callable of time; a negative fading
-    weight is rejected when the config is built (a float) or when
-    :meth:`alpha_at` evaluates it (a callable).
+    The horizon must be finite.  ``alpha`` may be a float or a callable of
+    time; a negative fading weight is rejected when the config is built (a
+    float) or when :meth:`alpha_at` evaluates it (a callable).
     """
 
     dt: float
@@ -72,6 +72,8 @@ class IntegratorConfig:
             raise ValueError("dt must be > 0")
         if not 0 < self.dt <= self.horizon:
             raise ValueError("need 0 < dt <= horizon")
+        if not self.horizon < np.inf:
+            raise ValueError("horizon must be finite")
         if not callable(self.alpha) and not self.alpha >= 0:
             raise ValueError("fading-memory weights must be >= 0")
 

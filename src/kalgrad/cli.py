@@ -1,8 +1,12 @@
 """Batch front-end: parse flat key=value configs, run filters or
 equivalence comparisons, and emit CSV traces plus plain-text summaries.
 
-Exit codes: 0 success (or comparison pass), 1 configuration error,
-2 numerical failure, 3 comparison tolerance failure.
+The config's model decides the time domain and so the pair: fading EKF and
+natural gradient, or Kalman-Bucy and natural-gradient flow.  ``run --side
+filter|gradient`` runs one side of the pair, ``compare`` both.
+
+Exit codes: 0 success (or comparison pass), 1 configuration or usage
+error, 2 numerical failure, 3 comparison tolerance failure.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ from . import model as model_mod
 from . import natgrad as ngd_mod
 from .errors import ConfigError, NumericalError, UnknownModelError
 
-RUN_MODES = ("ekf", "natgrad", "bucy", "cngd")
-COMPARE_MODES = ("discrete", "continuous")
-
 _RAMP_RE = re.compile(r"^ramp\(\s*([^,]+)\s*,\s*([^)]+)\s*\)$")
 
 
@@ -39,7 +40,7 @@ class RunConfig:
     horizon: float | None = None
     dt: float | None = None
     dt_list: list[float] | None = None
-    seed: int = 0
+    seed: int | None = None
     s0: list[float] | None = None
     p0_scale: float = 1.0
     alpha_spec: str = "0.0"
@@ -74,9 +75,22 @@ _FIELDS = {
     "eta0": ("eta0", float),
 }
 
+# Config keys that only one time domain reads: key -> (RunConfig field,
+# domain).  A model of the other domain refuses the key, which it could
+# only ignore.
+_DOMAIN_KEYS = {
+    "family": ("family", "discrete"),
+    "obs_cov": ("obs_cov", "discrete"),
+    "seed": ("seed", "discrete"),
+    "alpha[t]": ("alpha_overrides", "discrete"),
+    "dt": ("dt", "continuous"),
+    "dt_list": ("dt_list", "continuous"),
+}
+
 
 def parse_config(path: str | Path) -> RunConfig:
-    """Read a flat key = value file with # comments and alpha[t] overrides."""
+    """Read a flat key = value file with # comments and alpha[t] overrides;
+    a key may appear once."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -90,10 +104,10 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         m = re.match(r"^alpha\[(\d+)\]$", key)
-        if m:
-            overrides[int(m.group(1))] = float(value)
-            continue
-        raw[key] = value
+        store, slot = (overrides, int(m.group(1))) if m else (raw, key)
+        if slot in store:
+            raise ConfigError(f"{path}:{lineno}: repeated field {key}")
+        store[slot] = float(value) if m else value
 
     if "scenario" not in raw:
         raise ConfigError("missing required field: scenario")
@@ -141,8 +155,6 @@ def _check_weights(values) -> None:
 
 def _alpha_fn(cfg: RunConfig, horizon: float):
     """Alpha as a function of continuous time."""
-    if cfg.alpha_overrides:
-        raise ConfigError("invalid field alpha[t]: per-step overrides are discrete-only")
     spec = cfg.alpha_spec.strip()
     m = _RAMP_RE.match(spec)
     if m:
@@ -212,12 +224,19 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _load(config_path: str):
-    """Parse the config and look up its model."""
+    """Parse the config, look up its model and refuse the keys that the
+    model's time domain does not read."""
     cfg = parse_config(config_path)
     try:
         system = model_mod.builtin(cfg.scenario)
     except UnknownModelError as exc:
         raise ConfigError(str(exc)) from exc
+    domain = "continuous" if isinstance(system, model_mod.ContinuousModel) else "discrete"
+    for key, (name, owner) in _DOMAIN_KEYS.items():
+        if owner != domain and getattr(cfg, name) not in (None, {}):
+            raise ConfigError(
+                f"invalid field {key}: {owner}-only, and {cfg.scenario!r} is a {domain} model"
+            )
     if cfg.horizon is None:
         raise ConfigError("missing required field: T")
     return cfg, system
@@ -225,14 +244,12 @@ def _load(config_path: str):
 
 def _discrete_inputs(cfg: RunConfig, system):
     """Scenario, prior mean, prior covariance and alpha_1..alpha_T of a
-    discrete run."""
-    if not isinstance(system, model_mod.DynamicalModel):
-        raise ConfigError(f"invalid field scenario: {cfg.scenario!r} is not a discrete model")
+    discrete run; the scenario seed defaults to 0."""
     if not (cfg.horizon >= 0 and cfg.horizon.is_integer()):
         raise ConfigError(f"invalid field T: need a whole number of steps >= 0, got {cfg.horizon:g}")
     horizon = int(cfg.horizon)
     family = _build_family(cfg, system)
-    scenario = model_mod.generate_scenario(system, family, horizon, cfg.seed)
+    scenario = model_mod.generate_scenario(system, family, horizon, cfg.seed or 0)
     s0 = _init_state(cfg, system)
     p0 = _init_cov(cfg, system.dim_state)
     return scenario, s0, p0, _alpha_schedule(cfg, horizon)
@@ -240,15 +257,9 @@ def _discrete_inputs(cfg: RunConfig, system):
 
 def _continuous_inputs(cfg: RunConfig, system):
     """Horizon, alpha(t), prior mean and prior covariance of a continuous run."""
-    if not isinstance(system, model_mod.ContinuousModel):
-        raise ConfigError(f"invalid field scenario: {cfg.scenario!r} is not a continuous model")
-    for key, value in (("family", cfg.family), ("obs_cov", cfg.obs_cov)):
-        if value is not None:
-            raise ConfigError(
-                f"invalid field {key}: a continuous model fixes its own observation"
-                " path and covariance"
-            )
     horizon = float(cfg.horizon)
+    if not 0 < horizon < np.inf:
+        raise ConfigError(f"invalid field T: need a finite time span > 0, got {horizon:g}")
     alpha = _alpha_fn(cfg, horizon)
     return horizon, alpha, _init_state(cfg, system), _init_cov(cfg, system.dim_state)
 
@@ -271,40 +282,25 @@ def _scenario_columns(scenario: model_mod.Scenario) -> tuple[list[str], np.ndarr
     return names, np.column_stack([times, scenario.true_states, y_block])
 
 
-def cmd_run(config_path: str, mode: str, out: Path = Path(".")) -> int:
-    """Run one filter or flow and write trace.csv / summary.txt."""
-    if mode not in RUN_MODES:
-        raise ConfigError(f"unknown run mode {mode!r}; choose from {RUN_MODES}")
+def cmd_run(config_path: str, side: str, out: Path = Path(".")) -> int:
+    """Run one side of the model's pair, the filter or the gradient, and
+    write trace.csv / summary.txt."""
     cfg, system = _load(config_path)
-    summary: list[str] = [f"mode = {mode}", f"scenario = {cfg.scenario}"]
-
-    if mode in ("ekf", "natgrad"):
-        scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
-        if mode == "ekf":
-            trace = ekf_mod.run(scenario, alpha, s0, p0)
-        else:
-            eta = eq_mod.map_alpha_to_eta(alpha, cfg.eta0, scenario.horizon)[1:]
-            metric0 = eq_mod.initial_metric(p0, cfg.eta0)
-            trace = ngd_mod.run(scenario, eta, eta, s0, metric0)
-        header, block = _scenario_columns(scenario)
-        header += [f"s_est_{i}" for i in range(system.dim_state)]
-        rows = np.column_stack([block, trace.states])
-        summary.append(f"T = {scenario.horizon}")
-        summary.append(f"seed = {cfg.seed}")
-        summary.append("note = y columns at t = 0 are zero placeholders (no observation)")
-    else:
+    gradient = side == "gradient"
+    if isinstance(system, model_mod.ContinuousModel):
+        mode = "cngd" if gradient else "bucy"
         horizon, alpha, s0, p0 = _continuous_inputs(cfg, system)
         if cfg.dt is None:
             raise ConfigError("missing required field: dt")
         icfg = bucy_mod.IntegratorConfig(dt=cfg.dt, horizon=horizon, alpha=alpha)
         dim = system.dim_state
-        if mode == "bucy":
-            trace = bucy_mod.integrate(bucy_mod.BUCY, s0, p0, system, icfg)
-            prefix, mats, extra = "p", trace.covs, []
-        else:
+        if gradient:
             metric0 = eq_mod.initial_metric(p0, cfg.eta0)
             trace = bucy_mod.integrate(bucy_mod.CNGD, s0, metric0, system, icfg, cfg.eta0)
             prefix, mats, extra = "j", trace.metrics, [trace.etas]
+        else:
+            trace = bucy_mod.integrate(bucy_mod.BUCY, s0, p0, system, icfg)
+            prefix, mats, extra = "p", trace.covs, []
         header = (
             ["t"]
             + [f"y_{i}" for i in range(system.dim_obs)]
@@ -316,28 +312,61 @@ def cmd_run(config_path: str, mode: str, out: Path = Path(".")) -> int:
         rows = np.column_stack(
             [trace.times, obs, trace.states, mats.reshape(len(mats), -1), *extra]
         )
-        summary.append(f"T = {horizon}")
-        summary.append(f"dt = {cfg.dt}")
+        details = [f"T = {horizon}", f"dt = {cfg.dt}"]
+    else:
+        mode = "natgrad" if gradient else "ekf"
+        scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
+        if gradient:
+            eta = eq_mod.map_alpha_to_eta(alpha, cfg.eta0, scenario.horizon)[1:]
+            metric0 = eq_mod.initial_metric(p0, cfg.eta0)
+            trace = ngd_mod.run(scenario, eta, eta, s0, metric0)
+        else:
+            trace = ekf_mod.run(scenario, alpha, s0, p0)
+        header, block = _scenario_columns(scenario)
+        header += [f"s_est_{i}" for i in range(system.dim_state)]
+        rows = np.column_stack([block, trace.states])
+        details = [
+            f"T = {scenario.horizon}",
+            f"seed = {scenario.seed}",
+            "note = y columns at t = 0 are zero placeholders (no observation)",
+        ]
 
     _write_csv(out / "trace.csv", header, rows)
-    summary.append(f"rows = {len(rows)}")
+    summary = [f"mode = {mode}", f"scenario = {cfg.scenario}", *details, f"rows = {len(rows)}"]
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     return 0
 
 
-def cmd_compare(
-    config_path: str,
-    mode: str,
-    out: Path = Path("."),
-    mutate: str | None = None,
-) -> int:
-    """Run the matched filter/gradient pair and report deviations."""
-    if mode not in COMPARE_MODES:
-        raise ConfigError(f"unknown compare mode {mode!r}; choose from {COMPARE_MODES}")
+def cmd_compare(config_path: str, out: Path = Path("."), mutate: str | None = None) -> int:
+    """Run the model's matched filter/gradient pair and report deviations."""
     cfg, system = _load(config_path)
-    summary: list[str] = [f"mode = {mode}", f"scenario = {cfg.scenario}"]
-
-    if mode == "discrete":
+    if isinstance(system, model_mod.ContinuousModel):
+        mode = "continuous"
+        if mutate is not None:
+            raise ConfigError("invalid field mutate: the negative controls are discrete-only")
+        horizon, alpha, s0, p0 = _continuous_inputs(cfg, system)
+        if not cfg.dt_list:
+            raise ConfigError("missing required field: dt_list")
+        report = eq_mod.check_continuous(
+            system, s0, p0, alpha, cfg.dt_list, horizon, eta0=cfg.eta0
+        )
+        header = ["dt", "t", "state_dev", "metric_dev"]
+        rows, details = [], []
+        for rep in report.reports:
+            for i, sd in enumerate(rep.state_devs):
+                rows.append([rep.dt, i * rep.dt, sd, rep.metric_devs[i]])
+            details.append(
+                f"dt = {_fmt(rep.dt)} : max_state_dev = {_fmt(rep.max_state_dev)},"
+                f" max_metric_dev = {_fmt(rep.max_metric_dev)}"
+            )
+        details += [
+            f"order_state = {_fmt(report.order_state)}",
+            f"order_metric = {_fmt(report.order_metric)}",
+            f"tol = {_fmt(report.reports[-1].tol)}",
+            f"pass = {report.passed}",
+        ]
+    else:
+        mode = "discrete"
         scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
         report = eq_mod.check_discrete(scenario, s0, p0, alpha, eta0=cfg.eta0, mutate=mutate)
         header, block = _scenario_columns(scenario)
@@ -350,46 +379,18 @@ def cmd_compare(
         rows = np.column_stack(
             [block, report.filter_states, report.grad_states, report.state_devs, report.metric_devs]
         )
-        _write_csv(out / "deviations.csv", header, rows)
-        summary += [
+        details = [
             f"max_state_dev = {_fmt(report.max_state_dev)}",
             f"max_metric_dev = {_fmt(report.max_metric_dev)}",
             f"tol = {_fmt(report.tol)}",
             f"mutate = {mutate or 'none'}",
             f"pass = {report.passed}",
         ]
-        passed = report.passed
-    else:
-        if mutate is not None:
-            raise ConfigError("invalid field mutate: the negative controls are discrete-only")
-        horizon, alpha, s0, p0 = _continuous_inputs(cfg, system)
-        if not cfg.dt_list:
-            raise ConfigError("missing required field: dt_list")
-        result = eq_mod.check_continuous(
-            system, s0, p0, alpha, cfg.dt_list, horizon, eta0=cfg.eta0
-        )
-        rows = []
-        for rep in result.reports:
-            for i, sd in enumerate(rep.state_devs):
-                rows.append([rep.dt, i * rep.dt, sd, rep.metric_devs[i]])
-        _write_csv(
-            out / "deviations.csv", ["dt", "t", "state_dev", "metric_dev"], rows
-        )
-        for rep in result.reports:
-            summary.append(
-                f"dt = {_fmt(rep.dt)} : max_state_dev = {_fmt(rep.max_state_dev)},"
-                f" max_metric_dev = {_fmt(rep.max_metric_dev)}"
-            )
-        summary += [
-            f"order_state = {_fmt(result.order_state)}",
-            f"order_metric = {_fmt(result.order_metric)}",
-            f"tol = {_fmt(result.reports[-1].tol)}",
-            f"pass = {result.passed}",
-        ]
-        passed = result.passed
 
+    _write_csv(out / "deviations.csv", header, rows)
+    summary = [f"mode = {mode}", f"scenario = {cfg.scenario}", *details]
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
-    return 0 if passed else 3
+    return 0 if report.passed else 3
 
 
 def cmd_list() -> int:
@@ -399,32 +400,40 @@ def cmd_list() -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error (exit 1): exit code 2
+    is a numerical failure."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kalgrad",
         description="Fading-memory Kalman filtering vs. natural gradient descent",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one filter and write its trace")
+    p_run = sub.add_parser("run", help="run one side of the model's pair and write its trace")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--mode", required=True, choices=RUN_MODES)
+    p_run.add_argument("--side", required=True, choices=("filter", "gradient"))
     p_run.add_argument("--out", type=Path, default=Path("."))
 
     p_cmp = sub.add_parser("compare", help="run a matched pair and compare traces")
     p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--mode", required=True, choices=COMPARE_MODES)
     p_cmp.add_argument("--out", type=Path, default=Path("."))
     p_cmp.add_argument("--mutate", default=None)
 
     sub.add_parser("list", help="list built-in scenario names")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "run":
-            return cmd_run(args.config, args.mode, args.out)
+            return cmd_run(args.config, args.side, args.out)
         if args.command == "compare":
-            return cmd_compare(args.config, args.mode, args.out, args.mutate)
+            return cmd_compare(args.config, args.out, args.mutate)
         return cmd_list()
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

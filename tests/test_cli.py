@@ -91,6 +91,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown field: " + line.split()[0]):
             parse_config(path)
 
+    # A repeated key is refused at the repeat, not resolved to its last value.
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("alpha = 0.1\nalpha = 5\n", "alpha"),
+            ("alpha[3] = 0.2\nalpha[3] = 0.7\n", "alpha[3]"),
+            ("scenario = static\n", "scenario"),
+        ],
+        ids=["alpha", "alpha-override", "scenario"],
+    )
+    def test_repeated_key_rejected(self, lines, key, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("scenario = linear2d\n" + lines)
+        message = f"twice.cfg:{len(path.read_text().splitlines())}: repeated field {key}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# header\n\nscenario = static  # trailing\n")
@@ -100,7 +117,7 @@ class TestParseConfig:
 class TestCmdRun:
     def test_ekf_writes_trace_with_t_plus_one_rows(self, linear_cfg, tmp_path):
         out = tmp_path / "out"
-        assert main(["run", "--config", str(linear_cfg), "--mode", "ekf", "--out", str(out)]) == 0
+        assert main(["run", "--config", str(linear_cfg), "--side", "filter", "--out", str(out)]) == 0
         lines = (out / "trace.csv").read_text().splitlines()
         assert len(lines) == 1 + 51  # header + T + 1 rows
         header = lines[0].split(",")
@@ -109,46 +126,50 @@ class TestCmdRun:
             values = [float(v) for v in line.split(",")]
             assert len(values) == len(header)
             assert all(np.isfinite(values))
-        assert (out / "summary.txt").exists()
+        assert (out / "summary.txt").read_text().startswith("mode = ekf\n")
 
     def test_natgrad_mode(self, linear_cfg, tmp_path):
         out = tmp_path / "out"
-        assert main(["run", "--config", str(linear_cfg), "--mode", "natgrad", "--out", str(out)]) == 0
+        assert main(["run", "--config", str(linear_cfg), "--side", "gradient", "--out", str(out)]) == 0
         assert (out / "trace.csv").exists()
+        assert (out / "summary.txt").read_text().startswith("mode = natgrad\n")
 
     def test_bucy_and_cngd_modes(self, pendulum_cfg, tmp_path):
         out_b = tmp_path / "b"
         out_c = tmp_path / "c"
-        assert main(["run", "--config", str(pendulum_cfg), "--mode", "bucy", "--out", str(out_b)]) == 0
-        assert main(["run", "--config", str(pendulum_cfg), "--mode", "cngd", "--out", str(out_c)]) == 0
+        argv = ["run", "--config", str(pendulum_cfg), "--side"]
+        assert main(argv + ["filter", "--out", str(out_b)]) == 0
+        assert main(argv + ["gradient", "--out", str(out_c)]) == 0
         header_b = (out_b / "trace.csv").read_text().splitlines()[0]
         header_c = (out_c / "trace.csv").read_text().splitlines()[0]
         assert "p_0_0" in header_b
         assert "eta" in header_c
+        assert (out_b / "summary.txt").read_text().startswith("mode = bucy\n")
+        assert (out_c / "summary.txt").read_text().startswith("mode = cngd\n")
 
     def test_missing_scenario_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("family = gaussian\nT = 5\n")
-        assert main(["run", "--config", str(path), "--mode", "ekf"]) == 1
+        assert main(["run", "--config", str(path), "--side", "filter"]) == 1
         assert "scenario" in capsys.readouterr().err
 
     def test_unknown_model_exits_1(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("scenario = lorenz\nfamily = gaussian\nobs_cov = 1\nT = 5\n")
-        assert main(["run", "--config", str(path), "--mode", "ekf"]) == 1
+        assert main(["run", "--config", str(path), "--side", "filter"]) == 1
 
     # A value the config parser accepts but the library rejects with a
     # ValueError: IntegratorConfig's dt.
     @pytest.mark.parametrize(
-        "mode, body",
-        [("bucy", "scenario = pendulum-ct\nT = 1.0\ndt = 2.0\n")],
+        "side, body",
+        [("filter", "scenario = pendulum-ct\nT = 1.0\ndt = 2.0\n")],
         ids=["dt-past-horizon"],
     )
-    def test_library_value_error_exits_1(self, mode, body, tmp_path, capsys):
+    def test_library_value_error_exits_1(self, side, body, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(body)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(path), "--mode", mode, "--out", str(out)]) == 1
+        assert main(["run", "--config", str(path), "--side", side, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_singular_observation_covariance_exits_2(self, tmp_path, capsys):
@@ -160,7 +181,7 @@ class TestCmdRun:
             "alpha = 1e300\n"
         )
         out = tmp_path / "out"
-        code = main(["run", "--config", str(path), "--mode", "ekf", "--out", str(out)])
+        code = main(["run", "--config", str(path), "--side", "filter", "--out", str(out)])
         assert code == 2
         assert "failure" in capsys.readouterr().err
 
@@ -174,7 +195,7 @@ class TestCmdRun:
         path = tmp_path / "overflow.cfg"
         path.write_text(body)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(path), "--mode", mode, "--out", str(out)]) == 2
+        assert main(["run", "--side", SIDES[mode], "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{mode} step from t = 0: derivative non-finite at t = 0.05" in err
         assert "Warning" not in err
@@ -188,14 +209,25 @@ class TestCmdRun:
             "s0 = -1000, -1000\nalpha = 0.0\n"
         )
         out = tmp_path / "out"
-        code = main(["run", "--config", str(path), "--mode", "ekf", "--out", str(out)])
+        code = main(["run", "--config", str(path), "--side", "filter", "--out", str(out)])
         assert code == 0
         assert len((out / "trace.csv").read_text().splitlines()) == 22
 
+    def test_seed_defaults_to_0(self, linear_cfg, tmp_path):
+        unset, zero = tmp_path / "unset", tmp_path / "zero"
+        _set_field(linear_cfg, "seed = 0")
+        argv = ["run", "--config", str(linear_cfg), "--side", "filter", "--out"]
+        assert main(argv + [str(zero)]) == 0
+        linear_cfg.write_text(linear_cfg.read_text().replace("seed = 0\n", ""))
+        assert main(argv + [str(unset)]) == 0
+        for name in ("trace.csv", "summary.txt"):
+            assert (unset / name).read_bytes() == (zero / name).read_bytes()
+        assert "seed = 0\n" in (unset / "summary.txt").read_text()
+
     def test_byte_identical_reruns(self, linear_cfg, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        main(["run", "--config", str(linear_cfg), "--mode", "ekf", "--out", str(out1)])
-        main(["run", "--config", str(linear_cfg), "--mode", "ekf", "--out", str(out2)])
+        main(["run", "--config", str(linear_cfg), "--side", "filter", "--out", str(out1)])
+        main(["run", "--config", str(linear_cfg), "--side", "filter", "--out", str(out2)])
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
@@ -203,7 +235,7 @@ class TestCmdCompare:
     def test_discrete_pass_exit_0(self, linear_cfg, tmp_path):
         out = tmp_path / "cmp"
         code = main(
-            ["compare", "--config", str(linear_cfg), "--mode", "discrete", "--out", str(out)]
+            ["compare", "--config", str(linear_cfg), "--out", str(out)]
         )
         assert code == 0
         summary = (out / "summary.txt").read_text()
@@ -221,7 +253,7 @@ class TestCmdCompare:
         out = tmp_path / "cmp"
         code = main(
             [
-                "compare", "--config", str(linear_cfg), "--mode", "discrete",
+                "compare", "--config", str(linear_cfg),
                 "--out", str(out), "--mutate", "drop_fading_factor",
             ]
         )
@@ -231,7 +263,7 @@ class TestCmdCompare:
     def test_unknown_mutation_exit_1(self, linear_cfg, tmp_path):
         code = main(
             [
-                "compare", "--config", str(linear_cfg), "--mode", "discrete",
+                "compare", "--config", str(linear_cfg),
                 "--out", str(tmp_path / "x"), "--mutate", "reverse_time",
             ]
         )
@@ -244,7 +276,7 @@ class TestCmdCompare:
         # The negative controls exist on the discrete side only; a mutation
         # that the continuous comparison would ignore must not pass.
         out = tmp_path / "cmp"
-        argv = ["compare", "--config", str(pendulum_cfg), "--mode", "continuous"]
+        argv = ["compare", "--config", str(pendulum_cfg)]
         assert main(argv + ["--mutate", name, "--out", str(out)]) == 1
         assert "discrete-only" in capsys.readouterr().err
         assert not (out / "summary.txt").exists()
@@ -253,7 +285,7 @@ class TestCmdCompare:
         # logistic-static already has F = I, so skip_metric_transport could
         # not fail on it and is refused.
         out = tmp_path / "cmp"
-        argv = ["compare", "--config", str(CONFIGS / "logistic_static.cfg"), "--mode", "discrete"]
+        argv = ["compare", "--config", str(CONFIGS / "logistic_static.cfg")]
         assert main(argv + ["--mutate", "skip_metric_transport", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'logistic-static'" in err
@@ -269,7 +301,7 @@ class TestCmdCompare:
             f"seed = 0\ns0 = {float(s0[0])!r}, {float(s0[1])!r}\nalpha = ramp(0, 0.5)\n"
         )
         out = tmp_path / "cmp"
-        assert main(["compare", "--config", str(path), "--mode", "discrete", "--out", str(out)]) == 0
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
         report = check_discrete(scenario, s0, p0, sweep_schedules(SWEEP_HORIZON)["ramp(0,0.5)"])
         columns = {
             name: np.array(values, dtype=float)
@@ -284,7 +316,7 @@ class TestCmdCompare:
     def test_continuous_per_dt_rows(self, pendulum_cfg, tmp_path):
         out = tmp_path / "cmp"
         code = main(
-            ["compare", "--config", str(pendulum_cfg), "--mode", "continuous", "--out", str(out)]
+            ["compare", "--config", str(pendulum_cfg), "--out", str(out)]
         )
         assert code == 0
         summary = (out / "summary.txt").read_text()
@@ -302,23 +334,30 @@ class TestCmdCompare:
             "T = 20\nseed = 5\nalpha = 0.1\nalpha[7] = 0.9\n"
         )
         code = main(
-            ["compare", "--config", str(path), "--mode", "discrete", "--out", str(tmp_path / "o")]
+            ["compare", "--config", str(path), "--out", str(tmp_path / "o")]
         )
         assert code == 0
 
 
-# One command per entry point: a run and a comparison of each kind.
+# One command per entry point: a run of the filter side and a comparison.
 COMMANDS = {
-    "run": ["run", "--mode", "bucy"],
-    "compare": ["compare", "--mode", "continuous"],
+    "run": ["run", "--side", "filter"],
+    "compare": ["compare"],
 }
 
-# Every (command, mode) pair, discrete ones first.
+# Every (command, mode) pair, discrete ones first, by the mode that
+# summary.txt names; the config's model and the run's side select it.
 ALL_MODES = [
     ("run", "ekf"), ("run", "natgrad"), ("compare", "discrete"),
     ("run", "bucy"), ("run", "cngd"), ("compare", "continuous"),
 ]
 DISCRETE_MODES = ("ekf", "natgrad", "discrete")
+SIDES = {"ekf": "filter", "natgrad": "gradient", "bucy": "filter", "cngd": "gradient"}
+
+
+def _argv(command, mode):
+    """The command line that runs one (command, mode) pair of ALL_MODES."""
+    return [command] + (["--side", SIDES[mode]] if command == "run" else [])
 
 
 def _set_field(path, line):
@@ -331,11 +370,12 @@ def _set_field(path, line):
 class TestRejectedInputs:
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_rejected_run_leaves_no_output_directory(self, command, linear_cfg, tmp_path, capsys):
-        # linear2d is a discrete model, so a continuous run rejects it.
+        # linear2d is a discrete model, so it refuses the continuous step dt.
+        linear_cfg.write_text(linear_cfg.read_text() + "dt = 0.1\n")
         out = tmp_path / "new" / "out"
         argv = COMMANDS[command] + ["--config", str(linear_cfg), "--out", str(out)]
         assert main(argv) == 1
-        assert "not a continuous model" in capsys.readouterr().err
+        assert "invalid field dt: continuous-only" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -360,8 +400,7 @@ class TestRejectedInputs:
         path = tmp_path / "bern.cfg"
         path.write_text(LINEAR2D_CFG.replace("family = gaussian", "family = bernoulli"))
         out = tmp_path / "out"
-        mode = "ekf" if command == "run" else "discrete"
-        argv = [command, "--mode", mode, "--config", str(path), "--out", str(out)]
+        argv = COMMANDS[command] + ["--config", str(path), "--out", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid field family:")
@@ -382,7 +421,7 @@ class TestRejectedInputs:
     def test_continuous_alpha_checked_like_discrete(
         self, command, alpha, message, pendulum_cfg, tmp_path, capsys
     ):
-        pendulum_cfg.write_text(pendulum_cfg.read_text() + alpha + "\n")
+        _set_field(pendulum_cfg, alpha)
         out = tmp_path / "out"
         argv = COMMANDS[command] + ["--config", str(pendulum_cfg), "--out", str(out)]
         assert main(argv) == 1
@@ -396,7 +435,7 @@ class TestRejectedInputs:
         path = linear_cfg if mode in DISCRETE_MODES else pendulum_cfg
         path.write_text(re.sub(r"^alpha = .*$", "alpha = nan", path.read_text(), flags=re.M))
         out = tmp_path / "out"
-        argv = [command, "--mode", mode, "--config", str(path), "--out", str(out)]
+        argv = _argv(command, mode) + ["--config", str(path), "--out", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: invalid field alpha: weights must be >= 0")
         assert not out.exists()
@@ -419,7 +458,7 @@ class TestRejectedInputs:
         path = linear_cfg if mode in DISCRETE_MODES else pendulum_cfg
         _set_field(path, line)
         out = tmp_path / "out"
-        argv = [command, "--mode", mode, "--config", str(path), "--out", str(out)]
+        argv = _argv(command, mode) + ["--config", str(path), "--out", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
@@ -434,11 +473,69 @@ class TestRejectedInputs:
     def test_whole_number_fields_exit_1(self, command, mode, line, linear_cfg, tmp_path, capsys):
         _set_field(linear_cfg, line)
         out = tmp_path / "out"
-        argv = [command, "--mode", mode, "--config", str(linear_cfg), "--out", str(out)]
+        argv = _argv(command, mode) + ["--config", str(linear_cfg), "--out", str(out)]
         assert main(argv) == 1
         key = line.split()[0]
         assert capsys.readouterr().err.startswith(f"error: invalid field {key}: ")
         assert not out.exists()
+
+    # A key that only the other time domain reads is refused: the model
+    # could only ignore it.  seed = 0 is refused like any other seed.
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "domain, line",
+        [
+            ("discrete", "dt = 0.1"),
+            ("discrete", "dt_list = 0.5"),
+            ("continuous", "seed = 9"),
+            ("continuous", "seed = 0"),
+        ],
+        ids=["discrete-dt", "discrete-dt_list", "continuous-seed", "continuous-seed-0"],
+    )
+    def test_key_of_the_other_domain_exits_1(
+        self, command, domain, line, linear_cfg, pendulum_cfg, tmp_path, capsys
+    ):
+        path = linear_cfg if domain == "discrete" else pendulum_cfg
+        path.write_text(path.read_text() + line + "\n")
+        out = tmp_path / "out"
+        argv = COMMANDS[command] + ["--config", str(path), "--out", str(out)]
+        assert main(argv) == 1
+        key = line.split()[0]
+        assert capsys.readouterr().err.startswith(f"error: invalid field {key}: ")
+        assert not out.exists()
+
+    # A continuous T is a time span: an infinite one has no grid, and is a
+    # config error named by its field, not a traceback.
+    @pytest.mark.parametrize("command, mode", ALL_MODES[3:])
+    def test_infinite_continuous_horizon_exits_1(
+        self, command, mode, pendulum_cfg, tmp_path, capsys
+    ):
+        _set_field(pendulum_cfg, "T = inf")
+        _set_field(pendulum_cfg, "dt = 0.1")
+        out = tmp_path / "out"
+        argv = _argv(command, mode) + ["--config", str(pendulum_cfg), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: invalid field T: ")
+        assert not out.exists()
+
+
+class TestUsageErrors:
+    # A usage error is a configuration error (exit 1) that names the flag;
+    # exit code 2 is a numerical failure.
+    def test_unknown_side_exits_1(self, linear_cfg, capsys):
+        assert main(["run", "--config", str(linear_cfg), "--side", "ekf"]) == 1
+        err = capsys.readouterr().err
+        assert "error: kalgrad run: argument --side: invalid choice: 'ekf'" in err
+
+    def test_missing_config_exits_1(self, capsys):
+        assert main(["compare"]) == 1
+        assert "required: --config" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--side {filter,gradient}" in capsys.readouterr().out
 
 
 def _csv_columns(path):
@@ -447,17 +544,17 @@ def _csv_columns(path):
 
 
 class TestRunMatchesCompare:
-    # run --mode ekf/natgrad and compare share their setup and matched
+    # run --side filter/gradient and compare share their setup and matched
     # metric, so the estimates agree to the last printed digit.
     @pytest.mark.parametrize("name", ["linear2d", "logistic_static", "tanhspring_ramp"])
     def test_run_estimates_equal_compare_columns(self, name, tmp_path):
         config = str(CONFIGS / f"{name}.cfg")
         cmp_out = tmp_path / "compare"
-        assert main(["compare", "--config", config, "--mode", "discrete", "--out", str(cmp_out)]) == 0
+        assert main(["compare", "--config", config, "--out", str(cmp_out)]) == 0
         compared = _csv_columns(cmp_out / "deviations.csv")
-        for mode, prefix in (("ekf", "s_ekf_"), ("natgrad", "s_ngd_")):
-            out = tmp_path / mode
-            assert main(["run", "--config", config, "--mode", mode, "--out", str(out)]) == 0
+        for side, prefix in (("filter", "s_ekf_"), ("gradient", "s_ngd_")):
+            out = tmp_path / side
+            assert main(["run", "--config", config, "--side", side, "--out", str(out)]) == 0
             ran = _csv_columns(out / "trace.csv")
             for i in range(2):
                 assert ran[f"s_est_{i}"] == compared[f"{prefix}{i}"]

@@ -379,6 +379,15 @@ class TestCheckContinuous:
                 dts=[1e-2], horizon=1.0,
             )
 
+    # An infinite horizon has no grid; it is refused before one is sized.
+    def test_infinite_horizon_rejected(self):
+        model = builtin("pendulum-ct")
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            check_continuous(
+                model, model.init_state, 0.5 * np.eye(2), alpha=0.2,
+                dts=[0.1], horizon=np.inf,
+            )
+
     def test_eta_alpha_zero_closed_form(self):
         # eta(1) = 1/2 when alpha = 0 and eta0 = 1.
         model = builtin("linear-ct")

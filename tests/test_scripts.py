@@ -1,6 +1,6 @@
 """Smoke tests of the study front-ends, run as a user runs them: the
-discrete sweep script, `kalgrad compare` on every example config, and the
-library names that the benchmark in ``certbench/`` looks up."""
+discrete sweep script, `kalgrad compare` on every example config, a usage
+error, and the library names that the benchmark in ``certbench/`` looks up."""
 
 import importlib
 import os
@@ -12,9 +12,7 @@ import pytest
 
 import kalgrad
 from kalgrad import ekf
-from kalgrad.cli import parse_config
 from kalgrad.equivalence import SWEEP_MODELS, sweep_schedules
-from kalgrad.model import ContinuousModel, builtin
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.cfg"))
@@ -43,15 +41,20 @@ def test_discrete_equivalence_script():
 
 @pytest.mark.parametrize("config", CONFIGS, ids=[path.stem for path in CONFIGS])
 def test_example_config_compare_passes(config, tmp_path):
-    # Each config is compared in its own time domain; the continuous ones
-    # carry the step-size study in their dt_list.
-    continuous = isinstance(builtin(parse_config(config).scenario), ContinuousModel)
-    mode = "continuous" if continuous else "discrete"
-    proc = run_python(
-        "-m", "kalgrad", "compare", "--config", str(config), "--mode", mode, "--out", str(tmp_path)
-    )
+    # Each config is compared in its model's time domain; the continuous
+    # ones carry the step-size study in their dt_list.
+    proc = run_python("-m", "kalgrad", "compare", "--config", str(config), "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert "pass = True" in (tmp_path / "summary.txt").read_text().splitlines()
+
+
+def test_usage_error_exits_1():
+    # A usage error is a configuration error, exit 1, as for the flag that
+    # named the time domain before the model did; exit 2 is numerical.
+    config = ROOT / "scripts" / "configs" / "linear2d.cfg"
+    proc = run_python("-m", "kalgrad", "run", "--config", str(config), "--mode", "ekf")
+    assert proc.returncode == 1
+    assert "--side" in proc.stderr
 
 
 def test_benchmark_lookups_resolve(monkeypatch):
