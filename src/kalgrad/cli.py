@@ -107,7 +107,7 @@ def parse_config(path: str | Path) -> RunConfig:
         store, slot = (overrides, int(m.group(1))) if m else (raw, key)
         if slot in store:
             raise ConfigError(f"{path}:{lineno}: repeated field {key}")
-        store[slot] = float(value) if m else value
+        store[slot] = _parse_field(key, float, value) if m else value
 
     if "scenario" not in raw:
         raise ConfigError("missing required field: scenario")
@@ -115,31 +115,41 @@ def parse_config(path: str | Path) -> RunConfig:
     cfg = RunConfig(scenario=raw.pop("scenario"), alpha_overrides=overrides)
     for key, (name, parse) in _FIELDS.items():
         if key in raw:
-            try:
-                setattr(cfg, name, parse(raw.pop(key)))
-            except ValueError as exc:
-                raise ConfigError(f"invalid field {key}: {exc}") from exc
+            setattr(cfg, name, _parse_field(key, parse, raw.pop(key)))
     if raw:
         raise ConfigError(f"unknown field: {sorted(raw)[0]}")
     return cfg
 
 
-def _alpha_schedule(cfg: RunConfig, horizon: int) -> np.ndarray:
-    """Expand the alpha spec (constant | list | ramp(a, b)) over t = 1..T."""
+def _parse_field(key: str, parse, value: str):
+    """``parse(value)``, with a ValueError reported as an invalid ``key``."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"invalid field {key}: {exc}") from exc
+
+
+def _alpha_values(cfg: RunConfig) -> tuple[bool, list[float]]:
+    """The alpha spec as (is a ramp, values): the ends (a, b) of
+    ``ramp(a, b)``, or the constant or list of values."""
     spec = cfg.alpha_spec.strip()
     m = _RAMP_RE.match(spec)
     if m:
-        alpha = np.linspace(float(m.group(1)), float(m.group(2)), horizon)
+        return True, [_parse_field("alpha", float, end) for end in m.groups()]
+    return False, _parse_field("alpha", _parse_floats, spec)
+
+
+def _alpha_schedule(cfg: RunConfig, horizon: int) -> np.ndarray:
+    """Expand the alpha spec (constant | list | ramp(a, b)) over t = 1..T."""
+    ramp, values = _alpha_values(cfg)
+    if ramp:
+        alpha = np.linspace(values[0], values[1], horizon)
+    elif len(values) == 1:
+        alpha = np.full(horizon, values[0])
+    elif len(values) == horizon:
+        alpha = np.asarray(values)
     else:
-        values = _parse_floats(spec)
-        if len(values) == 1:
-            alpha = np.full(horizon, values[0])
-        elif len(values) == horizon:
-            alpha = np.asarray(values)
-        else:
-            raise ConfigError(
-                f"invalid field alpha: need 1 or {horizon} values, got {len(values)}"
-            )
+        raise ConfigError(f"invalid field alpha: need 1 or {horizon} values, got {len(values)}")
     for t, value in cfg.alpha_overrides.items():
         if not 1 <= t <= horizon:
             raise ConfigError(f"invalid field alpha[{t}]: t outside 1..{horizon}")
@@ -155,13 +165,11 @@ def _check_weights(values) -> None:
 
 def _alpha_fn(cfg: RunConfig, horizon: float):
     """Alpha as a function of continuous time."""
-    spec = cfg.alpha_spec.strip()
-    m = _RAMP_RE.match(spec)
-    if m:
-        lo, hi = float(m.group(1)), float(m.group(2))
+    ramp, values = _alpha_values(cfg)
+    if ramp:
+        lo, hi = values
         _check_weights([lo, hi])
         return lambda t: lo + (hi - lo) * t / horizon
-    values = _parse_floats(spec)
     if len(values) != 1:
         raise ConfigError("invalid field alpha: continuous runs need a constant or ramp")
     _check_weights(values)
@@ -264,6 +272,17 @@ def _continuous_inputs(cfg: RunConfig, system):
     return horizon, alpha, _init_state(cfg, system), _init_cov(cfg, system.dim_state)
 
 
+def _check_steps(key: str, steps: list[float], horizon: float) -> None:
+    """Refuse a step size outside (0, T], naming the field and, for
+    ``dt_list``, the entry."""
+    for i, dt in enumerate(steps, start=1):
+        if not 0 < dt <= horizon:
+            entry = f" (entry {i} of {len(steps)})" if key == "dt_list" else ""
+            raise ConfigError(
+                f"invalid field {key}: need 0 < dt <= T = {horizon:g}, got {dt:g}{entry}"
+            )
+
+
 def _scenario_columns(scenario: model_mod.Scenario) -> tuple[list[str], np.ndarray]:
     """Leading columns of a discrete trace: t, the true state, and the
     observation (the gaussian vector or the bernoulli label; zero at
@@ -292,6 +311,7 @@ def cmd_run(config_path: str, side: str, out: Path = Path(".")) -> int:
         horizon, alpha, s0, p0 = _continuous_inputs(cfg, system)
         if cfg.dt is None:
             raise ConfigError("missing required field: dt")
+        _check_steps("dt", [cfg.dt], horizon)
         icfg = bucy_mod.IntegratorConfig(dt=cfg.dt, horizon=horizon, alpha=alpha)
         dim = system.dim_state
         if gradient:
@@ -347,6 +367,7 @@ def cmd_compare(config_path: str, out: Path = Path("."), mutate: str | None = No
         horizon, alpha, s0, p0 = _continuous_inputs(cfg, system)
         if not cfg.dt_list:
             raise ConfigError("missing required field: dt_list")
+        _check_steps("dt_list", cfg.dt_list, horizon)
         report = eq_mod.check_continuous(
             system, s0, p0, alpha, cfg.dt_list, horizon, eta0=cfg.eta0
         )

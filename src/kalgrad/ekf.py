@@ -26,7 +26,9 @@ finite where the mean rounds to the boundary of its domain and C to zero.
 The belief is the pair of plain arrays (mean, cov): the transition and
 every update take it and return the new pair.  The fading schedule is a
 plain array too: :func:`run` normalises it once and hands each
-transition its float alpha_t.
+transition its float alpha_t.  The input u_t and the sufficient
+statistics T(y_t) of step t are row t-1 of the scenario's ``inputs`` and
+``stats``; the step functions take them as arguments.
 """
 
 from __future__ import annotations
@@ -48,13 +50,13 @@ def transition(
     mean: np.ndarray,
     cov: np.ndarray,
     model: DynamicalModel,
+    u: np.ndarray,
     t: int,
     alpha_t: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate the Gaussian belief (mean, cov) through the dynamics under
-    the fading weight alpha_t; returns (mean_pred, P_pred) with
-    P_pred = (1 + alpha_t) F P F^T."""
-    u = model.input_at(t)
+    """Propagate the Gaussian belief (mean, cov) through the dynamics at
+    input ``u`` = u_t under the fading weight alpha_t; returns
+    (mean_pred, P_pred) with P_pred = (1 + alpha_t) F P F^T."""
     mean_pred = np.asarray(model.f(mean, u), dtype=float)
     if not np.isfinite(mean_pred).all():
         raise NonFiniteError(f"transition produced non-finite mean at t = {t}")
@@ -70,14 +72,17 @@ def transition(
 def observe_gain(
     mean: np.ndarray,
     cov: np.ndarray,
-    y,
+    stats: np.ndarray,
     model: DynamicalModel,
     family: expfam.ObservationFamily,
+    u: np.ndarray,
     t: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gain-form update of the predicted (mean, cov): K = P B^T
-    (I + C B P B^T)^-1, s += K e; returns the posterior (mean, cov)."""
-    lin = linearise(model, family, mean, t)
+    """Gain-form update of the predicted (mean, cov) by an observation with
+    sufficient statistics ``stats`` = T(y_t) at input ``u`` = u_t:
+    K = P B^T (I + C B P B^T)^-1, s += K e; returns the posterior
+    (mean, cov)."""
+    lin = linearise(model, family, mean, u, t)
     bp = lin.jac @ cov
     # K^T = (I + B P B^T C)^-1 B P; the matrix is I plus a product of two
     # PSD matrices, so it is singular only in floating point.
@@ -88,7 +93,7 @@ def observe_gain(
         raise SingularMatrixError(f"gain-form innovation matrix singular at t = {t}")
     gain = gain_t.T
     cov_post = symmetrize(cov - gain @ lin.cov @ bp)
-    mean_post = mean + gain @ lin.residual(expfam.sufficient_stats(family, y))
+    mean_post = mean + gain @ lin.residual(stats)
     if not (np.isfinite(mean_post).all() and np.isfinite(cov_post).all()):
         raise NonFiniteError(f"observation update non-finite at t = {t}")
     return mean_post, cov_post
@@ -97,19 +102,21 @@ def observe_gain(
 def observe_information(
     mean: np.ndarray,
     cov: np.ndarray,
-    y,
+    stats: np.ndarray,
     model: DynamicalModel,
     family: expfam.ObservationFamily,
+    u: np.ndarray,
     t: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-covariance update of the predicted (mean, cov):
-    P^-1 = P_pred^-1 + B^T C B, s += P B^T e; returns the posterior."""
-    lin = linearise(model, family, mean, t)
+    """Inverse-covariance update of the predicted (mean, cov), with the
+    arguments of :func:`observe_gain`: P^-1 = P_pred^-1 + B^T C B,
+    s += P B^T e; returns the posterior."""
+    lin = linearise(model, family, mean, u, t)
     dim = cov.shape[0]
     prec_pred = solve_psd(cov, np.eye(dim))
     prec = symmetrize(prec_pred + lin.jac.T @ lin.cov @ lin.jac)
     cov_post = symmetrize(solve_psd(prec, np.eye(dim)))
-    score = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
+    score = lin.residual(stats) @ lin.jac
     return mean + cov_post @ score, cov_post
 
 
@@ -135,16 +142,19 @@ def run(
     """Filter the scenario's observations from the given Gaussian prior
     under the fading schedule ``alpha`` (a scalar, or one entry or one per
     step; see :func:`kalgrad.numerics.schedule`), with the gain-form
-    update; returns the posterior means and covariances, row 0 the prior."""
+    update; returns the posterior means and covariances, row 0 the prior.
+    Step t reads row t-1 of the scenario's ``inputs`` and ``stats``."""
     alpha = schedule("alpha", alpha, scenario.horizon)
+    model, family = scenario.model, scenario.family
     mean = np.asarray(init_mean, dtype=float)
     cov = np.asarray(init_cov, dtype=float)
     rows = scenario.horizon + 1
     means = np.empty((rows,) + mean.shape)
     covs = np.empty((rows,) + cov.shape)
     means[0], covs[0] = mean, cov
-    for t, alpha_t in enumerate(alpha.tolist(), start=1):
-        mean, cov = transition(mean, cov, scenario.model, t, alpha_t)
-        mean, cov = observe_gain(mean, cov, scenario.obs(t), scenario.model, scenario.family, t)
+    steps = zip(alpha.tolist(), scenario.inputs, scenario.stats)
+    for t, (alpha_t, u, stats) in enumerate(steps, start=1):
+        mean, cov = transition(mean, cov, model, u, t, alpha_t)
+        mean, cov = observe_gain(mean, cov, stats, model, family, u, t)
         means[t], covs[t] = mean, cov
     return Trace(means, covs=covs)

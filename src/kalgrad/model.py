@@ -23,19 +23,23 @@ Scenarios pair a model with an observation family: the ground-truth
 trajectory follows the noiseless dynamics exactly, and observations are
 sampled from the family at the true predicted mean.  Randomness comes from
 a counter-based Philox stream keyed by the scenario seed, so generation is
-a pure function of (model, family, horizon, seed).
+a pure function of (model, family, horizon, seed).  A scenario also
+carries what both sides of a certificate read at each step: the inputs
+u_t and the sufficient statistics T(y_t), computed, and the observations
+validated, once when it is built.  The step functions take u_t as an
+argument; none of them calls ``input_at`` or computes T(y).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
 from . import expfam
-from .errors import NonFiniteError, UnknownModelError
+from .errors import NonFiniteError, OutOfSupportError, UnknownModelError
 from .numerics import fd_jacobian
 
 Array = np.ndarray
@@ -120,13 +124,40 @@ class ContinuousModel:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Ground-truth trajectory plus sampled observations for one model/family."""
+    """Ground-truth trajectory plus sampled observations for one model/family,
+    with the per-step data that both sides of a certificate read.
+
+    ``inputs`` holds the input path u_1..u_T (row t-1 is u_t) and
+    ``stats`` the sufficient statistics T(y_1)..T(y_T) of the
+    observations.  Both are read-only arrays, made from the model and the
+    observations when the scenario is built, which validates each
+    observation once.  An observation outside the family's support raises
+    OutOfSupportError naming its t.
+    """
 
     model: DynamicalModel
     family: expfam.ObservationFamily
     true_states: Array  # (T+1, dim_state), noiseless
     observations: list  # length T; vectors or integer labels per family
     seed: int
+    inputs: Array = field(init=False, repr=False)  # (T, dim_input)
+    stats: Array = field(init=False, repr=False)  # (T, family.mean_dim)
+
+    def __post_init__(self) -> None:
+        horizon, model = len(self.observations), self.model
+        inputs = np.empty((horizon, model.dim_input))
+        for t in range(1, horizon + 1):
+            inputs[t - 1] = model.input_at(t)
+        stats = np.empty((horizon, self.family.mean_dim))
+        for t, y in enumerate(self.observations, start=1):
+            try:
+                stats[t - 1] = expfam.sufficient_stats(self.family, y)
+            except OutOfSupportError as exc:
+                exc.args = (f"{exc} at t = {t}",)
+                raise
+        inputs.flags.writeable = stats.flags.writeable = False
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "stats", stats)
 
     @property
     def horizon(self) -> int:
@@ -188,16 +219,16 @@ def _observed(fn: Map, s: Array, u: Array, t: int) -> Array:
 
 
 def linearise(
-    model: DynamicalModel, family: expfam.ObservationFamily, s: Array, t: int
+    model: DynamicalModel, family: expfam.ObservationFamily, s: Array, u: Array, t: int
 ) -> Linearisation:
-    """Linearise the observation of ``family`` at state ``s`` and time t.
+    """Linearise the observation of ``family`` at state ``s``, input ``u``
+    = u_t and time t (named in errors).
 
     Under a declared canonical link, theta is the linear predictor x:
     B = G, C = V(x), and residuals come from
     :func:`expfam.canonical_residual`, so 1 - p is never formed by
     subtraction.  Otherwise see :func:`mean_linearisation`.
     """
-    u = model.input_at(t)
     if model.canonical_link(family):
         x = _observed(model.predictor, s, u, t)
         return Linearisation(
@@ -208,9 +239,8 @@ def linearise(
     return mean_linearisation(family, _observed(model.h, s, u, t), model.jac_h(s, u))
 
 
-def step_dynamics(model: DynamicalModel, s: Array, t: int) -> Array:
-    """Advance the noiseless dynamics one step: f(s, u_t)."""
-    u = model.input_at(t)
+def step_dynamics(model: DynamicalModel, s: Array, u: Array, t: int) -> Array:
+    """Advance the noiseless dynamics one step: f(s, u), with u = u_t."""
     out = np.asarray(model.f(np.asarray(s, dtype=float), u), dtype=float)
     if not np.isfinite(out).all():
         raise NonFiniteError(f"transition produced non-finite state at t = {t}")
@@ -235,8 +265,9 @@ def generate_scenario(
     states[0] = np.asarray(model.init_state, dtype=float)
     observations = []
     for t in range(1, horizon + 1):
-        states[t] = step_dynamics(model, states[t - 1], t)
-        yhat = np.asarray(model.h(states[t], model.input_at(t)), dtype=float)
+        u = model.input_at(t)
+        states[t] = step_dynamics(model, states[t - 1], u, t)
+        yhat = np.asarray(model.h(states[t], u), dtype=float)
         observations.append(expfam.sample(family, yhat, rng))
     return Scenario(
         model=model,

@@ -20,7 +20,10 @@ Monte Carlo average of score outer products.
 Every step function takes and returns plain arrays: the state s in the
 current chart and the metric J there.  The eta and gamma schedules are
 plain arrays too: :func:`run` normalises them once and hands each update
-its floats eta_t and gamma_t.
+its floats eta_t and gamma_t.  As on the filter side, step t reads the
+input u_t and the sufficient statistics T(y_t) from the scenario's
+``inputs`` and ``stats``.  The chart's condition number comes from one
+LAPACK ``dgesdd`` call, the one ``np.linalg.cond`` makes.
 
 For static dynamics (f = Id) the chart never moves and the scheme reduces
 to the ordinary online natural gradient; the tests keep a chartless
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgesdd, dgetrf, dgetrs
 
 from . import expfam
 from .errors import NonFiniteError, SingularMatrixError
@@ -77,8 +80,11 @@ def pushforward_metric(metric: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 def _condition(psi: np.ndarray) -> float:
     """2-norm condition number s_max / s_min of a finite square psi from
-    one SVD, as np.linalg.cond computes it; inf where s_min is 0."""
-    s = np.linalg.svd(psi, compute_uv=False)
+    one SVD, LAPACK ``dgesdd`` without singular vectors as
+    ``np.linalg.cond`` calls it, and the same number; inf where s_min is 0."""
+    s, info = dgesdd(psi, compute_uv=0)[1::2]
+    if info:
+        raise SingularMatrixError("chart-change Jacobian SVD did not converge")
     return float(s[0]) / float(s[-1]) if s[-1] else math.inf
 
 
@@ -86,11 +92,11 @@ def chart_transport(
     state: np.ndarray,
     metric: np.ndarray,
     model: DynamicalModel,
+    u: np.ndarray,
     t: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Move the state and metric from the chart at t-1 to the chart at t;
-    returns (f(s, u_t), (F^-1)^T J F^-1)."""
-    u = model.input_at(t)
+    """Move the state and metric from the chart at t-1 to the chart at t,
+    at input ``u`` = u_t; returns (f(s, u), (F^-1)^T J F^-1)."""
     value = np.asarray(model.f(state, u), dtype=float)
     if not np.isfinite(value).all():
         raise NonFiniteError(f"transition produced non-finite state at t = {t}")
@@ -110,21 +116,24 @@ def fisher_term(lin: Linearisation) -> np.ndarray:
 def update(
     state: np.ndarray,
     metric: np.ndarray,
-    y,
+    stats: np.ndarray,
     model: DynamicalModel,
     family: expfam.ObservationFamily,
+    u: np.ndarray,
     eta_t: float,
     gamma_t: float,
     t: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Blend the Fisher term into the metric with weight gamma_t and take
-    one natural step of rate eta_t; returns the new (state, metric).
+    """Blend the Fisher term of an observation with sufficient statistics
+    ``stats`` = T(y_t) at input ``u`` = u_t into the metric with weight
+    gamma_t and take one natural step of rate eta_t; returns the new
+    (state, metric).
 
     Expects ``state`` and ``metric`` already transported to the chart at
     time t.
     """
-    lin = linearise(model, family, state, t)
-    score_state = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
+    lin = linearise(model, family, state, u, t)
+    score_state = lin.residual(stats) @ lin.jac
     metric = symmetrize((1.0 - gamma_t) * metric + gamma_t * fisher_term(lin))
     return state + eta_t * solve_psd(metric, score_state), metric
 
@@ -140,7 +149,8 @@ def run(
     the rate schedule ``eta`` and the metric-averaging schedule ``gamma``
     (each a scalar, or one entry or one per step; see
     :func:`kalgrad.numerics.schedule`); returns the states and metrics in
-    the chart at each t, row 0 the prior."""
+    the chart at each t, row 0 the prior.  Step t reads row t-1 of the
+    scenario's ``inputs`` and ``stats``."""
     eta = schedule("eta", eta, scenario.horizon)
     gamma = schedule("gamma", gamma, scenario.horizon)
     state = np.asarray(init_state, dtype=float)
@@ -150,8 +160,9 @@ def run(
     states = np.empty((rows,) + state.shape)
     metrics = np.empty((rows,) + metric.shape)
     states[0], metrics[0] = state, metric
-    for t, (eta_t, gamma_t) in enumerate(zip(eta.tolist(), gamma.tolist()), start=1):
-        state, metric = chart_transport(state, metric, model, t)
-        state, metric = update(state, metric, scenario.obs(t), model, family, eta_t, gamma_t, t)
+    steps = zip(eta.tolist(), gamma.tolist(), scenario.inputs, scenario.stats)
+    for t, (eta_t, gamma_t, u, stats) in enumerate(steps, start=1):
+        state, metric = chart_transport(state, metric, model, u, t)
+        state, metric = update(state, metric, stats, model, family, u, eta_t, gamma_t, t)
         states[t], metrics[t] = state, metric
     return Trace(states, metrics=metrics)

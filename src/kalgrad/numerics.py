@@ -2,7 +2,9 @@
 
 Everything here is a pure function of its inputs; matrices are small and
 dense (state dimensions of a few at most), so factorization-based solves
-and fixed-step integration are the right tools.
+and fixed-step integration are the right tools.  The SPD solve also takes
+a stack of matrices, which it factors and solves in one batched pass
+before handing any matrix that pass cannot settle to the one-matrix path.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from .errors import NonFiniteError, NumericalError, SingularMatrixError
 # Diagonal jitter ladder used to rescue marginally non-PD solves, scaled
 # by trace(A)/dim.  Exhausting the ladder is a hard failure.
 _JITTER_SCALES = (1e-12, 1e-10, 1e-8)
+
+# The largest relative residual ||B - A X||_F / ||B||_F an SPD solve may
+# leave, on the 2-D path and on the stacked one.
+_RESIDUAL_BOUND = 1e-10
 
 _TINY = float(np.finfo(float).tiny)
 
@@ -77,6 +83,12 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     positive shift on that ladder, so it fails after its first
     factorization.
 
+    ``a`` may also be a stack of shape (m, n, n), with ``b`` of shape
+    (m, n, k) or one (n, k) shared by every matrix; the result then has
+    shape (m, n, k), and each matrix gets the same contract (see
+    :func:`_solve_stack`).  A failure of a stacked solve names the index of
+    its matrix in the message and as the exception's ``index``.
+
     This is :func:`_factor_psd` followed by :func:`_solve_factored`; a
     caller that solves against one fixed matrix many times keeps the
     factor half's result and runs only the solve half, whose refinement
@@ -85,8 +97,9 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If A is not a non-empty square matrix, or B is not a vector or
-        matrix with one row per row of A.
+        If A is not a non-empty square matrix or stack of them, or B is
+        not a vector or matrix with one row per row of A (for a stack: one
+        (n, k) matrix per matrix of A, or one shared).
     NonFiniteError
         If the matrix or the right-hand side holds an inf or nan (checked
         once the factorization or the residual check has failed).
@@ -95,9 +108,18 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         budget, or the relative residual stays above 1e-10.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0] if a.ndim == 2 else 0
-    if n == 0 or a.shape != (n, n):
-        raise ValueError(f"solve_psd expects a non-empty square matrix, got shape {a.shape}")
+    n = a.shape[-1] if a.ndim in (2, 3) else 0
+    if n == 0 or a.shape[-2:] != (n, n):
+        raise ValueError(
+            f"solve_psd expects a non-empty square matrix or stack of them, got shape {a.shape}"
+        )
+    if a.ndim == 3:
+        return _solve_stack(a, b)
+    return _solve_one(a, b)
+
+
+def _solve_one(a: np.ndarray, b) -> np.ndarray:
+    """:func:`solve_psd` for one validated square float A."""
     try:
         a_used, factor = _factor_psd(a)
     except NumericalError:
@@ -105,6 +127,48 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         _check_finite(a, _as_rhs(a, b))
         raise
     return _solve_factored(a_used, factor, b)
+
+
+def _solve_stack(a: np.ndarray, b) -> np.ndarray:
+    """:func:`solve_psd` for a validated stack A of shape (m, n, n).
+
+    One stacked pass factors every matrix (numpy's batched Cholesky),
+    solves with the inverse of each factor and refines once; each matrix's
+    residual then gets the 2-D path's check, :func:`_check_residual`.  A
+    matrix that pass cannot settle is solved again on the 2-D path, which
+    owns the jitter ladder and the error classes: every matrix whose
+    residual misses the bound, and every matrix of a stack in which some
+    matrix does not factor.  Each matrix therefore has the outcome it has
+    on the 2-D path, up to the rounding of an accepted solve.
+    """
+    m, n = a.shape[:2]
+    b = np.asarray(b, dtype=float)
+    if not (b.ndim == 2 and b.shape[0] == n or b.ndim == 3 and b.shape[:2] == (m, n)):
+        raise ValueError(
+            f"solve_psd right-hand side of shape {b.shape} does not match stack of shape {a.shape}"
+        )
+    rhs = b if b.ndim == 3 else np.broadcast_to(b, (m,) + b.shape)
+    x = np.empty(rhs.shape)
+    redo = range(m)
+    try:
+        # An inf or nan that factors leaves a nan residual, refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv = np.linalg.inv(np.linalg.cholesky(a))  # L^-1, per matrix
+            inv_t = inv.transpose(0, 2, 1)
+            x = inv_t @ (inv @ rhs)
+            x += inv_t @ (inv @ (rhs - a @ x))
+            resid = rhs - a @ x
+            redo = [i for i in range(m) if not _check_residual(resid[i], rhs[i])[1]]
+    except np.linalg.LinAlgError:
+        pass  # some matrix does not factor: the 2-D path solves them all
+    for i in redo:
+        try:
+            x[i] = _solve_one(a[i], rhs[i])
+        except NumericalError as exc:
+            exc.index = i
+            exc.args = (f"{exc} (matrix {i} of {m})",)
+            raise
+    return x
 
 
 def _factor_psd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +204,8 @@ def _solve_factored(a: np.ndarray, factor: np.ndarray, b: np.ndarray) -> np.ndar
     and the relative residual checked against A.
 
     Raises ValueError if B does not have one row per row of A, and
-    SingularMatrixError if the residual stays above 1e-10 (NonFiniteError
+    SingularMatrixError if the residual stays above
+    :data:`_RESIDUAL_BOUND` (NonFiniteError
     if A or B holds an inf or nan).
     """
     b = _as_rhs(a, b)
@@ -151,11 +216,12 @@ def _solve_factored(a: np.ndarray, factor: np.ndarray, b: np.ndarray) -> np.ndar
         x = dpotrs(factor, b, lower=1)[0]
         # One refinement pass keeps the residual near machine precision.
         x += dpotrs(factor, b - a @ x, lower=1, overwrite_b=1)[0]
-        rel = _norm(b - a @ x) / max(_norm(b), _TINY)
-    if not rel <= 1e-10:
+        rel, passed = _check_residual(b - a @ x, b)
+    if not passed:
         _check_finite(a, b)
         raise SingularMatrixError(
-            f"SPD solve residual {rel:.3e} exceeds 1e-10; matrix too ill-conditioned"
+            f"SPD solve residual {rel:.3e} exceeds {_RESIDUAL_BOUND:.0e};"
+            " matrix too ill-conditioned"
         )
     return x
 
@@ -168,6 +234,15 @@ def _as_rhs(a: np.ndarray, b) -> np.ndarray:
             f"solve_psd right-hand side of shape {b.shape} does not match matrix of shape {a.shape}"
         )
     return b
+
+
+def _check_residual(resid: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
+    """The relative residual ||R||_F / ||B||_F of a solve with residual
+    R = B - A X, ||B|| floored at the smallest normal number so that B = 0
+    passes with X = 0, and whether it is within :data:`_RESIDUAL_BOUND` (a
+    nan never is); to be called with numpy overflow warnings off."""
+    rel = _norm(resid) / max(_norm(b), _TINY)
+    return rel, rel <= _RESIDUAL_BOUND
 
 
 def _norm(v: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from kalgrad.equivalence import (
 )
 from kalgrad.model import DynamicalModel, builtin, generate_scenario, linearise, mean_linearisation
 
-from conftest import random_spd
+from conftest import observe, random_spd
 from oracles import inst_loglik, log_density, mc_fisher, plain_online_natgrad
 from test_ekf import make_linear_model
 from test_equivalence import softmax_model
@@ -145,9 +145,9 @@ def test_c04_observation_form_identities():
             family = expfam.gaussian(random_spd(rng, dim))
             pred = (rng.standard_normal(dim), random_spd(rng, dim))
             y = model.h(pred[0], np.zeros(0)) + rng.standard_normal(dim)
-            a_mean, a_cov = ekf.observe_gain(*pred, y, model, family, 1)
-            b_mean, b_cov = ekf.observe_information(*pred, y, model, family, 1)
-            c_mean, c_cov = ekf.observe_gradient(*pred, y, model, family, 1)
+            a_mean, a_cov = observe(ekf.observe_gain, *pred, y, model, family, 1)
+            b_mean, b_cov = observe(ekf.observe_information, *pred, y, model, family, 1)
+            c_mean, c_cov = observe(ekf.observe_gradient, *pred, y, model, family, 1)
             scale = max(1.0, float(np.abs(a_mean).max()))
             cov_scale = float(np.linalg.norm(a_cov))
             ok = ok and np.abs(a_mean - b_mean).max() <= 1e-10 * scale
@@ -348,7 +348,7 @@ def test_c10_gradient_checks_and_matrix_hygiene():
             s = rng.standard_normal(model.dim_state)
             t = int(rng.integers(1, 50))
             y = expfam.sample(family, model.h(s, model.input_at(t)), rng)
-            lin = linearise(model, family, s, t)
+            lin = linearise(model, family, s, model.input_at(t), t)
             grad = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
             fd = np.zeros(model.dim_state)
             eps = 1e-6

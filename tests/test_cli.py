@@ -518,6 +518,50 @@ class TestRejectedInputs:
         assert capsys.readouterr().err.startswith("error: invalid field T: ")
         assert not out.exists()
 
+    # An alpha value that is not a number is named by its field, as every
+    # other field is, not reported as a bare float conversion error.
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("alpha[3] = x", "invalid field alpha[3]: could not convert string to float: 'x'"),
+            ("alpha = 0.1, x", "invalid field alpha: could not convert string to float: ' x'"),
+            ("alpha = ramp(0, x)", "invalid field alpha: could not convert string to float: 'x'"),
+        ],
+        ids=["override", "list", "ramp"],
+    )
+    def test_unparsable_alpha_names_the_field(
+        self, command, line, message, linear_cfg, tmp_path, capsys
+    ):
+        _set_field(linear_cfg, line)
+        out = tmp_path / "out"
+        argv = COMMANDS[command] + ["--config", str(linear_cfg), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    # A step that does not fit the time span is named by its field, and
+    # within dt_list by its entry, before the integrator sees it.
+    @pytest.mark.parametrize(
+        "argv, line, message",
+        [
+            (["run", "--side", "filter"], "dt = 2.0", "invalid field dt: need 0 < dt <= T = 1, got 2"),
+            (
+                ["compare"], "dt_list = 0.1, 2.0",
+                "invalid field dt_list: need 0 < dt <= T = 1, got 2 (entry 2 of 2)",
+            ),
+        ],
+        ids=["run-dt", "compare-dt_list"],
+    )
+    def test_step_beyond_the_horizon_names_the_field(
+        self, argv, line, message, pendulum_cfg, tmp_path, capsys
+    ):
+        _set_field(pendulum_cfg, line)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(pendulum_cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestUsageErrors:
     # A usage error is a configuration error (exit 1) that names the flag;

@@ -7,7 +7,7 @@ from kalgrad import ekf, expfam
 from kalgrad.errors import DomainError, NonFiniteError, SingularMatrixError
 from kalgrad.model import DynamicalModel, Scenario, builtin, generate_scenario
 
-from conftest import random_spd
+from conftest import observe, random_spd
 
 
 def make_linear_model(h_mat, f_scale=1.0, name="test-linear"):
@@ -50,7 +50,7 @@ class TestTransition:
     def test_static_alpha_zero_unchanged(self):
         model = builtin("static")
         mean, cov = np.array([0.4, -0.1]), np.diag([2.0, 3.0])
-        pred_mean, pred_cov = ekf.transition(mean, cov, model, 1, 0.0)
+        pred_mean, pred_cov = ekf.transition(mean, cov, model, model.input_at(1), 1, 0.0)
         np.testing.assert_array_equal(pred_mean, mean)
         np.testing.assert_array_equal(pred_cov, cov)
         np.testing.assert_array_equal(model.jac_f(mean, model.input_at(1)), np.eye(2))
@@ -60,18 +60,18 @@ class TestTransition:
         # transition step, not of the observation update that follows.
         model = builtin("static")
         with pytest.raises(NonFiniteError, match="covariance at t = 3"):
-            ekf.transition(np.zeros(2), 1e10 * np.eye(2), model, 3, 1e300)
+            ekf.transition(np.zeros(2), 1e10 * np.eye(2), model, model.input_at(3), 3, 1e300)
 
     def test_scalar_doubling_variance(self):
         model = make_linear_model([[1.0]], f_scale=2.0)
         _, pred_cov = ekf.transition(
-            np.array([1.0]), np.array([[1.0]]), model, 1, 0.0
+            np.array([1.0]), np.array([[1.0]]), model, np.zeros(0), 1, 0.0
         )
         np.testing.assert_allclose(pred_cov, [[4.0]])
 
     def test_fading_doubles_identity(self):
         model = builtin("static")
-        _, pred_cov = ekf.transition(np.zeros(2), np.eye(2), model, 1, 1.0)
+        _, pred_cov = ekf.transition(np.zeros(2), np.eye(2), model, model.input_at(1), 1, 1.0)
         np.testing.assert_allclose(pred_cov, 2.0 * np.eye(2))
 
 
@@ -79,7 +79,8 @@ class TestObserveGain:
     def test_scalar_forced_values(self):
         model = make_linear_model([[1.0]])
         family = expfam.gaussian(np.array([[1.0]]))
-        mean, cov = ekf.observe_gain(
+        mean, cov = observe(
+            ekf.observe_gain,
             np.array([0.3]), np.array([[1.0]]), np.array([1.3]), model, family, 1
         )
         # K = 1/2, P = 1/2, s += (y - yhat)/2
@@ -91,7 +92,7 @@ class TestObserveGain:
         family = expfam.gaussian(random_spd(rng, 2))
         pred_mean, pred_cov = rng.standard_normal(2), random_spd(rng, 2)
         yhat = model.h(pred_mean, np.zeros(0))
-        mean, cov = ekf.observe_gain(pred_mean, pred_cov, yhat.copy(), model, family, 1)
+        mean, cov = observe(ekf.observe_gain, pred_mean, pred_cov, yhat.copy(), model, family, 1)
         np.testing.assert_allclose(mean, pred_mean, atol=1e-12)
         eigs = np.linalg.eigvalsh(pred_cov - cov)
         assert eigs.min() > 0  # information strictly increases
@@ -140,7 +141,9 @@ class TestObserveGain:
         model = make_linear_model([[1.0]])
         family = expfam.gaussian(np.array([[1.0]]))
         with pytest.raises(SingularMatrixError, match="innovation matrix singular at t = 4"):
-            ekf.observe_gain(np.array([0.0]), np.array([[1.0]]), np.array([1.0]), model, family, 4)
+            observe(
+                ekf.observe_gain, np.array([0.0]), np.array([[1.0]]), np.array([1.0]), model, family, 4
+            )
 
 
 class TestFormEquivalence:
@@ -156,9 +159,9 @@ class TestFormEquivalence:
             pred = (rng.standard_normal(dim), random_spd(rng, dim))
             yhat = model.h(pred[0], np.zeros(0))
             y = yhat + rng.standard_normal(dim)
-            a_mean, a_cov = ekf.observe_gain(*pred, y, model, family, 1)
-            b_mean, b_cov = ekf.observe_information(*pred, y, model, family, 1)
-            c_mean, c_cov = ekf.observe_gradient(*pred, y, model, family, 1)
+            a_mean, a_cov = observe(ekf.observe_gain, *pred, y, model, family, 1)
+            b_mean, b_cov = observe(ekf.observe_information, *pred, y, model, family, 1)
+            c_mean, c_cov = observe(ekf.observe_gradient, *pred, y, model, family, 1)
             scale = max(1.0, np.abs(a_mean).max())
             assert np.abs(a_mean - b_mean).max() <= 1e-10 * scale
             assert np.abs(a_mean - c_mean).max() <= 1e-10 * scale
@@ -180,9 +183,9 @@ class TestFormEquivalence:
         assert expfam.canonical_variance(family, model.predictor(saturated, u))[0, 0] == 0.0
         cases += [((saturated, random_spd(rng, 2)), y) for y in (0, 1)]
         for pred, y in cases:
-            a_mean, a_cov = ekf.observe_gain(*pred, y, model, family, 1)
-            b_mean, b_cov = ekf.observe_information(*pred, y, model, family, 1)
-            c_mean, _ = ekf.observe_gradient(*pred, y, model, family, 1)
+            a_mean, a_cov = observe(ekf.observe_gain, *pred, y, model, family, 1)
+            b_mean, b_cov = observe(ekf.observe_information, *pred, y, model, family, 1)
+            c_mean, _ = observe(ekf.observe_gradient, *pred, y, model, family, 1)
             np.testing.assert_allclose(b_mean, a_mean, atol=1e-10)
             np.testing.assert_allclose(c_mean, a_mean, atol=1e-10)
             np.testing.assert_allclose(b_cov, a_cov, atol=1e-10)
@@ -191,7 +194,8 @@ class TestFormEquivalence:
         # 1/P = 1/1 + 1 = 2.
         model = make_linear_model([[1.0]])
         family = expfam.gaussian(np.array([[1.0]]))
-        mean, cov = ekf.observe_information(
+        mean, cov = observe(
+            ekf.observe_information,
             np.array([0.0]), np.array([[1.0]]), np.array([2.0]), model, family, 1
         )
         np.testing.assert_allclose(cov, [[0.5]])
@@ -201,7 +205,9 @@ class TestFormEquivalence:
         model = make_linear_model([[0.0, 0.0]])
         family = expfam.gaussian(np.array([[1.0]]))
         pred_mean, pred_cov = np.array([0.2, -0.4]), np.diag([1.5, 2.5])
-        mean, cov = ekf.observe_information(pred_mean, pred_cov, np.array([3.0]), model, family, 1)
+        mean, cov = observe(
+            ekf.observe_information, pred_mean, pred_cov, np.array([3.0]), model, family, 1
+        )
         np.testing.assert_allclose(mean, pred_mean, atol=1e-12)
         np.testing.assert_allclose(cov, pred_cov, atol=1e-12)
 
@@ -210,13 +216,14 @@ class TestFormEquivalence:
         family = expfam.gaussian(random_spd(rng, 2))
         pred_mean, pred_cov = rng.standard_normal(2), random_spd(rng, 2)
         yhat = model.h(pred_mean, np.zeros(0))
-        mean, _ = ekf.observe_gradient(pred_mean, pred_cov, yhat.copy(), model, family, 1)
+        mean, _ = observe(ekf.observe_gradient, pred_mean, pred_cov, yhat.copy(), model, family, 1)
         np.testing.assert_allclose(mean, pred_mean, atol=1e-13)
 
     def test_gradient_form_scalar(self):
         model = make_linear_model([[1.0]])
         family = expfam.gaussian(np.array([[1.0]]))
-        mean, cov = ekf.observe_gradient(
+        mean, cov = observe(
+            ekf.observe_gradient,
             np.array([0.1]), np.array([[1.0]]), np.array([0.7]), model, family, 1
         )
         np.testing.assert_allclose(cov, [[0.5]])
@@ -226,7 +233,8 @@ class TestFormEquivalence:
         model = make_linear_model([[1.0]])
         bad_family = expfam.ObservationFamily(kind="gaussian", obs_cov=np.array([[-2.0]]))
         with pytest.raises(SingularMatrixError):
-            ekf.observe_gain(
+            observe(
+                ekf.observe_gain,
                 np.array([0.0]), np.array([[1.0]]), np.array([1.0]), model, bad_family, 1
             )
 
@@ -239,9 +247,9 @@ class TestCanonicalLink:
         for _ in range(20):
             pred = (rng.standard_normal(2), random_spd(rng, 2))
             y = int(rng.integers(2))
-            for observe in ekf._OBSERVERS.values():
-                a_mean, a_cov = observe(*pred, y, model, family, 1)
-                b_mean, b_cov = observe(*pred, y, mean_model, family, 1)
+            for update in ekf._OBSERVERS.values():
+                a_mean, a_cov = observe(update, *pred, y, model, family, 1)
+                b_mean, b_cov = observe(update, *pred, y, mean_model, family, 1)
                 np.testing.assert_allclose(a_mean, b_mean, rtol=1e-12, atol=1e-14)
                 np.testing.assert_allclose(a_cov, b_cov, rtol=1e-12, atol=1e-14)
 
@@ -255,15 +263,17 @@ class TestCanonicalLink:
         pred_mean = 800.0 * u / (u @ u)
         mean_model = dataclasses.replace(model, predictor=None)
         with pytest.raises(DomainError):
-            ekf.observe_gain(pred_mean, cov, 0, mean_model, family, 1)
-        mean, post_cov = ekf.observe_gain(pred_mean, cov, 0, model, family, 1)
+            observe(ekf.observe_gain, pred_mean, cov, 0, mean_model, family, 1)
+        mean, post_cov = observe(ekf.observe_gain, pred_mean, cov, 0, model, family, 1)
         np.testing.assert_array_equal(post_cov, cov)
         np.testing.assert_allclose(mean, pred_mean - cov @ u, rtol=1e-15)
 
     def test_non_finite_update_raises(self):
         model = builtin("logistic-static")
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-            ekf.observe_gain(np.zeros(2), np.full((2, 2), np.inf), 1, model, expfam.bernoulli(), 1)
+            observe(
+                ekf.observe_gain, np.zeros(2), np.full((2, 2), np.inf), 1, model, expfam.bernoulli(), 1
+            )
 
 
 def counting_scenario(horizon):
@@ -337,7 +347,9 @@ class TestRun:
             scenario = generate_scenario(model, famfac(model), 30, seed=6)
             trace = ekf.run(scenario, 0.2, model.init_state, np.eye(2))
             for t in range(1, scenario.horizon + 1):
-                _, pred_cov = ekf.transition(trace.states[t - 1], trace.covs[t - 1], model, t, 0.2)
+                _, pred_cov = ekf.transition(
+                    trace.states[t - 1], trace.covs[t - 1], model, scenario.inputs[t - 1], t, 0.2
+                )
                 gap = np.linalg.eigvalsh(pred_cov - trace.covs[t]).min()
                 assert gap >= -1e-10
 

@@ -12,8 +12,8 @@ from kalgrad.equivalence import (
     map_alpha_to_eta,
     map_eta_to_alpha,
 )
-from kalgrad.errors import DomainError, SingularMatrixError
-from kalgrad.model import DynamicalModel, builtin, generate_scenario
+from kalgrad.errors import DomainError, NonFiniteError, SingularMatrixError
+from kalgrad.model import DynamicalModel, Trace, builtin, generate_scenario
 
 
 def scenario_for(name, horizon, seed):
@@ -248,6 +248,75 @@ class TestCheckDiscrete:
         assert report.max_state_dev <= 1e-10
 
 
+class TestSharedStepData:
+    """Both sides read u_t and T(y_t) from the scenario; the metric check
+    runs on stacked solves."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Record each input_at call as "u" and each sufficient_stats call
+        as "T" from here on."""
+        calls = []
+        input_at = DynamicalModel.input_at
+        stats = expfam.sufficient_stats
+        monkeypatch.setattr(
+            DynamicalModel, "input_at", lambda m, t: calls.append("u") or input_at(m, t)
+        )
+        monkeypatch.setattr(
+            expfam, "sufficient_stats", lambda f, y: calls.append("T") or stats(f, y)
+        )
+        return calls
+
+    def test_certificate_recomputes_no_input_or_statistic(self, monkeypatch):
+        scenarios = [scenario_for(name, 20, 1) for name in equivalence.SWEEP_MODELS]
+        calls = self.count_calls(monkeypatch)
+        for scenario in scenarios:
+            model = scenario.model
+            assert check_discrete(scenario, 0.5 * model.init_state, np.eye(2), alpha=0.1).passed
+        assert calls == []
+
+    @pytest.mark.parametrize("mutate", equivalence.MUTATIONS)
+    def test_negative_control_recomputes_no_statistic(self, monkeypatch, mutate):
+        # skip_metric_transport reads u_1 once, to refuse a model whose
+        # Jacobian is already the identity; its F = I model steps on the
+        # scenario's own rows.
+        scenario = scenario_for("linear2d", 20, 1)
+        calls = self.count_calls(monkeypatch)
+        s0 = 0.5 * scenario.model.init_state
+        assert not check_discrete(scenario, s0, np.eye(2), alpha=0.1, mutate=mutate).passed
+        assert calls == (["u"] if mutate == "skip_metric_transport" else [])
+
+    def test_metric_devs_match_per_row_solves(self):
+        # The stacked solves move no deviation by more than 1e-15 from a
+        # solve per row, over the criterion-1 grid.
+        worst = 0.0
+        for name in equivalence.SWEEP_MODELS:
+            for seed in range(equivalence.SWEEP_SEEDS):
+                scenario, s0, p0 = equivalence.sweep_cell(name, equivalence.SWEEP_HORIZON, seed)
+                for alpha in equivalence.sweep_schedules(equivalence.SWEEP_HORIZON).values():
+                    etas = map_alpha_to_eta(alpha, 0.5, scenario.horizon)
+                    filt = ekf.run(scenario, alpha, s0, p0)
+                    metric0 = equivalence.initial_metric(p0, 0.5)
+                    grad = natgrad.run(scenario, etas[1:], etas[1:], s0, metric0)
+                    devs = equivalence._metric_devs(filt.covs, grad.metrics, etas)
+                    for t, (cov, metric, eta) in enumerate(zip(filt.covs, grad.metrics, etas)):
+                        ref = np.linalg.norm(cov - eta * numerics.solve_psd(metric, np.eye(2)))
+                        ref /= np.linalg.norm(cov)
+                        worst = max(worst, abs(devs[t] - ref))
+        assert worst <= 1e-15
+
+    def test_failed_metric_solve_names_the_row(self):
+        rows = 2 * equivalence._METRIC_BLOCK + 5
+        covs = np.broadcast_to(np.eye(2), (rows, 2, 2))
+        metrics = np.array(covs)
+        t = equivalence._METRIC_BLOCK + 7
+        metrics[t, 1, 0] = np.nan
+        filt = Trace(np.zeros((rows, 2)), covs=covs)
+        grad = Trace(np.zeros((rows, 2)), metrics=metrics)
+        with pytest.raises(NonFiniteError, match=rf"in the metric check at t = {t}$"):
+            equivalence._compare(filt, grad, np.ones(rows), 1e-8)
+
+
 class TestGaussianObservationFactor:
     """Structure guard: a gaussian family's fixed R is factored once, and
     every linearisation still runs the refined, residual-checked solve."""
@@ -266,9 +335,10 @@ class TestGaussianObservationFactor:
         monkeypatch.setattr(numerics, "dpotrf", counting_dpotrf)
         assert check_discrete(scenario, s0, p0, alpha=0.1).passed
         assert sum(factored) == 1  # not once per linearisation on each side
-        # The rest: the prior metric, the natural step at each t, and the
-        # implied covariance at each row of the metric deviations.
-        assert len(factored) - 1 == 1 + horizon + (horizon + 1)
+        # The rest: the prior metric and the natural step at each t.  The
+        # implied covariances of the metric deviations come from one
+        # stacked solve, which factors on numpy's batched path.
+        assert len(factored) - 1 == 1 + horizon
 
     def test_ill_conditioned_r_fails_at_the_first_linearisation(self, monkeypatch):
         # cond(R) ~ 1e15: the family accepts R (its eigenvalues are
@@ -280,9 +350,9 @@ class TestGaussianObservationFactor:
         scenario = generate_scenario(model, family, 20, seed=0)
         seen = []
         for module in (ekf, natgrad):
-            def recording(m, fam, state, t, _name=module.__name__, _inner=module.linearise):
+            def recording(m, fam, state, u, t, _name=module.__name__, _inner=module.linearise):
                 seen.append((_name, t))
-                return _inner(m, fam, state, t)
+                return _inner(m, fam, state, u, t)
 
             monkeypatch.setattr(module, "linearise", recording)
         for _ in range(2):  # the second run uses the factor the family kept

@@ -5,10 +5,11 @@ import pytest
 
 from kalgrad import bucy, expfam
 from kalgrad.equivalence import check_continuous
-from kalgrad.errors import UnknownModelError
+from kalgrad.errors import OutOfSupportError, UnknownModelError
 from kalgrad.model import (
     ContinuousModel,
     DynamicalModel,
+    Scenario,
     builtin,
     builtin_names,
     generate_scenario,
@@ -54,7 +55,7 @@ class TestBuiltins:
         s = np.array([1.0, -1.0])
         for t in range(1, 201):
             assert np.linalg.det(m.jac_f(s, m.input_at(t))) > 0
-            s = step_dynamics(m, s, t)
+            s = step_dynamics(m, s, m.input_at(t), t)
 
     @pytest.mark.parametrize("name", DISCRETE + CONTINUOUS)
     def test_types(self, name):
@@ -68,11 +69,11 @@ class TestStepDynamics:
         m = builtin("static")
         s = rng.standard_normal(2)
         for t in (1, 5, 17):
-            np.testing.assert_array_equal(step_dynamics(m, s, t), s)
+            np.testing.assert_array_equal(step_dynamics(m, s, m.input_at(t), t), s)
 
     def test_linear2d_origin_fixed(self):
         m = builtin("linear2d")
-        np.testing.assert_array_equal(step_dynamics(m, np.zeros(2), 1), np.zeros(2))
+        np.testing.assert_array_equal(step_dynamics(m, np.zeros(2), m.input_at(1), 1), np.zeros(2))
 
     def test_tanhspring_matches_direct_formula(self, rng):
         # Oracle: the defining formula evaluated independently here.
@@ -81,7 +82,7 @@ class TestStepDynamics:
         for _ in range(10):
             s = rng.standard_normal(2)
             expected = s + 0.1 * np.tanh(coupling @ s)
-            np.testing.assert_allclose(step_dynamics(m, s, 1), expected, rtol=1e-15)
+            np.testing.assert_allclose(step_dynamics(m, s, m.input_at(1), 1), expected, rtol=1e-15)
 
 
 class TestJacobianConsistency:
@@ -226,7 +227,7 @@ class TestGenerateScenario:
         sc = generate_scenario(m, fam, 25, seed=4)
         for t in range(1, 26):
             np.testing.assert_array_equal(
-                sc.true_states[t], step_dynamics(m, sc.true_states[t - 1], t)
+                sc.true_states[t], step_dynamics(m, sc.true_states[t - 1], sc.inputs[t - 1], t)
             )
 
     def test_vanishing_noise_limit(self):
@@ -262,3 +263,39 @@ class TestGenerateScenario:
         sc = generate_scenario(m, expfam.gaussian(np.eye(2)), 0, seed=0)
         assert sc.horizon == 0
         assert sc.true_states.shape == (1, 2)
+
+
+class TestScenarioData:
+    """The per-step data a scenario carries: its inputs u_t and the
+    sufficient statistics T(y_t), made once when it is built."""
+
+    @pytest.mark.parametrize("name", DISCRETE)
+    def test_rows_are_the_inputs_and_statistics(self, name):
+        m = builtin(name)
+        fam = default_family(m)
+        sc = generate_scenario(m, fam, 12, seed=2)
+        assert sc.inputs.shape == (12, m.dim_input)
+        assert sc.stats.shape == (12, fam.mean_dim)
+        for t in range(1, 13):
+            np.testing.assert_array_equal(sc.inputs[t - 1], m.input_at(t))
+            np.testing.assert_array_equal(sc.stats[t - 1], expfam.sufficient_stats(fam, sc.obs(t)))
+        direct = Scenario(m, fam, sc.true_states, sc.observations, sc.seed)
+        np.testing.assert_array_equal(direct.inputs, sc.inputs)
+        np.testing.assert_array_equal(direct.stats, sc.stats)
+
+    def test_arrays_are_read_only(self):
+        sc = generate_scenario(builtin("static"), expfam.gaussian(np.eye(1)), 3, seed=0)
+        for arr in (sc.inputs, sc.stats):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_label_outside_support_is_refused_when_built(self):
+        labels = [0, 1, 1, 0, 1, 0, 2, 1]
+        with pytest.raises(OutOfSupportError, match=r"outside support .* at t = 7$"):
+            Scenario(
+                model=builtin("logistic-static"),
+                family=expfam.bernoulli(),
+                true_states=np.zeros((len(labels) + 1, 2)),
+                observations=labels,
+                seed=0,
+            )

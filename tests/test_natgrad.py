@@ -8,7 +8,7 @@ from kalgrad.errors import NonFiniteError, SingularMatrixError
 from kalgrad.model import builtin, generate_scenario, linearise, mean_linearisation
 from kalgrad.numerics import symmetrize
 
-from conftest import random_spd
+from conftest import natgrad_update, random_spd
 from oracles import log_density, mc_fisher, plain_online_natgrad
 from test_ekf import counting_scenario, make_linear_model, make_scenario
 
@@ -49,9 +49,9 @@ class TestPushforwardMetric:
         with pytest.raises(NonFiniteError, match="chart-change Jacobian has non-finite entries"):
             natgrad.pushforward_metric(np.eye(2), psi)
 
-    # The check reads s_max / s_min from one SVD; it must be the number
-    # np.linalg.cond gives, including inf for an exactly singular psi.
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    # The check reads s_max / s_min from one LAPACK SVD; it must be the
+    # number np.linalg.cond gives, including inf for an exactly singular psi.
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
     def test_condition_is_numpy_cond_bit_for_bit(self, n, rng):
         cases = [rng.standard_normal((n, n)) for _ in range(5)]
         for scale in (1e-6, 1e-12, 1e-15):
@@ -62,6 +62,12 @@ class TestPushforwardMetric:
         cases += [zero_row, np.zeros((n, n)), np.diag(np.arange(n, dtype=float))]
         for psi in cases:
             assert natgrad._condition(psi) == np.linalg.cond(psi)
+
+    def test_unconverged_svd_raises(self, monkeypatch):
+        # LAPACK's report that the SVD did not converge stops the transport.
+        monkeypatch.setattr(natgrad, "dgesdd", lambda a, compute_uv: (None, np.ones(2), None, 1))
+        with pytest.raises(SingularMatrixError, match="SVD did not converge"):
+            natgrad.pushforward_metric(np.eye(2), np.eye(2))
 
     def test_singular_lu_factor_raises(self, monkeypatch):
         # A psi that passes the condition check but whose LU factor has a
@@ -87,14 +93,16 @@ class TestChartTransport:
     def test_static_leaves_everything(self, rng):
         model = builtin("static")
         s, j = rng.standard_normal(2), random_spd(rng, 2)
-        moved_s, moved_j = natgrad.chart_transport(s, j, model, 1)
+        moved_s, moved_j = natgrad.chart_transport(s, j, model, model.input_at(1), 1)
         np.testing.assert_array_equal(moved_s, s)
         np.testing.assert_allclose(moved_j, j)
         np.testing.assert_array_equal(model.jac_f(s, model.input_at(1)), np.eye(2))
 
     def test_scalar_doubling(self):
         model = make_linear_model([[1.0]], f_scale=2.0)
-        moved_s, moved_j = natgrad.chart_transport(np.array([1.0]), np.array([[1.0]]), model, 1)
+        moved_s, moved_j = natgrad.chart_transport(
+            np.array([1.0]), np.array([[1.0]]), model, np.zeros(0), 1
+        )
         np.testing.assert_allclose(moved_j, [[0.25]])
         np.testing.assert_allclose(moved_s, [2.0])
 
@@ -103,7 +111,7 @@ class TestChartTransport:
         for _ in range(10):
             j = random_spd(rng, 2)
             s = rng.standard_normal(2)
-            _, moved_j = natgrad.chart_transport(s, j, model, 1)
+            _, moved_j = natgrad.chart_transport(s, j, model, model.input_at(1), 1)
             f_inv = np.linalg.inv(model.jac_f(s, model.input_at(1)))
             np.testing.assert_allclose(moved_j, f_inv.T @ j @ f_inv, atol=1e-12)
 
@@ -114,7 +122,7 @@ class TestChartTransport:
             for _ in range(10):
                 j = random_spd(rng, 2)
                 s = rng.standard_normal(2)
-                _, moved_j = natgrad.chart_transport(s, j, model, 1)
+                _, moved_j = natgrad.chart_transport(s, j, model, model.input_at(1), 1)
                 f_jac = model.jac_f(s, model.input_at(1))
                 resid = np.linalg.norm(f_jac.T @ moved_j @ f_jac - j)
                 assert resid <= 1e-10 * np.linalg.norm(j)
@@ -126,7 +134,7 @@ class TestChartTransport:
         psi = np.array([[1.0, 0.0], [0.0, bad]])
         model = dataclasses.replace(builtin("linear2d"), jacobian_f=lambda s, u: psi.copy())
         with pytest.raises(NonFiniteError) as info:
-            natgrad.chart_transport(np.ones(2), np.eye(2), model, 3)
+            natgrad.chart_transport(np.ones(2), np.eye(2), model, model.input_at(3), 3)
         assert str(info.value) == "chart-change Jacobian has non-finite entries at t = 3"
 
 
@@ -154,8 +162,8 @@ class TestCanonicalLink:
         for _ in range(20):
             s, t = rng.standard_normal(2), int(rng.integers(1, 50))
             np.testing.assert_allclose(
-                natgrad.fisher_term(linearise(model, fam, s, t)),
-                natgrad.fisher_term(linearise(mean_model, fam, s, t)),
+                natgrad.fisher_term(linearise(model, fam, s, model.input_at(t), t)),
+                natgrad.fisher_term(linearise(mean_model, fam, s, mean_model.input_at(t), t)),
                 rtol=1e-12,
                 atol=1e-15,
             )
@@ -168,8 +176,8 @@ class TestCanonicalLink:
         for _ in range(20):
             s, j = rng.standard_normal(2), random_spd(rng, 2)
             y = int(rng.integers(2))
-            a_s, a_j = natgrad.update(s, j, y, model, fam, eta, gamma, 1)
-            b_s, b_j = natgrad.update(s, j, y, mean_model, fam, eta, gamma, 1)
+            a_s, a_j = natgrad_update(s, j, y, model, fam, eta, gamma, 1)
+            b_s, b_j = natgrad_update(s, j, y, mean_model, fam, eta, gamma, 1)
             np.testing.assert_allclose(a_s, b_s, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(a_j, b_j, rtol=1e-12, atol=1e-14)
 
@@ -182,7 +190,7 @@ class TestCanonicalLink:
         u = model.input_at(1)
         metric = np.array([[2.0, 0.5], [0.5, 1.0]])
         s = 800.0 * u / (u @ u)
-        post_s, post_j = natgrad.update(s, metric, 0, model, fam, eta, gamma, 1)
+        post_s, post_j = natgrad_update(s, metric, 0, model, fam, eta, gamma, 1)
         np.testing.assert_allclose(post_j, 0.6 * metric, rtol=1e-15)
         np.testing.assert_allclose(
             post_s, s - 0.4 * np.linalg.solve(0.6 * metric, u), rtol=1e-12
@@ -197,7 +205,7 @@ class TestUpdate:
         s = rng.standard_normal(2)
         j = random_spd(rng, 2)
         yhat = model.h(s, np.zeros(0))
-        post_s, post_j = natgrad.update(s, j, yhat.copy(), model, fam, eta, gamma, 1)
+        post_s, post_j = natgrad_update(s, j, yhat.copy(), model, fam, eta, gamma, 1)
         np.testing.assert_allclose(post_s, s, atol=1e-14)
         assert not np.allclose(post_j, j)
 
@@ -207,7 +215,7 @@ class TestUpdate:
         eta, gamma = 0.5, 1.0
         s = rng.standard_normal(2)
         yhat = model.h(s, np.zeros(0))
-        _, metric = natgrad.update(s, random_spd(rng, 2), yhat + 0.1, model, fam, eta, gamma, 1)
+        _, metric = natgrad_update(s, random_spd(rng, 2), yhat + 0.1, model, fam, eta, gamma, 1)
         h_jac = model.jac_h(s, np.zeros(0))
         expected = h_jac.T @ np.linalg.inv(fam.obs_cov) @ h_jac
         np.testing.assert_allclose(metric, expected, atol=1e-12)
@@ -245,8 +253,8 @@ class TestUpdate:
             s = rng.standard_normal(2)
             j = random_spd(rng, 2)
             yhat = model.h(s, np.zeros(0))
-            fisher = natgrad.fisher_term(linearise(model, fam, s, 1))
-            _, metric = natgrad.update(s, j, yhat + 0.2, model, fam, eta, gamma, 1)
+            fisher = natgrad.fisher_term(linearise(model, fam, s, model.input_at(1), 1))
+            _, metric = natgrad_update(s, j, yhat + 0.2, model, fam, eta, gamma, 1)
             floor = min(np.linalg.eigvalsh(j).min(), np.linalg.eigvalsh(fisher).min())
             assert np.linalg.eigvalsh(metric).min() >= floor - 1e-10
 

@@ -189,6 +189,105 @@ class TestSolvePsd:
                 solve_psd(a0, b)
 
 
+def _spd_stack(rng, n, conds):
+    """One random SPD matrix per 2-norm condition number in ``conds``, at a
+    random overall scale."""
+    stack = []
+    for cond in conds:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eigs = np.logspace(0.0, -np.log10(cond), n) * 10.0 ** rng.uniform(-3, 3)
+        stack.append(symmetrize((q * eigs) @ q.T))
+    return np.array(stack)
+
+
+# Members of a mixed stack, with a right-hand-side column in the range of
+# each: a well-conditioned matrix, a singular one that factors on the first
+# rung of the jitter ladder, one with a nan, and one that factors but fails
+# the residual bound.
+_GOOD = (np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0]))
+_JITTER = (np.ones((2, 2)), np.array([1.0, 1.0]))
+_NAN = (np.array([[2.0, 0.0], [np.nan, 1.0]]), np.array([1.0, -1.0]))
+_RESIDUAL = (np.array([[3.0, 1.0], [1.0, 1.0 / 3.0 + 1e-14]]), np.array([1.0, -1.0]))
+
+
+def _stack(*members):
+    return np.array([m[0] for m in members]), np.array([m[1][:, None] for m in members])
+
+
+class TestSolvePsdStack:
+    # Consistent systems B = A X0, so that the 2-D path meets the residual
+    # bound up to cond 1e8.  Measured over 1700 matrices per n, the two
+    # paths differ by at most 0.86 cond eps (relative to max |X|), and not
+    # at all for n = 1.
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_each_matrix_agrees_with_the_2d_path(self, n, rng):
+        conds = np.logspace(0, 8, 17) if n > 1 else np.ones(17)
+        eps = np.finfo(float).eps
+        for _ in range(5):
+            a = _spd_stack(rng, n, conds)
+            b = a @ rng.standard_normal((len(a), n, 3))
+            x = solve_psd(a, b)
+            assert x.shape == b.shape
+            for i, cond in enumerate(conds):
+                ref = solve_psd(a[i], b[i])
+                assert np.abs(x[i] - ref).max() <= 4.0 * cond * eps * np.abs(ref).max()
+
+    def test_shared_rhs(self, rng):
+        a = _spd_stack(rng, 3, np.logspace(0, 4, 6))
+        b = rng.standard_normal((3, 2))
+        x = solve_psd(a, b)
+        np.testing.assert_array_equal(x, solve_psd(a, np.broadcast_to(b, (6, 3, 2))))
+        for i in range(len(a)):
+            np.testing.assert_allclose(x[i], solve_psd(a[i], b), rtol=1e-11)
+
+    def test_empty_stack(self):
+        assert solve_psd(np.zeros((0, 2, 2)), np.eye(2)).shape == (0, 2, 2)
+
+    # The jitter rung is taken on the 2-D path, so that matrix's result is
+    # the 2-D result itself.
+    def test_jitter_rung_as_on_the_2d_path(self):
+        a, b = _stack(_GOOD, _JITTER, _GOOD)
+        x = solve_psd(a, b)
+        for i in range(3):
+            np.testing.assert_array_equal(x[i], solve_psd(a[i], b[i]))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(_JITTER[0])  # it does need the ladder
+
+    # A mixed stack fails where the 2-D path first fails, with its error
+    # class and message, plus the index of the matrix.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "members, index, error",
+        [
+            ((_JITTER, _NAN, _RESIDUAL, _GOOD), 1, NonFiniteError),
+            ((_GOOD, _JITTER, _RESIDUAL, _NAN), 2, SingularMatrixError),
+            ((_GOOD, _GOOD, _GOOD, _NAN), 3, NonFiniteError),
+        ],
+        ids=["nan-first", "residual-first", "nan-last"],
+    )
+    def test_mixed_stack_fails_as_the_2d_path(self, members, index, error):
+        a, b = _stack(*members)
+        for i in range(index):
+            solve_psd(a[i], b[i])  # the 2-D path solves the matrices before it
+        with pytest.raises(error) as expected:
+            solve_psd(a[index], b[index])
+        with pytest.raises(error) as info:
+            solve_psd(a, b)
+        assert info.value.index == index
+        assert str(info.value) == f"{expected.value} (matrix {index} of {len(members)})"
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [((3, 2, 2), (2,)), ((3, 2, 2), (3, 2)), ((3, 2, 2), (4, 2, 1)), ((3, 2, 2), (3, 3, 1)),
+         ((3, 2, 2), (3, 2, 1, 1)), ((3, 2, 3), (3, 2, 1)), ((3, 0, 0), (3, 0, 1)),
+         ((1, 3, 2, 2), (2, 1))],
+    )
+    def test_malformed_shapes_raise_value_error(self, a_shape, b_shape):
+        with pytest.raises(ValueError, match=r"shape \(") as info:
+            solve_psd(np.ones(a_shape), np.ones(b_shape))
+        assert str(a_shape) in str(info.value)
+
+
 _SCHEDULE_HORIZON = 4
 _SCHEDULE_SCENARIO = generate_scenario(
     builtin("linear2d"), expfam.gaussian(0.1 * np.eye(2)), _SCHEDULE_HORIZON, seed=0
