@@ -13,15 +13,17 @@ Natural gradient flow, with the metric J expressed in the moving chart
     ds/dt   = f(s, u_t) + eta J^-1 H^T R^-1 (y(t) - h(s, u_t))
     deta/dt = alpha(t) eta - eta^2          (with gamma = eta)
 
-Both fields read the observation from one Gaussian linearisation,
-:func:`gaussian_linearisation`: B = R^-1 H from a single solve,
-C = R and e = y(t) - h(s, u_t), so that P H^T R^-1 = P B^T,
-H^T R^-1 H = B^T C B and H^T R^-1 (y - h) = B^T e.
+Both fields read the discrete side's linearisation,
+:func:`kalgrad.model.mean_linearisation` under the model's gaussian family:
+B = R^-1 H, C = R and e = y(t) - h(s, u_t), so that P H^T R^-1 = P B^T,
+H^T R^-1 H = B^T C B (:func:`kalgrad.natgrad.fisher_term`) and
+H^T R^-1 (y - h) = B^T e.
 
 Under P = eta J^-1 and the eta equation above, the two vector fields
-coincide; :func:`integrate` runs either side with fixed-step RK4 so the
-agreement can be measured as a function of the step size.  The fields take
-the state as plain arrays (s and P, or s, J and eta) plus the time and the
+coincide; :func:`integrate` runs either side with fixed-step RK4, on a
+grid that must end at the horizon (:func:`grid_steps`), so the agreement
+can be measured as a function of the step size.  The fields take the
+state as plain arrays (s and P, or s, J and eta) plus the time and the
 model, whose own observation path they read, and return the derivatives;
 :func:`integrate` packs them into one vector for RK4.
 
@@ -36,14 +38,14 @@ time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .errors import NumericalError, PositivityLostError
-from .model import ContinuousModel, Trace
+from .model import ContinuousModel, Trace, mean_linearisation
+from .natgrad import fisher_term
 from .numerics import rk4_step, solve_psd, symmetrize
 
 BUCY = "bucy"
@@ -54,53 +56,18 @@ CNGD = "cngd"
 _POSITIVITY_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step RK4 settings and schedules for :func:`integrate`.
-
-    The horizon must be finite.  ``alpha`` may be a float or a callable of
-    time; a negative fading weight is rejected when the config is built (a
-    float) or when :meth:`alpha_at` evaluates it (a callable).
-    """
-
-    dt: float
-    horizon: float
-    alpha: float | Callable[[float], float] = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
-        if not 0 < self.dt <= self.horizon:
-            raise ValueError("need 0 < dt <= horizon")
-        if not self.horizon < np.inf:
-            raise ValueError("horizon must be finite")
-        if not callable(self.alpha) and not self.alpha >= 0:
-            raise ValueError("fading-memory weights must be >= 0")
-
-    def alpha_at(self, t: float) -> float:
-        if not callable(self.alpha):
-            return float(self.alpha)
-        alpha = float(self.alpha(t))
-        if not alpha >= 0:
-            raise ValueError("fading-memory weights must be >= 0")
-        return alpha
-
-
-def gaussian_linearisation(
-    model: ContinuousModel,
-    s: np.ndarray,
-    u: np.ndarray,
-    t: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The model's observation path at time t, linearised at state s:
-    returns (B, C, e) with B = R(t)^-1 H, C = R(t) and e = y(t) - h(s, u).
-
-    The score of the instantaneous log-likelihood in the state is e B and
-    its Fisher information is B^T C B.
-    """
-    r = np.atleast_2d(model.obs_cov(t))
-    resid = np.atleast_1d(model.obs_path(t)) - model.h(s, u)
-    return solve_psd(r, model.jac_h(s, u)), r, resid
+def grid_steps(dt: float, horizon: float) -> int:
+    """Number of RK4 steps on the grid t = k dt, which must end at the
+    finite horizon T: a ValueError names dt and T if dt lies outside
+    (0, T] or the grid misses T by more than rounding, 4 ulps of T."""
+    if not horizon < math.inf:
+        raise ValueError("horizon must be finite")
+    if not 0 < dt <= horizon:
+        raise ValueError(f"need 0 < dt <= T = {horizon:g}, got {dt:g}")
+    steps = round(horizon / dt)
+    if abs(steps * dt - horizon) > 4 * math.ulp(horizon):
+        raise ValueError(f"need a dt that divides T = {horizon:g}, got {dt:g}")
+    return steps
 
 
 def bucy_deriv(
@@ -113,13 +80,14 @@ def bucy_deriv(
     """Vector field (ds/dt, dP/dt) of the fading-memory Kalman-Bucy filter
     at mean s, covariance P (exactly symmetric) and time t."""
     u = model.input_at(t)
-    obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, t)
+    lin = mean_linearisation(model.family, model.h(s, u), model.jac_h(s, u))
+    resid = lin.residual(np.atleast_1d(model.obs_path(t)))
     f_jac = model.jac_f(s, u)
-    gain = cov @ obs_jac.T  # P H^T R^-1
+    gain = cov @ lin.jac.T  # P H^T R^-1
     ds = model.f(s, u) + gain @ resid
     # P F^T = (F P)^T exactly, since P is exactly symmetric.
     fp = f_jac @ cov
-    dcov = fp + fp.T - gain @ obs_cov @ gain.T + alpha * cov
+    dcov = fp + fp.T - gain @ lin.cov @ gain.T + alpha * cov
     return ds, symmetrize(dcov)
 
 
@@ -134,19 +102,27 @@ def cngd_deriv(
     at chart value s, metric J (exactly symmetric), learning rate
     eta = gamma and time t."""
     u = model.input_at(t)
-    obs_jac, obs_cov, resid = gaussian_linearisation(model, s, u, t)
+    lin = mean_linearisation(model.family, model.h(s, u), model.jac_h(s, u))
+    resid = lin.residual(np.atleast_1d(model.obs_path(t)))
     f_jac = model.jac_f(s, u)
-    fisher = symmetrize(obs_jac.T @ obs_cov @ obs_jac)
     # F^T J = (J F)^T exactly, since J is exactly symmetric.
     jf = metric @ f_jac
-    dmetric = -jf.T - jf - eta * metric + eta * fisher
-    ds = model.f(s, u) + eta * solve_psd(metric, obs_jac.T @ resid)
+    dmetric = -jf.T - jf - eta * metric + eta * fisher_term(lin)
+    ds = model.f(s, u) + eta * solve_psd(metric, lin.jac.T @ resid)
     return ds, symmetrize(dmetric)
 
 
 def eta_ode(eta: float, alpha: float) -> float:
     """Learning-rate flow deta/dt = alpha * eta - eta^2."""
     return alpha * eta - eta * eta
+
+
+def _fading_weight(alpha) -> float:
+    """alpha as a float, refused unless it is >= 0 (nan included)."""
+    alpha = float(alpha)
+    if not alpha >= 0:
+        raise ValueError("fading-memory weights must be >= 0")
+    return alpha
 
 
 def _check_positive(mat: np.ndarray, label: str, t: float) -> None:
@@ -165,13 +141,17 @@ def integrate(
     init_state,
     init_matrix,
     model: ContinuousModel,
-    cfg: IntegratorConfig,
+    dt: float,
+    horizon: float,
+    alpha: float | Callable[[float], float] = 0.0,
     eta0: float | None = None,
 ) -> Trace:
     """Fixed-step RK4 integration of either continuous filter against the
-    model's observation path, from t = 0; returns the samples at every grid
-    time, with ``covs`` for ``bucy`` and ``metrics`` and ``etas`` for
-    ``cngd``.
+    model's observation path on the grid t = k dt from 0 to the horizon
+    (:func:`grid_steps`); returns the samples at every grid time, with
+    ``covs`` for ``bucy`` and ``metrics`` and ``etas`` for ``cngd``.
+    ``alpha`` is a float, refused on entry if negative or nan, or a
+    callable of time, refused so when it is evaluated.
 
     ``init_matrix`` is the prior covariance P_0 for ``bucy`` and the prior
     metric J_0 for ``cngd``, whose runs also need the initial learning rate
@@ -182,8 +162,13 @@ def integrate(
     ``cngd``) and the step's grid time prepended to its message.
     """
     n = model.dim_state
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)
+    n_steps = grid_steps(dt, horizon)
+    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
+    if callable(alpha):
+        alpha_at = lambda t: _fading_weight(alpha(t))
+    else:
+        constant = _fading_weight(alpha)
+        alpha_at = lambda t: constant
 
     # The packed state z is (s, matrix entries), and cngd appends eta.
     mat0 = symmetrize(np.asarray(init_matrix, dtype=float))
@@ -191,7 +176,7 @@ def integrate(
         label, tail = "covariance", []
 
         def deriv(t: float, z: np.ndarray) -> np.ndarray:
-            ds, dcov = bucy_deriv(z[:n], z[n:].reshape(n, n), t, model, cfg.alpha_at(t))
+            ds, dcov = bucy_deriv(z[:n], z[n:].reshape(n, n), t, model, alpha_at(t))
             return np.concatenate([ds, dcov.ravel()])
 
     elif kind == CNGD:
@@ -202,7 +187,7 @@ def integrate(
         def deriv(t: float, z: np.ndarray) -> np.ndarray:
             eta = z[-1]
             ds, dmetric = cngd_deriv(z[:n], z[n:-1].reshape(n, n), eta, t, model)
-            return np.concatenate([ds, dmetric.ravel(), [eta_ode(eta, cfg.alpha_at(t))]])
+            return np.concatenate([ds, dmetric.ravel(), [eta_ode(eta, alpha_at(t))]])
 
     else:
         raise ValueError(f"unknown integration kind {kind!r}")
@@ -217,7 +202,7 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             try:
-                z = rk4_step(deriv, z, times[i], cfg.dt)
+                z = rk4_step(deriv, z, times[i], dt)
             except NumericalError as exc:
                 # The same object is re-raised, so its callers see one error.
                 exc.args = (f"{kind} step from t = {times[i]:.6g}: {exc}",)

@@ -273,14 +273,14 @@ def _continuous_inputs(cfg: RunConfig, system):
 
 
 def _check_steps(key: str, steps: list[float], horizon: float) -> None:
-    """Refuse a step size outside (0, T], naming the field and, for
-    ``dt_list``, the entry."""
+    """Refuse a step size that :func:`kalgrad.bucy.grid_steps` refuses,
+    naming the field and, for ``dt_list``, the entry."""
     for i, dt in enumerate(steps, start=1):
-        if not 0 < dt <= horizon:
+        try:
+            bucy_mod.grid_steps(dt, horizon)
+        except ValueError as exc:
             entry = f" (entry {i} of {len(steps)})" if key == "dt_list" else ""
-            raise ConfigError(
-                f"invalid field {key}: need 0 < dt <= T = {horizon:g}, got {dt:g}{entry}"
-            )
+            raise ConfigError(f"invalid field {key}: {exc}{entry}") from None
 
 
 def _scenario_columns(scenario: model_mod.Scenario) -> tuple[list[str], np.ndarray]:
@@ -312,14 +312,14 @@ def cmd_run(config_path: str, side: str, out: Path = Path(".")) -> int:
         if cfg.dt is None:
             raise ConfigError("missing required field: dt")
         _check_steps("dt", [cfg.dt], horizon)
-        icfg = bucy_mod.IntegratorConfig(dt=cfg.dt, horizon=horizon, alpha=alpha)
+        grid = (cfg.dt, horizon, alpha)
         dim = system.dim_state
         if gradient:
             metric0 = eq_mod.initial_metric(p0, cfg.eta0)
-            trace = bucy_mod.integrate(bucy_mod.CNGD, s0, metric0, system, icfg, cfg.eta0)
+            trace = bucy_mod.integrate(bucy_mod.CNGD, s0, metric0, system, *grid, cfg.eta0)
             prefix, mats, extra = "j", trace.metrics, [trace.etas]
         else:
-            trace = bucy_mod.integrate(bucy_mod.BUCY, s0, p0, system, icfg)
+            trace = bucy_mod.integrate(bucy_mod.BUCY, s0, p0, system, *grid)
             prefix, mats, extra = "p", trace.covs, []
         header = (
             ["t"]

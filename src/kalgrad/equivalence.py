@@ -282,20 +282,26 @@ def check_continuous(
     eta0: float = 0.5,
     min_order: float = 1.0,
 ) -> ContinuousReport:
-    """Integrate both continuous filters per step size and compare.
+    """Integrate both continuous filters per step size and compare; every
+    step size is checked (:func:`kalgrad.bucy.grid_steps`) before any grid
+    is integrated.
 
     Passes when the finest grid meets ``tol`` in both state and metric
     deviation and the coarse-to-fine log-log slope is at least
     ``min_order``, or the finest state deviation is exactly 0.
     """
+    dts = sorted(float(d) for d in dts)[::-1]  # coarse to fine
+    if not dts:
+        raise ValueError("dts must hold at least one step size")
+    for dt in dts:
+        bucy_mod.grid_steps(dt, horizon)
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
     init_metric = initial_metric(init_cov, eta0)
-    dts = sorted(float(d) for d in dts)[::-1]  # coarse to fine
     reports = []
     for dt in dts:
-        cfg = bucy_mod.IntegratorConfig(dt=dt, horizon=horizon, alpha=alpha)
-        trace_b = bucy_mod.integrate(bucy_mod.BUCY, init_state, init_cov, model, cfg)
-        trace_c = bucy_mod.integrate(bucy_mod.CNGD, init_state, init_metric, model, cfg, eta0)
+        grid = (dt, horizon, alpha)
+        trace_b = bucy_mod.integrate(bucy_mod.BUCY, init_state, init_cov, model, *grid)
+        trace_c = bucy_mod.integrate(bucy_mod.CNGD, init_state, init_metric, model, *grid, eta0)
         reports.append(_compare(trace_b, trace_c, trace_c.etas, tol, dt=dt))
     if len(reports) >= 2:
         span = np.log(reports[0].dt / reports[-1].dt)

@@ -1,5 +1,5 @@
 """Dynamical-system definitions, built-in test systems, scenario synthesis,
-and the one linearisation of an observation that every discrete update reads.
+and the one linearisation of an observation that every update reads.
 
 A discrete model provides the transition ``f(s, u)``, the observation map
 ``h(s, u)`` returning the mean parameter of the observation family, their
@@ -11,13 +11,14 @@ theta of its family.  It returns ``B = d theta / d s``, ``C = cov(T)`` at
 the predicted mean, that mean, and the residual ``e = T - E[T]`` of given
 sufficient statistics; the score in the state is ``e B`` and the Fisher
 information ``B^T C B``.  On the general path ``B = C^-1 H``, with ``H``
-the Jacobian of ``h`` (:func:`mean_linearisation`).  A model whose ``h``
-is the mean of a Bernoulli or categorical family at a linear predictor
-``x = predictor(s, u)`` under the canonical link declares that family kind
-and the predictor; there ``theta = x``, ``B`` is the predictor Jacobian
-``G`` and ``C = V(x)``, so the updates stay defined where the mean rounds
-to the boundary of its domain and ``C`` is singular.  This is the only
-place where that choice is made.
+the Jacobian of ``h`` (:func:`mean_linearisation`, which the continuous
+fields read too, under a continuous model's gaussian family).  A model
+whose ``h`` is the mean of a Bernoulli or categorical family at a linear
+predictor ``x = predictor(s, u)`` under the canonical link declares that
+family kind and the predictor; there ``theta = x``, ``B`` is the
+predictor Jacobian ``G`` and ``C = V(x)``, so the updates stay defined
+where the mean rounds to the boundary of its domain and ``C`` is
+singular.  This is the only place where that choice is made.
 
 Scenarios pair a model with an observation family: the ground-truth
 trajectory follows the noiseless dynamics exactly, and observations are
@@ -95,8 +96,9 @@ class DynamicalModel:
 class ContinuousModel:
     """Continuous-time system ds/dt = f(s, u_t), observed through h plus noise.
 
-    ``obs_cov`` maps time to the observation covariance R_t and ``obs_path``
-    is a smooth observation signal y(t) used by the continuous filters.
+    ``family`` is the gaussian family of the fixed observation noise R,
+    checked and factored once, and ``obs_path`` is a smooth observation
+    signal y(t) used by the continuous filters.
     """
 
     name: str
@@ -106,11 +108,15 @@ class ContinuousModel:
     f: Map
     h: Map
     input_fn: Callable[[float], Array]
-    obs_cov: Callable[[float], Array]
+    family: expfam.ObservationFamily
     obs_path: Callable[[float], Array]
     init_state: Array
     jacobian_f: Map | None = None
     jacobian_h: Map | None = None
+
+    def __post_init__(self) -> None:
+        if self.family.kind != expfam.GAUSSIAN or self.family.mean_dim != self.dim_obs:
+            raise ValueError(f"{self.name}: needs a gaussian family of dimension {self.dim_obs}")
 
     def input_at(self, t: float) -> Array:
         return np.asarray(self.input_fn(t), dtype=float).reshape(self.dim_input)
@@ -397,7 +403,7 @@ def _make_pendulum_ct() -> ContinuousModel:
         jacobian_f=lambda s, u: np.array([[0.0, 1.0], [-np.cos(s[0]), 0.0]]),
         jacobian_h=lambda s, u: np.array([[1.0, 0.0]]),
         input_fn=lambda t: _EMPTY,
-        obs_cov=lambda t: np.array([[1.0]]),
+        family=expfam.gaussian(np.eye(1)),
         obs_path=lambda t: np.array([1.2 * np.cos(0.9 * t) + 0.1 * np.sin(2.3 * t)]),
         init_state=np.array([0.8, 0.0]),
     )
@@ -414,7 +420,7 @@ def _make_linear_ct() -> ContinuousModel:
         jacobian_f=lambda s, u: np.array([[-0.3]]),
         jacobian_h=lambda s, u: np.array([[1.0]]),
         input_fn=lambda t: _EMPTY,
-        obs_cov=lambda t: np.array([[1.0]]),
+        family=expfam.gaussian(np.eye(1)),
         obs_path=lambda t: np.array([0.9 * np.exp(-0.3 * t) + 0.05 * np.sin(2.0 * t)]),
         init_state=np.array([1.0]),
     )

@@ -4,14 +4,15 @@ the scores the library reads from its linearisations, a Monte Carlo
 Fisher estimate, as the oracle for the exact Fisher the library blends in,
 scipy's Cholesky solve with one refinement pass, as the oracle for the SPD
 solve, the chartless online natural gradient that chart-based runs on
-static dynamics must reproduce, and the textbook continuous fields under a
-plain RK4 loop, for the continuous pair."""
+static dynamics must reproduce, the textbook continuous fields under a
+plain RK4 loop, for the continuous pair, and the Euler discretisation that
+links the continuous pair to the discrete one."""
 
 import numpy as np
 import scipy.linalg
 
 from kalgrad import expfam
-from kalgrad.model import Linearisation, Trace, mean_linearisation
+from kalgrad.model import DynamicalModel, Linearisation, Scenario, Trace, mean_linearisation
 from kalgrad.natgrad import fisher_term
 from kalgrad.numerics import fd_jacobian, schedule, solve_psd, symmetrize
 
@@ -133,7 +134,7 @@ def continuous_rk4(kind: str, model, init_state, init_matrix, dt: float, horizon
     def deriv(t, z):
         s, mat, eta = z[:n], z[n:-1].reshape(n, n), z[-1]
         u = model.input_at(t)
-        r, h_jac, f_jac = np.atleast_2d(model.obs_cov(t)), model.jac_h(s, u), model.jac_f(s, u)
+        r, h_jac, f_jac = model.family.obs_cov, model.jac_h(s, u), model.jac_f(s, u)
         innov = np.atleast_1d(model.obs_path(t)) - model.h(s, u)
         if kind == "bucy":
             gain = np.linalg.solve(r, h_jac @ mat).T  # P H^T R^-1
@@ -159,3 +160,36 @@ def continuous_rk4(kind: str, model, init_state, init_matrix, dt: float, horizon
         rows.append(z)
     rows = np.array(rows)
     return rows[:, :n], rows[:, n:-1].reshape(-1, n, n), rows[:, -1]
+
+
+def euler_scenario(model, dt: float, horizon: float) -> Scenario:
+    """The discrete scenario whose matched pair tends to the continuous pair
+    of ``model`` as dt -> 0 (Jazwinski 1970): the Euler map
+    f_dt(s, u) = s + dt f(s, u), with F_dt = I + dt F, observed at
+    t_k = k dt as y_k = y(k dt) under gaussian(R / dt), for k = 1 .. T / dt.
+    Run with alpha_d = alpha dt and eta_0^d = dt eta_0, its states tend to
+    s(k dt), J_k / dt to J(k dt) and eta_k / dt to eta(k dt)."""
+    steps = int(round(horizon / dt))
+    eye = np.eye(model.dim_state)
+    system = DynamicalModel(
+        name=f"{model.name}-euler",
+        dim_state=model.dim_state,
+        dim_input=model.dim_input,
+        dim_obs=model.dim_obs,
+        f=lambda s, u: s + dt * model.f(s, u),
+        h=model.h,
+        jacobian_f=lambda s, u: eye + dt * model.jac_f(s, u),
+        jacobian_h=model.jac_h,
+        inputs=lambda k: model.input_fn(k * dt),
+        init_state=model.init_state,
+    )
+    states = [np.asarray(model.init_state, dtype=float)]
+    for k in range(1, steps + 1):
+        states.append(system.f(states[-1], system.input_at(k)))
+    return Scenario(
+        model=system,
+        family=expfam.gaussian(model.family.obs_cov / dt),
+        true_states=np.array(states),
+        observations=[np.atleast_1d(model.obs_path(k * dt)) for k in range(1, steps + 1)],
+        seed=0,
+    )

@@ -269,9 +269,8 @@ def test_c08_continuous_equivalence():
     print(f"  measured order {result.order_state:.2f}, {elapsed:.1f} s")
 
     # Stash matrices from a representative grid for the criterion-10 audit.
-    cfg = bucy.IntegratorConfig(dt=1e-3, horizon=1.0, alpha=0.2)
-    tb = bucy.integrate(bucy.BUCY, model.init_state, 0.5 * np.eye(2), model, cfg)
-    tc = bucy.integrate(bucy.CNGD, model.init_state, np.eye(2), model, cfg, eta0=0.5)
+    tb = bucy.integrate(bucy.BUCY, model.init_state, 0.5 * np.eye(2), model, 1e-3, 1.0, 0.2)
+    tc = bucy.integrate(bucy.CNGD, model.init_state, np.eye(2), model, 1e-3, 1.0, 0.2, eta0=0.5)
     _COLLECTED.extend(tb.covs)
     _COLLECTED.extend(tc.metrics)
 
@@ -299,13 +298,12 @@ def test_c09_riccati_oracle():
         jacobian_f=lambda s, u: np.zeros((1, 1)),
         jacobian_h=lambda s, u: np.eye(1),
         input_fn=lambda t: np.zeros(0),
-        obs_cov=lambda t: np.array([[1.0]]),
+        family=expfam.gaussian(np.eye(1)),
         obs_path=lambda t: np.zeros(1),
         init_state=np.zeros(1),
     )
     p0 = 2.0
-    cfg = bucy.IntegratorConfig(dt=1e-4, horizon=1.0, alpha=0.0)
-    trace = bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[p0]]), model, cfg)
+    trace = bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[p0]]), model, 1e-4, 1.0)
     _COLLECTED.extend(trace.covs[:: len(trace.covs) // 100])
     err = abs(trace.covs[-1, 0, 0] - p0 / (1.0 + p0 * 1.0))
     print(f"  |P(1) - closed form| = {err:.3e}")
@@ -371,10 +369,8 @@ def test_c10_gradient_checks_and_matrix_hygiene():
         s = rng.standard_normal(2)
         y = rng.standard_normal(1)
         r = np.array([[rng.uniform(0.5, 2.0)]])
-        obs_jac, _, resid = bucy.gaussian_linearisation(
-            dataclasses.replace(model, obs_cov=lambda t: r, obs_path=lambda t: y), s, u, 0.0
-        )
-        grad = resid @ obs_jac
+        lin = mean_linearisation(expfam.gaussian(r), model.h(s, u), model.jac_h(s, u))
+        grad = lin.residual(y) @ lin.jac
         fd = np.zeros(2)
         eps = 1e-6
         for j in range(2):

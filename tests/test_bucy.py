@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from kalgrad import bucy, expfam, natgrad
-from kalgrad.errors import PositivityLostError, SingularMatrixError
+from kalgrad.errors import NonFiniteError, PositivityLostError
 from kalgrad.model import ContinuousModel, builtin, mean_linearisation
 from kalgrad.numerics import rk4_step
 
@@ -26,7 +26,7 @@ def make_ct(dim_state, dim_obs, f, h, jac_f, jac_h, r=None, y_path=None, name="c
         jacobian_f=jac_f,
         jacobian_h=jac_h,
         input_fn=lambda t: np.zeros(0),
-        obs_cov=lambda t: r,
+        family=expfam.gaussian(r),
         obs_path=y_path,
         init_state=np.zeros(dim_state),
     )
@@ -45,13 +45,12 @@ def scalar_integrator_model():
 
 
 def linearised(model, s, y, r=None):
-    """(B, C, e) of the continuous linearisation at t = 0 for the
+    """(B, C, e) of the continuous fields' linearisation at state s for the
     observation y, with covariance r in place of the model's."""
-    if r is not None:
-        model = dataclasses.replace(model, obs_cov=lambda t: np.atleast_2d(r))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    model = dataclasses.replace(model, obs_path=lambda t: y)
-    return bucy.gaussian_linearisation(model, np.asarray(s, dtype=float), np.zeros(0), 0.0)
+    family = model.family if r is None else expfam.gaussian(r)
+    s, u = np.asarray(s, dtype=float), np.zeros(0)
+    lin = mean_linearisation(family, model.h(s, u), model.jac_h(s, u))
+    return lin.jac, lin.cov, lin.residual(np.atleast_1d(np.asarray(y, dtype=float)))
 
 
 def score(model, s, y, r=None):
@@ -308,6 +307,30 @@ class TestCheckPositive:
             bucy._check_positive(mat, "covariance", 0.5)
 
 
+class TestGridSteps:
+    # Every (dt, T) the library, the tests, the example configs and the
+    # benchmark integrate on, dt = T, and T = 0.3, where 3 steps of 0.1 end
+    # one ulp past T.
+    @pytest.mark.parametrize(
+        "dt, horizon, steps",
+        [(0.1, 1.0, 10), (1e-2, 1.0, 100), (1e-3, 1.0, 1000), (1e-4, 1.0, 10000),
+         (1e-2, 0.1, 10), (1e-3, 0.1, 100), (0.0025, 1.0, 400), (0.02, 1.0, 50),
+         (0.1, 0.5, 5), (1.0, 1.0, 1), (3.0, 3.0, 1), (0.1, 0.3, 3)],
+    )
+    def test_accepts_a_step_that_divides_the_horizon(self, dt, horizon, steps):
+        assert bucy.grid_steps(dt, horizon) == steps
+
+    # round(1 / 0.4) = 2 and round(1 / 0.3) = 3 would end the grid at 0.8
+    # and 0.9; round(1 / 0.7) = 1 at 0.7.
+    @pytest.mark.parametrize("dt", [0.3, 0.4, 0.7])
+    def test_refuses_a_grid_that_misses_the_horizon(self, dt):
+        message = f"need a dt that divides T = 1, got {dt:g}"
+        with pytest.raises(ValueError, match=message):
+            bucy.grid_steps(dt, 1.0)
+        with pytest.raises(ValueError, match=message):
+            bucy.integrate(bucy.BUCY, np.zeros(1), np.eye(1), scalar_integrator_model(), dt, 1.0)
+
+
 class TestIntegrate:
     def test_constant_state_zero_field(self):
         model = make_ct(
@@ -317,17 +340,15 @@ class TestIntegrate:
             jac_f=lambda s, u: np.zeros((2, 2)),
             jac_h=lambda s, u: np.zeros((1, 2)),
         )
-        cfg = bucy.IntegratorConfig(dt=0.01, horizon=1.0, alpha=0.0)
-        trace = bucy.integrate(bucy.BUCY, np.array([0.3, -0.8]), np.eye(2), model, cfg)
+        trace = bucy.integrate(bucy.BUCY, np.array([0.3, -0.8]), np.eye(2), model, 0.01, 1.0)
         np.testing.assert_allclose(trace.states[-1], [0.3, -0.8], atol=1e-14)
         np.testing.assert_allclose(trace.covs[-1], np.eye(2), atol=1e-14)
 
     def test_scalar_riccati_closed_form(self):
         # Oracle: P(t) = P0 / (1 + P0 t) for dP/dt = -P^2.
         model = scalar_integrator_model()
-        cfg = bucy.IntegratorConfig(dt=1e-3, horizon=1.0, alpha=0.0)
         p0 = 2.0
-        trace = bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[p0]]), model, cfg)
+        trace = bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[p0]]), model, 1e-3, 1.0)
         assert abs(trace.covs[-1, 0, 0] - p0 / (1.0 + p0)) < 1e-8
 
     def test_pendulum_self_convergence(self):
@@ -336,8 +357,9 @@ class TestIntegrate:
         model = builtin("pendulum-ct")
 
         def states_at(dt):
-            cfg = bucy.IntegratorConfig(dt=dt, horizon=1.0, alpha=0.2)
-            return bucy.integrate(bucy.BUCY, model.init_state, 0.5 * np.eye(2), model, cfg).states
+            return bucy.integrate(
+                bucy.BUCY, model.init_state, 0.5 * np.eye(2), model, dt, 1.0, alpha=0.2
+            ).states
 
         ref = states_at(0.0025)
         coarse = states_at(0.02)
@@ -360,25 +382,22 @@ class TestIntegrate:
             jac_h=lambda s, u: np.zeros((1, 2)),
         )
         j0 = np.array([[2.0, 0.3], [0.3, 1.0]])
-        cfg = bucy.IntegratorConfig(dt=1e-3, horizon=1.0, alpha=0.0)
-        trace = bucy.integrate(bucy.CNGD, np.array([0.5, -0.5]), j0, model, cfg, eta0=0.5)
+        trace = bucy.integrate(bucy.CNGD, np.array([0.5, -0.5]), j0, model, 1e-3, 1.0, eta0=0.5)
         expm = scipy.linalg.expm
         exact = expm(-f_mat.T) @ j0 @ expm(-f_mat) / (1.0 + 0.5)
         assert np.linalg.norm(trace.metrics[-1] - exact) < 1e-8
 
     def test_eta_co_integration_logistic(self):
         model = scalar_integrator_model()
-        cfg = bucy.IntegratorConfig(dt=1e-3, horizon=1.0, alpha=0.5)
-        trace = bucy.integrate(bucy.CNGD, np.zeros(1), np.eye(1), model, cfg, eta0=0.1)
+        trace = bucy.integrate(bucy.CNGD, np.zeros(1), np.eye(1), model, 1e-3, 1.0, 0.5, eta0=0.1)
         exact = 0.5 / (1.0 + (0.5 / 0.1 - 1.0) * np.exp(-0.5))
         assert abs(trace.etas[-1] - exact) < 1e-10
 
     def test_positivity_loss_raises(self):
         # A wildly large step sends the Riccati flow negative.
         model = scalar_integrator_model()
-        cfg = bucy.IntegratorConfig(dt=3.0, horizon=3.0, alpha=0.0)
         with pytest.raises(PositivityLostError):
-            bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[1.0]]), model, cfg)
+            bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[1.0]]), model, 3.0, 3.0)
 
     # The library against the textbook fields under plain RK4; P and J must
     # stay exactly symmetric, since the fields form P F^T as (F P)^T and
@@ -389,9 +408,8 @@ class TestIntegrate:
         n = model.dim_state
         p0, eta0, alpha = 0.5 * np.eye(n), 0.5, 0.2
         j0 = eta0 * np.linalg.inv(p0)
-        cfg = bucy.IntegratorConfig(dt=0.01, horizon=1.0, alpha=alpha)
-        tb = bucy.integrate(bucy.BUCY, model.init_state, p0, model, cfg)
-        tc = bucy.integrate(bucy.CNGD, model.init_state, j0, model, cfg, eta0=eta0)
+        tb = bucy.integrate(bucy.BUCY, model.init_state, p0, model, 0.01, 1.0, alpha)
+        tc = bucy.integrate(bucy.CNGD, model.init_state, j0, model, 0.01, 1.0, alpha, eta0)
         ref_b = continuous_rk4("bucy", model, model.init_state, p0, 0.01, 1.0, alpha)
         ref_c = continuous_rk4("cngd", model, model.init_state, j0, 0.01, 1.0, alpha, eta0)
         pairs = [(tb.states, ref_b[0]), (tb.covs, ref_b[1]),
@@ -402,41 +420,42 @@ class TestIntegrate:
         for mats in (tb.covs, tc.metrics):
             np.testing.assert_array_equal(mats, mats.transpose(0, 2, 1))
 
-    # R(t) = 0.5 - t reaches 0 at the last stage of the step from t = 0.4.
+    # y(t) is inf from t = 0.5, the last stage of the step from t = 0.4.
     @pytest.mark.parametrize("kind", [bucy.BUCY, bucy.CNGD])
     def test_error_in_a_step_names_side_and_time(self, kind):
         model = dataclasses.replace(
-            scalar_integrator_model(), obs_cov=lambda t: np.array([[0.5 - t]])
+            scalar_integrator_model(), obs_path=lambda t: np.array([np.inf if t >= 0.5 else 0.0])
         )
-        cfg = bucy.IntegratorConfig(dt=0.1, horizon=1.0, alpha=0.0)
-        with pytest.raises(SingularMatrixError) as info:
-            bucy.integrate(kind, np.zeros(1), np.eye(1), model, cfg, eta0=0.5)
-        assert str(info.value) == (
-            f"{kind} step from t = 0.4: matrix is not positive definite within the jitter budget"
-        )
+        with pytest.raises(NonFiniteError) as info:
+            bucy.integrate(kind, np.zeros(1), np.eye(1), model, 0.1, 1.0, eta0=0.5)
+        cause = {
+            bucy.BUCY: "derivative non-finite at t = 0.5",
+            bucy.CNGD: "SPD solve right-hand side has non-finite entries",
+        }[kind]
+        assert str(info.value) == f"{kind} step from t = 0.4: {cause}"
 
     def test_bad_config(self):
-        with pytest.raises(ValueError):
-            bucy.IntegratorConfig(dt=0.0, horizon=1.0)
-        with pytest.raises(ValueError):
-            bucy.IntegratorConfig(dt=2.0, horizon=1.0)
+        model = scalar_integrator_model()
+        for dt, horizon in ((0.0, 1.0), (2.0, 1.0), (float("nan"), 1.0)):
+            with pytest.raises(ValueError):
+                bucy.integrate(bucy.BUCY, np.zeros(1), np.eye(1), model, dt, horizon)
 
     def test_nan_fading_weight_rejected(self):
-        # A constant when the config is built, a callable when it is evaluated.
-        with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
-            bucy.IntegratorConfig(dt=0.1, horizon=1.0, alpha=float("nan"))
-        cfg = bucy.IntegratorConfig(dt=0.1, horizon=1.0, alpha=lambda t: float("nan"))
-        with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
-            cfg.alpha_at(0.0)
+        # A constant on entry, a callable when it is evaluated.
+        model = scalar_integrator_model()
+        for alpha in (float("nan"), lambda t: float("nan")):
+            with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
+                bucy.integrate(bucy.BUCY, np.zeros(1), np.eye(1), model, 0.1, 1.0, alpha)
 
     def test_negative_fading_weight_rejected(self):
-        # As for ekf.EkfConfig: a constant when the config is built, a
-        # callable when it is evaluated.
+        # As for a discrete alpha schedule: a constant on entry, a callable
+        # when it is evaluated.
+        model = scalar_integrator_model()
         with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
-            bucy.IntegratorConfig(dt=0.1, horizon=1.0, alpha=-0.5)
-        cfg = bucy.IntegratorConfig(dt=0.1, horizon=1.0, alpha=lambda t: 0.5 - t)
-        assert cfg.alpha_at(0.5) == 0.0
+            bucy.integrate(bucy.BUCY, np.zeros(1), np.eye(1), model, 0.1, 1.0, -0.5)
+        ramp = lambda t: 0.5 - t
+        # alpha(0.5) = 0 is accepted, and the step from 0.5 evaluates alpha(0.55) < 0.
+        trace = bucy.integrate(bucy.BUCY, np.zeros(1), np.eye(1), model, 0.1, 0.5, ramp)
+        assert trace.times[-1] == 0.5
         with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
-            cfg.alpha_at(0.6)
-        with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
-            bucy.integrate(bucy.BUCY, np.zeros(1), np.eye(1), scalar_integrator_model(), cfg)
+            bucy.integrate(bucy.BUCY, np.zeros(1), np.eye(1), model, 0.1, 1.0, ramp)

@@ -158,8 +158,8 @@ class TestCmdRun:
         path.write_text("scenario = lorenz\nfamily = gaussian\nobs_cov = 1\nT = 5\n")
         assert main(["run", "--config", str(path), "--side", "filter"]) == 1
 
-    # A value the config parser accepts but the library rejects with a
-    # ValueError: IntegratorConfig's dt.
+    # A value the config parser accepts but the run refuses: a dt past
+    # the horizon.
     @pytest.mark.parametrize(
         "side, body",
         [("filter", "scenario = pendulum-ct\nT = 1.0\ndt = 2.0\n")],
@@ -541,7 +541,9 @@ class TestRejectedInputs:
         assert not out.exists()
 
     # A step that does not fit the time span is named by its field, and
-    # within dt_list by its entry, before the integrator sees it.
+    # within dt_list by its entry, before the integrator sees it: one past
+    # T, or one whose grid would stop short of T (the run would end early,
+    # and the study would compare grids that end at different times).
     @pytest.mark.parametrize(
         "argv, line, message",
         [
@@ -550,8 +552,16 @@ class TestRejectedInputs:
                 ["compare"], "dt_list = 0.1, 2.0",
                 "invalid field dt_list: need 0 < dt <= T = 1, got 2 (entry 2 of 2)",
             ),
+            (
+                ["run", "--side", "filter"], "dt = 0.4",
+                "invalid field dt: need a dt that divides T = 1, got 0.4",
+            ),
+            (
+                ["compare"], "dt_list = 0.1, 0.3",
+                "invalid field dt_list: need a dt that divides T = 1, got 0.3 (entry 2 of 2)",
+            ),
         ],
-        ids=["run-dt", "compare-dt_list"],
+        ids=["run-dt", "compare-dt_list", "run-dt-short-grid", "compare-dt_list-short-grid"],
     )
     def test_step_beyond_the_horizon_names_the_field(
         self, argv, line, message, pendulum_cfg, tmp_path, capsys

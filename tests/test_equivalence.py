@@ -15,6 +15,8 @@ from kalgrad.equivalence import (
 from kalgrad.errors import DomainError, NonFiniteError, SingularMatrixError
 from kalgrad.model import DynamicalModel, Trace, builtin, generate_scenario
 
+from oracles import euler_scenario
+
 
 def scenario_for(name, horizon, seed):
     return equivalence.sweep_cell(name, horizon, seed)[0]
@@ -458,9 +460,69 @@ class TestCheckContinuous:
                 dts=[0.1], horizon=np.inf,
             )
 
+    def test_empty_dts_rejected(self):
+        model = builtin("linear-ct")
+        with pytest.raises(ValueError, match="dts must hold at least one step size"):
+            check_continuous(model, model.init_state, np.eye(1), alpha=0.2, dts=[], horizon=1.0)
+
+    # Every step size is checked before any grid is integrated: a grid
+    # that stops short of T would be compared with one that reaches it.
+    @pytest.mark.parametrize("dt", [0.3, 0.4, 0.7])
+    def test_step_that_misses_the_horizon_rejected(self, dt, monkeypatch):
+        model = builtin("linear-ct")
+        calls = []
+        monkeypatch.setattr(bucy, "integrate", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"need a dt that divides T = 1, got {dt:g}"):
+            check_continuous(
+                model, model.init_state, np.eye(1), alpha=0.2, dts=[0.1, dt], horizon=1.0
+            )
+        assert calls == []
+
     def test_eta_alpha_zero_closed_form(self):
         # eta(1) = 1/2 when alpha = 0 and eta0 = 1.
         model = builtin("linear-ct")
-        cfg = bucy.IntegratorConfig(dt=1e-3, horizon=1.0, alpha=0.0)
-        trace = bucy.integrate(bucy.CNGD, model.init_state, np.eye(1), model, cfg, eta0=1.0)
+        trace = bucy.integrate(bucy.CNGD, model.init_state, np.eye(1), model, 1e-3, 1.0, eta0=1.0)
         assert abs(trace.etas[-1] - 0.5) < 1e-8
+
+
+class TestDiscreteToContinuousLimit:
+    # The continuous pair is the dt -> 0 limit of the discrete pair on the
+    # Euler scenario (tests/oracles.py::euler_scenario), under
+    # alpha_d = alpha dt and eta_0^d = dt eta_0.  Each discrete pair is
+    # certified at the discrete tolerance, and its gradient side approaches
+    # cngd at order 1 in the state, J / dt and eta / dt.  Measured over
+    # T = 1 at dt = 0.1, 0.01, 0.001 (errors shrink by 10^0.98 to 10^1.01
+    # per decade): linear-ct state 1.96e-3 -> 1.91e-5, J 1.73e-3 ->
+    # 1.77e-5, eta 4.03e-3 -> 4.08e-5; pendulum-ct state 2.77e-2 ->
+    # 2.73e-4, J 6.05e-2 -> 6.39e-4, the same eta.  The cngd reference is
+    # RK4 at dt = 1e-3, whose own error is below 1e-11.
+    @pytest.mark.parametrize("name", ["linear-ct", "pendulum-ct"])
+    def test_discrete_pair_tends_to_the_continuous_pair(self, name):
+        model = builtin(name)
+        alpha, eta0, p0 = 0.2, 0.5, 0.5 * np.eye(model.dim_state)
+        ref = bucy.integrate(
+            bucy.CNGD, model.init_state, equivalence.initial_metric(p0, eta0),
+            model, 1e-3, 1.0, alpha, eta0,
+        )
+        errors = []
+        for dt in (0.1, 0.01, 0.001):
+            scenario = euler_scenario(model, dt, 1.0)
+            report = check_discrete(scenario, model.init_state, p0, alpha * dt, tol=1e-8, eta0=dt * eta0)
+            assert report.passed
+            etas = map_alpha_to_eta(alpha * dt, dt * eta0, scenario.horizon)
+            grad = natgrad.run(
+                scenario, etas[1:], etas[1:], model.init_state,
+                equivalence.initial_metric(p0, dt * eta0),
+            )
+            stride = int(round(dt / 1e-3))
+            metrics = ref.metrics[::stride]
+            errors.append([
+                np.abs(grad.states - ref.states[::stride]).max(),
+                (np.linalg.norm(grad.metrics / dt - metrics, axis=(1, 2))
+                 / np.linalg.norm(metrics, axis=(1, 2))).max(),
+                np.abs(etas / dt - ref.etas[::stride]).max() / np.abs(ref.etas).max(),
+            ])
+        errors = np.array(errors)
+        orders = np.log10(errors[:-1] / errors[1:])
+        assert orders.min() >= 0.95, orders
+        assert errors[-1].max() <= 1e-3, errors[-1]

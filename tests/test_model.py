@@ -64,6 +64,19 @@ class TestBuiltins:
         assert isinstance(m, expected)
 
 
+class TestContinuousFamily:
+    # The continuous fields linearise through a gaussian family of the
+    # observation's dimension; any other is refused where the model is defined.
+    @pytest.mark.parametrize(
+        "family",
+        [expfam.bernoulli(), expfam.categorical(3), expfam.gaussian(np.eye(2))],
+        ids=["bernoulli", "categorical", "gaussian-2"],
+    )
+    def test_other_family_refused(self, family):
+        with pytest.raises(ValueError, match="needs a gaussian family of dimension 1"):
+            dataclasses.replace(builtin("pendulum-ct"), family=family)
+
+
 class TestStepDynamics:
     def test_static_identity(self, rng):
         m = builtin("static")
@@ -141,14 +154,13 @@ class TestFiniteDifferenceBackedModel:
 
     def test_continuous_traces_match_analytic(self):
         reference, bare = self._bare_pendulum()
-        cfg = bucy.IntegratorConfig(dt=1e-2, horizon=1.0, alpha=0.2)
         s0 = reference.init_state
         for kind, mat0, fields in (
             (bucy.BUCY, 0.5 * np.eye(2), ("states", "covs")),
             (bucy.CNGD, np.eye(2), ("states", "metrics", "etas")),
         ):
-            exact = bucy.integrate(kind, s0, mat0, reference, cfg, eta0=0.5)
-            approx = bucy.integrate(kind, s0, mat0, bare, cfg, eta0=0.5)
+            exact = bucy.integrate(kind, s0, mat0, reference, 1e-2, 1.0, 0.2, eta0=0.5)
+            approx = bucy.integrate(kind, s0, mat0, bare, 1e-2, 1.0, 0.2, eta0=0.5)
             for name in fields:
                 np.testing.assert_allclose(
                     getattr(approx, name), getattr(exact, name), rtol=0, atol=1e-6

@@ -62,7 +62,8 @@ def test_benchmark_lookups_resolve(monkeypatch):
     # entry would break its traced runs, so check the names it reads.  A
     # traced discrete-sweep cell must enter through check_discrete alone
     # and run both sides' step markers, from which aborted cells count
-    # their steps.
+    # their steps; a traced continuous-pendulum cell must enter through
+    # check_continuous alone and run RK4 on both continuous fields.
     monkeypatch.syspath_prepend(str(ROOT / "certbench"))
     try:
         report = importlib.import_module("report")
@@ -71,20 +72,26 @@ def test_benchmark_lookups_resolve(monkeypatch):
     finally:
         for name in ("report", "tracer", "workloads"):
             sys.modules.pop(name, None)
-    cell = workloads.discrete_sweep(0)[0]
+    cells = [workloads.discrete_sweep(0)[0], workloads.continuous_pendulum(0)[0]]
     tracer = tracer_mod.Tracer(kalgrad)
     tracer.install()
     try:
-        tracer.cell = 0
-        workloads.call(cell)
+        for index, cell in enumerate(cells):
+            tracer.cell = index
+            workloads.call(cell)
     finally:
         tracer.uninstall()
     read = {*report.CALLS_PER_STEP, *report.US_PER_CALL, "model.generate_scenario"}
     read.update(*report.STEP_MARKERS.values())
     assert read - set(tracer.names) == set()
     spans = tracer.spans()
-    roots = {tracer.names[i] for i in spans[spans[:, 4] == tracer_mod.NO_PARENT, 1]}
-    assert roots == {"equivalence.check_discrete"}
-    ran = {tracer.names[i] for i in spans[:, 1]}
-    assert set(report.STEP_MARKERS[workloads.DISCRETE]) <= ran
+    expected = {
+        0: ("equivalence.check_discrete", set(report.STEP_MARKERS[workloads.DISCRETE])),
+        1: ("equivalence.check_continuous", {"numerics.rk4_step", "bucy.bucy_deriv", "bucy.cngd_deriv"}),
+    }
+    for index, (root, markers) in expected.items():
+        cell_spans = spans[spans[:, 5] == index]
+        roots = {tracer.names[i] for i in cell_spans[cell_spans[:, 4] == tracer_mod.NO_PARENT, 1]}
+        assert roots == {root}
+        assert markers <= {tracer.names[i] for i in cell_spans[:, 1]}
     assert ekf._OBSERVERS[ekf.GAIN] is ekf.observe_gain
