@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Sweep the discrete filter/gradient comparison over models, fading
-schedules, and seeds, and print a deviation table.
+schedules, and seeds, and print a deviation table.  Exits 1 if any cell
+aborts or fails its certificate, 0 otherwise.
 
 Usage: python scripts/discrete_equivalence.py [--horizon 50] [--seeds 10]
 """
 
 import argparse
+import sys
 
 from kalgrad.equivalence import (
     SWEEP_HORIZON,
@@ -18,11 +20,12 @@ from kalgrad.equivalence import (
 from kalgrad.errors import NumericalError
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--horizon", type=int, default=SWEEP_HORIZON)
     parser.add_argument("--seeds", type=int, default=SWEEP_SEEDS)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    certified = True
 
     print(f"{'model':<16} {'schedule':<12} {'worst state dev':>16} {'worst metric dev':>17}")
     for name in SWEEP_MODELS:
@@ -35,12 +38,15 @@ def main() -> None:
                     rep = check_discrete(scenario, s0, p0, alpha)
                 except NumericalError:
                     aborted += 1
+                    certified = False
                     continue
+                certified = certified and rep.passed
                 worst_s = max(worst_s, rep.max_state_dev)
                 worst_m = max(worst_m, rep.max_metric_dev)
             note = f"  ({aborted} aborted)" if aborted else ""
             print(f"{name:<16} {label:<12} {worst_s:>16.3e} {worst_m:>17.3e}{note}")
+    return 0 if certified else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

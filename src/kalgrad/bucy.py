@@ -70,6 +70,24 @@ def grid_steps(dt: float, horizon: float) -> int:
     return steps
 
 
+def step_sizes(dts, horizon: float) -> list[float]:
+    """The step sizes of a step-size study, coarse to fine.  Each must pass
+    :func:`grid_steps` and differ from the others, since the study's order
+    is a slope between two of them: a ValueError names the first that
+    does not and its entry in ``dts``."""
+    dts = [float(dt) for dt in dts]
+    if not dts:
+        raise ValueError("dts must hold at least one step size")
+    for i, dt in enumerate(dts):
+        try:
+            grid_steps(dt, horizon)
+            if dt in dts[:i]:
+                raise ValueError(f"repeated step size dt = {dt:g}")
+        except ValueError as exc:
+            raise ValueError(f"{exc} (entry {i + 1} of {len(dts)})") from None
+    return sorted(dts, reverse=True)
+
+
 def bucy_deriv(
     s: np.ndarray,
     cov: np.ndarray,

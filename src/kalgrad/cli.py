@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,24 +29,6 @@ from .errors import ConfigError, NumericalError, UnknownModelError
 _RAMP_RE = re.compile(r"^ramp\(\s*([^,]+)\s*,\s*([^)]+)\s*\)$")
 
 
-@dataclass
-class RunConfig:
-    """Declarative description of one run or comparison."""
-
-    scenario: str
-    family: str | None = None
-    obs_cov: list[float] | None = None
-    horizon: float | None = None
-    dt: float | None = None
-    dt_list: list[float] | None = None
-    seed: int | None = None
-    s0: list[float] | None = None
-    p0_scale: float = 1.0
-    alpha_spec: str = "0.0"
-    alpha_overrides: dict[int, float] = field(default_factory=dict)
-    eta0: float = 0.5
-
-
 def _parse_floats(value: str) -> list[float]:
     return [float(part) for part in value.split(",") if part.strip()]
 
@@ -60,37 +41,35 @@ def _parse_seed(value: str) -> int:
     return seed
 
 
-# Config key -> (RunConfig field, parser).  ``scenario`` and the alpha[t]
-# overrides are read separately.
-_FIELDS = {
-    "family": ("family", str),
-    "obs_cov": ("obs_cov", _parse_floats),
-    "T": ("horizon", float),
-    "dt": ("dt", float),
-    "dt_list": ("dt_list", _parse_floats),
-    "seed": ("seed", _parse_seed),
-    "s0": ("s0", _parse_floats),
-    "p0_scale": ("p0_scale", float),
-    "alpha": ("alpha_spec", str),
-    "eta0": ("eta0", float),
+def _parse_eta0(value: str) -> float:
+    """The shared initial rate eta_0, under the rule of
+    :func:`kalgrad.equivalence.initial_metric`."""
+    return eq_mod.check_eta0(float(value))
+
+
+# Config key -> (parser, default, the one time domain that reads it or None
+# for both).  A model of the other domain refuses a key it could only
+# ignore.  ``alpha[t]`` stands for the overrides alpha[1], alpha[2], ...,
+# which the parser reads one value at a time into {t: alpha_t}.
+_KEYS = {
+    "scenario": (str, None, None),
+    "family": (str, None, "discrete"),
+    "obs_cov": (_parse_floats, None, "discrete"),
+    "T": (float, None, None),
+    "dt": (float, None, "continuous"),
+    "dt_list": (_parse_floats, None, "continuous"),
+    "seed": (_parse_seed, None, "discrete"),
+    "s0": (_parse_floats, None, None),
+    "p0_scale": (float, 1.0, None),
+    "alpha": (str, "0.0", None),
+    "alpha[t]": (float, {}, "discrete"),
+    "eta0": (_parse_eta0, 0.5, None),
 }
 
-# Config keys that only one time domain reads: key -> (RunConfig field,
-# domain).  A model of the other domain refuses the key, which it could
-# only ignore.
-_DOMAIN_KEYS = {
-    "family": ("family", "discrete"),
-    "obs_cov": ("obs_cov", "discrete"),
-    "seed": ("seed", "discrete"),
-    "alpha[t]": ("alpha_overrides", "discrete"),
-    "dt": ("dt", "continuous"),
-    "dt_list": ("dt_list", "continuous"),
-}
 
-
-def parse_config(path: str | Path) -> RunConfig:
-    """Read a flat key = value file with # comments and alpha[t] overrides;
-    a key may appear once."""
+def parse_config(path: str | Path) -> dict:
+    """Read a flat key = value file with # comments into the values of
+    :data:`_KEYS` by key, defaults filled in; a key may appear once."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -107,39 +86,40 @@ def parse_config(path: str | Path) -> RunConfig:
         store, slot = (overrides, int(m.group(1))) if m else (raw, key)
         if slot in store:
             raise ConfigError(f"{path}:{lineno}: repeated field {key}")
-        store[slot] = _parse_field(key, float, value) if m else value
+        store[slot] = _field(key, _KEYS["alpha[t]"][0], value) if m else value
 
     if "scenario" not in raw:
         raise ConfigError("missing required field: scenario")
 
-    cfg = RunConfig(scenario=raw.pop("scenario"), alpha_overrides=overrides)
-    for key, (name, parse) in _FIELDS.items():
-        if key in raw:
-            setattr(cfg, name, _parse_field(key, parse, raw.pop(key)))
+    cfg = {key: default for key, (_, default, _) in _KEYS.items()}
+    cfg["alpha[t]"] = overrides
+    for key, (parse, _, _) in _KEYS.items():
+        if key in raw and key != "alpha[t]":
+            cfg[key] = _field(key, parse, raw.pop(key))
     if raw:
         raise ConfigError(f"unknown field: {sorted(raw)[0]}")
     return cfg
 
 
-def _parse_field(key: str, parse, value: str):
-    """``parse(value)``, with a ValueError reported as an invalid ``key``."""
+def _field(key: str, fn, *args):
+    """``fn(*args)``, with a ValueError reported as an invalid ``key``."""
     try:
-        return parse(value)
+        return fn(*args)
     except ValueError as exc:
         raise ConfigError(f"invalid field {key}: {exc}") from exc
 
 
-def _alpha_values(cfg: RunConfig) -> tuple[bool, list[float]]:
+def _alpha_values(cfg: dict) -> tuple[bool, list[float]]:
     """The alpha spec as (is a ramp, values): the ends (a, b) of
     ``ramp(a, b)``, or the constant or list of values."""
-    spec = cfg.alpha_spec.strip()
+    spec = cfg["alpha"].strip()
     m = _RAMP_RE.match(spec)
     if m:
-        return True, [_parse_field("alpha", float, end) for end in m.groups()]
-    return False, _parse_field("alpha", _parse_floats, spec)
+        return True, [_field("alpha", float, end) for end in m.groups()]
+    return False, _field("alpha", _parse_floats, spec)
 
 
-def _alpha_schedule(cfg: RunConfig, horizon: int) -> np.ndarray:
+def _alpha_schedule(cfg: dict, horizon: int) -> np.ndarray:
     """Expand the alpha spec (constant | list | ramp(a, b)) over t = 1..T."""
     ramp, values = _alpha_values(cfg)
     if ramp:
@@ -150,7 +130,7 @@ def _alpha_schedule(cfg: RunConfig, horizon: int) -> np.ndarray:
         alpha = np.asarray(values)
     else:
         raise ConfigError(f"invalid field alpha: need 1 or {horizon} values, got {len(values)}")
-    for t, value in cfg.alpha_overrides.items():
+    for t, value in cfg["alpha[t]"].items():
         if not 1 <= t <= horizon:
             raise ConfigError(f"invalid field alpha[{t}]: t outside 1..{horizon}")
         alpha[t - 1] = value
@@ -163,7 +143,7 @@ def _check_weights(values) -> None:
         raise ConfigError("invalid field alpha: weights must be >= 0")
 
 
-def _alpha_fn(cfg: RunConfig, horizon: float):
+def _alpha_fn(cfg: dict, horizon: float):
     """Alpha as a function of continuous time."""
     ramp, values = _alpha_values(cfg)
     if ramp:
@@ -176,13 +156,14 @@ def _alpha_fn(cfg: RunConfig, horizon: float):
     return float(values[0])
 
 
-def _build_family(cfg: RunConfig, model: model_mod.DynamicalModel) -> expfam.ObservationFamily:
-    if cfg.family is None:
+def _build_family(cfg: dict, model: model_mod.DynamicalModel) -> expfam.ObservationFamily:
+    family = cfg["family"]
+    if family is None:
         raise ConfigError("missing required field: family")
-    if cfg.family == "gaussian":
-        if cfg.obs_cov is None:
+    if family == "gaussian":
+        diag = cfg["obs_cov"]
+        if diag is None:
             raise ConfigError("missing required field: obs_cov (gaussian family)")
-        diag = cfg.obs_cov
         if len(diag) == 1:
             diag = diag * model.dim_obs
         if len(diag) != model.dim_obs:
@@ -190,31 +171,31 @@ def _build_family(cfg: RunConfig, model: model_mod.DynamicalModel) -> expfam.Obs
                 f"invalid field obs_cov: need 1 or {model.dim_obs} entries"
             )
         return expfam.gaussian(np.diag(diag))
-    if cfg.family == "bernoulli":
+    if family == "bernoulli":
         if model.dim_obs != 1:
             raise ConfigError(
                 f"invalid field family: bernoulli observations have dimension 1,"
-                f" {cfg.scenario} observes dimension {model.dim_obs}"
+                f" {cfg['scenario']} observes dimension {model.dim_obs}"
             )
         return expfam.bernoulli()
-    raise ConfigError(f"invalid field family: {cfg.family!r}")
+    raise ConfigError(f"invalid field family: {family!r}")
 
 
-def _init_state(cfg: RunConfig, model) -> np.ndarray:
-    if cfg.s0 is None:
+def _init_state(cfg: dict, model) -> np.ndarray:
+    if cfg["s0"] is None:
         return np.asarray(model.init_state, dtype=float)
-    if len(cfg.s0) != model.dim_state:
+    if len(cfg["s0"]) != model.dim_state:
         raise ConfigError(f"invalid field s0: need {model.dim_state} entries")
-    s0 = np.asarray(cfg.s0, dtype=float)
+    s0 = np.asarray(cfg["s0"], dtype=float)
     if not np.isfinite(s0).all():
         raise ConfigError("invalid field s0: entries must be finite")
     return s0
 
 
-def _init_cov(cfg: RunConfig, dim: int) -> np.ndarray:
-    if not 0 < cfg.p0_scale < np.inf:
+def _init_cov(cfg: dict, dim: int) -> np.ndarray:
+    if not 0 < cfg["p0_scale"] < np.inf:
         raise ConfigError("invalid field p0_scale: must be positive and finite")
-    return cfg.p0_scale * np.eye(dim)
+    return cfg["p0_scale"] * np.eye(dim)
 
 
 def _fmt(value: float) -> str:
@@ -236,62 +217,50 @@ def _load(config_path: str):
     model's time domain does not read."""
     cfg = parse_config(config_path)
     try:
-        system = model_mod.builtin(cfg.scenario)
+        system = model_mod.builtin(cfg["scenario"])
     except UnknownModelError as exc:
         raise ConfigError(str(exc)) from exc
     domain = "continuous" if isinstance(system, model_mod.ContinuousModel) else "discrete"
-    for key, (name, owner) in _DOMAIN_KEYS.items():
-        if owner != domain and getattr(cfg, name) not in (None, {}):
+    for key, (_, default, owner) in _KEYS.items():
+        if owner not in (None, domain) and cfg[key] != default:
             raise ConfigError(
-                f"invalid field {key}: {owner}-only, and {cfg.scenario!r} is a {domain} model"
+                f"invalid field {key}: {owner}-only, and {cfg['scenario']!r} is a {domain} model"
             )
-    if cfg.horizon is None:
+    if cfg["T"] is None:
         raise ConfigError("missing required field: T")
     return cfg, system
 
 
-def _discrete_inputs(cfg: RunConfig, system):
+def _discrete_inputs(cfg: dict, system):
     """Scenario, prior mean, prior covariance and alpha_1..alpha_T of a
     discrete run; the scenario seed defaults to 0."""
-    if not (cfg.horizon >= 0 and cfg.horizon.is_integer()):
-        raise ConfigError(f"invalid field T: need a whole number of steps >= 0, got {cfg.horizon:g}")
-    horizon = int(cfg.horizon)
+    if not (cfg["T"] >= 0 and cfg["T"].is_integer()):
+        raise ConfigError(f"invalid field T: need a whole number of steps >= 0, got {cfg['T']:g}")
+    horizon = int(cfg["T"])
     family = _build_family(cfg, system)
-    scenario = model_mod.generate_scenario(system, family, horizon, cfg.seed or 0)
+    scenario = model_mod.generate_scenario(system, family, horizon, cfg["seed"] or 0)
     s0 = _init_state(cfg, system)
     p0 = _init_cov(cfg, system.dim_state)
     return scenario, s0, p0, _alpha_schedule(cfg, horizon)
 
 
-def _continuous_inputs(cfg: RunConfig, system):
+def _continuous_inputs(cfg: dict, system):
     """Horizon, alpha(t), prior mean and prior covariance of a continuous run."""
-    horizon = float(cfg.horizon)
+    horizon = float(cfg["T"])
     if not 0 < horizon < np.inf:
         raise ConfigError(f"invalid field T: need a finite time span > 0, got {horizon:g}")
     alpha = _alpha_fn(cfg, horizon)
     return horizon, alpha, _init_state(cfg, system), _init_cov(cfg, system.dim_state)
 
 
-def _check_steps(key: str, steps: list[float], horizon: float) -> None:
-    """Refuse a step size that :func:`kalgrad.bucy.grid_steps` refuses,
-    naming the field and, for ``dt_list``, the entry."""
-    for i, dt in enumerate(steps, start=1):
-        try:
-            bucy_mod.grid_steps(dt, horizon)
-        except ValueError as exc:
-            entry = f" (entry {i} of {len(steps)})" if key == "dt_list" else ""
-            raise ConfigError(f"invalid field {key}: {exc}{entry}") from None
-
-
 def _scenario_columns(scenario: model_mod.Scenario) -> tuple[list[str], np.ndarray]:
     """Leading columns of a discrete trace: t, the true state, and the
-    observation (the gaussian vector or the bernoulli label; zero at
-    t = 0, where there is none)."""
+    observation's sufficient statistics (the gaussian vector or the
+    bernoulli label; zero at t = 0, where there is none)."""
     horizon = scenario.horizon
     width = scenario.family.mean_dim
     y_block = np.zeros((horizon + 1, width))
-    for t in range(1, horizon + 1):
-        y_block[t] = np.asarray(scenario.obs(t), dtype=float)
+    y_block[1:] = scenario.stats
     names = (
         ["t"]
         + [f"s_true_{i}" for i in range(scenario.model.dim_state)]
@@ -309,14 +278,15 @@ def cmd_run(config_path: str, side: str, out: Path = Path(".")) -> int:
     if isinstance(system, model_mod.ContinuousModel):
         mode = "cngd" if gradient else "bucy"
         horizon, alpha, s0, p0 = _continuous_inputs(cfg, system)
-        if cfg.dt is None:
+        dt = cfg["dt"]
+        if dt is None:
             raise ConfigError("missing required field: dt")
-        _check_steps("dt", [cfg.dt], horizon)
-        grid = (cfg.dt, horizon, alpha)
+        _field("dt", bucy_mod.grid_steps, dt, horizon)
+        grid = (dt, horizon, alpha)
         dim = system.dim_state
         if gradient:
-            metric0 = eq_mod.initial_metric(p0, cfg.eta0)
-            trace = bucy_mod.integrate(bucy_mod.CNGD, s0, metric0, system, *grid, cfg.eta0)
+            metric0 = eq_mod.initial_metric(p0, cfg["eta0"])
+            trace = bucy_mod.integrate(bucy_mod.CNGD, s0, metric0, system, *grid, cfg["eta0"])
             prefix, mats, extra = "j", trace.metrics, [trace.etas]
         else:
             trace = bucy_mod.integrate(bucy_mod.BUCY, s0, p0, system, *grid)
@@ -332,13 +302,13 @@ def cmd_run(config_path: str, side: str, out: Path = Path(".")) -> int:
         rows = np.column_stack(
             [trace.times, obs, trace.states, mats.reshape(len(mats), -1), *extra]
         )
-        details = [f"T = {horizon}", f"dt = {cfg.dt}"]
+        details = [f"T = {horizon}", f"dt = {dt}"]
     else:
         mode = "natgrad" if gradient else "ekf"
         scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
         if gradient:
-            eta = eq_mod.map_alpha_to_eta(alpha, cfg.eta0, scenario.horizon)[1:]
-            metric0 = eq_mod.initial_metric(p0, cfg.eta0)
+            eta = eq_mod.map_alpha_to_eta(alpha, cfg["eta0"], scenario.horizon)[1:]
+            metric0 = eq_mod.initial_metric(p0, cfg["eta0"])
             trace = ngd_mod.run(scenario, eta, eta, s0, metric0)
         else:
             trace = ekf_mod.run(scenario, alpha, s0, p0)
@@ -352,7 +322,7 @@ def cmd_run(config_path: str, side: str, out: Path = Path(".")) -> int:
         ]
 
     _write_csv(out / "trace.csv", header, rows)
-    summary = [f"mode = {mode}", f"scenario = {cfg.scenario}", *details, f"rows = {len(rows)}"]
+    summary = [f"mode = {mode}", f"scenario = {cfg['scenario']}", *details, f"rows = {len(rows)}"]
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     return 0
 
@@ -365,12 +335,10 @@ def cmd_compare(config_path: str, out: Path = Path("."), mutate: str | None = No
         if mutate is not None:
             raise ConfigError("invalid field mutate: the negative controls are discrete-only")
         horizon, alpha, s0, p0 = _continuous_inputs(cfg, system)
-        if not cfg.dt_list:
+        if not cfg["dt_list"]:
             raise ConfigError("missing required field: dt_list")
-        _check_steps("dt_list", cfg.dt_list, horizon)
-        report = eq_mod.check_continuous(
-            system, s0, p0, alpha, cfg.dt_list, horizon, eta0=cfg.eta0
-        )
+        dts = _field("dt_list", bucy_mod.step_sizes, cfg["dt_list"], horizon)
+        report = eq_mod.check_continuous(system, s0, p0, alpha, dts, horizon, eta0=cfg["eta0"])
         header = ["dt", "t", "state_dev", "metric_dev"]
         rows, details = [], []
         for rep in report.reports:
@@ -389,7 +357,7 @@ def cmd_compare(config_path: str, out: Path = Path("."), mutate: str | None = No
     else:
         mode = "discrete"
         scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
-        report = eq_mod.check_discrete(scenario, s0, p0, alpha, eta0=cfg.eta0, mutate=mutate)
+        report = eq_mod.check_discrete(scenario, s0, p0, alpha, eta0=cfg["eta0"], mutate=mutate)
         header, block = _scenario_columns(scenario)
         dim = system.dim_state
         header += (
@@ -409,7 +377,7 @@ def cmd_compare(config_path: str, out: Path = Path("."), mutate: str | None = No
         ]
 
     _write_csv(out / "deviations.csv", header, rows)
-    summary = [f"mode = {mode}", f"scenario = {cfg.scenario}", *details]
+    summary = [f"mode = {mode}", f"scenario = {cfg['scenario']}", *details]
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     return 0 if report.passed else 3
 
@@ -456,7 +424,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(args.config, args.out, args.mutate)
         return cmd_list()
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
+        # An OSError comes from the config or --out path, a usage input.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -1,34 +1,28 @@
 """Discrete-time extended Kalman filter with exponential-family observations.
 
-The transition step uses the fading-memory process noise
-Q_t = alpha_t F P F^T, under which
+The transition step advances the mean through the dynamics
+(:func:`kalgrad.model.step_dynamics`) under the fading-memory process
+noise Q_t = alpha_t F P F^T, so that P_pred = (1 + alpha_t) F P F^T.
 
-    P_pred = (1 + alpha_t) F P F^T.
-
-Every observation update reads the one linearisation of
+The observation update reads the one linearisation of
 :func:`kalgrad.model.linearise`: B = d theta / d s in the family's natural
 parameter theta, C = cov(T) at the predicted mean, and the residual
-e = T(y) - E[T].  Three algebraically equivalent updates are written
-here; :func:`run` uses the gain form, and the tests hold the other two to
-it:
+e = T(y) - E[T].  It is the gain form
 
-* gain form:        K = P_pred B^T (I + C B P_pred B^T)^-1,
-                    P = P_pred - K C B P_pred,  s += K e
-* information form: P^-1 = P_pred^-1 + B^T C B,  s += P B^T e
-* gradient form:    the same update, read as the step along the score
-                    e B of the observation, preconditioned by P.
+    K = P_pred B^T (I + C B P_pred B^T)^-1,
+    P = P_pred - K C B P_pred,  s += K e,
 
-With B = R^-1 H (R = C the observation covariance, H the Jacobian of h)
-the gain is the classical P H^T (H P H^T + R)^-1.  Under a canonical link
-B is the predictor Jacobian G, R^-1 never appears, and the updates stay
-finite where the mean rounds to the boundary of its domain and C to zero.
+which the tests hold to the information form P^-1 = P_pred^-1 + B^T C B,
+s += P B^T e.  With B = R^-1 H (R = C the observation covariance, H the
+Jacobian of h) the gain is the classical P H^T (H P H^T + R)^-1.  Under a
+canonical link B is the predictor Jacobian G, R^-1 never appears, and the
+update stays finite where the mean rounds to the boundary of its domain
+and C to zero.
 
-The belief is the pair of plain arrays (mean, cov): the transition and
-every update take it and return the new pair.  The fading schedule is a
-plain array too: :func:`run` normalises it once and hands each
-transition its float alpha_t.  The input u_t and the sufficient
-statistics T(y_t) of step t are row t-1 of the scenario's ``inputs`` and
-``stats``; the step functions take them as arguments.
+The belief (mean, cov), the fading schedule, and each step's input u_t
+and sufficient statistics T(y_t), row t-1 of the scenario's ``inputs``
+and ``stats``, are plain arrays: :func:`run` normalises the schedule once
+and hands each step its float alpha_t and its rows.
 """
 
 from __future__ import annotations
@@ -38,12 +32,13 @@ from scipy.linalg.lapack import dgesv
 
 from . import expfam
 from .errors import NonFiniteError, SingularMatrixError
-from .model import DynamicalModel, Scenario, Trace, linearise
+from .model import DynamicalModel, Scenario, Trace, linearise, step_dynamics
+
+# GAIN, _OBSERVERS and the solve_psd import are unused here; they stay while
+# certbench's tests read _OBSERVERS[GAIN] and this module's solve_psd.
 from .numerics import schedule, solve_psd, symmetrize
 
 GAIN = "gain"
-INFORMATION = "information"
-GRADIENT = "gradient"
 
 
 def transition(
@@ -57,9 +52,7 @@ def transition(
     """Propagate the Gaussian belief (mean, cov) through the dynamics at
     input ``u`` = u_t under the fading weight alpha_t; returns
     (mean_pred, P_pred) with P_pred = (1 + alpha_t) F P F^T."""
-    mean_pred = np.asarray(model.f(mean, u), dtype=float)
-    if not np.isfinite(mean_pred).all():
-        raise NonFiniteError(f"transition produced non-finite mean at t = {t}")
+    mean_pred = step_dynamics(model, mean, u, t)
     f_jac = model.jac_f(mean, u)
     # An overflow here is reported below, as a failure of this step.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -99,38 +92,7 @@ def observe_gain(
     return mean_post, cov_post
 
 
-def observe_information(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    stats: np.ndarray,
-    model: DynamicalModel,
-    family: expfam.ObservationFamily,
-    u: np.ndarray,
-    t: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-covariance update of the predicted (mean, cov), with the
-    arguments of :func:`observe_gain`: P^-1 = P_pred^-1 + B^T C B,
-    s += P B^T e; returns the posterior."""
-    lin = linearise(model, family, mean, u, t)
-    dim = cov.shape[0]
-    prec_pred = solve_psd(cov, np.eye(dim))
-    prec = symmetrize(prec_pred + lin.jac.T @ lin.cov @ lin.jac)
-    cov_post = symmetrize(solve_psd(prec, np.eye(dim)))
-    score = lin.residual(stats) @ lin.jac
-    return mean + cov_post @ score, cov_post
-
-
-# The state score read from the linearisation is e B, so the preconditioned
-# gradient step P (d log p / d s)^T is the information form's P B^T e.
-observe_gradient = observe_information
-
-
-# Not read by run; kept while the benchmark's tests look up _OBSERVERS[GAIN].
-_OBSERVERS = {
-    GAIN: observe_gain,
-    INFORMATION: observe_information,
-    GRADIENT: observe_gradient,
-}
+_OBSERVERS = {GAIN: observe_gain}
 
 
 def run(

@@ -164,9 +164,19 @@ def map_eta_to_alpha(eta: Sequence[float]) -> np.ndarray:
     return eta[1:] / ((1.0 - eta[1:]) * eta[:-1]) - 1.0
 
 
+def check_eta0(eta0: float) -> float:
+    """Return the initial rate eta_0 if J_0 = eta_0 P_0^-1 is defined for
+    it, finite and > 0; a ValueError otherwise.  The discrete map further
+    needs eta_0 <= 1 (:func:`map_alpha_to_eta`)."""
+    if not 0 < eta0 < np.inf:
+        raise ValueError(f"must be positive and finite, got {eta0:g}")
+    return eta0
+
+
 def initial_metric(init_cov, eta0: float) -> np.ndarray:
     """The gradient side's prior metric J_0 = eta_0 P_0^-1, matched to the
-    filter's prior covariance P_0."""
+    filter's prior covariance P_0; eta_0 must pass :func:`check_eta0`."""
+    check_eta0(eta0)
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
     return symmetrize(eta0 * solve_psd(init_cov, np.eye(init_cov.shape[0])))
 
@@ -282,19 +292,15 @@ def check_continuous(
     eta0: float = 0.5,
     min_order: float = 1.0,
 ) -> ContinuousReport:
-    """Integrate both continuous filters per step size and compare; every
-    step size is checked (:func:`kalgrad.bucy.grid_steps`) before any grid
-    is integrated.
+    """Integrate both continuous filters per step size and compare; the
+    step sizes are checked (:func:`kalgrad.bucy.step_sizes`) before any
+    grid is integrated.
 
     Passes when the finest grid meets ``tol`` in both state and metric
     deviation and the coarse-to-fine log-log slope is at least
     ``min_order``, or the finest state deviation is exactly 0.
     """
-    dts = sorted(float(d) for d in dts)[::-1]  # coarse to fine
-    if not dts:
-        raise ValueError("dts must hold at least one step size")
-    for dt in dts:
-        bucy_mod.grid_steps(dt, horizon)
+    dts = bucy_mod.step_sizes(dts, horizon)  # coarse to fine
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
     init_metric = initial_metric(init_cov, eta0)
     reports = []

@@ -170,7 +170,8 @@ class Scenario:
         return len(self.observations)
 
     def obs(self, t: int):
-        """Observation y_t for 1 <= t <= T."""
+        """Observation y_t for 1 <= t <= T.  The library reads ``stats``;
+        certbench's reference filter reads this."""
         return self.observations[t - 1]
 
 

@@ -39,7 +39,7 @@ from scipy.linalg.lapack import dgesdd, dgetrf, dgetrs
 
 from . import expfam
 from .errors import NonFiniteError, SingularMatrixError
-from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise
+from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise, step_dynamics
 from .numerics import schedule, solve_psd, symmetrize
 
 # Chart changes with condition numbers beyond this are treated as singular:
@@ -97,9 +97,7 @@ def chart_transport(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Move the state and metric from the chart at t-1 to the chart at t,
     at input ``u`` = u_t; returns (f(s, u), (F^-1)^T J F^-1)."""
-    value = np.asarray(model.f(state, u), dtype=float)
-    if not np.isfinite(value).all():
-        raise NonFiniteError(f"transition produced non-finite state at t = {t}")
+    value = step_dynamics(model, state, u, t)
     try:
         return value, pushforward_metric(metric, model.jac_f(state, u))
     except NonFiniteError as exc:

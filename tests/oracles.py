@@ -3,16 +3,19 @@ log-likelihoods that the tests differentiate numerically, as oracles for
 the scores the library reads from its linearisations, a Monte Carlo
 Fisher estimate, as the oracle for the exact Fisher the library blends in,
 scipy's Cholesky solve with one refinement pass, as the oracle for the SPD
-solve, the chartless online natural gradient that chart-based runs on
-static dynamics must reproduce, the textbook continuous fields under a
-plain RK4 loop, for the continuous pair, and the Euler discretisation that
-links the continuous pair to the discrete one."""
+solve, the information form of the EKF observation update, as the
+oracle for the gain form, the chartless online natural gradient that
+chart-based runs on static dynamics must reproduce, the textbook
+continuous fields under a plain RK4 loop, for the continuous pair, and the
+Euler discretisation that links the continuous pair to the discrete one."""
 
 import numpy as np
 import scipy.linalg
 
 from kalgrad import expfam
-from kalgrad.model import DynamicalModel, Linearisation, Scenario, Trace, mean_linearisation
+from kalgrad.model import (
+    DynamicalModel, Linearisation, Scenario, Trace, linearise, mean_linearisation,
+)
 from kalgrad.natgrad import fisher_term
 from kalgrad.numerics import fd_jacobian, schedule, solve_psd, symmetrize
 
@@ -77,6 +80,24 @@ def mc_fisher(
     draws = expfam.sample(family, mean, rng, size=n)
     scores = lin.residual(suffstats_batch(family, draws)) @ lin.jac  # one row per draw
     return symmetrize(scores.T @ scores / n)
+
+
+def observe_information(mean, cov, stats, model, family, u, t):
+    """Inverse-covariance EKF update of the predicted (mean, cov), with the
+    arguments of :func:`kalgrad.ekf.observe_gain`: P^-1 = P_pred^-1 +
+    B^T C B, s += P B^T e; returns the posterior."""
+    lin = linearise(model, family, mean, u, t)
+    dim = cov.shape[0]
+    prec_pred = solve_psd(cov, np.eye(dim))
+    prec = symmetrize(prec_pred + lin.jac.T @ lin.cov @ lin.jac)
+    cov_post = symmetrize(solve_psd(prec, np.eye(dim)))
+    score = lin.residual(stats) @ lin.jac
+    return mean + cov_post @ score, cov_post
+
+
+# The state score read from the linearisation is e B, so the preconditioned
+# gradient step P (d log p / d s)^T is the information form's P B^T e.
+observe_gradient = observe_information
 
 
 def plain_online_natgrad(

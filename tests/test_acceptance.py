@@ -26,7 +26,9 @@ from kalgrad.equivalence import (
 from kalgrad.model import DynamicalModel, builtin, generate_scenario, linearise, mean_linearisation
 
 from conftest import observe, random_spd
-from oracles import inst_loglik, log_density, mc_fisher, plain_online_natgrad
+from oracles import (
+    inst_loglik, log_density, mc_fisher, observe_gradient, observe_information, plain_online_natgrad,
+)
 from test_ekf import make_linear_model
 from test_equivalence import softmax_model
 
@@ -146,8 +148,8 @@ def test_c04_observation_form_identities():
             pred = (rng.standard_normal(dim), random_spd(rng, dim))
             y = model.h(pred[0], np.zeros(0)) + rng.standard_normal(dim)
             a_mean, a_cov = observe(ekf.observe_gain, *pred, y, model, family, 1)
-            b_mean, b_cov = observe(ekf.observe_information, *pred, y, model, family, 1)
-            c_mean, c_cov = observe(ekf.observe_gradient, *pred, y, model, family, 1)
+            b_mean, b_cov = observe(observe_information, *pred, y, model, family, 1)
+            c_mean, c_cov = observe(observe_gradient, *pred, y, model, family, 1)
             scale = max(1.0, float(np.abs(a_mean).max()))
             cov_scale = float(np.linalg.norm(a_cov))
             ok = ok and np.abs(a_mean - b_mean).max() <= 1e-10 * scale

@@ -49,10 +49,10 @@ def pendulum_cfg(tmp_path):
 class TestParseConfig:
     def test_round_trip_fields(self, linear_cfg):
         cfg = parse_config(linear_cfg)
-        assert cfg.scenario == "linear2d"
-        assert cfg.family == "gaussian"
-        assert cfg.horizon == 50
-        assert cfg.seed == 42
+        assert cfg["scenario"] == "linear2d"
+        assert cfg["family"] == "gaussian"
+        assert cfg["T"] == 50
+        assert cfg["seed"] == 42
 
     def test_missing_scenario_names_field(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -70,7 +70,7 @@ class TestParseConfig:
         path = tmp_path / "ovr.cfg"
         path.write_text("scenario = linear2d\nalpha = 0.1\nalpha[3] = 0.9\n")
         cfg = parse_config(path)
-        assert cfg.alpha_overrides == {3: 0.9}
+        assert cfg["alpha[t]"] == {3: 0.9}
 
     # Inputs the config does not take: a class count (no categorical
     # family), a prior diagonal (p0_scale sets P0), the output directory
@@ -111,7 +111,7 @@ class TestParseConfig:
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# header\n\nscenario = static  # trailing\n")
-        assert parse_config(path).scenario == "static"
+        assert parse_config(path)["scenario"] == "static"
 
 
 class TestCmdRun:
@@ -440,8 +440,9 @@ class TestRejectedInputs:
         assert capsys.readouterr().err.startswith("error: invalid field alpha: weights must be >= 0")
         assert not out.exists()
 
-    # A non-finite prior is a config error named by its field, caught
-    # before it can fail inside the filter or the flow as a numerical one.
+    # A non-finite prior, or an eta0 for which J_0 = eta_0 P_0^-1 is
+    # undefined, is a config error named by its field, caught before it
+    # can fail inside the filter or the flow as a numerical one.
     @pytest.mark.parametrize("command, mode", ALL_MODES)
     @pytest.mark.parametrize(
         "line, message",
@@ -449,8 +450,12 @@ class TestRejectedInputs:
             ("p0_scale = nan", "invalid field p0_scale: must be positive and finite"),
             ("p0_scale = inf", "invalid field p0_scale: must be positive and finite"),
             ("s0 = nan, 0", "invalid field s0: entries must be finite"),
+            ("eta0 = inf", "invalid field eta0: must be positive and finite, got inf"),
+            ("eta0 = nan", "invalid field eta0: must be positive and finite, got nan"),
+            ("eta0 = 0", "invalid field eta0: must be positive and finite, got 0"),
+            ("eta0 = -1", "invalid field eta0: must be positive and finite, got -1"),
         ],
-        ids=["p0_scale-nan", "p0_scale-inf", "s0-nan"],
+        ids=["p0_scale-nan", "p0_scale-inf", "s0-nan", "eta0-inf", "eta0-nan", "eta0-0", "eta0--1"],
     )
     def test_non_finite_prior_exits_1(
         self, command, mode, line, message, linear_cfg, pendulum_cfg, tmp_path, capsys
@@ -543,7 +548,9 @@ class TestRejectedInputs:
     # A step that does not fit the time span is named by its field, and
     # within dt_list by its entry, before the integrator sees it: one past
     # T, or one whose grid would stop short of T (the run would end early,
-    # and the study would compare grids that end at different times).
+    # and the study would compare grids that end at different times), or
+    # a repeated dt_list entry (the study's order is a slope between two
+    # step sizes).
     @pytest.mark.parametrize(
         "argv, line, message",
         [
@@ -560,8 +567,15 @@ class TestRejectedInputs:
                 ["compare"], "dt_list = 0.1, 0.3",
                 "invalid field dt_list: need a dt that divides T = 1, got 0.3 (entry 2 of 2)",
             ),
+            (
+                ["compare"], "dt_list = 0.01, 0.01",
+                "invalid field dt_list: repeated step size dt = 0.01 (entry 2 of 2)",
+            ),
         ],
-        ids=["run-dt", "compare-dt_list", "run-dt-short-grid", "compare-dt_list-short-grid"],
+        ids=[
+            "run-dt", "compare-dt_list", "run-dt-short-grid", "compare-dt_list-short-grid",
+            "compare-dt_list-repeated",
+        ],
     )
     def test_step_beyond_the_horizon_names_the_field(
         self, argv, line, message, pendulum_cfg, tmp_path, capsys
@@ -571,6 +585,15 @@ class TestRejectedInputs:
         assert main(argv + ["--config", str(pendulum_cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    # Only the discrete map needs eta_0 <= 1; the continuous flow takes
+    # any finite eta_0 > 0.
+    def test_eta0_above_1_is_discrete_only_refused(self, linear_cfg, pendulum_cfg, tmp_path, capsys):
+        for path, code in ((linear_cfg, 1), (pendulum_cfg, 0)):
+            _set_field(path, "eta0 = 1.5")
+            out = tmp_path / path.stem
+            assert main(["compare", "--config", str(path), "--out", str(out)]) == code
+        assert capsys.readouterr().err == "error: eta_0 must lie in (0, 1]\n"
 
 
 class TestUsageErrors:
@@ -584,6 +607,16 @@ class TestUsageErrors:
     def test_missing_config_exits_1(self, capsys):
         assert main(["compare"]) == 1
         assert "required: --config" in capsys.readouterr().err
+
+    # --out names a directory; a regular file there is a usage error.
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_out_naming_a_file_exits_1(self, command, linear_cfg, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        argv = COMMANDS[command] + ["--config", str(linear_cfg), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "keep\n"
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -475,6 +476,32 @@ class TestCheckContinuous:
         with pytest.raises(ValueError, match=f"need a dt that divides T = 1, got {dt:g}"):
             check_continuous(
                 model, model.init_state, np.eye(1), alpha=0.2, dts=[0.1, dt], horizon=1.0
+            )
+        assert calls == []
+
+    # The order is a slope between the coarsest and finest step sizes: a
+    # repeated one would divide by log 1 = 0.
+    def test_repeated_step_size_rejected(self, monkeypatch):
+        model = builtin("linear-ct")
+        calls = []
+        monkeypatch.setattr(bucy, "integrate", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=re.escape("repeated step size dt = 0.01 (entry 2 of 2)")):
+            check_continuous(
+                model, model.init_state, np.eye(1), alpha=0.2, dts=[0.01, 0.01], horizon=1.0
+            )
+        assert calls == []
+
+    # J_0 = eta_0 P_0^-1 is undefined for these; the refusal comes before
+    # the product, so numpy never warns.
+    @pytest.mark.parametrize("eta0", [np.inf, np.nan, 0.0, -1.0])
+    def test_undefined_eta0_rejected(self, eta0, monkeypatch):
+        model = builtin("pendulum-ct")
+        calls = []
+        monkeypatch.setattr(bucy, "integrate", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            check_continuous(
+                model, model.init_state, 0.5 * np.eye(2), alpha=0.2,
+                dts=[0.1], horizon=1.0, eta0=eta0,
             )
         assert calls == []
 

@@ -1,8 +1,9 @@
 """Smoke tests of the study front-ends, run as a user runs them: the
-discrete sweep script, `kalgrad compare` on every example config, a usage
-error, and the library names that the benchmark in ``certbench/`` looks up."""
+discrete sweep script and its exit status, `kalgrad compare` on every
+example config, a usage error, and the library names that the benchmark in
+``certbench/`` looks up."""
 
-import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import kalgrad
-from kalgrad import ekf
+from kalgrad import bucy, ekf, equivalence, expfam, model, natgrad, numerics
 from kalgrad.equivalence import SWEEP_MODELS, sweep_schedules
+from kalgrad.errors import NonFiniteError
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.cfg"))
@@ -37,6 +39,26 @@ def test_discrete_equivalence_script():
         assert any(row.split()[0] == name for row in rows)
     assert len(rows) == len(SWEEP_MODELS) * len(sweep_schedules(10))
     assert "aborted" not in proc.stdout
+
+
+def test_discrete_equivalence_script_exits_1_on_an_aborted_cell(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "discrete_equivalence", ROOT / "scripts" / "discrete_equivalence.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    check = script.check_discrete
+    first = []
+
+    def abort_first(*args, **kwargs):
+        if not first:
+            first.append(True)
+            raise NonFiniteError("injected")
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(script, "check_discrete", abort_first)
+    assert script.main(["--horizon", "5", "--seeds", "1"]) == 1
+    assert "(1 aborted)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=[path.stem for path in CONFIGS])
@@ -95,3 +117,8 @@ def test_benchmark_lookups_resolve(monkeypatch):
         assert roots == {root}
         assert markers <= {tracer.names[i] for i in cell_spans[:, 1]}
     assert ekf._OBSERVERS[ekf.GAIN] is ekf.observe_gain
+    # certbench's tests wrap every module's copy of solve_psd, and its
+    # reference filter reads Scenario.obs.
+    for module in (numerics, ekf, natgrad, equivalence, expfam, bucy):
+        assert module.solve_psd is numerics.solve_psd
+    assert callable(model.Scenario.obs)
