@@ -236,6 +236,10 @@ def _discrete_inputs(cfg: dict, system):
     discrete run; the scenario seed defaults to 0."""
     if not (cfg["T"] >= 0 and cfg["T"].is_integer()):
         raise ConfigError(f"invalid field T: need a whole number of steps >= 0, got {cfg['T']:g}")
+    if not cfg["eta0"] <= 1:  # both sides refuse what the gradient side cannot map
+        raise ConfigError(
+            f"invalid field eta0: a discrete model needs eta_0 in (0, 1], got {cfg['eta0']:g}"
+        )
     horizon = int(cfg["T"])
     family = _build_family(cfg, system)
     scenario = model_mod.generate_scenario(system, family, horizon, cfg["seed"] or 0)

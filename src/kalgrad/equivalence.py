@@ -136,7 +136,7 @@ def map_alpha_to_eta(
     cases stay exact.
     """
     if not 0 < eta0 <= 1:
-        raise ValueError("eta_0 must lie in (0, 1]")
+        raise ValueError(f"eta_0 must lie in (0, 1], got {eta0:g}")
     alpha = schedule("alpha", alpha, horizon)
     eta = np.zeros(horizon + 1)
     eta[0] = eta0

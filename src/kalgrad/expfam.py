@@ -8,7 +8,9 @@ inside the mean domain.  Since d theta / d yhat = cov(T)^-1 in the natural
 parameter theta, an observation with mean yhat = h(s) and Jacobian H has
 d theta / d s = cov(T)^-1 H (:func:`natural_jacobian`);
 :func:`kalgrad.model.linearise` builds the score and Fisher of every
-update from it.
+update from it.  A gaussian family factors its fixed covariance once and
+keeps its last solve, so a linear observation map, whose H is the same at
+every step, costs one checked solve per family.
 
 Bernoulli and categorical also take the natural parameter ``x`` (the
 logits, the linear predictor of a model with the canonical link), where
@@ -179,13 +181,22 @@ def natural_jacobian(family: ObservationFamily, yhat, mean_jac) -> tuple[np.ndar
     parameter cov(T)^-1 mean_jac, given the Jacobian mean_jac of yhat:
     d theta / d yhat = cov(T)^-1.
 
-    A gaussian family factors its fixed covariance once and runs only the
-    solve half of :func:`kalgrad.numerics.solve_psd` here, with its
-    refinement pass and residual check, at every call."""
+    A gaussian family factors its fixed covariance once, and runs the
+    solve half of :func:`kalgrad.numerics.solve_psd`, with its refinement
+    pass and residual check, once per distinct mean_jac: it keeps the last
+    mean_jac (by shape and bytes) with its read-only result, next to the
+    factor in its ``__dict__``.  A solve that fails is not kept."""
     cov = cov_suffstats(family, yhat)
-    if family.kind == GAUSSIAN:
-        return cov, _solve_factored(*family._obs_factor, mean_jac)
-    return cov, solve_psd(cov, mean_jac)
+    if family.kind != GAUSSIAN:
+        return cov, solve_psd(cov, mean_jac)
+    h = np.asarray(mean_jac, dtype=float)
+    key = (h.shape, h.tobytes())
+    kept = vars(family).get("_obs_solve")
+    if kept is None or kept[0] != key:
+        jac = _solve_factored(*family._obs_factor, h)
+        jac.flags.writeable = False
+        kept = vars(family)["_obs_solve"] = (key, jac)
+    return cov, kept[1]
 
 
 def _as_natural(family: ObservationFamily, x) -> np.ndarray:

@@ -92,7 +92,8 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     This is :func:`_factor_psd` followed by :func:`_solve_factored`; a
     caller that solves against one fixed matrix many times keeps the
     factor half's result and runs only the solve half, whose refinement
-    and residual check still run at every solve.
+    and residual check run at every solve; a gaussian family also keeps
+    its last result (:func:`kalgrad.expfam.natural_jacobian`).
 
     Raises
     ------

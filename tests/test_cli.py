@@ -586,14 +586,23 @@ class TestRejectedInputs:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    # Only the discrete map needs eta_0 <= 1; the continuous flow takes
-    # any finite eta_0 > 0.
+    # Only the discrete map needs eta_0 <= 1, and a discrete config is
+    # refused on either side; the continuous flow takes any finite
+    # eta_0 > 0.
     def test_eta0_above_1_is_discrete_only_refused(self, linear_cfg, pendulum_cfg, tmp_path, capsys):
-        for path, code in ((linear_cfg, 1), (pendulum_cfg, 0)):
-            _set_field(path, "eta0 = 1.5")
-            out = tmp_path / path.stem
-            assert main(["compare", "--config", str(path), "--out", str(out)]) == code
-        assert capsys.readouterr().err == "error: eta_0 must lie in (0, 1]\n"
+        _set_field(linear_cfg, "eta0 = 1.5")
+        for mode in DISCRETE_MODES:
+            command = "compare" if mode == "discrete" else "run"
+            out = tmp_path / mode
+            assert main(_argv(command, mode) + ["--config", str(linear_cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "error: invalid field eta0: a discrete model needs eta_0 in (0, 1], got 1.5\n"
+            )
+            assert not out.exists()
+        _set_field(pendulum_cfg, "eta0 = 1.5")
+        out = tmp_path / "continuous"
+        assert main(["compare", "--config", str(pendulum_cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestUsageErrors:

@@ -322,7 +322,7 @@ class TestSharedStepData:
 
 class TestGaussianObservationFactor:
     """Structure guard: a gaussian family's fixed R is factored once, and
-    every linearisation still runs the refined, residual-checked solve."""
+    every distinct H runs the refined, residual-checked solve."""
 
     def test_r_is_factored_once_per_family(self, monkeypatch):
         horizon = 50
@@ -342,6 +342,24 @@ class TestGaussianObservationFactor:
         # implied covariances of the metric deviations come from one
         # stacked solve, which factors on numpy's batched path.
         assert len(factored) - 1 == 1 + horizon
+
+    def test_r_b_h_is_solved_once_per_distinct_jacobian(self, monkeypatch):
+        horizon = 50
+        solves = []
+        inner = expfam._solve_factored
+
+        def counting(*args):
+            solves.append(args[2])
+            return inner(*args)
+
+        monkeypatch.setattr(expfam, "_solve_factored", counting)
+        # linear2d's H is constant: one solve serves every step of both
+        # sides.  static's H = u_t changes at every step of each side.
+        for name, expected in (("linear2d", 1), ("static", 2 * horizon)):
+            solves.clear()
+            scenario, s0, p0 = equivalence.sweep_cell(name, horizon, 0)
+            assert check_discrete(scenario, s0, p0, alpha=0.1).passed
+            assert len(solves) == expected
 
     def test_ill_conditioned_r_fails_at_the_first_linearisation(self, monkeypatch):
         # cond(R) ~ 1e15: the family accepts R (its eigenvalues are

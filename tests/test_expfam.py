@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from kalgrad import expfam, natgrad
+from kalgrad import expfam, natgrad, numerics
 from kalgrad.errors import DomainError, OutOfSupportError
 from kalgrad.model import mean_linearisation
 from kalgrad.numerics import fd_jacobian
@@ -421,3 +423,66 @@ class TestConstructors:
         assert expfam.gaussian(np.eye(3)).mean_dim == 3
         assert expfam.bernoulli().mean_dim == 1
         assert expfam.categorical(5).mean_dim == 4
+
+
+class TestKeptObservationSolve:
+    """A gaussian family keeps its last R B = H solve: the same H again (same
+    shape, same bytes) returns the kept B, and any other H runs the checked
+    solve."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The right-hand sides H that expfam's checked solve receives."""
+        seen = []
+        inner = expfam._solve_factored
+
+        def recording(a, factor, b):
+            seen.append(np.array(b))
+            return inner(a, factor, b)
+
+        monkeypatch.setattr(expfam, "_solve_factored", recording)
+        return seen
+
+    @staticmethod
+    def fresh(family, h):
+        return numerics._solve_factored(*family._obs_factor, h)
+
+    def test_alternating_jacobians_match_a_fresh_solve(self, rng, solves):
+        family = make_family("gaussian", rng)
+        h_a, h_b = rng.standard_normal((2, 2, 3))
+        for h in (h_a, h_b, h_a, h_a):
+            jac = expfam.natural_jacobian(family, np.zeros(2), h)[1]
+            assert jac.tobytes() == self.fresh(family, h).tobytes()
+        # h_a after h_b is solved again; only its repeat reads the kept B.
+        assert [h.tobytes() for h in solves] == [h.tobytes() for h in (h_a, h_b, h_a)]
+
+    def test_same_bytes_in_another_shape_is_solved_in_its_own_shape(self, solves):
+        family = expfam.gaussian(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        vec = np.array([1.0, -0.5])
+        col = vec.reshape(2, 1)  # the same bytes
+        for h in (vec, col, vec, vec):
+            jac = expfam.natural_jacobian(family, np.zeros(2), h)[1]
+            assert jac.shape == h.shape
+            assert jac.tobytes() == self.fresh(family, h).tobytes()
+        assert [h.shape for h in solves] == [(2,), (2, 1), (2,)]
+
+    def test_kept_jacobian_is_read_only_and_keyed_by_a_copy(self, rng, solves):
+        family = make_family("gaussian", rng)
+        h = rng.standard_normal((2, 3))
+        first = expfam.natural_jacobian(family, np.zeros(2), h)[1]
+        before = first.copy()
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+        h[0, 0] += 1.0  # the caller writes into its H after the call
+        second = expfam.natural_jacobian(family, np.zeros(2), h)[1]
+        assert second.tobytes() == self.fresh(family, h).tobytes()
+        assert first.tobytes() == before.tobytes()
+        assert len(solves) == 2
+
+    def test_a_replaced_family_starts_with_nothing_kept(self, rng, solves):
+        family = make_family("gaussian", rng)
+        h = rng.standard_normal((2, 3))
+        for fam in (family, family, dataclasses.replace(family)):
+            expfam.natural_jacobian(fam, np.zeros(2), h)
+        assert len(solves) == 2
