@@ -28,7 +28,7 @@ model, whose own observation path they read, and return the derivatives;
 :func:`integrate` packs them into one vector for RK4.
 
 Observation paths y(t) are smooth callables; rough (white-noise) paths are
-out of scope.  P and J are symmetrized after every step and their
+out of scope.  The fields keep P and J exactly symmetric, and their
 positivity is monitored, never enforced: after each step a Cholesky
 factorization of the matrix shifted down by 1e-13 times its Frobenius norm
 must succeed.  An error inside a step names the side and the step's grid
@@ -46,7 +46,7 @@ from scipy.linalg.lapack import dpotrf
 from .errors import NumericalError, PositivityLostError
 from .model import ContinuousModel, Trace, mean_linearisation
 from .natgrad import fisher_term
-from .numerics import rk4_step, solve_psd, symmetrize
+from .numerics import check_eta0, rk4_step, solve_psd, symmetrize
 
 BUCY = "bucy"
 CNGD = "cngd"
@@ -173,9 +173,11 @@ def integrate(
 
     ``init_matrix`` is the prior covariance P_0 for ``bucy`` and the prior
     metric J_0 for ``cngd``, whose runs also need the initial learning rate
-    ``eta0``; it is co-integrated with the state via :func:`eta_ode` and
-    gamma(t) = eta(t).  The matrix part of the state is symmetrized after
-    each step; positivity is checked and failure raises PositivityLostError.
+    ``eta0`` (refused on entry unless :func:`kalgrad.numerics.check_eta0`
+    passes it); it is co-integrated with the state via :func:`eta_ode` and
+    gamma(t) = eta(t).  The matrix part stays exactly symmetric, as RK4
+    combines the fields' exactly symmetric derivatives; positivity is
+    checked after each step and failure raises PositivityLostError.
     A numerical error raised inside a step gets the side (``bucy`` or
     ``cngd``) and the step's grid time prepended to its message.
     """
@@ -198,9 +200,9 @@ def integrate(
             return np.concatenate([ds, dcov.ravel()])
 
     elif kind == CNGD:
-        if eta0 is None or not eta0 > 0:
-            raise ValueError("initial eta must be > 0")
-        label, tail = "metric", [float(eta0)]
+        if eta0 is None:
+            raise ValueError("cngd needs the initial rate eta0")
+        label, tail = "metric", [check_eta0(eta0)]
 
         def deriv(t: float, z: np.ndarray) -> np.ndarray:
             eta = z[-1]
@@ -225,9 +227,7 @@ def integrate(
                 # The same object is re-raised, so its callers see one error.
                 exc.args = (f"{kind} step from t = {times[i]:.6g}: {exc}",)
                 raise
-            mat = symmetrize(z[n:end].reshape(n, n))
-            z[n:end] = mat.ravel()
-            _check_positive(mat, label, times[i + 1])
+            _check_positive(z[n:end].reshape(n, n), label, times[i + 1])
             packed[i + 1] = z
     states, mats = packed[:, :n], packed[:, n:end].reshape(-1, n, n)
     if kind == BUCY:

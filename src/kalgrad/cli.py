@@ -25,6 +25,7 @@ from . import expfam
 from . import model as model_mod
 from . import natgrad as ngd_mod
 from .errors import ConfigError, NumericalError, UnknownModelError
+from .numerics import check_eta0
 
 _RAMP_RE = re.compile(r"^ramp\(\s*([^,]+)\s*,\s*([^)]+)\s*\)$")
 
@@ -43,8 +44,8 @@ def _parse_seed(value: str) -> int:
 
 def _parse_eta0(value: str) -> float:
     """The shared initial rate eta_0, under the rule of
-    :func:`kalgrad.equivalence.initial_metric`."""
-    return eq_mod.check_eta0(float(value))
+    :func:`kalgrad.numerics.check_eta0`."""
+    return check_eta0(float(value))
 
 
 # Config key -> (parser, default, the one time domain that reads it or None

@@ -43,7 +43,7 @@ from . import expfam
 from . import natgrad as ngd_mod
 from .errors import DomainError, NumericalError
 from .model import ContinuousModel, Scenario, Trace, builtin, generate_scenario
-from .numerics import schedule, solve_psd, symmetrize
+from .numerics import check_eta0, schedule, solve_psd, symmetrize
 
 MUTATIONS = ("drop_fading_factor", "halve_gamma", "skip_metric_transport")
 
@@ -164,21 +164,18 @@ def map_eta_to_alpha(eta: Sequence[float]) -> np.ndarray:
     return eta[1:] / ((1.0 - eta[1:]) * eta[:-1]) - 1.0
 
 
-def check_eta0(eta0: float) -> float:
-    """Return the initial rate eta_0 if J_0 = eta_0 P_0^-1 is defined for
-    it, finite and > 0; a ValueError otherwise.  The discrete map further
-    needs eta_0 <= 1 (:func:`map_alpha_to_eta`)."""
-    if not 0 < eta0 < np.inf:
-        raise ValueError(f"must be positive and finite, got {eta0:g}")
-    return eta0
-
-
 def initial_metric(init_cov, eta0: float) -> np.ndarray:
     """The gradient side's prior metric J_0 = eta_0 P_0^-1, matched to the
-    filter's prior covariance P_0; eta_0 must pass :func:`check_eta0`."""
+    filter's prior covariance P_0; eta_0 must pass :func:`check_eta0`, and
+    a P_0 that ``solve_psd`` refuses is named in its error."""
     check_eta0(eta0)
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
-    return symmetrize(eta0 * solve_psd(init_cov, np.eye(init_cov.shape[0])))
+    try:
+        inverse = solve_psd(init_cov, np.eye(init_cov.shape[0]))
+    except NumericalError as exc:
+        exc.args = (f"prior covariance P_0: {exc}",)
+        raise
+    return symmetrize(eta0 * inverse)
 
 
 def _state_devs(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:

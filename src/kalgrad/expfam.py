@@ -8,9 +8,9 @@ inside the mean domain.  Since d theta / d yhat = cov(T)^-1 in the natural
 parameter theta, an observation with mean yhat = h(s) and Jacobian H has
 d theta / d s = cov(T)^-1 H (:func:`natural_jacobian`);
 :func:`kalgrad.model.linearise` builds the score and Fisher of every
-update from it.  A gaussian family factors its fixed covariance once and
-keeps its last solve, so a linear observation map, whose H is the same at
-every step, costs one checked solve per family.
+update from it.  A gaussian family factors its fixed covariance when it is
+built and keeps its last solve, so a linear observation map, whose H is
+the same at every step, costs one checked solve per family.
 
 Bernoulli and categorical also take the natural parameter ``x`` (the
 logits, the linear predictor of a model with the canonical link), where
@@ -29,13 +29,12 @@ logits against the dropped class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import DomainError, OutOfSupportError
+from .errors import DomainError, OutOfSupportError, SingularMatrixError
 from .numerics import _factor_psd, _solve_factored, solve_psd, symmetrize
 
 GAUSSIAN = "gaussian"
@@ -47,12 +46,31 @@ class ObservationFamily:
     """One exponential family, identified by kind plus fixed parameters.
 
     Use the :func:`gaussian`, :func:`bernoulli`, :func:`categorical`
-    constructors instead of instantiating directly.
+    constructors instead of instantiating directly.  A gaussian family,
+    however built, symmetrizes its covariance, refuses one that is not
+    finite or does not factor (a ValueError), and keeps its lower Cholesky
+    factor as ``obs_factor``, which cannot be set: its one check, solve
+    factor and sampler.
     """
 
     kind: str
     obs_cov: np.ndarray | None = None  # gaussian: fixed covariance of y
     num_classes: int | None = None  # categorical: K >= 2
+    obs_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind != GAUSSIAN:
+            return
+        r = np.atleast_2d(np.asarray(self.obs_cov, dtype=float))
+        if not np.isfinite(r).all():
+            raise ValueError("gaussian observation covariance has non-finite entries")
+        r = symmetrize(r)
+        try:
+            factor = _factor_psd(r)
+        except SingularMatrixError:
+            raise ValueError("gaussian observation covariance must be positive definite") from None
+        object.__setattr__(self, "obs_cov", r)
+        object.__setattr__(self, "obs_factor", factor)
 
     @property
     def mean_dim(self) -> int:
@@ -62,25 +80,10 @@ class ObservationFamily:
             return 1
         return self.num_classes - 1
 
-    @cached_property
-    def _obs_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """A gaussian family's covariance as factored for its solves, and
-        its Cholesky factor: computed on first use and kept, since the
-        covariance is fixed.  A factorization that fails is not kept, so
-        it fails again at every use."""
-        return _factor_psd(self.obs_cov)
-
 
 def gaussian(obs_cov: np.ndarray) -> ObservationFamily:
-    """Gaussian observations with fixed, known covariance."""
-    r = np.atleast_2d(np.asarray(obs_cov, dtype=float))
-    if not np.isfinite(r).all():
-        raise ValueError("gaussian observation covariance has non-finite entries")
-    r = symmetrize(r)
-    eigs = np.linalg.eigvalsh(r)
-    if eigs.min() <= 0:
-        raise ValueError("gaussian observation covariance must be positive definite")
-    return ObservationFamily(kind=GAUSSIAN, obs_cov=r)
+    """Gaussian observations with fixed, known, positive definite covariance."""
+    return ObservationFamily(kind=GAUSSIAN, obs_cov=obs_cov)
 
 
 def bernoulli() -> ObservationFamily:
@@ -181,11 +184,12 @@ def natural_jacobian(family: ObservationFamily, yhat, mean_jac) -> tuple[np.ndar
     parameter cov(T)^-1 mean_jac, given the Jacobian mean_jac of yhat:
     d theta / d yhat = cov(T)^-1.
 
-    A gaussian family factors its fixed covariance once, and runs the
-    solve half of :func:`kalgrad.numerics.solve_psd`, with its refinement
-    pass and residual check, once per distinct mean_jac: it keeps the last
-    mean_jac (by shape and bytes) with its read-only result, next to the
-    factor in its ``__dict__``.  A solve that fails is not kept."""
+    A gaussian family runs the solve half of
+    :func:`kalgrad.numerics.solve_psd` on the factor it made when it was
+    built, with its refinement pass and residual check, once per distinct
+    mean_jac: it keeps the last mean_jac (by shape and bytes) with its
+    read-only result in its ``__dict__``.  A solve that fails is not
+    kept."""
     cov = cov_suffstats(family, yhat)
     if family.kind != GAUSSIAN:
         return cov, solve_psd(cov, mean_jac)
@@ -193,7 +197,7 @@ def natural_jacobian(family: ObservationFamily, yhat, mean_jac) -> tuple[np.ndar
     key = (h.shape, h.tobytes())
     kept = vars(family).get("_obs_solve")
     if kept is None or kept[0] != key:
-        jac = _solve_factored(*family._obs_factor, h)
+        jac = _solve_factored(family.obs_cov, family.obs_factor, h)
         jac.flags.writeable = False
         kept = vars(family)["_obs_solve"] = (key, jac)
     return cov, kept[1]
@@ -274,8 +278,7 @@ def sample(family: ObservationFamily, yhat, rng: np.random.Generator, size: int 
     n = 1 if size is None else int(size)
     if family.kind == GAUSSIAN:
         yhat = check_mean(family, yhat)
-        chol = np.linalg.cholesky(family.obs_cov)
-        draws = yhat + rng.standard_normal((n, family.mean_dim)) @ chol.T
+        draws = yhat + rng.standard_normal((n, family.mean_dim)) @ family.obs_factor.T
         return draws[0] if size is None else draws
     yhat = _as_mean(family, yhat)
     total = yhat.sum()

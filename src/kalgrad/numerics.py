@@ -2,9 +2,10 @@
 
 Everything here is a pure function of its inputs; matrices are small and
 dense (state dimensions of a few at most), so factorization-based solves
-and fixed-step integration are the right tools.  The SPD solve also takes
-a stack of matrices, which it factors and solves in one batched pass
-before handing any matrix that pass cannot settle to the one-matrix path.
+and fixed-step integration are the right tools.  The SPD solve refuses a
+matrix that does not factor, never shifting it; it also takes a stack of
+matrices, which it factors and solves in one batched pass before handing
+any matrix that pass cannot settle to the one-matrix path.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NonFiniteError, NumericalError, SingularMatrixError
-
-# Diagonal jitter ladder used to rescue marginally non-PD solves, scaled
-# by trace(A)/dim.  Exhausting the ladder is a hard failure.
-_JITTER_SCALES = (1e-12, 1e-10, 1e-8)
 
 # The largest relative residual ||B - A X||_F / ||B||_F an SPD solve may
 # leave, on the 2-D path and on the stacked one.
@@ -71,17 +68,22 @@ def schedule(name: str, values, horizon: int) -> np.ndarray:
     return np.resize(arr, horizon)  # a new array, a single entry repeated
 
 
+def check_eta0(eta0: float) -> float:
+    """Return the initial rate eta_0 if J_0 = eta_0 P_0^-1 is defined for
+    it, finite and > 0; a ValueError otherwise.  The discrete map further
+    needs eta_0 <= 1 (:func:`kalgrad.equivalence.map_alpha_to_eta`)."""
+    if not 0 < eta0 < math.inf:
+        raise ValueError(f"must be positive and finite, got {eta0:g}")
+    return eta0
+
+
 def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B for symmetric positive definite A without forming A^{-1}.
 
     Uses LAPACK's Cholesky factorization (``dpotrf``, lower triangle) and
     solve (``dpotrs``) at every dimension, plus one step of iterative
-    refinement, applied in place.  If the factorization fails, diagonal
-    jitter delta * trace(A)/dim is added for delta in {1e-12, 1e-10, 1e-8}
-    before giving up; the residual is then measured against the jittered
-    matrix actually solved.  A matrix whose trace is not positive has no
-    positive shift on that ladder, so it fails after its first
-    factorization.
+    refinement, applied in place.  A matrix that does not factor is
+    refused; it is never shifted to make it factor.
 
     ``a`` may also be a stack of shape (m, n, n), with ``b`` of shape
     (m, n, k) or one (n, k) shared by every matrix; the result then has
@@ -105,8 +107,8 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         If the matrix or the right-hand side holds an inf or nan (checked
         once the factorization or the residual check has failed).
     SingularMatrixError
-        If positive definiteness cannot be restored within the jitter
-        budget, or the relative residual stays above 1e-10.
+        If A is not positive definite (its factorization fails), or the
+        relative residual stays above 1e-10.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1] if a.ndim in (2, 3) else 0
@@ -122,12 +124,12 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _solve_one(a: np.ndarray, b) -> np.ndarray:
     """:func:`solve_psd` for one validated square float A."""
     try:
-        a_used, factor = _factor_psd(a)
+        factor = _factor_psd(a)
     except NumericalError:
         # A malformed, then a non-finite, operand is named first.
         _check_finite(a, _as_rhs(a, b))
         raise
-    return _solve_factored(a_used, factor, b)
+    return _solve_factored(a, factor, b)
 
 
 def _solve_stack(a: np.ndarray, b) -> np.ndarray:
@@ -137,10 +139,10 @@ def _solve_stack(a: np.ndarray, b) -> np.ndarray:
     solves with the inverse of each factor and refines once; each matrix's
     residual then gets the 2-D path's check, :func:`_check_residual`.  A
     matrix that pass cannot settle is solved again on the 2-D path, which
-    owns the jitter ladder and the error classes: every matrix whose
-    residual misses the bound, and every matrix of a stack in which some
-    matrix does not factor.  Each matrix therefore has the outcome it has
-    on the 2-D path, up to the rounding of an accepted solve.
+    owns the refusals and the error classes: every matrix whose residual
+    misses the bound, and every matrix of a stack in which some matrix
+    does not factor.  Each matrix therefore has the outcome it has on the
+    2-D path, up to the rounding of an accepted solve.
     """
     m, n = a.shape[:2]
     b = np.asarray(b, dtype=float)
@@ -172,36 +174,25 @@ def _solve_stack(a: np.ndarray, b) -> np.ndarray:
     return x
 
 
-def _factor_psd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _factor_psd(a: np.ndarray) -> np.ndarray:
     """The factor half of :func:`solve_psd`, for a validated square float A:
-    returns the matrix actually factored (A, or A plus the first rung of
-    diagonal jitter that makes it factor) and its lower Cholesky factor.
+    its lower Cholesky factor, with the upper triangle zeroed.
 
     Raises NonFiniteError if A holds an inf or nan that fails the
-    factorization, and SingularMatrixError if the jitter ladder does not
-    restore positive definiteness.
+    factorization, and SingularMatrixError if A is otherwise not positive
+    definite.
     """
-    a_used = a
-    factor, info = dpotrf(a, lower=1, clean=0)
+    factor, info = dpotrf(a, lower=1, clean=1)
     if info:
         # A non-positive pivot, or a nan that reached one.
-        _check_finite(a)  # no jitter rescues an inf or nan
-        n = a.shape[0]
-        trace = np.trace(a)
-        if trace > 0:  # otherwise no rung of the ladder shifts A up
-            for delta in _JITTER_SCALES:
-                a_used = a + (delta * trace / n) * np.eye(n)
-                factor, info = dpotrf(a_used, lower=1, clean=0)
-                if not info:
-                    break
-        if info:
-            raise SingularMatrixError("matrix is not positive definite within the jitter budget")
-    return a_used, factor
+        _check_finite(a)
+        raise SingularMatrixError("matrix is not positive definite")
+    return factor
 
 
 def _solve_factored(a: np.ndarray, factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The solve half of :func:`solve_psd`: solves A X = B given A and its
-    factor as returned by :func:`_factor_psd`, with one refinement pass
+    factor from :func:`_factor_psd`, with one refinement pass
     and the relative residual checked against A.
 
     Raises ValueError if B does not have one row per row of A, and

@@ -1,7 +1,14 @@
-import numpy as np
-import pytest
+import os
 
-from kalgrad import expfam, natgrad
+# One thread for every BLAS the suite or its CLI subprocesses load, set
+# before numpy is first imported: on 2x2 algebra a helper thread only
+# stalls when the other cores are busy.
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from kalgrad import expfam, natgrad  # noqa: E402
 
 
 def random_spd(rng, dim, scale=1.0):

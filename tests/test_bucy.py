@@ -459,3 +459,14 @@ class TestIntegrate:
         assert trace.times[-1] == 0.5
         with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
             bucy.integrate(bucy.BUCY, np.zeros(1), np.eye(1), model, 0.1, 1.0, ramp)
+
+    # eta0 follows numerics.check_eta0, the rule of initial_metric and the
+    # CLI: one that is not finite and > 0 is an invalid argument, refused
+    # before the first step could fail on it.
+    @pytest.mark.parametrize("eta0", [np.inf, np.nan, 0.0, -1.0])
+    def test_undefined_eta0_rejected(self, eta0):
+        model = scalar_integrator_model()
+        with pytest.raises(ValueError, match=f"^must be positive and finite, got {eta0:g}$"):
+            bucy.integrate(bucy.CNGD, np.zeros(1), np.eye(1), model, 0.1, 1.0, eta0=eta0)
+        with pytest.raises(ValueError, match="^cngd needs the initial rate eta0$"):
+            bucy.integrate(bucy.CNGD, np.zeros(1), np.eye(1), model, 0.1, 1.0)

@@ -231,12 +231,13 @@ class TestFormEquivalence:
         np.testing.assert_allclose(mean, [0.1 + (0.7 - 0.1) / 2])
 
     def test_singular_innovation_raises(self):
+        # R = H = I and predicted covariance -I: I + C B P B^T is exactly 0.
         model = make_linear_model([[1.0]])
-        bad_family = expfam.ObservationFamily(kind="gaussian", obs_cov=np.array([[-2.0]]))
-        with pytest.raises(SingularMatrixError):
+        family = expfam.gaussian(np.eye(1))
+        with pytest.raises(SingularMatrixError, match="^gain-form innovation matrix singular at t = 1$"):
             observe(
                 ekf.observe_gain,
-                np.array([0.0]), np.array([[1.0]]), np.array([1.0]), model, bad_family, 1
+                np.array([0.0]), np.array([[-1.0]]), np.array([1.0]), model, family, 1
             )
 
 

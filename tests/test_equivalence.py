@@ -155,6 +155,19 @@ class TestCheckDiscrete:
         )
         assert report.passed
 
+    # P_0 = diag(1, 0) has no J_0 = eta_0 P_0^-1, so the pair is refused by
+    # name before the gradient side runs, on every model: it is neither
+    # certified nor aborted later from a J_0 that a shifted P_0 would give.
+    @pytest.mark.parametrize("name", ["static", "linear2d", "tanhspring"])
+    def test_singular_prior_covariance_is_refused_by_name(self, name, monkeypatch):
+        scenario, s0, _ = equivalence.sweep_cell(name, 50, 0)
+        runs = []
+        monkeypatch.setattr(natgrad, "run", lambda *args: runs.append(args))
+        message = "^prior covariance P_0: matrix is not positive definite$"
+        with pytest.raises(SingularMatrixError, match=message):
+            check_discrete(scenario, s0, np.diag([1.0, 0.0]), alpha=0.1)
+        assert runs == []
+
     def test_several_eta0_values(self):
         scenario = scenario_for("linear2d", 30, seed=2)
         for eta0 in (0.2, 0.5, 1.0):
@@ -336,12 +349,15 @@ class TestGaussianObservationFactor:
             return dpotrf(a, *args, **kwargs)
 
         monkeypatch.setattr(numerics, "dpotrf", counting_dpotrf)
+        expfam.gaussian(r)
+        assert factored == [True]  # when the family is built
+        factored.clear()
         assert check_discrete(scenario, s0, p0, alpha=0.1).passed
-        assert sum(factored) == 1  # not once per linearisation on each side
+        assert not any(factored)  # not on first use, nor per linearisation
         # The rest: the prior metric and the natural step at each t.  The
         # implied covariances of the metric deviations come from one
         # stacked solve, which factors on numpy's batched path.
-        assert len(factored) - 1 == 1 + horizon
+        assert len(factored) == 1 + horizon
 
     def test_r_b_h_is_solved_once_per_distinct_jacobian(self, monkeypatch):
         horizon = 50

@@ -407,6 +407,31 @@ class TestConstructors:
         with pytest.raises(ValueError):
             expfam.gaussian(np.array([[0.0]]))
 
+    # The family is checked however it is built: by its constructor, or
+    # directly, where a negative R once passed until its first solve.
+    @pytest.mark.parametrize(
+        "build",
+        [expfam.gaussian, lambda r: expfam.ObservationFamily(kind="gaussian", obs_cov=r)],
+        ids=["gaussian", "direct"],
+    )
+    def test_negative_covariance_is_refused_when_built(self, build):
+        with pytest.raises(ValueError, match="^gaussian observation covariance must be positive definite$"):
+            build(np.array([[-2.0]]))
+
+    def test_factor_is_the_cholesky_factor_and_cannot_be_set(self):
+        r = np.array([[2.0, 0.3], [0.3, 1.0]])
+        family = expfam.gaussian(r)
+        np.testing.assert_array_equal(family.obs_factor, np.linalg.cholesky(r))
+        with pytest.raises(TypeError):
+            expfam.ObservationFamily(kind="gaussian", obs_cov=r, obs_factor=np.eye(2))
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(family, obs_factor=np.eye(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            family.obs_factor = np.eye(2)
+        assert dataclasses.replace(family, obs_cov=4.0 * r).obs_factor.tobytes() == (
+            (2.0 * family.obs_factor).tobytes()
+        )
+
     @pytest.mark.parametrize(
         "cov",
         [[[np.nan]], [[np.inf]], [[1.0, np.inf], [-np.inf, 1.0]], [[1.0, 0.0], [np.nan, 1.0]]],
@@ -445,7 +470,7 @@ class TestKeptObservationSolve:
 
     @staticmethod
     def fresh(family, h):
-        return numerics._solve_factored(*family._obs_factor, h)
+        return numerics._solve_factored(family.obs_cov, family.obs_factor, h)
 
     def test_alternating_jacobians_match_a_fresh_solve(self, rng, solves):
         family = make_family("gaussian", rng)

@@ -47,34 +47,9 @@ class TestSolvePsd:
             x = solve_psd(a, a @ x0)
             np.testing.assert_allclose(x, x0, atol=1e-11 * np.abs(x0).max())
 
-    def test_jitter_rescues_semidefinite(self):
-        # One zero eigenvalue: the jitter ladder makes it factorizable.
-        a = np.diag([1.0, 0.0])
-        x = solve_psd(a, np.array([1.0, 0.0]))
-        assert np.isfinite(x).all()
-
-    # A rank-one matrix of ones has an exact zero second pivot, so the
-    # unjittered factorization fails and the ladder rescues it.  x is then
-    # determined only up to the null space, but A x = b still holds.
-    @pytest.mark.parametrize("dim", [2, 8])
-    def test_jitter_rescues_rank_one(self, dim):
-        a = np.ones((dim, dim))
-        b = np.ones(dim)
-        assert dpotrf(a, lower=1)[1] > 0
-        x = solve_psd(a, b)
-        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-    # The ladder scales with trace(A), so it cannot make a non-positive 1x1
-    # matrix positive.
-    @pytest.mark.parametrize("value", [0.0, -1.0])
-    def test_jitter_cannot_rescue_1x1(self, value):
-        with pytest.raises(SingularMatrixError, match="jitter"):
-            solve_psd(np.array([[value]]), np.ones(1))
-
-    # Without a positive trace the ladder has no positive shift to add, so
-    # the matrix is factored once, not once per rung.
-    @pytest.mark.parametrize("a", [[[0.0]], [[-1.0]], [[1.0, 0.0], [0.0, -2.0]]])
-    def test_non_positive_trace_is_factored_once(self, a, monkeypatch):
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        """The calls that solve_psd makes to dpotrf."""
         calls = []
 
         def counting_dpotrf(*args, **kwargs):
@@ -82,9 +57,36 @@ class TestSolvePsd:
             return dpotrf(*args, **kwargs)
 
         monkeypatch.setattr(numerics, "dpotrf", counting_dpotrf)
-        with pytest.raises(SingularMatrixError, match="jitter budget"):
+        return calls
+
+    # A matrix that does not factor is refused after its one factorization,
+    # never shifted until it factors: a positive semidefinite one with an
+    # exact zero pivot too.
+    def test_semidefinite_is_refused(self, factorizations):
+        with pytest.raises(SingularMatrixError, match="^matrix is not positive definite$"):
+            solve_psd(np.diag([1.0, 0.0]), np.array([1.0, 0.0]))
+        assert len(factorizations) == 1
+
+    # A rank-one matrix of ones has an exact zero second pivot, so its
+    # factorization fails, although A x = b has solutions.
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_rank_one_is_refused(self, dim, factorizations):
+        a = np.ones((dim, dim))
+        with pytest.raises(SingularMatrixError, match="^matrix is not positive definite$"):
+            solve_psd(a, np.ones(dim))
+        assert len(factorizations) == 1
+
+    # Nothing is added to a non-positive 1x1 matrix to make it positive.
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_jitter_cannot_rescue_1x1(self, value):
+        with pytest.raises(SingularMatrixError, match="^matrix is not positive definite$"):
+            solve_psd(np.array([[value]]), np.ones(1))
+
+    @pytest.mark.parametrize("a", [[[0.0]], [[-1.0]], [[1.0, 0.0], [0.0, -2.0]]])
+    def test_non_positive_trace_is_factored_once(self, a, factorizations):
+        with pytest.raises(SingularMatrixError, match="^matrix is not positive definite$"):
             solve_psd(np.array(a), np.ones(len(a)))
-        assert len(calls) == 1
+        assert len(factorizations) == 1
 
     @pytest.mark.parametrize("dim", [1, 2, 8])
     def test_empty_rhs(self, dim, rng):
@@ -201,11 +203,10 @@ def _spd_stack(rng, n, conds):
 
 
 # Members of a mixed stack, with a right-hand-side column in the range of
-# each: a well-conditioned matrix, a singular one that factors on the first
-# rung of the jitter ladder, one with a nan, and one that factors but fails
-# the residual bound.
+# each: a well-conditioned matrix, a singular one that does not factor, one
+# with a nan, and one that factors but fails the residual bound.
 _GOOD = (np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0]))
-_JITTER = (np.ones((2, 2)), np.array([1.0, 1.0]))
+_SINGULAR = (np.ones((2, 2)), np.array([1.0, 1.0]))
 _NAN = (np.array([[2.0, 0.0], [np.nan, 1.0]]), np.array([1.0, -1.0]))
 _RESIDUAL = (np.array([[3.0, 1.0], [1.0, 1.0 / 3.0 + 1e-14]]), np.array([1.0, -1.0]))
 
@@ -243,27 +244,20 @@ class TestSolvePsdStack:
     def test_empty_stack(self):
         assert solve_psd(np.zeros((0, 2, 2)), np.eye(2)).shape == (0, 2, 2)
 
-    # The jitter rung is taken on the 2-D path, so that matrix's result is
-    # the 2-D result itself.
-    def test_jitter_rung_as_on_the_2d_path(self):
-        a, b = _stack(_GOOD, _JITTER, _GOOD)
-        x = solve_psd(a, b)
-        for i in range(3):
-            np.testing.assert_array_equal(x[i], solve_psd(a[i], b[i]))
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(_JITTER[0])  # it does need the ladder
-
     # A mixed stack fails where the 2-D path first fails, with its error
-    # class and message, plus the index of the matrix.
+    # class and message, plus the index of the matrix.  A singular matrix
+    # fails numpy's batched factorization, so a stack that holds one goes
+    # to the 2-D path whole, where the singular matrix is refused in turn.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "members, index, error",
         [
-            ((_JITTER, _NAN, _RESIDUAL, _GOOD), 1, NonFiniteError),
-            ((_GOOD, _JITTER, _RESIDUAL, _NAN), 2, SingularMatrixError),
+            ((_GOOD, _NAN, _RESIDUAL, _SINGULAR), 1, NonFiniteError),
+            ((_GOOD, _GOOD, _RESIDUAL, _SINGULAR), 2, SingularMatrixError),
             ((_GOOD, _GOOD, _GOOD, _NAN), 3, NonFiniteError),
+            ((_GOOD, _SINGULAR, _RESIDUAL, _NAN), 1, SingularMatrixError),
         ],
-        ids=["nan-first", "residual-first", "nan-last"],
+        ids=["nan-first", "residual-first", "nan-last", "singular-first"],
     )
     def test_mixed_stack_fails_as_the_2d_path(self, members, index, error):
         a, b = _stack(*members)
