@@ -18,10 +18,13 @@ size shrinks.
 Every run returns a :class:`~kalgrad.model.Trace`, so both sides are
 compared row by row on the same stacked arrays.  State deviations are
 reported relative to max(1, sup-norm of the filter trajectory) so that
-near-zero states do not inflate relative errors.  The metric check
-||P_t - eta_t J_t^-1||_F / ||P_t||_F inverts the metrics with stacked
-:func:`~kalgrad.numerics.solve_psd` calls on blocks of rows, each matrix
-held to the same refinement and residual check as a single solve.
+near-zero states do not inflate relative errors.  The metric check is
+||P_t - eta_t J_t^-1||_F / ||P_t||_F on blocks of rows.  On the discrete
+side it reads the gradient side's factors, J_t^-1 = U_t^-1 U_t^-T, with
+stacked inverses of the triangular U_t (back-substitution, no dense J_t
+is formed); the continuous flow's dense metrics are inverted with stacked
+:func:`~kalgrad.numerics.solve_psd` calls, each matrix held to the same
+refinement and residual check as a single solve.
 
 Negative controls live here only: :func:`check_discrete` applies one of
 :data:`MUTATIONS` to the inputs of one side (alpha = 0 for the filter,
@@ -203,11 +206,32 @@ def _metric_devs(covs: np.ndarray, metrics: np.ndarray, etas: np.ndarray) -> np.
     return devs
 
 
+def _factor_devs(covs: np.ndarray, factors: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """||P_t - eta_t U_t^-1 U_t^-T||_F / ||P_t||_F at every row t, from
+    stacked inverses of the upper-triangular factors over blocks of
+    :data:`_METRIC_BLOCK` rows; on a triangular matrix the LU of
+    ``np.linalg.inv`` pivots nowhere, so each inverse is a
+    back-substitution."""
+    devs = np.empty(len(covs))
+    for start in range(0, len(covs), _METRIC_BLOCK):
+        rows = slice(start, start + _METRIC_BLOCK)
+        inv = np.linalg.inv(factors[rows])
+        diff = covs[rows] - etas[rows, None, None] * (inv @ inv.transpose(0, 2, 1))
+        devs[rows] = np.sqrt(np.einsum("tij,tij->t", diff, diff)) / np.sqrt(
+            np.einsum("tij,tij->t", covs[rows], covs[rows])
+        )
+    return devs
+
+
 def _compare(filt: Trace, grad: Trace, etas: np.ndarray, tol: float, /, **extra) -> ComparisonReport:
     """Per-step deviations of a gradient run, whose learning rate is
-    ``etas`` at each row, from a filter run, with the verdict at ``tol``."""
+    ``etas`` at each row, from a filter run, with the verdict at ``tol``;
+    the metric check reads the gradient run's factors where it has them."""
     state_devs = _state_devs(filt.states, grad.states)
-    metric_devs = _metric_devs(filt.covs, grad.metrics, etas)
+    if grad.factors is None:
+        metric_devs = _metric_devs(filt.covs, grad.metrics, etas)
+    else:
+        metric_devs = _factor_devs(filt.covs, grad.factors, etas)
     max_state = float(state_devs.max(initial=0.0))
     max_metric = float(metric_devs.max(initial=0.0))
     return ComparisonReport(
@@ -234,7 +258,9 @@ def check_discrete(
 
     Runs the fading filter under ``alpha`` and the natural gradient under
     the matched rates of :func:`map_alpha_to_eta`, from P_0 = ``init_cov``
-    and J_0 = eta_0 P_0^-1, and compares their traces at ``tol``.
+    and J_0 = eta_0 P_0^-1, and compares their traces at ``tol``.  A
+    numerical error of either run is re-raised with its side prepended to
+    the message, "filter side: " or "gradient side: ".
 
     ``mutate`` names a negative control, one of :data:`MUTATIONS`, which
     breaks the hyperparameter identification by changing one side's
@@ -261,7 +287,7 @@ def check_discrete(
             )
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
     filt_alpha = 0.0 if mutate == "drop_fading_factor" else alpha
-    filt = ekf_mod.run(scenario, filt_alpha, init_state, init_cov)
+    filt = _side("filter", ekf_mod.run, scenario, filt_alpha, init_state, init_cov)
 
     eta = etas[1:]
     gamma = eta / 2.0 if mutate == "halve_gamma" else eta
@@ -272,10 +298,21 @@ def check_discrete(
         identity = replace(model, jacobian_f=lambda s, u: np.eye(s.size))
         scenario = copy.copy(scenario)
         object.__setattr__(scenario, "model", identity)
-    grad = ngd_mod.run(scenario, eta, gamma, init_state, initial_metric(init_cov, eta0))
+    metric0 = initial_metric(init_cov, eta0)
+    grad = _side("gradient", ngd_mod.run, scenario, eta, gamma, init_state, metric0)
     return _compare(
         filt, grad, etas, tol, filter_states=filt.states, grad_states=grad.states
     )
+
+
+def _side(name: str, run: Callable[..., Trace], *args) -> Trace:
+    """``run(*args)``, with a numerical error's message prefixed by the
+    side's name; the same object is re-raised."""
+    try:
+        return run(*args)
+    except NumericalError as exc:
+        exc.args = (f"{name} side: {exc}",)
+        raise
 
 
 def check_continuous(

@@ -12,6 +12,11 @@ update from it.  A gaussian family factors its fixed covariance when it is
 built and keeps its last solve, so a linear observation map, whose H is
 the same at every step, costs one checked solve per family.
 
+Each family also gives a square root S of cov(T), S^T S = cov(T), which the
+discrete natural gradient's factor form reads (:func:`cov_root`,
+:func:`canonical_root`): the transposed Cholesky factor of a gaussian
+covariance, and a closed form on the simplex that needs no factorisation.
+
 Bernoulli and categorical also take the natural parameter ``x`` (the
 logits, the linear predictor of a model with the canonical link), where
 ``yhat = mean(x)`` and ``d yhat / d x = V(x) = cov(T)``.  In ``x`` the
@@ -216,20 +221,22 @@ def _as_natural(family: ObservationFamily, x) -> np.ndarray:
     return x
 
 
-def _canonical_probs(family: ObservationFamily, x) -> tuple[np.ndarray, np.ndarray]:
-    """Kept-class probabilities p = mean(x) and their complements 1 - p.
+def _canonical_probs(family: ObservationFamily, x) -> tuple[np.ndarray, np.ndarray, float]:
+    """Kept-class probabilities p = mean(x), their complements 1 - p, and
+    the probability of the dropped class.
 
     Each complement is summed from the weights of the other classes, so it
     keeps full relative precision where p rounds to 1.
     """
     x = _as_natural(family, x)
     if family.kind == BERNOULLI:
-        return expit(x), expit(-x)
+        q = expit(-x)
+        return expit(x), q, float(q[0])
     logits = np.append(x, 0.0)  # the dropped class has logit 0
     weights = np.exp(logits - logits.max())
     total = weights.sum()
     others = (1.0 - np.eye(logits.size)) @ weights
-    return weights[:-1] / total, others[:-1] / total
+    return weights[:-1] / total, others[:-1] / total, float(weights[-1] / total)
 
 
 def canonical_mean(family: ObservationFamily, x) -> np.ndarray:
@@ -245,7 +252,7 @@ def canonical_variance(family: ObservationFamily, x) -> np.ndarray:
     Bernoulli: expit(x) expit(-x).  Categorical: diag(p (1 - p)) - p p^T
     off the diagonal.  Finite, and possibly zero, for every finite x.
     """
-    p, q = _canonical_probs(family, x)
+    p, q, _ = _canonical_probs(family, x)
     v = -np.outer(p, p)
     np.fill_diagonal(v, p * q)
     return v
@@ -258,8 +265,45 @@ def canonical_residual(family: ObservationFamily, stats, x) -> np.ndarray:
     draw.  Their entries are 0 or 1, and an entry 1 - p is taken from the
     complements rather than by subtraction.
     """
-    p, q = _canonical_probs(family, x)
+    p, q, _ = _canonical_probs(family, x)
     return np.where(np.asarray(stats) == 1.0, q, -p)
+
+
+def cov_root(family: ObservationFamily, yhat) -> np.ndarray:
+    """A square root S of cov(T) at mean parameter yhat, S^T S = cov(T):
+    L^T for the lower Cholesky factor L of a gaussian family's covariance,
+    and :func:`_simplex_root` for bernoulli and categorical."""
+    if family.kind == GAUSSIAN:
+        return family.obs_factor.T
+    yhat = check_mean(family, yhat)
+    return _simplex_root(yhat, 1.0 - yhat, 1.0 - yhat.sum())
+
+
+def canonical_root(family: ObservationFamily, x) -> np.ndarray:
+    """A square root S of cov(T) = V(x) at natural parameter x,
+    S^T S = V(x); see :func:`_simplex_root`.  Finite for every finite x,
+    and 0 where the mean saturates."""
+    return _simplex_root(*_canonical_probs(family, x))
+
+
+def _simplex_root(p: np.ndarray, comp: np.ndarray, last: float) -> np.ndarray:
+    """S = (I - c q q^T) diag(q), with q = sqrt(p) and c = 1 / (1 + sqrt(last)),
+    for kept-class probabilities p, their complements comp = 1 - p and the
+    dropped class's probability ``last``: S^T S = diag(p) - p p^T, since
+    (I - c q q^T)^2 = I - q q^T when |q|^2 = 1 - last.  For bernoulli S is
+    sqrt(p (1 - p)).
+
+    The diagonal q (1 - c p) is formed as c q (sqrt(last) + comp), from
+    the complements, so S keeps its relative precision where a class
+    saturates; no Cholesky factor is taken, as the covariance is singular
+    there.
+    """
+    q = np.sqrt(p)
+    s = math.sqrt(last)
+    c = 1.0 / (1.0 + s)
+    root = -c * np.outer(q, p)
+    np.fill_diagonal(root, c * q * (s + comp))
+    return root
 
 
 def sample(family: ObservationFamily, yhat, rng: np.random.Generator, size: int | None = None):

@@ -10,9 +10,11 @@ deterministic input path ``u_t`` indexed by t >= 1.
 theta of its family.  It returns ``B = d theta / d s``, ``C = cov(T)`` at
 the predicted mean, that mean, and the residual ``e = T - E[T]`` of given
 sufficient statistics; the score in the state is ``e B`` and the Fisher
-information ``B^T C B``.  On the general path ``B = C^-1 H``, with ``H``
-the Jacobian of ``h`` (:func:`mean_linearisation`, which the continuous
-fields read too, under a continuous model's gaussian family).  A model
+information ``B^T C B``; it also carries a square root of ``C`` from which
+the gradient side builds its Fisher rows.  On the general path
+``B = C^-1 H``, with ``H`` the Jacobian of ``h``
+(:func:`mean_linearisation` is this path without the root, which the
+continuous fields read, under a continuous model's gaussian family).  A model
 whose ``h`` is the mean of a Bernoulli or categorical family at a linear
 predictor ``x = predictor(s, u)`` under the canonical link declares that
 family kind and the predictor; there ``theta = x``, ``B`` is the
@@ -40,7 +42,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import expfam
-from .errors import NonFiniteError, OutOfSupportError, UnknownModelError
+from .errors import NonFiniteError, NumericalError, OutOfSupportError, UnknownModelError
 from .numerics import fd_jacobian
 
 Array = np.ndarray
@@ -178,7 +180,9 @@ class Scenario:
 @dataclass(frozen=True)
 class Trace:
     """Estimates of one run, stacked over its rows t = 0..T (row 0 is the
-    prior): the filter side fills ``covs``, the gradient side ``metrics``.
+    prior): the filters fill ``covs``, the gradient flow ``metrics`` and
+    the discrete natural gradient ``factors``, the upper-triangular U_t of
+    its metric J_t = U_t^T U_t.
 
     ``etas`` is the co-integrated learning rate of a continuous gradient
     run, and ``times`` the grid times of a continuous run.
@@ -187,6 +191,7 @@ class Trace:
     states: Array  # (T+1, dim_state)
     covs: Array | None = None  # (T+1, dim_state, dim_state)
     metrics: Array | None = None  # (T+1, dim_state, dim_state)
+    factors: Array | None = None  # (T+1, dim_state, dim_state)
     etas: Array | None = None  # (T+1,)
     times: Array | None = None  # (T+1,)
 
@@ -208,6 +213,15 @@ class Linearisation:
     residual: Callable[[Array], Array]
 
 
+@dataclass(frozen=True)
+class RootedLinearisation(Linearisation):
+    """The linearisation of a discrete observation, as :func:`linearise`
+    makes it: ``root()`` is also a square root S of C, S^T S = C, made
+    only when called, so that the Fisher is W^T W for the rows W = S B."""
+
+    root: Callable[[], Array]
+
+
 def mean_linearisation(
     family: expfam.ObservationFamily, mean: Array, h_jac: Array
 ) -> Linearisation:
@@ -218,32 +232,44 @@ def mean_linearisation(
     return Linearisation(jac, cov, lambda stats: stats - mean)
 
 
-def _observed(fn: Map, s: Array, u: Array, t: int) -> Array:
+def _observed(fn: Map, s: Array, u: Array) -> Array:
     value = np.asarray(fn(s, u), dtype=float)
     if not np.isfinite(value).all():
-        raise NonFiniteError(f"observation map non-finite at t = {t}")
+        raise NonFiniteError("observation map non-finite")
     return value
 
 
 def linearise(
     model: DynamicalModel, family: expfam.ObservationFamily, s: Array, u: Array, t: int
-) -> Linearisation:
+) -> RootedLinearisation:
     """Linearise the observation of ``family`` at state ``s``, input ``u``
-    = u_t and time t (named in errors).
+    = u_t and time t, which a numerical error raised here names.
 
     Under a declared canonical link, theta is the linear predictor x:
     B = G, C = V(x), and residuals come from
     :func:`expfam.canonical_residual`, so 1 - p is never formed by
-    subtraction.  Otherwise see :func:`mean_linearisation`.
+    subtraction.  Otherwise B = C^-1 H through the mean parameter, as in
+    :func:`mean_linearisation`.  The root of C comes from
+    :func:`expfam.canonical_root` or :func:`expfam.cov_root`.
     """
-    if model.canonical_link(family):
-        x = _observed(model.predictor, s, u, t)
-        return Linearisation(
-            model.jac_predictor(s, u),
-            expfam.canonical_variance(family, x),
-            lambda stats: expfam.canonical_residual(family, stats, x),
+    try:
+        if model.canonical_link(family):
+            x = _observed(model.predictor, s, u)
+            return RootedLinearisation(
+                model.jac_predictor(s, u),
+                expfam.canonical_variance(family, x),
+                lambda stats: expfam.canonical_residual(family, stats, x),
+                lambda: expfam.canonical_root(family, x),
+            )
+        mean = _observed(model.h, s, u)
+        cov, jac = expfam.natural_jacobian(family, mean, model.jac_h(s, u))
+        return RootedLinearisation(
+            jac, cov, lambda stats: stats - mean, lambda: expfam.cov_root(family, mean)
         )
-    return mean_linearisation(family, _observed(model.h, s, u, t), model.jac_h(s, u))
+    except NumericalError as exc:
+        # The same object is re-raised, now naming the step.
+        exc.args = (f"{exc} at t = {t}",)
+        raise
 
 
 def step_dynamics(model: DynamicalModel, s: Array, u: Array, t: int) -> Array:

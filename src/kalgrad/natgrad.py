@@ -3,58 +3,83 @@
 The trajectory being estimated is represented, at time t, by its state in
 the chart "value at time t".  Advancing the chart by one step pushes the
 value through the dynamics and transforms the Fisher metric as a (0,2)
-tensor:
+tensor, J <- F^-T J F^-1.  The metric is carried as an upper-triangular
+factor U with J = U^T U, the square-root information filter's form
+(Bierman 1977; Kaminski, Bryson and Schmidt 1971):
 
     s   <- f(s, u_t)
-    J   <- (F^-1)^T J F^-1          (chart transport)
-    J_t <- (1 - gamma_t) J + gamma_t * Fisher_t
-    s   <- s + eta_t J_t^-1 (d log p(y_t | s) / d s)^T
+    U   <- U F^-1                   (chart transport)
+    U_t <- R of the QR of [sqrt(1 - gamma_t) U; sqrt(gamma_t) W_t]
+    s   <- s + eta_t U_t^-1 U_t^-T (d log p(y_t | s) / d s)^T
+
+so that J_t = (1 - gamma_t) J + gamma_t * Fisher_t.  Summing the Fisher
+into a dense J instead rounds it away once cond(J) nears 1/eps times the
+Fisher's share; the factor keeps it.
 
 The score and the Fisher come from the one linearisation of
 :func:`kalgrad.model.linearise` (B = d theta / d s, C = cov(T) at the
 predicted mean, e = T(y) - E[T]): the score in the state is e B and the
-Fisher the exact per-observation Fisher B^T C B, the one under which the
-scheme matches the fading-memory filter.  The tests check it against a
-Monte Carlo average of score outer products.
+Fisher the exact per-observation Fisher B^T C B = W^T W, with the rows
+W = S B for the square root S of C the linearisation carries (never a
+Cholesky factor of C, which is singular where a canonical mean
+saturates).  The tests check it against a Monte Carlo average of score
+outer products.
 
 Every step function takes and returns plain arrays: the state s in the
-current chart and the metric J there.  The eta and gamma schedules are
+current chart and the factor U there.  The eta and gamma schedules are
 plain arrays too: :func:`run` normalises them once and hands each update
 its floats eta_t and gamma_t.  As on the filter side, step t reads the
 input u_t and the sufficient statistics T(y_t) from the scenario's
-``inputs`` and ``stats``.  The chart's condition number comes from one
-LAPACK ``dgesdd`` call, the one ``np.linalg.cond`` makes.
+``inputs`` and ``stats``.  A chart change is checked and LU-factored once
+per distinct Jacobian (:func:`chart`): :func:`run` keeps the last one, so
+a linear model's constant F is checked and factored once per run.  Its
+condition number comes from one LAPACK ``dgesdd`` call, the one
+``np.linalg.cond`` makes; the blend is one ``dgeqrf`` and the step two
+``dtrtrs`` solves.
 
 For static dynamics (f = Id) the chart never moves and the scheme reduces
-to the ordinary online natural gradient; the tests keep a chartless
+to the ordinary online natural gradient; the tests keep a chartless dense
 implementation of it as the reference for that reduction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd, dgetrf, dgetrs
+from scipy.linalg.lapack import dgeqrf, dgesdd, dgetrf, dgetrs, dtrtrs
 
 from . import expfam
-from .errors import NonFiniteError, SingularMatrixError
-from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise, step_dynamics
-from .numerics import schedule, solve_psd, symmetrize
+from .errors import NonFiniteError, NumericalError, SingularMatrixError
+from .model import (
+    DynamicalModel, Linearisation, RootedLinearisation, Scenario, Trace, linearise, step_dynamics,
+)
+# solve_psd is not called here; certbench's tests read this module's copy.
+from .numerics import _factor_psd, schedule, solve_psd, symmetrize  # noqa: F401
 
 # Chart changes with condition numbers beyond this are treated as singular:
 # the trajectory chart is no longer well-defined.
 _COND_LIMIT = 1e12
 
 
-def pushforward_metric(metric: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Transform a (0,2) tensor under the chart change with Jacobian psi.
+class Chart(NamedTuple):
+    """A checked chart change: its Jacobian psi (a private copy) and the LU
+    factors of psi^T, as LAPACK ``dgetrf`` returns them."""
 
-    Returns (psi^-1)^T J psi^-1, symmetrized.  One singular-value
-    decomposition of psi gives its 2-norm condition number s_max / s_min
-    (the value ``np.linalg.cond`` returns) for the singularity check; one
-    LU factorization of psi^T then serves both linear solves with psi^T:
-    first for (psi^-1)^T J, then for its transpose.
+    jac: np.ndarray
+    lu: np.ndarray
+    piv: np.ndarray
+
+
+def chart(psi: np.ndarray) -> Chart:
+    """Check the chart change with Jacobian psi and LU-factor psi^T.
+
+    One singular-value decomposition of psi gives its 2-norm condition
+    number s_max / s_min (the value ``np.linalg.cond`` returns) for the
+    singularity check; one LU factorization of psi^T then serves every
+    transport through psi.
 
     Raises
     ------
@@ -63,7 +88,7 @@ def pushforward_metric(metric: np.ndarray, psi: np.ndarray) -> np.ndarray:
     SingularMatrixError
         If psi is numerically singular (condition estimate above 1e12).
     """
-    psi = np.asarray(psi, dtype=float)
+    psi = np.array(psi, dtype=float)
     if not np.isfinite(psi).all():
         raise NonFiniteError("chart-change Jacobian has non-finite entries")
     cond = _condition(psi)
@@ -74,8 +99,7 @@ def pushforward_metric(metric: np.ndarray, psi: np.ndarray) -> np.ndarray:
     lu, piv, info = dgetrf(psi.T)
     if info:
         raise SingularMatrixError("chart-change Jacobian has an exactly singular LU factor")
-    half = dgetrs(lu, piv, metric)[0]  # (psi^-1)^T J
-    return symmetrize(dgetrs(lu, piv, half.T)[0].T)  # ... psi^-1
+    return Chart(psi, lu, piv)
 
 
 def _condition(psi: np.ndarray) -> float:
@@ -88,32 +112,62 @@ def _condition(psi: np.ndarray) -> float:
     return float(s[0]) / float(s[-1]) if s[-1] else math.inf
 
 
+def pushforward_metric(factor: np.ndarray, change: Chart) -> np.ndarray:
+    """Transform the factor U of a (0,2) tensor J = U^T U under a checked
+    chart change with Jacobian psi: returns U psi^-1, a factor of
+    psi^-T J psi^-1 (not triangular), from one solve psi^T X = U^T on the
+    kept LU of psi^T."""
+    return dgetrs(change.lu, change.piv, factor.T)[0].T
+
+
 def chart_transport(
     state: np.ndarray,
-    metric: np.ndarray,
+    factor: np.ndarray,
     model: DynamicalModel,
     u: np.ndarray,
     t: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Move the state and metric from the chart at t-1 to the chart at t,
-    at input ``u`` = u_t; returns (f(s, u), (F^-1)^T J F^-1)."""
+    kept: Chart | None,
+) -> tuple[np.ndarray, np.ndarray, Chart]:
+    """Move the state and metric factor from the chart at t-1 to the chart
+    at t, at input ``u`` = u_t; returns (f(s, u), U F^-1, the chart of F).
+
+    ``kept`` is the chart of the previous step, or None; it is reused when
+    F has its shape and bytes, and otherwise F is checked and factored
+    again.  A numerical error raised here names the step.
+    """
     value = step_dynamics(model, state, u, t)
     try:
-        return value, pushforward_metric(metric, model.jac_f(state, u))
-    except NonFiniteError as exc:
+        psi = model.jac_f(state, u)
+        if kept is None or kept.jac.shape != psi.shape or kept.jac.tobytes() != psi.tobytes():
+            kept = chart(psi)
+        return value, pushforward_metric(factor, kept), kept
+    except NumericalError as exc:
         # The same object is re-raised, now naming the step.
         exc.args = (f"{exc} at t = {t}",)
         raise
 
 
 def fisher_term(lin: Linearisation) -> np.ndarray:
-    """Per-observation Fisher information with respect to the state: B^T C B."""
+    """Per-observation Fisher information with respect to the state,
+    B^T C B, as the dense matrix the continuous fields read."""
     return symmetrize(lin.jac.T @ lin.cov @ lin.jac)
+
+
+def fisher_rows(lin: RootedLinearisation) -> np.ndarray:
+    """Rows W = S B with W^T W = B^T C B, the per-observation Fisher, for
+    the square root S of C that the linearisation carries."""
+    return lin.root() @ lin.jac
+
+
+@functools.cache
+def _upper(n: int) -> np.ndarray:
+    """The 0/1 mask of the upper triangle of an n x n matrix."""
+    return np.triu(np.ones((n, n)))
 
 
 def update(
     state: np.ndarray,
-    metric: np.ndarray,
+    factor: np.ndarray,
     stats: np.ndarray,
     model: DynamicalModel,
     family: expfam.ObservationFamily,
@@ -125,15 +179,33 @@ def update(
     """Blend the Fisher term of an observation with sufficient statistics
     ``stats`` = T(y_t) at input ``u`` = u_t into the metric with weight
     gamma_t and take one natural step of rate eta_t; returns the new
-    (state, metric).
+    (state, upper-triangular factor).
 
-    Expects ``state`` and ``metric`` already transported to the chart at
-    time t.
+    Expects ``state`` and ``factor`` already transported to the chart at
+    time t.  The blend is the R factor of one QR of the stacked rows, the
+    step two triangular solves with it.
+
+    Raises
+    ------
+    SingularMatrixError
+        If the blended factor has an exactly zero diagonal entry.
+    NonFiniteError
+        If the blended factor or the step holds an inf or nan.
     """
     lin = linearise(model, family, state, u, t)
     score_state = lin.residual(stats) @ lin.jac
-    metric = symmetrize((1.0 - gamma_t) * metric + gamma_t * fisher_term(lin))
-    return state + eta_t * solve_psd(metric, score_state), metric
+    n = factor.shape[0]
+    rows = np.concatenate(
+        (math.sqrt(1.0 - gamma_t) * factor, math.sqrt(gamma_t) * fisher_rows(lin))
+    )
+    factor = dgeqrf(rows)[0][:n] * _upper(n)
+    half, info = dtrtrs(factor, score_state, trans=1)  # U^-T g
+    if info:
+        raise SingularMatrixError(f"blended metric factor is singular at t = {t}")
+    step = dtrtrs(factor, half)[0]  # U^-1 U^-T g = J^-1 g
+    if not (np.isfinite(factor).all() and np.isfinite(step).all()):
+        raise NonFiniteError(f"natural-gradient update non-finite at t = {t}")
+    return state + eta_t * step, factor
 
 
 def run(
@@ -146,21 +218,35 @@ def run(
     """Run the chart-based online natural gradient over a scenario under
     the rate schedule ``eta`` and the metric-averaging schedule ``gamma``
     (each a scalar, or one entry or one per step; see
-    :func:`kalgrad.numerics.schedule`); returns the states and metrics in
-    the chart at each t, row 0 the prior.  Step t reads row t-1 of the
-    scenario's ``inputs`` and ``stats``."""
+    :func:`kalgrad.numerics.schedule`) from the prior metric J_0 =
+    ``init_metric``; returns the states and the metric factors U_t
+    (J_t = U_t^T U_t) in the chart at each t, row 0 the prior.  Step t
+    reads row t-1 of the scenario's ``inputs`` and ``stats``.
+
+    J_0 is Cholesky-factored once, and a J_0 that is not finite or does
+    not factor is refused by name.  The run keeps the chart of the last step
+    (:func:`chart_transport`).
+    """
     eta = schedule("eta", eta, scenario.horizon)
     gamma = schedule("gamma", gamma, scenario.horizon)
     state = np.asarray(init_state, dtype=float)
     metric = np.asarray(init_metric, dtype=float)
+    if not np.isfinite(metric).all():
+        raise NonFiniteError("prior metric J_0 has non-finite entries")
+    try:
+        factor = _factor_psd(metric).T
+    except NumericalError as exc:
+        exc.args = (f"prior metric J_0: {exc}",)
+        raise
     model, family = scenario.model, scenario.family
     rows = scenario.horizon + 1
     states = np.empty((rows,) + state.shape)
-    metrics = np.empty((rows,) + metric.shape)
-    states[0], metrics[0] = state, metric
+    factors = np.empty((rows,) + factor.shape)
+    states[0], factors[0] = state, factor
+    kept = None
     steps = zip(eta.tolist(), gamma.tolist(), scenario.inputs, scenario.stats)
     for t, (eta_t, gamma_t, u, stats) in enumerate(steps, start=1):
-        state, metric = chart_transport(state, metric, model, u, t)
-        state, metric = update(state, metric, stats, model, family, u, eta_t, gamma_t, t)
-        states[t], metrics[t] = state, metric
-    return Trace(states, metrics=metrics)
+        state, factor, kept = chart_transport(state, factor, model, u, t, kept)
+        state, factor = update(state, factor, stats, model, family, u, eta_t, gamma_t, t)
+        states[t], factors[t] = state, factor
+    return Trace(states, factors=factors)

@@ -29,7 +29,22 @@ def observe(update, mean, cov, y, model, family, t):
     return update(mean, cov, stats, model, family, model.input_at(t), t)
 
 
+def upper_factor(metric):
+    """The upper-triangular U with U^T U = J of an SPD metric J."""
+    return np.linalg.cholesky(metric).T
+
+
+def gradient_metrics(trace):
+    """The metrics J_t = U_t^T U_t of a discrete natural-gradient trace."""
+    return trace.factors.transpose(0, 2, 1) @ trace.factors
+
+
 def natgrad_update(state, metric, y, model, family, eta_t, gamma_t, t):
-    """natgrad.update fed as natgrad.run feeds it (see observe)."""
+    """natgrad.update fed as natgrad.run feeds it (see observe), on the
+    factor of the metric J; returns the new state and metric U^T U."""
     stats = expfam.sufficient_stats(family, y)
-    return natgrad.update(state, metric, stats, model, family, model.input_at(t), eta_t, gamma_t, t)
+    u = model.input_at(t)
+    state, factor = natgrad.update(
+        state, upper_factor(metric), stats, model, family, u, eta_t, gamma_t, t
+    )
+    return state, factor.T @ factor

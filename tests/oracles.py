@@ -6,15 +6,19 @@ scipy's Cholesky solve with one refinement pass, as the oracle for the SPD
 solve, the information form of the EKF observation update, as the
 oracle for the gain form, the chartless online natural gradient that
 chart-based runs on static dynamics must reproduce, the textbook
-continuous fields under a plain RK4 loop, for the continuous pair, and the
-Euler discretisation that links the continuous pair to the discrete one."""
+continuous fields under a plain RK4 loop, for the continuous pair, the
+Euler discretisation that links the continuous pair to the discrete one,
+and three families of linear-Gaussian and tanh test systems whose
+covariance collapses along contracting directions (``hidden``, ``tanh20``
+and the random stable systems of ``draw``)."""
 
 import numpy as np
 import scipy.linalg
 
 from kalgrad import expfam
 from kalgrad.model import (
-    DynamicalModel, Linearisation, Scenario, Trace, linearise, mean_linearisation,
+    DynamicalModel, Linearisation, Scenario, Trace, generate_scenario, linearise,
+    mean_linearisation,
 )
 from kalgrad.natgrad import fisher_term
 from kalgrad.numerics import fd_jacobian, schedule, solve_psd, symmetrize
@@ -213,4 +217,89 @@ def euler_scenario(model, dt: float, horizon: float) -> Scenario:
         true_states=np.array(states),
         observations=[np.atleast_1d(model.obs_path(k * dt)) for k in range(1, steps + 1)],
         seed=0,
+    )
+
+
+def _collapse_cell(name, n, f, f_jac, h_jac, init_state, horizon, seed):
+    """Scenario and prior (s_0 = 0, P_0 = I) of a system s <- f(s) observed
+    as H s under gaussian(0.25 I)."""
+    system = DynamicalModel(
+        name=name,
+        dim_state=n,
+        dim_input=0,
+        dim_obs=h_jac.shape[0],
+        f=lambda s, u: f(s),
+        h=lambda s, u: h_jac @ s,
+        jacobian_f=lambda s, u: f_jac(s),
+        jacobian_h=lambda s, u: h_jac.copy(),
+        inputs=lambda t: np.zeros(0),
+        init_state=init_state,
+    )
+    family = expfam.gaussian(0.25 * np.eye(h_jac.shape[0]))
+    return generate_scenario(system, family, horizon, seed), np.zeros(n), np.eye(n)
+
+
+def hidden(q: int, c: float, a: float, horizon: int):
+    """The 3-state system F = Q diag(c, 0.99 rot(a)) Q^T, observed as
+    H = [[0, 1, 0], [0, 0, 1]] Q^T: the unobserved direction contracts at
+    rate c, off the axes (Q from ``default_rng(q)``), so P_t collapses
+    there under fading memory.  Scenario seed 0, true s_0 = (1, 1, -0.5);
+    returns (scenario, s_0, P_0)."""
+    basis = np.linalg.qr(np.random.default_rng(q).standard_normal((3, 3)))[0]
+    block = np.zeros((3, 3))
+    block[0, 0] = c
+    block[1:, 1:] = 0.99 * np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    f_jac = basis @ block @ basis.T
+    h_jac = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]) @ basis.T
+    return _collapse_cell(
+        "hidden", 3, lambda s: f_jac @ s, lambda s: f_jac.copy(), h_jac,
+        np.array([1.0, 1.0, -0.5]), horizon, 0,
+    )
+
+
+def tanh20(horizon: int):
+    """f(s) = 0.98 Q s + 0.1 tanh(C s) with n = 20, observed as M s with
+    k = 10; ``default_rng(5140)`` draws Q (by QR), M, C ~ N(0, 1/n) and
+    the true s_0, in that order.  Scenario seed 0; returns (scenario, s_0,
+    P_0)."""
+    n = 20
+    rng = np.random.default_rng(5140)
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    h_jac = rng.standard_normal((10, n)) / np.sqrt(n)
+    coupling = rng.standard_normal((n, n)) / np.sqrt(n)
+    init_state = rng.standard_normal(n)
+
+    def f_jac(s):
+        return 0.98 * basis + 0.1 * (1.0 - np.tanh(coupling @ s) ** 2)[:, None] * coupling
+
+    return _collapse_cell(
+        "tanh20", n, lambda s: 0.98 * basis @ s + 0.1 * np.tanh(coupling @ s), f_jac, h_jac,
+        init_state, horizon, 0,
+    )
+
+
+def draw(seed: int, lo: float, horizon: int):
+    """A small random stable system: with ``rng = default_rng(seed)``,
+    n in 2..4, k in 1..n, F = Q diag(eig) Q^T with eig ~ U(lo, 1),
+    f(s) = F s + b tanh(C s) with C ~ N(0, 1/n) and b in {0, 0.1}, and
+    H ~ N(0, 1/n) of k rows; one (n, n) normal draw between eig and C is
+    unused.  Scenario seed ``seed``; returns (scenario, s_0, P_0)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(1, n + 1))
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eig = rng.uniform(lo, 1.0, n)
+    rng.standard_normal((n, n))  # unused
+    coupling = rng.standard_normal((n, n)) / np.sqrt(n)
+    h_jac = rng.standard_normal((k, n)) / np.sqrt(n)
+    gain = 0.1 * int(rng.integers(0, 2))
+    init_state = rng.standard_normal(n)
+    lin = basis @ np.diag(eig) @ basis.T
+
+    def f_jac(s):
+        return lin + gain * (1.0 - np.tanh(coupling @ s) ** 2)[:, None] * coupling
+
+    return _collapse_cell(
+        "draw", n, lambda s: lin @ s + gain * np.tanh(coupling @ s), f_jac, h_jac,
+        init_state, horizon, seed,
     )

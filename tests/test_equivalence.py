@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from kalgrad import bucy, ekf, equivalence, expfam, natgrad, numerics
 from kalgrad.equivalence import (
@@ -16,7 +17,8 @@ from kalgrad.equivalence import (
 from kalgrad.errors import DomainError, NonFiniteError, SingularMatrixError
 from kalgrad.model import DynamicalModel, Trace, builtin, generate_scenario
 
-from oracles import euler_scenario
+from conftest import gradient_metrics
+from oracles import draw, euler_scenario, hidden, tanh20
 
 
 def scenario_for(name, horizon, seed):
@@ -168,6 +170,40 @@ class TestCheckDiscrete:
             check_discrete(scenario, s0, np.diag([1.0, 0.0]), alpha=0.1)
         assert runs == []
 
+    def test_singular_chart_names_step_and_side(self):
+        # F = diag(1, u_t) drops to diag(1, 1e-13) at t = 3 only: the filter
+        # side runs through, the gradient side refuses the chart there.
+        model = DynamicalModel(
+            name="dropping-chart",
+            dim_state=2,
+            dim_input=1,
+            dim_obs=2,
+            f=lambda s, u: np.array([s[0], u[0] * s[1]]),
+            h=lambda s, u: s.copy(),
+            jacobian_f=lambda s, u: np.diag([1.0, u[0]]),
+            jacobian_h=lambda s, u: np.eye(2),
+            inputs=lambda t: np.array([1e-13 if t == 3 else 1.0]),
+            init_state=np.array([1.0, 1.0]),
+        )
+        scenario = generate_scenario(model, expfam.gaussian(0.25 * np.eye(2)), 10, seed=0)
+        message = (
+            "gradient side: chart-change Jacobian condition estimate 1.000e+13"
+            " exceeds 1e+12 at t = 3"
+        )
+        with pytest.raises(SingularMatrixError, match=f"^{re.escape(message)}$"):
+            check_discrete(scenario, np.zeros(2), np.eye(2), alpha=0.1)
+
+    @pytest.mark.parametrize("seed, t", [(0, 21), (1, 16), (2, 14)])
+    def test_saturated_mean_parameter_names_step_and_side(self, seed, t):
+        # Without its canonical link, logistic-static's filter side needs
+        # the mean inside (0, 1); under alpha = 1 its prediction saturates.
+        mean_model = dataclasses.replace(builtin("logistic-static"), predictor=None)
+        scenario = generate_scenario(mean_model, expfam.bernoulli(), 50, seed)
+        s0 = 0.5 * mean_model.init_state
+        message = f"filter side: bernoulli mean must lie strictly inside (0, 1) at t = {t}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            check_discrete(scenario, s0, np.eye(2), alpha=1.0)
+
     def test_several_eta0_values(self):
         scenario = scenario_for("linear2d", 30, seed=2)
         for eta0 in (0.2, 0.5, 1.0):
@@ -303,8 +339,9 @@ class TestSharedStepData:
         assert calls == (["u"] if mutate == "skip_metric_transport" else [])
 
     def test_metric_devs_match_per_row_solves(self):
-        # The stacked solves move no deviation by more than 1e-15 from a
-        # solve per row, over the criterion-1 grid.
+        # The stacked inverses of the factors move no deviation by more
+        # than 1e-15 from a triangular solve per row, over the criterion-1
+        # grid.
         worst = 0.0
         for name in equivalence.SWEEP_MODELS:
             for seed in range(equivalence.SWEEP_SEEDS):
@@ -314,9 +351,10 @@ class TestSharedStepData:
                     filt = ekf.run(scenario, alpha, s0, p0)
                     metric0 = equivalence.initial_metric(p0, 0.5)
                     grad = natgrad.run(scenario, etas[1:], etas[1:], s0, metric0)
-                    devs = equivalence._metric_devs(filt.covs, grad.metrics, etas)
-                    for t, (cov, metric, eta) in enumerate(zip(filt.covs, grad.metrics, etas)):
-                        ref = np.linalg.norm(cov - eta * numerics.solve_psd(metric, np.eye(2)))
+                    devs = equivalence._factor_devs(filt.covs, grad.factors, etas)
+                    for t, (cov, factor, eta) in enumerate(zip(filt.covs, grad.factors, etas)):
+                        inv = solve_triangular(factor, np.eye(2))
+                        ref = np.linalg.norm(cov - eta * inv @ inv.T)
                         ref /= np.linalg.norm(cov)
                         worst = max(worst, abs(devs[t] - ref))
         assert worst <= 1e-15
@@ -331,6 +369,38 @@ class TestSharedStepData:
         grad = Trace(np.zeros((rows, 2)), metrics=metrics)
         with pytest.raises(NonFiniteError, match=rf"in the metric check at t = {t}$"):
             equivalence._compare(filt, grad, np.ones(rows), 1e-8)
+
+
+class TestCollapsingCovariance:
+    """Under fading memory P_t collapses along every direction that the
+    dynamics contract faster than 1 / sqrt(1 + alpha), observed or not, and
+    cond(P_t) grows geometrically; the gradient side's factor keeps the
+    Fisher information that a dense J would round away, so the pair still
+    certifies at the unchanged 1e-8 (alpha = 0.1, eta_0 = 0.5)."""
+
+    def test_hidden3_at_t_120(self):
+        assert check_discrete(*hidden(1, 0.8, 0.3, 120), alpha=0.1).passed
+
+    def test_hidden_family_at_t_200(self):
+        failed = []
+        for q in range(4):
+            for c in (0.5, 0.8, 0.9):
+                for a in (0.1, 0.3, 0.6):
+                    if not check_discrete(*hidden(q, c, a, 200), alpha=0.1).passed:
+                        failed.append((q, c, a))
+        assert failed == []
+
+    def test_tanh20_at_t_2000(self):
+        assert check_discrete(*tanh20(2000), alpha=0.1).passed
+
+    def test_random_stable_systems(self):
+        # The north star's rule on small random stable systems: every draw
+        # at lo = 0.3, T = 50 certifies.
+        failed = [
+            seed for seed in range(200)
+            if not check_discrete(*draw(seed, 0.3, 50), alpha=0.1).passed
+        ]
+        assert failed == []
 
 
 class TestGaussianObservationFactor:
@@ -354,10 +424,10 @@ class TestGaussianObservationFactor:
         factored.clear()
         assert check_discrete(scenario, s0, p0, alpha=0.1).passed
         assert not any(factored)  # not on first use, nor per linearisation
-        # The rest: the prior metric and the natural step at each t.  The
-        # implied covariances of the metric deviations come from one
-        # stacked solve, which factors on numpy's batched path.
-        assert len(factored) == 1 + horizon
+        # The rest: the prior covariance, inverted into J_0, and J_0,
+        # factored once by the gradient side.  Its steps and the metric
+        # check read triangular factors and factor nothing.
+        assert len(factored) == 2
 
     def test_r_b_h_is_solved_once_per_distinct_jacobian(self, monkeypatch):
         horizon = 50
@@ -579,7 +649,7 @@ class TestDiscreteToContinuousLimit:
             metrics = ref.metrics[::stride]
             errors.append([
                 np.abs(grad.states - ref.states[::stride]).max(),
-                (np.linalg.norm(grad.metrics / dt - metrics, axis=(1, 2))
+                (np.linalg.norm(gradient_metrics(grad) / dt - metrics, axis=(1, 2))
                  / np.linalg.norm(metrics, axis=(1, 2))).max(),
                 np.abs(etas / dt - ref.etas[::stride]).max() / np.abs(ref.etas).max(),
             ])

@@ -8,18 +8,32 @@ from kalgrad.errors import NonFiniteError, SingularMatrixError
 from kalgrad.model import builtin, generate_scenario, linearise, mean_linearisation
 from kalgrad.numerics import symmetrize
 
-from conftest import natgrad_update, random_spd
+from conftest import gradient_metrics, natgrad_update, random_spd, upper_factor
 from oracles import log_density, mc_fisher, plain_online_natgrad
 from test_ekf import counting_scenario, make_linear_model, make_scenario
+
+
+def transported(metric, psi):
+    """natgrad's transport of a metric J through the chart change psi, fed
+    the factor of J: the metric of U psi^-1."""
+    moved = natgrad.pushforward_metric(upper_factor(metric), natgrad.chart(psi))
+    return moved.T @ moved
+
+
+def transported_pair(state, metric, model, u, t):
+    """natgrad.chart_transport fed the factor of J, with no kept chart;
+    returns the moved state and metric."""
+    moved_s, moved_u, _ = natgrad.chart_transport(state, upper_factor(metric), model, u, t, None)
+    return moved_s, moved_u.T @ moved_u
 
 
 class TestPushforwardMetric:
     def test_identity_chart(self, rng):
         j = random_spd(rng, 3)
-        np.testing.assert_allclose(natgrad.pushforward_metric(j, np.eye(3)), j)
+        np.testing.assert_allclose(transported(j, np.eye(3)), j)
 
     def test_scaling_chart(self):
-        out = natgrad.pushforward_metric(np.eye(2), 2.0 * np.eye(2))
+        out = transported(np.eye(2), 2.0 * np.eye(2))
         np.testing.assert_allclose(out, 0.25 * np.eye(2))
 
     def test_round_trip(self, rng):
@@ -27,17 +41,17 @@ class TestPushforwardMetric:
         for _ in range(20):
             j = random_spd(rng, 3)
             psi = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-            forth = natgrad.pushforward_metric(j, psi)
-            back = natgrad.pushforward_metric(forth, np.linalg.inv(psi))
-            np.testing.assert_allclose(back, j, atol=1e-12 * np.linalg.norm(j))
+            forth = natgrad.pushforward_metric(upper_factor(j), natgrad.chart(psi))
+            back = natgrad.pushforward_metric(forth, natgrad.chart(np.linalg.inv(psi)))
+            np.testing.assert_allclose(back.T @ back, j, atol=1e-12 * np.linalg.norm(j))
 
     def test_singular_chart_raises(self):
         with pytest.raises(SingularMatrixError):
-            natgrad.pushforward_metric(np.eye(2), np.diag([1.0, 0.0]))
+            natgrad.chart(np.diag([1.0, 0.0]))
 
     def test_singular_chart_message(self):
         with pytest.raises(SingularMatrixError) as info:
-            natgrad.pushforward_metric(np.eye(2), np.zeros((2, 2)))
+            natgrad.chart(np.zeros((2, 2)))
         assert str(info.value) == "chart-change Jacobian condition estimate inf exceeds 1e+12"
 
     @pytest.mark.filterwarnings("error")
@@ -47,7 +61,7 @@ class TestPushforwardMetric:
         psi = np.eye(2)
         psi[index] = bad
         with pytest.raises(NonFiniteError, match="chart-change Jacobian has non-finite entries"):
-            natgrad.pushforward_metric(np.eye(2), psi)
+            natgrad.chart(psi)
 
     # The check reads s_max / s_min from one LAPACK SVD; it must be the
     # number np.linalg.cond gives, including inf for an exactly singular psi.
@@ -67,7 +81,7 @@ class TestPushforwardMetric:
         # LAPACK's report that the SVD did not converge stops the transport.
         monkeypatch.setattr(natgrad, "dgesdd", lambda a, compute_uv: (None, np.ones(2), None, 1))
         with pytest.raises(SingularMatrixError, match="SVD did not converge"):
-            natgrad.pushforward_metric(np.eye(2), np.eye(2))
+            natgrad.chart(np.eye(2))
 
     def test_singular_lu_factor_raises(self, monkeypatch):
         # A psi that passes the condition check but whose LU factor has a
@@ -76,7 +90,7 @@ class TestPushforwardMetric:
             natgrad, "dgetrf", lambda a: (a, np.arange(1, len(a) + 1, dtype=np.int32), 2)
         )
         with pytest.raises(SingularMatrixError, match="exactly singular LU factor"):
-            natgrad.pushforward_metric(np.eye(2), np.eye(2))
+            natgrad.chart(np.eye(2))
 
     def test_matches_explicit_inverse(self, rng):
         # Oracle: reference implementation with an explicit matrix inverse.
@@ -85,22 +99,28 @@ class TestPushforwardMetric:
             psi = rng.standard_normal((2, 2)) + 2 * np.eye(2)
             psi_inv = np.linalg.inv(psi)
             reference = psi_inv.T @ j @ psi_inv
-            out = natgrad.pushforward_metric(j, psi)
+            out = transported(j, psi)
             np.testing.assert_allclose(out, symmetrize(reference), atol=1e-12)
+
+    def test_chart_keeps_a_copy_of_psi(self):
+        psi = np.array([[2.0, 1.0], [0.0, 1.0]])
+        change = natgrad.chart(psi)
+        psi[0, 0] = 5.0
+        np.testing.assert_array_equal(change.jac, [[2.0, 1.0], [0.0, 1.0]])
 
 
 class TestChartTransport:
     def test_static_leaves_everything(self, rng):
         model = builtin("static")
         s, j = rng.standard_normal(2), random_spd(rng, 2)
-        moved_s, moved_j = natgrad.chart_transport(s, j, model, model.input_at(1), 1)
+        moved_s, moved_j = transported_pair(s, j, model, model.input_at(1), 1)
         np.testing.assert_array_equal(moved_s, s)
         np.testing.assert_allclose(moved_j, j)
         np.testing.assert_array_equal(model.jac_f(s, model.input_at(1)), np.eye(2))
 
     def test_scalar_doubling(self):
         model = make_linear_model([[1.0]], f_scale=2.0)
-        moved_s, moved_j = natgrad.chart_transport(
+        moved_s, moved_j = transported_pair(
             np.array([1.0]), np.array([[1.0]]), model, np.zeros(0), 1
         )
         np.testing.assert_allclose(moved_j, [[0.25]])
@@ -111,7 +131,7 @@ class TestChartTransport:
         for _ in range(10):
             j = random_spd(rng, 2)
             s = rng.standard_normal(2)
-            _, moved_j = natgrad.chart_transport(s, j, model, model.input_at(1), 1)
+            _, moved_j = transported_pair(s, j, model, model.input_at(1), 1)
             f_inv = np.linalg.inv(model.jac_f(s, model.input_at(1)))
             np.testing.assert_allclose(moved_j, f_inv.T @ j @ f_inv, atol=1e-12)
 
@@ -122,7 +142,7 @@ class TestChartTransport:
             for _ in range(10):
                 j = random_spd(rng, 2)
                 s = rng.standard_normal(2)
-                _, moved_j = natgrad.chart_transport(s, j, model, model.input_at(1), 1)
+                _, moved_j = transported_pair(s, j, model, model.input_at(1), 1)
                 f_jac = model.jac_f(s, model.input_at(1))
                 resid = np.linalg.norm(f_jac.T @ moved_j @ f_jac - j)
                 assert resid <= 1e-10 * np.linalg.norm(j)
@@ -134,8 +154,30 @@ class TestChartTransport:
         psi = np.array([[1.0, 0.0], [0.0, bad]])
         model = dataclasses.replace(builtin("linear2d"), jacobian_f=lambda s, u: psi.copy())
         with pytest.raises(NonFiniteError) as info:
-            natgrad.chart_transport(np.ones(2), np.eye(2), model, model.input_at(3), 3)
+            transported_pair(np.ones(2), np.eye(2), model, model.input_at(3), 3)
         assert str(info.value) == "chart-change Jacobian has non-finite entries at t = 3"
+
+    def test_kept_chart_is_reused_for_the_same_jacobian_only(self):
+        model = builtin("tanhspring")
+        u, factor = model.input_at(1), np.eye(2)
+        _, _, first = natgrad.chart_transport(np.ones(2), factor, model, u, 1, None)
+        _, _, again = natgrad.chart_transport(np.ones(2), factor, model, u, 2, first)
+        _, _, moved = natgrad.chart_transport(np.zeros(2), factor, model, u, 3, again)
+        assert again is first
+        assert moved is not first
+        np.testing.assert_array_equal(moved.jac, model.jac_f(np.zeros(2), u))
+
+    @pytest.mark.parametrize("name, factored", [("linear2d", 1), ("tanhspring", 50)])
+    def test_run_factors_each_distinct_chart_once(self, name, factored, monkeypatch):
+        # linear2d's F is constant: one check and one LU serve the run.
+        # tanhspring's F moves with the state at every step.
+        calls = []
+        inner = natgrad.dgetrf
+        monkeypatch.setattr(natgrad, "dgetrf", lambda a: calls.append(a) or inner(a))
+        model = builtin(name)
+        scenario = generate_scenario(model, expfam.gaussian(0.25 * np.eye(2)), 50, seed=1)
+        natgrad.run(scenario, 0.3, 0.3, model.init_state, np.eye(2))
+        assert len(calls) == factored
 
 
 class TestFisherTerm:
@@ -152,6 +194,101 @@ class TestFisherTerm:
         lin = mean_linearisation(fam, yhat, h0)
         for out in (natgrad.fisher_term(lin), mc_fisher(lin, fam, yhat, rng, 10)):
             np.testing.assert_array_equal(out, np.zeros((2, 2)))
+
+
+class TestFisherRows:
+    """The rows W of the blend: W^T W = B^T C B to roundoff on every kind
+    of linearisation, with no Cholesky factor of C."""
+
+    @staticmethod
+    def assert_rows_match(lin):
+        rows = natgrad.fisher_rows(lin)
+        fisher = lin.jac.T @ lin.cov @ lin.jac
+        assert rows.shape == (lin.cov.shape[0], lin.jac.shape[1])
+        scale = np.abs(fisher).max()
+        assert np.abs(rows.T @ rows - fisher).max() <= 8 * np.finfo(float).eps * scale
+        return rows
+
+    def test_gaussian_non_diagonal_covariance(self, rng):
+        fam = expfam.gaussian(np.array([[0.5, 0.2, 0.0], [0.2, 0.3, -0.1], [0.0, -0.1, 0.4]]))
+        for _ in range(10):
+            model = make_linear_model(rng.standard_normal((3, 2)))
+            lin = linearise(model, fam, rng.standard_normal(2), np.zeros(0), 1)
+            self.assert_rows_match(lin)
+
+    def test_gaussian_rows_read_the_kept_factor(self, rng):
+        fam = expfam.gaussian(np.array([[0.5, 0.2], [0.2, 0.3]]))
+        model = make_linear_model(rng.standard_normal((2, 3)))
+        lin = linearise(model, fam, np.zeros(3), np.zeros(0), 1)
+        np.testing.assert_array_equal(natgrad.fisher_rows(lin), fam.obs_factor.T @ lin.jac)
+
+    def test_mean_parameter_bernoulli(self, rng):
+        model = dataclasses.replace(builtin("logistic-static"), predictor=None)
+        for t in range(1, 11):
+            s = rng.standard_normal(2)
+            self.assert_rows_match(linearise(model, expfam.bernoulli(), s, model.input_at(t), t))
+
+    def test_canonical_bernoulli_saturated_to_zero_variance(self):
+        model = builtin("logistic-static")
+        u = model.input_at(1)
+        lin = linearise(model, expfam.bernoulli(), 800.0 * u / (u @ u), u, 1)
+        assert lin.cov[0, 0] == 0.0
+        np.testing.assert_array_equal(natgrad.fisher_rows(lin), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 800.0])
+    def test_canonical_categorical_with_a_saturated_class(self, scale):
+        from test_equivalence import softmax_model
+
+        model, fam = softmax_model(), expfam.categorical(3)
+        u = model.input_at(1)
+        # s @ u = scale and s @ u[::-1] = 0: class 0 takes (nearly) all the mass.
+        s = scale * np.linalg.solve(np.stack([u, u[::-1]]), [1.0, 0.0])
+        lin = linearise(model, fam, s, u, 1)
+        assert lin.cov[0, 0] < 1e-12 or scale == 1.0
+        self.assert_rows_match(lin)
+
+
+class TestUpdateRefusals:
+    def test_singular_blend_names_the_step(self):
+        # gamma = 1 keeps only the rank-one Fisher of one scalar observation.
+        model = builtin("static")
+        scenario = generate_scenario(model, expfam.gaussian(np.eye(1)), 3, seed=0)
+        message = "^blended metric factor is singular at t = 1$"
+        with pytest.raises(SingularMatrixError, match=message):
+            natgrad.run(scenario, 0.5, 1.0, np.zeros(2), np.eye(2))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_step_names_the_step(self):
+        model = builtin("linear2d")
+        fam = expfam.gaussian(0.1 * np.eye(2))
+        y = np.array([1e308, 1e308])
+        with pytest.raises(NonFiniteError, match="^natural-gradient update non-finite at t = 4$"):
+            natgrad_update(np.zeros(2), np.eye(2), y, model, fam, 0.5, 0.5, 4)
+
+    @pytest.mark.parametrize(
+        "metric, error, message",
+        [
+            (np.diag([1.0, 0.0]), SingularMatrixError,
+             "prior metric J_0: matrix is not positive definite"),
+            (np.diag([1.0, np.nan]), NonFiniteError, "prior metric J_0 has non-finite entries"),
+            # The factorization reads the lower triangle only.
+            (np.array([[1.0, np.inf], [0.0, 1.0]]), NonFiniteError,
+             "prior metric J_0 has non-finite entries"),
+        ],
+    )
+    def test_prior_metric_is_refused_by_name(self, metric, error, message):
+        scenario = generate_scenario(builtin("linear2d"), expfam.gaussian(np.eye(2)), 3, seed=0)
+        with pytest.raises(error, match=f"^{message}$"):
+            natgrad.run(scenario, 0.5, 0.5, np.zeros(2), metric)
+
+    def test_run_calls_no_spd_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("natgrad called solve_psd")
+
+        monkeypatch.setattr(natgrad, "solve_psd", refuse)
+        model = builtin("tanhspring")
+        scenario = generate_scenario(model, expfam.gaussian(0.25 * np.eye(2)), 30, seed=2)
+        natgrad.run(scenario, 0.3, 0.3, model.init_state, np.eye(2))
 
 
 class TestCanonicalLink:
@@ -240,7 +377,7 @@ class TestUpdate:
         ftrace = ekf.run(scenario, np.array([alpha1]), np.array([0.1]), np.array([[p0]]))
         np.testing.assert_allclose(gtrace.states[1], ftrace.states[1], atol=1e-14)
         np.testing.assert_allclose(
-            eta1 / gtrace.metrics[1, 0, 0], ftrace.covs[1, 0, 0], atol=1e-14
+            eta1 / gtrace.factors[1, 0, 0] ** 2, ftrace.covs[1, 0, 0], atol=1e-14
         )
 
     def test_metric_blend_convex_hull(self, rng):
@@ -283,14 +420,14 @@ class TestRun:
             jacobian_h=model.jacobian_h,
         )
         np.testing.assert_allclose(chart.states, plain.states, atol=1e-12)
-        np.testing.assert_allclose(chart.metrics, plain.metrics, atol=1e-12)
+        np.testing.assert_allclose(gradient_metrics(chart), plain.metrics, atol=1e-12)
 
     def test_horizon_zero(self):
         model = builtin("static")
         scenario = generate_scenario(model, expfam.gaussian(np.eye(1)), 0, seed=0)
         trace = natgrad.run(scenario, 0.5, 0.5, np.zeros(2), np.eye(2))
         assert trace.states.shape == (1, 2)
-        assert trace.metrics.shape == (1, 2, 2)
+        assert trace.factors.shape == (1, 2, 2)
 
     def test_tanhspring_metric_stays_spd(self):
         model = builtin("tanhspring")
@@ -298,7 +435,7 @@ class TestRun:
         scenario = generate_scenario(model, fam, 50, seed=12)
         eta = gamma = 0.3
         trace = natgrad.run(scenario, eta, gamma, model.init_state, np.eye(2))
-        for metric in trace.metrics[1:]:
+        for metric in gradient_metrics(trace)[1:]:
             assert np.linalg.eigvalsh(metric).min() > 0
 
     def test_deterministic_replay(self):
