@@ -19,12 +19,12 @@ Every run returns a :class:`~kalgrad.model.Trace`, so both sides are
 compared row by row on the same stacked arrays.  State deviations are
 reported relative to max(1, sup-norm of the filter trajectory) so that
 near-zero states do not inflate relative errors.  The metric check is
-||P_t - eta_t J_t^-1||_F / ||P_t||_F on blocks of rows.  On the discrete
-side it reads the gradient side's factors, J_t^-1 = U_t^-1 U_t^-T, with
-stacked inverses of the triangular U_t (back-substitution, no dense J_t
-is formed); the continuous flow's dense metrics are inverted with stacked
-:func:`~kalgrad.numerics.solve_psd` calls, each matrix held to the same
-refinement and residual check as a single solve.
+||P_t - eta_t J_t^-1||_F / ||P_t||_F, read in both time domains through
+upper-triangular factors J_t = U_t^T U_t as J_t^-1 = U_t^-1 U_t^-T, with
+stacked inverses of the U_t over blocks of rows (back-substitution).  The
+discrete gradient side carries its factors; the continuous flow's dense
+metrics get theirs from one stacked Cholesky, U_t = L_t^T, and a row that
+is not finite or does not factor is refused by name.
 
 Negative controls live here only: :func:`check_discrete` applies one of
 :data:`MUTATIONS` to the inputs of one side (alpha = 0 for the filter,
@@ -39,14 +39,17 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs
 
 from . import bucy as bucy_mod
 from . import ekf as ekf_mod
 from . import expfam
 from . import natgrad as ngd_mod
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NonFiniteError, NumericalError, SingularMatrixError
 from .model import ContinuousModel, Scenario, Trace, builtin, generate_scenario
-from .numerics import check_eta0, schedule, solve_psd, symmetrize
+from .numerics import _check_finite, _factor_psd, check_eta0, schedule, symmetrize
+# solve_psd is not called here; certbench's tests read this module's copy.
+from .numerics import solve_psd  # noqa: F401
 
 MUTATIONS = ("drop_fading_factor", "halve_gamma", "skip_metric_transport")
 
@@ -56,8 +59,8 @@ SWEEP_MODELS = ("linear2d", "tanhspring", "static", "logistic-static")
 SWEEP_HORIZON = 50
 SWEEP_SEEDS = 10
 
-# Rows per stacked solve in the metric check: enough to amortise the call,
-# few enough that a long trace adds no large temporaries.
+# Rows per stacked inverse in the metric check: enough to amortise the
+# call, few enough that a long trace adds no large temporaries.
 _METRIC_BLOCK = 64
 
 
@@ -169,16 +172,20 @@ def map_eta_to_alpha(eta: Sequence[float]) -> np.ndarray:
 
 def initial_metric(init_cov, eta0: float) -> np.ndarray:
     """The gradient side's prior metric J_0 = eta_0 P_0^-1, matched to the
-    filter's prior covariance P_0; eta_0 must pass :func:`check_eta0`, and
-    a P_0 that ``solve_psd`` refuses is named in its error."""
+    filter's prior covariance P_0 = L L^T through its Cholesky factor, as
+    eta_0 L^-T L^-1 (``dpotrs`` on the identity).  eta_0 must pass
+    :func:`check_eta0`; a P_0 that holds an inf or nan, or that does not
+    factor, is named in the error.  No residual bound applies: a P_0 that
+    factors has its inverse, however ill-conditioned."""
     check_eta0(eta0)
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
     try:
-        inverse = solve_psd(init_cov, np.eye(init_cov.shape[0]))
+        _check_finite(init_cov)  # an inf or nan pivot can pass dpotrf
+        factor = _factor_psd(init_cov)
     except NumericalError as exc:
         exc.args = (f"prior covariance P_0: {exc}",)
         raise
-    return symmetrize(eta0 * inverse)
+    return symmetrize(eta0 * dpotrs(factor, np.eye(len(init_cov)), lower=1)[0])
 
 
 def _state_devs(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
@@ -186,24 +193,27 @@ def _state_devs(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
     return np.abs(states_a - states_b).max(axis=1) / scale
 
 
-def _metric_devs(covs: np.ndarray, metrics: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """||P_t - eta_t J_t^-1||_F / ||P_t||_F at every row t, from stacked
-    solves over blocks of :data:`_METRIC_BLOCK` rows; a failed solve names
-    its row t."""
-    devs = np.empty(len(covs))
-    eye = np.eye(metrics.shape[1])
-    for start in range(0, len(covs), _METRIC_BLOCK):
-        rows = slice(start, start + _METRIC_BLOCK)
+def _metric_factors(metrics: np.ndarray) -> np.ndarray:
+    """Upper factors U_t = L_t^T of the dense metrics J_t = L_t L_t^T, from
+    one stacked Cholesky.  That pass would let a nan through and refuses a
+    stack as a whole, so a stack with an inf or nan, or with a row that
+    does not factor, is gone over row by row with the same routine (which
+    then fails on some row), and the first row that fails is refused by
+    its t."""
+    finite = np.isfinite(metrics).all(axis=(1, 2))
+    try:
+        if finite.all():
+            return np.linalg.cholesky(metrics).transpose(0, 2, 1)
+    except np.linalg.LinAlgError:
+        pass
+    for t, metric in enumerate(metrics):
+        where = f", in the metric check at t = {t}"
+        if not finite[t]:
+            raise NonFiniteError(f"matrix has non-finite entries{where}")
         try:
-            inverses = solve_psd(metrics[rows], eye)
-        except NumericalError as exc:
-            exc.args = (f"{exc}, in the metric check at t = {start + exc.index}",)
-            raise
-        diff = covs[rows] - etas[rows, None, None] * inverses
-        devs[rows] = np.sqrt(np.einsum("tij,tij->t", diff, diff)) / np.sqrt(
-            np.einsum("tij,tij->t", covs[rows], covs[rows])
-        )
-    return devs
+            np.linalg.cholesky(metric)
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError(f"matrix is not positive definite{where}") from None
 
 
 def _factor_devs(covs: np.ndarray, factors: np.ndarray, etas: np.ndarray) -> np.ndarray:
@@ -226,12 +236,11 @@ def _factor_devs(covs: np.ndarray, factors: np.ndarray, etas: np.ndarray) -> np.
 def _compare(filt: Trace, grad: Trace, etas: np.ndarray, tol: float, /, **extra) -> ComparisonReport:
     """Per-step deviations of a gradient run, whose learning rate is
     ``etas`` at each row, from a filter run, with the verdict at ``tol``;
-    the metric check reads the gradient run's factors where it has them."""
+    the metric check reads the gradient run's factors, made from its dense
+    metrics where it has none."""
     state_devs = _state_devs(filt.states, grad.states)
-    if grad.factors is None:
-        metric_devs = _metric_devs(filt.covs, grad.metrics, etas)
-    else:
-        metric_devs = _factor_devs(filt.covs, grad.factors, etas)
+    factors = _metric_factors(grad.metrics) if grad.factors is None else grad.factors
+    metric_devs = _factor_devs(filt.covs, factors, etas)
     max_state = float(state_devs.max(initial=0.0))
     max_metric = float(metric_devs.max(initial=0.0))
     return ComparisonReport(

@@ -2,10 +2,8 @@
 
 Everything here is a pure function of its inputs; matrices are small and
 dense (state dimensions of a few at most), so factorization-based solves
-and fixed-step integration are the right tools.  The SPD solve refuses a
-matrix that does not factor, never shifting it; it also takes a stack of
-matrices, which it factors and solves in one batched pass before handing
-any matrix that pass cannot settle to the one-matrix path.
+and fixed-step integration are the right tools.  The SPD solve takes one
+matrix and refuses it if it does not factor, never shifting it.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .errors import NonFiniteError, NumericalError, SingularMatrixError
 
 # The largest relative residual ||B - A X||_F / ||B||_F an SPD solve may
-# leave, on the 2-D path and on the stacked one.
+# leave.
 _RESIDUAL_BOUND = 1e-10
 
 _TINY = float(np.finfo(float).tiny)
@@ -85,12 +83,6 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     refinement, applied in place.  A matrix that does not factor is
     refused; it is never shifted to make it factor.
 
-    ``a`` may also be a stack of shape (m, n, n), with ``b`` of shape
-    (m, n, k) or one (n, k) shared by every matrix; the result then has
-    shape (m, n, k), and each matrix gets the same contract (see
-    :func:`_solve_stack`).  A failure of a stacked solve names the index of
-    its matrix in the message and as the exception's ``index``.
-
     This is :func:`_factor_psd` followed by :func:`_solve_factored`; a
     caller that solves against one fixed matrix many times keeps the
     factor half's result and runs only the solve half, whose refinement
@@ -100,9 +92,8 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If A is not a non-empty square matrix or stack of them, or B is
-        not a vector or matrix with one row per row of A (for a stack: one
-        (n, k) matrix per matrix of A, or one shared).
+        If A is not a non-empty square matrix, or B is not a vector or
+        matrix with one row per row of A.
     NonFiniteError
         If the matrix or the right-hand side holds an inf or nan (checked
         once the factorization or the residual check has failed).
@@ -111,18 +102,8 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         relative residual stays above 1e-10.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[-1] if a.ndim in (2, 3) else 0
-    if n == 0 or a.shape[-2:] != (n, n):
-        raise ValueError(
-            f"solve_psd expects a non-empty square matrix or stack of them, got shape {a.shape}"
-        )
-    if a.ndim == 3:
-        return _solve_stack(a, b)
-    return _solve_one(a, b)
-
-
-def _solve_one(a: np.ndarray, b) -> np.ndarray:
-    """:func:`solve_psd` for one validated square float A."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"solve_psd expects a non-empty square matrix, got shape {a.shape}")
     try:
         factor = _factor_psd(a)
     except NumericalError:
@@ -130,48 +111,6 @@ def _solve_one(a: np.ndarray, b) -> np.ndarray:
         _check_finite(a, _as_rhs(a, b))
         raise
     return _solve_factored(a, factor, b)
-
-
-def _solve_stack(a: np.ndarray, b) -> np.ndarray:
-    """:func:`solve_psd` for a validated stack A of shape (m, n, n).
-
-    One stacked pass factors every matrix (numpy's batched Cholesky),
-    solves with the inverse of each factor and refines once; each matrix's
-    residual then gets the 2-D path's check, :func:`_check_residual`.  A
-    matrix that pass cannot settle is solved again on the 2-D path, which
-    owns the refusals and the error classes: every matrix whose residual
-    misses the bound, and every matrix of a stack in which some matrix
-    does not factor.  Each matrix therefore has the outcome it has on the
-    2-D path, up to the rounding of an accepted solve.
-    """
-    m, n = a.shape[:2]
-    b = np.asarray(b, dtype=float)
-    if not (b.ndim == 2 and b.shape[0] == n or b.ndim == 3 and b.shape[:2] == (m, n)):
-        raise ValueError(
-            f"solve_psd right-hand side of shape {b.shape} does not match stack of shape {a.shape}"
-        )
-    rhs = b if b.ndim == 3 else np.broadcast_to(b, (m,) + b.shape)
-    x = np.empty(rhs.shape)
-    redo = range(m)
-    try:
-        # An inf or nan that factors leaves a nan residual, refused below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            inv = np.linalg.inv(np.linalg.cholesky(a))  # L^-1, per matrix
-            inv_t = inv.transpose(0, 2, 1)
-            x = inv_t @ (inv @ rhs)
-            x += inv_t @ (inv @ (rhs - a @ x))
-            resid = rhs - a @ x
-            redo = [i for i in range(m) if not _check_residual(resid[i], rhs[i])[1]]
-    except np.linalg.LinAlgError:
-        pass  # some matrix does not factor: the 2-D path solves them all
-    for i in redo:
-        try:
-            x[i] = _solve_one(a[i], rhs[i])
-        except NumericalError as exc:
-            exc.index = i
-            exc.args = (f"{exc} (matrix {i} of {m})",)
-            raise
-    return x
 
 
 def _factor_psd(a: np.ndarray) -> np.ndarray:
@@ -208,8 +147,10 @@ def _solve_factored(a: np.ndarray, factor: np.ndarray, b: np.ndarray) -> np.ndar
         x = dpotrs(factor, b, lower=1)[0]
         # One refinement pass keeps the residual near machine precision.
         x += dpotrs(factor, b - a @ x, lower=1, overwrite_b=1)[0]
-        rel, passed = _check_residual(b - a @ x, b)
-    if not passed:
+        # ||B|| is floored at the smallest normal number so that B = 0
+        # passes with X = 0; a nan never passes.
+        rel = _norm(b - a @ x) / max(_norm(b), _TINY)
+    if not rel <= _RESIDUAL_BOUND:
         _check_finite(a, b)
         raise SingularMatrixError(
             f"SPD solve residual {rel:.3e} exceeds {_RESIDUAL_BOUND:.0e};"
@@ -226,15 +167,6 @@ def _as_rhs(a: np.ndarray, b) -> np.ndarray:
             f"solve_psd right-hand side of shape {b.shape} does not match matrix of shape {a.shape}"
         )
     return b
-
-
-def _check_residual(resid: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
-    """The relative residual ||R||_F / ||B||_F of a solve with residual
-    R = B - A X, ||B|| floored at the smallest normal number so that B = 0
-    passes with X = 0, and whether it is within :data:`_RESIDUAL_BOUND` (a
-    nan never is); to be called with numpy overflow warnings off."""
-    rel = _norm(resid) / max(_norm(b), _TINY)
-    return rel, rel <= _RESIDUAL_BOUND
 
 
 def _norm(v: np.ndarray) -> float:

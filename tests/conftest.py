@@ -7,8 +7,15 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from kalgrad import expfam, natgrad  # noqa: E402
+
+# Every hypothesis test runs the same examples on every run, with no
+# per-example deadline: a test's first example may pay for imports and
+# caches, and wall times on a shared host vary.
+settings.register_profile("kalgrad", derandomize=True, deadline=None)
+settings.load_profile("kalgrad")
 
 
 def random_spd(rng, dim, scale=1.0):
