@@ -13,26 +13,34 @@ Natural gradient flow, with the metric J expressed in the moving chart
     ds/dt   = f(s, u_t) + eta J^-1 H^T R^-1 (y(t) - h(s, u_t))
     deta/dt = alpha(t) eta - eta^2          (with gamma = eta)
 
+The metric is carried, as on the discrete side, as an upper-triangular
+factor U with J = U^T U (Morf, Levy and Kailath 1978):
+
+    dU/dt = Phi(-M - M^T - eta I + eta V^T V) U,   M = U F U^-1,  V = W U^-1,
+
+with Phi keeping the strict upper triangle and half the diagonal, so that
+dU^T U + U^T dU = dJ/dt; every inverse is a triangular solve.
+
 Both fields read the discrete side's linearisation,
 :func:`kalgrad.model.mean_linearisation` under the model's gaussian family:
 B = R^-1 H, C = R and e = y(t) - h(s, u_t), so that P H^T R^-1 = P B^T,
-H^T R^-1 H = B^T C B (:func:`kalgrad.natgrad.fisher_term`) and
-H^T R^-1 (y - h) = B^T e.
+H^T R^-1 H = B^T C B = W^T W for the Fisher rows W
+(:func:`kalgrad.natgrad.fisher_rows`) and H^T R^-1 (y - h) = B^T e.
 
 Under P = eta J^-1 and the eta equation above, the two vector fields
 coincide; :func:`integrate` runs either side with fixed-step RK4, on a
 grid that must end at the horizon (:func:`grid_steps`), so the agreement
 can be measured as a function of the step size.  The fields take the
-state as plain arrays (s and P, or s, J and eta) plus the time and the
+state as plain arrays (s and P, or s, U and eta) plus the time and the
 model, whose own observation path they read, and return the derivatives;
 :func:`integrate` packs them into one vector for RK4.
 
 Observation paths y(t) are smooth callables; rough (white-noise) paths are
-out of scope.  The fields keep P and J exactly symmetric, and their
-positivity is monitored, never enforced: after each step a Cholesky
-factorization of the matrix shifted down by 1e-13 times its Frobenius norm
-must succeed.  An error inside a step names the side and the step's grid
-time.
+out of scope.  The fields keep P exactly symmetric and U exactly upper
+triangular, and positivity is monitored, never enforced: after each step a
+Cholesky factorization of P shifted down by 1e-13 times its Frobenius norm
+must succeed, and U must be finite with a positive diagonal.  An error
+inside a step names the side and the step's grid time.
 """
 
 from __future__ import annotations
@@ -41,18 +49,19 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import NumericalError, PositivityLostError
 from .model import ContinuousModel, Trace, mean_linearisation
-from .natgrad import fisher_term
-from .numerics import check_eta0, rk4_step, solve_psd, symmetrize
+from .natgrad import _metric_solve, _prior_factor, _upper, fisher_rows
+# solve_psd is not called here; certbench's tests read this module's copy.
+from .numerics import check_eta0, rk4_step, solve_psd, symmetrize  # noqa: F401
 
 BUCY = "bucy"
 CNGD = "cngd"
 
 # Relative floor, times the Frobenius norm, below which the smallest
-# eigenvalue of P or J counts as a loss of positivity.
+# eigenvalue of P counts as a loss of positivity.
 _POSITIVITY_FLOOR = 1e-13
 
 
@@ -111,23 +120,28 @@ def bucy_deriv(
 
 def cngd_deriv(
     s: np.ndarray,
-    metric: np.ndarray,
+    factor: np.ndarray,
     eta: float,
     t: float,
     model: ContinuousModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector field (ds/dt, dJ/dt) of the continuous-time natural gradient
-    at chart value s, metric J (exactly symmetric), learning rate
-    eta = gamma and time t."""
+    """Vector field (ds/dt, dU/dt) of the continuous-time natural gradient
+    at chart value s, upper-triangular metric factor U (J = U^T U),
+    learning rate eta = gamma and time t; dU/dt is upper triangular.  A U
+    with an exactly zero diagonal entry raises SingularMatrixError."""
     u = model.input_at(t)
     lin = mean_linearisation(model.family, model.h(s, u), model.jac_h(s, u))
     resid = lin.residual(np.atleast_1d(model.obs_path(t)))
-    f_jac = model.jac_f(s, u)
-    # F^T J = (J F)^T exactly, since J is exactly symmetric.
-    jf = metric @ f_jac
-    dmetric = -jf.T - jf - eta * metric + eta * fisher_term(lin)
-    ds = model.f(s, u) + eta * solve_psd(metric, lin.jac.T @ resid)
-    return ds, symmetrize(dmetric)
+    ds = model.f(s, u) + eta * _metric_solve(factor, lin.jac.T @ resid, "metric factor", t)
+    n = len(factor)
+    # One solve U^T X = [(U F)^T, W^T] gives X = [M^T, V^T].
+    rhs = np.concatenate(((factor @ model.jac_f(s, u)).T, fisher_rows(lin).T), axis=1)
+    sol = dtrtrs(factor, rhs, trans=1)[0]
+    m_t, v_t = sol[:, :n], sol[:, n:]
+    gen = eta * (v_t @ v_t.T) - m_t - m_t.T - eta * np.eye(n)
+    # Phi keeps the strict upper triangle and half the diagonal.
+    gen.flat[:: n + 1] *= 0.5
+    return ds, (gen * _upper(n)) @ factor
 
 
 def eta_ode(eta: float, alpha: float) -> float:
@@ -141,6 +155,13 @@ def _fading_weight(alpha) -> float:
     if not alpha >= 0:
         raise ValueError("fading-memory weights must be >= 0")
     return alpha
+
+
+def _check_factor(factor: np.ndarray, label: str, t: float) -> None:
+    """Raise PositivityLostError unless the upper-triangular factor U is
+    finite with a positive diagonal, so that U^T U is positive definite."""
+    if not (np.isfinite(factor).all() and (np.diagonal(factor) > 0.0).all()):
+        raise PositivityLostError(f"{label} lost positive definiteness at t = {t:.6g}")
 
 
 def _check_positive(mat: np.ndarray, label: str, t: float) -> None:
@@ -167,19 +188,20 @@ def integrate(
     """Fixed-step RK4 integration of either continuous filter against the
     model's observation path on the grid t = k dt from 0 to the horizon
     (:func:`grid_steps`); returns the samples at every grid time, with
-    ``covs`` for ``bucy`` and ``metrics`` and ``etas`` for ``cngd``.
-    ``alpha`` is a float, refused on entry if negative or nan, or a
-    callable of time, refused so when it is evaluated.
+    ``covs`` for ``bucy`` and ``factors`` (J_t = U_t^T U_t) and ``etas``
+    for ``cngd``.  ``alpha`` is a float, refused on entry if negative or
+    nan, or a callable of time, refused so when it is evaluated.
 
     ``init_matrix`` is the prior covariance P_0 for ``bucy`` and the prior
-    metric J_0 for ``cngd``, whose runs also need the initial learning rate
-    ``eta0`` (refused on entry unless :func:`kalgrad.numerics.check_eta0`
-    passes it); it is co-integrated with the state via :func:`eta_ode` and
-    gamma(t) = eta(t).  The matrix part stays exactly symmetric, as RK4
-    combines the fields' exactly symmetric derivatives; positivity is
-    checked after each step and failure raises PositivityLostError.
-    A numerical error raised inside a step gets the side (``bucy`` or
-    ``cngd``) and the step's grid time prepended to its message.
+    metric J_0 for ``cngd``, factored as in :func:`kalgrad.natgrad.run`;
+    its runs also need the initial learning rate ``eta0`` (refused on
+    entry unless :func:`kalgrad.numerics.check_eta0` passes it), which is
+    co-integrated with the state via :func:`eta_ode` and gamma(t) = eta(t).
+    P stays exactly symmetric and U exactly upper triangular, as are the
+    fields' derivatives; positivity is checked after each step and failure
+    raises PositivityLostError.  A numerical error raised inside a step
+    gets the side (``bucy`` or ``cngd``) and the step's grid time
+    prepended to its message.
     """
     n = model.dim_state
     n_steps = grid_steps(dt, horizon)
@@ -193,7 +215,7 @@ def integrate(
     # The packed state z is (s, matrix entries), and cngd appends eta.
     mat0 = symmetrize(np.asarray(init_matrix, dtype=float))
     if kind == BUCY:
-        label, tail = "covariance", []
+        label, check, tail = "covariance", _check_positive, []
 
         def deriv(t: float, z: np.ndarray) -> np.ndarray:
             ds, dcov = bucy_deriv(z[:n], z[n:].reshape(n, n), t, model, alpha_at(t))
@@ -202,12 +224,13 @@ def integrate(
     elif kind == CNGD:
         if eta0 is None:
             raise ValueError("cngd needs the initial rate eta0")
-        label, tail = "metric", [check_eta0(eta0)]
+        label, check, tail = "metric", _check_factor, [check_eta0(eta0)]
+        mat0 = _prior_factor(mat0)
 
         def deriv(t: float, z: np.ndarray) -> np.ndarray:
             eta = z[-1]
-            ds, dmetric = cngd_deriv(z[:n], z[n:-1].reshape(n, n), eta, t, model)
-            return np.concatenate([ds, dmetric.ravel(), [eta_ode(eta, alpha_at(t))]])
+            ds, dfactor = cngd_deriv(z[:n], z[n:-1].reshape(n, n), eta, t, model)
+            return np.concatenate([ds, dfactor.ravel(), [eta_ode(eta, alpha_at(t))]])
 
     else:
         raise ValueError(f"unknown integration kind {kind!r}")
@@ -216,7 +239,7 @@ def integrate(
     end = n + n * n
     packed = np.zeros((n_steps + 1, z.size))
     packed[0] = z
-    _check_positive(mat0, label, 0.0)
+    check(mat0, label, 0.0)
     # An overflow inside a field is reported by rk4_step's finiteness check,
     # as a failure of its step, so numpy's warnings are off for the loop.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -227,9 +250,9 @@ def integrate(
                 # The same object is re-raised, so its callers see one error.
                 exc.args = (f"{kind} step from t = {times[i]:.6g}: {exc}",)
                 raise
-            _check_positive(z[n:end].reshape(n, n), label, times[i + 1])
+            check(z[n:end].reshape(n, n), label, times[i + 1])
             packed[i + 1] = z
     states, mats = packed[:, :n], packed[:, n:end].reshape(-1, n, n)
     if kind == BUCY:
         return Trace(states, covs=mats, times=times)
-    return Trace(states, metrics=mats, etas=packed[:, end], times=times)
+    return Trace(states, factors=mats, etas=packed[:, end], times=times)

@@ -292,7 +292,8 @@ def cmd_run(config_path: str, side: str, out: Path = Path(".")) -> int:
         if gradient:
             metric0 = eq_mod.initial_metric(p0, cfg["eta0"])
             trace = bucy_mod.integrate(bucy_mod.CNGD, s0, metric0, system, *grid, cfg["eta0"])
-            prefix, mats, extra = "j", trace.metrics, [trace.etas]
+            factors = trace.factors  # J = U^T U
+            prefix, mats, extra = "j", factors.transpose(0, 2, 1) @ factors, [trace.etas]
         else:
             trace = bucy_mod.integrate(bucy_mod.BUCY, s0, p0, system, *grid)
             prefix, mats, extra = "p", trace.covs, []

@@ -20,11 +20,9 @@ compared row by row on the same stacked arrays.  State deviations are
 reported relative to max(1, sup-norm of the filter trajectory) so that
 near-zero states do not inflate relative errors.  The metric check is
 ||P_t - eta_t J_t^-1||_F / ||P_t||_F, read in both time domains through
-upper-triangular factors J_t = U_t^T U_t as J_t^-1 = U_t^-1 U_t^-T, with
-stacked inverses of the U_t over blocks of rows (back-substitution).  The
-discrete gradient side carries its factors; the continuous flow's dense
-metrics get theirs from one stacked Cholesky, U_t = L_t^T, and a row that
-is not finite or does not factor is refused by name.
+the upper-triangular factors J_t = U_t^T U_t that both gradient sides
+carry, as J_t^-1 = U_t^-1 U_t^-T, with stacked inverses of the U_t over
+blocks of rows (back-substitution).
 
 Negative controls live here only: :func:`check_discrete` applies one of
 :data:`MUTATIONS` to the inputs of one side (alpha = 0 for the filter,
@@ -45,9 +43,9 @@ from . import bucy as bucy_mod
 from . import ekf as ekf_mod
 from . import expfam
 from . import natgrad as ngd_mod
-from .errors import DomainError, NonFiniteError, NumericalError, SingularMatrixError
+from .errors import DomainError, NumericalError
 from .model import ContinuousModel, Scenario, Trace, builtin, generate_scenario
-from .numerics import _check_finite, _factor_psd, check_eta0, schedule, symmetrize
+from .numerics import _factor_psd, check_eta0, schedule, symmetrize
 # solve_psd is not called here; certbench's tests read this module's copy.
 from .numerics import solve_psd  # noqa: F401
 
@@ -180,7 +178,6 @@ def initial_metric(init_cov, eta0: float) -> np.ndarray:
     check_eta0(eta0)
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
     try:
-        _check_finite(init_cov)  # an inf or nan pivot can pass dpotrf
         factor = _factor_psd(init_cov)
     except NumericalError as exc:
         exc.args = (f"prior covariance P_0: {exc}",)
@@ -191,29 +188,6 @@ def initial_metric(init_cov, eta0: float) -> np.ndarray:
 def _state_devs(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(states_a).max(initial=0.0)))
     return np.abs(states_a - states_b).max(axis=1) / scale
-
-
-def _metric_factors(metrics: np.ndarray) -> np.ndarray:
-    """Upper factors U_t = L_t^T of the dense metrics J_t = L_t L_t^T, from
-    one stacked Cholesky.  That pass would let a nan through and refuses a
-    stack as a whole, so a stack with an inf or nan, or with a row that
-    does not factor, is gone over row by row with the same routine (which
-    then fails on some row), and the first row that fails is refused by
-    its t."""
-    finite = np.isfinite(metrics).all(axis=(1, 2))
-    try:
-        if finite.all():
-            return np.linalg.cholesky(metrics).transpose(0, 2, 1)
-    except np.linalg.LinAlgError:
-        pass
-    for t, metric in enumerate(metrics):
-        where = f", in the metric check at t = {t}"
-        if not finite[t]:
-            raise NonFiniteError(f"matrix has non-finite entries{where}")
-        try:
-            np.linalg.cholesky(metric)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(f"matrix is not positive definite{where}") from None
 
 
 def _factor_devs(covs: np.ndarray, factors: np.ndarray, etas: np.ndarray) -> np.ndarray:
@@ -236,11 +210,9 @@ def _factor_devs(covs: np.ndarray, factors: np.ndarray, etas: np.ndarray) -> np.
 def _compare(filt: Trace, grad: Trace, etas: np.ndarray, tol: float, /, **extra) -> ComparisonReport:
     """Per-step deviations of a gradient run, whose learning rate is
     ``etas`` at each row, from a filter run, with the verdict at ``tol``;
-    the metric check reads the gradient run's factors, made from its dense
-    metrics where it has none."""
+    the metric check reads the gradient run's factors."""
     state_devs = _state_devs(filt.states, grad.states)
-    factors = _metric_factors(grad.metrics) if grad.factors is None else grad.factors
-    metric_devs = _factor_devs(filt.covs, factors, etas)
+    metric_devs = _factor_devs(filt.covs, grad.factors, etas)
     max_state = float(state_devs.max(initial=0.0))
     max_metric = float(metric_devs.max(initial=0.0))
     return ComparisonReport(

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .errors import DomainError, OutOfSupportError, SingularMatrixError
+from .errors import DomainError, NonFiniteError, OutOfSupportError, SingularMatrixError
 from .numerics import _factor_psd, _solve_factored, solve_psd, symmetrize
 
 GAUSSIAN = "gaussian"
@@ -66,12 +66,12 @@ class ObservationFamily:
     def __post_init__(self):
         if self.kind != GAUSSIAN:
             return
-        r = np.atleast_2d(np.asarray(self.obs_cov, dtype=float))
-        if not np.isfinite(r).all():
-            raise ValueError("gaussian observation covariance has non-finite entries")
-        r = symmetrize(r)
+        with np.errstate(invalid="ignore"):  # inf - inf is a nan, refused below
+            r = symmetrize(np.atleast_2d(np.asarray(self.obs_cov, dtype=float)))
         try:
             factor = _factor_psd(r)
+        except NonFiniteError:
+            raise ValueError("gaussian observation covariance has non-finite entries") from None
         except SingularMatrixError:
             raise ValueError("gaussian observation covariance must be positive definite") from None
         object.__setattr__(self, "obs_cov", r)

@@ -13,8 +13,8 @@ sufficient statistics; the score in the state is ``e B`` and the Fisher
 information ``B^T C B``; it also carries a square root of ``C`` from which
 the gradient side builds its Fisher rows.  On the general path
 ``B = C^-1 H``, with ``H`` the Jacobian of ``h``
-(:func:`mean_linearisation` is this path without the root, which the
-continuous fields read, under a continuous model's gaussian family).  A model
+(:func:`mean_linearisation`, which the continuous fields also read, under
+a continuous model's gaussian family).  A model
 whose ``h`` is the mean of a Bernoulli or categorical family at a linear
 predictor ``x = predictor(s, u)`` under the canonical link declares that
 family kind and the predictor; there ``theta = x``, ``B`` is the
@@ -180,9 +180,9 @@ class Scenario:
 @dataclass(frozen=True)
 class Trace:
     """Estimates of one run, stacked over its rows t = 0..T (row 0 is the
-    prior): the filters fill ``covs``, the gradient flow ``metrics`` and
-    the discrete natural gradient ``factors``, the upper-triangular U_t of
-    its metric J_t = U_t^T U_t.
+    prior): the filters fill ``covs``, and the natural gradient, in either
+    time domain, ``factors``, the upper-triangular U_t of its metric
+    J_t = U_t^T U_t.
 
     ``etas`` is the co-integrated learning rate of a continuous gradient
     run, and ``times`` the grid times of a continuous run.
@@ -190,7 +190,6 @@ class Trace:
 
     states: Array  # (T+1, dim_state)
     covs: Array | None = None  # (T+1, dim_state, dim_state)
-    metrics: Array | None = None  # (T+1, dim_state, dim_state)
     factors: Array | None = None  # (T+1, dim_state, dim_state)
     etas: Array | None = None  # (T+1,)
     times: Array | None = None  # (T+1,)
@@ -205,20 +204,14 @@ class Linearisation:
     predicted mean.  ``residual(stats)`` is T - E[T] for
     sufficient statistics T, one vector or one row per draw.  The score of
     T in the state is ``residual(T) @ jac`` and the Fisher information is
-    ``jac.T @ cov @ jac``.
+    ``jac.T @ cov @ jac``.  ``root()`` is a square root S of C, S^T S = C,
+    made only when called, so that the Fisher is W^T W for the rows
+    W = S B.
     """
 
     jac: Array
     cov: Array
     residual: Callable[[Array], Array]
-
-
-@dataclass(frozen=True)
-class RootedLinearisation(Linearisation):
-    """The linearisation of a discrete observation, as :func:`linearise`
-    makes it: ``root()`` is also a square root S of C, S^T S = C, made
-    only when called, so that the Fisher is W^T W for the rows W = S B."""
-
     root: Callable[[], Array]
 
 
@@ -227,9 +220,12 @@ def mean_linearisation(
 ) -> Linearisation:
     """Linearisation through the mean parameter ``mean`` = h(s, u), whose
     Jacobian in the state is ``h_jac`` = H: since d theta / d mean = C^-1,
-    B = C^-1 H.  Needs ``mean`` strictly inside the family's domain."""
+    B = C^-1 H, and the root of C is :func:`expfam.cov_root`'s.  Needs
+    ``mean`` strictly inside the family's domain."""
     cov, jac = expfam.natural_jacobian(family, mean, h_jac)
-    return Linearisation(jac, cov, lambda stats: stats - mean)
+    return Linearisation(
+        jac, cov, lambda stats: stats - mean, lambda: expfam.cov_root(family, mean)
+    )
 
 
 def _observed(fn: Map, s: Array, u: Array) -> Array:
@@ -241,31 +237,26 @@ def _observed(fn: Map, s: Array, u: Array) -> Array:
 
 def linearise(
     model: DynamicalModel, family: expfam.ObservationFamily, s: Array, u: Array, t: int
-) -> RootedLinearisation:
+) -> Linearisation:
     """Linearise the observation of ``family`` at state ``s``, input ``u``
     = u_t and time t, which a numerical error raised here names.
 
     Under a declared canonical link, theta is the linear predictor x:
     B = G, C = V(x), and residuals come from
     :func:`expfam.canonical_residual`, so 1 - p is never formed by
-    subtraction.  Otherwise B = C^-1 H through the mean parameter, as in
-    :func:`mean_linearisation`.  The root of C comes from
-    :func:`expfam.canonical_root` or :func:`expfam.cov_root`.
+    subtraction, and the root of C is :func:`expfam.canonical_root`'s.
+    Otherwise this is :func:`mean_linearisation` at the mean h(s, u).
     """
     try:
         if model.canonical_link(family):
             x = _observed(model.predictor, s, u)
-            return RootedLinearisation(
+            return Linearisation(
                 model.jac_predictor(s, u),
                 expfam.canonical_variance(family, x),
                 lambda stats: expfam.canonical_residual(family, stats, x),
                 lambda: expfam.canonical_root(family, x),
             )
-        mean = _observed(model.h, s, u)
-        cov, jac = expfam.natural_jacobian(family, mean, model.jac_h(s, u))
-        return RootedLinearisation(
-            jac, cov, lambda stats: stats - mean, lambda: expfam.cov_root(family, mean)
-        )
+        return mean_linearisation(family, _observed(model.h, s, u), model.jac_h(s, u))
     except NumericalError as exc:
         # The same object is re-raised, now naming the step.
         exc.args = (f"{exc} at t = {t}",)

@@ -37,6 +37,9 @@ condition number comes from one LAPACK ``dgesdd`` call, the one
 ``np.linalg.cond`` makes; the blend is one ``dgeqrf`` and the step two
 ``dtrtrs`` solves.
 
+The continuous flow (:mod:`kalgrad.bucy`) carries the same factor, from
+the same prior factor, Fisher rows and triangular solves for J^-1 g.
+
 For static dynamics (f = Id) the chart never moves and the scheme reduces
 to the ordinary online natural gradient; the tests keep a chartless dense
 implementation of it as the reference for that reduction.
@@ -53,11 +56,9 @@ from scipy.linalg.lapack import dgeqrf, dgesdd, dgetrf, dgetrs, dtrtrs
 
 from . import expfam
 from .errors import NonFiniteError, NumericalError, SingularMatrixError
-from .model import (
-    DynamicalModel, Linearisation, RootedLinearisation, Scenario, Trace, linearise, step_dynamics,
-)
+from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise, step_dynamics
 # solve_psd is not called here; certbench's tests read this module's copy.
-from .numerics import _factor_psd, schedule, solve_psd, symmetrize  # noqa: F401
+from .numerics import _factor_psd, schedule, solve_psd  # noqa: F401
 
 # Chart changes with condition numbers beyond this are treated as singular:
 # the trajectory chart is no longer well-defined.
@@ -147,13 +148,7 @@ def chart_transport(
         raise
 
 
-def fisher_term(lin: Linearisation) -> np.ndarray:
-    """Per-observation Fisher information with respect to the state,
-    B^T C B, as the dense matrix the continuous fields read."""
-    return symmetrize(lin.jac.T @ lin.cov @ lin.jac)
-
-
-def fisher_rows(lin: RootedLinearisation) -> np.ndarray:
+def fisher_rows(lin: Linearisation) -> np.ndarray:
     """Rows W = S B with W^T W = B^T C B, the per-observation Fisher, for
     the square root S of C that the linearisation carries."""
     return lin.root() @ lin.jac
@@ -199,13 +194,34 @@ def update(
         (math.sqrt(1.0 - gamma_t) * factor, math.sqrt(gamma_t) * fisher_rows(lin))
     )
     factor = dgeqrf(rows)[0][:n] * _upper(n)
-    half, info = dtrtrs(factor, score_state, trans=1)  # U^-T g
-    if info:
-        raise SingularMatrixError(f"blended metric factor is singular at t = {t}")
-    step = dtrtrs(factor, half)[0]  # U^-1 U^-T g = J^-1 g
+    step = _metric_solve(factor, score_state, "blended metric factor", t)
     if not (np.isfinite(factor).all() and np.isfinite(step).all()):
         raise NonFiniteError(f"natural-gradient update non-finite at t = {t}")
     return state + eta_t * step, factor
+
+
+def _metric_solve(factor: np.ndarray, grad: np.ndarray, label: str, t) -> np.ndarray:
+    """J^-1 g for the metric J = U^T U, from its upper-triangular factor U
+    by two ``dtrtrs`` solves, U^-T g and then U^-1 of that.  A U with an
+    exactly zero diagonal entry raises SingularMatrixError, naming
+    ``label`` and t."""
+    half, info = dtrtrs(factor, grad, trans=1)
+    if info:
+        raise SingularMatrixError(f"{label} is singular at t = {t}")
+    return dtrtrs(factor, half)[0]
+
+
+def _prior_factor(metric) -> np.ndarray:
+    """The upper-triangular factor U of the prior metric J_0 = U^T U, from
+    one Cholesky factorization; a J_0 that is not finite or does not
+    factor is refused by name."""
+    try:
+        return _factor_psd(np.asarray(metric, dtype=float)).T
+    except NonFiniteError:
+        raise NonFiniteError("prior metric J_0 has non-finite entries") from None
+    except NumericalError as exc:
+        exc.args = (f"prior metric J_0: {exc}",)
+        raise
 
 
 def run(
@@ -223,21 +239,14 @@ def run(
     (J_t = U_t^T U_t) in the chart at each t, row 0 the prior.  Step t
     reads row t-1 of the scenario's ``inputs`` and ``stats``.
 
-    J_0 is Cholesky-factored once, and a J_0 that is not finite or does
-    not factor is refused by name.  The run keeps the chart of the last step
-    (:func:`chart_transport`).
+    J_0 is Cholesky-factored once by :func:`_prior_factor`, which refuses
+    by name a J_0 that is not finite or does not factor.  The run keeps
+    the chart of the last step (:func:`chart_transport`).
     """
     eta = schedule("eta", eta, scenario.horizon)
     gamma = schedule("gamma", gamma, scenario.horizon)
     state = np.asarray(init_state, dtype=float)
-    metric = np.asarray(init_metric, dtype=float)
-    if not np.isfinite(metric).all():
-        raise NonFiniteError("prior metric J_0 has non-finite entries")
-    try:
-        factor = _factor_psd(metric).T
-    except NumericalError as exc:
-        exc.args = (f"prior metric J_0: {exc}",)
-        raise
+    factor = _prior_factor(init_metric)
     model, family = scenario.model, scenario.family
     rows = scenario.horizon + 1
     states = np.empty((rows,) + state.shape)

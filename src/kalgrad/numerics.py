@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import NonFiniteError, NumericalError, SingularMatrixError
+from .errors import NonFiniteError, SingularMatrixError
 
 # The largest relative residual ||B - A X||_F / ||B||_F an SPD solve may
 # leave.
@@ -93,10 +93,11 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ------
     ValueError
         If A is not a non-empty square matrix, or B is not a vector or
-        matrix with one row per row of A.
+        matrix with one row per row of A (checked before A is factored).
     NonFiniteError
-        If the matrix or the right-hand side holds an inf or nan (checked
-        once the factorization or the residual check has failed).
+        If the matrix holds an inf or nan (checked before it is factored),
+        or the right-hand side does (checked once the residual check has
+        failed).
     SingularMatrixError
         If A is not positive definite (its factorization fails), or the
         relative residual stays above 1e-10.
@@ -104,27 +105,21 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"solve_psd expects a non-empty square matrix, got shape {a.shape}")
-    try:
-        factor = _factor_psd(a)
-    except NumericalError:
-        # A malformed, then a non-finite, operand is named first.
-        _check_finite(a, _as_rhs(a, b))
-        raise
-    return _solve_factored(a, factor, b)
+    b = _as_rhs(a, b)
+    return _solve_factored(a, _factor_psd(a), b)
 
 
 def _factor_psd(a: np.ndarray) -> np.ndarray:
     """The factor half of :func:`solve_psd`, for a validated square float A:
     its lower Cholesky factor, with the upper triangle zeroed.
 
-    Raises NonFiniteError if A holds an inf or nan that fails the
-    factorization, and SingularMatrixError if A is otherwise not positive
-    definite.
+    Raises NonFiniteError if A holds an inf or nan, before the
+    factorization (which lets a nan or +inf pivot through), and
+    SingularMatrixError if A is otherwise not positive definite.
     """
+    _check_finite(a)
     factor, info = dpotrf(a, lower=1, clean=1)
     if info:
-        # A non-positive pivot, or a nan that reached one.
-        _check_finite(a)
         raise SingularMatrixError("matrix is not positive definite")
     return factor
 
@@ -137,12 +132,11 @@ def _solve_factored(a: np.ndarray, factor: np.ndarray, b: np.ndarray) -> np.ndar
     Raises ValueError if B does not have one row per row of A, and
     SingularMatrixError if the residual stays above
     :data:`_RESIDUAL_BOUND` (NonFiniteError
-    if A or B holds an inf or nan).
+    if B holds an inf or nan).
     """
     b = _as_rhs(a, b)
-    # An inf the factorization lets through (an inf pivot, or one in the
-    # upper triangle it never reads) leaves a nan or inf residual, which
-    # fails the bound below and is then named by _check_finite.
+    # An inf or nan in B leaves a nan or inf residual, which fails the
+    # bound below and is then named by _check_finite.
     with np.errstate(over="ignore", invalid="ignore"):
         x = dpotrs(factor, b, lower=1)[0]
         # One refinement pass keeps the residual near machine precision.
@@ -190,8 +184,9 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _check_finite(a: np.ndarray, b: np.ndarray | None = None) -> None:
-    """Raise NonFiniteError naming the operand of a failed solve that holds
-    an inf or nan; called on failure paths only."""
+    """Raise NonFiniteError naming the operand of a solve that holds an inf
+    or nan: the matrix before it is factored, the right-hand side once a
+    solve has failed."""
     for label, arr in (("matrix", a), ("right-hand side", b)):
         if arr is not None and not np.isfinite(arr).all():
             raise NonFiniteError(f"SPD solve {label} has non-finite entries")

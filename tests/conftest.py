@@ -42,7 +42,8 @@ def upper_factor(metric):
 
 
 def gradient_metrics(trace):
-    """The metrics J_t = U_t^T U_t of a discrete natural-gradient trace."""
+    """The metrics J_t = U_t^T U_t of a natural-gradient trace, discrete or
+    continuous."""
     return trace.factors.transpose(0, 2, 1) @ trace.factors
 
 

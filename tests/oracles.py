@@ -5,22 +5,25 @@ Fisher estimate, as the oracle for the exact Fisher the library blends in,
 scipy's Cholesky solve with one refinement pass, as the oracle for the SPD
 solve, the information form of the EKF observation update, as the
 oracle for the gain form, the chartless online natural gradient that
-chart-based runs on static dynamics must reproduce, the textbook
-continuous fields under a plain RK4 loop, for the continuous pair, the
-Euler discretisation that links the continuous pair to the discrete one,
-and three families of linear-Gaussian and tanh test systems whose
-covariance collapses along contracting directions (``hidden``, ``tanh20``
-and the random stable systems of ``draw``)."""
+chart-based runs on static dynamics must reproduce, the continuous fields
+written plainly under a plain RK4 loop, for the continuous pair (with the
+textbook dense-J flow as the referee of the factor flow), the Euler
+discretisation that links the continuous pair to the discrete one, and
+families of test systems whose covariance collapses along contracting
+directions (``hidden``, ``tanh20``, the random stable systems of ``draw``
+and ``bernoulli_draw``, and the continuous ``hidden_ct``)."""
 
 import numpy as np
 import scipy.linalg
 
+from scipy.special import expit
+
 from kalgrad import expfam
 from kalgrad.model import (
-    DynamicalModel, Linearisation, Scenario, Trace, generate_scenario, linearise,
+    ContinuousModel, DynamicalModel, Linearisation, Scenario, generate_scenario, linearise,
     mean_linearisation,
 )
-from kalgrad.natgrad import fisher_term
+from kalgrad.natgrad import fisher_rows
 from kalgrad.numerics import fd_jacobian, schedule, solve_psd, symmetrize
 
 
@@ -114,14 +117,15 @@ def plain_online_natgrad(
     init_param,
     init_metric,
     jacobian_h=None,
-) -> Trace:
+) -> tuple[np.ndarray, np.ndarray]:
     """Chartless online natural gradient for a static parameter.
 
     ``h(theta, u)`` maps the parameter and input to the observation mean;
     ``eta`` and ``gamma`` are schedules as :func:`kalgrad.natgrad.run`
     takes them; ``jacobian_h`` defaults to central differences.  This is the f = Id
     reduction of :func:`kalgrad.natgrad.run` and serves as its reference
-    implementation; it returns the same trace layout.
+    implementation, with a dense metric; it returns the parameters and the
+    metrics J_t, rows t = 0..T.
     """
     if len(inputs) != len(observations):
         raise ValueError("inputs and observations must have equal length")
@@ -141,19 +145,25 @@ def plain_online_natgrad(
         else:
             h_jac = fd_jacobian(lambda v: h(v, u), theta)
         lin = mean_linearisation(family, np.asarray(h(theta, u), dtype=float), h_jac)
-        metric = symmetrize((1.0 - gamma_t) * metric + gamma_t * fisher_term(lin))
+        rows_w = fisher_rows(lin)
+        metric = symmetrize((1.0 - gamma_t) * metric + gamma_t * rows_w.T @ rows_w)
         score = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
         theta = theta + eta_t * solve_psd(metric, score)
         states[t], metrics[t] = theta, metric
-    return Trace(states, metrics=metrics)
+    return states, metrics
 
 
 def continuous_rk4(kind: str, model, init_state, init_matrix, dt: float, horizon: float,
                    alpha: float, eta0: float = 0.0):
-    """Kalman-Bucy (``kind`` "bucy", matrix P) or the natural-gradient flow
-    ("cngd", matrix J and learning rate eta), written as in the textbook with
-    np.linalg.solve and integrated by plain RK4 on the grid t = i dt, with
-    the matrix symmetrized after each step; returns (states, matrices, etas)."""
+    """Kalman-Bucy (``kind`` "bucy", matrix P), the natural-gradient flow
+    in factor form ("cngd", upper-triangular U with J = U^T U, and the
+    learning rate eta) or the textbook dense flow ("dense-cngd", matrix J
+    and eta), written plainly with np.linalg and integrated by plain RK4 on
+    the grid t = i dt, with P and J symmetrized after each step; returns
+    (states, matrices, etas).  The factor field is
+    dU = Phi(-M - M^T - eta I + eta V^T V) U, with M = U F U^-1,
+    V = L^-1 H U^-1 for R = L L^T, and Phi keeping the strict upper
+    triangle and half the diagonal."""
     n = model.dim_state
 
     def deriv(t, z):
@@ -165,6 +175,14 @@ def continuous_rk4(kind: str, model, init_state, init_matrix, dt: float, horizon
             gain = np.linalg.solve(r, h_jac @ mat).T  # P H^T R^-1
             ds = model.f(s, u) + gain @ innov
             dmat = f_jac @ mat + mat @ f_jac.T - gain @ h_jac @ mat + alpha * mat
+        elif kind == "cngd":
+            u_inv = np.linalg.inv(mat)
+            m = mat @ f_jac @ u_inv
+            v = np.linalg.solve(np.linalg.cholesky(r), h_jac) @ u_inv
+            gen = -m - m.T - eta * np.eye(n) + eta * v.T @ v
+            score = h_jac.T @ np.linalg.solve(r, innov)
+            ds = model.f(s, u) + eta * u_inv @ (u_inv.T @ score)
+            dmat = (np.triu(gen, 1) + 0.5 * np.diag(np.diag(gen))) @ mat
         else:
             fisher = h_jac.T @ np.linalg.solve(r, h_jac)
             ds = model.f(s, u) + eta * np.linalg.solve(mat, h_jac.T @ np.linalg.solve(r, innov))
@@ -180,8 +198,9 @@ def continuous_rk4(kind: str, model, init_state, init_matrix, dt: float, horizon
         k3 = deriv(t + dt / 2, z + dt / 2 * k2)
         k4 = deriv(t + dt, z + dt * k3)
         z = z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        mat = z[n:-1].reshape(n, n)
-        z[n:-1] = (0.5 * (mat + mat.T)).ravel()
+        if kind != "cngd":
+            mat = z[n:-1].reshape(n, n)
+            z[n:-1] = (0.5 * (mat + mat.T)).ravel()
         rows.append(z)
     rows = np.array(rows)
     return rows[:, :n], rows[:, n:-1].reshape(-1, n, n), rows[:, -1]
@@ -303,3 +322,74 @@ def draw(seed: int, lo: float, horizon: int):
         "draw", n, lambda s: lin @ s + gain * np.tanh(coupling @ s), f_jac, h_jac,
         init_state, horizon, seed,
     )
+
+
+def hidden_ct(q: int, c: float):
+    """The continuous twin of ``hidden``: ds/dt = A s with
+    A = Q [[-c, 0, 0], [0, -0.05, -1], [0, 1, -0.05]] Q^T (Q from
+    ``default_rng(q)`` as in ``hidden``), observed as H = [[0, 1, 0],
+    [0, 0, 1]] Q^T under R = 0.25 I along y(t) = 0.5 (sin t, cos t).  The
+    exact P contracts like exp((alpha - 2c) t) in the unobserved direction.
+    Returns (model, s_0 = 0, P_0 = I)."""
+    basis = np.linalg.qr(np.random.default_rng(q).standard_normal((3, 3)))[0]
+    block = np.array([[-c, 0.0, 0.0], [0.0, -0.05, -1.0], [0.0, 1.0, -0.05]])
+    f_jac = basis @ block @ basis.T
+    h_jac = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]) @ basis.T
+    model = ContinuousModel(
+        name="hidden-ct",
+        dim_state=3,
+        dim_input=0,
+        dim_obs=2,
+        f=lambda s, u: f_jac @ s,
+        h=lambda s, u: h_jac @ s,
+        jacobian_f=lambda s, u: f_jac.copy(),
+        jacobian_h=lambda s, u: h_jac.copy(),
+        input_fn=lambda t: np.zeros(0),
+        family=expfam.gaussian(0.25 * np.eye(2)),
+        obs_path=lambda t: 0.5 * np.array([np.sin(t), np.cos(t)]),
+        init_state=np.zeros(3),
+    )
+    return model, np.zeros(3), np.eye(3)
+
+
+def bernoulli_draw(seed: int, lo: float, horizon: int):
+    """A small random stable system with Bernoulli observations under the
+    canonical link: with ``rng = default_rng(seed)``, n in 2..4,
+    F = Q diag(eig) Q^T with eig ~ U(lo, 1), C ~ N(0, 1/n), the predictor
+    weights c ~ N(0, 4/n), b in {0, 0.1} and the true s_0 ~ N(0, I), drawn
+    in that order; f(s) = F s + b tanh(C s) and the predictor is c^T s.
+    Scenario seed ``seed``; returns (scenario, s_0 = 0, P_0 = I)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eig = rng.uniform(lo, 1.0, n)
+    coupling = rng.standard_normal((n, n)) / np.sqrt(n)
+    weights = 2.0 * rng.standard_normal(n) / np.sqrt(n)
+    gain = 0.1 * int(rng.integers(0, 2))
+    init_state = rng.standard_normal(n)
+    lin = basis @ np.diag(eig) @ basis.T
+
+    def f_jac(s):
+        return lin + gain * (1.0 - np.tanh(coupling @ s) ** 2)[:, None] * coupling
+
+    def h_jac(s):
+        p = expit(weights @ s)
+        return (p * (1.0 - p)) * weights[None, :]
+
+    system = DynamicalModel(
+        name="bernoulli-draw",
+        dim_state=n,
+        dim_input=0,
+        dim_obs=1,
+        f=lambda s, u: lin @ s + gain * np.tanh(coupling @ s),
+        h=lambda s, u: np.array([expit(weights @ s)]),
+        jacobian_f=lambda s, u: f_jac(s),
+        jacobian_h=lambda s, u: h_jac(s),
+        inputs=lambda t: np.zeros(0),
+        init_state=init_state,
+        link_family=expfam.BERNOULLI,
+        predictor=lambda s, u: np.array([weights @ s]),
+        jacobian_predictor=lambda s, u: weights[None, :].copy(),
+    )
+    scenario = generate_scenario(system, expfam.bernoulli(), horizon, seed)
+    return scenario, np.zeros(n), np.eye(n)

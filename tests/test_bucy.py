@@ -9,7 +9,7 @@ from kalgrad.errors import NonFiniteError, PositivityLostError
 from kalgrad.model import ContinuousModel, builtin, mean_linearisation
 from kalgrad.numerics import rk4_step, symmetrize
 
-from conftest import random_spd
+from conftest import gradient_metrics, random_spd, upper_factor
 from oracles import continuous_rk4, inst_loglik
 
 
@@ -44,25 +44,25 @@ def scalar_integrator_model():
     )
 
 
-def linearised(model, s, y, r=None):
-    """(B, C, e) of the continuous fields' linearisation at state s for the
-    observation y, with covariance r in place of the model's."""
+def linearised(model, s, r=None):
+    """The continuous fields' linearisation at state s, with covariance r
+    in place of the model's."""
     family = model.family if r is None else expfam.gaussian(r)
     s, u = np.asarray(s, dtype=float), np.zeros(0)
-    lin = mean_linearisation(family, model.h(s, u), model.jac_h(s, u))
-    return lin.jac, lin.cov, lin.residual(np.atleast_1d(np.asarray(y, dtype=float)))
+    return mean_linearisation(family, model.h(s, u), model.jac_h(s, u))
 
 
 def score(model, s, y, r=None):
     """Row gradient of the instantaneous log-likelihood in the state: e B."""
-    obs_jac, _, resid = linearised(model, s, y, r)
-    return resid @ obs_jac
+    lin = linearised(model, s, r)
+    return lin.residual(np.atleast_1d(np.asarray(y, dtype=float))) @ lin.jac
 
 
 def fisher(model, r=None):
-    """Instantaneous Fisher matrix in the current-state chart: B^T C B."""
-    obs_jac, obs_cov, _ = linearised(model, np.zeros(model.dim_state), np.zeros(model.dim_obs), r)
-    return obs_jac.T @ obs_cov @ obs_jac
+    """Instantaneous Fisher matrix in the current-state chart, B^T C B, as
+    W^T W for the Fisher rows W the factor flow reads."""
+    rows = natgrad.fisher_rows(linearised(model, np.zeros(model.dim_state), r))
+    return rows.T @ rows
 
 
 def linear_ct(h_mat, r):
@@ -151,7 +151,8 @@ class TestInstFisher:
             r = random_spd(rng, 2)
             cont = fisher(linear_ct(h_jac, r))
             fam = expfam.gaussian(r)
-            disc = natgrad.fisher_term(mean_linearisation(fam, np.zeros(2), h_jac))
+            rows = natgrad.fisher_rows(mean_linearisation(fam, np.zeros(2), h_jac))
+            disc = rows.T @ rows
             np.testing.assert_allclose(cont, disc, atol=1e-12)
             np.testing.assert_allclose(cont, h_jac.T @ np.linalg.inv(r) @ h_jac, atol=1e-12)
 
@@ -193,27 +194,29 @@ class TestCngdDeriv:
             jac_h=lambda s, u: np.array([[1.0, 0.0]]),
             y_path=lambda t: np.ones(1),
         )
-        # gamma = eta = 0 and F = 0: nothing moves the metric.
-        _, dmetric = bucy.cngd_deriv(np.zeros(2), np.eye(2), 0.0, 0.0, model)
-        np.testing.assert_array_equal(dmetric, np.zeros((2, 2)))
+        # gamma = eta = 0 and F = 0: nothing moves the metric's factor.
+        _, dfactor = bucy.cngd_deriv(np.zeros(2), np.eye(2), 0.0, 0.0, model)
+        np.testing.assert_array_equal(dfactor, np.zeros((2, 2)))
 
     def test_zero_innovation_follows_dynamics(self, rng):
         base = builtin("pendulum-ct")
         s = rng.standard_normal(2)
         model = dataclasses.replace(base, obs_path=lambda t: base.h(s, np.zeros(0)))
-        ds, _ = bucy.cngd_deriv(s, random_spd(rng, 2), 0.4, 0.2, model)
+        ds, _ = bucy.cngd_deriv(s, upper_factor(random_spd(rng, 2)), 0.4, 0.2, model)
         np.testing.assert_allclose(ds, model.f(s, np.zeros(0)), atol=1e-14)
 
     def test_pointwise_identity_with_bucy(self, rng):
-        # At any state with P = eta * J^-1 and deta/dt = alpha eta - eta^2,
-        # the state fields coincide and d/dt (eta J^-1) = eta' J^-1 -
-        # eta J^-1 dJ J^-1 is the Riccati field, with no step size.  Each
-        # deviation is taken relative to the size of the terms that cancel
-        # in its field: |f| and |P B^T e| for the state, and ||F P|| twice,
-        # ||P B^T C B P|| and (alpha + 2 eta) ||P|| for the covariance.
-        # Over 4000 points per model (J of 2-norm condition 1 to 1e6 at
-        # scales 1e-2 to 1e2), both deviations were at most 1.84 cond(J)
-        # eps; the bound is 8 cond(J) eps.
+        # At any state with P = eta * J^-1, J = U^T U, and deta/dt =
+        # alpha eta - eta^2, the state fields coincide and d/dt (eta J^-1)
+        # = eta' J^-1 - eta J^-1 dJ J^-1, with dJ = dU^T U + U^T dU, is
+        # the Riccati field, with no step size.  Each deviation is taken
+        # relative to the size of the terms that cancel in its field: |f|
+        # and |P B^T e| for the state, and ||F P|| twice, ||P B^T C B P||
+        # and (alpha + 2 eta) ||P|| for the covariance.  Over 4000 points
+        # per model (J of 2-norm condition 1 to 1e6 at scales 1e-2 to
+        # 1e2, default_rng(12345)), both deviations were at most 1.82
+        # cond(J) eps on pendulum-ct and 2.58 on linear-ct; the bound is 8
+        # cond(J) eps.
         eps = np.finfo(float).eps
         for name in ("pendulum-ct", "linear-ct"):
             model = builtin(name)
@@ -228,7 +231,10 @@ class TestCngdDeriv:
                 cov = eta * metric_inv
 
                 ds_b, dcov_b = bucy.bucy_deriv(s, cov, t, model, alpha)
-                ds_c, dmetric = bucy.cngd_deriv(s, metric, eta, t, model)
+                factor = upper_factor(metric)
+                ds_c, dfactor = bucy.cngd_deriv(s, factor, eta, t, model)
+                assert not np.tril(dfactor, -1).any()
+                dmetric = dfactor.T @ factor + factor.T @ dfactor
                 deta = bucy.eta_ode(eta, alpha)
                 dcov_induced = deta * metric_inv - eta * metric_inv @ dmetric @ metric_inv
 
@@ -323,6 +329,23 @@ class TestCheckPositive:
         with pytest.raises(PositivityLostError, match="at t = 0.5"):
             bucy._check_positive(mat, "covariance", 0.5)
 
+    # The metric's factor U has U^T U positive definite exactly when it is
+    # finite with a positive diagonal, whatever its scale.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "diag, upper, lost",
+        [((1.0, 2.0), 0.5, False), ((1e-300, 1.0), 1e300, False), ((1.0, 0.0), 0.5, True),
+         ((-1.0, 1.0), 0.5, True), ((1.0, np.nan), 0.5, True), ((1.0, 1.0), np.inf, True)],
+    )
+    def test_factor_check_reads_finiteness_and_the_diagonal(self, diag, upper, lost):
+        factor = np.diag(diag)
+        factor[0, 1] = upper
+        if lost:
+            with pytest.raises(PositivityLostError, match="^metric lost positive definiteness at t = 0.5$"):
+                bucy._check_factor(factor, "metric", 0.5)
+        else:
+            bucy._check_factor(factor, "metric", 0.5)
+
 
 class TestGridSteps:
     # Every (dt, T) the library, the tests, the example configs and the
@@ -402,7 +425,7 @@ class TestIntegrate:
         trace = bucy.integrate(bucy.CNGD, np.array([0.5, -0.5]), j0, model, 1e-3, 1.0, eta0=0.5)
         expm = scipy.linalg.expm
         exact = expm(-f_mat.T) @ j0 @ expm(-f_mat) / (1.0 + 0.5)
-        assert np.linalg.norm(trace.metrics[-1] - exact) < 1e-8
+        assert np.linalg.norm(gradient_metrics(trace)[-1] - exact) < 1e-8
 
     def test_eta_co_integration_logistic(self):
         model = scalar_integrator_model()
@@ -416,9 +439,9 @@ class TestIntegrate:
         with pytest.raises(PositivityLostError):
             bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[1.0]]), model, 3.0, 3.0)
 
-    # The library against the textbook fields under plain RK4; P and J must
-    # stay exactly symmetric, since the fields form P F^T as (F P)^T and
-    # F^T J as (J F)^T.
+    # The library against the fields written plainly under plain RK4; P
+    # must stay exactly symmetric, since the field forms P F^T as (F P)^T,
+    # and U exactly upper triangular, since dU is Phi(...) U.
     @pytest.mark.parametrize("name", ["pendulum-ct", "linear-ct"])
     def test_matches_textbook_reference(self, name):
         model = builtin(name)
@@ -428,14 +451,34 @@ class TestIntegrate:
         tb = bucy.integrate(bucy.BUCY, model.init_state, p0, model, 0.01, 1.0, alpha)
         tc = bucy.integrate(bucy.CNGD, model.init_state, j0, model, 0.01, 1.0, alpha, eta0)
         ref_b = continuous_rk4("bucy", model, model.init_state, p0, 0.01, 1.0, alpha)
-        ref_c = continuous_rk4("cngd", model, model.init_state, j0, 0.01, 1.0, alpha, eta0)
+        ref_c = continuous_rk4("cngd", model, model.init_state, upper_factor(j0), 0.01, 1.0,
+                               alpha, eta0)
         pairs = [(tb.states, ref_b[0]), (tb.covs, ref_b[1]),
-                 (tc.states, ref_c[0]), (tc.metrics, ref_c[1]), (tc.etas, ref_c[2])]
+                 (tc.states, ref_c[0]), (tc.factors, ref_c[1]), (tc.etas, ref_c[2])]
         for got, ref in pairs:
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-        for mats in (tb.covs, tc.metrics):
-            np.testing.assert_array_equal(mats, mats.transpose(0, 2, 1))
+        np.testing.assert_array_equal(tb.covs, tb.covs.transpose(0, 2, 1))
+        assert not np.tril(tc.factors, -1).any()
+
+    # The textbook dense-J flow referees the factor flow: the two are RK4
+    # runs of one ODE in two coordinates, so U^T U and the states tend to
+    # the dense run as dt shrinks, at the scheme's order.  Measured on
+    # pendulum-ct over T = 1: J 1.04e-6, 6.40e-8, 3.95e-9 relative at
+    # dt = 0.1, 0.05, 0.025 (16.3x and 16.2x per halving).
+    def test_factor_flow_tends_to_the_dense_flow(self):
+        model = builtin("pendulum-ct")
+        j0, devs = np.eye(2), []
+        for dt in (0.1, 0.05, 0.025):
+            tc = bucy.integrate(bucy.CNGD, model.init_state, j0, model, dt, 1.0, 0.2, 0.5)
+            ref = continuous_rk4("dense-cngd", model, model.init_state, j0, dt, 1.0, 0.2, 0.5)
+            devs.append([
+                np.abs(gradient_metrics(tc) - ref[1]).max() / np.abs(ref[1]).max(),
+                np.abs(tc.states - ref[0]).max(),
+            ])
+        devs = np.array(devs)
+        assert (devs[:-1] / devs[1:]).min() >= 8.0, devs
+        assert devs[-1].max() <= 1e-8, devs
 
     # y(t) is inf from t = 0.5, the last stage of the step from t = 0.4.
     @pytest.mark.parametrize("kind", [bucy.BUCY, bucy.CNGD])
@@ -445,11 +488,7 @@ class TestIntegrate:
         )
         with pytest.raises(NonFiniteError) as info:
             bucy.integrate(kind, np.zeros(1), np.eye(1), model, 0.1, 1.0, eta0=0.5)
-        cause = {
-            bucy.BUCY: "derivative non-finite at t = 0.5",
-            bucy.CNGD: "SPD solve right-hand side has non-finite entries",
-        }[kind]
-        assert str(info.value) == f"{kind} step from t = 0.4: {cause}"
+        assert str(info.value) == f"{kind} step from t = 0.4: derivative non-finite at t = 0.5"
 
     def test_bad_config(self):
         model = scalar_integrator_model()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import solve_triangular
 
 from kalgrad import bucy, ekf, equivalence, expfam, natgrad, numerics
 from kalgrad.equivalence import (
@@ -14,11 +14,11 @@ from kalgrad.equivalence import (
     map_alpha_to_eta,
     map_eta_to_alpha,
 )
-from kalgrad.errors import DomainError, NonFiniteError, SingularMatrixError
-from kalgrad.model import DynamicalModel, Trace, builtin, generate_scenario
+from kalgrad.errors import DomainError, NonFiniteError, PositivityLostError, SingularMatrixError
+from kalgrad.model import DynamicalModel, builtin, generate_scenario
 
 from conftest import gradient_metrics
-from oracles import draw, euler_scenario, hidden, tanh20
+from oracles import bernoulli_draw, draw, euler_scenario, hidden, hidden_ct, tanh20
 
 
 def scenario_for(name, horizon, seed):
@@ -386,9 +386,9 @@ class TestSharedStepData:
                         worst = max(worst, abs(devs[t] - ref))
         assert worst <= 1e-15
 
-    # The continuous flow's dense metrics get their factors from one
-    # stacked Cholesky; a per-row Cholesky and triangular solve move no
-    # deviation by more than 1e-15 on either continuous built-in.
+    # The continuous flow carries its factors too; a triangular solve per
+    # row moves no deviation by more than 1e-15 on either continuous
+    # built-in.
     @pytest.mark.parametrize("name", ["pendulum-ct", "linear-ct"])
     def test_continuous_metric_devs_match_per_row_solves(self, name):
         model = builtin(name)
@@ -400,33 +400,11 @@ class TestSharedStepData:
         devs = equivalence._compare(filt, grad, grad.etas, 1e-6).metric_devs
         assert len(devs) == 201
         worst = 0.0
-        for t, (cov, metric, eta) in enumerate(zip(filt.covs, grad.metrics, grad.etas)):
-            inv = solve_triangular(cholesky(metric), eye)
+        for t, (cov, factor, eta) in enumerate(zip(filt.covs, grad.factors, grad.etas)):
+            inv = solve_triangular(factor, eye)
             ref = np.linalg.norm(cov - eta * inv @ inv.T) / np.linalg.norm(cov)
             worst = max(worst, abs(devs[t] - ref))
         assert worst <= 1e-15
-
-    # A metric row that holds a nan (in either triangle: the Cholesky reads
-    # only the lower one) or that does not factor is never certified: the
-    # first such row is refused by its t.
-    def test_failed_metric_solve_names_the_row(self):
-        rows = 2 * equivalence._METRIC_BLOCK + 5
-        covs = np.broadcast_to(np.eye(2), (rows, 2, 2))
-        filt = Trace(np.zeros((rows, 2)), covs=covs)
-        nan_row = equivalence._METRIC_BLOCK + 7
-        cases = [
-            ([(nan_row, (1, 0), np.nan)], nan_row, NonFiniteError),
-            ([(nan_row, (0, 1), np.nan)], nan_row, NonFiniteError),
-            ([(rows - 1, (1, 1), -1.0)], rows - 1, SingularMatrixError),
-            ([(nan_row, (1, 0), np.nan), (3, (1, 1), -1.0)], 3, SingularMatrixError),
-        ]
-        for entries, t, error in cases:
-            metrics = np.array(covs)
-            for row, index, bad in entries:
-                metrics[(row,) + index] = bad
-            grad = Trace(np.zeros((rows, 2)), metrics=metrics)
-            with pytest.raises(error, match=rf"in the metric check at t = {t}$"):
-                equivalence._compare(filt, grad, np.ones(rows), 1e-8)
 
 
 class TestCollapsingCovariance:
@@ -479,6 +457,37 @@ class TestCollapsingCovariance:
             alpha = np.full(horizon, 0.1)
             alpha[data.draw(st.integers(0, horizon - 1), label="spike at")] = 10.0
         assert check_discrete(*draw(seed, lo, horizon), alpha=alpha).passed
+
+    def test_random_bernoulli_systems(self):
+        # The same rule under Bernoulli observations through the canonical
+        # link: every bernoulli_draw at lo = 0.3, T = 50 certifies (worst
+        # deviation 1.5e-12 over seeds 0-99).
+        failed = [
+            seed for seed in range(100)
+            if not check_discrete(*bernoulli_draw(seed, 0.3, 50), alpha=0.1).passed
+        ]
+        assert failed == []
+
+
+class TestContinuousCollapse:
+    """hidden_ct: the continuous pair where P_t collapses like
+    exp((alpha - 2c) t) in the unobserved direction (alpha = 0.2,
+    dts 0.01 and 0.001).  The factor flow carries J there, so the pair
+    certifies at the unchanged 1e-6 until the filter's own positivity
+    floor refuses P."""
+
+    @pytest.mark.parametrize("c, horizon", [(3.0, 5.0), (5.0, 2.0)])
+    def test_collapsing_pair_certifies(self, c, horizon):
+        result = check_continuous(*hidden_ct(1, c), alpha=0.2, dts=[0.01, 0.001], horizon=horizon)
+        assert result.passed
+        assert result.order_state >= 3.5
+
+    # At c = 3, T = 10 the Kalman-Bucy side's P reaches cond ~1e13 and
+    # fails the floor 1e-13 ||P|| at t = 5.6, on the first (dt = 0.01)
+    # grid: a refusal that names the filter's covariance.
+    def test_filter_floor_refuses_the_long_run(self):
+        with pytest.raises(PositivityLostError, match="^covariance lost positive definiteness at t = 5.6$"):
+            check_continuous(*hidden_ct(1, 3.0), alpha=0.2, dts=[0.01, 0.001], horizon=10.0)
 
 
 class TestGaussianObservationFactor:
@@ -594,6 +603,32 @@ class TestCanonicalLinkEquivalence:
 
 
 class TestCheckContinuous:
+    # Structure guard: the continuous pair is one representation.  The
+    # gradient side carries U and solves with it, so one certificate on
+    # pendulum-ct makes no SPD solve and no dense Cholesky.
+    def test_one_certificate_calls_no_spd_solve_or_dense_cholesky(self, monkeypatch):
+        calls = []
+        original, cholesky_fn = numerics.solve_psd, np.linalg.cholesky
+
+        def counting_solve(*args):
+            calls.append("solve_psd")
+            return original(*args)
+
+        def counting_cholesky(*args, **kwargs):
+            calls.append("cholesky")
+            return cholesky_fn(*args, **kwargs)
+
+        for module in (numerics, bucy, ekf, equivalence, expfam, natgrad):
+            if getattr(module, "solve_psd", None) is original:
+                monkeypatch.setattr(module, "solve_psd", counting_solve)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        model = builtin("pendulum-ct")
+        result = check_continuous(
+            model, model.init_state, 0.5 * np.eye(2), alpha=0.2, dts=[0.1, 0.01], horizon=1.0,
+        )
+        assert result.passed
+        assert calls == []
+
     def test_linear_ct_deviation_shrinks(self):
         model = builtin("linear-ct")
         result = check_continuous(
@@ -724,7 +759,7 @@ class TestDiscreteToContinuousLimit:
                 equivalence.initial_metric(p0, dt * eta0),
             )
             stride = int(round(dt / 1e-3))
-            metrics = ref.metrics[::stride]
+            metrics = gradient_metrics(ref)[::stride]
             errors.append([
                 np.abs(grad.states - ref.states[::stride]).max(),
                 (np.linalg.norm(gradient_metrics(grad) / dt - metrics, axis=(1, 2))

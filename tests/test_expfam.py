@@ -163,9 +163,10 @@ def score_wrt_mean(family, y, yhat):
 
 
 def fisher_wrt_mean(family, yhat):
-    """Exact Fisher information in the mean parameter, read from the
-    linearisation."""
-    return natgrad.fisher_term(_mean_linearisation(family, yhat))
+    """Exact Fisher information in the mean parameter, W^T W for the Fisher
+    rows the linearisation gives."""
+    rows = natgrad.fisher_rows(_mean_linearisation(family, yhat))
+    return rows.T @ rows
 
 
 class TestGradLogp:

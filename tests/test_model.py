@@ -157,7 +157,7 @@ class TestFiniteDifferenceBackedModel:
         s0 = reference.init_state
         for kind, mat0, fields in (
             (bucy.BUCY, 0.5 * np.eye(2), ("states", "covs")),
-            (bucy.CNGD, np.eye(2), ("states", "metrics", "etas")),
+            (bucy.CNGD, np.eye(2), ("states", "factors", "etas")),
         ):
             exact = bucy.integrate(kind, s0, mat0, reference, 1e-2, 1.0, 0.2, eta0=0.5)
             approx = bucy.integrate(kind, s0, mat0, bare, 1e-2, 1.0, 0.2, eta0=0.5)

@@ -183,8 +183,8 @@ class TestChartTransport:
 class TestFisherTerm:
     def test_scalar_exact(self):
         fam = expfam.gaussian(np.array([[2.0]]))
-        out = natgrad.fisher_term(mean_linearisation(fam, np.array([0.0]), np.array([[1.0]])))
-        np.testing.assert_allclose(out, [[0.5]])
+        rows = natgrad.fisher_rows(mean_linearisation(fam, np.array([0.0]), np.array([[1.0]])))
+        np.testing.assert_allclose(rows.T @ rows, [[0.5]])
 
     def test_zero_jacobian_every_mode(self, rng):
         # The exact Fisher and its Monte Carlo oracle both vanish.
@@ -192,7 +192,8 @@ class TestFisherTerm:
         h0 = np.zeros((1, 2))
         yhat = np.array([0.3])
         lin = mean_linearisation(fam, yhat, h0)
-        for out in (natgrad.fisher_term(lin), mc_fisher(lin, fam, yhat, rng, 10)):
+        rows = natgrad.fisher_rows(lin)
+        for out in (rows.T @ rows, mc_fisher(lin, fam, yhat, rng, 10)):
             np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
 
@@ -298,9 +299,11 @@ class TestCanonicalLink:
         fam = expfam.bernoulli()
         for _ in range(20):
             s, t = rng.standard_normal(2), int(rng.integers(1, 50))
+            canonical = natgrad.fisher_rows(linearise(model, fam, s, model.input_at(t), t))
+            mean = natgrad.fisher_rows(linearise(mean_model, fam, s, mean_model.input_at(t), t))
             np.testing.assert_allclose(
-                natgrad.fisher_term(linearise(model, fam, s, model.input_at(t), t)),
-                natgrad.fisher_term(linearise(mean_model, fam, s, mean_model.input_at(t), t)),
+                canonical.T @ canonical,
+                mean.T @ mean,
                 rtol=1e-12,
                 atol=1e-15,
             )
@@ -390,7 +393,8 @@ class TestUpdate:
             s = rng.standard_normal(2)
             j = random_spd(rng, 2)
             yhat = model.h(s, np.zeros(0))
-            fisher = natgrad.fisher_term(linearise(model, fam, s, model.input_at(1), 1))
+            rows = natgrad.fisher_rows(linearise(model, fam, s, model.input_at(1), 1))
+            fisher = rows.T @ rows
             _, metric = natgrad_update(s, j, yhat + 0.2, model, fam, eta, gamma, 1)
             floor = min(np.linalg.eigvalsh(j).min(), np.linalg.eigvalsh(fisher).min())
             assert np.linalg.eigvalsh(metric).min() >= floor - 1e-10
@@ -409,7 +413,7 @@ class TestRun:
         j0 = np.eye(2)
 
         chart = natgrad.run(scenario, eta, gamma, s0, j0)
-        plain = plain_online_natgrad(
+        plain_states, plain_metrics = plain_online_natgrad(
             [model.input_at(t) for t in range(1, horizon + 1)],
             scenario.observations,
             model.h,
@@ -419,8 +423,8 @@ class TestRun:
             j0,
             jacobian_h=model.jacobian_h,
         )
-        np.testing.assert_allclose(chart.states, plain.states, atol=1e-12)
-        np.testing.assert_allclose(gradient_metrics(chart), plain.metrics, atol=1e-12)
+        np.testing.assert_allclose(chart.states, plain_states, atol=1e-12)
+        np.testing.assert_allclose(gradient_metrics(chart), plain_metrics, atol=1e-12)
 
     def test_horizon_zero(self):
         model = builtin("static")
@@ -453,13 +457,13 @@ class TestPlainOnlineNatgrad:
         inputs = [rng.standard_normal(2) for _ in range(10)]
         obs = [np.array([float(rng.standard_normal())]) for _ in range(10)]
         eta, gamma = 0.0, 0.5
-        trace = plain_online_natgrad(
+        states, metrics = plain_online_natgrad(
             inputs, obs, lambda th, u: np.array([th @ u]), fam, eta, gamma,
             np.array([0.3, -0.4]), np.eye(2),
         )
-        for state in trace.states[1:]:
+        for state in states[1:]:
             np.testing.assert_array_equal(state, [0.3, -0.4])
-        assert not np.allclose(trace.metrics[-1], np.eye(2))
+        assert not np.allclose(metrics[-1], np.eye(2))
 
     def test_logistic_separable_loglik_improves(self):
         # Soft sanity check: on separable data the training log-likelihood
@@ -492,14 +496,14 @@ class TestPlainOnlineNatgrad:
         metric = np.eye(2)
         improvements = []
         for _ in range(3):  # epochs over the same data
-            trace = plain_online_natgrad(
+            states, metrics = plain_online_natgrad(
                 inputs, labels, h, fam, eta, gamma, theta, metric
             )
             # f = Id: each step moves from row t-1 to row t.
-            for before, after in zip(trace.states[:-1], trace.states[1:]):
+            for before, after in zip(states[:-1], states[1:]):
                 improvements.append(total_loglik(after) - total_loglik(before))
-            theta = trace.states[-1]
-            metric = trace.metrics[-1]
+            theta = states[-1]
+            metric = metrics[-1]
         frac = np.mean([d >= -1e-12 for d in improvements])
         assert frac >= 0.95
 
@@ -516,7 +520,7 @@ class TestPlainOnlineNatgrad:
             inputs, obs, lambda th, u: np.array([th @ u]), fam, eta, gamma,
             np.zeros(2), np.eye(2),
         )
-        np.testing.assert_allclose(without.states, with_jac.states, atol=1e-9)
+        np.testing.assert_allclose(without[0], with_jac[0], atol=1e-9)
 
 
 class TestScheduleLength:

@@ -192,6 +192,24 @@ class TestSolvePsd:
                 solve_psd(a0, b)
 
 
+    # dpotrf returns info = 0 with a nan factor for diag(nan, 1) and an inf
+    # factor for diag(inf, 1); the factor half refuses both before it
+    # calls dpotrf, so no caller needs a check of its own.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_factor_half_refuses_a_non_finite_matrix_before_dpotrf(self, bad, monkeypatch):
+        calls = []
+        monkeypatch.setattr(numerics, "dpotrf", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(NonFiniteError, match="^SPD solve matrix has non-finite entries$"):
+            numerics._factor_psd(np.diag([bad, 1.0]))
+        assert calls == []
+
+    # B's shape is checked before A is factored, so a malformed operand is
+    # named before a non-finite one.
+    def test_malformed_rhs_is_named_before_a_non_finite_matrix(self):
+        with pytest.raises(ValueError, match="right-hand side of shape"):
+            solve_psd(np.diag([np.nan, 1.0]), np.ones(3))
+
 class TestSolvePsdStack:
     """solve_psd takes one matrix: a stack of them is refused by its shape,
     whatever the right-hand side."""
