@@ -22,10 +22,10 @@ with Phi keeping the strict upper triangle and half the diagonal, so that
 dU^T U + U^T dU = dJ/dt; every inverse is a triangular solve.
 
 Both fields read the discrete side's linearisation,
-:func:`kalgrad.model.mean_linearisation` under the model's gaussian family:
-B = R^-1 H, C = R and e = y(t) - h(s, u_t), so that P H^T R^-1 = P B^T,
-H^T R^-1 H = B^T C B = W^T W for the Fisher rows W
-(:func:`kalgrad.natgrad.fisher_rows`) and H^T R^-1 (y - h) = B^T e.
+:func:`kalgrad.model.mean_linearisation` under the model's gaussian family,
+whitened by R = L L^T: B = L^-1 H, C = I and e = (y(t) - h(s, u_t)) L^-T,
+so that H^T R^-1 (y - h) = B^T e and H^T R^-1 H = B^T B = W^T W for the
+Fisher rows W (:func:`kalgrad.natgrad.fisher_rows`).
 
 Under P = eta J^-1 and the eta equation above, the two vector fields
 coincide; :func:`integrate` runs either side with fixed-step RK4, on a
@@ -110,7 +110,7 @@ def bucy_deriv(
     lin = mean_linearisation(model.family, model.h(s, u), model.jac_h(s, u))
     resid = lin.residual(np.atleast_1d(model.obs_path(t)))
     f_jac = model.jac_f(s, u)
-    gain = cov @ lin.jac.T  # P H^T R^-1
+    gain = cov @ lin.jac.T  # P H^T L^-T
     ds = model.f(s, u) + gain @ resid
     # P F^T = (F P)^T exactly, since P is exactly symmetric.
     fp = f_jac @ cov

@@ -13,11 +13,12 @@ e = T(y) - E[T].  It is the gain form
     P = P_pred - K C B P_pred,  s += K e,
 
 which the tests hold to the information form P^-1 = P_pred^-1 + B^T C B,
-s += P B^T e.  With B = R^-1 H (R = C the observation covariance, H the
-Jacobian of h) the gain is the classical P H^T (H P H^T + R)^-1.  Under a
-canonical link B is the predictor Jacobian G, R^-1 never appears, and the
-update stays finite where the mean rounds to the boundary of its domain
-and C to zero.
+s += P B^T e.  A gaussian observation is read whitened, with B = L^-1 H
+for R = L L^T (H the Jacobian of h), C = I and e = (y - h) L^-T, so that
+K e is the classical P H^T (H P H^T + R)^-1 (y - h) with no solve with R.
+Under a canonical link B is the predictor Jacobian G, and the update
+stays finite where the mean rounds to the boundary of its domain and C
+to zero.
 
 The belief (mean, cov), the fading schedule, and each step's input u_t
 and sufficient statistics T(y_t), row t-1 of the scenario's ``inputs``

@@ -8,14 +8,16 @@ inside the mean domain.  Since d theta / d yhat = cov(T)^-1 in the natural
 parameter theta, an observation with mean yhat = h(s) and Jacobian H has
 d theta / d s = cov(T)^-1 H (:func:`natural_jacobian`);
 :func:`kalgrad.model.linearise` builds the score and Fisher of every
-update from it.  A gaussian family factors its fixed covariance when it is
-built and keeps its last solve, so a linear observation map, whose H is
-the same at every step, costs one checked solve per family.
+update from it.  A gaussian family factors its fixed covariance R = L L^T
+once, when it is built, and keeps L^-1 with it, so that
+:func:`kalgrad.model.mean_linearisation` reads its observations whitened,
+y -> L^-1 y, with no solve with R.
 
 Each family also gives a square root S of cov(T), S^T S = cov(T), which the
-discrete natural gradient's factor form reads (:func:`cov_root`,
+natural gradient's factor form reads (:func:`cov_root`,
 :func:`canonical_root`): the transposed Cholesky factor of a gaussian
-covariance, and a closed form on the simplex that needs no factorisation.
+covariance (the unwhitened reference form; whitened, S = I), and a closed
+form on the simplex that needs no factorisation.
 
 Bernoulli and categorical also take the natural parameter ``x`` (the
 logits, the linear predictor of a model with the canonical link), where
@@ -37,10 +39,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 from scipy.special import expit
 
 from .errors import DomainError, NonFiniteError, OutOfSupportError, SingularMatrixError
-from .numerics import _factor_psd, _solve_factored, solve_psd, symmetrize
+from .numerics import _factor_psd, solve_psd, symmetrize
 
 GAUSSIAN = "gaussian"
 BERNOULLI = "bernoulli"
@@ -52,16 +55,18 @@ class ObservationFamily:
 
     Use the :func:`gaussian`, :func:`bernoulli`, :func:`categorical`
     constructors instead of instantiating directly.  A gaussian family,
-    however built, symmetrizes its covariance, refuses one that is not
+    however built, symmetrizes its covariance R, refuses one that is not
     finite or does not factor (a ValueError), and keeps its lower Cholesky
-    factor as ``obs_factor``, which cannot be set: its one check, solve
-    factor and sampler.
+    factor L as ``obs_factor``, its one check and its sampler, and the
+    read-only inverse L^-1 as ``obs_whitener``, from one ``dtrtri``.
+    Neither can be set.
     """
 
     kind: str
     obs_cov: np.ndarray | None = None  # gaussian: fixed covariance of y
     num_classes: int | None = None  # categorical: K >= 2
     obs_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    obs_whitener: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind != GAUSSIAN:
@@ -74,8 +79,11 @@ class ObservationFamily:
             raise ValueError("gaussian observation covariance has non-finite entries") from None
         except SingularMatrixError:
             raise ValueError("gaussian observation covariance must be positive definite") from None
+        whitener = dtrtri(factor, lower=1)[0]  # L has a positive diagonal
+        whitener.flags.writeable = False
         object.__setattr__(self, "obs_cov", r)
         object.__setattr__(self, "obs_factor", factor)
+        object.__setattr__(self, "obs_whitener", whitener)
 
     @property
     def mean_dim(self) -> int:
@@ -189,23 +197,12 @@ def natural_jacobian(family: ObservationFamily, yhat, mean_jac) -> tuple[np.ndar
     parameter cov(T)^-1 mean_jac, given the Jacobian mean_jac of yhat:
     d theta / d yhat = cov(T)^-1.
 
-    A gaussian family runs the solve half of
-    :func:`kalgrad.numerics.solve_psd` on the factor it made when it was
-    built, with its refinement pass and residual check, once per distinct
-    mean_jac: it keeps the last mean_jac (by shape and bytes) with its
-    read-only result in its ``__dict__``.  A solve that fails is not
-    kept."""
+    Every family solves with :func:`kalgrad.numerics.solve_psd`.  The
+    library reads a gaussian observation whitened instead
+    (:func:`kalgrad.model.mean_linearisation`); for it this is the
+    unwhitened reference form."""
     cov = cov_suffstats(family, yhat)
-    if family.kind != GAUSSIAN:
-        return cov, solve_psd(cov, mean_jac)
-    h = np.asarray(mean_jac, dtype=float)
-    key = (h.shape, h.tobytes())
-    kept = vars(family).get("_obs_solve")
-    if kept is None or kept[0] != key:
-        jac = _solve_factored(family.obs_cov, family.obs_factor, h)
-        jac.flags.writeable = False
-        kept = vars(family)["_obs_solve"] = (key, jac)
-    return cov, kept[1]
+    return cov, solve_psd(cov, mean_jac)
 
 
 def _as_natural(family: ObservationFamily, x) -> np.ndarray:
@@ -271,8 +268,9 @@ def canonical_residual(family: ObservationFamily, stats, x) -> np.ndarray:
 
 def cov_root(family: ObservationFamily, yhat) -> np.ndarray:
     """A square root S of cov(T) at mean parameter yhat, S^T S = cov(T):
-    L^T for the lower Cholesky factor L of a gaussian family's covariance,
-    and :func:`_simplex_root` for bernoulli and categorical."""
+    L^T for the lower Cholesky factor L of a gaussian family's covariance
+    (the unwhitened reference form), and :func:`_simplex_root` for
+    bernoulli and categorical."""
     if family.kind == GAUSSIAN:
         return family.obs_factor.T
     yhat = check_mean(family, yhat)

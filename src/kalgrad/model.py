@@ -12,9 +12,10 @@ the predicted mean, that mean, and the residual ``e = T - E[T]`` of given
 sufficient statistics; the score in the state is ``e B`` and the Fisher
 information ``B^T C B``; it also carries a square root of ``C`` from which
 the gradient side builds its Fisher rows.  On the general path
-``B = C^-1 H``, with ``H`` the Jacobian of ``h``
-(:func:`mean_linearisation`, which the continuous fields also read, under
-a continuous model's gaussian family).  A model
+``B = C^-1 H``, with ``H`` the Jacobian of ``h``; a gaussian observation
+is read whitened instead, ``B = L^-1 H`` and ``C = I`` for its covariance
+``R = L L^T`` (:func:`mean_linearisation`, which the continuous fields
+also read, under a continuous model's gaussian family).  A model
 whose ``h`` is the mean of a Bernoulli or categorical family at a linear
 predictor ``x = predictor(s, u)`` under the canonical link declares that
 family kind and the predictor; there ``theta = x``, ``B`` is the
@@ -35,6 +36,7 @@ argument; none of them calls ``input_at`` or computes T(y).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -201,7 +203,8 @@ class Linearisation:
     family, at a predicted state.
 
     ``jac`` is B = d theta / d s and ``cov`` is C = cov(T) at the
-    predicted mean.  ``residual(stats)`` is T - E[T] for
+    predicted mean, both in whitened coordinates for a gaussian family
+    (:func:`mean_linearisation`).  ``residual(stats)`` is T - E[T] for
     sufficient statistics T, one vector or one row per draw.  The score of
     T in the state is ``residual(T) @ jac`` and the Fisher information is
     ``jac.T @ cov @ jac``.  ``root()`` is a square root S of C, S^T S = C,
@@ -215,13 +218,31 @@ class Linearisation:
     root: Callable[[], Array]
 
 
+@functools.cache
+def _identity(n: int) -> Array:
+    """The read-only n x n identity."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def mean_linearisation(
     family: expfam.ObservationFamily, mean: Array, h_jac: Array
 ) -> Linearisation:
-    """Linearisation through the mean parameter ``mean`` = h(s, u), whose
-    Jacobian in the state is ``h_jac`` = H: since d theta / d mean = C^-1,
-    B = C^-1 H, and the root of C is :func:`expfam.cov_root`'s.  Needs
-    ``mean`` strictly inside the family's domain."""
+    """Linearisation through the mean parameter ``mean`` = h(s, u), strictly
+    inside the family's domain, whose Jacobian in the state is ``h_jac`` = H.
+
+    A gaussian observation is read whitened, y -> L^-1 y for R = L L^T and
+    the family's ``obs_whitener`` L^-1: B = L^-1 H, C = S = I and
+    e = (T - h) L^-T, so e B = (T - h) R^-1 H and B^T C B = H^T R^-1 H with
+    no solve with R.  Otherwise B = C^-1 H (:func:`expfam.natural_jacobian`)
+    and S is :func:`expfam.cov_root`'s."""
+    if family.kind == expfam.GAUSSIAN:
+        mean = expfam.check_mean(family, mean)
+        whitener, eye = family.obs_whitener, _identity(family.mean_dim)
+        return Linearisation(
+            whitener @ h_jac, eye, lambda stats: (stats - mean) @ whitener.T, lambda: eye
+        )
     cov, jac = expfam.natural_jacobian(family, mean, h_jac)
     return Linearisation(
         jac, cov, lambda stats: stats - mean, lambda: expfam.cov_root(family, mean)

@@ -81,13 +81,8 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Uses LAPACK's Cholesky factorization (``dpotrf``, lower triangle) and
     solve (``dpotrs``) at every dimension, plus one step of iterative
     refinement, applied in place.  A matrix that does not factor is
-    refused; it is never shifted to make it factor.
-
-    This is :func:`_factor_psd` followed by :func:`_solve_factored`; a
-    caller that solves against one fixed matrix many times keeps the
-    factor half's result and runs only the solve half, whose refinement
-    and residual check run at every solve; a gaussian family also keeps
-    its last result (:func:`kalgrad.expfam.natural_jacobian`).
+    refused; it is never shifted to make it factor.  The relative residual
+    ||B - A X||_F / ||B||_F must stay below 1e-10.
 
     Raises
     ------
@@ -105,36 +100,12 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"solve_psd expects a non-empty square matrix, got shape {a.shape}")
-    b = _as_rhs(a, b)
-    return _solve_factored(a, _factor_psd(a), b)
-
-
-def _factor_psd(a: np.ndarray) -> np.ndarray:
-    """The factor half of :func:`solve_psd`, for a validated square float A:
-    its lower Cholesky factor, with the upper triangle zeroed.
-
-    Raises NonFiniteError if A holds an inf or nan, before the
-    factorization (which lets a nan or +inf pivot through), and
-    SingularMatrixError if A is otherwise not positive definite.
-    """
-    _check_finite(a)
-    factor, info = dpotrf(a, lower=1, clean=1)
-    if info:
-        raise SingularMatrixError("matrix is not positive definite")
-    return factor
-
-
-def _solve_factored(a: np.ndarray, factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solve half of :func:`solve_psd`: solves A X = B given A and its
-    factor from :func:`_factor_psd`, with one refinement pass
-    and the relative residual checked against A.
-
-    Raises ValueError if B does not have one row per row of A, and
-    SingularMatrixError if the residual stays above
-    :data:`_RESIDUAL_BOUND` (NonFiniteError
-    if B holds an inf or nan).
-    """
-    b = _as_rhs(a, b)
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+        raise ValueError(
+            f"solve_psd right-hand side of shape {b.shape} does not match matrix of shape {a.shape}"
+        )
+    factor = _factor_psd(a)
     # An inf or nan in B leaves a nan or inf residual, which fails the
     # bound below and is then named by _check_finite.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -153,14 +124,20 @@ def _solve_factored(a: np.ndarray, factor: np.ndarray, b: np.ndarray) -> np.ndar
     return x
 
 
-def _as_rhs(a: np.ndarray, b) -> np.ndarray:
-    """B as a float vector or matrix with one row per row of the square A."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"solve_psd right-hand side of shape {b.shape} does not match matrix of shape {a.shape}"
-        )
-    return b
+def _factor_psd(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a validated square float A, with the
+    upper triangle zeroed: :func:`solve_psd`'s factorization, and the one
+    that a gaussian family and the prior metric keep.
+
+    Raises NonFiniteError if A holds an inf or nan, before the
+    factorization (which lets a nan or +inf pivot through), and
+    SingularMatrixError if A is otherwise not positive definite.
+    """
+    _check_finite(a)
+    factor, info = dpotrf(a, lower=1, clean=1)
+    if info:
+        raise SingularMatrixError("matrix is not positive definite")
+    return factor
 
 
 def _norm(v: np.ndarray) -> float:

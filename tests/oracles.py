@@ -10,8 +10,8 @@ written plainly under a plain RK4 loop, for the continuous pair (with the
 textbook dense-J flow as the referee of the factor flow), the Euler
 discretisation that links the continuous pair to the discrete one, and
 families of test systems whose covariance collapses along contracting
-directions (``hidden``, ``tanh20``, the random stable systems of ``draw``
-and ``bernoulli_draw``, and the continuous ``hidden_ct``)."""
+directions (``hidden``, ``tanh20``, the random stable systems of ``draw``,
+``ill_r_draw`` and ``bernoulli_draw``, and the continuous ``hidden_ct``)."""
 
 import numpy as np
 import scipy.linalg
@@ -322,6 +322,21 @@ def draw(seed: int, lo: float, horizon: int):
         "draw", n, lambda s: lin @ s + gain * np.tanh(coupling @ s), f_jac, h_jac,
         init_state, horizon, seed,
     )
+
+
+def ill_r_draw(seed: int, decades: float = 6.0):
+    """``draw(seed, 0.9, 50)`` observed under an ill-conditioned R: where
+    its k >= 2, R = 0.25 Q diag(logspace(0, -decades, k)) Q^T with Q from
+    the QR of ``default_rng(1000 + seed).standard_normal((k, k))``, and the
+    scenario regenerated with ``seed``.  Returns (scenario, s_0, P_0), or
+    None where k = 1."""
+    scenario, s0, p0 = draw(seed, 0.9, 50)
+    k = scenario.model.dim_obs
+    if k < 2:
+        return None
+    basis = np.linalg.qr(np.random.default_rng(1000 + seed).standard_normal((k, k)))[0]
+    family = expfam.gaussian(0.25 * basis @ np.diag(np.logspace(0, -decades, k)) @ basis.T)
+    return generate_scenario(scenario.model, family, scenario.horizon, seed), s0, p0
 
 
 def hidden_ct(q: int, c: float):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kalgrad import expfam, natgrad, numerics
+from kalgrad import expfam, natgrad
 from kalgrad.errors import DomainError, OutOfSupportError
 from kalgrad.model import mean_linearisation
 from kalgrad.numerics import fd_jacobian
@@ -451,64 +451,44 @@ class TestConstructors:
         assert expfam.categorical(5).mean_dim == 4
 
 
-class TestKeptObservationSolve:
-    """A gaussian family keeps its last R B = H solve: the same H again (same
-    shape, same bytes) returns the kept B, and any other H runs the checked
-    solve."""
+class TestWhitenedObservation:
+    """A gaussian observation is read whitened: B = L^-1 H, C = S = I and
+    e = (T - h) L^-T, which give the unwhitened score and Fisher of
+    :func:`expfam.natural_jacobian` with no solve with R."""
 
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        """The right-hand sides H that expfam's checked solve receives."""
-        seen = []
-        inner = expfam._solve_factored
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_whitened_linearisation_matches_the_reference(self, rng, dim):
+        family = expfam.gaussian(random_spd(rng, dim, scale=0.5))
+        for _ in range(5):
+            mean, y = rng.standard_normal((2, dim))
+            h = rng.standard_normal((dim, 3))
+            lin = mean_linearisation(family, mean, h)
+            assert lin.jac.tobytes() == (family.obs_whitener @ h).tobytes()
+            for eye in (lin.cov, lin.root()):
+                np.testing.assert_array_equal(eye, np.eye(dim))
+                assert not eye.flags.writeable
+            jac = expfam.natural_jacobian(family, mean, h)[1]
+            np.testing.assert_allclose(lin.jac.T @ lin.jac, h.T @ jac, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(
+                lin.residual(y) @ lin.jac, (y - mean) @ jac, rtol=1e-13, atol=0
+            )
 
-        def recording(a, factor, b):
-            seen.append(np.array(b))
-            return inner(a, factor, b)
+    def test_whitened_linearisation_checks_the_mean(self):
+        family, h = expfam.gaussian(np.eye(2)), np.eye(2)
+        with pytest.raises(DomainError, match="^gaussian mean must be finite$"):
+            mean_linearisation(family, np.array([np.nan, 0.0]), h)
+        with pytest.raises(ValueError, match=r"^mean parameter must have shape \(2,\), got \(3,\)$"):
+            mean_linearisation(family, np.zeros(3), h)
 
-        monkeypatch.setattr(expfam, "_solve_factored", recording)
-        return seen
-
-    @staticmethod
-    def fresh(family, h):
-        return numerics._solve_factored(family.obs_cov, family.obs_factor, h)
-
-    def test_alternating_jacobians_match_a_fresh_solve(self, rng, solves):
-        family = make_family("gaussian", rng)
-        h_a, h_b = rng.standard_normal((2, 2, 3))
-        for h in (h_a, h_b, h_a, h_a):
-            jac = expfam.natural_jacobian(family, np.zeros(2), h)[1]
-            assert jac.tobytes() == self.fresh(family, h).tobytes()
-        # h_a after h_b is solved again; only its repeat reads the kept B.
-        assert [h.tobytes() for h in solves] == [h.tobytes() for h in (h_a, h_b, h_a)]
-
-    def test_same_bytes_in_another_shape_is_solved_in_its_own_shape(self, solves):
-        family = expfam.gaussian(np.array([[2.0, 0.3], [0.3, 1.0]]))
-        vec = np.array([1.0, -0.5])
-        col = vec.reshape(2, 1)  # the same bytes
-        for h in (vec, col, vec, vec):
-            jac = expfam.natural_jacobian(family, np.zeros(2), h)[1]
-            assert jac.shape == h.shape
-            assert jac.tobytes() == self.fresh(family, h).tobytes()
-        assert [h.shape for h in solves] == [(2,), (2, 1), (2,)]
-
-    def test_kept_jacobian_is_read_only_and_keyed_by_a_copy(self, rng, solves):
-        family = make_family("gaussian", rng)
-        h = rng.standard_normal((2, 3))
-        first = expfam.natural_jacobian(family, np.zeros(2), h)[1]
-        before = first.copy()
-        assert not first.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            first[0, 0] = 1.0
-        h[0, 0] += 1.0  # the caller writes into its H after the call
-        second = expfam.natural_jacobian(family, np.zeros(2), h)[1]
-        assert second.tobytes() == self.fresh(family, h).tobytes()
-        assert first.tobytes() == before.tobytes()
-        assert len(solves) == 2
-
-    def test_a_replaced_family_starts_with_nothing_kept(self, rng, solves):
-        family = make_family("gaussian", rng)
-        h = rng.standard_normal((2, 3))
-        for fam in (family, family, dataclasses.replace(family)):
-            expfam.natural_jacobian(fam, np.zeros(2), h)
-        assert len(solves) == 2
+    def test_whitener_is_the_read_only_inverse_factor_and_cannot_be_set(self):
+        r = np.array([[2.0, 0.3], [0.3, 1.0]])
+        family = expfam.gaussian(r)
+        np.testing.assert_allclose(family.obs_whitener @ family.obs_factor, np.eye(2), atol=1e-15)
+        assert family.obs_whitener[0, 1] == 0.0
+        assert not family.obs_whitener.flags.writeable
+        with pytest.raises(TypeError):
+            expfam.ObservationFamily(kind="gaussian", obs_cov=r, obs_whitener=np.eye(2))
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(family, obs_whitener=np.eye(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            family.obs_whitener = np.eye(2)

@@ -218,10 +218,11 @@ class TestFisherRows:
             self.assert_rows_match(lin)
 
     def test_gaussian_rows_read_the_kept_factor(self, rng):
+        # Whitened, the rows are B = L^-1 H itself, from the kept L^-1.
         fam = expfam.gaussian(np.array([[0.5, 0.2], [0.2, 0.3]]))
-        model = make_linear_model(rng.standard_normal((2, 3)))
-        lin = linearise(model, fam, np.zeros(3), np.zeros(0), 1)
-        np.testing.assert_array_equal(natgrad.fisher_rows(lin), fam.obs_factor.T @ lin.jac)
+        h = rng.standard_normal((2, 3))
+        lin = linearise(make_linear_model(h), fam, np.zeros(3), np.zeros(0), 1)
+        np.testing.assert_array_equal(natgrad.fisher_rows(lin), fam.obs_whitener @ h)
 
     def test_mean_parameter_bernoulli(self, rng):
         model = dataclasses.replace(builtin("logistic-static"), predictor=None)
