@@ -307,9 +307,11 @@ def check_continuous(
     eta0: float = 0.5,
     min_order: float = 1.0,
 ) -> ContinuousReport:
-    """Integrate both continuous filters per step size and compare; the
-    step sizes are checked (:func:`kalgrad.bucy.step_sizes`) before any
-    grid is integrated.
+    """Integrate both continuous filters together per step size
+    (:func:`kalgrad.bucy.run`, from one start of each side) and compare;
+    the step sizes are checked (:func:`kalgrad.bucy.step_sizes`) before
+    any grid is integrated.  A numerical error names the side that fails
+    at the earliest grid step, ``bucy`` if both fail in one step.
 
     Passes when the finest grid meets ``tol`` in both state and metric
     deviation and the coarse-to-fine log-log slope is at least
@@ -318,11 +320,13 @@ def check_continuous(
     dts = bucy_mod.step_sizes(dts, horizon)  # coarse to fine
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
     init_metric = initial_metric(init_cov, eta0)
+    sides = [
+        bucy_mod.start(bucy_mod.BUCY, init_state, init_cov),
+        bucy_mod.start(bucy_mod.CNGD, init_state, init_metric, eta0),
+    ]
     reports = []
     for dt in dts:
-        grid = (dt, horizon, alpha)
-        trace_b = bucy_mod.integrate(bucy_mod.BUCY, init_state, init_cov, model, *grid)
-        trace_c = bucy_mod.integrate(bucy_mod.CNGD, init_state, init_metric, model, *grid, eta0)
+        trace_b, trace_c = bucy_mod.run(sides, model, dt, horizon, alpha)
         reports.append(_compare(trace_b, trace_c, trace_c.etas, tol, dt=dt))
     if len(reports) >= 2:
         span = np.log(reports[0].dt / reports[-1].dt)

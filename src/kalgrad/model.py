@@ -14,8 +14,8 @@ information ``B^T C B``; it also carries a square root of ``C`` from which
 the gradient side builds its Fisher rows.  On the general path
 ``B = C^-1 H``, with ``H`` the Jacobian of ``h``; a gaussian observation
 is read whitened instead, ``B = L^-1 H`` and ``C = I`` for its covariance
-``R = L L^T`` (:func:`mean_linearisation`, which the continuous fields
-also read, under a continuous model's gaussian family).  A model
+``R = L L^T`` (:func:`mean_linearisation`, whose gaussian helper the
+continuous fields call directly).  A model
 whose ``h`` is the mean of a Bernoulli or categorical family at a linear
 predictor ``x = predictor(s, u)`` under the canonical link declares that
 family kind and the predictor; there ``theta = x``, ``B`` is the
@@ -226,6 +226,18 @@ def _identity(n: int) -> Array:
     return eye
 
 
+def _whitened(
+    family: expfam.ObservationFamily, mean: Array, h_jac: Array
+) -> tuple[Array, Callable[[Array], Array]]:
+    """A gaussian observation with mean ``mean`` = h(s, u) and Jacobian
+    ``h_jac`` = H, read whitened by the family's ``obs_whitener`` L^-1
+    (R = L L^T) once :func:`expfam.check_mean` passes the mean: returns
+    B = L^-1 H and the map from T to the residual e = (T - h) L^-T."""
+    mean = expfam.check_mean(family, mean)
+    whitener = family.obs_whitener
+    return whitener @ h_jac, lambda stats: (stats - mean) @ whitener.T
+
+
 def mean_linearisation(
     family: expfam.ObservationFamily, mean: Array, h_jac: Array
 ) -> Linearisation:
@@ -238,11 +250,9 @@ def mean_linearisation(
     no solve with R.  Otherwise B = C^-1 H (:func:`expfam.natural_jacobian`)
     and S is :func:`expfam.cov_root`'s."""
     if family.kind == expfam.GAUSSIAN:
-        mean = expfam.check_mean(family, mean)
-        whitener, eye = family.obs_whitener, _identity(family.mean_dim)
-        return Linearisation(
-            whitener @ h_jac, eye, lambda stats: (stats - mean) @ whitener.T, lambda: eye
-        )
+        jac, residual = _whitened(family, mean, h_jac)
+        eye = _identity(family.mean_dim)
+        return Linearisation(jac, eye, residual, lambda: eye)
     cov, jac = expfam.natural_jacobian(family, mean, h_jac)
     return Linearisation(
         jac, cov, lambda stats: stats - mean, lambda: expfam.cov_root(family, mean)

@@ -219,7 +219,7 @@ def rk4_step(
     def stage(tau: float, y: np.ndarray) -> np.ndarray:
         k = np.asarray(deriv(tau, y), dtype=float)
         if not np.isfinite(k).all():
-            raise NonFiniteError(f"derivative non-finite at t = {tau}")
+            raise NonFiniteError(f"derivative non-finite at t = {tau:.6g}")
         return k
 
     k1 = stage(t, state)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kalgrad import bucy, expfam, natgrad
+from kalgrad import bucy, equivalence, expfam, natgrad
 from kalgrad.errors import NonFiniteError, PositivityLostError
 from kalgrad.model import ContinuousModel, builtin, mean_linearisation
 from kalgrad.numerics import rk4_step, symmetrize
 
 from conftest import gradient_metrics, random_spd, upper_factor
-from oracles import continuous_rk4, inst_loglik
+from oracles import continuous_rk4, hidden_ct, inst_loglik
 
 
 def make_ct(dim_state, dim_obs, f, h, jac_f, jac_h, r=None, y_path=None, name="ct-test"):
@@ -50,6 +50,12 @@ def linearised(model, s, r=None):
     family = model.family if r is None else expfam.gaussian(r)
     s, u = np.asarray(s, dtype=float), np.zeros(0)
     return mean_linearisation(family, model.h(s, u), model.jac_h(s, u))
+
+
+def read_at(model, t):
+    """(u_t, y(t)), as the integrator reads them once per stage at time t
+    and passes them to both fields."""
+    return model.input_at(t), np.atleast_1d(model.obs_path(t))
 
 
 def score(model, s, y, r=None):
@@ -166,21 +172,23 @@ class TestBucyDeriv:
             jac_f=lambda s, u: np.zeros((2, 2)),
             jac_h=lambda s, u: np.zeros((1, 2)),
         )
-        ds, dcov = bucy.bucy_deriv(np.array([0.4, -0.2]), np.eye(2), 0.0, model, alpha=0.0)
+        s = np.array([0.4, -0.2])
+        ds, dcov = bucy.bucy_deriv(s, np.eye(2), model, *read_at(model, 0.0), alpha=0.0)
         np.testing.assert_array_equal(ds, np.zeros(2))
         np.testing.assert_array_equal(dcov, np.zeros((2, 2)))
 
     def test_scalar_riccati_field(self):
         model = scalar_integrator_model()
-        _, dcov = bucy.bucy_deriv(np.zeros(1), np.array([[1.5]]), 0.0, model, alpha=0.0)
+        cov = np.array([[1.5]])
+        _, dcov = bucy.bucy_deriv(np.zeros(1), cov, model, *read_at(model, 0.0), alpha=0.0)
         np.testing.assert_allclose(dcov, [[-(1.5**2)]])
 
     def test_alpha_adds_linearly(self, rng):
         model = builtin("pendulum-ct")
         cov = random_spd(rng, 2)
         s = rng.standard_normal(2)
-        _, d0 = bucy.bucy_deriv(s, cov, 0.3, model, alpha=0.0)
-        _, d1 = bucy.bucy_deriv(s, cov, 0.3, model, alpha=0.7)
+        _, d0 = bucy.bucy_deriv(s, cov, model, *read_at(model, 0.3), alpha=0.0)
+        _, d1 = bucy.bucy_deriv(s, cov, model, *read_at(model, 0.3), alpha=0.7)
         np.testing.assert_allclose(d1 - d0, 0.7 * cov, atol=1e-12)
 
 
@@ -195,14 +203,15 @@ class TestCngdDeriv:
             y_path=lambda t: np.ones(1),
         )
         # gamma = eta = 0 and F = 0: nothing moves the metric's factor.
-        _, dfactor = bucy.cngd_deriv(np.zeros(2), np.eye(2), 0.0, 0.0, model)
+        _, dfactor = bucy.cngd_deriv(np.zeros(2), np.eye(2), 0.0, 0.0, model, *read_at(model, 0.0))
         np.testing.assert_array_equal(dfactor, np.zeros((2, 2)))
 
     def test_zero_innovation_follows_dynamics(self, rng):
         base = builtin("pendulum-ct")
         s = rng.standard_normal(2)
         model = dataclasses.replace(base, obs_path=lambda t: base.h(s, np.zeros(0)))
-        ds, _ = bucy.cngd_deriv(s, upper_factor(random_spd(rng, 2)), 0.4, 0.2, model)
+        factor = upper_factor(random_spd(rng, 2))
+        ds, _ = bucy.cngd_deriv(s, factor, 0.4, 0.2, model, *read_at(model, 0.2))
         np.testing.assert_allclose(ds, model.f(s, np.zeros(0)), atol=1e-14)
 
     def test_pointwise_identity_with_bucy(self, rng):
@@ -230,9 +239,9 @@ class TestCngdDeriv:
                 metric_inv = np.linalg.inv(metric)
                 cov = eta * metric_inv
 
-                ds_b, dcov_b = bucy.bucy_deriv(s, cov, t, model, alpha)
+                ds_b, dcov_b = bucy.bucy_deriv(s, cov, model, *read_at(model, t), alpha)
                 factor = upper_factor(metric)
-                ds_c, dfactor = bucy.cngd_deriv(s, factor, eta, t, model)
+                ds_c, dfactor = bucy.cngd_deriv(s, factor, eta, t, model, *read_at(model, t))
                 assert not np.tril(dfactor, -1).any()
                 dmetric = dfactor.T @ factor + factor.T @ dfactor
                 deta = bucy.eta_ode(eta, alpha)
@@ -490,6 +499,19 @@ class TestIntegrate:
             bucy.integrate(kind, np.zeros(1), np.eye(1), model, 0.1, 1.0, eta0=0.5)
         assert str(info.value) == f"{kind} step from t = 0.4: derivative non-finite at t = 0.5"
 
+    # y(t) is nan past t = 0.27, so the step from 0.2 fails at its last
+    # stage, t = 0.2 + 0.1 = 0.30000000000000004, named as every other
+    # continuous time is.
+    @pytest.mark.parametrize("kind", [bucy.BUCY, bucy.CNGD])
+    def test_error_names_an_inexact_stage_time_rounded(self, kind):
+        base = builtin("pendulum-ct")
+        model = dataclasses.replace(
+            base, obs_path=lambda t: np.array([np.nan]) if t > 0.27 else base.obs_path(t)
+        )
+        with pytest.raises(NonFiniteError) as info:
+            bucy.integrate(kind, model.init_state, np.eye(2), model, 0.1, 1.0, 0.2, eta0=0.5)
+        assert str(info.value) == f"{kind} step from t = 0.2: derivative non-finite at t = 0.3"
+
     def test_bad_config(self):
         model = scalar_integrator_model()
         for dt, horizon in ((0.0, 1.0), (2.0, 1.0), (float("nan"), 1.0)):
@@ -526,3 +548,141 @@ class TestIntegrate:
             bucy.integrate(bucy.CNGD, np.zeros(1), np.eye(1), model, 0.1, 1.0, eta0=eta0)
         with pytest.raises(ValueError, match="^cngd needs the initial rate eta0$"):
             bucy.integrate(bucy.CNGD, np.zeros(1), np.eye(1), model, 0.1, 1.0)
+
+
+def pair_sides(model, s0, p0, eta0=0.5):
+    """The two sides that check_continuous starts from P_0 = p0."""
+    return [
+        bucy.start(bucy.BUCY, s0, p0),
+        bucy.start(bucy.CNGD, s0, equivalence.initial_metric(p0, eta0), eta0),
+    ]
+
+
+class TestPair:
+    """bucy.run steps both sides of check_continuous together, one RK4 step
+    of the pair per grid step; integrate is the same loop with one side."""
+
+    # Every side's numbers depend only on its own slice of the packed
+    # state and on u_t, y(t) and alpha(t), so the pair is bit for bit the
+    # two sides run alone.
+    @pytest.mark.parametrize("dt", [0.1, 0.01])
+    @pytest.mark.parametrize(
+        "system, alpha",
+        [("pendulum-ct", 0.2), ("pendulum-ct", "ramp"), ("linear-ct", 0.2), ("hidden-ct", 0.2)],
+    )
+    def test_one_side_is_a_batch_of_one(self, system, alpha, dt):
+        if system == "hidden-ct":
+            model, s0, p0 = hidden_ct(1, 1.0)
+        else:
+            model = builtin(system)
+            s0, p0 = model.init_state, 0.5 * np.eye(model.dim_state)
+        if alpha == "ramp":
+            alpha = lambda t: 0.1 + 0.4 * t
+        metric0 = equivalence.initial_metric(p0, 0.5)
+        pair = bucy.run(pair_sides(model, s0, p0), model, dt, 1.0, alpha)
+        alone = [
+            bucy.integrate(bucy.BUCY, s0, p0, model, dt, 1.0, alpha),
+            bucy.integrate(bucy.CNGD, s0, metric0, model, dt, 1.0, alpha, 0.5),
+        ]
+        for got, ref in zip(pair, alone):
+            for name in ("states", "covs", "factors", "etas", "times"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert (a is None) == (b is None), name
+                if a is not None:
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    # Counted through a model whose input and observation paths count
+    # their calls, and through the module's fields: one step of the pair
+    # reads u_t and y(t) once per stage and evaluates each field once per
+    # stage.
+    def test_a_pair_step_reads_each_input_once_per_stage(self, monkeypatch):
+        base = builtin("pendulum-ct")
+        calls = {"input": 0, "obs": 0, bucy.BUCY: 0, bucy.CNGD: 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        model = dataclasses.replace(
+            base, input_fn=counting("input", base.input_fn), obs_path=counting("obs", base.obs_path)
+        )
+        monkeypatch.setattr(bucy, "bucy_deriv", counting(bucy.BUCY, bucy.bucy_deriv))
+        monkeypatch.setattr(bucy, "cngd_deriv", counting(bucy.CNGD, bucy.cngd_deriv))
+        sides = pair_sides(model, model.init_state, 0.5 * np.eye(2))
+        bucy.run(sides, model, 0.1, 0.1, 0.2)
+        assert calls == {"input": 4, "obs": 4, bucy.BUCY: 4, bucy.CNGD: 4}
+
+    def test_check_continuous_factors_the_prior_metric_once(self, monkeypatch):
+        factored = []
+        prior_factor = bucy._prior_factor
+
+        def counting(metric):
+            factored.append(1)
+            return prior_factor(metric)
+
+        monkeypatch.setattr(bucy, "_prior_factor", counting)
+        model = builtin("pendulum-ct")
+        report = equivalence.check_continuous(
+            model, model.init_state, 0.5 * np.eye(2), 0.2, [0.1, 0.05, 0.01], 1.0
+        )
+        assert report.passed and len(factored) == 1
+
+
+class TestPairFailure:
+    """A numerical error of the pair names the side that fails at the
+    earliest grid step, and the earlier side, bucy, when both fail in one
+    step; the pair takes no step past it."""
+
+    def recording(self, inf_from):
+        """The scalar integrator with y(t) = inf from t = inf_from, and
+        the list of every time y was read at."""
+        seen = []
+
+        def path(t):
+            seen.append(t)
+            return np.array([np.inf if t >= inf_from else 0.0])
+
+        return dataclasses.replace(scalar_integrator_model(), obs_path=path), seen
+
+    # y(t) = inf from t = 0.5 sends both fields non-finite in the last
+    # stage of the step from t = 0.4.
+    @pytest.mark.filterwarnings("error")
+    def test_both_sides_failing_in_one_stage_name_bucy(self):
+        model, seen = self.recording(0.5)
+        with pytest.raises(NonFiniteError) as info:
+            bucy.run(pair_sides(model, np.zeros(1), np.eye(1)), model, 0.1, 1.0)
+        assert str(info.value) == "bucy step from t = 0.4: derivative non-finite at t = 0.5"
+        assert max(seen) == 0.5
+
+    # eta_0 = 1e200 overflows the rate flow in the first stage: cngd fails
+    # there, in the first step, while bucy would fail in the fifth.  Only
+    # bucy's first step is taken again, alone, to find that it passes.
+    @pytest.mark.filterwarnings("error")
+    def test_the_earliest_failing_step_decides(self):
+        model, seen = self.recording(0.5)
+        sides = [bucy.start(bucy.BUCY, np.zeros(1), np.eye(1)),
+                 bucy.start(bucy.CNGD, np.zeros(1), np.eye(1), 1e200)]
+        with pytest.raises(NonFiniteError) as info:
+            bucy.run(sides, model, 0.1, 1.0)
+        assert str(info.value) == "cngd step from t = 0: derivative non-finite at t = 0"
+        assert max(seen) == 0.1
+
+    # Within one step, cngd fails in the first stage and bucy in the last;
+    # the step is the same, so bucy is named.
+    @pytest.mark.filterwarnings("error")
+    def test_a_tie_within_a_step_names_bucy(self):
+        model, seen = self.recording(0.1)
+        sides = [bucy.start(bucy.BUCY, np.zeros(1), np.eye(1)),
+                 bucy.start(bucy.CNGD, np.zeros(1), np.eye(1), 1e200)]
+        with pytest.raises(NonFiniteError) as info:
+            bucy.run(sides, model, 0.1, 1.0)
+        assert str(info.value) == "bucy step from t = 0: derivative non-finite at t = 0.1"
+        assert max(seen) == 0.1
+
+    def test_a_start_that_does_not_fit_the_model_is_refused(self):
+        model = builtin("pendulum-ct")
+        side = bucy.start(bucy.BUCY, np.zeros(1), np.eye(1))
+        with pytest.raises(ValueError, match="^bucy start does not match a state of dimension 2$"):
+            bucy.run([side], model, 0.1, 1.0)
