@@ -13,13 +13,16 @@ Natural gradient flow, with the metric J expressed in the moving chart
     ds/dt   = f(s, u_t) + eta J^-1 H^T R^-1 (y(t) - h(s, u_t))
     deta/dt = alpha(t) eta - eta^2          (with gamma = eta)
 
-The metric is carried, as on the discrete side, as an upper-triangular
-factor U with J = U^T U (Morf, Levy and Kailath 1978):
+Both matrices are carried as triangular factors, P = S S^T with S lower
+and J = U^T U with U upper triangular, in the square-root flows of Morf,
+Levy and Kailath (1978):
 
+    dS/dt = S Phi_L(M + M^T - W^T W + alpha I),    M = S^-1 F S,  W = B S,
     dU/dt = Phi(-M - M^T - eta I + eta V^T V) U,   M = U F U^-1,  V = B U^-1,
 
-with Phi keeping the strict upper triangle and half the diagonal, so that
-dU^T U + U^T dU = dJ/dt; every inverse is a triangular solve.
+with Phi_L (Phi) keeping the strict lower (upper) triangle and half the
+diagonal, so that dS S^T + S dS^T = dP/dt and dU^T U + U^T dU = dJ/dt.
+Every inverse is a triangular solve.
 
 Both fields read the gaussian observation whitened by R = L L^T, through
 the helper of the gaussian branch of :func:`kalgrad.model.mean_linearisation`:
@@ -29,18 +32,16 @@ and H^T R^-1 H = B^T B.
 Under P = eta J^-1 and the eta equation above, the two vector fields
 coincide.  :func:`run` steps a stack of sides, each from :func:`start`,
 together with fixed-step RK4 on a grid that must end at the horizon
-(:func:`grid_steps`); each stage reads u_t, y(t) and alpha(t) once and
-passes them to every side's field.
-:func:`kalgrad.equivalence.check_continuous` runs both sides so, and
-:func:`integrate` runs one.
+(:func:`grid_steps`); each stage reads u_t, y(t) and alpha(t) once for
+every side's field.  :func:`kalgrad.equivalence.check_continuous` runs
+both sides so, and :func:`integrate` runs one.
 
 Observation paths y(t) are smooth callables; rough (white-noise) paths are
-out of scope.  The fields keep P exactly symmetric and U exactly upper
-triangular, and positivity is monitored, never enforced: after each step a
-Cholesky factorization of P shifted down by 1e-13 times its Frobenius norm
-must succeed, and U must be finite with a positive diagonal.  An error
-inside a step names the side and the step's grid time: in a stack, the
-side that fails at the earliest grid step, the earlier on a tie.
+out of scope.  The fields keep S exactly lower and U exactly upper
+triangular, and positivity is monitored, never enforced: after each step
+every factor must be finite with a positive diagonal, with no floor.  An
+error inside a step names the side and the step's grid time: in a stack,
+the side that fails at the earliest grid step, the earlier on a tie.
 """
 
 from __future__ import annotations
@@ -49,20 +50,16 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dtrtrs
 
-from .errors import NumericalError, PositivityLostError
+from .errors import NumericalError, PositivityLostError, SingularMatrixError
 from .model import ContinuousModel, Trace, _whitened
-from .natgrad import _metric_solve, _prior_factor, _upper
+from .natgrad import _prior_factor, _upper
 # solve_psd is not called here; certbench's tests read this module's copy.
-from .numerics import check_eta0, rk4_step, solve_psd, symmetrize  # noqa: F401
+from .numerics import _factor_psd, check_eta0, rk4_step, solve_psd, symmetrize  # noqa: F401
 
 BUCY = "bucy"
 CNGD = "cngd"
-
-# Relative floor, times the Frobenius norm, below which the smallest
-# eigenvalue of P counts as a loss of positivity.
-_POSITIVITY_FLOOR = 1e-13
 
 
 def grid_steps(dt: float, horizon: float) -> int:
@@ -98,35 +95,30 @@ def step_sizes(dts, horizon: float) -> list[float]:
 
 
 def bucy_deriv(
-    s: np.ndarray,
-    cov: np.ndarray,
-    model: ContinuousModel,
-    u: np.ndarray,
-    y: np.ndarray,
+    s: np.ndarray, factor: np.ndarray, model: ContinuousModel, u: np.ndarray, y: np.ndarray,
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector field (ds/dt, dP/dt) of the fading-memory Kalman-Bucy filter
-    at mean s, covariance P (exactly symmetric), input u = u_t,
-    observation y = y(t) and fading weight alpha = alpha(t)."""
+    """Vector field (ds/dt, dS/dt) of the fading-memory Kalman-Bucy filter
+    at mean s, lower-triangular covariance factor S (P = S S^T), input
+    u = u_t, observation y = y(t) and fading weight alpha = alpha(t); dS/dt
+    is lower triangular.  An S with a zero diagonal raises SingularMatrixError."""
     jac, residual = _whitened(model.family, model.h(s, u), model.jac_h(s, u))
-    resid = residual(y)
-    f_jac = model.jac_f(s, u)
-    gain = cov @ jac.T  # P H^T L^-T
-    ds = model.f(s, u) + gain @ resid
-    # P F^T = (F P)^T exactly, since P is exactly symmetric.
-    fp = f_jac @ cov
-    dcov = fp + fp.T - gain @ gain.T + alpha * cov
-    return ds, symmetrize(dcov)
+    rows = jac @ factor  # W = B S
+    ds = model.f(s, u) + factor @ (rows.T @ residual(y))
+    m, info = dtrtrs(factor, model.jac_f(s, u) @ factor, lower=1)
+    if info:
+        raise SingularMatrixError("covariance factor is singular")
+    n = len(factor)
+    gen = m + m.T - rows.T @ rows
+    gen.flat[:: n + 1] += alpha
+    # Phi_L keeps the strict lower triangle and half the diagonal.
+    gen.flat[:: n + 1] *= 0.5
+    return ds, factor @ (gen * _upper(n).T)
 
 
 def cngd_deriv(
-    s: np.ndarray,
-    factor: np.ndarray,
-    eta: float,
-    t: float,
-    model: ContinuousModel,
-    u: np.ndarray,
-    y: np.ndarray,
+    s: np.ndarray, factor: np.ndarray, eta: float, t: float, model: ContinuousModel,
+    u: np.ndarray, y: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vector field (ds/dt, dU/dt) of the continuous-time natural gradient
     at chart value s, upper-triangular metric factor U (J = U^T U),
@@ -134,14 +126,16 @@ def cngd_deriv(
     y = y(t); dU/dt is upper triangular.  A U with an exactly zero
     diagonal entry raises SingularMatrixError, naming t."""
     jac, residual = _whitened(model.family, model.h(s, u), model.jac_h(s, u))
-    resid = residual(y)
-    ds = model.f(s, u) + eta * _metric_solve(factor, jac.T @ resid, "metric factor", t)
     n = len(factor)
     # One solve U^T X = [(U F)^T, B^T] gives X = [M^T, V^T]: the Fisher
-    # rows of a whitened observation are B itself.
+    # rows of a whitened observation are B itself, and
+    # J^-1 B^T e = U^-1 (V^T e) needs one more solve.
     rhs = np.concatenate(((factor @ model.jac_f(s, u)).T, jac.T), axis=1)
-    sol = dtrtrs(factor, rhs, trans=1)[0]
+    sol, info = dtrtrs(factor, rhs, trans=1)
+    if info:
+        raise SingularMatrixError(f"metric factor is singular at t = {t}")
     m_t, v_t = sol[:, :n], sol[:, n:]
+    ds = model.f(s, u) + eta * dtrtrs(factor, v_t @ residual(y))[0]
     gen = eta * (v_t @ v_t.T) - m_t - m_t.T
     gen.flat[:: n + 1] -= eta
     # Phi keeps the strict upper triangle and half the diagonal.
@@ -162,42 +156,42 @@ def _fading_weight(alpha) -> float:
     return alpha
 
 
-def _check_factor(factor: np.ndarray, label: str, t: float) -> None:
-    """Raise PositivityLostError unless the upper-triangular factor U is
-    finite with a positive diagonal, so that U^T U is positive definite."""
-    if not (np.isfinite(factor).all() and (np.diagonal(factor) > 0.0).all()):
-        raise PositivityLostError(f"{label} lost positive definiteness at t = {t:.6g}")
+def _factor_check(kinds: Sequence[str], starts, n: int) -> Callable[[np.ndarray, float], None]:
+    """The positivity test check(z, t) of the sides ``kinds`` packed in z
+    from ``starts`` at state dimension n, with the indices of their factors
+    computed once: each triangular factor, S or U, must be finite with a
+    positive diagonal, else PositivityLostError names the first side that
+    fails, by its matrix, ``covariance`` or ``metric``, and t."""
+    labels = ["covariance" if kind == BUCY else "metric" for kind in kinds]
+    entries = np.array(starts)[:, None] + np.arange(n, n + n * n)  # one row per side
 
+    def check(z: np.ndarray, t: float) -> None:
+        factors = z[entries]
+        passed = np.isfinite(factors).all(axis=1) & (factors[:, :: n + 1] > 0.0).all(axis=1)
+        if not passed.all():
+            label = labels[int(passed.argmin())]
+            raise PositivityLostError(f"{label} lost positive definiteness at t = {t:.6g}")
 
-def _check_positive(mat: np.ndarray, label: str, t: float) -> None:
-    """Raise PositivityLostError unless mat - floor * I, with floor the
-    positivity floor times the Frobenius norm of the symmetric mat, has a
-    Cholesky factor: its smallest eigenvalue must exceed the floor.  A
-    floor that is not finite (an inf or nan entry, or a norm beyond the
-    float range) fails too."""
-    floor = _POSITIVITY_FLOOR * float(np.linalg.norm(mat))
-    if floor < math.inf:
-        shifted = mat.copy()
-        shifted.flat[:: len(mat) + 1] -= floor
-        if not dpotrf(shifted, lower=1, clean=0)[1]:
-            return
-    raise PositivityLostError(f"{label} lost positive definiteness at t = {t:.6g}")
-
-
-# Per side: the label of its matrix in errors and its positivity check.
-_CHECKS = {BUCY: ("covariance", _check_positive), CNGD: ("metric", _check_factor)}
+    return check
 
 
 def start(kind: str, init_state, init_matrix, eta0: float | None = None) -> tuple[str, np.ndarray]:
     """One side of a continuous run, (kind, z_0), with z_0 its packed start:
-    s_0, then the entries of P_0 for ``bucy`` or of U_0 and eta_0 for
-    ``cngd``.  ``init_matrix`` is P_0 or the prior metric J_0, factored as
-    in :func:`kalgrad.natgrad.run`; ``cngd`` needs the initial rate
-    ``eta0``, refused unless :func:`kalgrad.numerics.check_eta0` passes
-    it.  The matrix must pass the side's positivity check at t = 0."""
+    s_0, then the entries of the lower S_0 (P_0 = S_0 S_0^T) for ``bucy``
+    or of the upper U_0 (J_0 = U_0^T U_0) and eta_0 for ``cngd``.  The n x n
+    ``init_matrix``, P_0 or J_0, is Cholesky-factored once and refused by
+    name if it is not finite or does not factor; ``cngd`` needs the
+    initial rate ``eta0``, refused unless :func:`kalgrad.numerics.check_eta0`
+    passes it.  The factor must pass :func:`run`'s positivity test at t = 0."""
+    state = np.asarray(init_state, dtype=float)
     mat0 = symmetrize(np.asarray(init_matrix, dtype=float))
     if kind == BUCY:
         tail = []
+        try:
+            mat0 = _factor_psd(mat0)
+        except NumericalError as exc:
+            exc.args = (f"prior covariance P_0: {exc}",)
+            raise
     elif kind == CNGD:
         if eta0 is None:
             raise ValueError("cngd needs the initial rate eta0")
@@ -205,9 +199,11 @@ def start(kind: str, init_state, init_matrix, eta0: float | None = None) -> tupl
         mat0 = _prior_factor(mat0)
     else:
         raise ValueError(f"unknown integration kind {kind!r}")
-    label, check = _CHECKS[kind]
-    check(mat0, label, 0.0)
-    return kind, np.concatenate([np.asarray(init_state, dtype=float), mat0.ravel(), tail])
+    if len(mat0) != state.size:
+        raise ValueError(f"{kind} start needs a matrix of shape ({state.size}, {state.size})")
+    z0 = np.concatenate([state, mat0.ravel(), tail])
+    _factor_check([kind], [0], state.size)(z0, 0.0)
+    return kind, z0
 
 
 def _field(kinds: Sequence[str], model: ContinuousModel, alpha_at: Callable[[float], float]):
@@ -251,9 +247,9 @@ def run(
     """Fixed-step RK4 integration of the sides made by :func:`start`, one
     RK4 step of all of them per grid step, on the grid and under the
     ``alpha`` of :func:`integrate`; returns one Trace per side, as it
-    does.  A numerical error inside a step names the side that
-    :func:`_culprit` finds, and after each step the sides' positivity
-    checks run in their order.
+    does, with each P_t = S_t S_t^T formed in one stacked product.  A
+    numerical error inside a step names the side that :func:`_culprit`
+    finds; after each step the stack passes :func:`_factor_check`.
     """
     n = model.dim_state
     end = n + n * n
@@ -271,6 +267,7 @@ def run(
         if hi - lo != end + (kind == CNGD):
             raise ValueError(f"{kind} start does not match a state of dimension {n}")
     field = _field(kinds, model, alpha_at)
+    check = _factor_check(kinds, bounds[:-1], n)
     z = np.concatenate([z0 for _, z0 in sides])
     packed = np.empty((n_steps + 1, z.size))
     packed[0] = z
@@ -286,15 +283,13 @@ def run(
                 # The side's own error is re-raised, not wrapped in a new one.
                 error.args = (f"{kind} step from t = {t:.6g}: {error}",)
                 raise error from None
-            for kind, lo in zip(kinds, bounds):
-                label, check = _CHECKS[kind]
-                check(z[lo + n : lo + end].reshape(n, n), label, times[i + 1])
+            check(z, times[i + 1])
             packed[i + 1] = z
     traces = []
     for kind, lo in zip(kinds, bounds):
         states, mats = packed[:, lo : lo + n], packed[:, lo + n : lo + end].reshape(-1, n, n)
         if kind == BUCY:
-            traces.append(Trace(states, covs=mats, times=times))
+            traces.append(Trace(states, covs=mats @ mats.transpose(0, 2, 1), times=times))
         else:
             traces.append(Trace(states, factors=mats, etas=packed[:, lo + end], times=times))
     return traces
@@ -327,15 +322,14 @@ def integrate(
     """Fixed-step RK4 integration of either continuous filter against the
     model's observation path on the grid t = k dt from 0 to the horizon
     (:func:`grid_steps`), started by :func:`start`: :func:`run` with one
-    side.  Returns the samples at every grid time, with ``covs`` for
-    ``bucy`` and ``factors`` (J_t = U_t^T U_t) and ``etas`` for ``cngd``.
-    ``alpha`` is a float, refused on entry if negative or nan, or a
-    callable of time, refused so when it is evaluated.  eta is
-    co-integrated with the state via :func:`eta_ode` and gamma(t) = eta(t).
-    P stays exactly symmetric and U exactly upper triangular, as are the
-    fields' derivatives; positivity is checked after each step and failure
-    raises PositivityLostError.  A numerical error raised inside a step
-    gets the side (``bucy`` or ``cngd``) and the step's grid time
+    side.  Returns the samples at every grid time, with ``covs``
+    (P_t = S_t S_t^T) for ``bucy`` and ``factors`` (J_t = U_t^T U_t) and
+    ``etas`` for ``cngd``.  ``alpha`` is a float, refused on entry if
+    negative or nan, or a callable of time, refused so when it is
+    evaluated.  eta is co-integrated with the state via :func:`eta_ode`
+    and gamma(t) = eta(t).  Positivity is checked after each step, and
+    failure raises PositivityLostError.  A numerical error raised inside a
+    step gets the side (``bucy`` or ``cngd``) and the step's grid time
     prepended to its message.
     """
     return run([start(kind, init_state, init_matrix, eta0)], model, dt, horizon, alpha)[0]

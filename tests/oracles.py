@@ -7,7 +7,7 @@ solve, the information form of the EKF observation update, as the
 oracle for the gain form, the chartless online natural gradient that
 chart-based runs on static dynamics must reproduce, the continuous fields
 written plainly under a plain RK4 loop, for the continuous pair (with the
-textbook dense-J flow as the referee of the factor flow), the Euler
+textbook dense P and J flows as the referees of the factor flows), the Euler
 discretisation that links the continuous pair to the discrete one, and
 families of test systems whose covariance collapses along contracting
 directions (``hidden``, ``tanh20``, the random stable systems of ``draw``,
@@ -155,15 +155,18 @@ def plain_online_natgrad(
 
 def continuous_rk4(kind: str, model, init_state, init_matrix, dt: float, horizon: float,
                    alpha: float, eta0: float = 0.0):
-    """Kalman-Bucy (``kind`` "bucy", matrix P), the natural-gradient flow
-    in factor form ("cngd", upper-triangular U with J = U^T U, and the
-    learning rate eta) or the textbook dense flow ("dense-cngd", matrix J
+    """Kalman-Bucy in factor form (``kind`` "bucy", lower-triangular S
+    with P = S S^T), the natural-gradient flow in factor form ("cngd",
+    upper-triangular U with J = U^T U, and the learning rate eta), or the
+    textbook dense flows ("dense-bucy", matrix P; "dense-cngd", matrix J
     and eta), written plainly with np.linalg and integrated by plain RK4 on
-    the grid t = i dt, with P and J symmetrized after each step; returns
-    (states, matrices, etas).  The factor field is
-    dU = Phi(-M - M^T - eta I + eta V^T V) U, with M = U F U^-1,
-    V = L^-1 H U^-1 for R = L L^T, and Phi keeping the strict upper
-    triangle and half the diagonal."""
+    the grid t = i dt, with the dense P and J symmetrized after each step;
+    returns (states, matrices, etas).  The factor fields are
+    dS = S Phi_L(M + M^T - W^T W + alpha I), with M = S^-1 F S and
+    W = L^-1 H S for R = L L^T, and dU = Phi(-M - M^T - eta I + eta V^T V) U,
+    with M = U F U^-1 and V = L^-1 H U^-1; Phi_L keeps the strict lower
+    triangle and half the diagonal, Phi the strict upper triangle and half
+    the diagonal."""
     n = model.dim_state
 
     def deriv(t, z):
@@ -172,6 +175,13 @@ def continuous_rk4(kind: str, model, init_state, init_matrix, dt: float, horizon
         r, h_jac, f_jac = model.family.obs_cov, model.jac_h(s, u), model.jac_f(s, u)
         innov = np.atleast_1d(model.obs_path(t)) - model.h(s, u)
         if kind == "bucy":
+            chol = np.linalg.cholesky(r)
+            w = np.linalg.solve(chol, h_jac) @ mat
+            m = np.linalg.solve(mat, f_jac @ mat)
+            gen = m + m.T - w.T @ w + alpha * np.eye(n)
+            ds = model.f(s, u) + mat @ w.T @ np.linalg.solve(chol, innov)
+            dmat = mat @ (np.tril(gen, -1) + 0.5 * np.diag(np.diag(gen)))
+        elif kind == "dense-bucy":
             gain = np.linalg.solve(r, h_jac @ mat).T  # P H^T R^-1
             ds = model.f(s, u) + gain @ innov
             dmat = f_jac @ mat + mat @ f_jac.T - gain @ h_jac @ mat + alpha * mat
@@ -198,7 +208,7 @@ def continuous_rk4(kind: str, model, init_state, init_matrix, dt: float, horizon
         k3 = deriv(t + dt / 2, z + dt / 2 * k2)
         k4 = deriv(t + dt, z + dt * k3)
         z = z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if kind != "cngd":
+        if kind.startswith("dense"):
             mat = z[n:-1].reshape(n, n)
             z[n:-1] = (0.5 * (mat + mat.T)).ravel()
         rows.append(z)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from kalgrad import bucy, equivalence, expfam, natgrad
-from kalgrad.errors import NonFiniteError, PositivityLostError
+from kalgrad.errors import NonFiniteError, PositivityLostError, SingularMatrixError
 from kalgrad.model import ContinuousModel, builtin, mean_linearisation
 from kalgrad.numerics import rk4_step, symmetrize
 
@@ -50,6 +50,11 @@ def linearised(model, s, r=None):
     family = model.family if r is None else expfam.gaussian(r)
     s, u = np.asarray(s, dtype=float), np.zeros(0)
     return mean_linearisation(family, model.h(s, u), model.jac_h(s, u))
+
+
+def covariance_rate(factor, dfactor):
+    """dP/dt = dS S^T + S dS^T of a covariance P = S S^T moving at dS/dt."""
+    return dfactor @ factor.T + factor @ dfactor.T
 
 
 def read_at(model, t):
@@ -177,19 +182,30 @@ class TestBucyDeriv:
         np.testing.assert_array_equal(ds, np.zeros(2))
         np.testing.assert_array_equal(dcov, np.zeros((2, 2)))
 
+    # The factor field read as the covariance it moves: dP/dt = -P^2.
     def test_scalar_riccati_field(self):
         model = scalar_integrator_model()
-        cov = np.array([[1.5]])
-        _, dcov = bucy.bucy_deriv(np.zeros(1), cov, model, *read_at(model, 0.0), alpha=0.0)
-        np.testing.assert_allclose(dcov, [[-(1.5**2)]])
+        factor = np.sqrt([[1.5]])
+        _, dfactor = bucy.bucy_deriv(np.zeros(1), factor, model, *read_at(model, 0.0), alpha=0.0)
+        np.testing.assert_allclose(covariance_rate(factor, dfactor), [[-(1.5**2)]])
 
     def test_alpha_adds_linearly(self, rng):
         model = builtin("pendulum-ct")
         cov = random_spd(rng, 2)
+        factor = np.linalg.cholesky(cov)
         s = rng.standard_normal(2)
-        _, d0 = bucy.bucy_deriv(s, cov, model, *read_at(model, 0.3), alpha=0.0)
-        _, d1 = bucy.bucy_deriv(s, cov, model, *read_at(model, 0.3), alpha=0.7)
-        np.testing.assert_allclose(d1 - d0, 0.7 * cov, atol=1e-12)
+        _, d0 = bucy.bucy_deriv(s, factor, model, *read_at(model, 0.3), alpha=0.0)
+        _, d1 = bucy.bucy_deriv(s, factor, model, *read_at(model, 0.3), alpha=0.7)
+        assert not np.triu(d1, 1).any()
+        rates = [covariance_rate(factor, d) for d in (d0, d1)]
+        np.testing.assert_allclose(rates[1] - rates[0], 0.7 * cov, atol=1e-12)
+
+    # A factor with a zero pivot has no M = S^-1 F S.
+    def test_singular_factor_raises(self):
+        model = builtin("pendulum-ct")
+        factor = np.array([[1.0, 0.0], [0.5, 0.0]])
+        with pytest.raises(SingularMatrixError, match="^covariance factor is singular$"):
+            bucy.bucy_deriv(np.zeros(2), factor, model, *read_at(model, 0.0), alpha=0.0)
 
 
 class TestCngdDeriv:
@@ -215,17 +231,18 @@ class TestCngdDeriv:
         np.testing.assert_allclose(ds, model.f(s, np.zeros(0)), atol=1e-14)
 
     def test_pointwise_identity_with_bucy(self, rng):
-        # At any state with P = eta * J^-1, J = U^T U, and deta/dt =
-        # alpha eta - eta^2, the state fields coincide and d/dt (eta J^-1)
+        # At any state with P = eta * J^-1 = S S^T, J = U^T U, and deta/dt
+        # = alpha eta - eta^2, the state fields coincide and d/dt (eta J^-1)
         # = eta' J^-1 - eta J^-1 dJ J^-1, with dJ = dU^T U + U^T dU, is
-        # the Riccati field, with no step size.  Each deviation is taken
-        # relative to the size of the terms that cancel in its field: |f|
-        # and |P B^T e| for the state, and ||F P|| twice, ||P B^T C B P||
-        # and (alpha + 2 eta) ||P|| for the covariance.  Over 4000 points
+        # the Riccati field dS S^T + S dS^T, with no step size.  Each
+        # deviation is taken relative to the size of the terms that cancel
+        # in its field: |f| and |P B^T e| for the state, and ||F P||
+        # twice, ||P B^T C B P|| and (alpha + 2 eta) ||P|| for the
+        # covariance.  Over 4000 points
         # per model (J of 2-norm condition 1 to 1e6 at scales 1e-2 to
-        # 1e2, default_rng(12345)), both deviations were at most 1.82
-        # cond(J) eps on pendulum-ct and 2.58 on linear-ct; the bound is 8
-        # cond(J) eps.
+        # 1e2, default_rng(12345), S = chol(eta J^-1)), both deviations
+        # were at most 1.56 cond(J) eps on pendulum-ct and 3.47 on
+        # linear-ct; the bound is 8 cond(J) eps.
         eps = np.finfo(float).eps
         for name in ("pendulum-ct", "linear-ct"):
             model = builtin(name)
@@ -239,7 +256,10 @@ class TestCngdDeriv:
                 metric_inv = np.linalg.inv(metric)
                 cov = eta * metric_inv
 
-                ds_b, dcov_b = bucy.bucy_deriv(s, cov, model, *read_at(model, t), alpha)
+                cov_factor = np.linalg.cholesky(cov)
+                ds_b, dcov_factor = bucy.bucy_deriv(s, cov_factor, model, *read_at(model, t), alpha)
+                assert not np.triu(dcov_factor, 1).any()
+                dcov_b = covariance_rate(cov_factor, dcov_factor)
                 factor = upper_factor(metric)
                 ds_c, dfactor = bucy.cngd_deriv(s, factor, eta, t, model, *read_at(model, t))
                 assert not np.tril(dfactor, -1).any()
@@ -292,54 +312,9 @@ class TestEtaOde:
 
 
 class TestCheckPositive:
-    # Pins the verdict of the per-step positivity check to the smallest
-    # eigenvalue against the floor 1e-13 ||M||_F, with that eigenvalue at
-    # `ratio` times the floor and the rest of the spectrum in [0.5, 2].  A
-    # 1x1 matrix cannot hold an eigenvalue at a multiple of its own floor, so
-    # there the ratio is the entry itself, and only its sign matters (the
-    # zero matrix has a test of its own).
-    @pytest.mark.parametrize(
-        "dim, ratio",
-        [(dim, ratio) for dim in (1, 2, 3, 8) for ratio in (-1.0, 0.0, 0.5, 0.9, 1.1, 2.0)
-         if dim > 1 or ratio != 0.0],
-    )
-    def test_verdict_is_smallest_eigenvalue_against_floor(self, dim, ratio, rng):
-        if dim == 1:
-            mat = np.array([[ratio]])
-        else:
-            rest = rng.uniform(0.5, 2.0, dim - 1)
-            spectrum = np.concatenate([[ratio * 1e-13 * np.linalg.norm(rest)], rest])
-            basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-            mat = basis @ np.diag(spectrum) @ basis.T
-            mat = 0.5 * (mat + mat.T)
-        lost = np.linalg.eigvalsh(mat).min() < 1e-13 * np.linalg.norm(mat)
-        assert lost == (ratio < 1.0 if dim > 1 else ratio < 0.0)
-        if lost:
-            with pytest.raises(PositivityLostError, match="at t = 0.25"):
-                bucy._check_positive(mat, "covariance", 0.25)
-        else:
-            bucy._check_positive(mat, "covariance", 0.25)
-
-    # Every eigenvalue of the zero matrix sits on its floor of 0, so it has
-    # no Cholesky factor and counts as lost, as diag(1, 0) does.
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_zero_matrix_has_lost_positivity(self, dim):
-        with pytest.raises(PositivityLostError):
-            bucy._check_positive(np.zeros((dim, dim)), "metric", 0.0)
-
-    # A matrix with an inf or nan entry has no finite floor; it must fail,
-    # without a numpy warning on the way.
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)])
-    def test_non_finite_matrix_has_lost_positivity(self, bad, entry):
-        mat = np.eye(2)
-        mat[entry] = mat[entry[::-1]] = bad
-        with pytest.raises(PositivityLostError, match="at t = 0.5"):
-            bucy._check_positive(mat, "covariance", 0.5)
-
-    # The metric's factor U has U^T U positive definite exactly when it is
-    # finite with a positive diagonal, whatever its scale.
+    # A triangular factor F has F F^T and F^T F positive definite exactly
+    # when it is finite with a positive diagonal, whatever its scale: the
+    # metric's upper U, and its transpose as the covariance's lower S.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "diag, upper, lost",
@@ -349,11 +324,15 @@ class TestCheckPositive:
     def test_factor_check_reads_finiteness_and_the_diagonal(self, diag, upper, lost):
         factor = np.diag(diag)
         factor[0, 1] = upper
-        if lost:
-            with pytest.raises(PositivityLostError, match="^metric lost positive definiteness at t = 0.5$"):
-                bucy._check_factor(factor, "metric", 0.5)
-        else:
-            bucy._check_factor(factor, "metric", 0.5)
+        sides = [(bucy.CNGD, factor, [0.5], "metric"), (bucy.BUCY, factor.T, [], "covariance")]
+        for kind, side_factor, tail, label in sides:
+            check = bucy._factor_check([kind], [0], 2)
+            z = np.concatenate([np.zeros(2), side_factor.ravel(), tail])
+            if lost:
+                with pytest.raises(PositivityLostError, match=f"^{label} lost positive definiteness at t = 0.5$"):
+                    check(z, 0.5)
+            else:
+                check(z, 0.5)
 
 
 class TestGridSteps:
@@ -442,15 +421,38 @@ class TestIntegrate:
         exact = 0.5 / (1.0 + (0.5 / 0.1 - 1.0) * np.exp(-0.5))
         assert abs(trace.etas[-1] - exact) < 1e-10
 
+    # A wildly large step: at dt = T = 3 the scalar factor flow
+    # dS/dt = -S^3 / 2 stays positive, while at dt = T = 4 the second RK4
+    # stage reaches S = 1 - 2 * 0.5 = 0 exactly, P = 0, which the field
+    # cannot read.
     def test_positivity_loss_raises(self):
-        # A wildly large step sends the Riccati flow negative.
         model = scalar_integrator_model()
-        with pytest.raises(PositivityLostError):
-            bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[1.0]]), model, 3.0, 3.0)
+        trace = bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[1.0]]), model, 3.0, 3.0)
+        assert 0.0 < trace.covs[-1, 0, 0] < 1.0
+        with pytest.raises(SingularMatrixError, match="^bucy step from t = 0: covariance factor is singular$"):
+            bucy.integrate(bucy.BUCY, np.zeros(1), np.array([[1.0]]), model, 4.0, 4.0)
 
-    # The library against the fields written plainly under plain RK4; P
-    # must stay exactly symmetric, since the field forms P F^T as (F P)^T,
-    # and U exactly upper triangular, since dU is Phi(...) U.
+    # After a step whose stages are all finite, the stack's positivity
+    # test names the first side whose factor fails it, at the step's end.
+    @pytest.mark.parametrize("bad, label", [((1,), "covariance"), ((3,), "metric"), ((1, 3), "covariance")])
+    def test_a_step_that_leaves_a_non_positive_factor_names_its_side(self, bad, label, monkeypatch):
+        step = bucy.rk4_step
+
+        def flipping(field, z, t, dt):
+            z = step(field, z, t, dt)
+            if t > 0.25:
+                z[list(bad)] *= -1.0
+            return z
+
+        monkeypatch.setattr(bucy, "rk4_step", flipping)
+        model = scalar_integrator_model()
+        with pytest.raises(PositivityLostError, match=f"^{label} lost positive definiteness at t = 0.4$"):
+            bucy.run(pair_sides(model, np.zeros(1), np.eye(1)), model, 0.1, 1.0)
+
+    # The library against the fields written plainly under plain RK4; S
+    # must stay exactly lower triangular and U exactly upper triangular,
+    # since dS is S Phi_L(...) and dU is Phi(...) U, and the trace's
+    # P = S S^T is one product per row.
     @pytest.mark.parametrize("name", ["pendulum-ct", "linear-ct"])
     def test_matches_textbook_reference(self, name):
         model = builtin(name)
@@ -459,10 +461,12 @@ class TestIntegrate:
         j0 = eta0 * np.linalg.inv(p0)
         tb = bucy.integrate(bucy.BUCY, model.init_state, p0, model, 0.01, 1.0, alpha)
         tc = bucy.integrate(bucy.CNGD, model.init_state, j0, model, 0.01, 1.0, alpha, eta0)
-        ref_b = continuous_rk4("bucy", model, model.init_state, p0, 0.01, 1.0, alpha)
+        ref_b = continuous_rk4("bucy", model, model.init_state, np.linalg.cholesky(p0), 0.01, 1.0,
+                               alpha)
         ref_c = continuous_rk4("cngd", model, model.init_state, upper_factor(j0), 0.01, 1.0,
                                alpha, eta0)
-        pairs = [(tb.states, ref_b[0]), (tb.covs, ref_b[1]),
+        assert not np.triu(ref_b[1], 1).any()
+        pairs = [(tb.states, ref_b[0]), (tb.covs, ref_b[1] @ ref_b[1].transpose(0, 2, 1)),
                  (tc.states, ref_c[0]), (tc.factors, ref_c[1]), (tc.etas, ref_c[2])]
         for got, ref in pairs:
             assert got.shape == ref.shape
@@ -484,6 +488,24 @@ class TestIntegrate:
             devs.append([
                 np.abs(gradient_metrics(tc) - ref[1]).max() / np.abs(ref[1]).max(),
                 np.abs(tc.states - ref[0]).max(),
+            ])
+        devs = np.array(devs)
+        assert (devs[:-1] / devs[1:]).min() >= 8.0, devs
+        assert devs[-1].max() <= 1e-8, devs
+
+    # The same for the filter: the dense Riccati flow referees S S^T.
+    # Measured on pendulum-ct over T = 1: P 1.36e-6, 8.39e-8, 5.20e-9
+    # relative at dt = 0.1, 0.05, 0.025 (16.2x and 16.1x per halving), and
+    # the states 15.1x and 15.7x.
+    def test_covariance_factor_flow_tends_to_the_dense_flow(self):
+        model = builtin("pendulum-ct")
+        p0, devs = 0.5 * np.eye(2), []
+        for dt in (0.1, 0.05, 0.025):
+            tb = bucy.integrate(bucy.BUCY, model.init_state, p0, model, dt, 1.0, 0.2)
+            ref = continuous_rk4("dense-bucy", model, model.init_state, p0, dt, 1.0, 0.2)
+            devs.append([
+                np.abs(tb.covs - ref[1]).max() / np.abs(ref[1]).max(),
+                np.abs(tb.states - ref[0]).max(),
             ])
         devs = np.array(devs)
         assert (devs[:-1] / devs[1:]).min() >= 8.0, devs
@@ -680,6 +702,22 @@ class TestPairFailure:
             bucy.run(sides, model, 0.1, 1.0)
         assert str(info.value) == "bucy step from t = 0: derivative non-finite at t = 0.1"
         assert max(seen) == 0.1
+
+    # The filter's start factors P_0 once and names it when it cannot,
+    # as equivalence.initial_metric does.
+    @pytest.mark.parametrize(
+        "p0, error, message",
+        [([[1.0, 2.0], [2.0, 1.0]], SingularMatrixError, "matrix is not positive definite"),
+         ([[1.0, 0.0], [0.0, np.nan]], NonFiniteError, "SPD solve matrix has non-finite entries")],
+    )
+    def test_a_bad_prior_covariance_is_refused_by_name(self, p0, error, message):
+        with pytest.raises(error, match=f"^prior covariance P_0: {message}$"):
+            bucy.start(bucy.BUCY, np.zeros(2), p0)
+
+    @pytest.mark.parametrize("kind", [bucy.BUCY, bucy.CNGD])
+    def test_a_matrix_that_does_not_fit_the_state_is_refused(self, kind):
+        with pytest.raises(ValueError, match=rf"^{kind} start needs a matrix of shape \(2, 2\)$"):
+            bucy.start(kind, np.zeros(2), np.eye(1), eta0=0.5)
 
     def test_a_start_that_does_not_fit_the_model_is_refused(self):
         model = builtin("pendulum-ct")
