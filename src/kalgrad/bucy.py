@@ -25,7 +25,7 @@ diagonal, so that dS S^T + S dS^T = dP/dt and dU^T U + U^T dU = dJ/dt.
 Every inverse is a triangular solve.
 
 Both fields read the gaussian observation whitened by R = L L^T, through
-the helper of the gaussian branch of :func:`kalgrad.model.mean_linearisation`:
+the helper of :func:`kalgrad.model.mean_linearisation`:
 B = L^-1 H and e = (y(t) - h(s, u_t)) L^-T, so H^T R^-1 (y - h) = B^T e
 and H^T R^-1 H = B^T B.
 
@@ -41,7 +41,8 @@ out of scope.  The fields keep S exactly lower and U exactly upper
 triangular, and positivity is monitored, never enforced: after each step
 every factor must be finite with a positive diagonal, with no floor.  An
 error inside a step names the side and the step's grid time: in a stack,
-the side that fails at the earliest grid step, the earlier on a tie.
+the side whose field fails first, stage by stage and, within a stage, in
+the order of the stack.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import NumericalError, PositivityLostError, SingularMatrixError
+from .errors import NonFiniteError, NumericalError, PositivityLostError, SingularMatrixError
 from .model import ContinuousModel, Trace, _whitened
 from .natgrad import _prior_factor, _upper
 # solve_psd is not called here; certbench's tests read this module's copy.
@@ -206,32 +207,41 @@ def start(kind: str, init_state, init_matrix, eta0: float | None = None) -> tupl
     return kind, z0
 
 
-def _field(kinds: Sequence[str], model: ContinuousModel, alpha_at: Callable[[float], float]):
-    """The derivative of the sides ``kinds`` packed one after another, for
+def _field(
+    kinds: Sequence[str], bounds, model: ContinuousModel, alpha_at: Callable[[float], float]
+):
+    """The derivative of the sides ``kinds`` packed between ``bounds``, for
     :func:`kalgrad.numerics.rk4_step`: each evaluation reads u_t, y(t) and
-    alpha(t) once and writes every side's field into one new vector."""
+    alpha(t) once and writes every side's field into one new vector.  A
+    numerical error raised while a side's field is evaluated, or a
+    non-finite field of that side, gets ``side`` set to the side's kind."""
     n = model.dim_state
     end = n + n * n
-    layout, size = [], 0
-    for kind in kinds:
-        layout.append((kind == BUCY, size))
-        size += end if kind == BUCY else end + 1
+    layout, size = list(zip(kinds, bounds, bounds[1:])), bounds[-1]
 
     def deriv(t: float, z: np.ndarray) -> np.ndarray:
-        u = model.input_at(t)
-        y = np.atleast_1d(model.obs_path(t))
-        alpha = alpha_at(t)
-        out = np.empty(size)
-        for is_bucy, lo in layout:
-            s, mat = z[lo : lo + n], z[lo + n : lo + end].reshape(n, n)
-            if is_bucy:
-                ds, dmat = bucy_deriv(s, mat, model, u, y, alpha)
-            else:
-                eta = float(z[lo + end])
-                ds, dmat = cngd_deriv(s, mat, eta, t, model, u, y)
-                out[lo + end] = eta_ode(eta, alpha)
-            out[lo : lo + n] = ds
-            out[lo + n : lo + end] = dmat.ravel()
+        kind = kinds[0]  # an error reading the inputs is the first side's
+        try:
+            u = model.input_at(t)
+            y = np.atleast_1d(model.obs_path(t))
+            alpha = alpha_at(t)
+            out = np.empty(size)
+            for kind, lo, hi in layout:
+                s, mat = z[lo : lo + n], z[lo + n : lo + end].reshape(n, n)
+                if kind == BUCY:
+                    ds, dmat = bucy_deriv(s, mat, model, u, y, alpha)
+                else:
+                    eta = float(z[lo + end])
+                    ds, dmat = cngd_deriv(s, mat, eta, t, model, u, y)
+                    out[lo + end] = eta_ode(eta, alpha)
+                out[lo : lo + n] = ds
+                out[lo + n : lo + end] = dmat.ravel()
+                # On a few entries a Python-level test is cheaper than numpy's.
+                if not all(map(math.isfinite, out[lo:hi].tolist())):
+                    raise NonFiniteError(f"derivative non-finite at t = {t:.6g}")
+        except NumericalError as exc:
+            exc.side = kind
+            raise
         return out
 
     return deriv
@@ -248,8 +258,10 @@ def run(
     RK4 step of all of them per grid step, on the grid and under the
     ``alpha`` of :func:`integrate`; returns one Trace per side, as it
     does, with each P_t = S_t S_t^T formed in one stacked product.  A
-    numerical error inside a step names the side that :func:`_culprit`
-    finds; after each step the stack passes :func:`_factor_check`.
+    numerical error inside a step names the side whose field fails first
+    in evaluation order (:func:`_field`): stage by stage, and within a
+    stage in the order of ``sides``.  After each step the stack passes
+    :func:`_factor_check`.
     """
     n = model.dim_state
     end = n + n * n
@@ -266,23 +278,22 @@ def run(
     for kind, lo, hi in zip(kinds, bounds, bounds[1:]):
         if hi - lo != end + (kind == CNGD):
             raise ValueError(f"{kind} start does not match a state of dimension {n}")
-    field = _field(kinds, model, alpha_at)
+    field = _field(kinds, bounds, model, alpha_at)
     check = _factor_check(kinds, bounds[:-1], n)
     z = np.concatenate([z0 for _, z0 in sides])
     packed = np.empty((n_steps + 1, z.size))
     packed[0] = z
-    # An overflow inside a field is reported by rk4_step's finiteness check,
-    # as a failure of its step, so numpy's warnings are off for the loop.
+    # An overflow inside a field is reported by _field's finiteness check,
+    # as a failure of its side, so numpy's warnings are off for the loop.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             t = times[i]
             try:
                 z = rk4_step(field, z, t, dt)
             except NumericalError as exc:
-                kind, error = _culprit(kinds, bounds, z, t, dt, model, alpha_at, exc)
                 # The side's own error is re-raised, not wrapped in a new one.
-                error.args = (f"{kind} step from t = {t:.6g}: {error}",)
-                raise error from None
+                exc.args = (f"{exc.side} step from t = {t:.6g}: {exc}",)
+                raise
             check(z, times[i + 1])
             packed[i + 1] = z
     traces = []
@@ -293,20 +304,6 @@ def run(
         else:
             traces.append(Trace(states, factors=mats, etas=packed[:, lo + end], times=times))
     return traces
-
-
-def _culprit(kinds, bounds, z, t, dt, model, alpha_at, exc):
-    """(side, its error) for the error ``exc`` of the step from t of the
-    sides ``kinds``, packed in z between ``bounds``: the first side before
-    the last that fails when stepped alone from z, else the last side,
-    whose error ``exc`` is.  So the earliest failing grid step decides,
-    and a failure of two sides in one step names the earlier."""
-    for kind, lo, hi in zip(kinds[:-1], bounds, bounds[1:]):
-        try:
-            rk4_step(_field([kind], model, alpha_at), z[lo:hi], t, dt)
-        except NumericalError as alone:
-            return kind, alone
-    return kinds[-1], exc
 
 
 def integrate(

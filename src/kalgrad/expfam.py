@@ -2,30 +2,25 @@
 
 Supported families: Gaussian with known covariance, Bernoulli, and
 categorical with the last class dropped.  The general interface is the
-mean parameter ``yhat`` (the expected sufficient statistics T), with
-``cov_suffstats(yhat)`` the covariance of T; it needs ``yhat`` strictly
-inside the mean domain.  Since d theta / d yhat = cov(T)^-1 in the natural
-parameter theta, an observation with mean yhat = h(s) and Jacobian H has
-d theta / d s = cov(T)^-1 H (:func:`natural_jacobian`);
-:func:`kalgrad.model.linearise` builds the score and Fisher of every
-update from it.  A gaussian family factors its fixed covariance R = L L^T
-once, when it is built, and keeps L^-1 with it, so that
-:func:`kalgrad.model.mean_linearisation` reads its observations whitened,
-y -> L^-1 y, with no solve with R.
-
-Each family also gives a square root S of cov(T), S^T S = cov(T), which the
-natural gradient's factor form reads (:func:`cov_root`,
-:func:`canonical_root`): the transposed Cholesky factor of a gaussian
-covariance (the unwhitened reference form; whitened, S = I), and a closed
-form on the simplex that needs no factorisation.
+mean parameter ``yhat`` (the expected sufficient statistics T), strictly
+inside the mean domain (:func:`check_mean`).  There :func:`whitener`
+gives S^-T in closed form for a square root S of cov(T), S^T S = cov(T):
+L^-1 for a gaussian family's fixed R = L L^T, factored and inverted once
+when the family is built, and the inverse of the transposed simplex root
+otherwise.  Since d theta / d yhat = cov(T)^-1 in the natural parameter
+theta, an observation with mean yhat = h(s) and Jacobian H has the score
+e B = (T - yhat) cov(T)^-1 H and the Fisher B^T B = H^T cov(T)^-1 H for
+B = S^-T H and e = (T - yhat) S^-1, with no solve with cov(T)
+(:func:`kalgrad.model.mean_linearisation`).
 
 Bernoulli and categorical also take the natural parameter ``x`` (the
 logits, the linear predictor of a model with the canonical link), where
 ``yhat = mean(x)`` and ``d yhat / d x = V(x) = cov(T)``.  In ``x`` the
 Fisher is ``V(x)`` and the score ``T(y) - mean(x)``, both finite for
 every finite ``x``, even where ``mean(x)`` rounds to the boundary.
-:func:`canonical_variance` and :func:`canonical_residual` compute them
-without forming ``1 - yhat`` by subtraction.
+:func:`canonical_variance`, :func:`canonical_residual` and
+:func:`canonical_root` (S with S^T S = V(x), by the same simplex root)
+compute them without forming ``1 - yhat`` by subtraction.
 
 Categorical distributions keep K-1 free coordinates (probabilities of the
 first K-1 classes) so the covariance stays invertible; the full-simplex
@@ -43,7 +38,8 @@ from scipy.linalg.lapack import dtrtri
 from scipy.special import expit
 
 from .errors import DomainError, NonFiniteError, OutOfSupportError, SingularMatrixError
-from .numerics import _factor_psd, solve_psd, symmetrize
+# solve_psd is not called here; certbench's tests read this module's copy.
+from .numerics import _factor_psd, solve_psd, symmetrize  # noqa: F401
 
 GAUSSIAN = "gaussian"
 BERNOULLI = "bernoulli"
@@ -175,36 +171,6 @@ def _as_label(family: ObservationFamily, y) -> int:
     return label
 
 
-def cov_suffstats(family: ObservationFamily, yhat) -> np.ndarray:
-    """Covariance of the sufficient statistics at mean parameter yhat.
-
-    Gaussian: the fixed covariance.  Bernoulli: yhat (1 - yhat).
-    Categorical: diag(yhat) - yhat yhat^T over the kept classes.
-
-    Raises DomainError if yhat sits on the boundary, where the covariance
-    would be singular.
-    """
-    yhat = check_mean(family, yhat)
-    if family.kind == GAUSSIAN:
-        return family.obs_cov.copy()
-    if family.kind == BERNOULLI:
-        return np.array([[yhat[0] * (1.0 - yhat[0])]])
-    return symmetrize(np.diag(yhat) - np.outer(yhat, yhat))
-
-
-def natural_jacobian(family: ObservationFamily, yhat, mean_jac) -> tuple[np.ndarray, np.ndarray]:
-    """cov(T) at mean parameter yhat, and the Jacobian of the natural
-    parameter cov(T)^-1 mean_jac, given the Jacobian mean_jac of yhat:
-    d theta / d yhat = cov(T)^-1.
-
-    Every family solves with :func:`kalgrad.numerics.solve_psd`.  The
-    library reads a gaussian observation whitened instead
-    (:func:`kalgrad.model.mean_linearisation`); for it this is the
-    unwhitened reference form."""
-    cov = cov_suffstats(family, yhat)
-    return cov, solve_psd(cov, mean_jac)
-
-
 def _as_natural(family: ObservationFamily, x) -> np.ndarray:
     if family.kind == GAUSSIAN:
         raise ValueError("the natural parameter is defined for bernoulli and categorical only")
@@ -266,15 +232,18 @@ def canonical_residual(family: ObservationFamily, stats, x) -> np.ndarray:
     return np.where(np.asarray(stats) == 1.0, q, -p)
 
 
-def cov_root(family: ObservationFamily, yhat) -> np.ndarray:
-    """A square root S of cov(T) at mean parameter yhat, S^T S = cov(T):
-    L^T for the lower Cholesky factor L of a gaussian family's covariance
-    (the unwhitened reference form), and :func:`_simplex_root` for
-    bernoulli and categorical."""
+def whitener(family: ObservationFamily, yhat: np.ndarray) -> np.ndarray:
+    """S^-T, S^T S = cov(T), at a mean yhat that :func:`check_mean` passed:
+    the gaussian family's read-only L^-1, else the inverse of the transposed
+    :func:`_simplex_root`, (I + q q^T / (s (1 + s))) diag(1/q) for q = sqrt(p)
+    and s = sqrt(1 - sum(p)); for bernoulli, 1 / sqrt(p (1 - p))."""
     if family.kind == GAUSSIAN:
-        return family.obs_factor.T
-    yhat = check_mean(family, yhat)
-    return _simplex_root(yhat, 1.0 - yhat, 1.0 - yhat.sum())
+        return family.obs_whitener
+    q = np.sqrt(yhat)
+    s = math.sqrt(1.0 - yhat.sum())
+    inv = np.outer(q, q / (s * (1.0 + s)))
+    inv.flat[:: q.size + 1] += 1.0
+    return inv / q
 
 
 def canonical_root(family: ObservationFamily, x) -> np.ndarray:

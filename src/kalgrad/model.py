@@ -11,11 +11,12 @@ theta of its family.  It returns ``B = d theta / d s``, ``C = cov(T)`` at
 the predicted mean, that mean, and the residual ``e = T - E[T]`` of given
 sufficient statistics; the score in the state is ``e B`` and the Fisher
 information ``B^T C B``; it also carries a square root of ``C`` from which
-the gradient side builds its Fisher rows.  On the general path
-``B = C^-1 H``, with ``H`` the Jacobian of ``h``; a gaussian observation
-is read whitened instead, ``B = L^-1 H`` and ``C = I`` for its covariance
-``R = L L^T`` (:func:`mean_linearisation`, whose gaussian helper the
-continuous fields call directly).  A model
+the gradient side builds its Fisher rows.  Through the mean parameter the
+observation is read whitened by ``S^-T`` for the square root ``S`` of
+``cov(T)`` there: ``B = S^-T H``, ``C = I`` and ``e = (T - h) S^-1``,
+with ``H`` the Jacobian of ``h`` (:func:`mean_linearisation`, whose
+helper the continuous fields call directly); for a gaussian observation
+``S^-T = L^-1`` for its covariance ``R = L L^T``.  A model
 whose ``h`` is the mean of a Bernoulli or categorical family at a linear
 predictor ``x = predictor(s, u)`` under the canonical link declares that
 family kind and the predictor; there ``theta = x``, ``B`` is the
@@ -203,8 +204,8 @@ class Linearisation:
     family, at a predicted state.
 
     ``jac`` is B = d theta / d s and ``cov`` is C = cov(T) at the
-    predicted mean, both in whitened coordinates for a gaussian family
-    (:func:`mean_linearisation`).  ``residual(stats)`` is T - E[T] for
+    predicted mean, both in whitened coordinates, C = I, off a canonical
+    link (:func:`mean_linearisation`).  ``residual(stats)`` is T - E[T] for
     sufficient statistics T, one vector or one row per draw.  The score of
     T in the state is ``residual(T) @ jac`` and the Fisher information is
     ``jac.T @ cov @ jac``.  ``root()`` is a square root S of C, S^T S = C,
@@ -229,12 +230,11 @@ def _identity(n: int) -> Array:
 def _whitened(
     family: expfam.ObservationFamily, mean: Array, h_jac: Array
 ) -> tuple[Array, Callable[[Array], Array]]:
-    """A gaussian observation with mean ``mean`` = h(s, u) and Jacobian
-    ``h_jac`` = H, read whitened by the family's ``obs_whitener`` L^-1
-    (R = L L^T) once :func:`expfam.check_mean` passes the mean: returns
-    B = L^-1 H and the map from T to the residual e = (T - h) L^-T."""
+    """B = S^-T H and the map from T to e = (T - h) S^-1 for an observation
+    with mean ``mean`` = h(s, u), which :func:`expfam.check_mean` must pass,
+    Jacobian ``h_jac`` = H and S^-T = :func:`expfam.whitener`'s."""
     mean = expfam.check_mean(family, mean)
-    whitener = family.obs_whitener
+    whitener = expfam.whitener(family, mean)
     return whitener @ h_jac, lambda stats: (stats - mean) @ whitener.T
 
 
@@ -242,21 +242,13 @@ def mean_linearisation(
     family: expfam.ObservationFamily, mean: Array, h_jac: Array
 ) -> Linearisation:
     """Linearisation through the mean parameter ``mean`` = h(s, u), strictly
-    inside the family's domain, whose Jacobian in the state is ``h_jac`` = H.
-
-    A gaussian observation is read whitened, y -> L^-1 y for R = L L^T and
-    the family's ``obs_whitener`` L^-1: B = L^-1 H, C = S = I and
-    e = (T - h) L^-T, so e B = (T - h) R^-1 H and B^T C B = H^T R^-1 H with
-    no solve with R.  Otherwise B = C^-1 H (:func:`expfam.natural_jacobian`)
-    and S is :func:`expfam.cov_root`'s."""
-    if family.kind == expfam.GAUSSIAN:
-        jac, residual = _whitened(family, mean, h_jac)
-        eye = _identity(family.mean_dim)
-        return Linearisation(jac, eye, residual, lambda: eye)
-    cov, jac = expfam.natural_jacobian(family, mean, h_jac)
-    return Linearisation(
-        jac, cov, lambda stats: stats - mean, lambda: expfam.cov_root(family, mean)
-    )
+    inside the family's domain, whose Jacobian in the state is ``h_jac`` = H,
+    read whitened (:func:`_whitened`): B = S^-T H, C = S = I and
+    e = (T - h) S^-1, so e B = (T - h) cov(T)^-1 H and
+    B^T C B = H^T cov(T)^-1 H with no solve with cov(T)."""
+    jac, residual = _whitened(family, mean, h_jac)
+    eye = _identity(family.mean_dim)
+    return Linearisation(jac, eye, residual, lambda: eye)
 
 
 def _observed(fn: Map, s: Array, u: Array) -> Array:

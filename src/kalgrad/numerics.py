@@ -1,9 +1,10 @@
 """Dense linear-algebra and calculus utilities shared by the filters.
 
 Everything here is a pure function of its inputs; matrices are small and
-dense (state dimensions of a few at most), so factorization-based solves
-and fixed-step integration are the right tools.  The SPD solve takes one
-matrix and refuses it if it does not factor, never shifting it.
+dense (state dimensions of a few at most), so factorizations and
+fixed-step integration are the right tools.  A matrix that does not
+factor is refused, never shifted.  The SPD solve has no library caller;
+it stays for certbench, whose per-layer metrics wrap it.
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ def rk4_step(
 
     def stage(tau: float, y: np.ndarray) -> np.ndarray:
         k = np.asarray(deriv(tau, y), dtype=float)
-        if not np.isfinite(k).all():
+        # On a few entries a Python-level test is cheaper than numpy's.
+        if not all(map(math.isfinite, k.ravel().tolist())):
             raise NonFiniteError(f"derivative non-finite at t = {tau:.6g}")
         return k
 

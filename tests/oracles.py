@@ -1,6 +1,8 @@
 """Reference implementations the tests compare the library against:
 log-likelihoods that the tests differentiate numerically, as oracles for
-the scores the library reads from its linearisations, a Monte Carlo
+the scores the library reads from its linearisations, the unwhitened
+covariance of T, its square root and cov(T)^-1 H, as oracles for the
+whitened observations the library reads, a Monte Carlo
 Fisher estimate, as the oracle for the exact Fisher the library blends in,
 scipy's Cholesky solve with one refinement pass, as the oracle for the SPD
 solve, the information form of the EKF observation update, as the
@@ -11,7 +13,8 @@ textbook dense P and J flows as the referees of the factor flows), the Euler
 discretisation that links the continuous pair to the discrete one, and
 families of test systems whose covariance collapses along contracting
 directions (``hidden``, ``tanh20``, the random stable systems of ``draw``,
-``ill_r_draw`` and ``bernoulli_draw``, and the continuous ``hidden_ct``)."""
+``ill_r_draw`` and ``bernoulli_draw``, and the continuous ``hidden_ct``),
+and ``softmax_track``, categorical observations under dynamics."""
 
 import numpy as np
 import scipy.linalg
@@ -60,6 +63,35 @@ def cho_solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     factor = scipy.linalg.cho_factor(a, lower=True)
     x = scipy.linalg.cho_solve(factor, b)
     return x + scipy.linalg.cho_solve(factor, b - a @ x)
+
+
+def cov_suffstats(family: expfam.ObservationFamily, yhat) -> np.ndarray:
+    """Covariance of the sufficient statistics at mean parameter yhat,
+    which must pass :func:`kalgrad.expfam.check_mean`: the fixed R for
+    gaussian, yhat (1 - yhat) for bernoulli, and diag(yhat) - yhat yhat^T
+    over the kept classes for categorical."""
+    yhat = expfam.check_mean(family, yhat)
+    if family.kind == expfam.GAUSSIAN:
+        return family.obs_cov.copy()
+    return symmetrize(np.diag(yhat) - np.outer(yhat, yhat))
+
+
+def cov_root(family: expfam.ObservationFamily, yhat) -> np.ndarray:
+    """A square root S of cov(T) at mean parameter yhat, S^T S = cov(T):
+    L^T for the lower Cholesky factor L of a gaussian family's R, and the
+    simplex root otherwise."""
+    if family.kind == expfam.GAUSSIAN:
+        return family.obs_factor.T
+    yhat = expfam.check_mean(family, yhat)
+    return expfam._simplex_root(yhat, 1.0 - yhat, 1.0 - yhat.sum())
+
+
+def natural_jacobian(family: expfam.ObservationFamily, yhat, mean_jac) -> tuple[np.ndarray, np.ndarray]:
+    """cov(T) at mean parameter yhat, and the Jacobian cov(T)^-1 mean_jac of
+    the natural parameter, d theta / d yhat = cov(T)^-1, by a Cholesky
+    solve with cov(T): the unwhitened form of the library's reading."""
+    cov = cov_suffstats(family, yhat)
+    return cov, cho_solve_refined(cov, mean_jac)
 
 
 def suffstats_batch(family: expfam.ObservationFamily, draws) -> np.ndarray:
@@ -417,4 +449,37 @@ def bernoulli_draw(seed: int, lo: float, horizon: int):
         jacobian_predictor=lambda s, u: weights[None, :].copy(),
     )
     scenario = generate_scenario(system, expfam.bernoulli(), horizon, seed)
+    return scenario, np.zeros(n), np.eye(n)
+
+
+def softmax_track(seed: int):
+    """A 4-state system observed through 3 classes under the canonical
+    link: with ``rng = default_rng(seed)``, f(s) = 0.99 Q s for the Q of
+    the QR of a normal draw, the logits x = W s for W ~ N(0, 4/n) of 2
+    rows, and the true s_0 ~ N(0, I), drawn in that order.  T = 50 and
+    scenario seed ``seed``; returns (scenario, s_0 = 0, P_0 = I).  With
+    its predictor set to None the model reads the same observations
+    through the mean parameter."""
+    n = 4
+    family = expfam.categorical(3)
+    rng = np.random.default_rng(seed)
+    lin = 0.99 * np.linalg.qr(rng.standard_normal((n, n)))[0]
+    weights = 2.0 * rng.standard_normal((2, n)) / np.sqrt(n)
+    init_state = rng.standard_normal(n)
+    system = DynamicalModel(
+        name="softmax-track",
+        dim_state=n,
+        dim_input=0,
+        dim_obs=2,
+        f=lambda s, u: lin @ s,
+        h=lambda s, u: expfam.canonical_mean(family, weights @ s),
+        jacobian_f=lambda s, u: lin.copy(),
+        jacobian_h=lambda s, u: expfam.canonical_variance(family, weights @ s) @ weights,
+        inputs=lambda t: np.zeros(0),
+        init_state=init_state,
+        link_family=expfam.CATEGORICAL,
+        predictor=lambda s, u: weights @ s,
+        jacobian_predictor=lambda s, u: weights.copy(),
+    )
+    scenario = generate_scenario(system, family, 50, seed)
     return scenario, np.zeros(n), np.eye(n)

@@ -653,9 +653,9 @@ class TestPair:
 
 
 class TestPairFailure:
-    """A numerical error of the pair names the side that fails at the
-    earliest grid step, and the earlier side, bucy, when both fail in one
-    step; the pair takes no step past it."""
+    """A numerical error of the pair names the side whose field fails
+    first in evaluation order: stage by stage and, within a stage, bucy
+    before cngd.  The pair takes no step past it and no step twice."""
 
     def recording(self, inf_from):
         """The scalar integrator with y(t) = inf from t = inf_from, and
@@ -679,8 +679,8 @@ class TestPairFailure:
         assert max(seen) == 0.5
 
     # eta_0 = 1e200 overflows the rate flow in the first stage: cngd fails
-    # there, in the first step, while bucy would fail in the fifth.  Only
-    # bucy's first step is taken again, alone, to find that it passes.
+    # there, in the first step, while bucy would fail in the fifth.  No
+    # step is taken again, so y is read at t = 0 only.
     @pytest.mark.filterwarnings("error")
     def test_the_earliest_failing_step_decides(self):
         model, seen = self.recording(0.5)
@@ -689,19 +689,19 @@ class TestPairFailure:
         with pytest.raises(NonFiniteError) as info:
             bucy.run(sides, model, 0.1, 1.0)
         assert str(info.value) == "cngd step from t = 0: derivative non-finite at t = 0"
-        assert max(seen) == 0.1
+        assert max(seen) == 0.0
 
-    # Within one step, cngd fails in the first stage and bucy in the last;
-    # the step is the same, so bucy is named.
+    # Within one step, cngd fails in the first stage and bucy would in the
+    # last; the first stage's failure is named, and the step ends there.
     @pytest.mark.filterwarnings("error")
-    def test_a_tie_within_a_step_names_bucy(self):
+    def test_the_earliest_failing_stage_decides_within_a_step(self):
         model, seen = self.recording(0.1)
         sides = [bucy.start(bucy.BUCY, np.zeros(1), np.eye(1)),
                  bucy.start(bucy.CNGD, np.zeros(1), np.eye(1), 1e200)]
         with pytest.raises(NonFiniteError) as info:
             bucy.run(sides, model, 0.1, 1.0)
-        assert str(info.value) == "bucy step from t = 0: derivative non-finite at t = 0.1"
-        assert max(seen) == 0.1
+        assert str(info.value) == "cngd step from t = 0: derivative non-finite at t = 0"
+        assert max(seen) == 0.0
 
     # The filter's start factors P_0 once and names it when it cannot,
     # as equivalence.initial_metric does.

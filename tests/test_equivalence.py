@@ -18,11 +18,19 @@ from kalgrad.errors import DomainError, NonFiniteError, SingularMatrixError
 from kalgrad.model import DynamicalModel, builtin, generate_scenario
 
 from conftest import gradient_metrics
-from oracles import bernoulli_draw, draw, euler_scenario, hidden, hidden_ct, ill_r_draw, tanh20
+from oracles import (
+    bernoulli_draw, draw, euler_scenario, hidden, hidden_ct, ill_r_draw, softmax_track, tanh20,
+)
 
 
 def scenario_for(name, horizon, seed):
     return equivalence.sweep_cell(name, horizon, seed)[0]
+
+
+def unlinked(scenario):
+    """The scenario with its model's canonical link undeclared, so that its
+    observations are read through the mean parameter."""
+    return dataclasses.replace(scenario, model=dataclasses.replace(scenario.model, predictor=None))
 
 
 def softmax_model():
@@ -562,6 +570,37 @@ class TestGaussianObservationFactor:
             assert report.passed, k
 
 
+class TestNoSpdSolve:
+    """Structure guard: every observation is read through its canonical
+    link or whitened by a closed-form S^-T, so no library path reaches
+    the residual-capped SPD solve."""
+
+    def test_no_certificate_reaches_solve_psd(self, monkeypatch):
+        original = numerics.solve_psd
+
+        def refuse(*args):
+            raise AssertionError("a library path called solve_psd")
+
+        for module in (numerics, bucy, ekf, equivalence, expfam, natgrad):
+            if getattr(module, "solve_psd", None) is original:
+                monkeypatch.setattr(module, "solve_psd", refuse)
+        logistic = equivalence.sweep_cell("logistic-static", 50, 0)
+        track = softmax_track(0)
+        cells = [
+            equivalence.sweep_cell("linear2d", 50, 0),
+            logistic,
+            (unlinked(logistic[0]),) + logistic[1:],
+            (unlinked(track[0]),) + track[1:],
+        ]
+        for cell in cells:
+            assert check_discrete(*cell, alpha=0.1).passed
+        model = builtin("pendulum-ct")
+        result = check_continuous(
+            model, model.init_state, 0.5 * np.eye(2), alpha=0.2, dts=[0.1, 0.01], horizon=1.0,
+        )
+        assert result.passed
+
+
 class TestCanonicalLinkEquivalence:
     def test_saturated_bernoulli_completes_on_the_canonical_path(self):
         # Seed 0 at alpha = 1 drives the predicted bernoulli mean to 1.0 in
@@ -571,9 +610,7 @@ class TestCanonicalLinkEquivalence:
         canonical = scenario_for("logistic-static", 50, seed=0)
         model = canonical.model
         s0, p0 = 0.5 * model.init_state, np.eye(2)
-        mean_path = dataclasses.replace(
-            canonical, model=dataclasses.replace(model, predictor=None)
-        )
+        mean_path = unlinked(canonical)
 
         def first(scenario, steps):
             return dataclasses.replace(
@@ -590,6 +627,21 @@ class TestCanonicalLinkEquivalence:
         assert report.passed
         assert report.filter_states.shape == (51, 2)
 
+    # Categorical observations under dynamics (f = 0.99 Q, n = 4): every
+    # seed certifies through the logits and through the mean parameter,
+    # where the closed-form S^-T meets a moving state (worst deviations
+    # 3.5e-15 and 6.2e-15 over seeds 0-14).
+    @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "mean"])
+    def test_softmax_track_certifies(self, canonical):
+        failed = []
+        for seed in range(15):
+            scenario, s0, p0 = softmax_track(seed)
+            if not canonical:
+                scenario = unlinked(scenario)
+            if not check_discrete(scenario, s0, p0, alpha=0.1).passed:
+                failed.append(seed)
+        assert failed == []
+
     def test_categorical_softmax_link(self):
         # A softmax model declaring its logits agrees with the same model
         # through the mean parameter, and both sides agree with each other.
@@ -599,9 +651,7 @@ class TestCanonicalLinkEquivalence:
         report = check_discrete(scenario, np.zeros(2), np.eye(2), alpha=0.2, tol=1e-8)
         assert report.passed
         assert report.max_state_dev <= 1e-12
-        mean_path = dataclasses.replace(
-            scenario, model=dataclasses.replace(model, predictor=None)
-        )
+        mean_path = unlinked(scenario)
         reference = check_discrete(mean_path, np.zeros(2), np.eye(2), alpha=0.2, tol=1e-8)
         np.testing.assert_allclose(
             report.filter_states, reference.filter_states, rtol=1e-12, atol=1e-14
