@@ -25,7 +25,7 @@ from . import expfam
 from . import model as model_mod
 from . import natgrad as ngd_mod
 from .errors import ConfigError, NumericalError, UnknownModelError
-from .numerics import check_eta0
+from .numerics import _finite, check_eta0
 
 _RAMP_RE = re.compile(r"^ramp\(\s*([^,]+)\s*,\s*([^)]+)\s*\)$")
 
@@ -188,7 +188,7 @@ def _init_state(cfg: dict, model) -> np.ndarray:
     if len(cfg["s0"]) != model.dim_state:
         raise ConfigError(f"invalid field s0: need {model.dim_state} entries")
     s0 = np.asarray(cfg["s0"], dtype=float)
-    if not np.isfinite(s0).all():
+    if not _finite(s0):
         raise ConfigError("invalid field s0: entries must be finite")
     return s0
 

@@ -37,7 +37,7 @@ from .model import DynamicalModel, Scenario, Trace, linearise, step_dynamics
 
 # GAIN, _OBSERVERS and the solve_psd import are unused here; they stay while
 # certbench's tests read _OBSERVERS[GAIN] and this module's solve_psd.
-from .numerics import schedule, solve_psd, symmetrize
+from .numerics import _finite, schedule, solve_psd, symmetrize
 
 GAIN = "gain"
 
@@ -58,7 +58,7 @@ def transition(
     # An overflow here is reported below, as a failure of this step.
     with np.errstate(over="ignore", invalid="ignore"):
         cov_pred = symmetrize((1.0 + alpha_t) * (f_jac @ cov @ f_jac.T))
-    if not np.isfinite(cov_pred).all():
+    if not _finite(cov_pred):
         raise NonFiniteError(f"transition produced non-finite covariance at t = {t}")
     return mean_pred, cov_pred
 
@@ -88,7 +88,7 @@ def observe_gain(
     gain = gain_t.T
     cov_post = symmetrize(cov - gain @ lin.cov @ bp)
     mean_post = mean + gain @ lin.residual(stats)
-    if not (np.isfinite(mean_post).all() and np.isfinite(cov_post).all()):
+    if not (_finite(mean_post) and _finite(cov_post)):
         raise NonFiniteError(f"observation update non-finite at t = {t}")
     return mean_post, cov_post
 

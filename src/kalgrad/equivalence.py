@@ -44,7 +44,7 @@ from . import ekf as ekf_mod
 from . import expfam
 from . import natgrad as ngd_mod
 from .errors import DomainError, NumericalError
-from .model import ContinuousModel, Scenario, Trace, builtin, generate_scenario
+from .model import ContinuousModel, Scenario, Trace, _identity, builtin, generate_scenario
 from .numerics import _factor_psd, check_eta0, schedule, symmetrize
 # solve_psd is not called here; certbench's tests read this module's copy.
 from .numerics import solve_psd  # noqa: F401
@@ -261,7 +261,7 @@ def check_discrete(
     model = scenario.model
     if mutate == "skip_metric_transport":
         f_jac = model.jac_f(np.asarray(init_state, dtype=float), model.input_at(1))
-        if np.array_equal(f_jac, np.eye(model.dim_state)):
+        if np.array_equal(f_jac, _identity(model.dim_state)):
             raise ValueError(
                 f"mutation {mutate!r} cannot fail on model {model.name!r}:"
                 " its transition Jacobian is already the identity"
@@ -276,7 +276,7 @@ def check_discrete(
         # The identity model differs only in its Jacobian, so the
         # scenario's inputs and statistics stay valid for it: a shallow
         # copy reuses them where replace() would build them again.
-        identity = replace(model, jacobian_f=lambda s, u: np.eye(s.size))
+        identity = replace(model, jacobian_f=lambda s, u: _identity(s.size))
         scenario = copy.copy(scenario)
         object.__setattr__(scenario, "model", identity)
     metric0 = initial_metric(init_cov, eta0)

@@ -21,6 +21,12 @@ every finite ``x``, even where ``mean(x)`` rounds to the boundary.
 :func:`canonical_variance`, :func:`canonical_residual` and
 :func:`canonical_root` (S with S^T S = V(x), by the same simplex root)
 compute them without forming ``1 - yhat`` by subtraction.
+:func:`canonical_parts` forms all three from one evaluation of the
+probabilities p, 1 - p and p_K at ``x``; a linearisation
+(:func:`kalgrad.model.linearise`) reads them from it.
+
+Every finiteness check here (of a mean, a natural parameter or a
+gaussian observation) is :func:`kalgrad.numerics._finite`.
 
 Categorical distributions keep K-1 free coordinates (probabilities of the
 first K-1 classes) so the covariance stays invertible; the full-simplex
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
@@ -39,7 +46,7 @@ from scipy.special import expit
 
 from .errors import DomainError, NonFiniteError, OutOfSupportError, SingularMatrixError
 # solve_psd is not called here; certbench's tests read this module's copy.
-from .numerics import _factor_psd, solve_psd, symmetrize  # noqa: F401
+from .numerics import _factor_psd, _finite, solve_psd, symmetrize  # noqa: F401
 
 GAUSSIAN = "gaussian"
 BERNOULLI = "bernoulli"
@@ -119,7 +126,7 @@ def _as_mean(family: ObservationFamily, yhat) -> np.ndarray:
 def check_mean(family: ObservationFamily, yhat) -> np.ndarray:
     """Validate that yhat lies strictly inside the family's mean domain."""
     yhat = _as_mean(family, yhat)
-    if not np.isfinite(yhat).all():
+    if not _finite(yhat):
         raise DomainError(f"{family.kind} mean must be finite")
     if family.kind == GAUSSIAN:
         return yhat
@@ -143,7 +150,7 @@ def sufficient_stats(family: ObservationFamily, y) -> np.ndarray:
             raise OutOfSupportError(
                 f"gaussian observation must have dimension {family.mean_dim}"
             )
-        if not np.isfinite(t).all():
+        if not _finite(t):
             raise OutOfSupportError("gaussian observation must be finite")
         return t
     label = _as_label(family, y)
@@ -179,7 +186,7 @@ def _as_natural(family: ObservationFamily, x) -> np.ndarray:
         raise ValueError(
             f"natural parameter must have shape ({family.mean_dim},), got {x.shape}"
         )
-    if not np.isfinite(x).all():
+    if not _finite(x):
         raise DomainError(f"{family.kind} natural parameter must be finite")
     return x
 
@@ -208,6 +215,22 @@ def canonical_mean(family: ObservationFamily, x) -> np.ndarray:
     return _canonical_probs(family, x)[0]
 
 
+def canonical_parts(family: ObservationFamily, x) -> tuple[np.ndarray, Callable, Callable]:
+    """The Fisher, score and Fisher root at natural parameter x, from one
+    evaluation of the probabilities p, 1 - p and p_K there:
+    (:func:`canonical_variance`, stats -> :func:`canonical_residual`,
+    () -> :func:`canonical_root`)."""
+    p, comp, last = _canonical_probs(family, x)
+    v = -np.outer(p, p)
+    np.fill_diagonal(v, p * comp)
+    # An entry 1 of T takes 1 - p from the complements, not by subtraction.
+    return (
+        v,
+        lambda stats: np.where(np.asarray(stats) == 1.0, comp, -p),
+        lambda: _simplex_root(p, comp, last),
+    )
+
+
 def canonical_variance(family: ObservationFamily, x) -> np.ndarray:
     """cov(T) at natural parameter x, which is also d mean / d x and the
     Fisher information with respect to x.
@@ -215,10 +238,7 @@ def canonical_variance(family: ObservationFamily, x) -> np.ndarray:
     Bernoulli: expit(x) expit(-x).  Categorical: diag(p (1 - p)) - p p^T
     off the diagonal.  Finite, and possibly zero, for every finite x.
     """
-    p, q, _ = _canonical_probs(family, x)
-    v = -np.outer(p, p)
-    np.fill_diagonal(v, p * q)
-    return v
+    return canonical_parts(family, x)[0]
 
 
 def canonical_residual(family: ObservationFamily, stats, x) -> np.ndarray:
@@ -228,8 +248,7 @@ def canonical_residual(family: ObservationFamily, stats, x) -> np.ndarray:
     draw.  Their entries are 0 or 1, and an entry 1 - p is taken from the
     complements rather than by subtraction.
     """
-    p, q, _ = _canonical_probs(family, x)
-    return np.where(np.asarray(stats) == 1.0, q, -p)
+    return canonical_parts(family, x)[1](stats)
 
 
 def whitener(family: ObservationFamily, yhat: np.ndarray) -> np.ndarray:
@@ -250,7 +269,7 @@ def canonical_root(family: ObservationFamily, x) -> np.ndarray:
     """A square root S of cov(T) = V(x) at natural parameter x,
     S^T S = V(x); see :func:`_simplex_root`.  Finite for every finite x,
     and 0 where the mean saturates."""
-    return _simplex_root(*_canonical_probs(family, x))
+    return canonical_parts(family, x)[2]()
 
 
 def _simplex_root(p: np.ndarray, comp: np.ndarray, last: float) -> np.ndarray:

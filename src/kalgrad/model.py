@@ -24,6 +24,12 @@ predictor Jacobian ``G`` and ``C = V(x)``, so the updates stay defined
 where the mean rounds to the boundary of its domain and ``C`` is
 singular.  This is the only place where that choice is made.
 
+The built-in models return each Jacobian that does not depend on the
+state (an identity, linear2d's rotation, the continuous models' ``H`` and
+linear-ct's ``F``) as one shared read-only array, never a fresh copy;
+code that needs to keep or change one copies it, as
+:func:`kalgrad.natgrad.chart` does.
+
 Scenarios pair a model with an observation family: the ground-truth
 trajectory follows the noiseless dynamics exactly, and observations are
 sampled from the family at the true predicted mean.  Randomness comes from
@@ -46,7 +52,7 @@ from scipy.special import expit
 
 from . import expfam
 from .errors import NonFiniteError, NumericalError, OutOfSupportError, UnknownModelError
-from .numerics import fd_jacobian
+from .numerics import _finite, fd_jacobian
 
 Array = np.ndarray
 Map = Callable[[Array, Array], Array]
@@ -253,7 +259,7 @@ def mean_linearisation(
 
 def _observed(fn: Map, s: Array, u: Array) -> Array:
     value = np.asarray(fn(s, u), dtype=float)
-    if not np.isfinite(value).all():
+    if not _finite(value):
         raise NonFiniteError("observation map non-finite")
     return value
 
@@ -265,20 +271,15 @@ def linearise(
     = u_t and time t, which a numerical error raised here names.
 
     Under a declared canonical link, theta is the linear predictor x:
-    B = G, C = V(x), and residuals come from
-    :func:`expfam.canonical_residual`, so 1 - p is never formed by
-    subtraction, and the root of C is :func:`expfam.canonical_root`'s.
-    Otherwise this is :func:`mean_linearisation` at the mean h(s, u).
+    B = G, and C = V(x), the residuals and the root of C are
+    :func:`expfam.canonical_parts` at x, from one evaluation of the
+    probabilities there.  Otherwise this is :func:`mean_linearisation` at
+    the mean h(s, u).
     """
     try:
         if model.canonical_link(family):
             x = _observed(model.predictor, s, u)
-            return Linearisation(
-                model.jac_predictor(s, u),
-                expfam.canonical_variance(family, x),
-                lambda stats: expfam.canonical_residual(family, stats, x),
-                lambda: expfam.canonical_root(family, x),
-            )
+            return Linearisation(model.jac_predictor(s, u), *expfam.canonical_parts(family, x))
         return mean_linearisation(family, _observed(model.h, s, u), model.jac_h(s, u))
     except NumericalError as exc:
         # The same object is re-raised, now naming the step.
@@ -289,7 +290,7 @@ def linearise(
 def step_dynamics(model: DynamicalModel, s: Array, u: Array, t: int) -> Array:
     """Advance the noiseless dynamics one step: f(s, u), with u = u_t."""
     out = np.asarray(model.f(np.asarray(s, dtype=float), u), dtype=float)
-    if not np.isfinite(out).all():
+    if not _finite(out):
         raise NonFiniteError(f"transition produced non-finite state at t = {t}")
     return out
 
@@ -333,6 +334,10 @@ _TANH_GAIN = 0.1  # keeps ||dF - I|| <= gain * ||coupling|| < 1, so F stays inve
 _ROT = 0.99 * np.array(
     [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
 )
+_PENDULUM_H = np.array([[1.0, 0.0]])  # pendulum-ct observes the angle
+_LINEAR_CT_F = np.array([[-0.3]])
+# Returned as Jacobians to every caller, so none may write into them.
+_ROT.flags.writeable = _PENDULUM_H.flags.writeable = _LINEAR_CT_F.flags.writeable = False
 
 _EMPTY = np.zeros(0)
 
@@ -353,7 +358,7 @@ def _make_static() -> DynamicalModel:
         dim_obs=1,
         f=lambda s, u: s,
         h=lambda s, u: np.array([s @ u]),
-        jacobian_f=lambda s, u: np.eye(2),
+        jacobian_f=lambda s, u: _identity(2),
         jacobian_h=lambda s, u: u[None, :].copy(),
         inputs=_static_inputs,
         init_state=np.array([0.8, -0.5]),
@@ -368,8 +373,8 @@ def _make_linear2d() -> DynamicalModel:
         dim_obs=2,
         f=lambda s, u: _ROT @ s,
         h=lambda s, u: s.copy(),
-        jacobian_f=lambda s, u: _ROT.copy(),
-        jacobian_h=lambda s, u: np.eye(2),
+        jacobian_f=lambda s, u: _ROT,
+        jacobian_h=lambda s, u: _identity(2),
         inputs=lambda t: _EMPTY,
         init_state=np.array([1.0, 0.0]),
     )
@@ -381,7 +386,7 @@ def _tanhspring_f(s: Array, u: Array) -> Array:
 
 def _tanhspring_jac(s: Array, u: Array) -> Array:
     gain = 1.0 - np.tanh(_TANH_COUPLING @ s) ** 2
-    return np.eye(2) + _TANH_GAIN * gain[:, None] * _TANH_COUPLING
+    return _identity(2) + _TANH_GAIN * gain[:, None] * _TANH_COUPLING
 
 
 def _make_tanhspring() -> DynamicalModel:
@@ -396,7 +401,7 @@ def _make_tanhspring() -> DynamicalModel:
         f=_tanhspring_f,
         h=lambda s, u: s.copy(),
         jacobian_f=_tanhspring_jac,
-        jacobian_h=lambda s, u: np.eye(2),
+        jacobian_h=lambda s, u: _identity(2),
         inputs=lambda t: _EMPTY,
         init_state=np.array([1.0, -1.0]),
     )
@@ -423,7 +428,7 @@ def _make_logistic_static() -> DynamicalModel:
         dim_obs=1,
         f=lambda s, u: s,
         h=_logistic_h,
-        jacobian_f=lambda s, u: np.eye(2),
+        jacobian_f=lambda s, u: _identity(2),
         jacobian_h=_logistic_jac_h,
         inputs=_logistic_inputs,
         init_state=np.array([1.2, -0.7]),
@@ -442,7 +447,7 @@ def _make_pendulum_ct() -> ContinuousModel:
         f=lambda s, u: np.array([s[1], -np.sin(s[0])]),
         h=lambda s, u: s[:1].copy(),
         jacobian_f=lambda s, u: np.array([[0.0, 1.0], [-np.cos(s[0]), 0.0]]),
-        jacobian_h=lambda s, u: np.array([[1.0, 0.0]]),
+        jacobian_h=lambda s, u: _PENDULUM_H,
         input_fn=lambda t: _EMPTY,
         family=expfam.gaussian(np.eye(1)),
         obs_path=lambda t: np.array([1.2 * np.cos(0.9 * t) + 0.1 * np.sin(2.3 * t)]),
@@ -458,8 +463,8 @@ def _make_linear_ct() -> ContinuousModel:
         dim_obs=1,
         f=lambda s, u: -0.3 * s,
         h=lambda s, u: s.copy(),
-        jacobian_f=lambda s, u: np.array([[-0.3]]),
-        jacobian_h=lambda s, u: np.array([[1.0]]),
+        jacobian_f=lambda s, u: _LINEAR_CT_F,
+        jacobian_h=lambda s, u: _identity(1),
         input_fn=lambda t: _EMPTY,
         family=expfam.gaussian(np.eye(1)),
         obs_path=lambda t: np.array([0.9 * np.exp(-0.3 * t) + 0.05 * np.sin(2.0 * t)]),

@@ -58,7 +58,7 @@ from . import expfam
 from .errors import NonFiniteError, NumericalError, SingularMatrixError
 from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise, step_dynamics
 # solve_psd is not called here; certbench's tests read this module's copy.
-from .numerics import _factor_psd, schedule, solve_psd  # noqa: F401
+from .numerics import _factor_psd, _finite, schedule, solve_psd  # noqa: F401
 
 # Chart changes with condition numbers beyond this are treated as singular:
 # the trajectory chart is no longer well-defined.
@@ -90,7 +90,7 @@ def chart(psi: np.ndarray) -> Chart:
         If psi is numerically singular (condition estimate above 1e12).
     """
     psi = np.array(psi, dtype=float)
-    if not np.isfinite(psi).all():
+    if not _finite(psi):
         raise NonFiniteError("chart-change Jacobian has non-finite entries")
     cond = _condition(psi)
     if not cond <= _COND_LIMIT:
@@ -195,7 +195,7 @@ def update(
     )
     factor = dgeqrf(rows)[0][:n] * _upper(n)
     step = _metric_solve(factor, score_state, "blended metric factor", t)
-    if not (np.isfinite(factor).all() and np.isfinite(step).all()):
+    if not (_finite(factor) and _finite(step)):
         raise NonFiniteError(f"natural-gradient update non-finite at t = {t}")
     return state + eta_t * step, factor
 

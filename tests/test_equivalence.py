@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from kalgrad import bucy, ekf, equivalence, expfam, natgrad, numerics
+from kalgrad import model as model_mod
 from kalgrad.equivalence import (
     check_continuous,
     check_discrete,
@@ -275,6 +278,23 @@ class TestCheckDiscrete:
         )
         assert not report.passed
         assert report.max_state_dev > 1e-3
+
+    def test_transport_control_steps_on_the_shared_identity(self, monkeypatch):
+        # The gradient side of skip_metric_transport runs a model whose F is
+        # the cached read-only identity, at every state.
+        seen = []
+        run = natgrad.run
+
+        def recording(scenario, *args):
+            seen.append(scenario.model)
+            return run(scenario, *args)
+
+        monkeypatch.setattr(equivalence.ngd_mod, "run", recording)
+        scenario = scenario_for("linear2d", 5, seed=0)
+        check_discrete(scenario, np.zeros(2), np.eye(2), 0.1, mutate="skip_metric_transport")
+        (identity,) = seen
+        for s in (np.zeros(2), np.array([3.0, -1.0])):
+            assert identity.jac_f(s, scenario.inputs[0]) is model_mod._identity(2)
 
     @pytest.mark.parametrize("name", ["static", "logistic-static"])
     def test_transport_control_rejected_where_f_is_identity(self, name):
@@ -599,6 +619,120 @@ class TestNoSpdSolve:
             model, model.init_state, 0.5 * np.eye(2), alpha=0.2, dts=[0.1, 0.01], horizon=1.0,
         )
         assert result.passed
+
+
+def count_finiteness_checks(monkeypatch):
+    """Count each call of numerics._finite by the name of the function that
+    makes it, and record each direct np.isfinite call the same way."""
+    sites, direct = collections.Counter(), []
+    original, isfinite = numerics._finite, np.isfinite
+
+    def counting(a):
+        sites[sys._getframe(1).f_code.co_name] += 1
+        return original(a)
+
+    def direct_call(*args, **kwargs):
+        direct.append(sys._getframe(1).f_code.co_name)
+        return isfinite(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kalgrad") and getattr(module, "_finite", None) is original:
+            monkeypatch.setattr(module, "_finite", counting)
+    monkeypatch.setattr(np, "isfinite", direct_call)
+    return sites, direct
+
+
+class TestPerStepChecks:
+    """Structure guard: every per-step check of a certificate is one call
+    of numerics._finite, in both time domains, and none calls np.isfinite
+    itself; a canonical-link linearisation evaluates the probabilities at
+    its predictor once."""
+
+    @pytest.mark.parametrize("name", equivalence.SWEEP_MODELS)
+    def test_sweep_cell_checks_each_step_through_finite(self, monkeypatch, name):
+        scenario, s0, p0 = equivalence.sweep_cell(name, 50, 0)
+        sites, direct = count_finiteness_checks(monkeypatch)
+        assert check_discrete(scenario, s0, p0, alpha=0.1).passed
+        steps = scenario.horizon
+        # Per pair step: each side's transition and linearisation (the
+        # predictor or h, then the mean or the natural parameter), the
+        # filter's predicted covariance and posterior, the gradient's
+        # factor and step.  Per cell: the prior P_0 and J_0 once each, and
+        # the chart of a constant F once.
+        canonical = name == "logistic-static"
+        expected = {
+            "step_dynamics": 2 * steps,
+            "transition": steps,
+            "_observed": 2 * steps,
+            "_as_natural" if canonical else "check_mean": 2 * steps,
+            "observe_gain": 2 * steps,
+            "update": 2 * steps,
+            "chart": steps if name == "tanhspring" else 1,
+            "_check_finite": 2,
+        }
+        assert sites == expected
+        assert direct == []
+
+    def test_continuous_pair_checks_each_stage_through_finite(self, monkeypatch):
+        model = builtin("pendulum-ct")
+        sites, direct = count_finiteness_checks(monkeypatch)
+        result = check_continuous(
+            model, model.init_state, 0.5 * np.eye(2), alpha=0.2, dts=[0.1, 0.05], horizon=1.0,
+        )
+        assert result.passed
+        steps = 10 + 20
+        # Per RK4 step: four stages, each the derivative of two sides and
+        # the mean of each side's observation, then one positivity check
+        # of both factors.  Per certificate: P_0 twice and J_0 once, and
+        # the start of each side.
+        assert sites == {
+            "stage": 4 * steps,
+            "deriv": 8 * steps,
+            "check_mean": 8 * steps,
+            "check": steps + 2,
+            "_check_finite": 3,
+        }
+        assert direct == []
+
+    # A failing positivity check tests the stacked factors, then each side
+    # in order until one fails, all through _finite.
+    @pytest.mark.parametrize("bad, label, calls", [(3, "covariance", 2), (9, "metric", 3)])
+    def test_a_failing_positivity_check_names_its_side_through_finite(self, monkeypatch, bad, label, calls):
+        check = bucy._factor_check([bucy.BUCY, bucy.CNGD], [0, 6], 2)
+        z = np.concatenate([np.zeros(2), np.eye(2).ravel(), np.zeros(2), np.eye(2).ravel(), [0.5]])
+        z[bad] = np.nan
+        sites, direct = count_finiteness_checks(monkeypatch)
+        with pytest.raises(bucy.PositivityLostError, match=f"^{label} lost positive definiteness at t = 0.5$"):
+            check(z, 0.5)
+        assert sites == {"check": calls}
+        assert direct == []
+
+    @pytest.mark.parametrize("track", [False, True], ids=["logistic-static", "softmax-track"])
+    def test_canonical_probabilities_once_per_linearisation(self, monkeypatch, track):
+        scenario, s0, p0 = softmax_track(0) if track else equivalence.sweep_cell("logistic-static", 50, 0)
+        calls = collections.Counter()
+
+        def counting(fn):
+            def counted(family, x):
+                calls[fn.__name__, sys._getframe(1).f_code.co_name] += 1
+                return fn(family, x)
+
+            return counted
+
+        for name in ("_canonical_probs", "canonical_parts"):
+            monkeypatch.setattr(expfam, name, counting(getattr(expfam, name)))
+        assert check_discrete(scenario, s0, p0, alpha=0.1).passed
+        per_side_step = 2 * scenario.horizon
+        assert calls == {
+            ("canonical_parts", "linearise"): per_side_step,
+            ("_canonical_probs", "canonical_parts"): per_side_step,
+        }
+        # The same observations read through the mean parameter evaluate
+        # none in a linearisation (softmax-track's h is the softmax), and
+        # still certify at the default tolerance.
+        calls.clear()
+        assert check_discrete(unlinked(scenario), s0, p0, alpha=0.1).passed
+        assert ("canonical_parts", "linearise") not in calls
 
 
 class TestCanonicalLinkEquivalence:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kalgrad import bucy, expfam
+from kalgrad import bucy, expfam, natgrad
 from kalgrad.equivalence import check_continuous
 from kalgrad.errors import OutOfSupportError, UnknownModelError
 from kalgrad.model import (
@@ -56,6 +56,57 @@ class TestBuiltins:
         for t in range(1, 201):
             assert np.linalg.det(m.jac_f(s, m.input_at(t))) > 0
             s = step_dynamics(m, s, m.input_at(t), t)
+
+    # Every built-in Jacobian that does not depend on the state, with the
+    # value each returned as a fresh array before they became shared
+    # read-only arrays.
+    _ROTATION = 0.99 * np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    CONSTANT_JACOBIANS = {
+        ("static", "jac_f"): np.eye(2),
+        ("linear2d", "jac_f"): _ROTATION,
+        ("linear2d", "jac_h"): np.eye(2),
+        ("tanhspring", "jac_h"): np.eye(2),
+        ("logistic-static", "jac_f"): np.eye(2),
+        ("pendulum-ct", "jac_h"): np.array([[1.0, 0.0]]),
+        ("linear-ct", "jac_f"): np.array([[-0.3]]),
+        ("linear-ct", "jac_h"): np.array([[1.0]]),
+    }
+
+    @pytest.mark.parametrize("name, method", list(CONSTANT_JACOBIANS), ids="-".join)
+    def test_constant_jacobian_is_shared_and_read_only(self, rng, name, method):
+        m = builtin(name)
+        jac = getattr(m, method)
+        first = jac(rng.standard_normal(m.dim_state), m.input_at(1))
+        assert first.dtype == float
+        assert first.tobytes() == self.CONSTANT_JACOBIANS[name, method].tobytes()
+        assert first.shape == self.CONSTANT_JACOBIANS[name, method].shape
+        # Every call, at any state and input and from any instance of the
+        # model, returns the same array, which cannot be written into.
+        assert getattr(builtin(name), method)(rng.standard_normal(m.dim_state), m.input_at(7)) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            first += 1.0
+        assert first.tobytes() == self.CONSTANT_JACOBIANS[name, method].tobytes()
+
+    def test_chart_keeps_a_private_copy_of_a_shared_jacobian(self):
+        m = builtin("linear2d")
+        rotation = m.jac_f(np.zeros(2), m.input_at(1))
+        change = natgrad.chart(rotation)
+        assert not np.shares_memory(change.jac, rotation)
+        assert change.jac.flags.writeable
+        np.testing.assert_array_equal(change.jac, rotation)
+
+    def test_tanhspring_jacobian_is_a_fresh_array(self):
+        # I + gain diag(1 - tanh^2) coupling depends on the state; each
+        # call returns a new writeable array.
+        m = builtin("tanhspring")
+        s, u = np.array([1.0, -1.0]), m.input_at(1)
+        jac = m.jac_f(s, u)
+        gain = 1.0 - np.tanh(np.array([[0.0, 1.0], [-1.0, -0.5]]) @ s) ** 2
+        reference = np.eye(2) + 0.1 * gain[:, None] * np.array([[0.0, 1.0], [-1.0, -0.5]])
+        assert jac.tobytes() == reference.tobytes()
+        assert jac.flags.writeable and m.jac_f(s, u) is not jac
 
     @pytest.mark.parametrize("name", DISCRETE + CONTINUOUS)
     def test_types(self, name):

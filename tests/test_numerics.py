@@ -10,7 +10,7 @@ from kalgrad import ekf, expfam, natgrad, numerics
 from kalgrad.equivalence import map_alpha_to_eta
 from kalgrad.errors import NonFiniteError, SingularMatrixError
 from kalgrad.model import builtin, generate_scenario
-from kalgrad.numerics import fd_jacobian, rk4_step, solve_psd, symmetrize
+from kalgrad.numerics import _finite, fd_jacobian, rk4_step, solve_psd, symmetrize
 
 from conftest import random_spd
 from oracles import cho_solve_refined
@@ -351,6 +351,55 @@ class TestFdJacobian:
 
         with pytest.raises(NonFiniteError):
             fd_jacobian(bad, np.zeros(1))
+
+
+# The shapes the per-step checks pass, plus one of 100 entries.
+FINITE_SHAPES = [(), (0,), (1,), (2, 2), (3, 3), (8, 8), (100,)]
+_MAX = np.finfo(float).max
+_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
+def _extremes(shape):
+    """Finite entries at the edges of the range: +-max (whose sum
+    overflows), subnormals of both signs and ones, cycled over ``shape``."""
+    cycle = np.array([_MAX, _MAX, -_SUBNORMAL, 1.0, -_MAX, _SUBNORMAL, -1.0])
+    return np.resize(cycle, int(np.prod(shape))).reshape(shape)
+
+
+class TestFinite:
+    """_finite(a) is np.isfinite(a).all(), as a Python bool, on every shape
+    a step passes."""
+
+    @pytest.mark.parametrize("shape", FINITE_SHAPES, ids=str)
+    def test_finite_entries(self, shape, rng):
+        for a in (
+            np.asarray(rng.standard_normal(shape)),
+            _extremes(shape),
+            np.full(shape, _MAX),
+            np.full(shape, -_MAX),
+            np.full(shape, _SUBNORMAL),
+            np.zeros(shape),
+        ):
+            assert _finite(a) is bool(np.isfinite(a).all()) is True
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=str)
+    @pytest.mark.parametrize("shape", FINITE_SHAPES[:1] + FINITE_SHAPES[2:], ids=str)
+    def test_a_non_finite_entry_anywhere(self, shape, bad):
+        base = _extremes(shape)
+        for i in range(base.size):
+            a = base.copy()
+            a.flat[i] = bad
+            assert _finite(a) is bool(np.isfinite(a).all()) is False
+
+    def test_strided_views(self, rng):
+        # Transposes and column slices are tested entry by entry too.
+        a = rng.standard_normal((8, 8))
+        a[5, 2] = np.nan
+        for view in (a.T, a[:, ::2], a[1::3, 1:], a[:, 3::2]):
+            assert _finite(view) is bool(np.isfinite(view).all())
+
+    def test_empty_is_finite(self):
+        assert _finite(np.zeros((0, 3))) is _finite(np.zeros((3, 0))) is True
 
 
 class TestRk4:
