@@ -24,8 +24,8 @@ with Phi_L (Phi) keeping the strict lower (upper) triangle and half the
 diagonal, so that dS S^T + S dS^T = dP/dt and dU^T U + U^T dU = dJ/dt.
 Every inverse is a triangular solve.
 
-Both fields read the gaussian observation whitened by R = L L^T, through
-the helper of :func:`kalgrad.model.mean_linearisation`:
+Both fields read the gaussian observation y(t) whitened by R = L L^T,
+through the helper of :func:`kalgrad.model.mean_linearisation`:
 B = L^-1 H and e = (y(t) - h(s, u_t)) L^-T, so H^T R^-1 (y - h) = B^T e
 and H^T R^-1 H = B^T B.
 
@@ -42,7 +42,8 @@ triangular, and positivity is monitored, never enforced: after each step
 every factor must be finite with a positive diagonal, with no floor.  An
 error inside a step names the side and the step's grid time: in a stack,
 the side whose field fails first, stage by stage and, within a stage, in
-the order of the stack.
+the order of the stack; :func:`_field` tests each side's slice of every
+RK4 stage, and :func:`kalgrad.numerics.rk4_step` none.
 """
 
 from __future__ import annotations
@@ -103,9 +104,9 @@ def bucy_deriv(
     at mean s, lower-triangular covariance factor S (P = S S^T), input
     u = u_t, observation y = y(t) and fading weight alpha = alpha(t); dS/dt
     is lower triangular.  An S with a zero diagonal raises SingularMatrixError."""
-    jac, residual = _whitened(model.family, model.h(s, u), model.jac_h(s, u))
+    jac, residual = _whitened(model.family, model.h(s, u), model.jac_h(s, u), y)
     rows = jac @ factor  # W = B S
-    ds = model.f(s, u) + factor @ (rows.T @ residual(y))
+    ds = model.f(s, u) + factor @ (rows.T @ residual)
     m, info = dtrtrs(factor, model.jac_f(s, u) @ factor, lower=1)
     if info:
         raise SingularMatrixError("covariance factor is singular")
@@ -126,7 +127,7 @@ def cngd_deriv(
     learning rate eta = gamma, time t, input u = u_t and observation
     y = y(t); dU/dt is upper triangular.  A U with an exactly zero
     diagonal entry raises SingularMatrixError, naming t."""
-    jac, residual = _whitened(model.family, model.h(s, u), model.jac_h(s, u))
+    jac, residual = _whitened(model.family, model.h(s, u), model.jac_h(s, u), y)
     n = len(factor)
     # One solve U^T X = [(U F)^T, B^T] gives X = [M^T, V^T]: the Fisher
     # rows of a whitened observation are B itself, and
@@ -136,7 +137,7 @@ def cngd_deriv(
     if info:
         raise SingularMatrixError(f"metric factor is singular at t = {t}")
     m_t, v_t = sol[:, :n], sol[:, n:]
-    ds = model.f(s, u) + eta * dtrtrs(factor, v_t @ residual(y))[0]
+    ds = model.f(s, u) + eta * dtrtrs(factor, v_t @ residual)[0]
     gen = eta * (v_t @ v_t.T) - m_t - m_t.T
     gen.flat[:: n + 1] -= eta
     # Phi keeps the strict upper triangle and half the diagonal.

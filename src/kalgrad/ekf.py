@@ -6,8 +6,9 @@ noise Q_t = alpha_t F P F^T, so that P_pred = (1 + alpha_t) F P F^T.
 
 The observation update reads the one linearisation of
 :func:`kalgrad.model.linearise`: B = d theta / d s in the family's natural
-parameter theta, C = cov(T) at the predicted mean, and the residual
-e = T(y) - E[T].  It is the gain form
+parameter theta, the residual e = T(y) - E[T], and C = cov(T) at the
+predicted mean, built by its ``cov()`` (never the root of C).  It is
+the gain form
 
     K = P_pred B^T (I + C B P_pred B^T)^-1,
     P = P_pred - K C B P_pred,  s += K e,
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.linalg.lapack import dgesv
 
 from . import expfam
-from .errors import NonFiniteError, SingularMatrixError
+from .errors import NonFiniteError, NumericalError, SingularMatrixError, at_step
 from .model import DynamicalModel, Scenario, Trace, linearise, step_dynamics
 
 # GAIN, _OBSERVERS and the solve_psd import are unused here; they stay while
@@ -52,9 +53,13 @@ def transition(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate the Gaussian belief (mean, cov) through the dynamics at
     input ``u`` = u_t under the fading weight alpha_t; returns
-    (mean_pred, P_pred) with P_pred = (1 + alpha_t) F P F^T."""
+    (mean_pred, P_pred) with P_pred = (1 + alpha_t) F P F^T.  A numerical
+    error raised here names the step."""
     mean_pred = step_dynamics(model, mean, u, t)
-    f_jac = model.jac_f(mean, u)
+    try:
+        f_jac = model.jac_f(mean, u)
+    except NumericalError as exc:
+        raise at_step(exc, t)
     # An overflow here is reported below, as a failure of this step.
     with np.errstate(over="ignore", invalid="ignore"):
         cov_pred = symmetrize((1.0 + alpha_t) * (f_jac @ cov @ f_jac.T))
@@ -76,18 +81,19 @@ def observe_gain(
     sufficient statistics ``stats`` = T(y_t) at input ``u`` = u_t:
     K = P B^T (I + C B P B^T)^-1, s += K e; returns the posterior
     (mean, cov)."""
-    lin = linearise(model, family, mean, u, t)
+    lin = linearise(model, family, mean, u, stats, t)
+    c_mat = lin.cov()
     bp = lin.jac @ cov
     # K^T = (I + B P B^T C)^-1 B P; the matrix is I plus a product of two
     # PSD matrices, so it is singular only in floating point.
-    innov = bp @ lin.jac.T @ lin.cov
+    innov = bp @ lin.jac.T @ c_mat
     innov.flat[:: innov.shape[0] + 1] += 1.0
     gain_t, info = dgesv(innov, bp, overwrite_a=1)[2:]
     if info:
         raise SingularMatrixError(f"gain-form innovation matrix singular at t = {t}")
     gain = gain_t.T
-    cov_post = symmetrize(cov - gain @ lin.cov @ bp)
-    mean_post = mean + gain @ lin.residual(stats)
+    cov_post = symmetrize(cov - gain @ c_mat @ bp)
+    mean_post = mean + gain @ lin.residual
     if not (_finite(mean_post) and _finite(cov_post)):
         raise NonFiniteError(f"observation update non-finite at t = {t}")
     return mean_post, cov_post

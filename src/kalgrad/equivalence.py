@@ -310,8 +310,8 @@ def check_continuous(
     """Integrate both continuous filters together per step size
     (:func:`kalgrad.bucy.run`, from one start of each side) and compare;
     the step sizes are checked (:func:`kalgrad.bucy.step_sizes`) before
-    any grid is integrated.  A numerical error names the side that fails
-    at the earliest grid step, ``bucy`` if both fail in one step.
+    any grid is integrated.  A numerical error names the side whose field
+    fails at the earliest RK4 stage, ``bucy`` if both fail in one stage.
 
     Passes when the finest grid meets ``tol`` in both state and metric
     deviation and the coarse-to-fine log-log slope is at least

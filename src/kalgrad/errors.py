@@ -29,6 +29,13 @@ class OutOfSupportError(NumericalError):
     """An observation lies outside the support of its observation family."""
 
 
+def at_step(exc: NumericalError, t) -> NumericalError:
+    """``exc``, the same object, with its message now naming step t, for
+    its handler to re-raise."""
+    exc.args = (f"{exc} at t = {t}",)
+    return exc
+
+
 class UnknownModelError(KalgradError):
     """Requested built-in model name is not registered."""
 

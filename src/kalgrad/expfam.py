@@ -18,15 +18,16 @@ logits, the linear predictor of a model with the canonical link), where
 ``yhat = mean(x)`` and ``d yhat / d x = V(x) = cov(T)``.  In ``x`` the
 Fisher is ``V(x)`` and the score ``T(y) - mean(x)``, both finite for
 every finite ``x``, even where ``mean(x)`` rounds to the boundary.
-:func:`canonical_variance`, :func:`canonical_residual` and
-:func:`canonical_root` (S with S^T S = V(x), by the same simplex root)
-compute them without forming ``1 - yhat`` by subtraction.
-:func:`canonical_parts` forms all three from one evaluation of the
-probabilities p, 1 - p and p_K at ``x``; a linearisation
-(:func:`kalgrad.model.linearise`) reads them from it.
+:func:`canonical_parts` gives a linearisation
+(:func:`kalgrad.model.linearise`) the score, and ``V(x)`` and its root
+S^T S = V(x) built when called, from one evaluation of the
+probabilities p, 1 - p and p_K at ``x``, with no ``1 - yhat`` formed by
+subtraction.
 
-Every finiteness check here (of a mean, a natural parameter or a
-gaussian observation) is :func:`kalgrad.numerics._finite`.
+:func:`check_mean` and the natural-parameter check are the one test of
+an observed mean or predictor: its shape, its finiteness
+(:func:`kalgrad.numerics._finite`, as for a gaussian observation) and
+its domain.
 
 Categorical distributions keep K-1 free coordinates (probabilities of the
 first K-1 classes) so the covariance stays invertible; the full-simplex
@@ -215,18 +216,18 @@ def canonical_mean(family: ObservationFamily, x) -> np.ndarray:
     return _canonical_probs(family, x)[0]
 
 
-def canonical_parts(family: ObservationFamily, x) -> tuple[np.ndarray, Callable, Callable]:
-    """The Fisher, score and Fisher root at natural parameter x, from one
-    evaluation of the probabilities p, 1 - p and p_K there:
-    (:func:`canonical_variance`, stats -> :func:`canonical_residual`,
-    () -> :func:`canonical_root`)."""
+def canonical_parts(
+    family: ObservationFamily, x, stats
+) -> tuple[np.ndarray, Callable[[], np.ndarray], Callable[[], np.ndarray]]:
+    """The score T - mean(x) of sufficient statistics ``stats`` = T, one
+    vector or one row per draw, then V(x) and its root S^T S = V(x)
+    (:func:`_simplex_root`) as callables that build them, all from one
+    evaluation of the probabilities p, 1 - p and p_K at natural parameter
+    x.  An entry 1 of T takes 1 - p from the complements."""
     p, comp, last = _canonical_probs(family, x)
-    v = -np.outer(p, p)
-    np.fill_diagonal(v, p * comp)
-    # An entry 1 of T takes 1 - p from the complements, not by subtraction.
     return (
-        v,
-        lambda stats: np.where(np.asarray(stats) == 1.0, comp, -p),
+        np.where(np.asarray(stats) == 1.0, comp, -p),
+        lambda: _variance(p, comp),
         lambda: _simplex_root(p, comp, last),
     )
 
@@ -238,17 +239,15 @@ def canonical_variance(family: ObservationFamily, x) -> np.ndarray:
     Bernoulli: expit(x) expit(-x).  Categorical: diag(p (1 - p)) - p p^T
     off the diagonal.  Finite, and possibly zero, for every finite x.
     """
-    return canonical_parts(family, x)[0]
+    return _variance(*_canonical_probs(family, x)[:2])
 
 
-def canonical_residual(family: ObservationFamily, stats, x) -> np.ndarray:
-    """T(y) - mean(x): the score with respect to the natural parameter.
-
-    ``stats`` holds sufficient statistics T(y), one vector or one row per
-    draw.  Their entries are 0 or 1, and an entry 1 - p is taken from the
-    complements rather than by subtraction.
-    """
-    return canonical_parts(family, x)[1](stats)
+def _variance(p: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """diag(p) - p p^T for kept-class probabilities p, with the diagonal
+    p (1 - p) formed from their complements comp = 1 - p."""
+    v = -np.outer(p, p)
+    np.fill_diagonal(v, p * comp)
+    return v
 
 
 def whitener(family: ObservationFamily, yhat: np.ndarray) -> np.ndarray:
@@ -263,13 +262,6 @@ def whitener(family: ObservationFamily, yhat: np.ndarray) -> np.ndarray:
     inv = np.outer(q, q / (s * (1.0 + s)))
     inv.flat[:: q.size + 1] += 1.0
     return inv / q
-
-
-def canonical_root(family: ObservationFamily, x) -> np.ndarray:
-    """A square root S of cov(T) = V(x) at natural parameter x,
-    S^T S = V(x); see :func:`_simplex_root`.  Finite for every finite x,
-    and 0 where the mean saturates."""
-    return canonical_parts(family, x)[2]()
 
 
 def _simplex_root(p: np.ndarray, comp: np.ndarray, last: float) -> np.ndarray:

@@ -6,12 +6,12 @@ A discrete model provides the transition ``f(s, u)``, the observation map
 Jacobians (analytic, or central differences as a fallback), and a
 deterministic input path ``u_t`` indexed by t >= 1.
 
-:func:`linearise` linearises an observation in the natural parameter
-theta of its family.  It returns ``B = d theta / d s``, ``C = cov(T)`` at
-the predicted mean, that mean, and the residual ``e = T - E[T]`` of given
-sufficient statistics; the score in the state is ``e B`` and the Fisher
-information ``B^T C B``; it also carries a square root of ``C`` from which
-the gradient side builds its Fisher rows.  Through the mean parameter the
+:func:`linearise` linearises sufficient statistics ``T`` in the natural
+parameter theta of their family.  It returns ``B = d theta / d s`` and
+the residual ``e = T - E[T]``, the score in the state being ``e B``, and
+builds, only when called, ``C = cov(T)`` at the predicted mean for the
+filter's Fisher ``B^T C B`` and a root ``S`` of ``C`` for the gradient
+side's Fisher rows ``S B``.  Through the mean parameter the
 observation is read whitened by ``S^-T`` for the square root ``S`` of
 ``cov(T)`` there: ``B = S^-T H``, ``C = I`` and ``e = (T - h) S^-1``,
 with ``H`` the Jacobian of ``h`` (:func:`mean_linearisation`, whose
@@ -51,7 +51,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import expfam
-from .errors import NonFiniteError, NumericalError, OutOfSupportError, UnknownModelError
+from .errors import NonFiniteError, NumericalError, OutOfSupportError, UnknownModelError, at_step
 from .numerics import _finite, fd_jacobian
 
 Array = np.ndarray
@@ -170,8 +170,7 @@ class Scenario:
             try:
                 stats[t - 1] = expfam.sufficient_stats(self.family, y)
             except OutOfSupportError as exc:
-                exc.args = (f"{exc} at t = {t}",)
-                raise
+                raise at_step(exc, t)
         inputs.flags.writeable = stats.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "stats", stats)
@@ -209,19 +208,19 @@ class Linearisation:
     """One observation linearised in the natural parameter theta of its
     family, at a predicted state.
 
-    ``jac`` is B = d theta / d s and ``cov`` is C = cov(T) at the
-    predicted mean, both in whitened coordinates, C = I, off a canonical
-    link (:func:`mean_linearisation`).  ``residual(stats)`` is T - E[T] for
-    sufficient statistics T, one vector or one row per draw.  The score of
-    T in the state is ``residual(T) @ jac`` and the Fisher information is
-    ``jac.T @ cov @ jac``.  ``root()`` is a square root S of C, S^T S = C,
-    made only when called, so that the Fisher is W^T W for the rows
-    W = S B.
+    ``jac`` is B = d theta / d s and ``residual`` is e = T - E[T] for the
+    sufficient statistics T it was made with, one vector or one row per
+    draw, both in whitened coordinates off a canonical link
+    (:func:`mean_linearisation`).  The score of T in the state is
+    ``residual @ jac``.  ``cov()`` is C = cov(T) at the predicted mean and
+    ``root()`` a square root S of C, S^T S = C, each made only when called
+    (the shared identity off a canonical link), so that the Fisher
+    information is ``jac.T @ cov() @ jac`` or W^T W for the rows W = S B.
     """
 
     jac: Array
-    cov: Array
-    residual: Callable[[Array], Array]
+    residual: Array
+    cov: Callable[[], Array]
     root: Callable[[], Array]
 
 
@@ -234,57 +233,51 @@ def _identity(n: int) -> Array:
 
 
 def _whitened(
-    family: expfam.ObservationFamily, mean: Array, h_jac: Array
-) -> tuple[Array, Callable[[Array], Array]]:
-    """B = S^-T H and the map from T to e = (T - h) S^-1 for an observation
-    with mean ``mean`` = h(s, u), which :func:`expfam.check_mean` must pass,
-    Jacobian ``h_jac`` = H and S^-T = :func:`expfam.whitener`'s."""
+    family: expfam.ObservationFamily, mean, h_jac: Array, stats: Array
+) -> tuple[Array, Array]:
+    """B = S^-T H and e = (T - h) S^-1 for sufficient statistics ``stats``
+    = T of an observation with mean ``mean`` = h(s, u), which
+    :func:`expfam.check_mean` tests, Jacobian ``h_jac`` = H and S^-T =
+    :func:`expfam.whitener`'s."""
     mean = expfam.check_mean(family, mean)
     whitener = expfam.whitener(family, mean)
-    return whitener @ h_jac, lambda stats: (stats - mean) @ whitener.T
+    return whitener @ h_jac, (stats - mean) @ whitener.T
 
 
 def mean_linearisation(
-    family: expfam.ObservationFamily, mean: Array, h_jac: Array
+    family: expfam.ObservationFamily, mean, h_jac: Array, stats: Array
 ) -> Linearisation:
-    """Linearisation through the mean parameter ``mean`` = h(s, u), strictly
-    inside the family's domain, whose Jacobian in the state is ``h_jac`` = H,
-    read whitened (:func:`_whitened`): B = S^-T H, C = S = I and
-    e = (T - h) S^-1, so e B = (T - h) cov(T)^-1 H and
-    B^T C B = H^T cov(T)^-1 H with no solve with cov(T)."""
-    jac, residual = _whitened(family, mean, h_jac)
-    eye = _identity(family.mean_dim)
-    return Linearisation(jac, eye, residual, lambda: eye)
-
-
-def _observed(fn: Map, s: Array, u: Array) -> Array:
-    value = np.asarray(fn(s, u), dtype=float)
-    if not _finite(value):
-        raise NonFiniteError("observation map non-finite")
-    return value
+    """Linearisation of sufficient statistics ``stats`` = T through the mean
+    parameter ``mean`` = h(s, u), strictly inside the family's domain,
+    whose Jacobian in the state is ``h_jac`` = H, read whitened
+    (:func:`_whitened`): B = S^-T H, e = (T - h) S^-1 and C = S = I, so
+    e B = (T - h) cov(T)^-1 H and B^T C B = H^T cov(T)^-1 H with no solve
+    with cov(T)."""
+    jac, residual = _whitened(family, mean, h_jac, stats)
+    eye = functools.partial(_identity, family.mean_dim)
+    return Linearisation(jac, residual, eye, eye)
 
 
 def linearise(
-    model: DynamicalModel, family: expfam.ObservationFamily, s: Array, u: Array, t: int
+    model: DynamicalModel, family: expfam.ObservationFamily, s: Array, u: Array, stats: Array, t: int
 ) -> Linearisation:
-    """Linearise the observation of ``family`` at state ``s``, input ``u``
-    = u_t and time t, which a numerical error raised here names.
+    """Linearise the observation of ``family`` with sufficient statistics
+    ``stats`` = T(y_t) at state ``s``, input ``u`` = u_t and time t, which a
+    numerical error raised here names.
 
     Under a declared canonical link, theta is the linear predictor x:
-    B = G, and C = V(x), the residuals and the root of C are
-    :func:`expfam.canonical_parts` at x, from one evaluation of the
-    probabilities there.  Otherwise this is :func:`mean_linearisation` at
-    the mean h(s, u).
+    B = G, and the residual, C = V(x) and the root of C are
+    :func:`expfam.canonical_parts` at x.  Otherwise this is
+    :func:`mean_linearisation` at the mean h(s, u).  Either tests the
+    observed value, x or h(s, u), once.
     """
     try:
         if model.canonical_link(family):
-            x = _observed(model.predictor, s, u)
-            return Linearisation(model.jac_predictor(s, u), *expfam.canonical_parts(family, x))
-        return mean_linearisation(family, _observed(model.h, s, u), model.jac_h(s, u))
+            parts = expfam.canonical_parts(family, model.predictor(s, u), stats)
+            return Linearisation(model.jac_predictor(s, u), *parts)
+        return mean_linearisation(family, model.h(s, u), model.jac_h(s, u), stats)
     except NumericalError as exc:
-        # The same object is re-raised, now naming the step.
-        exc.args = (f"{exc} at t = {t}",)
-        raise
+        raise at_step(exc, t)
 
 
 def step_dynamics(model: DynamicalModel, s: Array, u: Array, t: int) -> Array:
@@ -315,8 +308,10 @@ def generate_scenario(
     for t in range(1, horizon + 1):
         u = model.input_at(t)
         states[t] = step_dynamics(model, states[t - 1], u, t)
-        yhat = np.asarray(model.h(states[t], u), dtype=float)
-        observations.append(expfam.sample(family, yhat, rng))
+        try:
+            observations.append(expfam.sample(family, model.h(states[t], u), rng))
+        except NumericalError as exc:
+            raise at_step(exc, t)
     return Scenario(
         model=model,
         family=family,

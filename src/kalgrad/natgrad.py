@@ -17,11 +17,11 @@ into a dense J instead rounds it away once cond(J) nears 1/eps times the
 Fisher's share; the factor keeps it.
 
 The score and the Fisher come from the one linearisation of
-:func:`kalgrad.model.linearise` (B = d theta / d s, C = cov(T) at the
-predicted mean, e = T(y) - E[T]): the score in the state is e B and the
-Fisher the exact per-observation Fisher B^T C B = W^T W, with the rows
-W = S B for the square root S of C the linearisation carries (never a
-Cholesky factor of C, which is singular where a canonical mean
+:func:`kalgrad.model.linearise` (B = d theta / d s, e = T(y) - E[T]):
+the score in the state is e B and the Fisher the exact per-observation
+Fisher B^T C B = W^T W, with the rows W = S B for the square root S of
+C = cov(T) at the predicted mean built by its ``root()`` (never C, nor
+a Cholesky factor of C, which is singular where a canonical mean
 saturates).  The tests check it against a Monte Carlo average of score
 outer products.
 
@@ -55,7 +55,7 @@ import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgesdd, dgetrf, dgetrs, dtrtrs
 
 from . import expfam
-from .errors import NonFiniteError, NumericalError, SingularMatrixError
+from .errors import NonFiniteError, NumericalError, SingularMatrixError, at_step
 from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise, step_dynamics
 # solve_psd is not called here; certbench's tests read this module's copy.
 from .numerics import _factor_psd, _finite, schedule, solve_psd  # noqa: F401
@@ -143,9 +143,7 @@ def chart_transport(
             kept = chart(psi)
         return value, pushforward_metric(factor, kept), kept
     except NumericalError as exc:
-        # The same object is re-raised, now naming the step.
-        exc.args = (f"{exc} at t = {t}",)
-        raise
+        raise at_step(exc, t)
 
 
 def fisher_rows(lin: Linearisation) -> np.ndarray:
@@ -187,8 +185,8 @@ def update(
     NonFiniteError
         If the blended factor or the step holds an inf or nan.
     """
-    lin = linearise(model, family, state, u, t)
-    score_state = lin.residual(stats) @ lin.jac
+    lin = linearise(model, family, state, u, stats, t)
+    score_state = lin.residual @ lin.jac
     n = factor.shape[0]
     rows = np.concatenate(
         (math.sqrt(1.0 - gamma_t) * factor, math.sqrt(gamma_t) * fisher_rows(lin))

@@ -16,6 +16,8 @@ directions (``hidden``, ``tanh20``, the random stable systems of ``draw``,
 ``ill_r_draw`` and ``bernoulli_draw``, and the continuous ``hidden_ct``),
 and ``softmax_track``, categorical observations under dynamics."""
 
+from typing import Callable
+
 import numpy as np
 import scipy.linalg
 
@@ -108,16 +110,18 @@ def suffstats_batch(family: expfam.ObservationFamily, draws) -> np.ndarray:
 
 
 def mc_fisher(
-    lin: Linearisation,
+    lin_of: Callable[[np.ndarray], Linearisation],
     family: expfam.ObservationFamily,
     mean,
     rng: np.random.Generator,
     n: int,
 ) -> np.ndarray:
     """Monte Carlo Fisher: the average outer product of the state scores of
-    ``n`` draws at ``mean``, the predicted mean ``lin`` was taken at."""
+    ``n`` draws at ``mean``, from ``lin_of(stats)``, the linearisation of
+    their statistics at the predicted mean ``mean``."""
     draws = expfam.sample(family, mean, rng, size=n)
-    scores = lin.residual(suffstats_batch(family, draws)) @ lin.jac  # one row per draw
+    lin = lin_of(suffstats_batch(family, draws))
+    scores = lin.residual @ lin.jac  # one row per draw
     return symmetrize(scores.T @ scores / n)
 
 
@@ -125,12 +129,12 @@ def observe_information(mean, cov, stats, model, family, u, t):
     """Inverse-covariance EKF update of the predicted (mean, cov), with the
     arguments of :func:`kalgrad.ekf.observe_gain`: P^-1 = P_pred^-1 +
     B^T C B, s += P B^T e; returns the posterior."""
-    lin = linearise(model, family, mean, u, t)
+    lin = linearise(model, family, mean, u, stats, t)
     dim = cov.shape[0]
     prec_pred = solve_psd(cov, np.eye(dim))
-    prec = symmetrize(prec_pred + lin.jac.T @ lin.cov @ lin.jac)
+    prec = symmetrize(prec_pred + lin.jac.T @ lin.cov() @ lin.jac)
     cov_post = symmetrize(solve_psd(prec, np.eye(dim)))
-    score = lin.residual(stats) @ lin.jac
+    score = lin.residual @ lin.jac
     return mean + cov_post @ score, cov_post
 
 
@@ -176,10 +180,11 @@ def plain_online_natgrad(
             h_jac = np.asarray(jacobian_h(theta, u), dtype=float)
         else:
             h_jac = fd_jacobian(lambda v: h(v, u), theta)
-        lin = mean_linearisation(family, np.asarray(h(theta, u), dtype=float), h_jac)
+        stats = expfam.sufficient_stats(family, y)
+        lin = mean_linearisation(family, np.asarray(h(theta, u), dtype=float), h_jac, stats)
         rows_w = fisher_rows(lin)
         metric = symmetrize((1.0 - gamma_t) * metric + gamma_t * rows_w.T @ rows_w)
-        score = lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
+        score = lin.residual @ lin.jac
         theta = theta + eta_t * solve_psd(metric, score)
         states[t], metrics[t] = theta, metric
     return states, metrics

@@ -44,12 +44,12 @@ def scalar_integrator_model():
     )
 
 
-def linearised(model, s, r=None):
-    """The continuous fields' linearisation at state s, with covariance r
-    in place of the model's."""
+def linearised(model, s, y, r=None):
+    """The continuous fields' linearisation of the observation y at state
+    s, with covariance r in place of the model's."""
     family = model.family if r is None else expfam.gaussian(r)
     s, u = np.asarray(s, dtype=float), np.zeros(0)
-    return mean_linearisation(family, model.h(s, u), model.jac_h(s, u))
+    return mean_linearisation(family, model.h(s, u), model.jac_h(s, u), y)
 
 
 def covariance_rate(factor, dfactor):
@@ -65,14 +65,14 @@ def read_at(model, t):
 
 def score(model, s, y, r=None):
     """Row gradient of the instantaneous log-likelihood in the state: e B."""
-    lin = linearised(model, s, r)
-    return lin.residual(np.atleast_1d(np.asarray(y, dtype=float))) @ lin.jac
+    lin = linearised(model, s, np.atleast_1d(np.asarray(y, dtype=float)), r)
+    return lin.residual @ lin.jac
 
 
 def fisher(model, r=None):
     """Instantaneous Fisher matrix in the current-state chart, B^T C B, as
     W^T W for the Fisher rows W the factor flow reads."""
-    rows = natgrad.fisher_rows(linearised(model, np.zeros(model.dim_state), r))
+    rows = natgrad.fisher_rows(linearised(model, np.zeros(model.dim_state), np.zeros(model.dim_obs), r))
     return rows.T @ rows
 
 
@@ -162,7 +162,7 @@ class TestInstFisher:
             r = random_spd(rng, 2)
             cont = fisher(linear_ct(h_jac, r))
             fam = expfam.gaussian(r)
-            rows = natgrad.fisher_rows(mean_linearisation(fam, np.zeros(2), h_jac))
+            rows = natgrad.fisher_rows(mean_linearisation(fam, np.zeros(2), h_jac, np.zeros(2)))
             disc = rows.T @ rows
             np.testing.assert_allclose(cont, disc, atol=1e-12)
             np.testing.assert_allclose(cont, h_jac.T @ np.linalg.inv(r) @ h_jac, atol=1e-12)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import re
 import sys
 
@@ -19,6 +20,7 @@ from kalgrad.equivalence import (
 )
 from kalgrad.errors import DomainError, NonFiniteError, SingularMatrixError
 from kalgrad.model import DynamicalModel, builtin, generate_scenario
+from kalgrad.numerics import fd_jacobian
 
 from conftest import gradient_metrics
 from oracles import (
@@ -230,6 +232,35 @@ class TestCheckDiscrete:
         )
         with pytest.raises(SingularMatrixError, match=f"^{re.escape(message)}$"):
             check_discrete(scenario, np.zeros(2), np.eye(2), alpha=0.1)
+
+    @staticmethod
+    def failing_jacobian_scenario():
+        """tanhspring, whose Jacobian of f, on its third call, is central
+        differences of a map that is nan at the expansion point."""
+        model = builtin("tanhspring")
+        analytic, calls = model.jacobian_f, itertools.count(1)
+
+        def jacobian_f(s, u):
+            if next(calls) == 3:
+                return fd_jacobian(lambda v: np.full(2, np.nan), s)
+            return analytic(s, u)
+
+        model = dataclasses.replace(model, jacobian_f=jacobian_f)
+        return generate_scenario(model, expfam.gaussian(0.25 * np.eye(2)), 10, seed=0)
+
+    @pytest.mark.parametrize(
+        "run, prefix",
+        [
+            (lambda sc: ekf.run(sc, 0.1, np.zeros(2), np.eye(2)), ""),
+            (lambda sc: natgrad.run(sc, 0.5, 0.5, np.zeros(2), np.eye(2)), ""),
+            (lambda sc: check_discrete(sc, np.zeros(2), np.eye(2), alpha=0.1), "filter side: "),
+        ],
+        ids=["filter", "gradient", "certificate"],
+    )
+    def test_a_failing_transition_jacobian_names_its_step(self, run, prefix):
+        message = f"{prefix}map is non-finite at the expansion point at t = 3"
+        with pytest.raises(NonFiniteError, match=f"^{re.escape(message)}$"):
+            run(self.failing_jacobian_scenario())
 
     @pytest.mark.parametrize("seed, t", [(0, 21), (1, 16), (2, 14)])
     def test_saturated_mean_parameter_names_step_and_side(self, seed, t):
@@ -645,8 +676,9 @@ def count_finiteness_checks(monkeypatch):
 class TestPerStepChecks:
     """Structure guard: every per-step check of a certificate is one call
     of numerics._finite, in both time domains, and none calls np.isfinite
-    itself; a canonical-link linearisation evaluates the probabilities at
-    its predictor once."""
+    itself; each observed value and each RK4 stage is tested once; a
+    canonical-link linearisation evaluates the probabilities at its
+    predictor once, and each side builds only the matrix it reads."""
 
     @pytest.mark.parametrize("name", equivalence.SWEEP_MODELS)
     def test_sweep_cell_checks_each_step_through_finite(self, monkeypatch, name):
@@ -654,16 +686,15 @@ class TestPerStepChecks:
         sites, direct = count_finiteness_checks(monkeypatch)
         assert check_discrete(scenario, s0, p0, alpha=0.1).passed
         steps = scenario.horizon
-        # Per pair step: each side's transition and linearisation (the
-        # predictor or h, then the mean or the natural parameter), the
-        # filter's predicted covariance and posterior, the gradient's
-        # factor and step.  Per cell: the prior P_0 and J_0 once each, and
-        # the chart of a constant F once.
+        # Nine per pair step: each side's transition and its observed
+        # value (the mean h or the natural parameter, tested once where it
+        # is read), the filter's predicted covariance and posterior, the
+        # gradient's factor and step.  Per cell: the prior P_0 and J_0
+        # once each, and the chart of a constant F once.
         canonical = name == "logistic-static"
         expected = {
             "step_dynamics": 2 * steps,
             "transition": steps,
-            "_observed": 2 * steps,
             "_as_natural" if canonical else "check_mean": 2 * steps,
             "observe_gain": 2 * steps,
             "update": 2 * steps,
@@ -681,12 +712,12 @@ class TestPerStepChecks:
         )
         assert result.passed
         steps = 10 + 20
-        # Per RK4 step: four stages, each the derivative of two sides and
-        # the mean of each side's observation, then one positivity check
-        # of both factors.  Per certificate: P_0 twice and J_0 once, and
-        # the start of each side.
+        # Per RK4 step: four stages, each the derivative of two sides,
+        # tested once by the field and never by rk4_step, and the mean of
+        # each side's observation, then one positivity check of both
+        # factors.  Per certificate: P_0 twice and J_0 once, and the start
+        # of each side.
         assert sites == {
-            "stage": 4 * steps,
             "deriv": 8 * steps,
             "check_mean": 8 * steps,
             "check": steps + 2,
@@ -713,9 +744,9 @@ class TestPerStepChecks:
         calls = collections.Counter()
 
         def counting(fn):
-            def counted(family, x):
+            def counted(family, x, *stats):
                 calls[fn.__name__, sys._getframe(1).f_code.co_name] += 1
-                return fn(family, x)
+                return fn(family, x, *stats)
 
             return counted
 
@@ -733,6 +764,38 @@ class TestPerStepChecks:
         calls.clear()
         assert check_discrete(unlinked(scenario), s0, p0, alpha=0.1).passed
         assert ("canonical_parts", "linearise") not in calls
+
+    @pytest.mark.parametrize("track", [False, True], ids=["logistic-static", "softmax-track"])
+    def test_each_side_builds_only_the_matrix_it_reads(self, monkeypatch, track):
+        # Per step the filter builds C = V(x) once and never its root; the
+        # gradient side builds the root once and never C.
+        scenario, s0, p0 = softmax_track(0) if track else equivalence.sweep_cell("logistic-static", 50, 0)
+        side, built = [None], collections.Counter()
+
+        def during(name, step):
+            def wrapped(*args):
+                side[0] = name
+                try:
+                    return step(*args)
+                finally:
+                    side[0] = None
+
+            return wrapped
+
+        def counting(builder):
+            def counted(*args):
+                built[side[0], builder.__name__] += 1
+                return builder(*args)
+
+            return counted
+
+        monkeypatch.setattr(ekf, "observe_gain", during("filter", ekf.observe_gain))
+        monkeypatch.setattr(natgrad, "update", during("gradient", natgrad.update))
+        for name in ("_variance", "_simplex_root"):
+            monkeypatch.setattr(expfam, name, counting(getattr(expfam, name)))
+        assert check_discrete(scenario, s0, p0, alpha=0.1).passed
+        steps = scenario.horizon
+        assert built == {("filter", "_variance"): steps, ("gradient", "_simplex_root"): steps}
 
 
 class TestCanonicalLinkEquivalence:

@@ -150,22 +150,24 @@ def fd_grad_wrt_mean(family, y, yhat, h=1e-6):
     return grad
 
 
-def _mean_linearisation(family, yhat):
-    """Linearisation of an observation whose mean is the state (H = I)."""
-    return mean_linearisation(family, np.asarray(yhat, dtype=float), np.eye(family.mean_dim))
+def _mean_linearisation(family, yhat, stats):
+    """Linearisation of statistics ``stats`` of an observation whose mean
+    is the state (H = I)."""
+    yhat = np.asarray(yhat, dtype=float)
+    return mean_linearisation(family, yhat, np.eye(family.mean_dim), stats)
 
 
 def score_wrt_mean(family, y, yhat):
     """Row gradient of log p(y | yhat) in the mean parameter, read from the
     linearisation."""
-    lin = _mean_linearisation(family, yhat)
-    return lin.residual(expfam.sufficient_stats(family, y)) @ lin.jac
+    lin = _mean_linearisation(family, yhat, expfam.sufficient_stats(family, y))
+    return lin.residual @ lin.jac
 
 
 def fisher_wrt_mean(family, yhat):
     """Exact Fisher information in the mean parameter, W^T W for the Fisher
     rows the linearisation gives."""
-    rows = natgrad.fisher_rows(_mean_linearisation(family, yhat))
+    rows = natgrad.fisher_rows(_mean_linearisation(family, yhat, yhat))
     return rows.T @ rows
 
 
@@ -346,7 +348,7 @@ class TestCanonical:
             y = random_observation(family, rng)
             stats = expfam.sufficient_stats(family, y)
             np.testing.assert_allclose(
-                expfam.canonical_residual(family, stats, x),
+                expfam.canonical_parts(family, x, stats)[0],
                 stats - expfam.canonical_mean(family, x),
                 rtol=1e-12, atol=1e-15,
             )
@@ -368,16 +370,16 @@ class TestCanonical:
             cov_suffstats(fam, expfam.canonical_mean(fam, x))
         q = np.exp(-40.0) / (1.0 + np.exp(-40.0))
         np.testing.assert_allclose(expfam.canonical_variance(fam, x), [[q]], rtol=1e-14)
-        np.testing.assert_allclose(expfam.canonical_residual(fam, [1.0], x), [q], rtol=1e-14)
-        np.testing.assert_array_equal(expfam.canonical_residual(fam, [0.0], x), [-1.0])
-        np.testing.assert_allclose(expfam.canonical_residual(fam, [1.0], [-40.0]), [1.0])
+        np.testing.assert_allclose(expfam.canonical_parts(fam, x, [1.0])[0], [q], rtol=1e-14)
+        np.testing.assert_array_equal(expfam.canonical_parts(fam, x, [0.0])[0], [-1.0])
+        np.testing.assert_allclose(expfam.canonical_parts(fam, [-40.0], [1.0])[0], [1.0])
 
     def test_bernoulli_variance_underflows_to_zero(self):
         fam = expfam.bernoulli()
         for x in ([800.0], [-800.0]):
             v = expfam.canonical_variance(fam, x)
             assert v[0, 0] == 0.0
-            assert np.all(np.isfinite(expfam.canonical_residual(fam, [1.0], x)))
+            assert np.all(np.isfinite(expfam.canonical_parts(fam, x, [1.0])[0]))
 
     def test_categorical_saturation_keeps_complement(self):
         fam = expfam.categorical(3)
@@ -387,7 +389,7 @@ class TestCanonical:
         rest = 2.0 * np.exp(-40.0) / (1.0 + 2.0 * np.exp(-40.0))
         np.testing.assert_allclose(expfam.canonical_variance(fam, x)[0, 0], rest, rtol=1e-14)
         np.testing.assert_allclose(
-            expfam.canonical_residual(fam, expfam.sufficient_stats(fam, 0), x),
+            expfam.canonical_parts(fam, x, expfam.sufficient_stats(fam, 0))[0],
             [rest, -p[1]],
             rtol=1e-14,
         )
@@ -476,19 +478,19 @@ class TestWhitenedObservation:
             mean = random_interior_mean(family, rng)
             stats = expfam.sufficient_stats(family, random_observation(family, rng))
             h = rng.standard_normal((dim, 3))
-            lin = mean_linearisation(family, mean, h)
+            lin = mean_linearisation(family, mean, h, stats)
             whitener = expfam.whitener(family, mean)
             if family.kind == "gaussian":
                 assert whitener is family.obs_whitener
             np.testing.assert_allclose(whitener.T @ cov_root(family, mean), np.eye(dim), atol=1e-13)
             assert lin.jac.tobytes() == (whitener @ h).tobytes()
-            for eye in (lin.cov, lin.root()):
+            for eye in (lin.cov(), lin.root()):
                 np.testing.assert_array_equal(eye, np.eye(dim))
                 assert not eye.flags.writeable
             jac = natural_jacobian(family, mean, h)[1]
             np.testing.assert_allclose(lin.jac.T @ lin.jac, h.T @ jac, rtol=1e-13, atol=0)
             np.testing.assert_allclose(
-                lin.residual(stats) @ lin.jac, (stats - mean) @ jac, rtol=1e-13, atol=0
+                lin.residual @ lin.jac, (stats - mean) @ jac, rtol=1e-13, atol=0
             )
 
     # A categorical mean whose dropped class p_K = 1 - sum(p) is small:
@@ -502,20 +504,20 @@ class TestWhitenedObservation:
         mean = np.array(mean)
         family = expfam.categorical(mean.size + 1)
         h = rng.standard_normal((mean.size, 3))
-        lin = mean_linearisation(family, mean, h)
-        rows = natgrad.fisher_rows(lin)
+        rows = natgrad.fisher_rows(mean_linearisation(family, mean, h, mean))
         exact = h.T @ (np.diag(1.0 / mean) + 1.0 / (1.0 - mean.sum())) @ h
         assert np.linalg.norm(rows.T @ rows - exact) <= 1e-12 * np.linalg.norm(exact)
         for label in range(family.num_classes):
-            score = lin.residual(expfam.sufficient_stats(family, label)) @ lin.jac
+            lin = mean_linearisation(family, mean, h, expfam.sufficient_stats(family, label))
+            score = lin.residual @ lin.jac
             assert np.isfinite(score).all()
 
     def test_whitened_linearisation_checks_the_mean(self):
         family, h = expfam.gaussian(np.eye(2)), np.eye(2)
         with pytest.raises(DomainError, match="^gaussian mean must be finite$"):
-            mean_linearisation(family, np.array([np.nan, 0.0]), h)
+            mean_linearisation(family, np.array([np.nan, 0.0]), h, np.zeros(2))
         with pytest.raises(ValueError, match=r"^mean parameter must have shape \(2,\), got \(3,\)$"):
-            mean_linearisation(family, np.zeros(3), h)
+            mean_linearisation(family, np.zeros(3), h, np.zeros(2))
 
     def test_whitener_is_the_read_only_inverse_factor_and_cannot_be_set(self):
         r = np.array([[2.0, 0.3], [0.3, 1.0]])

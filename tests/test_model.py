@@ -5,7 +5,7 @@ import pytest
 
 from kalgrad import bucy, expfam, natgrad
 from kalgrad.equivalence import check_continuous
-from kalgrad.errors import OutOfSupportError, UnknownModelError
+from kalgrad.errors import DomainError, OutOfSupportError, UnknownModelError
 from kalgrad.model import (
     ContinuousModel,
     DynamicalModel,
@@ -326,6 +326,15 @@ class TestGenerateScenario:
         sc = generate_scenario(m, expfam.gaussian(np.eye(2)), 0, seed=0)
         assert sc.horizon == 0
         assert sc.true_states.shape == (1, 2)
+
+    def test_a_refused_observation_mean_names_its_step(self):
+        # |s_t| = 0.99^t drops below 0.9 first at t = 11, where h turns nan.
+        m = dataclasses.replace(
+            builtin("linear2d"),
+            h=lambda s, u: s.copy() if np.linalg.norm(s) >= 0.9 else np.full(2, np.nan),
+        )
+        with pytest.raises(DomainError, match=r"^gaussian mean must be finite at t = 11$"):
+            generate_scenario(m, expfam.gaussian(np.eye(2)), 20, seed=0)
 
 
 class TestScenarioData:

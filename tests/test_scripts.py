@@ -84,8 +84,11 @@ def test_benchmark_lookups_resolve(monkeypatch):
     # entry would break its traced runs, so check the names it reads.  A
     # traced discrete-sweep cell must enter through check_discrete alone
     # and run both sides' step markers, from which aborted cells count
-    # their steps; a traced continuous-pendulum cell must enter through
-    # check_continuous alone and run RK4 on both continuous fields.
+    # their steps, and so must a long-horizon cell; a traced
+    # continuous-pendulum cell must enter through check_continuous alone
+    # and run RK4 on both continuous fields.  Each result must pass the
+    # benchmark's own check, which reads the reports' fields and, for the
+    # linear cells, Scenario.obs through its reference filter.
     monkeypatch.syspath_prepend(str(ROOT / "certbench"))
     try:
         report = importlib.import_module("report")
@@ -94,15 +97,20 @@ def test_benchmark_lookups_resolve(monkeypatch):
     finally:
         for name in ("report", "tracer", "workloads"):
             sys.modules.pop(name, None)
-    cells = [workloads.discrete_sweep(0)[0], workloads.continuous_pendulum(0)[0]]
+    cells = [
+        workloads.discrete_sweep(0)[0], workloads.continuous_pendulum(0)[0], workloads.long_horizon(0)[0],
+    ]
     tracer = tracer_mod.Tracer(kalgrad)
     tracer.install()
     try:
+        results = []
         for index, cell in enumerate(cells):
             tracer.cell = index
-            workloads.call(cell)
+            results.append(workloads.call(cell))
     finally:
         tracer.uninstall()
+    for cell, result in zip(cells, results):
+        assert workloads.check(cell, result, {}).certified, cell.label
     read = {*report.CALLS_PER_STEP, *report.US_PER_CALL, "model.generate_scenario"}
     read.update(*report.STEP_MARKERS.values())
     assert read - set(tracer.names) == set()
@@ -110,6 +118,7 @@ def test_benchmark_lookups_resolve(monkeypatch):
     expected = {
         0: ("equivalence.check_discrete", set(report.STEP_MARKERS[workloads.DISCRETE])),
         1: ("equivalence.check_continuous", {"numerics.rk4_step", "bucy.bucy_deriv", "bucy.cngd_deriv"}),
+        2: ("equivalence.check_discrete", set(report.STEP_MARKERS[workloads.DISCRETE])),
     }
     for index, (root, markers) in expected.items():
         cell_spans = spans[spans[:, 5] == index]

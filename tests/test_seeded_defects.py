@@ -27,8 +27,8 @@ SEEDS = 3
 
 def _pre_blend_update(state, factor, stats, model, family, u, eta_t, gamma_t, t):
     # The natural step reads the transported metric, not the blended one.
-    lin = linearise(model, family, state, u, t)
-    score_state = lin.residual(stats) @ lin.jac
+    lin = linearise(model, family, state, u, stats, t)
+    score_state = lin.residual @ lin.jac
     rows = np.vstack(
         (math.sqrt(1.0 - gamma_t) * factor, math.sqrt(gamma_t) * natgrad.fisher_rows(lin))
     )
