@@ -56,9 +56,9 @@ from scipy.linalg.lapack import dtrtrs
 
 from .errors import NonFiniteError, NumericalError, PositivityLostError, SingularMatrixError
 from .model import ContinuousModel, Trace, _whitened
-from .natgrad import _prior_factor, _upper
+from .natgrad import _upper
 # solve_psd is not called here; certbench's tests read this module's copy.
-from .numerics import _factor_psd, _finite, check_eta0, rk4_step, solve_psd, symmetrize  # noqa: F401
+from .numerics import _finite, _prior_factor, check_eta0, rk4_step, solve_psd, symmetrize  # noqa: F401
 
 BUCY = "bucy"
 CNGD = "cngd"
@@ -192,16 +192,12 @@ def start(kind: str, init_state, init_matrix, eta0: float | None = None) -> tupl
     mat0 = symmetrize(np.asarray(init_matrix, dtype=float))
     if kind == BUCY:
         tail = []
-        try:
-            mat0 = _factor_psd(mat0)
-        except NumericalError as exc:
-            exc.args = (f"prior covariance P_0: {exc}",)
-            raise
+        mat0 = _prior_factor(mat0, "prior covariance P_0")
     elif kind == CNGD:
         if eta0 is None:
             raise ValueError("cngd needs the initial rate eta0")
         tail = [check_eta0(eta0)]
-        mat0 = _prior_factor(mat0)
+        mat0 = _prior_factor(mat0, "prior metric J_0").T
     else:
         raise ValueError(f"unknown integration kind {kind!r}")
     if len(mat0) != state.size:

@@ -23,8 +23,8 @@ the mean rounds to the boundary of its domain and C to zero.
 
 The belief (mean, cov), the fading schedule, and each step's input u_t
 and sufficient statistics T(y_t), row t-1 of the scenario's ``inputs``
-and ``stats``, are plain arrays: :func:`run` normalises the schedule once
-and hands each step its float alpha_t and its rows.
+and ``stats``, are plain arrays: :func:`side` normalises the schedule
+once, and :func:`kalgrad.model.run_sides` hands each step its rows.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from scipy.linalg.lapack import dgesv
 
 from . import expfam
 from .errors import NonFiniteError, NumericalError, SingularMatrixError, at_step
-from .model import DynamicalModel, Scenario, Trace, linearise, step_dynamics
+from .model import DynamicalModel, Scenario, Trace, linearise, run_sides, step_dynamics
 
 # GAIN, _OBSERVERS and the solve_psd import are unused here; they stay while
 # certbench's tests read _OBSERVERS[GAIN] and this module's solve_psd.
@@ -102,6 +102,24 @@ def observe_gain(
 _OBSERVERS = {GAIN: observe_gain}
 
 
+def side(scenario: Scenario, alpha, init_mean, init_cov) -> tuple:
+    """The filter side of :func:`kalgrad.model.run_sides` from the Gaussian
+    prior (``init_mean``, ``init_cov``) under the fading schedule
+    ``alpha``, normalised here once; its step is :func:`transition` and
+    then :func:`observe_gain`, both looked up in this module at each call."""
+    alpha = schedule("alpha", alpha, scenario.horizon).tolist()
+    model, family = scenario.model, scenario.family
+    mean, cov = np.asarray(init_mean, dtype=float), np.asarray(init_cov, dtype=float)
+
+    def step(t, u, stats):
+        nonlocal mean, cov
+        mean, cov = transition(mean, cov, model, u, t, alpha[t - 1])
+        mean, cov = observe_gain(mean, cov, stats, model, family, u, t)
+        return mean, cov
+
+    return "filter", mean, cov, step
+
+
 def run(
     scenario: Scenario,
     alpha,
@@ -112,18 +130,6 @@ def run(
     under the fading schedule ``alpha`` (a scalar, or one entry or one per
     step; see :func:`kalgrad.numerics.schedule`), with the gain-form
     update; returns the posterior means and covariances, row 0 the prior.
-    Step t reads row t-1 of the scenario's ``inputs`` and ``stats``."""
-    alpha = schedule("alpha", alpha, scenario.horizon)
-    model, family = scenario.model, scenario.family
-    mean = np.asarray(init_mean, dtype=float)
-    cov = np.asarray(init_cov, dtype=float)
-    rows = scenario.horizon + 1
-    means = np.empty((rows,) + mean.shape)
-    covs = np.empty((rows,) + cov.shape)
-    means[0], covs[0] = mean, cov
-    steps = zip(alpha.tolist(), scenario.inputs, scenario.stats)
-    for t, (alpha_t, u, stats) in enumerate(steps, start=1):
-        mean, cov = transition(mean, cov, model, u, t, alpha_t)
-        mean, cov = observe_gain(mean, cov, stats, model, family, u, t)
-        means[t], covs[t] = mean, cov
-    return Trace(means, covs=covs)
+    Step t reads row t-1 of the scenario's ``inputs`` and ``stats``: this
+    is :func:`side` alone through :func:`kalgrad.model.run_sides`."""
+    return run_sides([side(scenario, alpha, init_mean, init_cov)], scenario)[0]

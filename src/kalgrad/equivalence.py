@@ -8,7 +8,9 @@ gradient rates through
 
 with the initializations tied by P_0 = eta_0 * J_0^-1.  Under this map the
 fading-memory filter and the chart-based natural gradient produce the
-same states, and P_t = eta_t * J_t^-1 at every step.
+same states, and P_t = eta_t * J_t^-1 at every step.  The two sides step
+together, the filter's step t and then the gradient's, through
+:func:`kalgrad.model.run_sides`.
 
 Continuous side.  The same statement holds for the Kalman-Bucy filter and
 the natural-gradient flow when gamma = eta and deta/dt = alpha eta - eta^2;
@@ -44,8 +46,8 @@ from . import ekf as ekf_mod
 from . import expfam
 from . import natgrad as ngd_mod
 from .errors import DomainError, NumericalError
-from .model import ContinuousModel, Scenario, Trace, _identity, builtin, generate_scenario
-from .numerics import _factor_psd, check_eta0, schedule, symmetrize
+from .model import ContinuousModel, Scenario, Trace, _identity, builtin, generate_scenario, run_sides
+from .numerics import _prior_factor, check_eta0, schedule, symmetrize
 # solve_psd is not called here; certbench's tests read this module's copy.
 from .numerics import solve_psd  # noqa: F401
 
@@ -177,11 +179,7 @@ def initial_metric(init_cov, eta0: float) -> np.ndarray:
     factors has its inverse, however ill-conditioned."""
     check_eta0(eta0)
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
-    try:
-        factor = _factor_psd(init_cov)
-    except NumericalError as exc:
-        exc.args = (f"prior covariance P_0: {exc}",)
-        raise
+    factor = _prior_factor(init_cov, "prior covariance P_0")
     return symmetrize(eta0 * dpotrs(factor, np.eye(len(init_cov)), lower=1)[0])
 
 
@@ -237,11 +235,12 @@ def check_discrete(
 ) -> ComparisonReport:
     """Certify the discrete filter/gradient agreement on one scenario.
 
-    Runs the fading filter under ``alpha`` and the natural gradient under
-    the matched rates of :func:`map_alpha_to_eta`, from P_0 = ``init_cov``
-    and J_0 = eta_0 P_0^-1, and compares their traces at ``tol``.  A
-    numerical error of either run is re-raised with its side prepended to
-    the message, "filter side: " or "gradient side: ".
+    Steps the fading filter under ``alpha`` and the natural gradient under
+    the matched rates of :func:`map_alpha_to_eta` together, from P_0 =
+    ``init_cov`` and J_0 = eta_0 P_0^-1 (:func:`kalgrad.model.run_sides`),
+    and compares their traces at ``tol``.  A numerical error is re-raised
+    with the side that fails at the earliest step, the filter first within
+    a step, prepended to the message: "filter side: " or "gradient side: ".
 
     ``mutate`` names a negative control, one of :data:`MUTATIONS`, which
     breaks the hyperparameter identification by changing one side's
@@ -268,7 +267,7 @@ def check_discrete(
             )
     init_cov = symmetrize(np.asarray(init_cov, dtype=float))
     filt_alpha = 0.0 if mutate == "drop_fading_factor" else alpha
-    filt = _side("filter", ekf_mod.run, scenario, filt_alpha, init_state, init_cov)
+    filter_side = ekf_mod.side(scenario, filt_alpha, init_state, init_cov)
 
     eta = etas[1:]
     gamma = eta / 2.0 if mutate == "halve_gamma" else eta
@@ -280,20 +279,17 @@ def check_discrete(
         scenario = copy.copy(scenario)
         object.__setattr__(scenario, "model", identity)
     metric0 = initial_metric(init_cov, eta0)
-    grad = _side("gradient", ngd_mod.run, scenario, eta, gamma, init_state, metric0)
+    try:
+        sides = [filter_side, ngd_mod.side(scenario, eta, gamma, init_state, metric0)]
+        filt, grad = run_sides(sides, scenario)
+    except NumericalError as exc:
+        # A J_0 that does not factor is refused as the gradient side is
+        # built, before any step tags a side.
+        exc.args = (f"{getattr(exc, 'side', 'gradient')} side: {exc}",)
+        raise
     return _compare(
         filt, grad, etas, tol, filter_states=filt.states, grad_states=grad.states
     )
-
-
-def _side(name: str, run: Callable[..., Trace], *args) -> Trace:
-    """``run(*args)``, with a numerical error's message prefixed by the
-    side's name; the same object is re-raised."""
-    try:
-        return run(*args)
-    except NumericalError as exc:
-        exc.args = (f"{name} side: {exc}",)
-        raise
 
 
 def check_continuous(

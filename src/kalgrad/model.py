@@ -39,13 +39,14 @@ carries what both sides of a certificate read at each step: the inputs
 u_t and the sufficient statistics T(y_t), computed, and the observations
 validated, once when it is built.  The step functions take u_t as an
 argument; none of them calls ``input_at`` or computes T(y).
+:func:`run_sides` reads each row once for every side of a discrete run.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -201,6 +202,32 @@ class Trace:
     factors: Array | None = None  # (T+1, dim_state, dim_state)
     etas: Array | None = None  # (T+1,)
     times: Array | None = None  # (T+1,)
+
+
+def run_sides(sides: Sequence[tuple], scenario: Scenario) -> list[Trace]:
+    """Step the sides of a discrete run together.  A side is (kind, s_0,
+    M_0, step): kind ``filter`` with M = P or ``gradient`` with M = U, and
+    ``step(t, u_t, T(y_t))`` moving it from step t-1 to t and returning
+    its (s, M), so a side runs once.  At each t, row t-1 of the scenario's
+    ``inputs`` and ``stats`` is read once and every side steps, in order;
+    returns one Trace per side.  A numerical error gets ``side`` set to
+    the kind of the side that raised it: the earliest failing step's
+    side, and within that step the first in order."""
+    rows = scenario.horizon + 1
+    lanes = []
+    for kind, state, matrix, step in sides:
+        states, mats = np.empty((rows,) + state.shape), np.empty((rows,) + matrix.shape)
+        states[0], mats[0] = state, matrix
+        lanes.append((kind, step, states, mats))
+    try:
+        for t, (u, stats) in enumerate(zip(scenario.inputs, scenario.stats), start=1):
+            for kind, step, states, mats in lanes:
+                states[t], mats[t] = step(t, u, stats)
+    except NumericalError as exc:
+        exc.side = kind
+        raise
+    fields = {"filter": "covs", "gradient": "factors"}
+    return [Trace(states, **{fields[kind]: mats}) for kind, _, states, mats in lanes]
 
 
 @dataclass(frozen=True)

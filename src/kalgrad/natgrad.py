@@ -27,12 +27,13 @@ outer products.
 
 Every step function takes and returns plain arrays: the state s in the
 current chart and the factor U there.  The eta and gamma schedules are
-plain arrays too: :func:`run` normalises them once and hands each update
+plain arrays too: :func:`side` normalises them once and hands each update
 its floats eta_t and gamma_t.  As on the filter side, step t reads the
 input u_t and the sufficient statistics T(y_t) from the scenario's
-``inputs`` and ``stats``.  A chart change is checked and LU-factored once
-per distinct Jacobian (:func:`chart`): :func:`run` keeps the last one, so
-a linear model's constant F is checked and factored once per run.  Its
+``inputs`` and ``stats``, handed to it by :func:`kalgrad.model.run_sides`.
+A chart change is checked and LU-factored once per distinct Jacobian
+(:func:`chart`): the side keeps the last one, so a linear model's
+constant F is checked and factored once per run.  Its
 condition number comes from one LAPACK ``dgesdd`` call, the one
 ``np.linalg.cond`` makes; the blend is one ``dgeqrf`` and the step two
 ``dtrtrs`` solves.
@@ -56,9 +57,9 @@ from scipy.linalg.lapack import dgeqrf, dgesdd, dgetrf, dgetrs, dtrtrs
 
 from . import expfam
 from .errors import NonFiniteError, NumericalError, SingularMatrixError, at_step
-from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise, step_dynamics
+from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise, run_sides, step_dynamics
 # solve_psd is not called here; certbench's tests read this module's copy.
-from .numerics import _factor_psd, _finite, schedule, solve_psd  # noqa: F401
+from .numerics import _finite, _prior_factor, schedule, solve_psd  # noqa: F401
 
 # Chart changes with condition numbers beyond this are treated as singular:
 # the trajectory chart is no longer well-defined.
@@ -192,34 +193,35 @@ def update(
         (math.sqrt(1.0 - gamma_t) * factor, math.sqrt(gamma_t) * fisher_rows(lin))
     )
     factor = dgeqrf(rows)[0][:n] * _upper(n)
-    step = _metric_solve(factor, score_state, "blended metric factor", t)
+    half, info = dtrtrs(factor, score_state, trans=1)
+    if info:
+        raise SingularMatrixError(f"blended metric factor is singular at t = {t}")
+    step = dtrtrs(factor, half)[0]
     if not (_finite(factor) and _finite(step)):
         raise NonFiniteError(f"natural-gradient update non-finite at t = {t}")
     return state + eta_t * step, factor
 
 
-def _metric_solve(factor: np.ndarray, grad: np.ndarray, label: str, t) -> np.ndarray:
-    """J^-1 g for the metric J = U^T U, from its upper-triangular factor U
-    by two ``dtrtrs`` solves, U^-T g and then U^-1 of that.  A U with an
-    exactly zero diagonal entry raises SingularMatrixError, naming
-    ``label`` and t."""
-    half, info = dtrtrs(factor, grad, trans=1)
-    if info:
-        raise SingularMatrixError(f"{label} is singular at t = {t}")
-    return dtrtrs(factor, half)[0]
+def side(scenario: Scenario, eta, gamma, init_state, init_metric) -> tuple:
+    """The gradient side of :func:`kalgrad.model.run_sides` from the state
+    ``init_state`` and J_0 = ``init_metric``, factored once and refused by
+    name, under ``eta`` and ``gamma``, normalised once.  Its step is
+    :func:`chart_transport`, keeping the last chart, and :func:`update`,
+    both looked up in this module at each call."""
+    eta = schedule("eta", eta, scenario.horizon).tolist()
+    gamma = schedule("gamma", gamma, scenario.horizon).tolist()
+    model, family = scenario.model, scenario.family
+    state = np.asarray(init_state, dtype=float)
+    factor = _prior_factor(init_metric, "prior metric J_0").T
+    kept = None
 
+    def step(t, u, stats):
+        nonlocal state, factor, kept
+        state, factor, kept = chart_transport(state, factor, model, u, t, kept)
+        state, factor = update(state, factor, stats, model, family, u, eta[t - 1], gamma[t - 1], t)
+        return state, factor
 
-def _prior_factor(metric) -> np.ndarray:
-    """The upper-triangular factor U of the prior metric J_0 = U^T U, from
-    one Cholesky factorization; a J_0 that is not finite or does not
-    factor is refused by name."""
-    try:
-        return _factor_psd(np.asarray(metric, dtype=float)).T
-    except NonFiniteError:
-        raise NonFiniteError("prior metric J_0 has non-finite entries") from None
-    except NumericalError as exc:
-        exc.args = (f"prior metric J_0: {exc}",)
-        raise
+    return "gradient", state, factor, step
 
 
 def run(
@@ -235,25 +237,7 @@ def run(
     :func:`kalgrad.numerics.schedule`) from the prior metric J_0 =
     ``init_metric``; returns the states and the metric factors U_t
     (J_t = U_t^T U_t) in the chart at each t, row 0 the prior.  Step t
-    reads row t-1 of the scenario's ``inputs`` and ``stats``.
-
-    J_0 is Cholesky-factored once by :func:`_prior_factor`, which refuses
-    by name a J_0 that is not finite or does not factor.  The run keeps
-    the chart of the last step (:func:`chart_transport`).
+    reads row t-1 of the scenario's ``inputs`` and ``stats``: this is
+    :func:`side` alone through :func:`kalgrad.model.run_sides`.
     """
-    eta = schedule("eta", eta, scenario.horizon)
-    gamma = schedule("gamma", gamma, scenario.horizon)
-    state = np.asarray(init_state, dtype=float)
-    factor = _prior_factor(init_metric)
-    model, family = scenario.model, scenario.family
-    rows = scenario.horizon + 1
-    states = np.empty((rows,) + state.shape)
-    factors = np.empty((rows,) + factor.shape)
-    states[0], factors[0] = state, factor
-    kept = None
-    steps = zip(eta.tolist(), gamma.tolist(), scenario.inputs, scenario.stats)
-    for t, (eta_t, gamma_t, u, stats) in enumerate(steps, start=1):
-        state, factor, kept = chart_transport(state, factor, model, u, t, kept)
-        state, factor = update(state, factor, stats, model, family, u, eta_t, gamma_t, t)
-        states[t], factors[t] = state, factor
-    return Trace(states, factors=factors)
+    return run_sides([side(scenario, eta, gamma, init_state, init_metric)], scenario)[0]

@@ -160,6 +160,19 @@ def _factor_psd(a: np.ndarray) -> np.ndarray:
     return factor
 
 
+def _prior_factor(matrix, name: str) -> np.ndarray:
+    """The lower Cholesky factor of a prior ``matrix`` (:func:`_factor_psd`),
+    refused by its ``name``, ``prior covariance P_0`` or ``prior metric
+    J_0``, if it is not finite or does not factor."""
+    try:
+        return _factor_psd(np.asarray(matrix, dtype=float))
+    except NonFiniteError:
+        raise NonFiniteError(f"{name} has non-finite entries") from None
+    except SingularMatrixError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
+
+
 def _norm(v: np.ndarray) -> float:
     """Frobenius norm, to be called with numpy overflow warnings off.
 

@@ -1,6 +1,5 @@
 import collections
 import dataclasses
-import itertools
 import re
 import sys
 
@@ -167,7 +166,7 @@ class TestInitialMetric:
     def test_non_finite_prior_is_refused_by_name(self, bad):
         p0 = np.eye(2)
         p0[0, 0] = bad
-        with pytest.raises(NonFiniteError, match="^prior covariance P_0: .*non-finite entries$"):
+        with pytest.raises(NonFiniteError, match="^prior covariance P_0 has non-finite entries$"):
             equivalence.initial_metric(p0, 0.5)
 
 
@@ -187,13 +186,14 @@ class TestCheckDiscrete:
         assert report.passed
 
     # P_0 = diag(1, 0) has no J_0 = eta_0 P_0^-1, so the pair is refused by
-    # name before the gradient side runs, on every model: it is neither
+    # name before either side takes a step, on every model: it is neither
     # certified nor aborted later from a J_0 that a shifted P_0 would give.
     @pytest.mark.parametrize("name", ["static", "linear2d", "tanhspring"])
     def test_singular_prior_covariance_is_refused_by_name(self, name, monkeypatch):
         scenario, s0, _ = equivalence.sweep_cell(name, 50, 0)
         runs = []
-        monkeypatch.setattr(natgrad, "run", lambda *args: runs.append(args))
+        monkeypatch.setattr(ekf, "transition", lambda *args: runs.append(args))
+        monkeypatch.setattr(natgrad, "chart_transport", lambda *args: runs.append(args))
         message = "^prior covariance P_0: matrix is not positive definite$"
         with pytest.raises(SingularMatrixError, match=message):
             check_discrete(scenario, s0, np.diag([1.0, 0.0]), alpha=0.1)
@@ -210,10 +210,11 @@ class TestCheckDiscrete:
         q = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
         assert check_discrete(scenario, s0, q @ np.diag([1.0, k]) @ q.T, alpha=0.1).passed
 
-    def test_singular_chart_names_step_and_side(self):
-        # F = diag(1, u_t) drops to diag(1, 1e-13) at t = 3 only: the filter
-        # side runs through, the gradient side refuses the chart there.
-        model = DynamicalModel(
+    @staticmethod
+    def dropping_chart(inputs):
+        """The fully observed model with F = diag(1, u_t) on the input path
+        ``inputs``."""
+        return DynamicalModel(
             name="dropping-chart",
             dim_state=2,
             dim_input=1,
@@ -222,9 +223,14 @@ class TestCheckDiscrete:
             h=lambda s, u: s.copy(),
             jacobian_f=lambda s, u: np.diag([1.0, u[0]]),
             jacobian_h=lambda s, u: np.eye(2),
-            inputs=lambda t: np.array([1e-13 if t == 3 else 1.0]),
+            inputs=inputs,
             init_state=np.array([1.0, 1.0]),
         )
+
+    def test_singular_chart_names_step_and_side(self):
+        # F = diag(1, u_t) drops to diag(1, 1e-13) at t = 3 only: the filter
+        # side runs through, the gradient side refuses the chart there.
+        model = self.dropping_chart(lambda t: np.array([1e-13 if t == 3 else 1.0]))
         scenario = generate_scenario(model, expfam.gaussian(0.25 * np.eye(2)), 10, seed=0)
         message = (
             "gradient side: chart-change Jacobian condition estimate 1.000e+13"
@@ -235,17 +241,20 @@ class TestCheckDiscrete:
 
     @staticmethod
     def failing_jacobian_scenario():
-        """tanhspring, whose Jacobian of f, on its third call, is central
-        differences of a map that is nan at the expansion point."""
+        """tanhspring, which ignores its input, with u_t = t, and whose
+        Jacobian of f at step 3 is central differences of a map that is
+        nan at the expansion point."""
         model = builtin("tanhspring")
-        analytic, calls = model.jacobian_f, itertools.count(1)
+        analytic = model.jacobian_f
 
         def jacobian_f(s, u):
-            if next(calls) == 3:
+            if u[0] == 3:
                 return fd_jacobian(lambda v: np.full(2, np.nan), s)
             return analytic(s, u)
 
-        model = dataclasses.replace(model, jacobian_f=jacobian_f)
+        model = dataclasses.replace(
+            model, dim_input=1, inputs=lambda t: np.array([t]), jacobian_f=jacobian_f
+        )
         return generate_scenario(model, expfam.gaussian(0.25 * np.eye(2)), 10, seed=0)
 
     @pytest.mark.parametrize(
@@ -261,6 +270,42 @@ class TestCheckDiscrete:
         message = f"{prefix}map is non-finite at the expansion point at t = 3"
         with pytest.raises(NonFiniteError, match=f"^{re.escape(message)}$"):
             run(self.failing_jacobian_scenario())
+
+    # The sides step in lockstep, so the earliest failing step decides, and
+    # within a step the filter.  F = diag(1, u_t) nearly singular at t = 2
+    # is refused by the gradient side only; u_3 = nan sends both sides'
+    # states non-finite at t = 3.
+    @pytest.mark.parametrize(
+        "inputs, error, message",
+        [({2: 1e-13, 3: np.nan}, SingularMatrixError,
+          "gradient side: chart-change Jacobian condition estimate 1.000e+13 exceeds 1e+12 at t = 2"),
+         ({3: np.nan}, NonFiniteError, "filter side: transition produced non-finite state at t = 3")],
+        ids=["gradient-earlier", "same-step"],
+    )
+    def test_the_earliest_failing_step_names_the_side(self, inputs, error, message):
+        healthy = self.dropping_chart(lambda t: np.ones(1))
+        scenario = generate_scenario(healthy, expfam.gaussian(0.25 * np.eye(2)), 10, seed=0)
+        failing = self.dropping_chart(lambda t: np.array([inputs.get(t, 1.0)]))
+        scenario = dataclasses.replace(scenario, model=failing)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            check_discrete(scenario, np.zeros(2), np.eye(2), alpha=0.1)
+        with pytest.raises(NonFiniteError, match="^transition produced non-finite state at t = 3$"):
+            ekf.run(scenario, 0.1, np.zeros(2), np.eye(2))
+
+    # One pass over the scenario's rows: at each t the filter's step, then
+    # the gradient side's, each through its module's current functions.
+    def test_the_sides_step_in_lockstep(self, monkeypatch):
+        calls = []
+        steps = ((ekf, "transition"), (ekf, "observe_gain"), (natgrad, "chart_transport"), (natgrad, "update"))
+        for module, name in steps:
+            def recording(*args, step=getattr(module, name), name=name):
+                calls.append(name)
+                return step(*args)
+
+            monkeypatch.setattr(module, name, recording)
+        scenario = scenario_for("linear2d", 5, seed=0)
+        assert check_discrete(scenario, np.zeros(2), np.eye(2), alpha=0.1).passed
+        assert calls == [name for _, name in steps] * scenario.horizon
 
     @pytest.mark.parametrize("seed, t", [(0, 21), (1, 16), (2, 14)])
     def test_saturated_mean_parameter_names_step_and_side(self, seed, t):
@@ -314,13 +359,13 @@ class TestCheckDiscrete:
         # The gradient side of skip_metric_transport runs a model whose F is
         # the cached read-only identity, at every state.
         seen = []
-        run = natgrad.run
+        side = natgrad.side
 
         def recording(scenario, *args):
             seen.append(scenario.model)
-            return run(scenario, *args)
+            return side(scenario, *args)
 
-        monkeypatch.setattr(equivalence.ngd_mod, "run", recording)
+        monkeypatch.setattr(equivalence.ngd_mod, "side", recording)
         scenario = scenario_for("linear2d", 5, seed=0)
         check_discrete(scenario, np.zeros(2), np.eye(2), 0.1, mutate="skip_metric_transport")
         (identity,) = seen

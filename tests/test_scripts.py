@@ -83,8 +83,8 @@ def test_benchmark_lookups_resolve(monkeypatch):
     # certbench traces the library by name; a renamed span or dispatch
     # entry would break its traced runs, so check the names it reads.  A
     # traced discrete-sweep cell must enter through check_discrete alone
-    # and run both sides' step markers, from which aborted cells count
-    # their steps, and so must a long-horizon cell; a traced
+    # and run both sides' step markers once per step, from which aborted
+    # cells count their steps, and so must a long-horizon cell; a traced
     # continuous-pendulum cell must enter through check_continuous alone
     # and run RK4 on both continuous fields.  Each result must pass the
     # benchmark's own check, which reads the reports' fields and, for the
@@ -125,6 +125,13 @@ def test_benchmark_lookups_resolve(monkeypatch):
         roots = {tracer.names[i] for i in cell_spans[cell_spans[:, 4] == tracer_mod.NO_PARENT, 1]}
         assert roots == {root}
         assert markers <= {tracer.names[i] for i in cell_spans[:, 1]}
+    # An aborted discrete cell counts its steps as its markers / 2, so each
+    # side's step marker is a traced span once per step: a driver that held
+    # its own copies of the step functions would bypass the tracer.
+    for index in (0, 2):
+        names = [tracer.names[i] for i in spans[spans[:, 5] == index, 1]]
+        horizon = cells[index].kwargs["scenario"].horizon
+        assert [names.count(m) for m in report.STEP_MARKERS[workloads.DISCRETE]] == [horizon] * 2
     assert ekf._OBSERVERS[ekf.GAIN] is ekf.observe_gain
     # certbench's tests wrap every module's copy of solve_psd, and its
     # reference filter reads Scenario.obs.
