@@ -25,9 +25,10 @@ diagonal, so that dS S^T + S dS^T = dP/dt and dU^T U + U^T dU = dJ/dt.
 Every inverse is a triangular solve.
 
 Both fields read the gaussian observation y(t) whitened by R = L L^T,
-through the helper of :func:`kalgrad.model.mean_linearisation`:
-B = L^-1 H and e = (y(t) - h(s, u_t)) L^-T, so H^T R^-1 (y - h) = B^T e
-and H^T R^-1 H = B^T B.
+through the helpers of :func:`kalgrad.model.linearise`, which test h(s, u_t)
+before H is taken: B = L^-1 H and e = (y(t) - h(s, u_t)) L^-T, so
+H^T R^-1 (y - h) = B^T e and H^T R^-1 H = B^T B.  Phi and Phi_L are one
+multiply by a read-only mask per state dimension (:func:`_phi`).
 
 Under P = eta J^-1 and the eta equation above, the two vector fields
 coincide.  :func:`run` steps a stack of sides, each from :func:`start`,
@@ -48,6 +49,7 @@ RK4 stage, and :func:`kalgrad.numerics.rk4_step` none.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -55,10 +57,11 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import NonFiniteError, NumericalError, PositivityLostError, SingularMatrixError
-from .model import ContinuousModel, Trace, _whitened
-from .natgrad import _upper
+from .model import ContinuousModel, Trace, _observed, _whitened
 # solve_psd is not called here; certbench's tests read this module's copy.
-from .numerics import _finite, _prior_factor, check_eta0, rk4_step, solve_psd, symmetrize  # noqa: F401
+from .numerics import (  # noqa: F401
+    _atleast_1d, _finite, _prior_factor, check_eta0, rk4_step, solve_psd, symmetrize,
+)
 
 BUCY = "bucy"
 CNGD = "cngd"
@@ -96,6 +99,16 @@ def step_sizes(dts, horizon: float) -> list[float]:
     return sorted(dts, reverse=True)
 
 
+@functools.cache
+def _phi(n: int) -> np.ndarray:
+    """The read-only n x n mask of Phi: ones on the strict upper triangle,
+    0.5 on the diagonal.  Its transpose is the mask of Phi_L."""
+    mask = np.triu(np.ones((n, n)))
+    mask.flat[:: n + 1] = 0.5
+    mask.flags.writeable = False
+    return mask
+
+
 def bucy_deriv(
     s: np.ndarray, factor: np.ndarray, model: ContinuousModel, u: np.ndarray, y: np.ndarray,
     alpha: float,
@@ -104,18 +117,19 @@ def bucy_deriv(
     at mean s, lower-triangular covariance factor S (P = S S^T), input
     u = u_t, observation y = y(t) and fading weight alpha = alpha(t); dS/dt
     is lower triangular.  An S with a zero diagonal raises SingularMatrixError."""
-    jac, residual = _whitened(model.family, model.h(s, u), model.jac_h(s, u), y)
-    rows = jac @ factor  # W = B S
-    ds = model.f(s, u) + factor @ (rows.T @ residual)
-    m, info = dtrtrs(factor, model.jac_f(s, u) @ factor, lower=1)
+    jac, residual = _whitened(model.family, *_observed(model, model.family, s, u), y)
+    rows = jac.dot(factor)  # W = B S
+    drift = model.f(s, u)
+    ds = drift + factor.dot(rows.T.dot(residual))
+    m, info = dtrtrs(factor, model.jac_f(s, u, drift).dot(factor), lower=1)
     if info:
         raise SingularMatrixError("covariance factor is singular")
     n = len(factor)
-    gen = m + m.T - rows.T @ rows
+    gen = m + m.T
+    gen -= rows.T.dot(rows)
     gen.flat[:: n + 1] += alpha
-    # Phi_L keeps the strict lower triangle and half the diagonal.
-    gen.flat[:: n + 1] *= 0.5
-    return ds, factor @ (gen * _upper(n).T)
+    gen *= _phi(n).T  # Phi_L
+    return ds, factor.dot(gen)
 
 
 def cngd_deriv(
@@ -127,22 +141,25 @@ def cngd_deriv(
     learning rate eta = gamma, time t, input u = u_t and observation
     y = y(t); dU/dt is upper triangular.  A U with an exactly zero
     diagonal entry raises SingularMatrixError, naming t."""
-    jac, residual = _whitened(model.family, model.h(s, u), model.jac_h(s, u), y)
+    jac, residual = _whitened(model.family, *_observed(model, model.family, s, u), y)
     n = len(factor)
+    drift = model.f(s, u)
     # One solve U^T X = [(U F)^T, B^T] gives X = [M^T, V^T]: the Fisher
     # rows of a whitened observation are B itself, and
     # J^-1 B^T e = U^-1 (V^T e) needs one more solve.
-    rhs = np.concatenate(((factor @ model.jac_f(s, u)).T, jac.T), axis=1)
+    rhs = np.concatenate((factor.dot(model.jac_f(s, u, drift)).T, jac.T), axis=1)
     sol, info = dtrtrs(factor, rhs, trans=1)
     if info:
         raise SingularMatrixError(f"metric factor is singular at t = {t}")
     m_t, v_t = sol[:, :n], sol[:, n:]
-    ds = model.f(s, u) + eta * dtrtrs(factor, v_t @ residual)[0]
-    gen = eta * (v_t @ v_t.T) - m_t - m_t.T
+    ds = drift + eta * dtrtrs(factor, v_t.dot(residual))[0]
+    gen = v_t.dot(v_t.T)
+    gen *= eta
+    gen -= m_t
+    gen -= m_t.T
     gen.flat[:: n + 1] -= eta
-    # Phi keeps the strict upper triangle and half the diagonal.
-    gen.flat[:: n + 1] *= 0.5
-    return ds, (gen * _upper(n)) @ factor
+    gen *= _phi(n)  # Phi
+    return ds, gen.dot(factor)
 
 
 def eta_ode(eta: float, alpha: float) -> float:
@@ -214,29 +231,35 @@ def _field(
     :func:`kalgrad.numerics.rk4_step`: each evaluation reads u_t, y(t) and
     alpha(t) once and writes every side's field into one new vector.  A
     numerical error raised while a side's field is evaluated, or a
-    non-finite field of that side, gets ``side`` set to the side's kind."""
+    non-finite field of that side, gets ``side`` set to the side's kind.
+    Each side's slices of z, its state, factor, eta (the entry after its
+    factor, read by ``cngd`` only) and whole block, are built once."""
     n = model.dim_state
     end = n + n * n
-    layout, size = list(zip(kinds, bounds, bounds[1:])), bounds[-1]
+    size = bounds[-1]
+    layout = [
+        (kind, slice(lo, lo + n), slice(lo + n, lo + end), lo + end, slice(lo, hi))
+        for kind, lo, hi in zip(kinds, bounds, bounds[1:])
+    ]
 
     def deriv(t: float, z: np.ndarray) -> np.ndarray:
         kind = kinds[0]  # an error reading the inputs is the first side's
         try:
             u = model.input_at(t)
-            y = np.atleast_1d(model.obs_path(t))
+            y = _atleast_1d(model.obs_path(t))
             alpha = alpha_at(t)
             out = np.empty(size)
-            for kind, lo, hi in layout:
-                s, mat = z[lo : lo + n], z[lo + n : lo + end].reshape(n, n)
+            for kind, state, mat, eta_at, block in layout:
+                s, factor = z[state], z[mat].reshape(n, n)
                 if kind == BUCY:
-                    ds, dmat = bucy_deriv(s, mat, model, u, y, alpha)
+                    ds, dmat = bucy_deriv(s, factor, model, u, y, alpha)
                 else:
-                    eta = float(z[lo + end])
-                    ds, dmat = cngd_deriv(s, mat, eta, t, model, u, y)
-                    out[lo + end] = eta_ode(eta, alpha)
-                out[lo : lo + n] = ds
-                out[lo + n : lo + end] = dmat.ravel()
-                if not _finite(out[lo:hi]):
+                    eta = float(z[eta_at])
+                    ds, dmat = cngd_deriv(s, factor, eta, t, model, u, y)
+                    out[eta_at] = eta_ode(eta, alpha)
+                out[state] = ds
+                out[mat] = dmat.ravel()
+                if not _finite(out[block]):
                     raise NonFiniteError(f"derivative non-finite at t = {t:.6g}")
         except NumericalError as exc:
             exc.side = kind

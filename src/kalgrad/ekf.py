@@ -57,12 +57,12 @@ def transition(
     error raised here names the step."""
     mean_pred = step_dynamics(model, mean, u, t)
     try:
-        f_jac = model.jac_f(mean, u)
+        f_jac = model.jac_f(mean, u, mean_pred)
     except NumericalError as exc:
         raise at_step(exc, t)
     # An overflow here is reported below, as a failure of this step.
     with np.errstate(over="ignore", invalid="ignore"):
-        cov_pred = symmetrize((1.0 + alpha_t) * (f_jac @ cov @ f_jac.T))
+        cov_pred = symmetrize((1.0 + alpha_t) * f_jac.dot(cov).dot(f_jac.T))
     if not _finite(cov_pred):
         raise NonFiniteError(f"transition produced non-finite covariance at t = {t}")
     return mean_pred, cov_pred
@@ -83,17 +83,17 @@ def observe_gain(
     (mean, cov)."""
     lin = linearise(model, family, mean, u, stats, t)
     c_mat = lin.cov()
-    bp = lin.jac @ cov
+    bp = lin.jac.dot(cov)
     # K^T = (I + B P B^T C)^-1 B P; the matrix is I plus a product of two
     # PSD matrices, so it is singular only in floating point.
-    innov = bp @ lin.jac.T @ c_mat
+    innov = bp.dot(lin.jac.T).dot(c_mat)
     innov.flat[:: innov.shape[0] + 1] += 1.0
     gain_t, info = dgesv(innov, bp, overwrite_a=1)[2:]
     if info:
         raise SingularMatrixError(f"gain-form innovation matrix singular at t = {t}")
     gain = gain_t.T
-    cov_post = symmetrize(cov - gain @ c_mat @ bp)
-    mean_post = mean + gain @ lin.residual
+    cov_post = symmetrize(cov - gain.dot(c_mat).dot(bp))
+    mean_post = mean + gain.dot(lin.residual)
     if not (_finite(mean_post) and _finite(cov_post)):
         raise NonFiniteError(f"observation update non-finite at t = {t}")
     return mean_post, cov_post

@@ -37,6 +37,7 @@ logits against the dropped class.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -47,7 +48,7 @@ from scipy.special import expit
 
 from .errors import DomainError, NonFiniteError, OutOfSupportError, SingularMatrixError
 # solve_psd is not called here; certbench's tests read this module's copy.
-from .numerics import _factor_psd, _finite, solve_psd, symmetrize  # noqa: F401
+from .numerics import _atleast_1d, _factor_psd, _finite, solve_psd, symmetrize  # noqa: F401
 
 GAUSSIAN = "gaussian"
 BERNOULLI = "bernoulli"
@@ -116,7 +117,7 @@ def categorical(num_classes: int) -> ObservationFamily:
 
 
 def _as_mean(family: ObservationFamily, yhat) -> np.ndarray:
-    yhat = np.atleast_1d(np.asarray(yhat, dtype=float))
+    yhat = _atleast_1d(np.asarray(yhat, dtype=float))
     if yhat.shape != (family.mean_dim,):
         raise ValueError(
             f"mean parameter must have shape ({family.mean_dim},), got {yhat.shape}"
@@ -146,7 +147,7 @@ def sufficient_stats(family: ObservationFamily, y) -> np.ndarray:
     class maps to the zero vector).
     """
     if family.kind == GAUSSIAN:
-        t = np.atleast_1d(np.asarray(y, dtype=float))
+        t = _atleast_1d(np.asarray(y, dtype=float))
         if t.shape != (family.mean_dim,):
             raise OutOfSupportError(
                 f"gaussian observation must have dimension {family.mean_dim}"
@@ -182,7 +183,7 @@ def _as_label(family: ObservationFamily, y) -> int:
 def _as_natural(family: ObservationFamily, x) -> np.ndarray:
     if family.kind == GAUSSIAN:
         raise ValueError("the natural parameter is defined for bernoulli and categorical only")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (family.mean_dim,):
         raise ValueError(
             f"natural parameter must have shape ({family.mean_dim},), got {x.shape}"
@@ -206,8 +207,17 @@ def _canonical_probs(family: ObservationFamily, x) -> tuple[np.ndarray, np.ndarr
     logits = np.append(x, 0.0)  # the dropped class has logit 0
     weights = np.exp(logits - logits.max())
     total = weights.sum()
-    others = (1.0 - np.eye(logits.size)) @ weights
+    others = _complements(logits.size).dot(weights)
     return weights[:-1] / total, others[:-1] / total, float(weights[-1] / total)
+
+
+@functools.cache
+def _complements(k: int) -> np.ndarray:
+    """The read-only k x k matrix 1 - I, whose row i sums the weights of
+    every class but i."""
+    ones = 1.0 - np.eye(k)
+    ones.flags.writeable = False
+    return ones
 
 
 def canonical_mean(family: ObservationFamily, x) -> np.ndarray:
@@ -300,7 +310,7 @@ def sample(family: ObservationFamily, yhat, rng: np.random.Generator, size: int 
     n = 1 if size is None else int(size)
     if family.kind == GAUSSIAN:
         yhat = check_mean(family, yhat)
-        draws = yhat + rng.standard_normal((n, family.mean_dim)) @ family.obs_factor.T
+        draws = yhat + rng.standard_normal((n, family.mean_dim)).dot(family.obs_factor.T)
         return draws[0] if size is None else draws
     yhat = _as_mean(family, yhat)
     total = yhat.sum()

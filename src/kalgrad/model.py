@@ -15,7 +15,9 @@ side's Fisher rows ``S B``.  Through the mean parameter the
 observation is read whitened by ``S^-T`` for the square root ``S`` of
 ``cov(T)`` there: ``B = S^-T H``, ``C = I`` and ``e = (T - h) S^-1``,
 with ``H`` the Jacobian of ``h`` (:func:`mean_linearisation`, whose
-helper the continuous fields call directly); for a gaussian observation
+helpers the continuous fields call directly); the observed value, ``h``
+or the predictor, is tested before its Jacobian is taken, and a
+central-difference Jacobian starts from it.  For a gaussian observation
 ``S^-T = L^-1`` for its covariance ``R = L L^T``.  A model
 whose ``h`` is the mean of a Bernoulli or categorical family at a linear
 predictor ``x = predictor(s, u)`` under the canonical link declares that
@@ -59,12 +61,13 @@ Array = np.ndarray
 Map = Callable[[Array, Array], Array]
 
 
-def _jacobian(analytic: Map | None, fn: Map, s: Array, u: Array) -> Array:
+def _jacobian(analytic: Map | None, fn: Map, s: Array, u: Array, value) -> Array:
     """Jacobian of fn in s: the analytic one if given, central differences
-    otherwise."""
+    otherwise, started from ``value`` = fn(s, u) where the caller holds it
+    (None where it does not)."""
     if analytic is not None:
         return np.asarray(analytic(s, u), dtype=float)
-    return fd_jacobian(lambda v: fn(v, u), s)
+    return fd_jacobian(lambda v: fn(v, u), s, value)
 
 
 @dataclass(frozen=True)
@@ -94,14 +97,17 @@ class DynamicalModel:
         """Whether observations from ``family`` go through the linear predictor."""
         return self.predictor is not None and family.kind == self.link_family
 
-    def jac_predictor(self, s: Array, u: Array) -> Array:
-        return _jacobian(self.jacobian_predictor, self.predictor, s, u)
+    # Each Jacobian takes the value of its map at (s, u) where the caller
+    # holds it, so that the central-difference fallback does not evaluate
+    # the map there again.
+    def jac_predictor(self, s: Array, u: Array, value: Array | None = None) -> Array:
+        return _jacobian(self.jacobian_predictor, self.predictor, s, u, value)
 
-    def jac_f(self, s: Array, u: Array) -> Array:
-        return _jacobian(self.jacobian_f, self.f, s, u)
+    def jac_f(self, s: Array, u: Array, value: Array | None = None) -> Array:
+        return _jacobian(self.jacobian_f, self.f, s, u, value)
 
-    def jac_h(self, s: Array, u: Array) -> Array:
-        return _jacobian(self.jacobian_h, self.h, s, u)
+    def jac_h(self, s: Array, u: Array, value: Array | None = None) -> Array:
+        return _jacobian(self.jacobian_h, self.h, s, u, value)
 
 
 @dataclass(frozen=True)
@@ -133,11 +139,11 @@ class ContinuousModel:
     def input_at(self, t: float) -> Array:
         return np.asarray(self.input_fn(t), dtype=float).reshape(self.dim_input)
 
-    def jac_f(self, s: Array, u: Array) -> Array:
-        return _jacobian(self.jacobian_f, self.f, s, u)
+    def jac_f(self, s: Array, u: Array, value: Array | None = None) -> Array:
+        return _jacobian(self.jacobian_f, self.f, s, u, value)
 
-    def jac_h(self, s: Array, u: Array) -> Array:
-        return _jacobian(self.jacobian_h, self.h, s, u)
+    def jac_h(self, s: Array, u: Array, value: Array | None = None) -> Array:
+        return _jacobian(self.jacobian_h, self.h, s, u, value)
 
 
 @dataclass(frozen=True)
@@ -259,28 +265,39 @@ def _identity(n: int) -> Array:
     return eye
 
 
+def _observed(
+    model: DynamicalModel | ContinuousModel, family: expfam.ObservationFamily, s: Array, u: Array
+) -> tuple[Array, Array]:
+    """The mean h(s, u) of the model's observation from ``family``, tested
+    by :func:`expfam.check_mean` before any Jacobian is taken, and its
+    Jacobian H in the state, whose central-difference fallback starts from
+    that mean."""
+    mean = expfam.check_mean(family, model.h(s, u))
+    return mean, model.jac_h(s, u, mean)
+
+
 def _whitened(
-    family: expfam.ObservationFamily, mean, h_jac: Array, stats: Array
+    family: expfam.ObservationFamily, mean: Array, h_jac: Array, stats: Array
 ) -> tuple[Array, Array]:
     """B = S^-T H and e = (T - h) S^-1 for sufficient statistics ``stats``
-    = T of an observation with mean ``mean`` = h(s, u), which
-    :func:`expfam.check_mean` tests, Jacobian ``h_jac`` = H and S^-T =
-    :func:`expfam.whitener`'s."""
-    mean = expfam.check_mean(family, mean)
+    = T of an observation with mean ``mean`` = h(s, u), as
+    :func:`expfam.check_mean` returned it, Jacobian ``h_jac`` = H and
+    S^-T = :func:`expfam.whitener`'s."""
     whitener = expfam.whitener(family, mean)
-    return whitener @ h_jac, (stats - mean) @ whitener.T
+    return whitener.dot(h_jac), (stats - mean).dot(whitener.T)
 
 
 def mean_linearisation(
     family: expfam.ObservationFamily, mean, h_jac: Array, stats: Array
 ) -> Linearisation:
     """Linearisation of sufficient statistics ``stats`` = T through the mean
-    parameter ``mean`` = h(s, u), strictly inside the family's domain,
+    parameter ``mean`` = h(s, u), which :func:`expfam.check_mean` tests,
     whose Jacobian in the state is ``h_jac`` = H, read whitened
     (:func:`_whitened`): B = S^-T H, e = (T - h) S^-1 and C = S = I, so
     e B = (T - h) cov(T)^-1 H and B^T C B = H^T cov(T)^-1 H with no solve
-    with cov(T)."""
-    jac, residual = _whitened(family, mean, h_jac, stats)
+    with cov(T).  :func:`linearise` builds the same from the model, testing
+    the mean before H is taken (:func:`_observed`)."""
+    jac, residual = _whitened(family, expfam.check_mean(family, mean), h_jac, stats)
     eye = functools.partial(_identity, family.mean_dim)
     return Linearisation(jac, residual, eye, eye)
 
@@ -296,15 +313,18 @@ def linearise(
     B = G, and the residual, C = V(x) and the root of C are
     :func:`expfam.canonical_parts` at x.  Otherwise this is
     :func:`mean_linearisation` at the mean h(s, u).  Either tests the
-    observed value, x or h(s, u), once.
+    observed value, x or h(s, u), once, before its Jacobian is taken.
     """
     try:
         if model.canonical_link(family):
-            parts = expfam.canonical_parts(family, model.predictor(s, u), stats)
-            return Linearisation(model.jac_predictor(s, u), *parts)
-        return mean_linearisation(family, model.h(s, u), model.jac_h(s, u), stats)
+            x = model.predictor(s, u)
+            parts = expfam.canonical_parts(family, x, stats)
+            return Linearisation(model.jac_predictor(s, u, x), *parts)
+        jac, residual = _whitened(family, *_observed(model, family, s, u), stats)
     except NumericalError as exc:
         raise at_step(exc, t)
+    eye = functools.partial(_identity, family.mean_dim)
+    return Linearisation(jac, residual, eye, eye)
 
 
 def step_dynamics(model: DynamicalModel, s: Array, u: Array, t: int) -> Array:
@@ -379,7 +399,7 @@ def _make_static() -> DynamicalModel:
         dim_input=2,
         dim_obs=1,
         f=lambda s, u: s,
-        h=lambda s, u: np.array([s @ u]),
+        h=lambda s, u: np.array([s.dot(u)]),
         jacobian_f=lambda s, u: _identity(2),
         jacobian_h=lambda s, u: u[None, :].copy(),
         inputs=_static_inputs,
@@ -393,7 +413,7 @@ def _make_linear2d() -> DynamicalModel:
         dim_state=2,
         dim_input=0,
         dim_obs=2,
-        f=lambda s, u: _ROT @ s,
+        f=lambda s, u: _ROT.dot(s),
         h=lambda s, u: s.copy(),
         jacobian_f=lambda s, u: _ROT,
         jacobian_h=lambda s, u: _identity(2),
@@ -403,11 +423,11 @@ def _make_linear2d() -> DynamicalModel:
 
 
 def _tanhspring_f(s: Array, u: Array) -> Array:
-    return s + _TANH_GAIN * np.tanh(_TANH_COUPLING @ s)
+    return s + _TANH_GAIN * np.tanh(_TANH_COUPLING.dot(s))
 
 
 def _tanhspring_jac(s: Array, u: Array) -> Array:
-    gain = 1.0 - np.tanh(_TANH_COUPLING @ s) ** 2
+    gain = 1.0 - np.tanh(_TANH_COUPLING.dot(s)) ** 2
     return _identity(2) + _TANH_GAIN * gain[:, None] * _TANH_COUPLING
 
 
@@ -430,15 +450,15 @@ def _make_tanhspring() -> DynamicalModel:
 
 
 def _logistic_predictor(s: Array, u: Array) -> Array:
-    return np.array([s @ u])
+    return np.array([s.dot(u)])
 
 
 def _logistic_h(s: Array, u: Array) -> Array:
-    return np.array([expit(s @ u)])
+    return np.array([expit(s.dot(u))])
 
 
 def _logistic_jac_h(s: Array, u: Array) -> Array:
-    p = expit(s @ u)
+    p = expit(s.dot(u))
     return (p * (1.0 - p)) * u[None, :]
 
 

@@ -139,7 +139,7 @@ def chart_transport(
     """
     value = step_dynamics(model, state, u, t)
     try:
-        psi = model.jac_f(state, u)
+        psi = model.jac_f(state, u, value)
         if kept is None or kept.jac.shape != psi.shape or kept.jac.tobytes() != psi.tobytes():
             kept = chart(psi)
         return value, pushforward_metric(factor, kept), kept
@@ -150,7 +150,7 @@ def chart_transport(
 def fisher_rows(lin: Linearisation) -> np.ndarray:
     """Rows W = S B with W^T W = B^T C B, the per-observation Fisher, for
     the square root S of C that the linearisation carries."""
-    return lin.root() @ lin.jac
+    return lin.root().dot(lin.jac)
 
 
 @functools.cache
@@ -187,7 +187,7 @@ def update(
         If the blended factor or the step holds an inf or nan.
     """
     lin = linearise(model, family, state, u, stats, t)
-    score_state = lin.residual @ lin.jac
+    score_state = lin.residual.dot(lin.jac)
     n = factor.shape[0]
     rows = np.concatenate(
         (math.sqrt(1.0 - gamma_t) * factor, math.sqrt(gamma_t) * fisher_rows(lin))

@@ -1,7 +1,10 @@
+import ast
 import collections
 import dataclasses
+import inspect
 import re
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -841,6 +844,43 @@ class TestPerStepChecks:
         assert check_discrete(scenario, s0, p0, alpha=0.1).passed
         steps = scenario.horizon
         assert built == {("filter", "_variance"): steps, ("gradient", "_simplex_root"): steps}
+
+
+# The step functions and the built-in maps of the step paths, whose
+# products of two single arrays go straight to BLAS through ndarray.dot.
+STEP_PRODUCTS = [
+    ekf.transition,
+    ekf.observe_gain,
+    natgrad.fisher_rows,
+    natgrad.update,
+    model_mod._whitened,
+    model_mod._make_static,
+    model_mod._make_linear2d,
+    model_mod._make_tanhspring,
+    model_mod._tanhspring_f,
+    model_mod._tanhspring_jac,
+    model_mod._make_logistic_static,
+    model_mod._logistic_predictor,
+    model_mod._logistic_h,
+    model_mod._logistic_jac_h,
+    bucy.bucy_deriv,
+    bucy.cngd_deriv,
+    expfam._canonical_probs,
+    expfam.sample,
+]
+
+
+class TestStepProducts:
+    """Structure guard: no product of two single arrays on a step path is
+    written with @, whose dispatch costs more than twice that of
+    ndarray.dot for the same BLAS call on a 2x2 array."""
+
+    @pytest.mark.parametrize(
+        "fn", STEP_PRODUCTS, ids=lambda fn: f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}"
+    )
+    def test_no_step_product_uses_matmul(self, fn):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
 
 
 class TestCanonicalLinkEquivalence:

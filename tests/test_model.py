@@ -1,9 +1,10 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
-from kalgrad import bucy, expfam, natgrad
+from kalgrad import bucy, ekf, expfam, natgrad
 from kalgrad.equivalence import check_continuous
 from kalgrad.errors import DomainError, OutOfSupportError, UnknownModelError
 from kalgrad.model import (
@@ -13,6 +14,7 @@ from kalgrad.model import (
     builtin,
     builtin_names,
     generate_scenario,
+    linearise,
     step_dynamics,
 )
 from kalgrad.numerics import fd_jacobian
@@ -224,6 +226,66 @@ class TestFiniteDifferenceBackedModel:
             dts=[1e-2, 1e-3], horizon=1.0, tol=1e-6,
         )
         assert result.passed
+
+
+def counting_bare(model, h=None):
+    """``model`` with both Jacobians left to central differences, and its
+    f and h (or ``h`` in its place) counting their calls."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(s, u):
+            calls[name] += 1
+            return fn(s, u)
+
+        return wrapped
+
+    bare = dataclasses.replace(
+        model, jacobian_f=None, jacobian_h=None,
+        f=counted("f", model.f), h=counted("h", h or model.h),
+    )
+    return bare, calls
+
+
+class TestFiniteDifferenceFallback:
+    """The central-difference fallback starts from the value of the map
+    that its caller already holds, so a Jacobian of an n-state map costs 2n
+    more calls, not 1 + 2n; the observed mean is tested before any Jacobian
+    is taken, so a non-finite h is refused as a mean, with or without an
+    analytic Jacobian."""
+
+    def test_each_discrete_step_map_runs_once_plus_its_probes(self):
+        model, calls = counting_bare(builtin("linear2d"))
+        family, u, s, cov = expfam.gaussian(0.1 * np.eye(2)), np.zeros(0), np.array([0.3, -0.2]), np.eye(2)
+        linearise(model, family, s, u, np.array([0.1, 0.4]), 3)
+        assert calls == {"h": 1 + 2 * 2}
+        calls.clear()
+        ekf.transition(s, cov, model, u, 3, 0.1)
+        assert calls == {"f": 1 + 2 * 2}
+        calls.clear()
+        natgrad.chart_transport(s, cov, model, u, 3, None)
+        assert calls == {"f": 1 + 2 * 2}
+
+    @pytest.mark.parametrize("kind", [bucy.BUCY, bucy.CNGD])
+    def test_each_continuous_field_runs_each_map_once_plus_its_probes(self, kind):
+        model, calls = counting_bare(builtin("pendulum-ct"))
+        s, factor, u, y = np.array([0.8, 0.1]), np.eye(2), np.zeros(0), np.array([0.5])
+        if kind == bucy.BUCY:
+            bucy.bucy_deriv(s, factor, model, u, y, 0.2)
+        else:
+            bucy.cngd_deriv(s, factor, 0.5, 0.0, model, u, y)
+        assert calls == {"h": 1 + 2 * 2, "f": 1 + 2 * 2}
+
+    @pytest.mark.parametrize("analytic", [False, True], ids=["fallback", "analytic"])
+    def test_a_non_finite_mean_is_refused_before_its_jacobian(self, analytic):
+        reference = builtin("linear2d")
+        model, calls = counting_bare(reference, h=lambda s, u: np.full(2, np.nan))
+        if analytic:
+            model = dataclasses.replace(model, jacobian_h=reference.jacobian_h)
+        family = expfam.gaussian(0.1 * np.eye(2))
+        with pytest.raises(DomainError, match="^gaussian mean must be finite at t = 3$"):
+            linearise(model, family, np.array([0.3, -0.2]), np.zeros(0), np.zeros(2), 3)
+        assert calls == {"h": 1}
 
 
 class TestCanonicalLink:
