@@ -1,12 +1,17 @@
-"""Batch front-end: parse flat key=value configs, run filters or
-equivalence comparisons, and emit CSV traces plus plain-text summaries.
+"""Batch front-end: parse flat key=value configs, run the equivalence
+comparison of a matched filter/gradient pair, and emit a CSV of its
+deviations plus a plain-text summary.
 
 The config's model decides the time domain and so the pair: fading EKF and
-natural gradient, or Kalman-Bucy and natural-gradient flow.  ``run --side
-filter|gradient`` runs one side of the pair, ``compare`` both.
+natural gradient, or Kalman-Bucy and natural-gradient flow.  ``compare``
+runs both sides together, through :mod:`kalgrad.equivalence`, the one
+place where the pair is matched.  A discrete pair that aborts at step t
+still writes its rows t = 0..t-1 and a failing summary; the trajectory of
+one side alone comes from the library (:func:`kalgrad.ekf.run`,
+:func:`kalgrad.natgrad.run`, :func:`kalgrad.bucy.integrate`).
 
-Exit codes: 0 success (or comparison pass), 1 configuration or usage
-error, 2 numerical failure, 3 comparison tolerance failure.
+Exit codes: 0 comparison pass, 1 configuration or usage error, 2
+numerical failure, 3 comparison tolerance failure.
 """
 
 from __future__ import annotations
@@ -19,11 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bucy as bucy_mod
-from . import ekf as ekf_mod
 from . import equivalence as eq_mod
 from . import expfam
 from . import model as model_mod
-from . import natgrad as ngd_mod
 from .errors import ConfigError, NumericalError, UnknownModelError
 from .numerics import _finite, check_eta0
 
@@ -57,7 +60,6 @@ _KEYS = {
     "family": (str, None, "discrete"),
     "obs_cov": (_parse_floats, None, "discrete"),
     "T": (float, None, None),
-    "dt": (float, None, "continuous"),
     "dt_list": (_parse_floats, None, "continuous"),
     "seed": (_parse_seed, None, "discrete"),
     "s0": (_parse_floats, None, None),
@@ -205,7 +207,7 @@ def _fmt(value: float) -> str:
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write one CSV file.  Its directory is made here, so that it appears
-    only once a run has validated its inputs and finished."""
+    only once a run has validated its inputs and has rows to write."""
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in rows:
@@ -275,67 +277,13 @@ def _scenario_columns(scenario: model_mod.Scenario) -> tuple[list[str], np.ndarr
     return names, np.column_stack([times, scenario.true_states, y_block])
 
 
-def cmd_run(config_path: str, side: str, out: Path = Path(".")) -> int:
-    """Run one side of the model's pair, the filter or the gradient, and
-    write trace.csv / summary.txt."""
-    cfg, system = _load(config_path)
-    gradient = side == "gradient"
-    if isinstance(system, model_mod.ContinuousModel):
-        mode = "cngd" if gradient else "bucy"
-        horizon, alpha, s0, p0 = _continuous_inputs(cfg, system)
-        dt = cfg["dt"]
-        if dt is None:
-            raise ConfigError("missing required field: dt")
-        _field("dt", bucy_mod.grid_steps, dt, horizon)
-        grid = (dt, horizon, alpha)
-        dim = system.dim_state
-        if gradient:
-            metric0 = eq_mod.initial_metric(p0, cfg["eta0"])
-            trace = bucy_mod.integrate(bucy_mod.CNGD, s0, metric0, system, *grid, cfg["eta0"])
-            factors = trace.factors  # J = U^T U
-            prefix, mats, extra = "j", factors.transpose(0, 2, 1) @ factors, [trace.etas]
-        else:
-            trace = bucy_mod.integrate(bucy_mod.BUCY, s0, p0, system, *grid)
-            prefix, mats, extra = "p", trace.covs, []
-        header = (
-            ["t"]
-            + [f"y_{i}" for i in range(system.dim_obs)]
-            + [f"s_{i}" for i in range(dim)]
-            + [f"{prefix}_{i}_{j}" for i in range(dim) for j in range(dim)]
-            + ["eta"] * len(extra)
-        )
-        obs = np.array([system.obs_path(t) for t in trace.times])
-        rows = np.column_stack(
-            [trace.times, obs, trace.states, mats.reshape(len(mats), -1), *extra]
-        )
-        details = [f"T = {horizon}", f"dt = {dt}"]
-    else:
-        mode = "natgrad" if gradient else "ekf"
-        scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
-        if gradient:
-            eta = eq_mod.map_alpha_to_eta(alpha, cfg["eta0"], scenario.horizon)[1:]
-            metric0 = eq_mod.initial_metric(p0, cfg["eta0"])
-            trace = ngd_mod.run(scenario, eta, eta, s0, metric0)
-        else:
-            trace = ekf_mod.run(scenario, alpha, s0, p0)
-        header, block = _scenario_columns(scenario)
-        header += [f"s_est_{i}" for i in range(system.dim_state)]
-        rows = np.column_stack([block, trace.states])
-        details = [
-            f"T = {scenario.horizon}",
-            f"seed = {scenario.seed}",
-            "note = y columns at t = 0 are zero placeholders (no observation)",
-        ]
-
-    _write_csv(out / "trace.csv", header, rows)
-    summary = [f"mode = {mode}", f"scenario = {cfg['scenario']}", *details, f"rows = {len(rows)}"]
-    (out / "summary.txt").write_text("\n".join(summary) + "\n")
-    return 0
-
-
 def cmd_compare(config_path: str, out: Path = Path("."), mutate: str | None = None) -> int:
-    """Run the model's matched filter/gradient pair and report deviations."""
+    """Run the model's matched filter/gradient pair and report deviations.
+    A discrete pair that aborts at step t writes the rows 0..t-1 that both
+    sides completed and a failing summary that names the abort, and then
+    re-raises the numerical error."""
     cfg, system = _load(config_path)
+    abort = None
     if isinstance(system, model_mod.ContinuousModel):
         mode = "continuous"
         if mutate is not None:
@@ -363,7 +311,12 @@ def cmd_compare(config_path: str, out: Path = Path("."), mutate: str | None = No
     else:
         mode = "discrete"
         scenario, s0, p0, alpha = _discrete_inputs(cfg, system)
-        report = eq_mod.check_discrete(scenario, s0, p0, alpha, eta0=cfg["eta0"], mutate=mutate)
+        try:
+            report = eq_mod.check_discrete(scenario, s0, p0, alpha, eta0=cfg["eta0"], mutate=mutate)
+        except NumericalError as exc:
+            if not hasattr(exc, "report"):
+                raise
+            report, abort = exc.report, exc
         header, block = _scenario_columns(scenario)
         dim = system.dim_state
         header += (
@@ -372,7 +325,10 @@ def cmd_compare(config_path: str, out: Path = Path("."), mutate: str | None = No
             + ["state_dev", "metric_dev"]
         )
         rows = np.column_stack(
-            [block, report.filter_states, report.grad_states, report.state_devs, report.metric_devs]
+            [
+                block[: len(report.state_devs)], report.filter_states, report.grad_states,
+                report.state_devs, report.metric_devs,
+            ]
         )
         details = [
             f"max_state_dev = {_fmt(report.max_state_dev)}",
@@ -380,11 +336,13 @@ def cmd_compare(config_path: str, out: Path = Path("."), mutate: str | None = No
             f"tol = {_fmt(report.tol)}",
             f"mutate = {mutate or 'none'}",
             f"pass = {report.passed}",
-        ]
+        ] + ([f"abort = {abort}"] if abort is not None else [])
 
     _write_csv(out / "deviations.csv", header, rows)
     summary = [f"mode = {mode}", f"scenario = {cfg['scenario']}", *details]
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
+    if abort is not None:
+        raise abort
     return 0 if report.passed else 3
 
 
@@ -411,11 +369,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one side of the model's pair and write its trace")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--side", required=True, choices=("filter", "gradient"))
-    p_run.add_argument("--out", type=Path, default=Path("."))
-
     p_cmp = sub.add_parser("compare", help="run a matched pair and compare traces")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--out", type=Path, default=Path("."))
@@ -425,8 +378,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        if args.command == "run":
-            return cmd_run(args.config, args.side, args.out)
         if args.command == "compare":
             return cmd_compare(args.config, args.out, args.mutate)
         return cmd_list()

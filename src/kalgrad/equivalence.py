@@ -241,6 +241,9 @@ def check_discrete(
     and compares their traces at ``tol``.  A numerical error is re-raised
     with the side that fails at the earliest step, the filter first within
     a step, prepended to the message: "filter side: " or "gradient side: ".
+    An error at step t also carries ``report``, the comparison of the rows
+    0..t-1 that both sides completed, with ``passed`` False; a prior
+    refused before step 1 carries none.
 
     ``mutate`` names a negative control, one of :data:`MUTATIONS`, which
     breaks the hyperparameter identification by changing one side's
@@ -279,17 +282,24 @@ def check_discrete(
         scenario = copy.copy(scenario)
         object.__setattr__(scenario, "model", identity)
     metric0 = initial_metric(init_cov, eta0)
+
+    def compare(filt: Trace, grad: Trace) -> ComparisonReport:
+        return _compare(
+            filt, grad, etas[: len(filt.states)], tol,
+            filter_states=filt.states, grad_states=grad.states,
+        )
+
     try:
         sides = [filter_side, ngd_mod.side(scenario, eta, gamma, init_state, metric0)]
         filt, grad = run_sides(sides, scenario)
     except NumericalError as exc:
         # A J_0 that does not factor is refused as the gradient side is
-        # built, before any step tags a side.
+        # built, before any step tags a side or leaves a trace.
         exc.args = (f"{getattr(exc, 'side', 'gradient')} side: {exc}",)
+        if hasattr(exc, "traces"):
+            exc.report = replace(compare(*exc.traces), passed=False)
         raise
-    return _compare(
-        filt, grad, etas, tol, filter_states=filt.states, grad_states=grad.states
-    )
+    return compare(filt, grad)
 
 
 def check_continuous(

@@ -11,7 +11,7 @@ otherwise.  Since d theta / d yhat = cov(T)^-1 in the natural parameter
 theta, an observation with mean yhat = h(s) and Jacobian H has the score
 e B = (T - yhat) cov(T)^-1 H and the Fisher B^T B = H^T cov(T)^-1 H for
 B = S^-T H and e = (T - yhat) S^-1, with no solve with cov(T)
-(:func:`kalgrad.model.mean_linearisation`).
+(:func:`kalgrad.model.linearise`).
 
 Bernoulli and categorical also take the natural parameter ``x`` (the
 logits, the linear predictor of a model with the canonical link), where

@@ -14,8 +14,9 @@ filter's Fisher ``B^T C B`` and a root ``S`` of ``C`` for the gradient
 side's Fisher rows ``S B``.  Through the mean parameter the
 observation is read whitened by ``S^-T`` for the square root ``S`` of
 ``cov(T)`` there: ``B = S^-T H``, ``C = I`` and ``e = (T - h) S^-1``,
-with ``H`` the Jacobian of ``h`` (:func:`mean_linearisation`, whose
-helpers the continuous fields call directly); the observed value, ``h``
+with ``H`` the Jacobian of ``h`` (:func:`_observed` and
+:func:`_whitened`, which the continuous fields call directly, as
+:func:`linearise` does); the observed value, ``h``
 or the predictor, is tested before its Jacobian is taken, and a
 central-difference Jacobian starts from it.  For a gaussian observation
 ``S^-T = L^-1`` for its covariance ``R = L L^T``.  A model
@@ -216,24 +217,29 @@ def run_sides(sides: Sequence[tuple], scenario: Scenario) -> list[Trace]:
     ``step(t, u_t, T(y_t))`` moving it from step t-1 to t and returning
     its (s, M), so a side runs once.  At each t, row t-1 of the scenario's
     ``inputs`` and ``stats`` is read once and every side steps, in order;
-    returns one Trace per side.  A numerical error gets ``side`` set to
-    the kind of the side that raised it: the earliest failing step's
-    side, and within that step the first in order."""
+    returns one Trace per side.  A numerical error at step t gets ``side``
+    set to the kind of the side that raised it, the first in order within
+    that step, and ``traces`` set to one Trace per side over the rows
+    0..t-1 that every side completed."""
     rows = scenario.horizon + 1
     lanes = []
     for kind, state, matrix, step in sides:
         states, mats = np.empty((rows,) + state.shape), np.empty((rows,) + matrix.shape)
         states[0], mats[0] = state, matrix
         lanes.append((kind, step, states, mats))
+    fields = {"filter": "covs", "gradient": "factors"}
+
+    def traces(end: int) -> list[Trace]:
+        return [Trace(states[:end], **{fields[kind]: mats[:end]}) for kind, _, states, mats in lanes]
+
     try:
         for t, (u, stats) in enumerate(zip(scenario.inputs, scenario.stats), start=1):
             for kind, step, states, mats in lanes:
                 states[t], mats[t] = step(t, u, stats)
     except NumericalError as exc:
-        exc.side = kind
+        exc.side, exc.traces = kind, traces(t)
         raise
-    fields = {"filter": "covs", "gradient": "factors"}
-    return [Trace(states, **{fields[kind]: mats}) for kind, _, states, mats in lanes]
+    return traces(rows)
 
 
 @dataclass(frozen=True)
@@ -244,7 +250,7 @@ class Linearisation:
     ``jac`` is B = d theta / d s and ``residual`` is e = T - E[T] for the
     sufficient statistics T it was made with, one vector or one row per
     draw, both in whitened coordinates off a canonical link
-    (:func:`mean_linearisation`).  The score of T in the state is
+    (:func:`_whitened`).  The score of T in the state is
     ``residual @ jac``.  ``cov()`` is C = cov(T) at the predicted mean and
     ``root()`` a square root S of C, S^T S = C, each made only when called
     (the shared identity off a canonical link), so that the Fisher
@@ -287,21 +293,6 @@ def _whitened(
     return whitener.dot(h_jac), (stats - mean).dot(whitener.T)
 
 
-def mean_linearisation(
-    family: expfam.ObservationFamily, mean, h_jac: Array, stats: Array
-) -> Linearisation:
-    """Linearisation of sufficient statistics ``stats`` = T through the mean
-    parameter ``mean`` = h(s, u), which :func:`expfam.check_mean` tests,
-    whose Jacobian in the state is ``h_jac`` = H, read whitened
-    (:func:`_whitened`): B = S^-T H, e = (T - h) S^-1 and C = S = I, so
-    e B = (T - h) cov(T)^-1 H and B^T C B = H^T cov(T)^-1 H with no solve
-    with cov(T).  :func:`linearise` builds the same from the model, testing
-    the mean before H is taken (:func:`_observed`)."""
-    jac, residual = _whitened(family, expfam.check_mean(family, mean), h_jac, stats)
-    eye = functools.partial(_identity, family.mean_dim)
-    return Linearisation(jac, residual, eye, eye)
-
-
 def linearise(
     model: DynamicalModel, family: expfam.ObservationFamily, s: Array, u: Array, stats: Array, t: int
 ) -> Linearisation:
@@ -311,9 +302,12 @@ def linearise(
 
     Under a declared canonical link, theta is the linear predictor x:
     B = G, and the residual, C = V(x) and the root of C are
-    :func:`expfam.canonical_parts` at x.  Otherwise this is
-    :func:`mean_linearisation` at the mean h(s, u).  Either tests the
-    observed value, x or h(s, u), once, before its Jacobian is taken.
+    :func:`expfam.canonical_parts` at x.  Otherwise theta is read
+    through the mean h(s, u) with Jacobian H, whitened
+    (:func:`_whitened`): B = S^-T H, e = (T - h) S^-1 and C = S = I, so
+    e B = (T - h) cov(T)^-1 H and B^T C B = H^T cov(T)^-1 H with no solve
+    with cov(T).  Either tests the observed value, x or h(s, u)
+    (:func:`_observed`), once, before its Jacobian is taken.
     """
     try:
         if model.canonical_link(family):

@@ -2,7 +2,8 @@
 log-likelihoods that the tests differentiate numerically, as oracles for
 the scores the library reads from its linearisations, the unwhitened
 covariance of T, its square root and cov(T)^-1 H, as oracles for the
-whitened observations the library reads, a Monte Carlo
+whitened observations the library reads, the linearisation of a given
+mean and Jacobian through the library's ``linearise``, a Monte Carlo
 Fisher estimate, as the oracle for the exact Fisher the library blends in,
 scipy's Cholesky solve with one refinement pass, as the oracle for the SPD
 solve, the information form of the EKF observation update, as the
@@ -26,7 +27,6 @@ from scipy.special import expit
 from kalgrad import expfam
 from kalgrad.model import (
     ContinuousModel, DynamicalModel, Linearisation, Scenario, generate_scenario, linearise,
-    mean_linearisation,
 )
 from kalgrad.natgrad import fisher_rows
 from kalgrad.numerics import fd_jacobian, schedule, solve_psd, symmetrize
@@ -94,6 +94,22 @@ def natural_jacobian(family: expfam.ObservationFamily, yhat, mean_jac) -> tuple[
     solve with cov(T): the unwhitened form of the library's reading."""
     cov = cov_suffstats(family, yhat)
     return cov, cho_solve_refined(cov, mean_jac)
+
+
+def mean_linearisation(family: expfam.ObservationFamily, mean, h_jac, stats, t: int = 1) -> Linearisation:
+    """The linearisation of :func:`kalgrad.model.linearise` at step t
+    through the mean parameter, from a given mean h = ``mean`` and its
+    Jacobian H = ``h_jac``: linearise on a model whose h and analytic
+    Jacobian return those at every state, so the mean is tested before H
+    is read, as on every other model."""
+    mean, h_jac = np.asarray(mean, dtype=float), np.asarray(h_jac, dtype=float)
+    dim = h_jac.shape[1]
+    model = DynamicalModel(
+        name="fixed-mean", dim_state=dim, dim_input=0, dim_obs=family.mean_dim,
+        f=lambda s, u: s, h=lambda s, u: mean, inputs=lambda t: np.zeros(0),
+        init_state=np.zeros(dim), jacobian_h=lambda s, u: h_jac,
+    )
+    return linearise(model, family, np.zeros(dim), np.zeros(0), stats, t)
 
 
 def suffstats_batch(family: expfam.ObservationFamily, draws) -> np.ndarray:
@@ -181,7 +197,7 @@ def plain_online_natgrad(
         else:
             h_jac = fd_jacobian(lambda v: h(v, u), theta)
         stats = expfam.sufficient_stats(family, y)
-        lin = mean_linearisation(family, np.asarray(h(theta, u), dtype=float), h_jac, stats)
+        lin = mean_linearisation(family, h(theta, u), h_jac, stats, t)
         rows_w = fisher_rows(lin)
         metric = symmetrize((1.0 - gamma_t) * metric + gamma_t * rows_w.T @ rows_w)
         score = lin.residual @ lin.jac

@@ -24,11 +24,12 @@ from kalgrad.equivalence import (
     sweep_cell,
     sweep_schedules,
 )
-from kalgrad.model import DynamicalModel, builtin, generate_scenario, linearise, mean_linearisation
+from kalgrad.model import DynamicalModel, builtin, generate_scenario, linearise
 
 from conftest import gradient_metrics, observe, random_spd
 from oracles import (
-    inst_loglik, log_density, mc_fisher, observe_gradient, observe_information, plain_online_natgrad,
+    inst_loglik, log_density, mc_fisher, mean_linearisation, observe_gradient, observe_information,
+    plain_online_natgrad,
 )
 from test_ekf import make_linear_model
 from test_equivalence import softmax_model

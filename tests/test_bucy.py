@@ -6,11 +6,11 @@ import scipy.linalg
 
 from kalgrad import bucy, equivalence, expfam, natgrad
 from kalgrad.errors import NonFiniteError, PositivityLostError, SingularMatrixError
-from kalgrad.model import ContinuousModel, builtin, mean_linearisation
+from kalgrad.model import ContinuousModel, builtin
 from kalgrad.numerics import rk4_step, symmetrize
 
 from conftest import gradient_metrics, random_spd, upper_factor
-from oracles import continuous_rk4, hidden_ct, inst_loglik
+from oracles import continuous_rk4, hidden_ct, inst_loglik, mean_linearisation
 
 
 def make_ct(dim_state, dim_obs, f, h, jac_f, jac_h, r=None, y_path=None, name="ct-test"):
@@ -520,6 +520,17 @@ class TestIntegrate:
         with pytest.raises(NonFiniteError) as info:
             bucy.integrate(kind, np.zeros(1), np.eye(1), model, 0.1, 1.0, eta0=0.5)
         assert str(info.value) == f"{kind} step from t = 0.4: derivative non-finite at t = 0.5"
+
+    # alpha = 1e300 overflows either field alone in the first step of
+    # pendulum-ct at dt = 0.1; the failure is named once, with no numpy
+    # warning before it.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", [bucy.BUCY, bucy.CNGD])
+    def test_an_overflowing_fading_weight_names_the_side(self, kind):
+        model = builtin("pendulum-ct")
+        with pytest.raises(NonFiniteError) as info:
+            bucy.integrate(kind, model.init_state, np.eye(2), model, 0.1, 1.0, 1e300, eta0=0.5)
+        assert str(info.value) == f"{kind} step from t = 0: derivative non-finite at t = 0.05"
 
     # y(t) is nan past t = 0.27, so the step from 0.2 fails at its last
     # stage, t = 0.2 + 0.1 = 0.30000000000000004, named as every other

@@ -24,7 +24,6 @@ eta0 = 0.5
 PENDULUM_CFG = """\
 scenario = pendulum-ct
 T = 1.0
-dt = 1e-3
 dt_list = 1e-2, 1e-3
 alpha = 0.2
 eta0 = 0.5
@@ -75,15 +74,16 @@ class TestParseConfig:
     # Inputs the config does not take: a class count (no categorical
     # family), a prior diagonal (p0_scale sets P0), the output directory
     # and negative control, which are the flags --out and --mutate, a
-    # Fisher estimator (the natural gradient uses the exact Fisher) and a
-    # tolerance (each certificate has its own).
+    # Fisher estimator (the natural gradient uses the exact Fisher), a
+    # tolerance (each certificate has its own) and one continuous step
+    # (the comparison steps at each entry of dt_list).
     @pytest.mark.parametrize(
         "line",
         [
             "classes = 3", "p0 = 1, 1", "out = results", "mutate = halve_gamma",
-            "fisher_mode = kfac", "tol = 1e-8",
+            "fisher_mode = kfac", "tol = 1e-8", "dt = 1e-3",
         ],
-        ids=["classes", "p0", "out", "mutate", "fisher_mode", "tol"],
+        ids=["classes", "p0", "out", "mutate", "fisher_mode", "tol", "dt"],
     )
     def test_removed_keys_rejected(self, line, tmp_path):
         path = tmp_path / "old.cfg"
@@ -112,123 +112,6 @@ class TestParseConfig:
         path = tmp_path / "c.cfg"
         path.write_text("# header\n\nscenario = static  # trailing\n")
         assert parse_config(path)["scenario"] == "static"
-
-
-class TestCmdRun:
-    def test_ekf_writes_trace_with_t_plus_one_rows(self, linear_cfg, tmp_path):
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(linear_cfg), "--side", "filter", "--out", str(out)]) == 0
-        lines = (out / "trace.csv").read_text().splitlines()
-        assert len(lines) == 1 + 51  # header + T + 1 rows
-        header = lines[0].split(",")
-        assert header == ["t", "s_true_0", "s_true_1", "y_0", "y_1", "s_est_0", "s_est_1"]
-        for line in lines[1:]:
-            values = [float(v) for v in line.split(",")]
-            assert len(values) == len(header)
-            assert all(np.isfinite(values))
-        assert (out / "summary.txt").read_text().startswith("mode = ekf\n")
-
-    def test_natgrad_mode(self, linear_cfg, tmp_path):
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(linear_cfg), "--side", "gradient", "--out", str(out)]) == 0
-        assert (out / "trace.csv").exists()
-        assert (out / "summary.txt").read_text().startswith("mode = natgrad\n")
-
-    def test_bucy_and_cngd_modes(self, pendulum_cfg, tmp_path):
-        out_b = tmp_path / "b"
-        out_c = tmp_path / "c"
-        argv = ["run", "--config", str(pendulum_cfg), "--side"]
-        assert main(argv + ["filter", "--out", str(out_b)]) == 0
-        assert main(argv + ["gradient", "--out", str(out_c)]) == 0
-        header_b = (out_b / "trace.csv").read_text().splitlines()[0]
-        header_c = (out_c / "trace.csv").read_text().splitlines()[0]
-        assert "p_0_0" in header_b
-        assert "eta" in header_c
-        assert (out_b / "summary.txt").read_text().startswith("mode = bucy\n")
-        assert (out_c / "summary.txt").read_text().startswith("mode = cngd\n")
-
-    def test_missing_scenario_exits_1(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text("family = gaussian\nT = 5\n")
-        assert main(["run", "--config", str(path), "--side", "filter"]) == 1
-        assert "scenario" in capsys.readouterr().err
-
-    def test_unknown_model_exits_1(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("scenario = lorenz\nfamily = gaussian\nobs_cov = 1\nT = 5\n")
-        assert main(["run", "--config", str(path), "--side", "filter"]) == 1
-
-    # A value the config parser accepts but the run refuses: a dt past
-    # the horizon.
-    @pytest.mark.parametrize(
-        "side, body",
-        [("filter", "scenario = pendulum-ct\nT = 1.0\ndt = 2.0\n")],
-        ids=["dt-past-horizon"],
-    )
-    def test_library_value_error_exits_1(self, side, body, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text(body)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(path), "--side", side, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_singular_observation_covariance_exits_2(self, tmp_path, capsys):
-        # A fading weight of 1e300 inflates the predicted covariance past
-        # the float64 range at t = 2, a numerical failure of the transition.
-        path = tmp_path / "sing.cfg"
-        path.write_text(
-            "scenario = static\nfamily = gaussian\nobs_cov = 0.25\nT = 20\n"
-            "alpha = 1e300\n"
-        )
-        out = tmp_path / "out"
-        code = main(["run", "--config", str(path), "--side", "filter", "--out", str(out)])
-        assert code == 2
-        assert "failure" in capsys.readouterr().err
-
-    # alpha = 1e300 overflows both continuous fields in the first step; the
-    # failure is named once, with no numpy warning before it.
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("mode", ["bucy", "cngd"])
-    def test_overflowing_continuous_run_exits_2_without_warnings(self, mode, tmp_path, capsys):
-        body = (CONFIGS / "pendulum_ct.cfg").read_text()
-        body = body.replace("alpha = 0.2", "alpha = 1e300").replace("dt = 1e-3", "dt = 0.1")
-        path = tmp_path / "overflow.cfg"
-        path.write_text(body)
-        out = tmp_path / "out"
-        assert main(["run", "--side", SIDES[mode], "--config", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"{mode} step from t = 0: derivative non-finite at t = 0.05" in err
-        assert "Warning" not in err
-
-    def test_saturated_bernoulli_mean_runs(self, tmp_path):
-        # s0 = (-1000, -1000) rounds the predicted bernoulli mean to 0; the
-        # canonical-link path of logistic-static keeps the filter defined.
-        path = tmp_path / "saturated.cfg"
-        path.write_text(
-            "scenario = logistic-static\nfamily = bernoulli\nT = 20\n"
-            "s0 = -1000, -1000\nalpha = 0.0\n"
-        )
-        out = tmp_path / "out"
-        code = main(["run", "--config", str(path), "--side", "filter", "--out", str(out)])
-        assert code == 0
-        assert len((out / "trace.csv").read_text().splitlines()) == 22
-
-    def test_seed_defaults_to_0(self, linear_cfg, tmp_path):
-        unset, zero = tmp_path / "unset", tmp_path / "zero"
-        _set_field(linear_cfg, "seed = 0")
-        argv = ["run", "--config", str(linear_cfg), "--side", "filter", "--out"]
-        assert main(argv + [str(zero)]) == 0
-        linear_cfg.write_text(linear_cfg.read_text().replace("seed = 0\n", ""))
-        assert main(argv + [str(unset)]) == 0
-        for name in ("trace.csv", "summary.txt"):
-            assert (unset / name).read_bytes() == (zero / name).read_bytes()
-        assert "seed = 0\n" in (unset / "summary.txt").read_text()
-
-    def test_byte_identical_reruns(self, linear_cfg, tmp_path):
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        main(["run", "--config", str(linear_cfg), "--side", "filter", "--out", str(out1)])
-        main(["run", "--config", str(linear_cfg), "--side", "filter", "--out", str(out2)])
-        assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
 class TestCmdCompare:
@@ -338,26 +221,145 @@ class TestCmdCompare:
         )
         assert code == 0
 
+    def test_missing_scenario_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("family = gaussian\nT = 5\n")
+        assert main(["compare", "--config", str(path)]) == 1
+        assert "scenario" in capsys.readouterr().err
 
-# One command per entry point: a run of the filter side and a comparison.
-COMMANDS = {
-    "run": ["run", "--side", "filter"],
-    "compare": ["compare"],
-}
+    def test_unknown_model_exits_1(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("scenario = lorenz\nfamily = gaussian\nobs_cov = 1\nT = 5\n")
+        assert main(["compare", "--config", str(path)]) == 1
 
-# Every (command, mode) pair, discrete ones first, by the mode that
-# summary.txt names; the config's model and the run's side select it.
-ALL_MODES = [
-    ("run", "ekf"), ("run", "natgrad"), ("compare", "discrete"),
-    ("run", "bucy"), ("run", "cngd"), ("compare", "continuous"),
-]
-DISCRETE_MODES = ("ekf", "natgrad", "discrete")
-SIDES = {"ekf": "filter", "natgrad": "gradient", "bucy": "filter", "cngd": "gradient"}
+    # alpha = 1e300 overflows both continuous fields in the first step;
+    # the failure is named once, by bucy (cngd alone: test_bucy.py), with
+    # no numpy warning before it, and nothing is written.
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_continuous_pair_exits_2_without_warnings(self, tmp_path, capsys):
+        body = (CONFIGS / "pendulum_ct.cfg").read_text()
+        body = re.sub(r"^dt_list = .*$", "dt_list = 0.1", body, flags=re.M)
+        path = tmp_path / "overflow.cfg"
+        path.write_text(body.replace("alpha = 0.2", "alpha = 1e300"))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bucy step from t = 0: derivative non-finite at t = 0.05" in err
+        assert "Warning" not in err
+        assert not out.exists()
+
+    def test_saturated_bernoulli_mean_runs(self, tmp_path):
+        # s0 = (-1000, -1000) rounds the predicted bernoulli mean to 0; the
+        # canonical-link path of logistic-static keeps both sides defined.
+        path = tmp_path / "saturated.cfg"
+        path.write_text(
+            "scenario = logistic-static\nfamily = bernoulli\nT = 20\n"
+            "s0 = -1000, -1000\nalpha = 0.0\n"
+        )
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+        assert len((out / "deviations.csv").read_text().splitlines()) == 22
+
+    def test_seed_defaults_to_0(self, linear_cfg, tmp_path):
+        unset, zero = tmp_path / "unset", tmp_path / "zero"
+        _set_field(linear_cfg, "seed = 0")
+        argv = ["compare", "--config", str(linear_cfg), "--out"]
+        assert main(argv + [str(zero)]) == 0
+        linear_cfg.write_text(linear_cfg.read_text().replace("seed = 0\n", ""))
+        assert main(argv + [str(unset)]) == 0
+        for name in ("deviations.csv", "summary.txt"):
+            assert (unset / name).read_bytes() == (zero / name).read_bytes()
+
+    def test_byte_identical_reruns(self, linear_cfg, tmp_path):
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        for out in (out1, out2):
+            assert main(["compare", "--config", str(linear_cfg), "--out", str(out)]) == 0
+        for name in ("deviations.csv", "summary.txt"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def _argv(command, mode):
-    """The command line that runs one (command, mode) pair of ALL_MODES."""
-    return [command] + (["--side", SIDES[mode]] if command == "run" else [])
+# static under gaussian(0.25 I) with one fading weight of 1e300 at t = 10:
+# both sides complete steps 1..9, and the gradient side's blend at t = 10
+# is singular.
+ABORTED_CFG = """\
+scenario = static
+family = gaussian
+obs_cov = 0.25
+T = 20
+alpha = 0.1
+alpha[10] = 1e300
+"""
+ABORT_MESSAGE = "gradient side: blended metric factor is singular at t = 10"
+
+
+class TestAbortedCompare:
+    """A discrete pair that aborts at step t writes the rows 0..t-1 that
+    both sides completed, a failing summary that names the abort, and
+    exits 2 with the abort on stderr."""
+
+    def test_writes_the_rows_both_sides_completed(self, tmp_path, capsys):
+        path = tmp_path / "aborted.cfg"
+        path.write_text(ABORTED_CFG)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"numerical failure: {ABORT_MESSAGE}\n"
+        columns = _csv_columns(out / "deviations.csv")
+        assert list(columns) == [
+            "t", "s_true_0", "s_true_1", "y_0", "s_ekf_0", "s_ekf_1", "s_ngd_0", "s_ngd_1",
+            "state_dev", "metric_dev",
+        ]
+        assert columns["t"] == [str(t) for t in range(10)]
+        for values in columns.values():
+            assert all(np.isfinite(float(v)) for v in values)
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[0] == "mode = discrete"
+        assert summary[-2:] == ["pass = False", f"abort = {ABORT_MESSAGE}"]
+
+    # The rows written are the rows of a run that stops before the abort:
+    # the same estimates and deviations as the full pair over T = 9.
+    def test_rows_equal_the_pair_run_to_the_step_before(self, tmp_path, capsys):
+        path, full = tmp_path / "aborted.cfg", tmp_path / "short.cfg"
+        path.write_text(ABORTED_CFG)
+        full.write_text(ABORTED_CFG.replace("T = 20", "T = 9").replace("alpha[10] = 1e300\n", ""))
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+        assert main(["compare", "--config", str(full), "--out", str(ref)]) == 0
+        assert (out / "deviations.csv").read_bytes() == (ref / "deviations.csv").read_bytes()
+
+    # A prior that is refused before step 1 leaves no rows, so nothing is
+    # written: J_0 = eta_0 P_0^-1 overflows for P_0 = 1e-320 I.
+    def test_refused_prior_leaves_no_output_directory(self, tmp_path, capsys):
+        path = tmp_path / "prior.cfg"
+        path.write_text(ABORTED_CFG + "p0_scale = 1e-320\n")
+        out = tmp_path / "new" / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: gradient side: prior metric J_0 has non-finite entries\n"
+        )
+        assert not (tmp_path / "new").exists()
+
+    def test_overflowing_fading_weight_at_the_first_step_writes_the_prior_row(self, tmp_path, capsys):
+        # A fading weight of 1e300 at every step makes the gradient side's
+        # blend singular at t = 1: only the prior row is written.
+        path = tmp_path / "sing.cfg"
+        path.write_text(
+            "scenario = static\nfamily = gaussian\nobs_cov = 0.25\nT = 20\nalpha = 1e300\n"
+        )
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: gradient side: blended metric factor is singular at t = 1\n"
+        )
+        assert _csv_columns(out / "deviations.csv")["t"] == ["0"]
+        assert "pass = False" in (out / "summary.txt").read_text().splitlines()
+
+
+# The one command that runs a pair.
+COMMANDS = {"compare": ["compare"]}
+
+# Every (command, mode) pair by the mode that summary.txt names; the
+# config's model selects it.
+ALL_MODES = [("compare", "discrete"), ("compare", "continuous")]
 
 
 def _set_field(path, line):
@@ -368,17 +370,18 @@ def _set_field(path, line):
 
 
 class TestRejectedInputs:
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_rejected_run_leaves_no_output_directory(self, command, linear_cfg, tmp_path, capsys):
-        # linear2d is a discrete model, so it refuses the continuous step dt.
-        linear_cfg.write_text(linear_cfg.read_text() + "dt = 0.1\n")
+        # linear2d is a discrete model, so it refuses the continuous steps
+        # dt_list.
+        linear_cfg.write_text(linear_cfg.read_text() + "dt_list = 0.1\n")
         out = tmp_path / "new" / "out"
         argv = COMMANDS[command] + ["--config", str(linear_cfg), "--out", str(out)]
         assert main(argv) == 1
-        assert "invalid field dt: continuous-only" in capsys.readouterr().err
+        assert "invalid field dt_list: continuous-only" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
     @pytest.mark.parametrize(
         "line", ["family = gaussian", "obs_cov = 100"], ids=["family", "obs_cov"]
     )
@@ -394,7 +397,7 @@ class TestRejectedInputs:
         assert f"invalid field {line.split()[0]}:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_family_dimension_mismatch_names_field(self, command, tmp_path, capsys):
         # linear2d observes two dimensions; a bernoulli label has one.
         path = tmp_path / "bern.cfg"
@@ -407,7 +410,7 @@ class TestRejectedInputs:
         assert "dimension 1" in err and "dimension 2" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
     @pytest.mark.parametrize(
         "alpha, message",
         [
@@ -432,10 +435,10 @@ class TestRejectedInputs:
     # flow and failed there, as a numerical error (exit 2).
     @pytest.mark.parametrize("command, mode", ALL_MODES)
     def test_nan_alpha_exits_1(self, command, mode, linear_cfg, pendulum_cfg, tmp_path, capsys):
-        path = linear_cfg if mode in DISCRETE_MODES else pendulum_cfg
+        path = linear_cfg if mode == "discrete" else pendulum_cfg
         path.write_text(re.sub(r"^alpha = .*$", "alpha = nan", path.read_text(), flags=re.M))
         out = tmp_path / "out"
-        argv = _argv(command, mode) + ["--config", str(path), "--out", str(out)]
+        argv = COMMANDS[command] + ["--config", str(path), "--out", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: invalid field alpha: weights must be >= 0")
         assert not out.exists()
@@ -460,10 +463,10 @@ class TestRejectedInputs:
     def test_non_finite_prior_exits_1(
         self, command, mode, line, message, linear_cfg, pendulum_cfg, tmp_path, capsys
     ):
-        path = linear_cfg if mode in DISCRETE_MODES else pendulum_cfg
+        path = linear_cfg if mode == "discrete" else pendulum_cfg
         _set_field(path, line)
         out = tmp_path / "out"
-        argv = _argv(command, mode) + ["--config", str(path), "--out", str(out)]
+        argv = COMMANDS[command] + ["--config", str(path), "--out", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
@@ -471,14 +474,14 @@ class TestRejectedInputs:
     # A discrete T counts steps and a seed keys the Philox stream: a value
     # that is neither is a config error named by its field, never a
     # truncated run or a message from numpy.
-    @pytest.mark.parametrize("command, mode", ALL_MODES[:3])
+    @pytest.mark.parametrize("command, mode", ALL_MODES[:1])
     @pytest.mark.parametrize(
         "line", ["T = 10.9", "T = nan", "seed = -1"], ids=["T-fraction", "T-nan", "seed-negative"]
     )
     def test_whole_number_fields_exit_1(self, command, mode, line, linear_cfg, tmp_path, capsys):
         _set_field(linear_cfg, line)
         out = tmp_path / "out"
-        argv = _argv(command, mode) + ["--config", str(linear_cfg), "--out", str(out)]
+        argv = COMMANDS[command] + ["--config", str(linear_cfg), "--out", str(out)]
         assert main(argv) == 1
         key = line.split()[0]
         assert capsys.readouterr().err.startswith(f"error: invalid field {key}: ")
@@ -486,16 +489,15 @@ class TestRejectedInputs:
 
     # A key that only the other time domain reads is refused: the model
     # could only ignore it.  seed = 0 is refused like any other seed.
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
     @pytest.mark.parametrize(
         "domain, line",
         [
-            ("discrete", "dt = 0.1"),
             ("discrete", "dt_list = 0.5"),
             ("continuous", "seed = 9"),
             ("continuous", "seed = 0"),
         ],
-        ids=["discrete-dt", "discrete-dt_list", "continuous-seed", "continuous-seed-0"],
+        ids=["discrete-dt_list", "continuous-seed", "continuous-seed-0"],
     )
     def test_key_of_the_other_domain_exits_1(
         self, command, domain, line, linear_cfg, pendulum_cfg, tmp_path, capsys
@@ -511,21 +513,20 @@ class TestRejectedInputs:
 
     # A continuous T is a time span: an infinite one has no grid, and is a
     # config error named by its field, not a traceback.
-    @pytest.mark.parametrize("command, mode", ALL_MODES[3:])
+    @pytest.mark.parametrize("command, mode", ALL_MODES[1:])
     def test_infinite_continuous_horizon_exits_1(
         self, command, mode, pendulum_cfg, tmp_path, capsys
     ):
         _set_field(pendulum_cfg, "T = inf")
-        _set_field(pendulum_cfg, "dt = 0.1")
         out = tmp_path / "out"
-        argv = _argv(command, mode) + ["--config", str(pendulum_cfg), "--out", str(out)]
+        argv = COMMANDS[command] + ["--config", str(pendulum_cfg), "--out", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: invalid field T: ")
         assert not out.exists()
 
     # An alpha value that is not a number is named by its field, as every
     # other field is, not reported as a bare float conversion error.
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -554,14 +555,9 @@ class TestRejectedInputs:
     @pytest.mark.parametrize(
         "argv, line, message",
         [
-            (["run", "--side", "filter"], "dt = 2.0", "invalid field dt: need 0 < dt <= T = 1, got 2"),
             (
                 ["compare"], "dt_list = 0.1, 2.0",
                 "invalid field dt_list: need 0 < dt <= T = 1, got 2 (entry 2 of 2)",
-            ),
-            (
-                ["run", "--side", "filter"], "dt = 0.4",
-                "invalid field dt: need a dt that divides T = 1, got 0.4",
             ),
             (
                 ["compare"], "dt_list = 0.1, 0.3",
@@ -573,8 +569,7 @@ class TestRejectedInputs:
             ),
         ],
         ids=[
-            "run-dt", "compare-dt_list", "run-dt-short-grid", "compare-dt_list-short-grid",
-            "compare-dt_list-repeated",
+            "compare-dt_list", "compare-dt_list-short-grid", "compare-dt_list-repeated",
         ],
     )
     def test_step_beyond_the_horizon_names_the_field(
@@ -586,19 +581,16 @@ class TestRejectedInputs:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    # Only the discrete map needs eta_0 <= 1, and a discrete config is
-    # refused on either side; the continuous flow takes any finite
-    # eta_0 > 0.
+    # Only the discrete map needs eta_0 <= 1; the continuous flow takes
+    # any finite eta_0 > 0.
     def test_eta0_above_1_is_discrete_only_refused(self, linear_cfg, pendulum_cfg, tmp_path, capsys):
         _set_field(linear_cfg, "eta0 = 1.5")
-        for mode in DISCRETE_MODES:
-            command = "compare" if mode == "discrete" else "run"
-            out = tmp_path / mode
-            assert main(_argv(command, mode) + ["--config", str(linear_cfg), "--out", str(out)]) == 1
-            assert capsys.readouterr().err == (
-                "error: invalid field eta0: a discrete model needs eta_0 in (0, 1], got 1.5\n"
-            )
-            assert not out.exists()
+        out = tmp_path / "discrete"
+        assert main(["compare", "--config", str(linear_cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid field eta0: a discrete model needs eta_0 in (0, 1], got 1.5\n"
+        )
+        assert not out.exists()
         _set_field(pendulum_cfg, "eta0 = 1.5")
         out = tmp_path / "continuous"
         assert main(["compare", "--config", str(pendulum_cfg), "--out", str(out)]) == 0
@@ -608,17 +600,12 @@ class TestRejectedInputs:
 class TestUsageErrors:
     # A usage error is a configuration error (exit 1) that names the flag;
     # exit code 2 is a numerical failure.
-    def test_unknown_side_exits_1(self, linear_cfg, capsys):
-        assert main(["run", "--config", str(linear_cfg), "--side", "ekf"]) == 1
-        err = capsys.readouterr().err
-        assert "error: kalgrad run: argument --side: invalid choice: 'ekf'" in err
-
     def test_missing_config_exits_1(self, capsys):
         assert main(["compare"]) == 1
         assert "required: --config" in capsys.readouterr().err
 
     # --out names a directory; a regular file there is a usage error.
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_out_naming_a_file_exits_1(self, command, linear_cfg, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("keep\n")
@@ -629,31 +616,14 @@ class TestUsageErrors:
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--help"])
+            main(["compare", "--help"])
         assert exc.value.code == 0
-        assert "--side {filter,gradient}" in capsys.readouterr().out
+        assert "--config CONFIG" in capsys.readouterr().out
 
 
 def _csv_columns(path):
     header, *rows = (line.split(",") for line in path.read_text().splitlines())
     return {name: [row[i] for row in rows] for i, name in enumerate(header)}
-
-
-class TestRunMatchesCompare:
-    # run --side filter/gradient and compare share their setup and matched
-    # metric, so the estimates agree to the last printed digit.
-    @pytest.mark.parametrize("name", ["linear2d", "logistic_static", "tanhspring_ramp"])
-    def test_run_estimates_equal_compare_columns(self, name, tmp_path):
-        config = str(CONFIGS / f"{name}.cfg")
-        cmp_out = tmp_path / "compare"
-        assert main(["compare", "--config", config, "--out", str(cmp_out)]) == 0
-        compared = _csv_columns(cmp_out / "deviations.csv")
-        for side, prefix in (("filter", "s_ekf_"), ("gradient", "s_ngd_")):
-            out = tmp_path / side
-            assert main(["run", "--config", config, "--side", side, "--out", str(out)]) == 0
-            ran = _csv_columns(out / "trace.csv")
-            for i in range(2):
-                assert ran[f"s_est_{i}"] == compared[f"{prefix}{i}"]
 
 
 class TestCmdList:

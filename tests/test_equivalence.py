@@ -17,6 +17,7 @@ from kalgrad import model as model_mod
 from kalgrad.equivalence import (
     check_continuous,
     check_discrete,
+    initial_metric,
     map_alpha_to_eta,
     map_eta_to_alpha,
 )
@@ -198,9 +199,10 @@ class TestCheckDiscrete:
         monkeypatch.setattr(ekf, "transition", lambda *args: runs.append(args))
         monkeypatch.setattr(natgrad, "chart_transport", lambda *args: runs.append(args))
         message = "^prior covariance P_0: matrix is not positive definite$"
-        with pytest.raises(SingularMatrixError, match=message):
+        with pytest.raises(SingularMatrixError, match=message) as info:
             check_discrete(scenario, s0, np.diag([1.0, 0.0]), alpha=0.1)
         assert runs == []
+        assert not hasattr(info.value, "report")
 
     # An ill-conditioned P_0 = Q diag(1, k) Q^T still factors, so
     # J_0 = eta_0 L^-T L^-1 is read from its factor with no residual bound,
@@ -309,6 +311,29 @@ class TestCheckDiscrete:
         scenario = scenario_for("linear2d", 5, seed=0)
         assert check_discrete(scenario, np.zeros(2), np.eye(2), alpha=0.1).passed
         assert calls == [name for _, name in steps] * scenario.horizon
+
+    # An abort at step t carries the comparison of the rows 0..t-1 that
+    # both sides completed: on static with alpha_10 = 1e300 the gradient
+    # side's blend is singular at t = 10, while the filter runs through.
+    def test_an_abort_reports_the_rows_both_sides_completed(self):
+        scenario, s0, p0 = equivalence.sweep_cell("static", 20, 0)
+        alpha = np.full(20, 0.1)
+        alpha[9] = 1e300
+        message = "blended metric factor is singular at t = 10"
+        with pytest.raises(SingularMatrixError, match=f"^gradient side: {message}$") as info:
+            check_discrete(scenario, s0, p0, alpha)
+        report = info.value.report
+        assert report.passed is False
+        filt = ekf.run(scenario, alpha, s0, p0)
+        assert report.filter_states.tobytes() == filt.states[:10].tobytes()
+        eta = map_alpha_to_eta(alpha, 0.5, 20)[1:]
+        with pytest.raises(SingularMatrixError, match=f"^{message}$") as alone:
+            natgrad.run(scenario, eta, eta, s0, initial_metric(p0, 0.5))
+        (grad,) = alone.value.traces
+        assert report.grad_states.tobytes() == grad.states.tobytes()
+        assert len(grad.states) == len(report.state_devs) == len(report.metric_devs) == 10
+        # Every completed row meets the gate: the abort alone fails the pair.
+        assert max(report.max_state_dev, report.max_metric_dev) <= report.tol
 
     @pytest.mark.parametrize("seed, t", [(0, 21), (1, 16), (2, 14)])
     def test_saturated_mean_parameter_names_step_and_side(self, seed, t):

@@ -6,11 +6,11 @@ import pytest
 
 from kalgrad import ekf, expfam, natgrad
 from kalgrad.errors import NonFiniteError, SingularMatrixError
-from kalgrad.model import builtin, generate_scenario, linearise, mean_linearisation
+from kalgrad.model import builtin, generate_scenario, linearise
 from kalgrad.numerics import symmetrize
 
 from conftest import gradient_metrics, natgrad_update, random_spd, upper_factor
-from oracles import log_density, mc_fisher, plain_online_natgrad
+from oracles import log_density, mc_fisher, mean_linearisation, plain_online_natgrad
 from test_ekf import counting_scenario, make_linear_model, make_scenario
 
 

@@ -71,12 +71,13 @@ def test_example_config_compare_passes(config, tmp_path):
 
 
 def test_usage_error_exits_1():
-    # A usage error is a configuration error, exit 1, as for the flag that
-    # named the time domain before the model did; exit 2 is numerical.
+    # A usage error is a configuration error, exit 1; exit 2 is numerical.
+    # compare is the one command that runs a pair: a run of one side is a
+    # library call, and ``run`` is not a command.
     config = ROOT / "scripts" / "configs" / "linear2d.cfg"
-    proc = run_python("-m", "kalgrad", "run", "--config", str(config), "--mode", "ekf")
+    proc = run_python("-m", "kalgrad", "run", "--config", str(config), "--side", "filter")
     assert proc.returncode == 1
-    assert "--side" in proc.stderr
+    assert "invalid choice: 'run'" in proc.stderr
 
 
 def test_benchmark_lookups_resolve(monkeypatch):
