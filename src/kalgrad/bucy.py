@@ -197,29 +197,29 @@ def _factor_check(kinds: Sequence[str], starts, n: int) -> Callable[[np.ndarray,
     return check
 
 
-def start(kind: str, init_state, init_matrix, eta0: float | None = None) -> tuple[str, np.ndarray]:
+def start(kind: str, init_state, init_factor, eta0: float | None = None) -> tuple[str, np.ndarray]:
     """One side of a continuous run, (kind, z_0), with z_0 its packed start:
-    s_0, then the entries of the lower S_0 (P_0 = S_0 S_0^T) for ``bucy``
-    or of the upper U_0 (J_0 = U_0^T U_0) and eta_0 for ``cngd``.  The n x n
-    ``init_matrix``, P_0 or J_0, is Cholesky-factored once and refused by
-    name if it is not finite or does not factor; ``cngd`` needs the
-    initial rate ``eta0``, refused unless :func:`kalgrad.numerics.check_eta0`
-    passes it.  The factor must pass :func:`run`'s positivity test at t = 0."""
+    s_0, then the entries of the n x n ``init_factor``, the lower S_0
+    (P_0 = S_0 S_0^T) for ``bucy`` or the upper U_0 (J_0 = U_0^T U_0) and
+    eta_0 for ``cngd``, refused if it is of another shape or triangle;
+    ``cngd`` needs the initial rate ``eta0``, refused unless
+    :func:`kalgrad.numerics.check_eta0` passes it.  The factor must pass
+    :func:`run`'s positivity test at t = 0."""
     state = np.asarray(init_state, dtype=float)
-    mat0 = symmetrize(np.asarray(init_matrix, dtype=float))
+    factor = np.asarray(init_factor, dtype=float)
     if kind == BUCY:
-        tail = []
-        mat0 = _prior_factor(mat0, "prior covariance P_0")
+        tail, triangle = [], "lower"
     elif kind == CNGD:
         if eta0 is None:
             raise ValueError("cngd needs the initial rate eta0")
-        tail = [check_eta0(eta0)]
-        mat0 = _prior_factor(mat0, "prior metric J_0").T
+        tail, triangle = [check_eta0(eta0)], "upper"
     else:
         raise ValueError(f"unknown integration kind {kind!r}")
-    if len(mat0) != state.size:
+    if factor.shape != (state.size, state.size):
         raise ValueError(f"{kind} start needs a matrix of shape ({state.size}, {state.size})")
-    z0 = np.concatenate([state, mat0.ravel(), tail])
+    if (np.triu(factor, 1) if kind == BUCY else np.tril(factor, -1)).any():
+        raise ValueError(f"{kind} start needs a {triangle}-triangular factor")
+    z0 = np.concatenate([state, factor.ravel(), tail])
     _factor_check([kind], [0], state.size)(z0, 0.0)
     return kind, z0
 
@@ -346,9 +346,12 @@ def integrate(
     ``etas`` for ``cngd``.  ``alpha`` is a float, refused on entry if
     negative or nan, or a callable of time, refused so when it is
     evaluated.  eta is co-integrated with the state via :func:`eta_ode`
-    and gamma(t) = eta(t).  Positivity is checked after each step, and
-    failure raises PositivityLostError.  A numerical error raised inside a
-    step gets the side (``bucy`` or ``cngd``) and the step's grid time
-    prepended to its message.
+    and gamma(t) = eta(t).  ``init_matrix``, P_0 or J_0, is factored once,
+    and refused by name if it does not factor.  Positivity is checked after
+    each step, and failure raises PositivityLostError.  A numerical error
+    inside a step gets the side and the step's grid time prepended.
     """
-    return run([start(kind, init_state, init_matrix, eta0)], model, dt, horizon, alpha)[0]
+    name = "prior covariance P_0" if kind == BUCY else "prior metric J_0"
+    lower = _prior_factor(symmetrize(init_matrix), name)
+    side = start(kind, init_state, lower if kind == BUCY else lower.T, eta0)
+    return run([side], model, dt, horizon, alpha)[0]

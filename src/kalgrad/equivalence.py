@@ -6,11 +6,11 @@ gradient rates through
 
     1/eta_t = 1 / ((1 + alpha_t) * eta_{t-1}) + 1,      gamma_t = eta_t,
 
-with the initializations tied by P_0 = eta_0 * J_0^-1.  Under this map the
-fading-memory filter and the chart-based natural gradient produce the
-same states, and P_t = eta_t * J_t^-1 at every step.  The two sides step
-together, the filter's step t and then the gradient's, through
-:func:`kalgrad.model.run_sides`.
+with the initializations tied by P_0 = eta_0 J_0^-1 (:func:`initial_factors`).
+Under this map the fading-memory filter and the chart-based natural
+gradient produce the same states, and P_t = eta_t * J_t^-1 at every step.
+The two sides step together, the filter's step t and then the
+gradient's, through :func:`kalgrad.model.run_sides`.
 
 Continuous side.  The same statement holds for the Kalman-Bucy filter and
 the natural-gradient flow when gamma = eta and deta/dt = alpha eta - eta^2;
@@ -24,7 +24,8 @@ near-zero states do not inflate relative errors.  The metric check is
 ||P_t - eta_t J_t^-1||_F / ||P_t||_F, read in both time domains through
 the upper-triangular factors J_t = U_t^T U_t that both gradient sides
 carry, as J_t^-1 = U_t^-1 U_t^-T, with stacked inverses of the U_t over
-blocks of rows (back-substitution).
+blocks of rows (back-substitution), each row scaled exactly by powers of
+two so that the check has no range limit of its own.
 
 Negative controls live here only: :func:`check_discrete` applies one of
 :data:`MUTATIONS` to the inputs of one side (alpha = 0 for the filter,
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dgeqrf, dtrtri
 
 from . import bucy as bucy_mod
 from . import ekf as ekf_mod
@@ -170,17 +171,17 @@ def map_eta_to_alpha(eta: Sequence[float]) -> np.ndarray:
     return eta[1:] / ((1.0 - eta[1:]) * eta[:-1]) - 1.0
 
 
-def initial_metric(init_cov, eta0: float) -> np.ndarray:
-    """The gradient side's prior metric J_0 = eta_0 P_0^-1, matched to the
-    filter's prior covariance P_0 = L L^T through its Cholesky factor, as
-    eta_0 L^-T L^-1 (``dpotrs`` on the identity).  eta_0 must pass
-    :func:`check_eta0`; a P_0 that holds an inf or nan, or that does not
-    factor, is named in the error.  No residual bound applies: a P_0 that
-    factors has its inverse, however ill-conditioned."""
+def initial_factors(init_cov, eta0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The matched starts (S_0, U_0): the lower Cholesky factor of P_0 =
+    S_0 S_0^T, refused by name if P_0 is not finite or does not factor, and
+    the upper U_0 = R of the QR of sqrt(eta_0) S_0^-1, its rows signed to a
+    positive diagonal, so that U_0^T U_0 = J_0 = eta_0 P_0^-1 is never
+    formed; eta_0 must pass :func:`check_eta0`."""
     check_eta0(eta0)
-    init_cov = symmetrize(np.asarray(init_cov, dtype=float))
-    factor = _prior_factor(init_cov, "prior covariance P_0")
-    return symmetrize(eta0 * dpotrs(factor, np.eye(len(init_cov)), lower=1)[0])
+    lower = _prior_factor(symmetrize(init_cov), "prior covariance P_0")
+    upper = np.triu(dgeqrf(np.sqrt(eta0) * dtrtri(lower, lower=1)[0])[0])
+    upper *= np.copysign(1.0, upper.diagonal())[:, None]
+    return lower, upper
 
 
 def _state_devs(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
@@ -193,15 +194,20 @@ def _factor_devs(covs: np.ndarray, factors: np.ndarray, etas: np.ndarray) -> np.
     stacked inverses of the upper-triangular factors over blocks of
     :data:`_METRIC_BLOCK` rows; on a triangular matrix the LU of
     ``np.linalg.inv`` pivots nowhere, so each inverse is a
-    back-substitution."""
+    back-substitution.  Each row is first scaled exactly, P_t by 4^-k and
+    U_t by 2^k with 4^k near max |P_t|: the ratio is the same number, and
+    its squares stay in range however small or large the prior.  A row
+    with P_t = 0 reads inf."""
     devs = np.empty(len(covs))
     for start in range(0, len(covs), _METRIC_BLOCK):
         rows = slice(start, start + _METRIC_BLOCK)
-        inv = np.linalg.inv(factors[rows])
-        diff = covs[rows] - etas[rows, None, None] * (inv @ inv.transpose(0, 2, 1))
-        devs[rows] = np.sqrt(np.einsum("tij,tij->t", diff, diff)) / np.sqrt(
-            np.einsum("tij,tij->t", covs[rows], covs[rows])
-        )
+        k = np.frexp(np.abs(covs[rows]).max(axis=(1, 2)))[1][:, None, None] // 2
+        cov = np.ldexp(covs[rows], -2 * k)
+        inv = np.linalg.inv(np.ldexp(factors[rows], k))
+        diff = cov - etas[rows, None, None] * (inv @ inv.transpose(0, 2, 1))
+        norm = np.sqrt(np.einsum("tij,tij->t", cov, cov))
+        dev = np.sqrt(np.einsum("tij,tij->t", diff, diff))
+        devs[rows] = np.divide(dev, norm, out=np.full_like(dev, np.inf), where=norm != 0.0)
     return devs
 
 
@@ -237,10 +243,11 @@ def check_discrete(
 
     Steps the fading filter under ``alpha`` and the natural gradient under
     the matched rates of :func:`map_alpha_to_eta` together, from P_0 =
-    ``init_cov`` and J_0 = eta_0 P_0^-1 (:func:`kalgrad.model.run_sides`),
-    and compares their traces at ``tol``.  A numerical error is re-raised
-    with the side that fails at the earliest step, the filter first within
-    a step, prepended to the message: "filter side: " or "gradient side: ".
+    ``init_cov`` and the U_0 of :func:`initial_factors`
+    (:func:`kalgrad.model.run_sides`), and compares their traces at
+    ``tol``.  A numerical error is re-raised with the side that fails at
+    the earliest step, the filter first within a step, prepended to the
+    message: "filter side: " or "gradient side: ".
     An error at step t also carries ``report``, the comparison of the rows
     0..t-1 that both sides completed, with ``passed`` False; a prior
     refused before step 1 carries none.
@@ -268,9 +275,9 @@ def check_discrete(
                 f"mutation {mutate!r} cannot fail on model {model.name!r}:"
                 " its transition Jacobian is already the identity"
             )
-    init_cov = symmetrize(np.asarray(init_cov, dtype=float))
+    factor0 = initial_factors(init_cov, eta0)[1]
     filt_alpha = 0.0 if mutate == "drop_fading_factor" else alpha
-    filter_side = ekf_mod.side(scenario, filt_alpha, init_state, init_cov)
+    filter_side = ekf_mod.side(scenario, filt_alpha, init_state, symmetrize(init_cov))
 
     eta = etas[1:]
     gamma = eta / 2.0 if mutate == "halve_gamma" else eta
@@ -281,7 +288,6 @@ def check_discrete(
         identity = replace(model, jacobian_f=lambda s, u: _identity(s.size))
         scenario = copy.copy(scenario)
         object.__setattr__(scenario, "model", identity)
-    metric0 = initial_metric(init_cov, eta0)
 
     def compare(filt: Trace, grad: Trace) -> ComparisonReport:
         return _compare(
@@ -289,15 +295,12 @@ def check_discrete(
             filter_states=filt.states, grad_states=grad.states,
         )
 
+    sides = [filter_side, ngd_mod.side(scenario, eta, gamma, init_state, factor0)]
     try:
-        sides = [filter_side, ngd_mod.side(scenario, eta, gamma, init_state, metric0)]
         filt, grad = run_sides(sides, scenario)
     except NumericalError as exc:
-        # A J_0 that does not factor is refused as the gradient side is
-        # built, before any step tags a side or leaves a trace.
-        exc.args = (f"{getattr(exc, 'side', 'gradient')} side: {exc}",)
-        if hasattr(exc, "traces"):
-            exc.report = replace(compare(*exc.traces), passed=False)
+        exc.args = (f"{exc.side} side: {exc}",)
+        exc.report = replace(compare(*exc.traces), passed=False)
         raise
     return compare(filt, grad)
 
@@ -314,22 +317,20 @@ def check_continuous(
     min_order: float = 1.0,
 ) -> ContinuousReport:
     """Integrate both continuous filters together per step size
-    (:func:`kalgrad.bucy.run`, from one start of each side) and compare;
-    the step sizes are checked (:func:`kalgrad.bucy.step_sizes`) before
-    any grid is integrated.  A numerical error names the side whose field
-    fails at the earliest RK4 stage, ``bucy`` if both fail in one stage.
+    (:func:`kalgrad.bucy.run`, from the S_0 and U_0 of
+    :func:`initial_factors`) and compare; the step sizes are checked
+    (:func:`kalgrad.bucy.step_sizes`) before any grid is integrated.  A
+    numerical error names the side whose field fails at the earliest RK4
+    stage, ``bucy`` if both fail in one stage.
 
     Passes when the finest grid meets ``tol`` in both state and metric
     deviation and the coarse-to-fine log-log slope is at least
     ``min_order``, or the finest state deviation is exactly 0.
     """
     dts = bucy_mod.step_sizes(dts, horizon)  # coarse to fine
-    init_cov = symmetrize(np.asarray(init_cov, dtype=float))
-    init_metric = initial_metric(init_cov, eta0)
-    sides = [
-        bucy_mod.start(bucy_mod.BUCY, init_state, init_cov),
-        bucy_mod.start(bucy_mod.CNGD, init_state, init_metric, eta0),
-    ]
+    lower, upper = initial_factors(init_cov, eta0)
+    sides = [bucy_mod.start(bucy_mod.BUCY, init_state, lower)]
+    sides.append(bucy_mod.start(bucy_mod.CNGD, init_state, upper, eta0))
     reports = []
     for dt in dts:
         trace_b, trace_c = bucy_mod.run(sides, model, dt, horizon, alpha)

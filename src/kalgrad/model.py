@@ -232,10 +232,12 @@ def run_sides(sides: Sequence[tuple], scenario: Scenario) -> list[Trace]:
     def traces(end: int) -> list[Trace]:
         return [Trace(states[:end], **{fields[kind]: mats[:end]}) for kind, _, states, mats in lanes]
 
+    # An overflow fails the finiteness check of its step; numpy's warnings are off.
     try:
-        for t, (u, stats) in enumerate(zip(scenario.inputs, scenario.stats), start=1):
-            for kind, step, states, mats in lanes:
-                states[t], mats[t] = step(t, u, stats)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, (u, stats) in enumerate(zip(scenario.inputs, scenario.stats), start=1):
+                for kind, step, states, mats in lanes:
+                    states[t], mats[t] = step(t, u, stats)
     except NumericalError as exc:
         exc.side, exc.traces = kind, traces(t)
         raise

@@ -202,17 +202,17 @@ def update(
     return state + eta_t * step, factor
 
 
-def side(scenario: Scenario, eta, gamma, init_state, init_metric) -> tuple:
+def side(scenario: Scenario, eta, gamma, init_state, init_factor) -> tuple:
     """The gradient side of :func:`kalgrad.model.run_sides` from the state
-    ``init_state`` and J_0 = ``init_metric``, factored once and refused by
-    name, under ``eta`` and ``gamma``, normalised once.  Its step is
-    :func:`chart_transport`, keeping the last chart, and :func:`update`,
-    both looked up in this module at each call."""
+    ``init_state`` and the upper-triangular ``init_factor`` U_0 of the
+    prior metric J_0 = U_0^T U_0, under ``eta`` and ``gamma``, normalised
+    once.  Its step is :func:`chart_transport`, keeping the last chart,
+    and :func:`update`, both looked up in this module at each call."""
     eta = schedule("eta", eta, scenario.horizon).tolist()
     gamma = schedule("gamma", gamma, scenario.horizon).tolist()
     model, family = scenario.model, scenario.family
     state = np.asarray(init_state, dtype=float)
-    factor = _prior_factor(init_metric, "prior metric J_0").T
+    factor = np.asarray(init_factor, dtype=float)
     kept = None
 
     def step(t, u, stats):
@@ -235,9 +235,10 @@ def run(
     the rate schedule ``eta`` and the metric-averaging schedule ``gamma``
     (each a scalar, or one entry or one per step; see
     :func:`kalgrad.numerics.schedule`) from the prior metric J_0 =
-    ``init_metric``; returns the states and the metric factors U_t
-    (J_t = U_t^T U_t) in the chart at each t, row 0 the prior.  Step t
-    reads row t-1 of the scenario's ``inputs`` and ``stats``: this is
-    :func:`side` alone through :func:`kalgrad.model.run_sides`.
+    ``init_metric``, factored once; returns the states and the metric
+    factors U_t (J_t = U_t^T U_t) in the chart at each t, row 0 the prior.
+    Step t reads row t-1 of the scenario's ``inputs`` and ``stats``: this
+    is :func:`side` alone through :func:`kalgrad.model.run_sides`.
     """
-    return run_sides([side(scenario, eta, gamma, init_state, init_metric)], scenario)[0]
+    factor = _prior_factor(init_metric, "prior metric J_0").T
+    return run_sides([side(scenario, eta, gamma, init_state, factor)], scenario)[0]

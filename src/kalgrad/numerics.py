@@ -56,11 +56,12 @@ def _atleast_1d(a) -> np.ndarray:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^T) / 2."""
+    """Return (A + A^T) / 2 as A / 2 + (A / 2)^T, finite for any finite A."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("symmetrize expects a square matrix")
-    return 0.5 * (a + a.T)
+    half = 0.5 * a
+    return half + half.T
 
 
 # The domain of each discrete schedule: the test an entry must pass, and

@@ -571,7 +571,7 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="fading-memory weights must be >= 0"):
             bucy.integrate(bucy.BUCY, np.zeros(1), np.eye(1), model, 0.1, 1.0, ramp)
 
-    # eta0 follows numerics.check_eta0, the rule of initial_metric and the
+    # eta0 follows numerics.check_eta0, the rule of initial_factors and the
     # CLI: one that is not finite and > 0 is an invalid argument, refused
     # before the first step could fail on it.
     @pytest.mark.parametrize("eta0", [np.inf, np.nan, 0.0, -1.0])
@@ -585,10 +585,8 @@ class TestIntegrate:
 
 def pair_sides(model, s0, p0, eta0=0.5):
     """The two sides that check_continuous starts from P_0 = p0."""
-    return [
-        bucy.start(bucy.BUCY, s0, p0),
-        bucy.start(bucy.CNGD, s0, equivalence.initial_metric(p0, eta0), eta0),
-    ]
+    lower, upper = equivalence.initial_factors(p0, eta0)
+    return [bucy.start(bucy.BUCY, s0, lower), bucy.start(bucy.CNGD, s0, upper, eta0)]
 
 
 class TestPair:
@@ -611,12 +609,9 @@ class TestPair:
             s0, p0 = model.init_state, 0.5 * np.eye(model.dim_state)
         if alpha == "ramp":
             alpha = lambda t: 0.1 + 0.4 * t
-        metric0 = equivalence.initial_metric(p0, 0.5)
-        pair = bucy.run(pair_sides(model, s0, p0), model, dt, 1.0, alpha)
-        alone = [
-            bucy.integrate(bucy.BUCY, s0, p0, model, dt, 1.0, alpha),
-            bucy.integrate(bucy.CNGD, s0, metric0, model, dt, 1.0, alpha, 0.5),
-        ]
+        sides = pair_sides(model, s0, p0)
+        pair = bucy.run(sides, model, dt, 1.0, alpha)
+        alone = [bucy.run([side], model, dt, 1.0, alpha)[0] for side in sides]
         for got, ref in zip(pair, alone):
             for name in ("states", "covs", "factors", "etas", "times"):
                 a, b = getattr(got, name), getattr(ref, name)
@@ -647,7 +642,9 @@ class TestPair:
         bucy.run(sides, model, 0.1, 0.1, 0.2)
         assert calls == {"input": 4, "obs": 4, bucy.BUCY: 4, bucy.CNGD: 4}
 
-    def test_check_continuous_factors_the_prior_metric_once(self, monkeypatch):
+    # check_continuous factors P_0 once, in initial_factors, and never
+    # J_0: each side starts from the factor it is handed.
+    def test_check_continuous_factors_the_prior_covariance_only(self, monkeypatch):
         factored = []
         prior_factor = bucy._prior_factor
 
@@ -655,12 +652,13 @@ class TestPair:
             factored.append(name)
             return prior_factor(matrix, name)
 
-        monkeypatch.setattr(bucy, "_prior_factor", counting)
+        for module in (bucy, equivalence, natgrad):
+            monkeypatch.setattr(module, "_prior_factor", counting)
         model = builtin("pendulum-ct")
         report = equivalence.check_continuous(
             model, model.init_state, 0.5 * np.eye(2), 0.2, [0.1, 0.05, 0.01], 1.0
         )
-        assert report.passed and factored.count("prior metric J_0") == 1
+        assert report.passed and factored == ["prior covariance P_0"]
 
 
 class TestPairFailure:
@@ -714,16 +712,32 @@ class TestPairFailure:
         assert str(info.value) == "cngd step from t = 0: derivative non-finite at t = 0"
         assert max(seen) == 0.0
 
-    # The filter's start factors P_0 once and names it when it cannot,
-    # as equivalence.initial_metric does.
+    # The filter alone factors P_0 once and names it when it cannot, as
+    # equivalence.initial_factors does for the pair.
     @pytest.mark.parametrize(
         "p0, error, message",
         [([[1.0, 2.0], [2.0, 1.0]], SingularMatrixError, "prior covariance P_0: matrix is not positive definite"),
          ([[1.0, 0.0], [0.0, np.nan]], NonFiniteError, "prior covariance P_0 has non-finite entries")],
     )
     def test_a_bad_prior_covariance_is_refused_by_name(self, p0, error, message):
+        model = builtin("pendulum-ct")
         with pytest.raises(error, match=f"^{message}$"):
-            bucy.start(bucy.BUCY, np.zeros(2), p0)
+            bucy.integrate(bucy.BUCY, np.zeros(2), p0, model, 0.1, 1.0)
+        with pytest.raises(error, match=f"^{message}$"):
+            equivalence.initial_factors(p0, 0.5)
+
+    # A start takes a triangular factor, never the matrix: a P_0 or J_0
+    # handed to it in place of its factor is refused, not run.
+    @pytest.mark.parametrize("kind, triangle", [(bucy.BUCY, "lower"), (bucy.CNGD, "upper")])
+    def test_a_factor_off_its_triangle_is_refused(self, kind, triangle):
+        prior = np.array([[2.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(ValueError, match=f"^{kind} start needs a {triangle}-triangular factor$"):
+            bucy.start(kind, np.zeros(2), prior, eta0=0.5)
+        other_triangle = np.linalg.cholesky(prior)  # lower
+        if kind == bucy.BUCY:
+            other_triangle = other_triangle.T
+        with pytest.raises(ValueError, match=f"^{kind} start needs a {triangle}-triangular factor$"):
+            bucy.start(kind, np.zeros(2), other_triangle, eta0=0.5)
 
     @pytest.mark.parametrize("kind", [bucy.BUCY, bucy.CNGD])
     def test_a_matrix_that_does_not_fit_the_state_is_refused(self, kind):

@@ -327,16 +327,41 @@ class TestAbortedCompare:
         assert (out / "deviations.csv").read_bytes() == (ref / "deviations.csv").read_bytes()
 
     # A prior that is refused before step 1 leaves no rows, so nothing is
-    # written: J_0 = eta_0 P_0^-1 overflows for P_0 = 1e-320 I.
+    # written: symmetrize halves the smallest subnormal P_0 = 5e-324 I to 0.
     def test_refused_prior_leaves_no_output_directory(self, tmp_path, capsys):
         path = tmp_path / "prior.cfg"
-        path.write_text(ABORTED_CFG + "p0_scale = 1e-320\n")
+        path.write_text(ABORTED_CFG + "p0_scale = 5e-324\n")
         out = tmp_path / "new" / "out"
         assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "numerical failure: gradient side: prior metric J_0 has non-finite entries\n"
+            "numerical failure: prior covariance P_0: matrix is not positive definite\n"
         )
         assert not (tmp_path / "new").exists()
+
+    # Every other positive p0_scale has both starts, so the pair runs, with
+    # no numpy warning and no nan deviation.  A subnormal prior completes
+    # and misses the gate (measured 1.4e-3); 1e-300 certifies; at 1e300 the
+    # filter's P_t rounds to 0 from t = 4, and those rows read inf; at
+    # 1e308 the filter overflows at t = 1 and names its side.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scale, code, dev",
+        [("1e-320", 3, 1e-2), ("1e-300", 0, 1e-14), ("1e300", 3, np.inf), ("1e308", 2, 0.0)],
+    )
+    def test_extreme_prior_scales_run_the_pair(self, tmp_path, capsys, scale, code, dev):
+        path = tmp_path / "scale.cfg"
+        path.write_text(ABORTED_CFG.replace("alpha[10] = 1e300\n", "") + f"p0_scale = {scale}\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == code
+        devs = np.array(_csv_columns(out / "deviations.csv")["metric_dev"], dtype=float)
+        assert not np.isnan(devs).any()
+        assert devs.max() <= dev
+        if scale == "1e300":
+            assert (devs[4:] == np.inf).all()
+        if code == 2:
+            assert capsys.readouterr().err == (
+                "numerical failure: filter side: observation update non-finite at t = 1\n"
+            )
 
     def test_overflowing_fading_weight_at_the_first_step_writes_the_prior_row(self, tmp_path, capsys):
         # A fading weight of 1e300 at every step makes the gradient side's

@@ -17,7 +17,7 @@ from kalgrad import model as model_mod
 from kalgrad.equivalence import (
     check_continuous,
     check_discrete,
-    initial_metric,
+    initial_factors,
     map_alpha_to_eta,
     map_eta_to_alpha,
 )
@@ -159,19 +159,45 @@ class TestMapEtaToAlpha:
 
 
 class TestInitialMetric:
-    # The Cholesky factor of I_n is I_n, and dpotrs on it is exact.
+    """initial_factors: the lower S_0 of P_0 = S_0 S_0^T and the upper U_0
+    of the prior metric J_0 = U_0^T U_0 = eta_0 P_0^-1, from one Cholesky
+    factor of P_0 and never from J_0."""
+
+    # The Cholesky factor of I_n is I_n, its inverse is exact, and the QR
+    # of a positive diagonal matrix leaves it as it is.
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_identity_prior_is_exact(self, n):
-        np.testing.assert_array_equal(equivalence.initial_metric(np.eye(n), 0.5), 0.5 * np.eye(n))
+        lower, upper = initial_factors(np.eye(n), 0.5)
+        np.testing.assert_array_equal(lower, np.eye(n))
+        np.testing.assert_array_equal(upper, np.sqrt(0.5) * np.eye(n))
 
     # An inf or nan pivot can pass the Cholesky factorization, and -inf
-    # fails it; each is refused by name, never turned into a J_0.
+    # fails it; each is refused by name, never turned into a factor.
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_prior_is_refused_by_name(self, bad):
         p0 = np.eye(2)
         p0[0, 0] = bad
         with pytest.raises(NonFiniteError, match="^prior covariance P_0 has non-finite entries$"):
-            equivalence.initial_metric(p0, 0.5)
+            initial_factors(p0, 0.5)
+
+    # Both factors are triangular with a positive diagonal.  S_0 S_0^T
+    # meets P_0 to rounding, and U_0^T U_0 meets eta_0 inv(P_0) to 10 eps
+    # cond(P_0), relative, with cond(P_0) up to 1e8 here (measured: at
+    # most 1.15 eps cond(P_0)).
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_factors_reproduce_the_prior_and_its_metric(self, n, seed):
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        p0 = q @ np.diag(np.logspace(0, -8 * rng.uniform(), n)) @ q.T
+        eta0 = rng.uniform(0.05, 1.0)
+        lower, upper = initial_factors(p0, eta0)
+        assert not np.triu(lower, 1).any() and not np.tril(upper, -1).any()
+        assert (lower.diagonal() > 0).all() and (upper.diagonal() > 0).all()
+        np.testing.assert_allclose(lower @ lower.T, p0, rtol=0, atol=1e-15)
+        metric = eta0 * np.linalg.inv(p0)
+        bound = 10 * np.finfo(float).eps * np.linalg.cond(p0) * np.linalg.norm(metric)
+        assert np.linalg.norm(upper.T @ upper - metric) <= bound
 
 
 class TestCheckDiscrete:
@@ -190,8 +216,10 @@ class TestCheckDiscrete:
         assert report.passed
 
     # P_0 = diag(1, 0) has no J_0 = eta_0 P_0^-1, so the pair is refused by
-    # name before either side takes a step, on every model: it is neither
-    # certified nor aborted later from a J_0 that a shifted P_0 would give.
+    # name before either side takes a step, on every model, with no report:
+    # it is neither certified nor aborted later from a J_0 that a shifted
+    # P_0 would give.  The smallest subnormal prior 5e-324 I is refused so
+    # too, since symmetrize halves it to 0.
     @pytest.mark.parametrize("name", ["static", "linear2d", "tanhspring"])
     def test_singular_prior_covariance_is_refused_by_name(self, name, monkeypatch):
         scenario, s0, _ = equivalence.sweep_cell(name, 50, 0)
@@ -199,21 +227,47 @@ class TestCheckDiscrete:
         monkeypatch.setattr(ekf, "transition", lambda *args: runs.append(args))
         monkeypatch.setattr(natgrad, "chart_transport", lambda *args: runs.append(args))
         message = "^prior covariance P_0: matrix is not positive definite$"
-        with pytest.raises(SingularMatrixError, match=message) as info:
-            check_discrete(scenario, s0, np.diag([1.0, 0.0]), alpha=0.1)
+        for p0 in (np.diag([1.0, 0.0]), 5e-324 * np.eye(2)):
+            with pytest.raises(SingularMatrixError, match=message) as info:
+                check_discrete(scenario, s0, p0, alpha=0.1)
+            assert not hasattr(info.value, "report")
         assert runs == []
-        assert not hasattr(info.value, "report")
 
-    # An ill-conditioned P_0 = Q diag(1, k) Q^T still factors, so
-    # J_0 = eta_0 L^-T L^-1 is read from its factor with no residual bound,
-    # and the pair certifies (measured: 2.1e-12 / 1.06e-10 state / metric
-    # at k = 1e-8, 1.8e-10 / 9.3e-9 at 1e-9).  An inverse held to the
-    # residual bound of solve_psd refused both priors.
+    # An ill-conditioned P_0 = Q diag(1, k) Q^T still factors, and both
+    # sides start from that one factor with no residual bound, so the pair
+    # certifies (measured: 6.7e-15 / 3.5e-13 state / metric at k = 1e-8,
+    # 5.7e-14 / 2.9e-12 at 1e-9; 2.1e-12 / 1.1e-10 and 1.8e-10 / 9.3e-9
+    # through a dense J_0 = eta_0 P_0^-1).  An inverse held to the residual
+    # bound of solve_psd refused both priors.
     @pytest.mark.parametrize("k", [1e-8, 1e-9])
     def test_ill_conditioned_prior_covariance_certifies(self, k):
         scenario, s0, _ = equivalence.sweep_cell("linear2d", 50, 0)
         q = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
         assert check_discrete(scenario, s0, q @ np.diag([1.0, k]) @ q.T, alpha=0.1).passed
+
+    # At cond(P_0) = 1e12 the metric check's row 0 reads 4.3e-11 when U_0
+    # is reached from the factor of P_0, and 1.9e-5 through a dense J_0.
+    def test_prior_at_cond_1e12_certifies_from_row_0(self):
+        scenario, s0, _ = equivalence.sweep_cell("linear2d", 50, 0)
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        report = check_discrete(scenario, s0, rot @ np.diag([1.0, 1e-12]) @ rot.T, alpha=0.1)
+        assert report.passed
+        assert report.metric_devs[0] <= 1e-10
+
+    # P_0 = Q diag(logspace(0, -12, n)) Q^T on 100 random stable systems:
+    # every pair certifies (worst row 0: 4.4e-10), where a dense
+    # J_0 = eta_0 P_0^-1 certified none (worst row 0: 9.3e-5).
+    def test_random_systems_certify_under_an_ill_conditioned_prior(self):
+        failed = []
+        for seed in range(100):
+            scenario, s0, _ = draw(seed, 0.3, 50)
+            n = len(s0)
+            q = np.linalg.qr(np.random.default_rng(5000 + seed).standard_normal((n, n)))[0]
+            p0 = q @ np.diag(np.logspace(0, -12, n)) @ q.T
+            if not check_discrete(scenario, s0, p0, alpha=0.1).passed:
+                failed.append(seed)
+        assert failed == []
 
     @staticmethod
     def dropping_chart(inputs):
@@ -328,7 +382,7 @@ class TestCheckDiscrete:
         assert report.filter_states.tobytes() == filt.states[:10].tobytes()
         eta = map_alpha_to_eta(alpha, 0.5, 20)[1:]
         with pytest.raises(SingularMatrixError, match=f"^{message}$") as alone:
-            natgrad.run(scenario, eta, eta, s0, initial_metric(p0, 0.5))
+            natgrad.run(scenario, eta, eta, s0, 0.5 * np.linalg.inv(p0))
         (grad,) = alone.value.traces
         assert report.grad_states.tobytes() == grad.states.tobytes()
         assert len(grad.states) == len(report.state_devs) == len(report.metric_devs) == 10
@@ -497,6 +551,23 @@ class TestSharedStepData:
         assert not check_discrete(scenario, s0, np.eye(2), alpha=0.1, mutate=mutate).passed
         assert calls == (["u"] if mutate == "skip_metric_transport" else [])
 
+    # The metric check is the same number at every scale of the pair,
+    # P_t by 4^j and U_t by 2^-j, for j from -450 to 500: its own scaling
+    # is exact, so no square under- or overflows.  A row with
+    # P_t = 0 reads inf, never nan, and raises no numpy warning.
+    @pytest.mark.parametrize("j", [-450, -300, 300, 500])
+    def test_metric_devs_do_not_depend_on_scale(self, j):
+        scenario, s0, p0 = equivalence.sweep_cell("linear2d", 50, 0)
+        etas = map_alpha_to_eta(0.1, 0.5, scenario.horizon)
+        filt = ekf.run(scenario, 0.1, s0, p0)
+        grad = natgrad.run(scenario, etas[1:], etas[1:], s0, 0.5 * np.linalg.inv(p0))
+        devs = equivalence._factor_devs(filt.covs, grad.factors, etas)
+        covs, factors = np.ldexp(filt.covs, 2 * j), np.ldexp(grad.factors, -j)
+        scaled = equivalence._factor_devs(covs, factors, etas)
+        assert scaled.tobytes() == devs.tobytes()
+        covs[3] = 0.0
+        assert equivalence._factor_devs(covs, factors, etas)[3] == np.inf
+
     def test_metric_devs_match_per_row_solves(self):
         # The stacked inverses of the factors move no deviation by more
         # than 1e-15 from a triangular solve per row, over the criterion-1
@@ -508,7 +579,7 @@ class TestSharedStepData:
                 for alpha in equivalence.sweep_schedules(equivalence.SWEEP_HORIZON).values():
                     etas = map_alpha_to_eta(alpha, 0.5, scenario.horizon)
                     filt = ekf.run(scenario, alpha, s0, p0)
-                    metric0 = equivalence.initial_metric(p0, 0.5)
+                    metric0 = 0.5 * np.linalg.inv(p0)
                     grad = natgrad.run(scenario, etas[1:], etas[1:], s0, metric0)
                     devs = equivalence._factor_devs(filt.covs, grad.factors, etas)
                     for t, (cov, factor, eta) in enumerate(zip(filt.covs, grad.factors, etas)):
@@ -527,7 +598,7 @@ class TestSharedStepData:
         eye = np.eye(model.dim_state)
         p0, grid = 0.5 * eye, (model, 1e-2, 2.0, 0.2)
         filt = bucy.integrate(bucy.BUCY, model.init_state, p0, *grid)
-        metric0 = equivalence.initial_metric(p0, 0.5)
+        metric0 = 0.5 * np.linalg.inv(p0)
         grad = bucy.integrate(bucy.CNGD, model.init_state, metric0, *grid, 0.5)
         devs = equivalence._compare(filt, grad, grad.etas, 1e-6).metric_devs
         assert len(devs) == 201
@@ -648,10 +719,10 @@ class TestGaussianObservationFactor:
         factored.clear()
         assert check_discrete(scenario, s0, p0, alpha=0.1).passed
         assert not any(factored)  # not on first use, nor per linearisation
-        # The rest: the prior covariance, factored into J_0, and J_0,
-        # factored once by the gradient side.  Its steps and the metric
-        # check read triangular factors and factor nothing.
-        assert len(factored) == 2
+        # The rest: the prior covariance, factored once for the starts of
+        # both sides.  The steps and the metric check read triangular
+        # factors and factor nothing.
+        assert len(factored) == 1
 
     def test_no_certificate_solves_with_r(self, monkeypatch):
         calls = []
@@ -668,7 +739,8 @@ class TestGaussianObservationFactor:
         for module in (numerics, bucy, ekf, equivalence, expfam, natgrad):
             if getattr(module, "solve_psd", None) is original:
                 monkeypatch.setattr(module, "solve_psd", counting_solve)
-        monkeypatch.setattr(numerics, "dpotrs", counting_dpotrs)
+            if getattr(module, "dpotrs", None) is dpotrs:
+                monkeypatch.setattr(module, "dpotrs", counting_dpotrs)
         for name in ("linear2d", "static"):
             assert check_discrete(*equivalence.sweep_cell(name, 50, 0), alpha=0.1).passed
         model = builtin("pendulum-ct")
@@ -762,8 +834,8 @@ class TestPerStepChecks:
         # Nine per pair step: each side's transition and its observed
         # value (the mean h or the natural parameter, tested once where it
         # is read), the filter's predicted covariance and posterior, the
-        # gradient's factor and step.  Per cell: the prior P_0 and J_0
-        # once each, and the chart of a constant F once.
+        # gradient's factor and step.  Per cell: the prior P_0 once, and
+        # the chart of a constant F once.
         canonical = name == "logistic-static"
         expected = {
             "step_dynamics": 2 * steps,
@@ -772,7 +844,7 @@ class TestPerStepChecks:
             "observe_gain": 2 * steps,
             "update": 2 * steps,
             "chart": steps if name == "tanhspring" else 1,
-            "_check_finite": 2,
+            "_check_finite": 1,
         }
         assert sites == expected
         assert direct == []
@@ -788,13 +860,12 @@ class TestPerStepChecks:
         # Per RK4 step: four stages, each the derivative of two sides,
         # tested once by the field and never by rk4_step, and the mean of
         # each side's observation, then one positivity check of both
-        # factors.  Per certificate: P_0 twice and J_0 once, and the start
-        # of each side.
+        # factors.  Per certificate: P_0 once, and the start of each side.
         assert sites == {
             "deriv": 8 * steps,
             "check_mean": 8 * steps,
             "check": steps + 2,
-            "_check_finite": 3,
+            "_check_finite": 1,
         }
         assert direct == []
 
@@ -992,11 +1063,10 @@ class TestCheckContinuous:
         assert result.passed
         assert calls == []
 
-    # Structure guard: the continuous pair factors each prior once per
+    # Structure guard: the continuous pair factors its prior once per
     # certificate, whatever the number of grid steps: P_0 in
-    # initial_metric, P_0 in the filter's start and J_0 in the gradient
-    # side's.  Its steps and the metric check read triangular factors and
-    # factor nothing.
+    # initial_factors, whose factor starts both sides.  Its steps and the
+    # metric check read triangular factors and factor nothing.
     def test_one_certificate_factors_each_prior_once(self, monkeypatch):
         model = builtin("pendulum-ct")  # its family factors R when built
         factored = []
@@ -1013,7 +1083,7 @@ class TestCheckContinuous:
             model, model.init_state, 0.5 * np.eye(2), alpha=0.2, dts=[0.1, 0.01, 0.001], horizon=1.0,
         )
         assert result.passed
-        assert len(factored) == 3
+        assert len(factored) == 1
 
     # On scalar linear-ct the two factor flows agree to rounding from
     # dt = 1e-3 on (8.9e-16 at 1e-3 and at 1e-4), so the study reads the
@@ -1134,7 +1204,7 @@ class TestDiscreteToContinuousLimit:
         model = builtin(name)
         alpha, eta0, p0 = 0.2, 0.5, 0.5 * np.eye(model.dim_state)
         ref = bucy.integrate(
-            bucy.CNGD, model.init_state, equivalence.initial_metric(p0, eta0),
+            bucy.CNGD, model.init_state, eta0 * np.linalg.inv(p0),
             model, 1e-3, 1.0, alpha, eta0,
         )
         errors = []
@@ -1145,7 +1215,7 @@ class TestDiscreteToContinuousLimit:
             etas = map_alpha_to_eta(alpha * dt, dt * eta0, scenario.horizon)
             grad = natgrad.run(
                 scenario, etas[1:], etas[1:], model.init_state,
-                equivalence.initial_metric(p0, dt * eta0),
+                dt * eta0 * np.linalg.inv(p0),
             )
             stride = int(round(dt / 1e-3))
             metrics = gradient_metrics(ref)[::stride]

@@ -324,6 +324,22 @@ class TestSymmetrize:
         with pytest.raises(ValueError):
             symmetrize(np.zeros((2, 3)))
 
+    # A / 2 + (A / 2)^T is (A + A^T) / 2 to the bit wherever A / 2 is a
+    # normal float: halving is then exact and commutes with rounding.
+    @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1.0, 1e100, 1e300])
+    def test_the_same_number_as_the_plain_formula(self, rng, scale):
+        for _ in range(200):
+            a = scale * rng.standard_normal((4, 4))
+            assert symmetrize(a).tobytes() == (0.5 * (a + a.T)).tobytes()
+
+    # A + A^T overflows on a finite A near the top of the range; the
+    # halves do not.
+    @pytest.mark.filterwarnings("error")
+    def test_finite_for_every_finite_matrix(self):
+        big = np.finfo(float).max
+        out = symmetrize(np.array([[big, big], [0.5 * big, 1e308]]))
+        np.testing.assert_array_equal(out, [[big, 0.75 * big], [0.75 * big, 1e308]])
+
 
 class TestFdJacobian:
     def test_linear_map_exact(self, rng):
