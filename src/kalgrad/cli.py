@@ -314,8 +314,6 @@ def cmd_compare(config_path: str, out: Path = Path("."), mutate: str | None = No
         try:
             report = eq_mod.check_discrete(scenario, s0, p0, alpha, eta0=cfg["eta0"], mutate=mutate)
         except NumericalError as exc:
-            if not hasattr(exc, "report"):
-                raise
             report, abort = exc.report, exc
         header, block = _scenario_columns(scenario)
         dim = system.dim_state

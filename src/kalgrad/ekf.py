@@ -17,9 +17,12 @@ which the tests hold to the information form P^-1 = P_pred^-1 + B^T C B,
 s += P B^T e.  Off a canonical link the observation is read whitened,
 B = S^-T H for S^T S = cov(T) at the predicted mean (H the Jacobian of
 h), C = I and e = (T - h) S^-1; for a gaussian one S^-T = L^-1 for
-R = L L^T, and K e is P H^T (H P H^T + R)^-1 (y - h).  Under a canonical
-link B is the predictor Jacobian G, and the update stays finite where
-the mean rounds to the boundary of its domain and C to zero.
+R = L L^T, and K e is P H^T (H P H^T + R)^-1 (y - h).  There C is the
+shared identity, which the update reads and never multiplies by: it is
+K = P B^T (I + B P B^T)^-1 and P = P_pred - K B P_pred.  Under a
+canonical link B is the predictor Jacobian G, and the update stays
+finite where the mean rounds to the boundary of its domain and C to
+zero.
 
 The belief (mean, cov), the fading schedule, and each step's input u_t
 and sufficient statistics T(y_t), row t-1 of the scenario's ``inputs``
@@ -34,11 +37,11 @@ from scipy.linalg.lapack import dgesv
 
 from . import expfam
 from .errors import NonFiniteError, NumericalError, SingularMatrixError, at_step
-from .model import DynamicalModel, Scenario, Trace, linearise, run_sides, step_dynamics
+from .model import DynamicalModel, Scenario, Trace, _identity, linearise, run_sides, step_dynamics
 
 # GAIN, _OBSERVERS and the solve_psd import are unused here; they stay while
 # certbench's tests read _OBSERVERS[GAIN] and this module's solve_psd.
-from .numerics import _finite, schedule, solve_psd, symmetrize
+from .numerics import _finite, _symmetrize, schedule, solve_psd
 
 GAIN = "gain"
 
@@ -54,15 +57,15 @@ def transition(
     """Propagate the Gaussian belief (mean, cov) through the dynamics at
     input ``u`` = u_t under the fading weight alpha_t; returns
     (mean_pred, P_pred) with P_pred = (1 + alpha_t) F P F^T.  A numerical
-    error raised here names the step."""
+    error raised here names the step.  An overflow is reported as a
+    failure of this step under the numpy error state of the loop that
+    steps it, :func:`kalgrad.model.run_sides`, which silences it."""
     mean_pred = step_dynamics(model, mean, u, t)
     try:
         f_jac = model.jac_f(mean, u, mean_pred)
     except NumericalError as exc:
         raise at_step(exc, t)
-    # An overflow here is reported below, as a failure of this step.
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov_pred = symmetrize((1.0 + alpha_t) * f_jac.dot(cov).dot(f_jac.T))
+    cov_pred = _symmetrize((1.0 + alpha_t) * f_jac.dot(cov).dot(f_jac.T))
     if not _finite(cov_pred):
         raise NonFiniteError(f"transition produced non-finite covariance at t = {t}")
     return mean_pred, cov_pred
@@ -82,17 +85,18 @@ def observe_gain(
     K = P B^T (I + C B P B^T)^-1, s += K e; returns the posterior
     (mean, cov)."""
     lin = linearise(model, family, mean, u, stats, t)
-    c_mat = lin.cov()
     bp = lin.jac.dot(cov)
     # K^T = (I + B P B^T C)^-1 B P; the matrix is I plus a product of two
-    # PSD matrices, so it is singular only in floating point.
-    innov = bp.dot(lin.jac.T).dot(c_mat)
-    innov.flat[:: innov.shape[0] + 1] += 1.0
+    # PSD matrices, so it is singular only in floating point.  A whitened
+    # C is the shared identity, never multiplied by.
+    c_mat, eye = lin.cov(), _identity(len(bp))
+    innov = bp.dot(lin.jac.T) if c_mat is eye else bp.dot(lin.jac.T).dot(c_mat)
+    innov += eye
     gain_t, info = dgesv(innov, bp, overwrite_a=1)[2:]
     if info:
         raise SingularMatrixError(f"gain-form innovation matrix singular at t = {t}")
     gain = gain_t.T
-    cov_post = symmetrize(cov - gain.dot(c_mat).dot(bp))
+    cov_post = _symmetrize(cov - (gain if c_mat is eye else gain.dot(c_mat)).dot(bp))
     mean_post = mean + gain.dot(lin.residual)
     if not (_finite(mean_post) and _finite(cov_post)):
         raise NonFiniteError(f"observation update non-finite at t = {t}")

@@ -139,19 +139,17 @@ def map_alpha_to_eta(
     ``alpha`` is normalised by :func:`kalgrad.numerics.schedule` before
     the recursion divides by 1 + alpha_t.  eta[0] = eta0 is the shared
     initialization rate; the gradient side's schedule, and its gamma_t, is
-    ``eta[1:]``.  The recursion is run on 1/eta so that integer-valued
-    cases stay exact.
+    ``eta[1:]``.  The recursion is run on 1/eta, in Python floats, so that
+    integer-valued cases stay exact.
     """
     if not 0 < eta0 <= 1:
         raise ValueError(f"eta_0 must lie in (0, 1], got {eta0:g}")
-    alpha = schedule("alpha", alpha, horizon)
-    eta = np.zeros(horizon + 1)
-    eta[0] = eta0
-    inv = 1.0 / eta0
-    for t in range(1, horizon + 1):
-        inv = inv / (1.0 + alpha[t - 1]) + 1.0
-        eta[t] = 1.0 / inv
-    return eta
+    eta = [float(eta0)]
+    inv = 1.0 / eta[0]
+    for alpha_t in schedule("alpha", alpha, horizon).tolist():
+        inv = inv / (1.0 + alpha_t) + 1.0
+        eta.append(1.0 / inv)
+    return np.array(eta)
 
 
 def map_eta_to_alpha(eta: Sequence[float]) -> np.ndarray:
@@ -172,13 +170,14 @@ def map_eta_to_alpha(eta: Sequence[float]) -> np.ndarray:
 
 
 def initial_factors(init_cov, eta0: float) -> tuple[np.ndarray, np.ndarray]:
-    """The matched starts (S_0, U_0): the lower Cholesky factor of P_0 =
-    S_0 S_0^T, refused by name if P_0 is not finite or does not factor, and
-    the upper U_0 = R of the QR of sqrt(eta_0) S_0^-1, its rows signed to a
-    positive diagonal, so that U_0^T U_0 = J_0 = eta_0 P_0^-1 is never
-    formed; eta_0 must pass :func:`check_eta0`."""
+    """The matched starts (S_0, U_0) of a symmetric P_0 = ``init_cov``, as
+    :func:`kalgrad.numerics.symmetrize` returns it: the lower Cholesky
+    factor of P_0 = S_0 S_0^T, refused by name if P_0 is not finite or does
+    not factor, and the upper U_0 = R of the QR of sqrt(eta_0) S_0^-1, its
+    rows signed to a positive diagonal, so that U_0^T U_0 = J_0 =
+    eta_0 P_0^-1 is never formed; eta_0 must pass :func:`check_eta0`."""
     check_eta0(eta0)
-    lower = _prior_factor(symmetrize(init_cov), "prior covariance P_0")
+    lower = _prior_factor(init_cov, "prior covariance P_0")
     upper = np.triu(dgeqrf(np.sqrt(eta0) * dtrtri(lower, lower=1)[0])[0])
     upper *= np.copysign(1.0, upper.diagonal())[:, None]
     return lower, upper
@@ -275,9 +274,10 @@ def check_discrete(
                 f"mutation {mutate!r} cannot fail on model {model.name!r}:"
                 " its transition Jacobian is already the identity"
             )
+    init_cov = symmetrize(init_cov)
     factor0 = initial_factors(init_cov, eta0)[1]
     filt_alpha = 0.0 if mutate == "drop_fading_factor" else alpha
-    filter_side = ekf_mod.side(scenario, filt_alpha, init_state, symmetrize(init_cov))
+    filter_side = ekf_mod.side(scenario, filt_alpha, init_state, init_cov)
 
     eta = etas[1:]
     gamma = eta / 2.0 if mutate == "halve_gamma" else eta
@@ -328,7 +328,7 @@ def check_continuous(
     ``min_order``, or the finest state deviation is exactly 0.
     """
     dts = bucy_mod.step_sizes(dts, horizon)  # coarse to fine
-    lower, upper = initial_factors(init_cov, eta0)
+    lower, upper = initial_factors(symmetrize(init_cov), eta0)
     sides = [bucy_mod.start(bucy_mod.BUCY, init_state, lower)]
     sides.append(bucy_mod.start(bucy_mod.CNGD, init_state, upper, eta0))
     reports = []

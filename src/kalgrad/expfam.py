@@ -64,7 +64,8 @@ class ObservationFamily:
     finite or does not factor (a ValueError), and keeps its lower Cholesky
     factor L as ``obs_factor``, its one check and its sampler, and the
     read-only inverse L^-1 as ``obs_whitener``, from one ``dtrtri``.
-    Neither can be set.
+    Neither can be set, nor ``mean_dim``, the length of a mean parameter,
+    fixed when the family is built.
     """
 
     kind: str
@@ -72,8 +73,11 @@ class ObservationFamily:
     num_classes: int | None = None  # categorical: K >= 2
     obs_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     obs_whitener: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    mean_dim: int = field(default=1, init=False, repr=False, compare=False)  # 1: bernoulli
 
     def __post_init__(self):
+        if self.kind == CATEGORICAL:
+            object.__setattr__(self, "mean_dim", self.num_classes - 1)
         if self.kind != GAUSSIAN:
             return
         with np.errstate(invalid="ignore"):  # inf - inf is a nan, refused below
@@ -89,14 +93,7 @@ class ObservationFamily:
         object.__setattr__(self, "obs_cov", r)
         object.__setattr__(self, "obs_factor", factor)
         object.__setattr__(self, "obs_whitener", whitener)
-
-    @property
-    def mean_dim(self) -> int:
-        if self.kind == GAUSSIAN:
-            return self.obs_cov.shape[0]
-        if self.kind == BERNOULLI:
-            return 1
-        return self.num_classes - 1
+        object.__setattr__(self, "mean_dim", r.shape[0])
 
 
 def gaussian(obs_cov: np.ndarray) -> ObservationFamily:
@@ -117,11 +114,13 @@ def categorical(num_classes: int) -> ObservationFamily:
 
 
 def _as_mean(family: ObservationFamily, yhat) -> np.ndarray:
-    yhat = _atleast_1d(np.asarray(yhat, dtype=float))
+    yhat = np.asarray(yhat, dtype=float)
     if yhat.shape != (family.mean_dim,):
-        raise ValueError(
-            f"mean parameter must have shape ({family.mean_dim},), got {yhat.shape}"
-        )
+        yhat = _atleast_1d(yhat)
+        if yhat.shape != (family.mean_dim,):
+            raise ValueError(
+                f"mean parameter must have shape ({family.mean_dim},), got {yhat.shape}"
+            )
     return yhat
 
 
@@ -255,8 +254,8 @@ def canonical_variance(family: ObservationFamily, x) -> np.ndarray:
 def _variance(p: np.ndarray, comp: np.ndarray) -> np.ndarray:
     """diag(p) - p p^T for kept-class probabilities p, with the diagonal
     p (1 - p) formed from their complements comp = 1 - p."""
-    v = -np.outer(p, p)
-    np.fill_diagonal(v, p * comp)
+    v = -p[:, None] * p  # (-p_i) p_j, the same number as -(p_i p_j)
+    v.flat[:: p.size + 1] = p * comp
     return v
 
 
@@ -289,8 +288,8 @@ def _simplex_root(p: np.ndarray, comp: np.ndarray, last: float) -> np.ndarray:
     q = np.sqrt(p)
     s = math.sqrt(last)
     c = 1.0 / (1.0 + s)
-    root = -c * np.outer(q, p)
-    np.fill_diagonal(root, c * q * (s + comp))
+    root = -c * (q[:, None] * p)
+    root.flat[:: q.size + 1] = c * q * (s + comp)
     return root
 
 

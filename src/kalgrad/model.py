@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -244,8 +244,7 @@ def run_sides(sides: Sequence[tuple], scenario: Scenario) -> list[Trace]:
     return traces(rows)
 
 
-@dataclass(frozen=True)
-class Linearisation:
+class Linearisation(NamedTuple):
     """One observation linearised in the natural parameter theta of its
     family, at a predicted state.
 
@@ -254,9 +253,11 @@ class Linearisation:
     draw, both in whitened coordinates off a canonical link
     (:func:`_whitened`).  The score of T in the state is
     ``residual @ jac``.  ``cov()`` is C = cov(T) at the predicted mean and
-    ``root()`` a square root S of C, S^T S = C, each made only when called
-    (the shared identity off a canonical link), so that the Fisher
-    information is ``jac.T @ cov() @ jac`` or W^T W for the rows W = S B.
+    ``root()`` a square root S of C, S^T S = C, each made only when called,
+    so that the Fisher information is ``jac.T @ cov() @ jac`` or W^T W for
+    the rows W = S B.  Off a canonical link both return the shared
+    read-only ``_identity(k)`` itself, which a step recognises by identity
+    and never multiplies by.
     """
 
     jac: Array
@@ -271,6 +272,12 @@ def _identity(n: int) -> Array:
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
+
+
+@functools.cache
+def _whitened_cov(n: int) -> Callable[[], Array]:
+    """The ``cov`` and ``root`` of every whitened linearisation of dimension n."""
+    return functools.partial(_identity, n)
 
 
 def _observed(
@@ -306,10 +313,11 @@ def linearise(
     B = G, and the residual, C = V(x) and the root of C are
     :func:`expfam.canonical_parts` at x.  Otherwise theta is read
     through the mean h(s, u) with Jacobian H, whitened
-    (:func:`_whitened`): B = S^-T H, e = (T - h) S^-1 and C = S = I, so
-    e B = (T - h) cov(T)^-1 H and B^T C B = H^T cov(T)^-1 H with no solve
-    with cov(T).  Either tests the observed value, x or h(s, u)
-    (:func:`_observed`), once, before its Jacobian is taken.
+    (:func:`_whitened`): B = S^-T H, e = (T - h) S^-1 and C = S = I, the
+    shared identity, so e B = (T - h) cov(T)^-1 H and B^T C B =
+    H^T cov(T)^-1 H with no solve with cov(T).  Either tests the observed
+    value, x or h(s, u) (:func:`_observed`), once, before its Jacobian is
+    taken.
     """
     try:
         if model.canonical_link(family):
@@ -319,7 +327,7 @@ def linearise(
         jac, residual = _whitened(family, *_observed(model, family, s, u), stats)
     except NumericalError as exc:
         raise at_step(exc, t)
-    eye = functools.partial(_identity, family.mean_dim)
+    eye = _whitened_cov(family.mean_dim)
     return Linearisation(jac, residual, eye, eye)
 
 

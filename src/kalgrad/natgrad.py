@@ -22,8 +22,9 @@ the score in the state is e B and the Fisher the exact per-observation
 Fisher B^T C B = W^T W, with the rows W = S B for the square root S of
 C = cov(T) at the predicted mean built by its ``root()`` (never C, nor
 a Cholesky factor of C, which is singular where a canonical mean
-saturates).  The tests check it against a Monte Carlo average of score
-outer products.
+saturates).  A whitened observation's S is the shared identity, read and
+never multiplied by: its rows W are B itself.  The tests check the
+Fisher against a Monte Carlo average of score outer products.
 
 Every step function takes and returns plain arrays: the state s in the
 current chart and the factor U there.  The eta and gamma schedules are
@@ -57,7 +58,7 @@ from scipy.linalg.lapack import dgeqrf, dgesdd, dgetrf, dgetrs, dtrtrs
 
 from . import expfam
 from .errors import NonFiniteError, NumericalError, SingularMatrixError, at_step
-from .model import DynamicalModel, Linearisation, Scenario, Trace, linearise, run_sides, step_dynamics
+from .model import DynamicalModel, Linearisation, Scenario, Trace, _identity, linearise, run_sides, step_dynamics
 # solve_psd is not called here; certbench's tests read this module's copy.
 from .numerics import _finite, _prior_factor, schedule, solve_psd  # noqa: F401
 
@@ -149,8 +150,10 @@ def chart_transport(
 
 def fisher_rows(lin: Linearisation) -> np.ndarray:
     """Rows W = S B with W^T W = B^T C B, the per-observation Fisher, for
-    the square root S of C that the linearisation carries."""
-    return lin.root().dot(lin.jac)
+    the square root S of C that the linearisation carries: B itself where
+    S is the shared identity of a whitened observation."""
+    root = lin.root()
+    return lin.jac if root is _identity(len(root)) else root.dot(lin.jac)
 
 
 @functools.cache

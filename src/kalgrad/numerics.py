@@ -11,7 +11,12 @@ test each of its stages themselves.  Every product of two single
 matrices or vectors on a step path is ``a.dot(b)``, which reaches the
 same BLAS call as ``a @ b`` for less than half its dispatch cost on the
 2x2 arrays of a step; a product of stacks (3-D arrays) stays ``@``, as
-``dot`` contracts tensors instead of multiplying matrix by matrix.
+``dot`` contracts tensors instead of multiplying matrix by matrix.  No
+step multiplies by a shared identity: the C = S = I of a whitened
+observation (:func:`kalgrad.model.linearise`) is recognised by identity
+and its product skipped.  A step symmetrizes the matrices it built
+itself with :func:`_symmetrize`, the formula of :func:`symmetrize`
+without its checks.
 """
 
 from __future__ import annotations
@@ -56,10 +61,17 @@ def _atleast_1d(a) -> np.ndarray:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^T) / 2 as A / 2 + (A / 2)^T, finite for any finite A."""
+    """Return (A + A^T) / 2 as A / 2 + (A / 2)^T, finite for any finite A,
+    or a copy of A where A = A^T already, which is the same number wherever
+    A / 2 is exact and keeps a subnormal A that halving would round to 0."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("symmetrize expects a square matrix")
+    return a.copy() if (a == a.T).all() else _symmetrize(a)
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """A / 2 + (A / 2)^T for a square float A that a step built itself."""
     half = 0.5 * a
     return half + half.T
 
@@ -96,7 +108,7 @@ def schedule(name: str, values, horizon: int) -> np.ndarray:
     test, rule = _SCHEDULE_DOMAINS[name]
     if not np.all(test(arr)):
         raise ValueError(f"{name} schedule must {rule}")
-    return np.resize(arr, horizon)  # a new array, a single entry repeated
+    return np.full(horizon, arr) if arr.size == 1 else arr.copy()
 
 
 def check_eta0(eta0: float) -> float:

@@ -326,36 +326,49 @@ class TestAbortedCompare:
         assert main(["compare", "--config", str(full), "--out", str(ref)]) == 0
         assert (out / "deviations.csv").read_bytes() == (ref / "deviations.csv").read_bytes()
 
-    # A prior that is refused before step 1 leaves no rows, so nothing is
-    # written: symmetrize halves the smallest subnormal P_0 = 5e-324 I to 0.
+    # A prior is refused only by the config check, before any output: every
+    # positive finite p0_scale factors, the smallest subnormal 5e-324 too
+    # (symmetrize keeps a symmetric P_0 as it is), so the pair runs to the
+    # same abort and writes the rows before it.
     def test_refused_prior_leaves_no_output_directory(self, tmp_path, capsys):
         path = tmp_path / "prior.cfg"
-        path.write_text(ABORTED_CFG + "p0_scale = 5e-324\n")
+        path.write_text(ABORTED_CFG + "p0_scale = 0\n")
         out = tmp_path / "new" / "out"
-        assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "numerical failure: prior covariance P_0: matrix is not positive definite\n"
+            "error: invalid field p0_scale: must be positive and finite\n"
         )
         assert not (tmp_path / "new").exists()
+        path.write_text(ABORTED_CFG + "p0_scale = 5e-324\n")
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"numerical failure: {ABORT_MESSAGE}\n"
+        assert _csv_columns(out / "deviations.csv")["t"] == [str(t) for t in range(10)]
 
-    # Every other positive p0_scale has both starts, so the pair runs, with
-    # no numpy warning and no nan deviation.  A subnormal prior completes
-    # and misses the gate (measured 1.4e-3); 1e-300 certifies; at 1e300 the
-    # filter's P_t rounds to 0 from t = 4, and those rows read inf; at
-    # 1e308 the filter overflows at t = 1 and names its side.
+    # Every positive p0_scale has both starts, so the pair runs, with no
+    # numpy warning and no nan deviation.  A subnormal prior completes and
+    # misses the gate (measured 1.4e-3 at 1e-320); at 5e-324 the filter's
+    # step halves P_t to 0 from t = 1, with the states still equal, and
+    # those rows read inf; 1e-300 certifies; at 1e300 the filter's P_t
+    # rounds to 0 from t = 4, and those rows read inf; at 1e308 the filter
+    # overflows at t = 1 and names its side.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "scale, code, dev",
-        [("1e-320", 3, 1e-2), ("1e-300", 0, 1e-14), ("1e300", 3, np.inf), ("1e308", 2, 0.0)],
+        [("5e-324", 3, np.inf), ("1e-320", 3, 1e-2), ("1e-300", 0, 1e-14), ("1e300", 3, np.inf),
+         ("1e308", 2, 0.0)],
     )
     def test_extreme_prior_scales_run_the_pair(self, tmp_path, capsys, scale, code, dev):
         path = tmp_path / "scale.cfg"
         path.write_text(ABORTED_CFG.replace("alpha[10] = 1e300\n", "") + f"p0_scale = {scale}\n")
         out = tmp_path / "out"
         assert main(["compare", "--config", str(path), "--out", str(out)]) == code
-        devs = np.array(_csv_columns(out / "deviations.csv")["metric_dev"], dtype=float)
+        columns = _csv_columns(out / "deviations.csv")
+        devs = np.array(columns["metric_dev"], dtype=float)
         assert not np.isnan(devs).any()
         assert devs.max() <= dev
+        if scale == "5e-324":
+            assert (devs[1:] == np.inf).all()
+            assert not np.array(columns["state_dev"], dtype=float).any()
         if scale == "1e300":
             assert (devs[4:] == np.inf).all()
         if code == 2:

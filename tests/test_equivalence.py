@@ -218,8 +218,8 @@ class TestCheckDiscrete:
     # P_0 = diag(1, 0) has no J_0 = eta_0 P_0^-1, so the pair is refused by
     # name before either side takes a step, on every model, with no report:
     # it is neither certified nor aborted later from a J_0 that a shifted
-    # P_0 would give.  The smallest subnormal prior 5e-324 I is refused so
-    # too, since symmetrize halves it to 0.
+    # P_0 would give.  (The smallest subnormal prior 5e-324 I factors, as
+    # symmetrize keeps a symmetric P_0 as it is, and runs the pair.)
     @pytest.mark.parametrize("name", ["static", "linear2d", "tanhspring"])
     def test_singular_prior_covariance_is_refused_by_name(self, name, monkeypatch):
         scenario, s0, _ = equivalence.sweep_cell(name, 50, 0)
@@ -227,10 +227,9 @@ class TestCheckDiscrete:
         monkeypatch.setattr(ekf, "transition", lambda *args: runs.append(args))
         monkeypatch.setattr(natgrad, "chart_transport", lambda *args: runs.append(args))
         message = "^prior covariance P_0: matrix is not positive definite$"
-        for p0 in (np.diag([1.0, 0.0]), 5e-324 * np.eye(2)):
-            with pytest.raises(SingularMatrixError, match=message) as info:
-                check_discrete(scenario, s0, p0, alpha=0.1)
-            assert not hasattr(info.value, "report")
+        with pytest.raises(SingularMatrixError, match=message) as info:
+            check_discrete(scenario, s0, np.diag([1.0, 0.0]), alpha=0.1)
+        assert not hasattr(info.value, "report")
         assert runs == []
 
     # An ill-conditioned P_0 = Q diag(1, k) Q^T still factors, and both
@@ -823,7 +822,10 @@ class TestPerStepChecks:
     of numerics._finite, in both time domains, and none calls np.isfinite
     itself; each observed value and each RK4 stage is tested once; a
     canonical-link linearisation evaluates the probabilities at its
-    predictor once, and each side builds only the matrix it reads."""
+    predictor once, and each side builds only the matrix it reads.  A
+    whitened side reads the shared identity C = S = I and keeps every
+    check: skipping its products (:class:`TestPairStepProducts`) leaves
+    these counts as they are."""
 
     @pytest.mark.parametrize("name", equivalence.SWEEP_MODELS)
     def test_sweep_cell_checks_each_step_through_finite(self, monkeypatch, name):
@@ -977,6 +979,61 @@ class TestStepProducts:
     def test_no_step_product_uses_matmul(self, fn):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+
+
+def count_products(fn):
+    """Call fn() and count its ndarray.dot calls by the name of the
+    function that makes each, from numpy's C calls under sys.setprofile."""
+    sites = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None), np.ndarray):
+            if arg.__name__ == "dot":
+                sites[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return sites
+
+
+# The products of one pair step of each sweep model, by the function that
+# makes them; the maps of a model and the two linearisations are per side.
+# No side multiplies by the C or S of a whitened observation: the filter's
+# update makes four products there (B P, B P B^T, K (B P), K e) and six
+# under the canonical link, where C = V(x); the gradient side's rows make
+# none there and one under it.
+_WHITENED_STEP = {"transition": 2, "_whitened": 4, "observe_gain": 4, "update": 1}
+PAIR_STEP_PRODUCTS = {
+    "linear2d": {"<lambda>": 2, **_WHITENED_STEP},
+    "static": {"<lambda>": 2, **_WHITENED_STEP},
+    "tanhspring": {"_tanhspring_f": 2, "_tanhspring_jac": 2, **_WHITENED_STEP},
+    "logistic-static": {
+        "_logistic_predictor": 2, "transition": 2, "observe_gain": 6, "update": 1, "fisher_rows": 1,
+    },
+}
+
+
+class TestPairStepProducts:
+    """Structure guard: a pair step makes only the products of its
+    algorithm, 13 on a gaussian sweep cell of linear2d or static (15 with
+    tanhspring's two maps) and 12 on logistic-static."""
+
+    @pytest.mark.parametrize("name", equivalence.SWEEP_MODELS)
+    def test_products_per_pair_step(self, name):
+        scenario, s0, p0 = equivalence.sweep_cell(name, 50, 0)
+        eta = map_alpha_to_eta(0.1, 0.5, scenario.horizon)[1:]
+        sides = [
+            ekf.side(scenario, 0.1, s0, p0),
+            natgrad.side(scenario, eta, eta, s0, initial_factors(p0, 0.5)[1]),
+        ]
+        sites = count_products(lambda: model_mod.run_sides(sides, scenario))
+        steps = scenario.horizon
+        assert sites == {site: count * steps for site, count in PAIR_STEP_PRODUCTS[name].items()}
+        total = {"tanhspring": 15, "logistic-static": 12}.get(name, 13)
+        assert sum(sites.values()) == total * steps
 
 
 class TestCanonicalLinkEquivalence:

@@ -6,7 +6,7 @@ import pytest
 
 from kalgrad import ekf, expfam, natgrad
 from kalgrad.errors import NonFiniteError, SingularMatrixError
-from kalgrad.model import builtin, generate_scenario, linearise
+from kalgrad.model import _identity, builtin, generate_scenario, linearise
 from kalgrad.numerics import symmetrize
 
 from conftest import gradient_metrics, natgrad_update, random_spd, upper_factor
@@ -224,6 +224,9 @@ class TestFisherRows:
         h = rng.standard_normal((2, 3))
         lin = linearise(make_linear_model(h), fam, np.zeros(3), np.zeros(0), np.zeros(2), 1)
         np.testing.assert_array_equal(natgrad.fisher_rows(lin), fam.obs_whitener @ h)
+        # S is the shared identity, read and never multiplied by.
+        assert lin.root() is _identity(2)
+        assert natgrad.fisher_rows(lin) is lin.jac
 
     def test_mean_parameter_bernoulli(self, rng):
         model = dataclasses.replace(builtin("logistic-static"), predictor=None)

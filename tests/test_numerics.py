@@ -271,14 +271,17 @@ def _refused_schedules():
 
 
 class TestSchedule:
+    # Every input gives a fresh writable float array with the bytes of
+    # np.resize's, a single entry repeated or one entry per step copied.
     def test_normalises_to_one_float_per_step(self):
-        expected = np.full(3, 0.25)
-        for values in (0.25, [0.25], np.array([0.25])):
-            np.testing.assert_array_equal(numerics.schedule("alpha", values, 3), expected)
         ramp = np.array([0.0, 1, 2])
-        out = numerics.schedule("alpha", ramp, 3)
+        for values in (0.25, [0.25], np.array([0.25]), ramp):
+            out = numerics.schedule("alpha", values, 3)
+            assert out.tobytes() == np.resize(np.asarray(values, dtype=float), 3).tobytes()
+            assert out.dtype == np.float64 and out.flags.writeable and out.flags.owndata
+            assert not np.shares_memory(out, values)
         np.testing.assert_array_equal(out, ramp)
-        assert out.dtype == np.float64 and out is not ramp
+        np.testing.assert_array_equal(numerics.schedule("alpha", 0.25, 3), np.full(3, 0.25))
         assert numerics.schedule("gamma", 1.0, 0).shape == (0,)
 
     @pytest.mark.parametrize("entry, values, message", _refused_schedules())
