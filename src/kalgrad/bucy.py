@@ -24,18 +24,22 @@ with Phi_L (Phi) keeping the strict lower (upper) triangle and half the
 diagonal, so that dS S^T + S dS^T = dP/dt and dU^T U + U^T dU = dJ/dt.
 Every inverse is a triangular solve.
 
-Both fields read the gaussian observation y(t) whitened by R = L L^T,
-through the helpers of :func:`kalgrad.model.linearise`, which test h(s, u_t)
+Both fields read the gaussian observation y(t) whitened by R = L L^T, each
+in one call of :func:`kalgrad.model._whitened_path`, which tests h(s, u_t)
 before H is taken: B = L^-1 H and e = (y(t) - h(s, u_t)) L^-T, so
 H^T R^-1 (y - h) = B^T e and H^T R^-1 H = B^T B.  Phi and Phi_L are one
-multiply by a read-only mask per state dimension (:func:`_phi`).
+multiply by a read-only mask, both made once per state dimension
+(:func:`_masks`).
 
 Under P = eta J^-1 and the eta equation above, the two vector fields
 coincide.  :func:`run` steps a stack of sides, each from :func:`start`,
 together with fixed-step RK4 on a grid that must end at the horizon
-(:func:`grid_steps`); each stage reads u_t, y(t) and alpha(t) once for
-every side's field.  :func:`kalgrad.equivalence.check_continuous` runs
-both sides so, and :func:`integrate` runs one.
+(:func:`grid_steps`), walked as Python floats.  u_t, y(t) and alpha(t)
+are read once per distinct stage time for every side's field: the two
+middle stages of a step share one time, and the last stage's time is
+the next step's wherever the floats agree.
+:func:`kalgrad.equivalence.check_continuous` runs both sides so, and
+:func:`integrate` runs one.
 
 Observation paths y(t) are smooth callables; rough (white-noise) paths are
 out of scope.  The fields keep S exactly lower and U exactly upper
@@ -43,8 +47,9 @@ triangular, and positivity is monitored, never enforced: after each step
 every factor must be finite with a positive diagonal, with no floor.  An
 error inside a step names the side and the step's grid time: in a stack,
 the side whose field fails first, stage by stage and, within a stage, in
-the order of the stack; :func:`_field` tests each side's slice of every
-RK4 stage, and :func:`kalgrad.numerics.rk4_step` none.
+the order of the stack.  :func:`_field` tests each RK4 stage in one
+finiteness pass over all sides, and each side's slice only when a test
+fails or a field raises; :func:`kalgrad.numerics.rk4_step` tests none.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import NonFiniteError, NumericalError, PositivityLostError, SingularMatrixError
-from .model import ContinuousModel, Trace, _observed, _whitened
+from .model import ContinuousModel, Trace, _whitened_path
 # solve_psd is not called here; certbench's tests read this module's copy.
 from .numerics import (  # noqa: F401
     _atleast_1d, _finite, _prior_factor, check_eta0, rk4_step, solve_psd, symmetrize,
@@ -100,13 +105,13 @@ def step_sizes(dts, horizon: float) -> list[float]:
 
 
 @functools.cache
-def _phi(n: int) -> np.ndarray:
-    """The read-only n x n mask of Phi: ones on the strict upper triangle,
-    0.5 on the diagonal.  Its transpose is the mask of Phi_L."""
-    mask = np.triu(np.ones((n, n)))
-    mask.flat[:: n + 1] = 0.5
-    mask.flags.writeable = False
-    return mask
+def _masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only n x n masks of Phi, ones on the strict upper triangle
+    and 0.5 on the diagonal, and of Phi_L, its transpose."""
+    phi = np.triu(np.ones((n, n)))
+    phi.flat[:: n + 1] = 0.5
+    phi.flags.writeable = False
+    return phi, phi.T
 
 
 def bucy_deriv(
@@ -117,7 +122,7 @@ def bucy_deriv(
     at mean s, lower-triangular covariance factor S (P = S S^T), input
     u = u_t, observation y = y(t) and fading weight alpha = alpha(t); dS/dt
     is lower triangular.  An S with a zero diagonal raises SingularMatrixError."""
-    jac, residual = _whitened(model.family, *_observed(model, model.family, s, u), y)
+    jac, residual = _whitened_path(model, s, u, y)
     rows = jac.dot(factor)  # W = B S
     drift = model.f(s, u)
     ds = drift + factor.dot(rows.T.dot(residual))
@@ -128,7 +133,7 @@ def bucy_deriv(
     gen = m + m.T
     gen -= rows.T.dot(rows)
     gen.flat[:: n + 1] += alpha
-    gen *= _phi(n).T  # Phi_L
+    gen *= _masks(n)[1]  # Phi_L
     return ds, factor.dot(gen)
 
 
@@ -141,7 +146,7 @@ def cngd_deriv(
     learning rate eta = gamma, time t, input u = u_t and observation
     y = y(t); dU/dt is upper triangular.  A U with an exactly zero
     diagonal entry raises SingularMatrixError, naming t."""
-    jac, residual = _whitened(model.family, *_observed(model, model.family, s, u), y)
+    jac, residual = _whitened_path(model, s, u, y)
     n = len(factor)
     drift = model.f(s, u)
     # One solve U^T X = [(U F)^T, B^T] gives X = [M^T, V^T]: the Fisher
@@ -158,7 +163,7 @@ def cngd_deriv(
     gen -= m_t
     gen -= m_t.T
     gen.flat[:: n + 1] -= eta
-    gen *= _phi(n)  # Phi
+    gen *= _masks(n)[0]  # Phi
     return ds, gen.dot(factor)
 
 
@@ -228,10 +233,13 @@ def _field(
     kinds: Sequence[str], bounds, model: ContinuousModel, alpha_at: Callable[[float], float]
 ):
     """The derivative of the sides ``kinds`` packed between ``bounds``, for
-    :func:`kalgrad.numerics.rk4_step`: each evaluation reads u_t, y(t) and
-    alpha(t) once and writes every side's field into one new vector.  A
-    numerical error raised while a side's field is evaluated, or a
-    non-finite field of that side, gets ``side`` set to the side's kind.
+    :func:`kalgrad.numerics.rk4_step`: every side's field written into one
+    new vector.  u_t, y(t) and alpha(t) are read once per distinct stage
+    time, and kept for the next evaluation at the same float; an error
+    while reading them is the first side's.  The new vector is tested
+    once, and each side's block, in order, only when that test fails or a
+    later side's field raises, so that a numerical error gets ``side`` set
+    to the kind of the first side whose field raises or is not finite.
     Each side's slices of z, its state, factor, eta (the entry after its
     factor, read by ``cngd`` only) and whole block, are built once."""
     n = model.dim_state
@@ -241,29 +249,46 @@ def _field(
         (kind, slice(lo, lo + n), slice(lo + n, lo + end), lo + end, slice(lo, hi))
         for kind, lo, hi in zip(kinds, bounds, bounds[1:])
     ]
+    t_read, inputs = math.nan, None  # no time read yet
+
+    def raise_first_non_finite(out: np.ndarray, sides: int, t: float) -> None:
+        """Raise NonFiniteError, its ``side`` set, for the first of the
+        first ``sides`` sides whose block of ``out`` is not finite."""
+        for kind, *_, block in layout[:sides]:
+            if not _finite(out[block]):
+                exc = NonFiniteError(f"derivative non-finite at t = {t:.6g}")
+                exc.side = kind
+                raise exc from None
 
     def deriv(t: float, z: np.ndarray) -> np.ndarray:
-        kind = kinds[0]  # an error reading the inputs is the first side's
+        nonlocal t_read, inputs
+        out = np.empty(size)
+        done = 0  # the sides whose blocks of out are written
         try:
-            u = model.input_at(t)
-            y = _atleast_1d(model.obs_path(t))
-            alpha = alpha_at(t)
-            out = np.empty(size)
-            for kind, state, mat, eta_at, block in layout:
+            if t != t_read:
+                inputs = model.input_at(t), _atleast_1d(model.obs_path(t)), alpha_at(t)
+                t_read = t
+            u, y, alpha = inputs
+            for kind, state, mat, eta_at, _ in layout:
                 s, factor = z[state], z[mat].reshape(n, n)
                 if kind == BUCY:
                     ds, dmat = bucy_deriv(s, factor, model, u, y, alpha)
                 else:
-                    eta = float(z[eta_at])
+                    eta = z.item(eta_at)
                     ds, dmat = cngd_deriv(s, factor, eta, t, model, u, y)
                     out[eta_at] = eta_ode(eta, alpha)
                 out[state] = ds
                 out[mat] = dmat.ravel()
-                if not _finite(out[block]):
-                    raise NonFiniteError(f"derivative non-finite at t = {t:.6g}")
-        except NumericalError as exc:
-            exc.side = kind
+                done += 1
+        except Exception as exc:
+            # Any error of a later side, numerical or not, comes after an
+            # earlier side's non-finite block in evaluation order.
+            raise_first_non_finite(out, done, t)
+            if isinstance(exc, NumericalError):
+                exc.side = kinds[done]
             raise
+        if not _finite(out):
+            raise_first_non_finite(out, done, t)
         return out
 
     return deriv
@@ -289,6 +314,7 @@ def run(
     end = n + n * n
     n_steps = grid_steps(dt, horizon)
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
+    grid = times.tolist()
     if callable(alpha):
         alpha_at = lambda t: _fading_weight(alpha(t))
     else:
@@ -309,14 +335,14 @@ def run(
     # as a failure of its side, so numpy's warnings are off for the loop.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            t = times[i]
+            t = grid[i]
             try:
                 z = rk4_step(field, z, t, dt)
             except NumericalError as exc:
                 # The side's own error is re-raised, not wrapped in a new one.
                 exc.args = (f"{exc.side} step from t = {t:.6g}: {exc}",)
                 raise
-            check(z, times[i + 1])
+            check(z, grid[i + 1])
             packed[i + 1] = z
     traces = []
     for kind, lo in zip(kinds, bounds):

@@ -46,7 +46,7 @@ from . import bucy as bucy_mod
 from . import ekf as ekf_mod
 from . import expfam
 from . import natgrad as ngd_mod
-from .errors import DomainError, NumericalError
+from .errors import NumericalError
 from .model import ContinuousModel, Scenario, Trace, _identity, builtin, generate_scenario, run_sides
 from .numerics import _prior_factor, check_eta0, schedule, symmetrize
 # solve_psd is not called here; certbench's tests read this module's copy.
@@ -150,23 +150,6 @@ def map_alpha_to_eta(
         inv = inv / (1.0 + alpha_t) + 1.0
         eta.append(1.0 / inv)
     return np.array(eta)
-
-
-def map_eta_to_alpha(eta: Sequence[float]) -> np.ndarray:
-    """Invert the schedule map: the unique alpha_t reproducing eta.
-
-    ``eta`` is the full sequence eta_0..eta_T.  Raises DomainError when
-    some eta_t = 1 for t >= 1, which would require infinite fading, or
-    when an entry is not positive (nan included).
-    """
-    eta = np.asarray(eta, dtype=float)
-    if eta.ndim != 1 or eta.size < 2:
-        raise ValueError("need eta_0..eta_T with T >= 1")
-    if np.any(eta[1:] >= 1.0):
-        raise DomainError("eta_t = 1 for t >= 1 has no finite fading weight")
-    if not np.all(eta > 0.0):
-        raise DomainError("eta schedule must be positive, and not nan")
-    return eta[1:] / ((1.0 - eta[1:]) * eta[:-1]) - 1.0
 
 
 def initial_factors(init_cov, eta0: float) -> tuple[np.ndarray, np.ndarray]:

@@ -44,7 +44,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
-from scipy.special import expit
 
 from .errors import DomainError, NonFiniteError, OutOfSupportError, SingularMatrixError
 # solve_psd is not called here; certbench's tests read this module's copy.
@@ -192,6 +191,15 @@ def _as_natural(family: ObservationFamily, x) -> np.ndarray:
     return x
 
 
+def _expit(x: float) -> float:
+    """The logistic 1 / (1 + exp(-x)) of a float, 0.0 where exp(-x)
+    overflows: scipy.special.expit's expression, from libm's exp."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def _canonical_probs(family: ObservationFamily, x) -> tuple[np.ndarray, np.ndarray, float]:
     """Kept-class probabilities p = mean(x), their complements 1 - p, and
     the probability of the dropped class.
@@ -201,8 +209,8 @@ def _canonical_probs(family: ObservationFamily, x) -> tuple[np.ndarray, np.ndarr
     """
     x = _as_natural(family, x)
     if family.kind == BERNOULLI:
-        q = expit(-x)
-        return expit(x), q, float(q[0])
+        q = _expit(-x.item())
+        return np.array([_expit(x.item())]), np.array([q]), q
     logits = np.append(x, 0.0)  # the dropped class has logit 0
     weights = np.exp(logits - logits.max())
     total = weights.sum()
@@ -239,16 +247,6 @@ def canonical_parts(
         lambda: _variance(p, comp),
         lambda: _simplex_root(p, comp, last),
     )
-
-
-def canonical_variance(family: ObservationFamily, x) -> np.ndarray:
-    """cov(T) at natural parameter x, which is also d mean / d x and the
-    Fisher information with respect to x.
-
-    Bernoulli: expit(x) expit(-x).  Categorical: diag(p (1 - p)) - p p^T
-    off the diagonal.  Finite, and possibly zero, for every finite x.
-    """
-    return _variance(*_canonical_probs(family, x)[:2])
 
 
 def _variance(p: np.ndarray, comp: np.ndarray) -> np.ndarray:

@@ -14,15 +14,15 @@ filter's Fisher ``B^T C B`` and a root ``S`` of ``C`` for the gradient
 side's Fisher rows ``S B``.  Through the mean parameter the
 observation is read whitened by ``S^-T`` for the square root ``S`` of
 ``cov(T)`` there: ``B = S^-T H``, ``C = I`` and ``e = (T - h) S^-1``,
-with ``H`` the Jacobian of ``h`` (:func:`_observed` and
-:func:`_whitened`, which the continuous fields call directly, as
-:func:`linearise` does); the observed value, ``h``
-or the predictor, is tested before its Jacobian is taken, and a
+with ``H`` the Jacobian of ``h`` (:func:`_whitened`); the observed value,
+``h`` or the predictor, is tested before its Jacobian is taken, and a
 central-difference Jacobian starts from it.  For a gaussian observation
-``S^-T = L^-1`` for its covariance ``R = L L^T``.  A model
-whose ``h`` is the mean of a Bernoulli or categorical family at a linear
-predictor ``x = predictor(s, u)`` under the canonical link declares that
-family kind and the predictor; there ``theta = x``, ``B`` is the
+``S^-T = L^-1`` for its covariance ``R = L L^T``; each continuous field
+reads its path y(t) so in one call of :func:`_whitened_path`, which
+takes the family's fixed ``L^-1`` as it is.  A model whose ``h`` is the
+mean of a Bernoulli or categorical family at a linear predictor
+``x = predictor(s, u)`` under the canonical link declares that family
+kind and the predictor; there ``theta = x``, ``B`` is the
 predictor Jacobian ``G`` and ``C = V(x)``, so the updates stay defined
 where the mean rounds to the boundary of its domain and ``C`` is
 singular.  This is the only place where that choice is made.
@@ -48,11 +48,11 @@ argument; none of them calls ``input_at`` or computes T(y).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from . import expfam
 from .errors import NonFiniteError, NumericalError, OutOfSupportError, UnknownModelError, at_step
@@ -280,17 +280,6 @@ def _whitened_cov(n: int) -> Callable[[], Array]:
     return functools.partial(_identity, n)
 
 
-def _observed(
-    model: DynamicalModel | ContinuousModel, family: expfam.ObservationFamily, s: Array, u: Array
-) -> tuple[Array, Array]:
-    """The mean h(s, u) of the model's observation from ``family``, tested
-    by :func:`expfam.check_mean` before any Jacobian is taken, and its
-    Jacobian H in the state, whose central-difference fallback starts from
-    that mean."""
-    mean = expfam.check_mean(family, model.h(s, u))
-    return mean, model.jac_h(s, u, mean)
-
-
 def _whitened(
     family: expfam.ObservationFamily, mean: Array, h_jac: Array, stats: Array
 ) -> tuple[Array, Array]:
@@ -300,6 +289,16 @@ def _whitened(
     S^-T = :func:`expfam.whitener`'s."""
     whitener = expfam.whitener(family, mean)
     return whitener.dot(h_jac), (stats - mean).dot(whitener.T)
+
+
+def _whitened_path(model: ContinuousModel, s: Array, u: Array, y: Array) -> tuple[Array, Array]:
+    """B = L^-1 H and e = (y - h) L^-T for the observation y = y(t) of a
+    continuous model at (s, u), with R = L L^T the covariance of its
+    gaussian family: :func:`_whitened` with the family's fixed L^-1 read
+    directly, after h(s, u) has passed :func:`expfam.check_mean`."""
+    mean = expfam.check_mean(model.family, model.h(s, u))
+    whitener = model.family.obs_whitener
+    return whitener.dot(model.jac_h(s, u, mean)), (y - mean).dot(whitener.T)
 
 
 def linearise(
@@ -316,15 +315,17 @@ def linearise(
     (:func:`_whitened`): B = S^-T H, e = (T - h) S^-1 and C = S = I, the
     shared identity, so e B = (T - h) cov(T)^-1 H and B^T C B =
     H^T cov(T)^-1 H with no solve with cov(T).  Either tests the observed
-    value, x or h(s, u) (:func:`_observed`), once, before its Jacobian is
-    taken.
+    value, x (:func:`expfam.canonical_parts`) or h(s, u)
+    (:func:`expfam.check_mean`), once, before its Jacobian is taken, and a
+    central-difference H starts from h.
     """
     try:
         if model.canonical_link(family):
             x = model.predictor(s, u)
             parts = expfam.canonical_parts(family, x, stats)
             return Linearisation(model.jac_predictor(s, u, x), *parts)
-        jac, residual = _whitened(family, *_observed(model, family, s, u), stats)
+        mean = expfam.check_mean(family, model.h(s, u))
+        jac, residual = _whitened(family, mean, model.jac_h(s, u, mean), stats)
     except NumericalError as exc:
         raise at_step(exc, t)
     eye = _whitened_cov(family.mean_dim)
@@ -458,11 +459,11 @@ def _logistic_predictor(s: Array, u: Array) -> Array:
 
 
 def _logistic_h(s: Array, u: Array) -> Array:
-    return np.array([expit(s.dot(u))])
+    return np.array([expfam._expit(s.dot(u))])
 
 
 def _logistic_jac_h(s: Array, u: Array) -> Array:
-    p = expit(s.dot(u))
+    p = expfam._expit(s.dot(u))
     return (p * (1.0 - p)) * u[None, :]
 
 
@@ -490,9 +491,9 @@ def _make_pendulum_ct() -> ContinuousModel:
         dim_state=2,
         dim_input=0,
         dim_obs=1,
-        f=lambda s, u: np.array([s[1], -np.sin(s[0])]),
+        f=lambda s, u: np.array([s[1], -math.sin(s[0])]),
         h=lambda s, u: s[:1].copy(),
-        jacobian_f=lambda s, u: np.array([[0.0, 1.0], [-np.cos(s[0]), 0.0]]),
+        jacobian_f=lambda s, u: np.array([[0.0, 1.0], [-math.cos(s[0]), 0.0]]),
         jacobian_h=lambda s, u: _PENDULUM_H,
         input_fn=lambda t: _EMPTY,
         family=expfam.gaussian(np.eye(1)),

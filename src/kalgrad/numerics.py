@@ -7,12 +7,13 @@ factor is refused, never shifted.  The SPD solve has no library caller;
 it stays for certbench, whose per-layer metrics wrap it.  Every
 finiteness check of the library, per step or not, is one call to
 :func:`_finite`; :func:`rk4_step` makes none, as the continuous fields
-test each of its stages themselves.  Every product of two single
-matrices or vectors on a step path is ``a.dot(b)``, which reaches the
-same BLAS call as ``a @ b`` for less than half its dispatch cost on the
-2x2 arrays of a step; a product of stacks (3-D arrays) stays ``@``, as
-``dot`` contracts tensors instead of multiplying matrix by matrix.  No
-step multiplies by a shared identity: the C = S = I of a whitened
+test each of its stages themselves, and sums its four stages into one
+accumulator of its own, never into an array that a stage returned.
+Every product of two single matrices or vectors on a step path is
+``a.dot(b)``, which reaches the same BLAS call as ``a @ b`` for less
+than half its dispatch cost on the 2x2 arrays of a step; a product of
+stacks (3-D arrays) stays ``@``, as ``dot`` contracts tensors instead of
+multiplying matrix by matrix.  No step multiplies by a shared identity: the C = S = I of a whitened
 observation (:func:`kalgrad.model.linearise`) is recognised by identity
 and its product skipped.  A step symmetrizes the matrices it built
 itself with :func:`_symmetrize`, the formula of :func:`symmetrize`
@@ -267,8 +268,11 @@ def rk4_step(
     dt: float,
 ) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step of size dt from time t,
-    for a ``deriv(tau, y)`` returning a float array.  No stage is tested
-    here: a derivative that must stay finite tests itself, as
+    for a ``deriv(tau, y)`` returning a float array: state + (dt/6)
+    (k1 + 2 k2 + 2 k3 + k4), summed left to right into one new
+    accumulator, so that no array that ``deriv`` returned, which may be
+    its own argument, is written into.  No stage is tested here: a
+    derivative that must stay finite tests itself, as
     :func:`kalgrad.bucy._field` does.
 
     Raises
@@ -279,8 +283,15 @@ def rk4_step(
     if not dt > 0:
         raise ValueError("dt must be > 0")
     state = np.asarray(state, dtype=float)
+    half = 0.5 * dt
     k1 = deriv(t, state)
-    k2 = deriv(t + 0.5 * dt, state + 0.5 * dt * k1)
-    k3 = deriv(t + 0.5 * dt, state + 0.5 * dt * k2)
+    k2 = deriv(t + half, state + half * k1)
+    k3 = deriv(t + half, state + half * k2)
     k4 = deriv(t + dt, state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc = 2.0 * k2
+    acc += k1
+    acc += 2.0 * k3
+    acc += k4
+    acc *= dt / 6.0
+    acc += state
+    return acc

@@ -1,14 +1,15 @@
 """Reference implementations the tests compare the library against:
 log-likelihoods that the tests differentiate numerically, as oracles for
 the scores the library reads from its linearisations, the unwhitened
-covariance of T, its square root and cov(T)^-1 H, as oracles for the
-whitened observations the library reads, the linearisation of a given
-mean and Jacobian through the library's ``linearise``, a Monte Carlo
-Fisher estimate, as the oracle for the exact Fisher the library blends in,
-scipy's Cholesky solve with one refinement pass, as the oracle for the SPD
-solve, the information form of the EKF observation update, as the
-oracle for the gain form, the chartless online natural gradient that
-chart-based runs on static dynamics must reproduce, the continuous fields
+covariance of T, its square root and cov(T)^-1 H, and V(x) at a natural
+parameter x, as oracles for the whitened observations the library reads,
+the linearisation of a given mean and Jacobian through the library's
+``linearise``, a Monte Carlo Fisher estimate, as the oracle for the exact
+Fisher the library blends in, scipy's Cholesky solve with one refinement
+pass, as the oracle for the SPD solve, the information form of the EKF
+observation update, as the oracle for the gain form, the chartless online
+natural gradient that chart-based runs on static dynamics must reproduce,
+the inverse of the schedule map alpha -> eta, the continuous fields
 written plainly under a plain RK4 loop, for the continuous pair (with the
 textbook dense P and J flows as the referees of the factor flows), the Euler
 discretisation that links the continuous pair to the discrete one, and
@@ -25,6 +26,7 @@ import scipy.linalg
 from scipy.special import expit
 
 from kalgrad import expfam
+from kalgrad.errors import DomainError
 from kalgrad.model import (
     ContinuousModel, DynamicalModel, Linearisation, Scenario, generate_scenario, linearise,
 )
@@ -88,6 +90,14 @@ def cov_root(family: expfam.ObservationFamily, yhat) -> np.ndarray:
     return expfam._simplex_root(yhat, 1.0 - yhat, 1.0 - yhat.sum())
 
 
+def canonical_variance(family: expfam.ObservationFamily, x) -> np.ndarray:
+    """cov(T) at natural parameter x, which is also d mean / d x and the
+    Fisher information with respect to x: expit(x) expit(-x) for
+    bernoulli, diag(p (1 - p)) - p p^T off the diagonal for categorical.
+    Finite, and possibly zero, for every finite x."""
+    return expfam._variance(*expfam._canonical_probs(family, x)[:2])
+
+
 def natural_jacobian(family: expfam.ObservationFamily, yhat, mean_jac) -> tuple[np.ndarray, np.ndarray]:
     """cov(T) at mean parameter yhat, and the Jacobian cov(T)^-1 mean_jac of
     the natural parameter, d theta / d yhat = cov(T)^-1, by a Cholesky
@@ -110,6 +120,21 @@ def mean_linearisation(family: expfam.ObservationFamily, mean, h_jac, stats, t: 
         init_state=np.zeros(dim), jacobian_h=lambda s, u: h_jac,
     )
     return linearise(model, family, np.zeros(dim), np.zeros(0), stats, t)
+
+
+def map_eta_to_alpha(eta) -> np.ndarray:
+    """Invert the schedule map of :func:`kalgrad.equivalence.map_alpha_to_eta`:
+    the unique alpha_t reproducing eta_0..eta_T.  Raises DomainError when
+    some eta_t = 1 for t >= 1, which would require infinite fading, or
+    when an entry is not positive (nan included)."""
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim != 1 or eta.size < 2:
+        raise ValueError("need eta_0..eta_T with T >= 1")
+    if np.any(eta[1:] >= 1.0):
+        raise DomainError("eta_t = 1 for t >= 1 has no finite fading weight")
+    if not np.all(eta > 0.0):
+        raise DomainError("eta schedule must be positive, and not nan")
+    return eta[1:] / ((1.0 - eta[1:]) * eta[:-1]) - 1.0
 
 
 def suffstats_batch(family: expfam.ObservationFamily, draws) -> np.ndarray:
@@ -495,7 +520,7 @@ def softmax_track(seed: int):
         f=lambda s, u: lin @ s,
         h=lambda s, u: expfam.canonical_mean(family, weights @ s),
         jacobian_f=lambda s, u: lin.copy(),
-        jacobian_h=lambda s, u: expfam.canonical_variance(family, weights @ s) @ weights,
+        jacobian_h=lambda s, u: canonical_variance(family, weights @ s) @ weights,
         inputs=lambda t: np.zeros(0),
         init_state=init_state,
         link_family=expfam.CATEGORICAL,

@@ -20,7 +20,6 @@ from kalgrad.equivalence import (
     check_continuous,
     check_discrete,
     map_alpha_to_eta,
-    map_eta_to_alpha,
     sweep_cell,
     sweep_schedules,
 )
@@ -28,8 +27,8 @@ from kalgrad.model import DynamicalModel, builtin, generate_scenario, linearise
 
 from conftest import gradient_metrics, observe, random_spd
 from oracles import (
-    inst_loglik, log_density, mc_fisher, mean_linearisation, observe_gradient, observe_information,
-    plain_online_natgrad,
+    inst_loglik, log_density, map_eta_to_alpha, mc_fisher, mean_linearisation, observe_gradient,
+    observe_information, plain_online_natgrad,
 )
 from test_ekf import make_linear_model
 from test_equivalence import softmax_model

@@ -619,13 +619,20 @@ class TestPair:
                 if a is not None:
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
-    # Counted through a model whose input and observation paths count
-    # their calls, and through the module's fields: one step of the pair
-    # reads u_t and y(t) once per stage and evaluates each field once per
-    # stage.
-    def test_a_pair_step_reads_each_input_once_per_stage(self, monkeypatch):
+    # Counted through a model whose input and observation paths record the
+    # times they are read at, and through the module's fields: one step of
+    # the pair reads u_t and y(t) once per distinct stage time, t, t + dt/2
+    # and t + dt, and evaluates each field once per stage.
+    def test_a_pair_step_reads_each_distinct_stage_time_once(self, monkeypatch):
         base = builtin("pendulum-ct")
-        calls = {"input": 0, "obs": 0, bucy.BUCY: 0, bucy.CNGD: 0}
+        read = {"input": [], "obs": []}
+        calls = {bucy.BUCY: 0, bucy.CNGD: 0}
+
+        def recording(key, fn):
+            def wrapper(t):
+                read[key].append(t)
+                return fn(t)
+            return wrapper
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -634,13 +641,22 @@ class TestPair:
             return wrapper
 
         model = dataclasses.replace(
-            base, input_fn=counting("input", base.input_fn), obs_path=counting("obs", base.obs_path)
+            base, input_fn=recording("input", base.input_fn), obs_path=recording("obs", base.obs_path)
         )
         monkeypatch.setattr(bucy, "bucy_deriv", counting(bucy.BUCY, bucy.bucy_deriv))
         monkeypatch.setattr(bucy, "cngd_deriv", counting(bucy.CNGD, bucy.cngd_deriv))
         sides = pair_sides(model, model.init_state, 0.5 * np.eye(2))
         bucy.run(sides, model, 0.1, 0.1, 0.2)
-        assert calls == {"input": 4, "obs": 4, bucy.BUCY: 4, bucy.CNGD: 4}
+        assert read == {"input": [0.0, 0.05, 0.1], "obs": [0.0, 0.05, 0.1]}
+        assert calls == {bucy.BUCY: 4, bucy.CNGD: 4}
+        # Over many steps no time is read twice, though the last stage's
+        # t + dt and the next step's grid time may differ by rounding.
+        read["input"].clear()
+        read["obs"].clear()
+        bucy.run(sides, model, 0.01, 1.0, 0.2)
+        assert read["input"] == read["obs"]
+        assert len(set(read["obs"])) == len(read["obs"])
+        assert set(np.linspace(0.0, 1.0, 101).tolist()) <= set(read["obs"])
 
     # check_continuous factors P_0 once, in initial_factors, and never
     # J_0: each side starts from the factor it is handed.
@@ -685,6 +701,34 @@ class TestPairFailure:
         with pytest.raises(NonFiniteError) as info:
             bucy.run(pair_sides(model, np.zeros(1), np.eye(1)), model, 0.1, 1.0)
         assert str(info.value) == "bucy step from t = 0.4: derivative non-finite at t = 0.5"
+        assert max(seen) == 0.5
+
+    # Within one stage bucy's field turns non-finite and cngd's raises its
+    # own error: the stage is tested once both have run, and still names
+    # bucy, the earlier side, by its own error.  With y(t) finite, cngd's
+    # error is named as it was raised.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "inf_from, error, message",
+        [(0.5, NonFiniteError, "bucy step from t = 0.4: derivative non-finite at t = 0.5"),
+         (np.inf, SingularMatrixError, "cngd step from t = 0.4: metric factor is singular at t = 0.5")],
+    )
+    def test_a_cngd_error_in_the_stage_where_bucy_turns_non_finite(
+        self, monkeypatch, inf_from, error, message
+    ):
+        model, seen = self.recording(inf_from)
+        cngd_deriv = bucy.cngd_deriv
+
+        def failing(s, factor, eta, t, *args):
+            if t >= 0.5:
+                raise SingularMatrixError(f"metric factor is singular at t = {t}")
+            return cngd_deriv(s, factor, eta, t, *args)
+
+        monkeypatch.setattr(bucy, "cngd_deriv", failing)
+        with pytest.raises(error) as info:
+            bucy.run(pair_sides(model, np.zeros(1), np.eye(1)), model, 0.1, 1.0)
+        assert type(info.value) is error and str(info.value) == message
+        assert info.value.side == message.split()[0]
         assert max(seen) == 0.5
 
     # eta_0 = 1e200 overflows the rate flow in the first stage: cngd fails

@@ -8,7 +8,7 @@ from kalgrad.errors import DomainError, NonFiniteError, SingularMatrixError
 from kalgrad.model import DynamicalModel, Scenario, builtin, generate_scenario
 
 from conftest import observe, random_spd
-from oracles import observe_gradient, observe_information
+from oracles import canonical_variance, observe_gradient, observe_information
 
 
 def make_linear_model(h_mat, f_scale=1.0, name="test-linear"):
@@ -185,7 +185,7 @@ class TestFormEquivalence:
         # 1 and the bernoulli variance underflows to 0.
         u = model.input_at(1)
         saturated = 800.0 * u / (u @ u)
-        assert expfam.canonical_variance(family, model.predictor(saturated, u))[0, 0] == 0.0
+        assert canonical_variance(family, model.predictor(saturated, u))[0, 0] == 0.0
         cases += [((saturated, random_spd(rng, 2)), y) for y in (0, 1)]
         for pred, y in cases:
             a_mean, a_cov = observe(ekf.observe_gain, *pred, y, model, family, 1)

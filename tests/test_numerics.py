@@ -466,3 +466,20 @@ class TestRk4:
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             rk4_step(lambda t, y: y, np.zeros(1), 0.0, 0.0)
+
+    # The step is the textbook formula bit for bit, on a field that returns
+    # a new array and on one that returns its own argument, which is left
+    # as it was.
+    def test_bit_identical_to_the_textbook_step(self, rng):
+        a = rng.standard_normal((5, 5))
+        for deriv in (lambda t, y: np.cos(t) * a.dot(y), lambda t, y: y):
+            for _ in range(50):
+                state, t, dt = rng.standard_normal(5), rng.standard_normal(), rng.random()
+                kept = state.copy()
+                k1 = deriv(t, state)
+                k2 = deriv(t + 0.5 * dt, state + 0.5 * dt * k1)
+                k3 = deriv(t + 0.5 * dt, state + 0.5 * dt * k2)
+                k4 = deriv(t + dt, state + dt * k3)
+                textbook = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                assert rk4_step(deriv, state, t, dt).tobytes() == textbook.tobytes()
+                assert state.tobytes() == kept.tobytes()
